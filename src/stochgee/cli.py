@@ -24,7 +24,7 @@ from .diagnostics import (
     optimality_study,
 )
 from .estimating import resolve_estimator
-from .exceptions import ConfigError, DatasetParseError, StochGeeError
+from .exceptions import ConfigError, DatasetParseError, InvalidInputError, StochGeeError
 from .model import load_dataset, sidecar_path, write_dataset
 from .simulation import (
     GENERATOR_ID,
@@ -186,9 +186,17 @@ def _need_truth(names) -> bool:
     return any(n.split(":")[0] in ("truth", "quasi", "quasi_score") for n in names)
 
 
+def _estimator(name, m_max, truth=None):
+    """resolve_estimator, with a bad name reported as a configuration error."""
+    try:
+        return resolve_estimator(name, m_max, truth)
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc), field="estimator") from None
+
+
 def _resolve_all(names, config: ScenarioConfig):
     truth = effective_truth(config) if _need_truth(names) else None
-    return [(n, resolve_estimator(n, config.m_max, truth)) for n in names]
+    return [(n, _estimator(n, config.m_max, truth)) for n in names]
 
 
 def _spec_only(names, config: ScenarioConfig):
@@ -234,7 +242,7 @@ def _cmd_fit(args) -> int:
             )
         config = None
         names = [args.estimator or "independence"]
-        estimators = [(names[0], resolve_estimator(names[0], dataset.m_max))]
+        estimators = [(names[0], _estimator(names[0], dataset.m_max))]
         payload = {
             "command": "fit",
             "data": os.path.abspath(args.data),
@@ -298,7 +306,10 @@ def _cmd_diagnose(args) -> int:
             ),
         )[0][1]
         n_grid = _ints(args.n_grid) if args.n_grid else (dataset.n,)
-        params = DiagnosticsParams(delta=args.delta, n_grid=tuple(sorted(set(n_grid))))
+        params = DiagnosticsParams(
+            delta=DiagnosticsParams.delta if args.delta is None else args.delta,
+            n_grid=tuple(sorted(set(n_grid))),
+        )
         report = condition_trajectories(
             dataset, dataset.beta0, dataset.link, spec, truth=None, params=params
         )

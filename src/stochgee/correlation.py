@@ -187,6 +187,17 @@ def _template(spec: WorkingCorrelationSpec, state: Optional[PseudoLikelihoodStat
     return (1.0 - eps) * raw + eps * np.eye(d)
 
 
+def _shrinkage_keeps_floor(count: int, dim: int) -> bool:
+    """Whether the identity weight of the shrinkage alone keeps the floor.
+
+    A blend (1 - eps) PSD + eps I has every eigenvalue >= eps, so an
+    average of PSD outer products shrunk with eps = 4d / (count + 4d)
+    needs no eigenvalue check while eps >= MIN_EIGENVALUE.
+    """
+    prior = SHRINK_PRIOR_FACTOR * dim
+    return prior / (count + prior) >= MIN_EIGENVALUE
+
+
 def _floor_eigenvalues(t: np.ndarray, guaranteed: bool = False) -> np.ndarray:
     """Blend in just enough identity to guarantee the eigenvalue floor.
 
@@ -222,11 +233,12 @@ def working_corr(
         # a homogeneous count matrix means the running sum is a true
         # average of PSD outer products, so the shrinkage alone already
         # guarantees the floor
-        homogeneous = (
-            int(state.counts.min()) == int(state.counts.max()) == state.count
-            and state.count <= 1_000_000
+        homogeneous = int(state.counts.min()) == int(state.counts.max()) == state.count
+        t = _floor_eigenvalues(
+            t,
+            guaranteed=homogeneous
+            and _shrinkage_keeps_floor(state.count, spec.template_dim),
         )
-        t = _floor_eigenvalues(t, guaranteed=homogeneous)
     return t[:target_size, :target_size].copy()
 
 
@@ -269,7 +281,7 @@ class PseudoAccumulator:
         eps = prior / (self.count + prior)
         out = (1.0 - eps) * raw + eps * np.eye(d)
         return _floor_eigenvalues(
-            out, guaranteed=self.homogeneous and self.count <= 1_000_000
+            out, guaranteed=self.homogeneous and _shrinkage_keeps_floor(self.count, d)
         )
 
     def working(self, size: int) -> np.ndarray:

@@ -26,12 +26,19 @@ from .estimating import (
     CorrelationTruth,
     EstimatingFunction,
     a2_schedule,
+    central_points,
     corr_trajectory,
     det_ratio,
     path_information_increments,
+    score_increments,
 )
-from .exceptions import ConfigError, InvalidInputError, NotPositiveDefiniteError
-from .model import Dataset, as_beta, conditional_moments, get_link
+from .exceptions import (
+    ConfigError,
+    InvalidInputError,
+    NotPositiveDefiniteError,
+    SingularDenominatorError,
+)
+from .model import Dataset, as_beta, get_link
 from .simulation import (
     GENERATOR_ID,
     ScenarioConfig,
@@ -144,7 +151,6 @@ def condition_trajectories(
     params = params or DiagnosticsParams()
     beta = as_beta(beta_ref)
     lk = get_link(link)
-    p = beta.shape[0]
     n_grid = params.n_grid or (dataset.n,)
     if n_grid[-1] > dataset.n:
         raise InvalidInputError(
@@ -165,21 +171,15 @@ def condition_trajectories(
     k3_run = {r: 0.0 for r in params.r_grid}
     eta_run = {r: 0.0 for r in params.r_grid}
 
-    corr_seq = corr_trajectory(dataset, beta, lk, spec)
-    inv_by_id: dict = {}
-
-    def rinv_of(mat, idx):
-        key = id(mat)
-        hit = inv_by_id.get(key)
-        if hit is None:
-            hit = (mat, linalg.spd_inverse(mat))
-            inv_by_id[key] = hit
-        return hit[1]
-
-    h_prime = np.zeros((p, p))
-    q_vec = np.zeros(p)
-    v_mat = np.zeros((p, p))
-    rows_seen: list = []
+    # the martingale g_n, its predictable covariation V_n and H'_n as
+    # cumulative sums, read at the checkpoints; H' accumulates row by row
+    q_inc, v_inc = score_increments(kind, dataset, beta, lk, var_truth)
+    q_cum, v_cum = np.cumsum(q_inc, axis=0), np.cumsum(v_inc, axis=0)
+    packed = dataset.packed
+    rows = packed.x
+    w_rows = lk.eval(1, rows @ beta)
+    h_cum = np.cumsum(rows[:, :, None] * (rows * w_rows[:, None])[:, None, :], axis=0)
+    corr_seq = corr_trajectory(dataset, beta, lk, spec) if truth is not None else None
     state = PseudoLikelihoodState.empty(dataset.m_max) if spec.depends_on_data else None
 
     series: dict = {
@@ -210,10 +210,6 @@ def condition_trajectories(
     for pos, c in enumerate(dataset.clusters):
         i = pos + 1
         x = c.regressors
-        mom = conditional_moments(c, beta, lk)
-        var = mom.variance_diag
-        h_prime += x.T @ (x * var[:, None])
-        rows_seen.append(x)
 
         for r in params.r_grid:
             lat = lattices[r]
@@ -227,24 +223,13 @@ def condition_trajectories(
                 ratio = np.sqrt(d1[:, None, :] / d1[:, :, None])
             eta_run[r] = max(eta_run[r], float(np.max(np.abs(ratio - 1.0))))
 
-        # estimating-function increment and its predictable covariation
-        resid = c.response - mom.mean
-        if kind.reduces_to_independence:
-            coeff = x.T
-        else:
-            sd = np.sqrt(var)
-            rinv = rinv_of(corr_seq[pos], i)
-            coeff = (x * sd[:, None]).T @ (rinv / sd[None, :])
-        q_vec += coeff @ resid
-        sigma = var_truth.sigma(var)
-        inc = coeff @ sigma @ coeff.T
-        v_mat += 0.5 * (inc + inc.T)
-
         if i in checkpoints:
+            n_rows = int(packed.offsets[i])
+            h_prime = h_cum[n_rows - 1]
             lo_h, hi_h = linalg.sym_eigen_extremes(h_prime)
             series["lambda_min_h_prime"].append(lo_h)
             series["lambda_max_h_prime"].append(hi_h)
-            gamma = _max_leverage(h_prime, rows_seen)
+            gamma = _max_leverage(h_prime, rows[:n_rows])
             series["gamma_prime"].append(gamma)
             a_prime = hi_h * gamma if math.isfinite(gamma) else math.inf
             series["a_prime"].append(a_prime)
@@ -266,8 +251,8 @@ def condition_trajectories(
                 if math.isfinite(gamma)
                 else math.inf
             )
-            qn = float(np.linalg.norm(q_vec))
-            lo_v, hi_v = linalg.sym_eigen_extremes(v_mat)
+            qn = float(np.linalg.norm(q_cum[pos]))
+            lo_v, hi_v = linalg.sym_eigen_extremes(v_cum[pos])
             series["lambda_min_v"].append(lo_v)
             series["lambda_max_v"].append(hi_v)
             series["slln_ratio"].append(
@@ -359,12 +344,11 @@ def condition_trajectories(
 def _safe_ratio(num, den):
     try:
         return det_ratio(num, den)
-    except Exception:
+    except SingularDenominatorError:
         return math.nan
 
 
-def _max_leverage(h_prime, row_blocks):
-    rows = np.vstack(row_blocks)
+def _max_leverage(h_prime, rows):
     try:
         sol = linalg.spd_solve(h_prime, rows.T)
     except NotPositiveDefiniteError:
@@ -385,16 +369,12 @@ def _proxy_lattice_quantities(dataset, beta, lk, spec, lattices, n_grid):
         ones = [1.0] * len(n_grid)
         zeros = [0.0] * len(n_grid)
         return {r: list(ones) for r in r_grid}, {r: list(zeros) for r in r_grid}
-    p = beta.shape[0]
-    fd_step = float(np.cbrt(np.finfo(float).eps))
     base_seq = corr_trajectory(dataset, beta, lk, spec)
     sqrt_seq = [linalg.sym_sqrt(m) for m in base_seq]
     pi_out: dict = {}
     d_out: dict = {}
+    last = np.asarray(n_grid) - 1
     for r in r_grid:
-        pi_run, d_run = 0.0, 0.0
-        pi_ck: dict = {}
-        d_ck: dict = {}
         per_cluster_pi = np.zeros(dataset.n)
         per_cluster_d = np.zeros(dataset.n)
         for point in lattices[r]:
@@ -403,29 +383,16 @@ def _proxy_lattice_quantities(dataset, beta, lk, spec, lattices, n_grid):
                 q = sqrt_seq[pos] @ linalg.spd_inverse(seq_b[pos]) @ sqrt_seq[pos]
                 lam = linalg.sym_eigen_extremes(0.5 * (q + q.T)).lambda_max
                 per_cluster_pi[pos] = max(per_cluster_pi[pos], lam)
-            for l in range(p):
-                h = fd_step * max(1.0, abs(point[l]))
-                bp = point.copy()
-                bm = point.copy()
-                bp[l] += h
-                bm[l] -= h
+            for h, bp, bm in central_points(point):
                 seq_p = corr_trajectory(dataset, bp, lk, spec)
                 seq_m = corr_trajectory(dataset, bm, lk, spec)
                 for pos in range(dataset.n):
                     dmat = (seq_p[pos] - seq_m[pos]) / (2.0 * h)
                     lo, hi = linalg.sym_eigen_extremes(0.5 * (dmat + dmat.T))
                     per_cluster_d[pos] = max(per_cluster_d[pos], abs(lo), abs(hi))
-        pi_vals, d_vals = [], []
-        run_pi, run_d = 0.0, 0.0
-        ck = set(n_grid)
-        for pos in range(dataset.n):
-            run_pi = max(run_pi, per_cluster_pi[pos])
-            run_d = max(run_d, per_cluster_d[pos])
-            if pos + 1 in ck:
-                pi_vals.append(run_pi)
-                d_vals.append(run_d)
-        pi_out[r] = pi_vals
-        d_out[r] = d_vals
+        # running maxima over the clusters, read at the checkpoints
+        pi_out[r] = np.maximum.accumulate(per_cluster_pi)[last].tolist()
+        d_out[r] = np.maximum.accumulate(per_cluster_d)[last].tolist()
     return pi_out, d_out
 
 
@@ -713,65 +680,16 @@ def a1_gap_study(
 def _slln_worker(args):
     config, rep, kind, delta, n_grid = args
     ds = simulate_scenario(config.with_n(max(n_grid)), rep)
-    lk = get_link(config.link)
-    beta0 = config.beta0_array
     truth = config.truth.template(config.m_max)
-    p = config.p
-    independence_truth = (
-        kind.reduces_to_independence
-        and np.array_equal(truth.template, np.eye(config.m_max))
-    )
-    if independence_truth:
-        # row-wise increments: q cumulates x r and V cumulates x sigma^2 x'
-        xs = np.vstack([c.regressors for c in ds.clusters])
-        ys = np.concatenate([c.response for c in ds.clusters])
-        mu = lk.eval(0, xs @ beta0)
-        var = lk.eval(1, xs @ beta0)
-        q_cum = np.cumsum(xs * (ys - mu)[:, None], axis=0)
-        v_rows = np.einsum("ij,ik->ijk", xs * var[:, None], xs)
-        v_cum = np.cumsum(v_rows, axis=0)
-        offsets = np.cumsum([c.size for c in ds.clusters])
-        ratios, lo_vs = [], []
-        for n in n_grid:
-            row = offsets[n - 1] - 1
-            lo, hi = linalg.sym_eigen_extremes(v_cum[row])
-            lo_vs.append(lo)
-            qn = float(np.linalg.norm(q_cum[row]))
-            ratios.append(qn / hi ** (0.5 + delta) if hi > 0 else math.nan)
-        return ratios, lo_vs
-    checkpoints = set(n_grid)
-    q = np.zeros(p)
-    v = np.zeros((p, p))
+    q_inc, v_inc = score_increments(kind, ds, config.beta0_array, config.link, truth)
+    q_cum = np.cumsum(q_inc, axis=0)
+    v_cum = np.cumsum(v_inc, axis=0)
     ratios, lo_vs = [], []
-    seq = (
-        corr_trajectory(ds, beta0, lk, kind.spec)
-        if kind.variant == "gee_star" and not kind.reduces_to_independence
-        else None
-    )
-    inv_cache: dict = {}
-    for pos, c in enumerate(ds.clusters):
-        mom = conditional_moments(c, beta0, lk)
-        resid = c.response - mom.mean
-        if seq is None:
-            coeff = c.regressors.T
-        else:
-            sd = np.sqrt(mom.variance_diag)
-            key = id(seq[pos])
-            hit = inv_cache.get(key)
-            if hit is None:
-                hit = (seq[pos], linalg.spd_inverse(seq[pos]))
-                inv_cache[key] = hit
-            coeff = (c.regressors * sd[:, None]).T @ (hit[1] / sd[None, :])
-        q += coeff @ resid
-        sigma = truth.sigma(mom.variance_diag)
-        inc = coeff @ sigma @ coeff.T
-        v += 0.5 * (inc + inc.T)
-        if pos + 1 in checkpoints:
-            lo, hi = linalg.sym_eigen_extremes(v)
-            lo_vs.append(lo)
-            ratios.append(
-                float(np.linalg.norm(q)) / hi ** (0.5 + delta) if hi > 0 else math.nan
-            )
+    for n in n_grid:
+        lo, hi = linalg.sym_eigen_extremes(v_cum[n - 1])
+        lo_vs.append(lo)
+        qn = float(np.linalg.norm(q_cum[n - 1]))
+        ratios.append(qn / hi ** (0.5 + delta) if hi > 0 else math.nan)
     return ratios, lo_vs
 
 

@@ -31,9 +31,18 @@ from .exceptions import (
     SingularDenominatorError,
     UnsupportedMethodError,
 )
-from .model import Dataset, as_beta, conditional_moments, get_link
+from .model import Dataset, PackedDataset, as_beta, get_link
 
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
+
+
+def central_points(beta: np.ndarray):
+    """(h, beta + h e_l, beta - h e_l) for each coordinate l, with the
+    central-difference step ``h = cbrt(eps) * max(1, |beta_l|)``."""
+    for l in range(beta.shape[0]):
+        step = np.zeros_like(beta)
+        step[l] = _FD_STEP * max(1.0, abs(beta[l]))
+        yield step[l], beta + step, beta - step
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +259,18 @@ def corr_trajectory(
     """Per-cluster proxy correlations R_{i-1}, truncated to each m_i.
 
     The proxy for cluster ``i`` only sees data through cluster ``i-1``;
-    for data-independent templates the same per-size matrix object is
-    reused so downstream factorization caches hit.
+    a data-independent template repeats one matrix object per cluster
+    size.
     """
     beta = as_beta(beta)
     link = get_link(link)
-    out = []
     if not spec.depends_on_data:
-        by_size: dict = {}
-        for c in dataset.clusters:
-            m = by_size.get(c.size)
-            if m is None:
-                m = working_corr(spec, None, c.size, beta)
-                by_size[c.size] = m
-            out.append(m)
-        return out
+        by_size = {
+            b.size: working_corr(spec, None, b.size, beta)
+            for b in dataset.packed.buckets
+        }
+        return [by_size[c.size] for c in dataset.clusters]
+    out = []
     acc = _seed_accumulator(dataset, init_state)
     for c in dataset.clusters:
         out.append(acc.working(c.size))
@@ -272,57 +278,215 @@ def corr_trajectory(
     return out
 
 
-def _truth_trajectory(dataset: Dataset, truth: CorrelationTruth) -> list:
-    by_size: dict = {}
-    out = []
-    for c in dataset.clusters:
-        m = by_size.get(c.size)
-        if m is None:
-            m = truth.rbar(c.size)
-            by_size[c.size] = m
-        out.append(m)
-    return out
+# ---------------------------------------------------------------------------
+# the batched per-cluster kernel
+#
+# Once the proxy sequence R_{i-1} is fixed, every coefficient
+# C_i = X_i' A_i^{1/2} R_{i-1}^{-1} A_i^{-1/2} can be formed at once: the
+# clusters of one size are stacked (Dataset.packed) and each size bucket
+# is one batch of small matrix products.
 
 
-def _fast_spd_inverse(m: np.ndarray, cluster_index: int) -> np.ndarray:
-    # Cholesky both validates positive definiteness and feeds the inverse;
-    # these are tiny well-conditioned matrices, so no refinement pass
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        lam_min = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
+@dataclass(frozen=True)
+class FrozenProxy:
+    """Inverse proxy correlations ``R_{i-1}^{-1}``, laid out by size bucket.
+
+    Entry ``b`` of ``inverses`` serves bucket ``b`` of ``packed``: one
+    (m, m) inverse shared by every cluster of that size (a fixed template
+    or the true correlation) or a (k, m, m) stack with one per cluster.
+    Build it with ``freeze_proxy``; passed as ``frozen_corr`` it spares
+    every evaluation the proxy fold and inversion.
+    """
+
+    packed: PackedDataset
+    inverses: tuple
+
+
+def _invert_proxies(packed: PackedDataset, mats) -> tuple:
+    """Batched Cholesky positive-definiteness check, then batched inverse.
+
+    ``mats[b]`` is (m, m) or (k, m, m) for bucket ``b``; a proxy that is
+    not positive definite is reported for the first cluster, in cluster
+    order, that uses one.
+    """
+    failed = []
+    for bucket, m in zip(packed.buckets, mats):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            for j, mat in enumerate(m.reshape((-1,) + m.shape[-2:])):
+                try:
+                    np.linalg.cholesky(mat)
+                except np.linalg.LinAlgError:
+                    failed.append((int(bucket.positions[j]) + 1, mat))
+                    break
+    if failed:
+        cluster_index, mat = min(failed, key=lambda f: f[0])
+        lam_min = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
         raise NotPositiveDefiniteError(
             f"working correlation for cluster {cluster_index} is not PD "
             f"(lambda_min={lam_min:.3e})",
             lambda_min=lam_min,
             cluster_index=cluster_index,
-        ) from None
-    return np.linalg.inv(m)
+        )
+    return tuple(np.linalg.inv(m) for m in mats)
 
 
-class _InverseCache:
-    """id-keyed cache of SPD inverses for reused correlation objects.
+def _stack_by_bucket(packed: PackedDataset, corr_seq) -> list:
+    """Per-cluster proxy matrices regrouped into (k, m, m) bucket stacks."""
+    corr_seq = list(corr_seq)
+    n = packed.offsets.shape[0] - 1
+    if len(corr_seq) != n:
+        raise InvalidInputError(
+            f"frozen correlation sequence has {len(corr_seq)} entries for "
+            f"{n} clusters"
+        )
+    out = []
+    for b in packed.buckets:
+        mats = [np.asarray(corr_seq[pos], dtype=float) for pos in b.positions]
+        if any(m.shape != (b.size, b.size) for m in mats):
+            raise InvalidInputError(
+                f"proxy matrices of clusters of size {b.size} must be "
+                f"{b.size} x {b.size}"
+            )
+        out.append(np.stack(mats))
+    return out
 
-    The matrix object is retained alongside its inverse so a cached id
-    can never be recycled by the allocator while the entry lives.
+
+def freeze_proxy(
+    kind: EstimatingFunction,
+    dataset: Dataset,
+    beta,
+    link,
+    corr_state: Optional[PseudoLikelihoodState] = None,
+    frozen_corr=None,
+) -> FrozenProxy:
+    """The inverse proxies ``eval_g`` applies at ``beta``, computed once.
+
+    ``quasi_score`` takes the true correlation and a data-independent
+    template its own matrix, one inverse per cluster size; a
+    data-dependent proxy is folded at ``beta`` (or read from a
+    ``frozen_corr`` sequence) and inverted in one batched call. A
+    ``FrozenProxy`` for the same dataset passes through unchanged.
     """
+    packed = dataset.packed
+    if isinstance(frozen_corr, FrozenProxy):
+        if frozen_corr.packed is not packed:
+            raise InvalidInputError("frozen proxy was prepared for another dataset")
+        return frozen_corr
+    if kind.variant == "quasi_score":
+        mats = [kind.truth.rbar(b.size) for b in packed.buckets]
+    elif frozen_corr is None and not kind.spec.depends_on_data:
+        mats = [working_corr(kind.spec, None, b.size, beta) for b in packed.buckets]
+    else:
+        if frozen_corr is None:
+            frozen_corr = corr_trajectory(dataset, beta, link, kind.spec, corr_state)
+        mats = _stack_by_bucket(packed, frozen_corr)
+    return FrozenProxy(packed, _invert_proxies(packed, mats))
 
-    def __init__(self):
-        self._cache: dict = {}
 
-    def inverse(self, m: np.ndarray, cluster_index: int) -> np.ndarray:
-        key = id(m)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = (m, _fast_spd_inverse(m, cluster_index))
-            self._cache[key] = hit
-        return hit[1]
+def _first_offender(packed: PackedDataset, bad_rows) -> Optional[int]:
+    """1-based index of the first cluster, in cluster order, with a bad row."""
+    first = None
+    for b, bad in zip(packed.buckets, bad_rows):
+        hit = np.flatnonzero(bad.any(axis=1))
+        if hit.size:
+            index = int(b.positions[hit[0]]) + 1
+            first = index if first is None else min(first, index)
+    return first
 
 
-def _stacked(dataset: Dataset):
-    ys = np.concatenate([c.response for c in dataset.clusters])
-    xs = np.vstack([c.regressors for c in dataset.clusters])
-    return ys, xs
+def _moments(packed: PackedDataset, beta: np.ndarray, lk) -> list:
+    """Per-bucket (mean, variance) at ``beta``, each (k, m).
+
+    Raises InvalidVarianceError for the first cluster with a non-finite
+    moment or a nonpositive variance, as ``conditional_moments`` would.
+    """
+    if packed.x.shape[1] != beta.shape[0]:
+        raise InvalidInputError(
+            f"cluster 1: regressor width {packed.x.shape[1]} != len(beta) "
+            f"{beta.shape[0]}"
+        )
+    out = []
+    for b in packed.buckets:
+        eta = b.x @ beta
+        out.append((lk.eval(0, eta), lk.eval(1, eta)))
+    nonfinite = [~(np.isfinite(mean) & np.isfinite(var)) for mean, var in out]
+    bad = [nf | (var <= 0.0) for nf, (_, var) in zip(nonfinite, out)]
+    index = _first_offender(packed, bad)
+    if index is not None:
+        if _first_offender(packed, nonfinite) == index:
+            raise InvalidVarianceError(
+                f"cluster {index}: non-finite moments at beta={beta.tolist()}"
+            )
+        raise InvalidVarianceError(f"cluster {index}: nonpositive conditional variance")
+    return out
+
+
+def _link_variances(packed: PackedDataset, xs, beta, lk, what: str) -> list:
+    """Per-bucket variances at regressors ``xs``; InvalidInputError names
+    the first cluster whose regressors leave the link domain."""
+    out = [lk.eval(1, x @ beta) for x in xs]
+    index = _first_offender(packed, [~np.isfinite(v) | (v <= 0) for v in out])
+    if index is not None:
+        raise InvalidInputError(
+            f"{what} of cluster {index} leave the link domain"
+        )
+    return out
+
+
+def _apply(mats, v: np.ndarray) -> np.ndarray:
+    """M_i v_i for (m, m) or (k, m, m) matrices and (k, m) vectors."""
+    return (mats @ v[..., None])[..., 0]
+
+
+def _coefficients(x, sd, rinv) -> np.ndarray:
+    """C_i = X_i' A_i^{1/2} R^{-1} A_i^{-1/2} per cluster, (k, p, m)."""
+    return np.swapaxes(x * sd[..., None], 1, 2) @ (rinv / sd[:, None, :])
+
+
+def _bucket_coefficients(
+    kind, dataset, beta, lk, moments, corr_state=None, frozen_corr=None
+) -> list:
+    """C_i of every cluster, stacked by bucket as (k, p, m)."""
+    packed = dataset.packed
+    if kind.reduces_to_independence:
+        return [np.swapaxes(b.x, 1, 2) for b in packed.buckets]
+    if kind.variant != "general":
+        proxy = freeze_proxy(kind, dataset, beta, lk, corr_state, frozen_corr)
+        return [
+            _coefficients(b.x, np.sqrt(var), rinv)
+            for b, (_, var), rinv in zip(packed.buckets, moments, proxy.inverses)
+        ]
+    p = beta.shape[0]
+    coeffs = []
+    for i, c in enumerate(dataset.clusters):
+        coeff = np.asarray(
+            kind.coefficients(dataset.clusters[:i], c.regressors, beta), dtype=float
+        )
+        if coeff.shape != (p, c.size):
+            raise InvalidInputError(
+                f"coefficient callback returned shape {coeff.shape} for "
+                f"cluster {c.index}, expected {(p, c.size)}"
+            )
+        coeffs.append(coeff)
+    return [np.stack([coeffs[pos] for pos in b.positions]) for b in packed.buckets]
+
+
+def _total_score(packed: PackedDataset, coeffs, moments) -> np.ndarray:
+    """g = sum_i C_i (y_i - mu_i)."""
+    return np.sum(
+        [
+            _apply(c, b.y - mean).sum(axis=0)
+            for b, c, (mean, _) in zip(packed.buckets, coeffs, moments)
+        ],
+        axis=0,
+    )
+
+
+def _sigma(truth: CorrelationTruth, size: int, sd: np.ndarray) -> np.ndarray:
+    """Sigma_i = A_i^{1/2} Rbar A_i^{1/2} per cluster, (k, m, m)."""
+    return truth.rbar(size) * (sd[:, :, None] * sd[:, None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -335,57 +499,46 @@ def eval_g(
     beta,
     link,
     corr_state: Optional[PseudoLikelihoodState] = None,
-    frozen_corr: Optional[Sequence[np.ndarray]] = None,
+    frozen_corr=None,
 ) -> np.ndarray:
     """Evaluate the estimating function as an exact finite sum over clusters.
 
     ``corr_state`` seeds the residual-moment fold of a pseudo-likelihood
     proxy; ``frozen_corr`` bypasses the fold entirely and uses the given
-    per-cluster proxy matrices (the solver freezes proxies this way).
+    per-cluster proxy matrices, or a ``FrozenProxy`` prepared by
+    ``freeze_proxy`` (the solver freezes proxies this way).
     """
     beta = as_beta(beta)
     lk = get_link(link)
+    packed = dataset.packed
     if kind.reduces_to_independence:
-        ys, xs = _stacked(dataset)
-        mu = lk.eval(0, xs @ beta)
-        return xs.T @ (ys - mu)
-    if kind.variant == "general":
-        g = np.zeros(beta.shape[0])
-        for i, c in enumerate(dataset.clusters):
-            coeff = np.asarray(
-                kind.coefficients(dataset.clusters[:i], c.regressors, beta),
-                dtype=float,
-            )
-            if coeff.shape != (beta.shape[0], c.size):
-                raise InvalidInputError(
-                    f"coefficient callback returned shape {coeff.shape} for "
-                    f"cluster {c.index}, expected {(beta.shape[0], c.size)}"
-                )
-            mom = conditional_moments(c, beta, lk)
-            g += coeff @ (c.response - mom.mean)
-        return g
-    if kind.variant == "quasi_score":
-        corr_seq = _truth_trajectory(dataset, kind.truth)
-    else:
-        corr_seq = (
-            list(frozen_corr)
-            if frozen_corr is not None
-            else corr_trajectory(dataset, beta, link, kind.spec, corr_state)
-        )
-    if len(corr_seq) != dataset.n:
+        mu = lk.eval(0, packed.x @ beta)
+        return packed.x.T @ (packed.y - mu)
+    moments = _moments(packed, beta, lk)
+    coeffs = _bucket_coefficients(
+        kind, dataset, beta, lk, moments, corr_state, frozen_corr
+    )
+    return _total_score(packed, coeffs, moments)
+
+
+def _perturbed_regressors(dataset: Dataset, perturbation: "Perturbation", p: int):
+    """(deltas, per-bucket regressors X_i + delta_i') after checking the
+    count and every shape."""
+    deltas = perturbation.deltas
+    if len(deltas) != dataset.n:
         raise InvalidInputError(
-            f"frozen correlation sequence has {len(corr_seq)} entries for "
-            f"{dataset.n} clusters"
+            f"perturbation has {len(deltas)} matrices for {dataset.n} clusters"
         )
-    cache = _InverseCache()
-    g = np.zeros(beta.shape[0])
-    for c, r in zip(dataset.clusters, corr_seq):
-        mom = conditional_moments(c, beta, lk)
-        sd = np.sqrt(mom.variance_diag)
-        rinv = cache.inverse(r, c.index)
-        u = (c.response - mom.mean) / sd
-        g += c.regressors.T @ (sd * (rinv @ u))
-    return g
+    for c, d in zip(dataset.clusters, deltas):
+        if d.shape != (p, c.size):
+            raise InvalidInputError(
+                f"delta for cluster {c.index} has shape {d.shape}, "
+                f"expected {(p, c.size)}"
+            )
+    return deltas, [
+        b.x + np.swapaxes(np.stack([deltas[pos] for pos in b.positions]), 1, 2)
+        for b in dataset.packed.buckets
+    ]
 
 
 def eval_g_perturbed(
@@ -404,46 +557,28 @@ def eval_g_perturbed(
     """
     beta = as_beta(beta)
     lk = get_link(link)
-    deltas = perturbation.deltas
-    if len(deltas) != dataset.n:
-        raise InvalidInputError(
-            f"perturbation has {len(deltas)} matrices for {dataset.n} clusters"
-        )
+    deltas, xps = _perturbed_regressors(dataset, perturbation, beta.shape[0])
+    kind = EstimatingFunction.gee_star(spec)
     if not any(d.any() for d in deltas):
         # exact zero perturbation: reproduce the plain evaluation bitwise
-        return eval_g(
-            EstimatingFunction.gee_star(spec), dataset, beta, lk, corr_state
-        )
-    if spec.depends_on_data:
-        corr_seq = _perturbed_pseudo_trajectory(
-            dataset, beta, lk, spec, deltas, corr_state
-        )
+        return eval_g(kind, dataset, beta, lk, corr_state)
+    packed = dataset.packed
+    moments = _moments(packed, beta, lk)
+    if spec.kind == "identity":
+        coeffs = [np.swapaxes(xp, 1, 2) for xp in xps]
     else:
-        corr_seq = corr_trajectory(dataset, beta, lk, spec)
-    cache = _InverseCache()
-    g = np.zeros(beta.shape[0])
-    identity_spec = spec.kind == "identity"
-    for c, r, delta in zip(dataset.clusters, corr_seq, deltas):
-        if delta.shape != (beta.shape[0], c.size):
-            raise InvalidInputError(
-                f"delta for cluster {c.index} has shape {delta.shape}, "
-                f"expected {(beta.shape[0], c.size)}"
+        frozen = None
+        if spec.depends_on_data:
+            frozen = _perturbed_pseudo_trajectory(
+                dataset, beta, lk, spec, deltas, corr_state
             )
-        mom = conditional_moments(c, beta, lk)
-        resid = c.response - mom.mean
-        xp = c.regressors + delta.T if delta.any() else c.regressors
-        if identity_spec:
-            g += xp.T @ resid
-            continue
-        var_p = lk.eval(1, xp @ beta)
-        if np.any(var_p <= 0) or not np.all(np.isfinite(var_p)):
-            raise InvalidInputError(
-                f"perturbed regressors of cluster {c.index} leave the link domain"
-            )
-        sd = np.sqrt(var_p)
-        rinv = cache.inverse(r, c.index)
-        g += xp.T @ (sd * (rinv @ (resid / sd)))
-    return g
+        proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr=frozen)
+        var_p = _link_variances(packed, xps, beta, lk, "perturbed regressors")
+        coeffs = [
+            _coefficients(xp, np.sqrt(var), rinv)
+            for xp, var, rinv in zip(xps, var_p, proxy.inverses)
+        ]
+    return _total_score(packed, coeffs, moments)
 
 
 def _perturbed_residuals(cluster, xp, beta, lk):
@@ -490,7 +625,7 @@ def jacobian(
     beta,
     link,
     corr_state: Optional[PseudoLikelihoodState] = None,
-    frozen_corr: Optional[Sequence[np.ndarray]] = None,
+    frozen_corr=None,
     method: Optional[str] = None,
 ) -> np.ndarray:
     """Negative derivative of the estimating function, -d g / d beta'.
@@ -512,53 +647,40 @@ def jacobian(
         return _analytic_jacobian(kind, dataset, beta, lk, corr_state, frozen_corr)
     if method != "finite_difference":
         raise InvalidInputError(f"unknown jacobian method {method!r}")
-    p = beta.shape[0]
-    jac = np.empty((p, p))
-    for l in range(p):
-        h = _FD_STEP * max(1.0, abs(beta[l]))
-        bp, bm = beta.copy(), beta.copy()
-        bp[l] += h
-        bm[l] -= h
+    cols = []
+    for h, bp, bm in central_points(beta):
         gp = eval_g(kind, dataset, bp, lk, corr_state, frozen_corr)
         gm = eval_g(kind, dataset, bm, lk, corr_state, frozen_corr)
-        jac[:, l] = (gp - gm) / (2.0 * h)
-    return -jac
+        cols.append((gp - gm) / (2.0 * h))
+    return -np.column_stack(cols)
 
 
 def _analytic_jacobian(kind, dataset, beta, lk, corr_state, frozen_corr):
+    packed = dataset.packed
     if kind.reduces_to_independence:
-        ys, xs = _stacked(dataset)
+        xs = packed.x
         w = lk.eval(1, xs @ beta)
         return xs.T @ (xs * w[:, None])
-    if kind.variant == "quasi_score":
-        corr_seq = _truth_trajectory(dataset, kind.truth)
-    else:
-        corr_seq = (
-            list(frozen_corr)
-            if frozen_corr is not None
-            else corr_trajectory(dataset, beta, lk, kind.spec, corr_state)
-        )
-    cache = _InverseCache()
+    moments = _moments(packed, beta, lk)
+    proxy = freeze_proxy(kind, dataset, beta, lk, corr_state, frozen_corr)
     p = beta.shape[0]
     total = np.zeros((p, p))
     log_link = lk.kind == "log"
-    for c, r in zip(dataset.clusters, corr_seq):
-        mom = conditional_moments(c, beta, lk)
-        sd = np.sqrt(mom.variance_diag)
-        rinv = cache.inverse(r, c.index)
+    for b, (mean, var), rinv in zip(packed.buckets, moments, proxy.inverses):
+        sd = np.sqrt(var)
+        rows = b.x.reshape(-1, p)
         # B = A^{1/2} R^{-1} A^{-1/2}; main term is X' B A X
-        b = rinv * np.outer(sd, 1.0 / sd)
-        total += c.regressors.T @ (b @ (c.regressors * mom.variance_diag[:, None]))
+        bmat = rinv * (sd[:, :, None] * (1.0 / sd)[:, None, :])
+        total += rows.T @ (bmat @ (b.x * var[..., None])).reshape(-1, p)
         if log_link:
             # d b_jk / d beta_l = b_jk (x_jl - x_kl) / 2 for the log link;
             # contracted with the residual this is
-            # (x_l o (B r) - B (x_l o r)) / 2
-            resid = c.response - mom.mean
-            br = b @ resid
-            for l in range(p):
-                col = c.regressors[:, l]
-                corr_term = 0.5 * (col * br - b @ (col * resid))
-                total[:, l] -= c.regressors.T @ corr_term
+            # (x_l o (B r) - B (x_l o r)) / 2, for every column l at once
+            resid = b.y - mean
+            corr_term = 0.5 * (
+                b.x * _apply(bmat, resid)[..., None] - bmat @ (b.x * resid[..., None])
+            )
+            total -= rows.T @ corr_term.reshape(-1, p)
     return total
 
 
@@ -636,46 +758,31 @@ def path_information_increments(
     """
     beta = as_beta(beta)
     lk = get_link(link)
+    packed = dataset.packed
     n, p = dataset.n, beta.shape[0]
-    deltas = None
+    kind = EstimatingFunction.gee_star(spec)
+    xs = [b.x for b in packed.buckets]
+    frozen = None
     if perturbation is not None:
-        deltas = perturbation.deltas
-        if len(deltas) != n:
-            raise InvalidInputError("perturbation length mismatch")
-        corr_seq = _perturbed_pseudo_trajectory(
-            dataset, beta, lk, spec, deltas, None
-        ) if spec.depends_on_data else corr_trajectory(dataset, beta, lk, spec)
-    else:
-        corr_seq = corr_trajectory(dataset, beta, lk, spec)
-    cache = _InverseCache()
-    out = {
-        "h_ind": np.empty((n, p, p)),
-        "h_star": np.empty((n, p, p)),
-        "m_bar": np.empty((n, p, p)),
-        "m_star": np.empty((n, p, p)),
-    }
-    truth_by_size: dict = {}
-    for pos, (c, r) in enumerate(zip(dataset.clusters, corr_seq)):
-        x = c.regressors
-        if deltas is not None and deltas[pos].any():
-            x = x + deltas[pos].T
-        var = lk.eval(1, x @ beta)
-        if np.any(var <= 0) or not np.all(np.isfinite(var)):
-            raise InvalidInputError(
-                f"regressors of cluster {c.index} leave the link domain"
-            )
-        z = x * np.sqrt(var)[:, None]
-        rbar = truth_by_size.get(c.size)
-        if rbar is None:
-            rbar = truth.rbar(c.size)
-            truth_by_size[c.size] = rbar
-        rbar_inv = cache.inverse(rbar, c.index)
-        rinv = cache.inverse(r, c.index)
+        deltas, xs = _perturbed_regressors(dataset, perturbation, p)
+        if spec.depends_on_data:
+            frozen = _perturbed_pseudo_trajectory(dataset, beta, lk, spec, deltas, None)
+    proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr=frozen)
+    rbar_inv = _invert_proxies(packed, [truth.rbar(b.size) for b in packed.buckets])
+    variances = _link_variances(packed, xs, beta, lk, "regressors")
+    out = {k: np.empty((n, p, p)) for k in ("h_ind", "h_star", "m_bar", "m_star")}
+    for b, x, var, rinv, tinv in zip(
+        packed.buckets, xs, variances, proxy.inverses, rbar_inv
+    ):
+        z = x * np.sqrt(var)[..., None]
+        zt = np.swapaxes(z, 1, 2)
         v = rinv @ z
-        out["h_ind"][pos] = z.T @ z
-        out["h_star"][pos] = z.T @ v
-        out["m_bar"][pos] = z.T @ (rbar_inv @ z)
-        out["m_star"][pos] = v.T @ (rbar @ v)
+        out["h_ind"][b.positions] = zt @ z
+        # h_star and m_bar take the same operations, so a proxy equal to
+        # the truth gives bitwise equal matrices
+        out["h_star"][b.positions] = zt @ v
+        out["m_bar"][b.positions] = zt @ (tinv @ z)
+        out["m_star"][b.positions] = np.swapaxes(v, 1, 2) @ (truth.rbar(b.size) @ v)
     return out
 
 
@@ -736,6 +843,36 @@ class ConditionalVariance:
         return self.increments[:n].sum(axis=0)
 
 
+def score_increments(
+    kind: EstimatingFunction,
+    dataset: Dataset,
+    beta,
+    link,
+    truth: CorrelationTruth,
+) -> tuple:
+    """Per-cluster increments of the estimating function and of its
+    predictable covariation.
+
+    Returns ``(q, v)``: ``q[i] = C_i (y_i - mu_i)`` of shape (n, p) and
+    ``v[i] = C_i Sigma_i C_i'``, symmetrized, of shape (n, p, p), with the
+    true conditional covariance ``Sigma_i`` from ``truth`` (or its plug-in
+    approximation). Cumulative sums give ``g`` and ``V`` along ``n``.
+    """
+    beta = as_beta(beta)
+    lk = get_link(link)
+    packed = dataset.packed
+    n, p = dataset.n, beta.shape[0]
+    moments = _moments(packed, beta, lk)
+    coeffs = _bucket_coefficients(kind, dataset, beta, lk, moments)
+    q = np.empty((n, p))
+    v = np.empty((n, p, p))
+    for b, coeff, (mean, var) in zip(packed.buckets, coeffs, moments):
+        inc = coeff @ _sigma(truth, b.size, np.sqrt(var)) @ np.swapaxes(coeff, 1, 2)
+        v[b.positions] = 0.5 * (inc + np.swapaxes(inc, 1, 2))
+        q[b.positions] = _apply(coeff, b.y - mean)
+    return q, v
+
+
 def conditional_variance(
     kind: EstimatingFunction,
     dataset: Dataset,
@@ -748,39 +885,7 @@ def conditional_variance(
     Each increment is ``C_i Sigma_i C_i'`` with the true conditional
     covariance from ``truth`` (or its plug-in approximation).
     """
-    beta = as_beta(beta)
-    lk = get_link(link)
-    n, p = dataset.n, beta.shape[0]
-    if kind.variant == "general":
-        coeff_fn = lambda i, c: np.asarray(
-            kind.coefficients(dataset.clusters[:i], c.regressors, beta), dtype=float
-        )
-        corr_seq = None
-    elif kind.reduces_to_independence:
-        coeff_fn = None
-        corr_seq = None
-    elif kind.variant == "quasi_score":
-        coeff_fn = None
-        corr_seq = _truth_trajectory(dataset, kind.truth)
-    else:
-        coeff_fn = None
-        corr_seq = corr_trajectory(dataset, beta, lk, kind.spec)
-    cache = _InverseCache()
-    increments = np.empty((n, p, p))
-    for pos, c in enumerate(dataset.clusters):
-        mom = conditional_moments(c, beta, lk)
-        sigma = truth.sigma(mom.variance_diag)
-        if kind.variant == "general":
-            coeff = coeff_fn(pos, c)
-        elif kind.reduces_to_independence:
-            coeff = c.regressors.T
-        else:
-            sd = np.sqrt(mom.variance_diag)
-            rinv = cache.inverse(corr_seq[pos], c.index)
-            # C = X' A^{1/2} R^{-1} A^{-1/2}
-            coeff = (c.regressors * sd[:, None]).T @ (rinv / sd[None, :])
-        inc = coeff @ sigma @ coeff.T
-        increments[pos] = 0.5 * (inc + inc.T)
+    _, increments = score_increments(kind, dataset, beta, link, truth)
     return ConditionalVariance(v_n=increments.sum(axis=0), increments=increments)
 
 
@@ -946,59 +1051,34 @@ def integrability_summary(
         raise InvalidInputError("ensemble must contain at least one dataset")
     beta = as_beta(beta)
     lk = get_link(link)
-    p = beta.shape[0]
     if truth is None:
         truth = CorrelationTruth.plugin(ensemble[0].m_max)
 
     def coeffs(ds, b):
-        out = []
-        if kind.variant == "general":
-            for i, c in enumerate(ds.clusters):
-                out.append(
-                    np.asarray(kind.coefficients(ds.clusters[:i], c.regressors, b))
-                )
-            return out
-        if kind.reduces_to_independence:
-            return [c.regressors.T.copy() for c in ds.clusters]
-        if kind.variant == "quasi_score":
-            seq = _truth_trajectory(ds, kind.truth)
-        else:
-            seq = corr_trajectory(ds, b, lk, kind.spec)
-        cache = _InverseCache()
-        for c, r in zip(ds.clusters, seq):
-            mom = conditional_moments(c, b, lk)
-            sd = np.sqrt(mom.variance_diag)
-            rinv = cache.inverse(r, c.index)
-            out.append((c.regressors * sd[:, None]).T @ (rinv / sd[None, :]))
-        return out
+        return _bucket_coefficients(kind, ds, b, lk, _moments(ds.packed, b, lk))
 
-    abs_c = []
-    abs_dc_resid = []
-    abs_ccv = []
+    abs_c, abs_dc_resid, abs_ccv = [], [], []
     for ds in ensemble:
         base = coeffs(ds, beta)
-        grads = []
-        for l in range(p):
-            h = _FD_STEP * max(1.0, abs(beta[l]))
-            bp, bm = beta.copy(), beta.copy()
-            bp[l] += h
-            bm[l] -= h
-            cp = coeffs(ds, bp)
-            cm = coeffs(ds, bm)
-            grads.append([(a - b) / (2.0 * h) for a, b in zip(cp, cm)])
-        for pos, c in enumerate(ds.clusters):
-            mom = conditional_moments(c, beta, lk)
-            resid = c.response - mom.mean
-            sigma = truth.sigma(mom.variance_diag)
-            ci = base[pos]
-            abs_c.append(np.abs(ci).mean())
-            for l in range(p):
-                abs_dc_resid.append(np.abs(grads[l][pos] * resid[None, :]).mean())
+        grads = [
+            [(a - b) / (2.0 * h) for a, b in zip(coeffs(ds, bp), coeffs(ds, bm))]
+            for h, bp, bm in central_points(beta)
+        ]
+        moments = _moments(ds.packed, beta, lk)
+        for j, (bk, (mean, var)) in enumerate(zip(ds.packed.buckets, moments)):
+            resid = bk.y - mean
+            sigma = _sigma(truth, bk.size, np.sqrt(var))
+            ci = base[j]
+            abs_c.append(np.abs(ci).mean(axis=(1, 2)))
+            for grad in grads:
+                abs_dc_resid.append(
+                    np.abs(grad[j] * resid[:, None, :]).mean(axis=(1, 2))
+                )
             # |c^{jk} c^{lr} sigma^{kr}| averaged over all index combinations
-            cross = np.einsum("jk,lr,kr->jlkr", ci, ci, sigma)
-            abs_ccv.append(np.abs(cross).mean())
+            cross = np.einsum("ijk,ilr,ikr->ijlkr", ci, ci, sigma)
+            abs_ccv.append(np.abs(cross).mean(axis=(1, 2, 3, 4)))
     return {
-        "mean_abs_coefficient": float(np.mean(abs_c)),
-        "mean_abs_gradient_residual": float(np.mean(abs_dc_resid)),
-        "mean_abs_cross_moment": float(np.mean(abs_ccv)),
+        "mean_abs_coefficient": float(np.mean(np.concatenate(abs_c))),
+        "mean_abs_gradient_residual": float(np.mean(np.concatenate(abs_dc_resid))),
+        "mean_abs_cross_moment": float(np.mean(np.concatenate(abs_ccv))),
     }

@@ -10,6 +10,7 @@ determined by history strictly before ``y_i``.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -179,6 +180,65 @@ class Cluster:
 
 
 @dataclass(frozen=True)
+class SizeBucket:
+    """The clusters of one size, stacked: ``x`` is (k, size, p), ``y`` is
+    (k, size) and ``positions`` holds their 0-based places in cluster
+    order, increasing."""
+
+    size: int
+    positions: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+
+@dataclass(frozen=True)
+class PackedDataset:
+    """A dataset's arrays, packed once.
+
+    ``x`` (N, p) and ``y`` (N,) hold every row in cluster order, with
+    cluster ``i`` in rows ``offsets[i-1]:offsets[i]``; ``buckets`` group
+    the clusters by size, smallest size first. All arrays are read-only.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    offsets: np.ndarray
+    buckets: tuple
+
+    @classmethod
+    def of(cls, clusters) -> "PackedDataset":
+        x = np.concatenate([c.regressors for c in clusters])
+        y = np.concatenate([c.response for c in clusters])
+        sizes = np.array([c.size for c in clusters], dtype=np.int64)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        buckets = []
+        for size in np.unique(sizes):
+            positions = np.flatnonzero(sizes == size)
+            rows = offsets[positions][:, None] + np.arange(size)
+            buckets.append(SizeBucket(int(size), positions, x[rows], y[rows]))
+        return cls._frozen(x, y, offsets, tuple(buckets))
+
+    @classmethod
+    def _frozen(cls, x, y, offsets, buckets) -> "PackedDataset":
+        arrays = [x, y, offsets] + [a for b in buckets for a in (b.positions, b.x, b.y)]
+        for arr in arrays:
+            arr.setflags(write=False)
+        return cls(x, y, offsets, buckets)
+
+    def prefix(self, n: int) -> "PackedDataset":
+        """The pack of the first ``n`` clusters, as views into this one."""
+        buckets = []
+        for b in self.buckets:
+            k = int(np.searchsorted(b.positions, n))
+            if k:
+                buckets.append(SizeBucket(b.size, b.positions[:k], b.x[:k], b.y[:k]))
+        rows = self.offsets[n]
+        return PackedDataset._frozen(
+            self.x[:rows], self.y[:rows], self.offsets[: n + 1], tuple(buckets)
+        )
+
+
+@dataclass(frozen=True)
 class Dataset:
     """Ordered clusters with the declared maximal cluster size.
 
@@ -227,7 +287,14 @@ class Dataset:
             raise InvalidInputError(f"prefix length {n} outside 1..{self.n}")
         if n == self.n:
             return self
-        return Dataset(self.clusters[:n], self.p, self.m_max, self.link, self.beta0)
+        sub = Dataset(self.clusters[:n], self.p, self.m_max, self.link, self.beta0)
+        object.__setattr__(sub, "packed", self.packed.prefix(n))
+        return sub
+
+    @functools.cached_property
+    def packed(self) -> PackedDataset:
+        """The clusters packed into stacked arrays and size buckets."""
+        return PackedDataset.of(self.clusters)
 
     def digest(self) -> str:
         h = hashlib.sha256()

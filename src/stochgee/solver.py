@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .estimating import EstimatingFunction, corr_trajectory, eval_g, jacobian
+from .estimating import EstimatingFunction, eval_g, freeze_proxy, jacobian
 from .exceptions import (
     InvalidInputError,
     SingularDesignError,
@@ -59,9 +59,8 @@ def default_init(dataset: Dataset, link) -> np.ndarray:
     the zero vector is returned.
     """
     lk = get_link(link)
-    ys = np.concatenate([c.response for c in dataset.clusters])
-    xs = np.vstack([c.regressors for c in dataset.clusters])
-    z = lk.inverse(ys)
+    xs = dataset.packed.x
+    z = lk.inverse(dataset.packed.y)
     ok = np.isfinite(z)
     p = dataset.p
     if ok.sum() < p:
@@ -182,15 +181,15 @@ def solve_gee(
     )
     if not needs_stages:
         frozen = None
-        if kind.variant == "gee_star" and not kind.spec.depends_on_beta:
-            frozen = corr_trajectory(dataset, beta0, lk, kind.spec)
+        if kind.variant != "general" and not kind.reduces_to_independence:
+            frozen = freeze_proxy(kind, dataset, beta0, lk)
         return _newton(dataset, kind, lk, config, beta0, frozen, region)
     # staged fit: independence first, then refit under the refolded proxy
     stage_fit = _newton(
         dataset, EstimatingFunction.independence(), lk, config, beta0, None, region
     )
     for _ in range(config.outer_stages - 1):
-        frozen = corr_trajectory(dataset, stage_fit.beta_hat, lk, kind.spec)
+        frozen = freeze_proxy(kind, dataset, stage_fit.beta_hat, lk)
         stage_fit = _newton(
             dataset, kind, lk, config, stage_fit.beta_hat, frozen, region
         )

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own numerics: the
 eigenvalue oracle works through the characteristic polynomial, norms come
 from power iteration or brute-force grid search, determinants from
-cofactor expansion.
+cofactor expansion, and the estimating-function quantities from plain
+per-cluster loops.
 """
 
 import numpy as np
@@ -114,3 +115,91 @@ def quadratic_form_radius_2x2(m, n_grid=2_000_000):
         + m[1, 1] * s * s
     )
     return float(np.max(np.abs(val)))
+
+
+# ---------------------------------------------------------------------------
+# per-cluster reference loops for the batched estimating-function kernel
+#
+# Each loop visits one cluster at a time, as the package did before its
+# kernel was batched by cluster size. ``clusters`` is a list of (y_i, X_i)
+# pairs; ``corr_seq`` holds the proxy R_{i-1} of every cluster, or is None
+# for independence; ``rbar_of(m)`` gives the true correlation of size m.
+
+
+def _link_moments(link, eta):
+    if link == "identity":
+        return eta + 0.0, np.ones_like(eta)
+    if link == "log":
+        return np.exp(eta), np.exp(eta)
+    raise ValueError(f"no reference moments for link {link!r}")
+
+
+def _loop_coefficient(x, var, r):
+    # C = X' A^{1/2} R^{-1} A^{-1/2}
+    if r is None:
+        return x.T
+    sd = np.sqrt(var)
+    return (x * sd[:, None]).T @ (np.linalg.inv(r) / sd[None, :])
+
+
+def loop_eval_g(clusters, beta, link, corr_seq=None, deltas=None):
+    """sum_i C_i (y_i - mu_i), one cluster at a time; with ``deltas`` the
+    coefficients use X_i + delta_i' while the means keep X_i."""
+    g = np.zeros(beta.shape[0])
+    for pos, (y, x) in enumerate(clusters):
+        mean, var = _link_moments(link, x @ beta)
+        if deltas is not None:
+            x = x + deltas[pos].T
+            _, var = _link_moments(link, x @ beta)
+        r = None if corr_seq is None else corr_seq[pos]
+        g += _loop_coefficient(x, var, r) @ (y - mean)
+    return g
+
+
+def loop_jacobian(clusters, beta, link, corr_seq=None):
+    """-dg/dbeta' for a beta-independent proxy, one cluster at a time."""
+    p = beta.shape[0]
+    total = np.zeros((p, p))
+    for pos, (y, x) in enumerate(clusters):
+        mean, var = _link_moments(link, x @ beta)
+        sd = np.sqrt(var)
+        rinv = np.eye(len(y)) if corr_seq is None else np.linalg.inv(corr_seq[pos])
+        b = rinv * np.outer(sd, 1.0 / sd)
+        total += x.T @ (b @ (x * var[:, None]))
+        if link == "log":
+            resid = y - mean
+            br = b @ resid
+            for l in range(p):
+                col = x[:, l]
+                total[:, l] -= x.T @ (0.5 * (col * br - b @ (col * resid)))
+    return total
+
+
+def loop_information_increments(clusters, beta, link, corr_seq, rbar_of, deltas=None):
+    """Per-cluster h_ind, h_star, m_bar and m_star, one cluster at a time."""
+    out = {k: [] for k in ("h_ind", "h_star", "m_bar", "m_star")}
+    for pos, (_, x) in enumerate(clusters):
+        if deltas is not None:
+            x = x + deltas[pos].T
+        _, var = _link_moments(link, x @ beta)
+        z = x * np.sqrt(var)[:, None]
+        rbar = rbar_of(x.shape[0])
+        v = np.linalg.inv(corr_seq[pos]) @ z
+        out["h_ind"].append(z.T @ z)
+        out["h_star"].append(z.T @ v)
+        out["m_bar"].append(z.T @ (np.linalg.inv(rbar) @ z))
+        out["m_star"].append(v.T @ (rbar @ v))
+    return {k: np.array(v) for k, v in out.items()}
+
+
+def loop_conditional_variance(clusters, beta, link, corr_seq, rbar_of):
+    """Per-cluster C_i Sigma_i C_i', symmetrized, one cluster at a time."""
+    out = []
+    for pos, (_, x) in enumerate(clusters):
+        _, var = _link_moments(link, x @ beta)
+        r = None if corr_seq is None else corr_seq[pos]
+        coeff = _loop_coefficient(x, var, r)
+        sd = np.sqrt(var)
+        inc = coeff @ (rbar_of(x.shape[0]) * np.outer(sd, sd)) @ coeff.T
+        out.append(0.5 * (inc + inc.T))
+    return np.array(out)

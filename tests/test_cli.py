@@ -148,7 +148,39 @@ class TestFit:
         assert payload["converged"] is False
 
 
+    @pytest.mark.parametrize("name", ["bogus", "exchangeable:abc", "exchangeable:1.5"])
+    def test_bad_estimator_is_config_error(self, tmp_path, capsys, name):
+        ds = dataset_from_arrays(
+            [(np.ones(2), np.eye(2)) for _ in range(4)], link="identity"
+        )
+        data = tmp_path / "ds.csv"
+        write_dataset(ds, str(data))
+        out = tmp_path / "fit"
+        argv = ["fit", "--data", str(data), "--estimator", name, "--out", str(out)]
+        assert main(argv) == 2
+        assert "error: estimator:" in capsys.readouterr().err
+
+    def test_bad_scenario_estimator_is_config_error(self, scenario_file, tmp_path):
+        out = tmp_path / "fit"
+        argv = ["fit", "--scenario", scenario_file, "--estimator", "bogus"]
+        assert main(argv + ["--out", str(out)]) == 2
+
+
 class TestDiagnose:
+    def test_data_without_delta_uses_default(self, tmp_path):
+        rng = np.random.default_rng(3)
+        pairs = [
+            (rng.standard_normal(3), rng.standard_normal((3, 2))) for _ in range(12)
+        ]
+        ds = dataset_from_arrays(pairs, link="identity", beta0=np.array([0.5, -0.3]))
+        data = tmp_path / "ds.csv"
+        write_dataset(ds, str(data))
+        out = tmp_path / "diag"
+        argv = ["diagnose", "--data", str(data), "--estimator", "exchangeable:0.4"]
+        assert main(argv + ["--out", str(out)]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["report"]["delta"] == 0.25
+
     def test_scenario_report(self, scenario_file, tmp_path):
         out = tmp_path / "diag"
         code = main(

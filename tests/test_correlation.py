@@ -238,6 +238,27 @@ class TestCorrBetaDerivative:
         for a, b in zip(fast, slow):
             np.testing.assert_array_equal(a, b)
 
+    def test_shrinkage_floor_bound_follows_min_eigenvalue(self):
+        # 4d / (count + 4d) >= MIN_EIGENVALUE keeps the floor without an
+        # eigenvalue check: at d = 3 up to about 1.2e7 clusters
+        from stochgee.correlation import (
+            _floor_eigenvalues,
+            _shrinkage_keeps_floor,
+            _template,
+        )
+
+        assert _shrinkage_keeps_floor(11_999_000, 3)
+        assert not _shrinkage_keeps_floor(12_001_000, 3)
+        assert _shrinkage_keeps_floor(3_999_000, 1)
+        assert not _shrinkage_keeps_floor(4_001_000, 1)
+        spec = WorkingCorrelationSpec.pseudo_likelihood(3)
+        count = 5_000_000
+        r = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        state = PseudoLikelihoodState(count, r * count, np.full((3, 3), count))
+        t = _template(spec, state)
+        np.testing.assert_array_equal(working_corr(spec, state, 3), t)
+        np.testing.assert_array_equal(_floor_eigenvalues(t), t)
+
     def test_richardson_step_halving(self):
         # central differences converge at O(h^2): halving the step cuts
         # the increment by ~4

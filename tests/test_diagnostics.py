@@ -347,3 +347,17 @@ class TestStudies:
         assert rows[120]["median_err"] < rows[30]["median_err"]
         assert rows[120]["converged_fraction"] == 1.0
         assert res.meta["failures"] == 0
+
+
+class TestSafeRatio:
+    def test_singular_denominator_is_nan(self):
+        from stochgee.diagnostics import _safe_ratio
+
+        assert math.isnan(_safe_ratio(np.eye(2), np.zeros((2, 2))))
+        assert _safe_ratio(2.0 * np.eye(2), np.eye(2)) == pytest.approx(4.0)
+
+    def test_shape_mismatch_still_raises(self):
+        from stochgee.diagnostics import _safe_ratio
+
+        with pytest.raises(InvalidInputError):
+            _safe_ratio(np.eye(2), np.eye(3))

@@ -1,0 +1,220 @@
+"""The batched per-cluster kernel against the per-cluster reference loops."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stochgee import (
+    CorrelationTruth,
+    EstimatingFunction,
+    InvalidVarianceError,
+    NotPositiveDefiniteError,
+    Perturbation,
+    WorkingCorrelationSpec,
+    conditional_variance,
+    corr_trajectory,
+    dataset_from_arrays,
+    eval_g,
+    eval_g_perturbed,
+    jacobian,
+    path_information_increments,
+    working_corr,
+)
+from stochgee.estimating import _analytic_jacobian
+from stochgee.model import get_link
+
+from oracles import (
+    loop_conditional_variance,
+    loop_eval_g,
+    loop_information_increments,
+    loop_jacobian,
+)
+
+RTOL = 1e-12
+VARIANTS = ("independence", "exchangeable", "fixed", "pseudo", "pseudo_frozen", "quasi")
+
+
+def mixed_dataset(seed, n, m_max):
+    """Clusters of sizes 1..m_max in random order, mild regressors."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        m = int(rng.integers(1, m_max + 1))
+        x = 0.4 * rng.standard_normal((m, 2))
+        pairs.append((1.0 + rng.standard_normal(m), x))
+    return dataset_from_arrays(pairs, m_max=m_max), rng
+
+
+def random_template(rng, m):
+    a = rng.standard_normal((m, m))
+    s = a @ a.T + m * np.eye(m)
+    d = 1.0 / np.sqrt(np.diag(s))
+    return s * np.outer(d, d)
+
+
+def variant_setup(variant, ds, rng, beta, link):
+    """(kind, frozen_corr, per-cluster proxy sequence for the loops)."""
+    m_max = ds.m_max
+    sizes = [c.size for c in ds.clusters]
+    if variant == "independence":
+        return EstimatingFunction.independence(), None, None
+    if variant == "quasi":
+        truth = CorrelationTruth(random_template(rng, m_max))
+        seq = [truth.rbar(m) for m in sizes]
+        return EstimatingFunction.quasi_score(truth), None, seq
+    if variant in ("exchangeable", "fixed"):
+        spec = (
+            WorkingCorrelationSpec.exchangeable(0.3, m_max)
+            if variant == "exchangeable"
+            else WorkingCorrelationSpec.fixed(random_template(rng, m_max))
+        )
+        return (
+            EstimatingFunction.gee_star(spec),
+            None,
+            [working_corr(spec, None, m) for m in sizes],
+        )
+    spec = WorkingCorrelationSpec.pseudo_likelihood(m_max)
+    kind = EstimatingFunction.gee_star(spec)
+    if variant == "pseudo":
+        return kind, None, corr_trajectory(ds, beta, link, spec)
+    frozen = corr_trajectory(ds, beta + 0.1, link, spec)
+    return kind, frozen, frozen
+
+
+def pairs(ds):
+    return [(c.response, c.regressors) for c in ds.clusters]
+
+
+def assert_close(actual, expected):
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=RTOL * scale)
+
+
+cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 25),
+    m_max=st.integers(1, 4),
+    link=st.sampled_from(["identity", "log"]),
+    variant=st.sampled_from(VARIANTS),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**cases)
+def test_eval_g_and_jacobian_match_loops(seed, n, m_max, link, variant):
+    ds, rng = mixed_dataset(seed, n, m_max)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    kind, frozen, seq = variant_setup(variant, ds, rng, beta, link)
+    expect_g = loop_eval_g(pairs(ds), beta, link, seq)
+    assert_close(eval_g(kind, ds, beta, link, frozen_corr=frozen), expect_g)
+    expect_jac = loop_jacobian(pairs(ds), beta, link, seq)
+    if variant.startswith("pseudo"):
+        # the analytic Jacobian of a proxy held fixed at ``seq``
+        jac = _analytic_jacobian(kind, ds, beta, get_link(link), None, seq)
+    else:
+        jac = jacobian(kind, ds, beta, link, frozen_corr=frozen, method="analytic")
+    assert_close(jac, expect_jac)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**cases)
+def test_variance_and_information_match_loops(seed, n, m_max, link, variant):
+    ds, rng = mixed_dataset(seed, n, m_max)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    if variant == "pseudo_frozen":
+        variant = "pseudo"
+    kind, _, seq = variant_setup(variant, ds, rng, beta, link)
+    truth = CorrelationTruth.from_kind("exchangeable", 0.4, m_max)
+    res = conditional_variance(kind, ds, beta, link, truth)
+    expect = loop_conditional_variance(pairs(ds), beta, link, seq, truth.rbar)
+    assert_close(res.increments, expect)
+    if kind.variant != "gee_star":
+        return
+    inc = path_information_increments(ds, beta, link, kind.spec, truth)
+    ref = loop_information_increments(pairs(ds), beta, link, seq, truth.rbar)
+    for key in ref:
+        assert_close(inc[key], ref[key])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 25),
+    m_max=st.integers(1, 4),
+    link=st.sampled_from(["identity", "log"]),
+    kind_name=st.sampled_from(["identity", "exchangeable", "pseudo"]),
+)
+def test_perturbed_paths_match_loops(seed, n, m_max, link, kind_name):
+    ds, rng = mixed_dataset(seed, n, m_max)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    deltas = [0.1 * rng.uniform(-1, 1, size=(2, c.size)) for c in ds.clusters]
+    pert = Perturbation(tuple(deltas), bound=1.0)
+    spec = {
+        "identity": WorkingCorrelationSpec.identity(m_max),
+        "exchangeable": WorkingCorrelationSpec.exchangeable(0.3, m_max),
+        "pseudo": WorkingCorrelationSpec.pseudo_likelihood(m_max),
+    }[kind_name]
+    if spec.depends_on_data:
+        # the perturbed proxy folds residuals standardized at X_i + delta_i'
+        moved = dataset_from_arrays(
+            [(y, x + d.T) for (y, x), d in zip(pairs(ds), deltas)], m_max=m_max
+        )
+        seq = corr_trajectory(moved, beta, link, spec)
+    else:
+        seq = [working_corr(spec, None, c.size) for c in ds.clusters]
+    expect = loop_eval_g(pairs(ds), beta, link, seq, deltas)
+    assert_close(eval_g_perturbed(ds, beta, pert, link, spec), expect)
+    truth = CorrelationTruth.from_kind("exchangeable", 0.4, m_max)
+    inc = path_information_increments(ds, beta, link, spec, truth, perturbation=pert)
+    ref = loop_information_increments(pairs(ds), beta, link, seq, truth.rbar, deltas)
+    for key in ref:
+        assert_close(inc[key], ref[key])
+
+
+def error_dataset():
+    """Mixed sizes; clusters 7, 9 and 11 overflow the log link at
+    beta=(1, 0).
+
+    Cluster 9 has size 1, so its bucket comes before the bucket of
+    clusters 7 and 11."""
+    rng = np.random.default_rng(5)
+    pairs_ = []
+    for i in range(1, 13):
+        m = 1 if i == 9 else 2 + i % 2
+        x = 0.3 * rng.standard_normal((m, 2))
+        if i in (7, 9, 11):
+            x[:, 0] = 800.0
+        pairs_.append((rng.standard_normal(m), x))
+    return dataset_from_arrays(pairs_, m_max=3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k, ds, b: eval_g(k, ds, b, "log"),
+        lambda k, ds, b: jacobian(k, ds, b, "log", method="analytic"),
+        lambda k, ds, b: conditional_variance(
+            k, ds, b, "log", CorrelationTruth.plugin(3)
+        ),
+    ],
+)
+def test_invalid_variance_names_first_cluster_in_cluster_order(call):
+    ds = error_dataset()
+    kind = EstimatingFunction.gee_star(WorkingCorrelationSpec.exchangeable(0.4, 3))
+    with pytest.raises(InvalidVarianceError, match=r"^cluster 7: non-finite moments"):
+        call(kind, ds, np.array([1.0, 0.0]))
+
+
+def test_not_pd_proxy_carries_cluster_index():
+    ds = error_dataset()
+    kind = EstimatingFunction.gee_star(WorkingCorrelationSpec.exchangeable(0.4, 3))
+    frozen = corr_trajectory(ds, np.zeros(2), "log", kind.spec)
+    # cluster 9 (size 1) sits in an earlier bucket than clusters 6 and 8
+    frozen[5] = -np.eye(ds.clusters[5].size)
+    frozen[7] = -3.0 * np.eye(ds.clusters[7].size)
+    frozen[8] = -2.0 * np.eye(1)
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        eval_g(kind, ds, np.zeros(2), "log", frozen_corr=frozen)
+    assert err.value.cluster_index == 6
+    assert err.value.lambda_min == pytest.approx(-1.0)
