@@ -22,7 +22,7 @@ from .exceptions import (
     NotPositiveDefiniteError,
 )
 from .linalg import EigenExtremes, sym_eigen_extremes, sym_eigenvalues
-from .model import Cluster, as_beta, conditional_moments, get_link
+from .model import Cluster, PackedDataset, as_beta, conditional_moments, get_link
 
 #: hard lower bound enforced on every emitted working correlation
 MIN_EIGENVALUE = 1e-6
@@ -134,10 +134,7 @@ class PseudoLikelihoodState:
 
     def mean_matrix(self) -> np.ndarray:
         """Per-entry average; never-observed entries default to identity."""
-        out = np.eye(self.dim)
-        seen = self.counts > 0
-        out[seen] = self.running_sum[seen] / self.counts[seen]
-        return out
+        return _entry_means(self.running_sum, self.counts)
 
 
 def pseudo_likelihood_update(
@@ -159,6 +156,88 @@ def pseudo_likelihood_update(
     return PseudoLikelihoodState(state.count + 1, rs, ct)
 
 
+def _entry_means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-entry averages, over any leading batch axes; entries never
+    observed default to the identity."""
+    seen = counts > 0
+    return np.where(seen, sums / np.where(seen, counts, 1), np.eye(sums.shape[-1]))
+
+
+def _shrinkage_keeps_floor(count, dim: int):
+    """Whether the identity weight of the shrinkage alone keeps the floor.
+
+    A blend (1 - eps) PSD + eps I has every eigenvalue >= eps, so an
+    average of PSD outer products shrunk with eps = 4d / (count + 4d)
+    needs no eigenvalue check while eps >= MIN_EIGENVALUE.
+    """
+    prior = SHRINK_PRIOR_FACTOR * dim
+    return prior / (count + prior) >= MIN_EIGENVALUE
+
+
+def _floor_eigenvalues(t: np.ndarray) -> np.ndarray:
+    """Blend in just enough identity to lift the smallest eigenvalue of
+    each (d, d) matrix of ``t`` to MIN_EIGENVALUE."""
+    lam = np.linalg.eigvalsh(t)[..., :1, None]
+    nu = (MIN_EIGENVALUE - lam) / np.maximum(1.0 - lam, MIN_EIGENVALUE)
+    return np.where(lam < MIN_EIGENVALUE, (1.0 - nu) * t + nu * np.eye(t.shape[-1]), t)
+
+
+def residual_moment_templates(sums, counts, count) -> np.ndarray:
+    """Regularized residual-moment templates, batched over a leading axis.
+
+    ``sums`` and ``counts`` are (k, d, d) accumulated standardized-residual
+    outer products and their per-entry counts after ``count[j]`` clusters.
+    Each template is the per-entry mean shrunk toward the identity, then
+    floored at MIN_EIGENVALUE; no clusters give the identity.
+    """
+    d = sums.shape[-1]
+    count = np.asarray(count)
+    # Count-based shrinkage toward the identity. The raw residual-moment
+    # average is rank-deficient for small counts and its inverse is
+    # heavy-tailed (no finite mean near count = dim), so the early
+    # clusters would dominate every information-matrix sum they enter;
+    # the prior weight of 4*dim identity pseudo-observations tempers the
+    # inverse while vanishing at rate O(1/count).
+    prior = SHRINK_PRIOR_FACTOR * d
+    eps = (prior / (count + prior))[:, None, None]
+    t = (1.0 - eps) * _entry_means(sums, counts) + eps * np.eye(d)
+    # a homogeneous count matrix means the running sum is a true average
+    # of PSD outer products, so the shrinkage alone may keep the floor
+    lo, hi = counts.min(axis=(1, 2)), counts.max(axis=(1, 2))
+    homogeneous = (lo == count) & (hi == count)
+    check = ~(homogeneous & _shrinkage_keeps_floor(count, d))
+    if check.any():
+        t[check] = _floor_eigenvalues(t[check])
+    return t
+
+
+def residual_moment_sums(packed: PackedDataset, resid, dim: int) -> tuple:
+    """Prefix sums of the zero-padded residual outer products.
+
+    ``resid[b]`` holds the (k, m) standardized residuals of bucket ``b``
+    of ``packed``. Returns ``(sums, counts)``, each (n+1, dim, dim): row
+    ``i`` is the fold over the first ``i`` clusters, in cluster order.
+    """
+    n = packed.offsets.shape[0] - 1
+    outer = np.zeros((n + 1, dim, dim))
+    mask = np.zeros((n + 1, dim, dim), dtype=np.int64)
+    for b, r in zip(packed.buckets, resid):
+        outer[b.positions + 1, : b.size, : b.size] = r[:, :, None] * r[:, None, :]
+        mask[b.positions + 1, : b.size, : b.size] = 1
+    return np.cumsum(outer, axis=0), np.cumsum(mask, axis=0)
+
+
+def residual_moment_stack(packed: PackedDataset, resid, dim: int) -> np.ndarray:
+    """The proxy templates R_0 .. R_n of the residual-moment fold.
+
+    Shape (n+1, dim, dim); ``R_{i-1}`` has seen clusters 1..i-1 and its
+    leading m_i x m_i block serves cluster ``i``. ``resid`` is laid out
+    as for ``residual_moment_sums``.
+    """
+    sums, counts = residual_moment_sums(packed, resid, dim)
+    return residual_moment_templates(sums, counts, np.arange(sums.shape[0]))
+
+
 def _template(spec: WorkingCorrelationSpec, state: Optional[PseudoLikelihoodState]):
     d = spec.template_dim
     if spec.kind == "identity":
@@ -173,44 +252,11 @@ def _template(spec: WorkingCorrelationSpec, state: Optional[PseudoLikelihoodStat
     if spec.kind == "fixed":
         return spec.matrix.copy()
     # pseudo-likelihood
-    if state is None or state.count < 1:
+    if state is None:
         return np.eye(d)
-    raw = state.mean_matrix()
-    # Count-based shrinkage toward the identity. The raw residual-moment
-    # average is rank-deficient for small counts and its inverse is
-    # heavy-tailed (no finite mean near count = dim), so the early
-    # clusters would dominate every information-matrix sum they enter;
-    # the prior weight of 4*dim identity pseudo-observations tempers the
-    # inverse while vanishing at rate O(1/count).
-    prior = SHRINK_PRIOR_FACTOR * d
-    eps = prior / (state.count + prior)
-    return (1.0 - eps) * raw + eps * np.eye(d)
-
-
-def _shrinkage_keeps_floor(count: int, dim: int) -> bool:
-    """Whether the identity weight of the shrinkage alone keeps the floor.
-
-    A blend (1 - eps) PSD + eps I has every eigenvalue >= eps, so an
-    average of PSD outer products shrunk with eps = 4d / (count + 4d)
-    needs no eigenvalue check while eps >= MIN_EIGENVALUE.
-    """
-    prior = SHRINK_PRIOR_FACTOR * dim
-    return prior / (count + prior) >= MIN_EIGENVALUE
-
-
-def _floor_eigenvalues(t: np.ndarray, guaranteed: bool = False) -> np.ndarray:
-    """Blend in just enough identity to guarantee the eigenvalue floor.
-
-    ``guaranteed`` marks matrices of the form (1-eps) PSD + eps I with
-    eps >= MIN_EIGENVALUE, which need no eigenvalue computation.
-    """
-    if guaranteed:
-        return t
-    lam_min = float(np.linalg.eigvalsh(t)[0])
-    if lam_min >= MIN_EIGENVALUE:
-        return t
-    nu = (MIN_EIGENVALUE - lam_min) / max(1.0 - lam_min, MIN_EIGENVALUE)
-    return (1.0 - nu) * t + nu * np.eye(t.shape[0])
+    return residual_moment_templates(
+        state.running_sum[None], state.counts[None], np.array([state.count])
+    )[0]
 
 
 def working_corr(
@@ -228,64 +274,7 @@ def working_corr(
         raise InvalidInputError(
             f"target size {target_size} outside 1..{spec.template_dim}"
         )
-    t = _template(spec, state)
-    if spec.kind == "pseudo_likelihood" and state is not None and state.count >= 1:
-        # a homogeneous count matrix means the running sum is a true
-        # average of PSD outer products, so the shrinkage alone already
-        # guarantees the floor
-        homogeneous = int(state.counts.min()) == int(state.counts.max()) == state.count
-        t = _floor_eigenvalues(
-            t,
-            guaranteed=homogeneous
-            and _shrinkage_keeps_floor(state.count, spec.template_dim),
-        )
-    return t[:target_size, :target_size].copy()
-
-
-class PseudoAccumulator:
-    """Mutable residual-moment fold for hot loops.
-
-    Mirrors the arithmetic of PseudoLikelihoodState/working_corr without
-    per-update validation or copies; a unit test pins the two paths to
-    identical trajectories.
-    """
-
-    __slots__ = ("dim", "total", "counts", "count", "homogeneous")
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.total = np.zeros((dim, dim))
-        self.counts = np.zeros((dim, dim), dtype=np.int64)
-        self.count = 0
-        self.homogeneous = True
-
-    def update_residuals(self, resid_std: np.ndarray) -> None:
-        m = resid_std.shape[0]
-        self.total[:m, :m] += np.outer(resid_std, resid_std)
-        self.counts[:m, :m] += 1
-        self.count += 1
-        if m != self.dim:
-            self.homogeneous = False
-
-    def template(self) -> np.ndarray:
-        d = self.dim
-        if self.count < 1:
-            return np.eye(d)
-        if self.homogeneous:
-            raw = self.total / self.count
-        else:
-            raw = np.eye(d)
-            seen = self.counts > 0
-            raw[seen] = self.total[seen] / self.counts[seen]
-        prior = SHRINK_PRIOR_FACTOR * d
-        eps = prior / (self.count + prior)
-        out = (1.0 - eps) * raw + eps * np.eye(d)
-        return _floor_eigenvalues(
-            out, guaranteed=self.homogeneous and _shrinkage_keeps_floor(self.count, d)
-        )
-
-    def working(self, size: int) -> np.ndarray:
-        return self.template()[:size, :size].copy()
+    return _template(spec, state)[:target_size, :target_size].copy()
 
 
 @dataclass(frozen=True)

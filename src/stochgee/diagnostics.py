@@ -16,20 +16,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .correlation import (
-    PseudoLikelihoodState,
-    WorkingCorrelationSpec,
-    pseudo_likelihood_update,
-    working_corr,
-)
+from .correlation import WorkingCorrelationSpec, working_corr
 from .estimating import (
     CorrelationTruth,
     EstimatingFunction,
+    _bucket_proxies,
     a2_schedule,
     central_points,
     corr_trajectory,
     det_ratio,
     path_information_increments,
+    proxy_stack,
     score_increments,
 )
 from .exceptions import (
@@ -179,8 +176,8 @@ def condition_trajectories(
     rows = packed.x
     w_rows = lk.eval(1, rows @ beta)
     h_cum = np.cumsum(rows[:, :, None] * (rows * w_rows[:, None])[:, None, :], axis=0)
-    corr_seq = corr_trajectory(dataset, beta, lk, spec) if truth is not None else None
-    state = PseudoLikelihoodState.empty(dataset.m_max) if spec.depends_on_data else None
+    # R_{i-1} at cluster i: read from the stack of a data-dependent proxy
+    proxies = proxy_stack(dataset, beta, lk) if spec.depends_on_data else None
 
     series: dict = {
         k: []
@@ -258,8 +255,8 @@ def condition_trajectories(
             series["slln_ratio"].append(
                 qn / hi_v ** (0.5 + delta) if hi_v > 0 else math.nan
             )
-            if spec.depends_on_data:
-                rstar_now = working_corr(spec, state, dataset.m_max, beta)
+            if proxies is not None:
+                rstar_now = proxies[pos]
             else:
                 rstar_now = working_corr(spec, None, spec.template_dim, beta)
             lo_r, hi_r = linalg.sym_eigen_extremes(rstar_now)
@@ -271,15 +268,12 @@ def condition_trajectories(
                 series["lambda_min_rbar"].append(lo_b)
                 series["lambda_max_rbar"].append(hi_b)
                 series["a1_gap"].append(
-                    float(np.max(np.abs(corr_seq[pos] - rbar)))
+                    float(np.max(np.abs(rstar_now[: c.size, : c.size] - rbar)))
                 )
             for r in params.r_grid:
                 by_r["k2"][r].append(k2_run[r])
                 by_r["k3"][r].append(k3_run[r])
                 by_r["eta"][r].append(eta_run[r])
-
-        if spec.depends_on_data:
-            state = pseudo_likelihood_update(state, c, beta, lk)
 
     pi_by_r, d_by_r = _proxy_lattice_quantities(
         dataset, beta, lk, spec, lattices, n_grid
@@ -361,35 +355,63 @@ def _proxy_lattice_quantities(dataset, beta, lk, spec, lattices, n_grid):
 
     Data-independent proxies have no parameter dependence: the scaled
     inverse collapses to the identity (pi = 1) and the derivative is zero.
-    The data-dependent proxy refolds its state at every lattice point and
-    differentiates by central differences, which is the expensive path.
+    The data-dependent proxy is refolded at every distinct lattice point
+    (the centre is shared by all radii) and differentiated by central
+    differences, each cluster-size bucket in one batch.
     """
     r_grid = list(lattices)
     if not spec.depends_on_data:
         ones = [1.0] * len(n_grid)
         zeros = [0.0] * len(n_grid)
         return {r: list(ones) for r in r_grid}, {r: list(zeros) for r in r_grid}
-    base_seq = corr_trajectory(dataset, beta, lk, spec)
-    sqrt_seq = [linalg.sym_sqrt(m) for m in base_seq]
+    packed = dataset.packed
+
+    def per_cluster(values):
+        out = np.empty(dataset.n)
+        for b, v in zip(packed.buckets, values):
+            out[b.positions] = v
+        return out
+
+    def sym(m):
+        return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+    roots = []
+    for mats in _bucket_proxies(packed, proxy_stack(dataset, beta, lk)):
+        w, v = np.linalg.eigh(mats)
+        root_w = np.sqrt(np.maximum(w, 0.0))[:, None, :]
+        roots.append((v * root_w) @ np.swapaxes(v, 1, 2))
+
+    terms: dict = {}
+
+    def point_terms(point):
+        """Per-cluster lambda_max of sqrt(R) R(point)^{-1} sqrt(R) and
+        largest |eigenvalue| of dR/dbeta_l over l, at one lattice point."""
+        key = point.tobytes()
+        if key not in terms:
+            lam = []
+            mats = _bucket_proxies(packed, proxy_stack(dataset, point, lk))
+            for root, m in zip(roots, mats):
+                q = root @ np.linalg.inv(m) @ root
+                lam.append(np.linalg.eigvalsh(sym(q))[:, -1])
+            d = np.zeros(dataset.n)
+            for h, bp, bm in central_points(point):
+                diff = proxy_stack(dataset, bp, lk) - proxy_stack(dataset, bm, lk)
+                w = [
+                    np.linalg.eigvalsh(sym(m))
+                    for m in _bucket_proxies(packed, diff / (2.0 * h))
+                ]
+                extremes = [np.abs(x[:, [0, -1]]).max(axis=1) for x in w]
+                d = np.maximum(d, per_cluster(extremes))
+            terms[key] = (per_cluster(lam), d)
+        return terms[key]
+
     pi_out: dict = {}
     d_out: dict = {}
     last = np.asarray(n_grid) - 1
     for r in r_grid:
-        per_cluster_pi = np.zeros(dataset.n)
-        per_cluster_d = np.zeros(dataset.n)
-        for point in lattices[r]:
-            seq_b = corr_trajectory(dataset, point, lk, spec)
-            for pos in range(dataset.n):
-                q = sqrt_seq[pos] @ linalg.spd_inverse(seq_b[pos]) @ sqrt_seq[pos]
-                lam = linalg.sym_eigen_extremes(0.5 * (q + q.T)).lambda_max
-                per_cluster_pi[pos] = max(per_cluster_pi[pos], lam)
-            for h, bp, bm in central_points(point):
-                seq_p = corr_trajectory(dataset, bp, lk, spec)
-                seq_m = corr_trajectory(dataset, bm, lk, spec)
-                for pos in range(dataset.n):
-                    dmat = (seq_p[pos] - seq_m[pos]) / (2.0 * h)
-                    lo, hi = linalg.sym_eigen_extremes(0.5 * (dmat + dmat.T))
-                    per_cluster_d[pos] = max(per_cluster_d[pos], abs(lo), abs(hi))
+        per_point = [point_terms(point) for point in lattices[r]]
+        per_cluster_pi = np.max([t[0] for t in per_point], axis=0)
+        per_cluster_d = np.max([t[1] for t in per_point], axis=0)
         # running maxima over the clusters, read at the checkpoints
         pi_out[r] = np.maximum.accumulate(per_cluster_pi)[last].tolist()
         d_out[r] = np.maximum.accumulate(per_cluster_d)[last].tolist()

@@ -11,17 +11,19 @@ the inverse proxy correlation, and rescales:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import linalg
 from .correlation import (
-    PseudoAccumulator,
     PseudoLikelihoodState,
     WorkingCorrelationSpec,
-    pseudo_likelihood_update,
+    residual_moment_stack,
+    residual_moment_sums,
+    residual_moment_templates,
     working_corr,
 )
 from .exceptions import (
@@ -29,6 +31,7 @@ from .exceptions import (
     InvalidVarianceError,
     NotPositiveDefiniteError,
     SingularDenominatorError,
+    SymmetryViolationError,
     UnsupportedMethodError,
 )
 from .model import Dataset, PackedDataset, as_beta, get_link
@@ -112,10 +115,10 @@ class EstimatingFunction:
     """Tagged choice of estimating-function family.
 
     ``general`` takes a coefficient callback invoked as
-    ``fn(history, x_i, beta) -> (p, m_i)`` where ``history`` is the tuple
-    of clusters strictly before ``i``; the interface only ever hands the
-    callback past clusters, which enforces the measurability requirement
-    structurally.
+    ``fn(history, x_i, beta) -> (p, m_i)`` where ``history`` is a
+    read-only sequence view of the clusters strictly before ``i``; the
+    interface only ever hands the callback past clusters, which enforces
+    the measurability requirement structurally.
     """
 
     variant: str
@@ -206,47 +209,25 @@ def fold_pseudo_state(
     dataset: Dataset,
     beta,
     link,
-    init_state: Optional[PseudoLikelihoodState] = None,
     upto: Optional[int] = None,
 ) -> PseudoLikelihoodState:
     """Fold the residual-moment state over the first ``upto`` clusters."""
-    state = init_state or PseudoLikelihoodState.empty(dataset.m_max)
-    link = get_link(link)
-    beta = as_beta(beta)
-    stop = dataset.n if upto is None else upto
-    for c in dataset.clusters[:stop]:
-        state = pseudo_likelihood_update(state, c, beta, link)
-    return state
+    packed = dataset.packed
+    resid = _pearson_residuals(packed, as_beta(beta), get_link(link))
+    sums, counts = residual_moment_sums(packed, resid, dataset.m_max)
+    stop = dataset.n if upto is None else min(upto, dataset.n)
+    return PseudoLikelihoodState(stop, sums[stop], counts[stop])
 
 
-def _standardized_residuals(cluster, beta, lk):
-    eta = cluster.regressors @ beta
-    mean = lk.eval(0, eta)
-    var = lk.eval(1, eta)
-    if np.any(var <= 0.0) or not np.all(np.isfinite(var)):
-        raise InvalidVarianceError(
-            f"cluster {cluster.index}: nonpositive conditional variance"
-        )
-    resid = (cluster.response - mean) / np.sqrt(var)
-    if not np.all(np.isfinite(resid)):
-        raise InvalidVarianceError(
-            f"cluster {cluster.index}: residual standardization overflowed"
-        )
-    return resid
+def proxy_stack(dataset: Dataset, beta, link) -> np.ndarray:
+    """The residual-moment proxy templates R_0 .. R_n at ``beta``.
 
-
-def _seed_accumulator(dataset, init_state):
-    acc = PseudoAccumulator(dataset.m_max)
-    if init_state is not None and init_state.count > 0:
-        acc.total += init_state.running_sum
-        acc.counts += init_state.counts
-        acc.count = init_state.count
-        acc.homogeneous = bool(
-            int(init_state.counts.min())
-            == int(init_state.counts.max())
-            == init_state.count
-        )
-    return acc
+    Shape (n+1, m_max, m_max): ``R_{i-1}`` sees data through cluster
+    ``i-1`` only, and its leading m_i x m_i block serves cluster ``i``.
+    """
+    packed = dataset.packed
+    resid = _pearson_residuals(packed, as_beta(beta), get_link(link))
+    return residual_moment_stack(packed, resid, dataset.m_max)
 
 
 def corr_trajectory(
@@ -254,28 +235,21 @@ def corr_trajectory(
     beta,
     link,
     spec: WorkingCorrelationSpec,
-    init_state: Optional[PseudoLikelihoodState] = None,
 ) -> list:
     """Per-cluster proxy correlations R_{i-1}, truncated to each m_i.
 
     The proxy for cluster ``i`` only sees data through cluster ``i-1``;
     a data-independent template repeats one matrix object per cluster
-    size.
+    size, a data-dependent one gives views into ``proxy_stack``.
     """
-    beta = as_beta(beta)
-    link = get_link(link)
     if not spec.depends_on_data:
         by_size = {
             b.size: working_corr(spec, None, b.size, beta)
             for b in dataset.packed.buckets
         }
         return [by_size[c.size] for c in dataset.clusters]
-    out = []
-    acc = _seed_accumulator(dataset, init_state)
-    for c in dataset.clusters:
-        out.append(acc.working(c.size))
-        acc.update_residuals(_standardized_residuals(c, beta, link))
-    return out
+    stack = proxy_stack(dataset, beta, link)
+    return [stack[pos, : c.size, : c.size] for pos, c in enumerate(dataset.clusters)]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +307,8 @@ def _invert_proxies(packed: PackedDataset, mats) -> tuple:
 
 
 def _stack_by_bucket(packed: PackedDataset, corr_seq) -> list:
-    """Per-cluster proxy matrices regrouped into (k, m, m) bucket stacks."""
+    """Per-cluster proxy matrices regrouped into (k, m, m) bucket stacks,
+    after checking that they are finite and symmetric."""
     corr_seq = list(corr_seq)
     n = packed.offsets.shape[0] - 1
     if len(corr_seq) != n:
@@ -349,8 +324,22 @@ def _stack_by_bucket(packed: PackedDataset, corr_seq) -> list:
                 f"proxy matrices of clusters of size {b.size} must be "
                 f"{b.size} x {b.size}"
             )
-        out.append(np.stack(mats))
+        stack = np.stack(mats)
+        if not np.all(np.isfinite(stack)):
+            raise InvalidInputError("proxy matrices contain NaN or infinite entries")
+        asym = float(np.max(np.abs(stack - np.swapaxes(stack, 1, 2))))
+        if asym > linalg.SYMMETRY_TOL:
+            raise SymmetryViolationError(
+                f"proxy matrix is not symmetric: max asymmetry {asym:.3e}"
+            )
+        out.append(stack)
     return out
+
+
+def _bucket_proxies(packed: PackedDataset, stack: np.ndarray) -> list:
+    """R_{i-1} of every cluster from a ``proxy_stack``, as (k, m, m)
+    stacks per bucket."""
+    return [stack[b.positions, : b.size, : b.size] for b in packed.buckets]
 
 
 def freeze_proxy(
@@ -358,7 +347,6 @@ def freeze_proxy(
     dataset: Dataset,
     beta,
     link,
-    corr_state: Optional[PseudoLikelihoodState] = None,
     frozen_corr=None,
 ) -> FrozenProxy:
     """The inverse proxies ``eval_g`` applies at ``beta``, computed once.
@@ -376,12 +364,12 @@ def freeze_proxy(
         return frozen_corr
     if kind.variant == "quasi_score":
         mats = [kind.truth.rbar(b.size) for b in packed.buckets]
-    elif frozen_corr is None and not kind.spec.depends_on_data:
-        mats = [working_corr(kind.spec, None, b.size, beta) for b in packed.buckets]
-    else:
-        if frozen_corr is None:
-            frozen_corr = corr_trajectory(dataset, beta, link, kind.spec, corr_state)
+    elif frozen_corr is not None:
         mats = _stack_by_bucket(packed, frozen_corr)
+    elif kind.spec.depends_on_data:
+        mats = _bucket_proxies(packed, proxy_stack(dataset, beta, link))
+    else:
+        mats = [working_corr(kind.spec, None, b.size, beta) for b in packed.buckets]
     return FrozenProxy(packed, _invert_proxies(packed, mats))
 
 
@@ -435,6 +423,25 @@ def _link_variances(packed: PackedDataset, xs, beta, lk, what: str) -> list:
     return out
 
 
+def _pearson_residuals(packed: PackedDataset, beta, lk, xs=None) -> list:
+    """Standardized residuals (y_i - mu_i) / sqrt(var_i) per bucket, with
+    the moments taken at the per-bucket regressors ``xs`` when given."""
+    if xs is None:
+        moments = _moments(packed, beta, lk)
+    else:
+        variances = _link_variances(packed, xs, beta, lk, "perturbed regressors")
+        moments = [(lk.eval(0, x @ beta), v) for x, v in zip(xs, variances)]
+    resid = [
+        (b.y - mean) / np.sqrt(var) for b, (mean, var) in zip(packed.buckets, moments)
+    ]
+    index = _first_offender(packed, [~np.isfinite(r) for r in resid])
+    if index is not None:
+        raise InvalidVarianceError(
+            f"cluster {index}: residual standardization overflowed"
+        )
+    return resid
+
+
 def _apply(mats, v: np.ndarray) -> np.ndarray:
     """M_i v_i for (m, m) or (k, m, m) matrices and (k, m) vectors."""
     return (mats @ v[..., None])[..., 0]
@@ -445,15 +452,39 @@ def _coefficients(x, sd, rinv) -> np.ndarray:
     return np.swapaxes(x * sd[..., None], 1, 2) @ (rinv / sd[:, None, :])
 
 
-def _bucket_coefficients(
-    kind, dataset, beta, lk, moments, corr_state=None, frozen_corr=None
-) -> list:
+class _History(Sequence):
+    """Read-only view of the clusters strictly before cluster ``i``.
+
+    ``len`` is ``i - 1`` and no index reaches cluster ``i`` or later, so a
+    coefficient callback sees the past only; the view costs O(1).
+    """
+
+    __slots__ = ("_clusters", "_stop")
+
+    def __init__(self, clusters: tuple, stop: int):
+        self._clusters = clusters
+        self._stop = stop
+
+    def __len__(self) -> int:
+        return self._stop
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self._clusters[j] for j in range(self._stop)[k])
+        if not -self._stop <= k < self._stop:
+            raise IndexError(
+                f"history index {k} outside the {self._stop} past clusters"
+            )
+        return self._clusters[k % self._stop]
+
+
+def _bucket_coefficients(kind, dataset, beta, lk, moments, frozen_corr=None) -> list:
     """C_i of every cluster, stacked by bucket as (k, p, m)."""
     packed = dataset.packed
     if kind.reduces_to_independence:
         return [np.swapaxes(b.x, 1, 2) for b in packed.buckets]
     if kind.variant != "general":
-        proxy = freeze_proxy(kind, dataset, beta, lk, corr_state, frozen_corr)
+        proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr)
         return [
             _coefficients(b.x, np.sqrt(var), rinv)
             for b, (_, var), rinv in zip(packed.buckets, moments, proxy.inverses)
@@ -462,7 +493,8 @@ def _bucket_coefficients(
     coeffs = []
     for i, c in enumerate(dataset.clusters):
         coeff = np.asarray(
-            kind.coefficients(dataset.clusters[:i], c.regressors, beta), dtype=float
+            kind.coefficients(_History(dataset.clusters, i), c.regressors, beta),
+            dtype=float,
         )
         if coeff.shape != (p, c.size):
             raise InvalidInputError(
@@ -498,15 +530,14 @@ def eval_g(
     dataset: Dataset,
     beta,
     link,
-    corr_state: Optional[PseudoLikelihoodState] = None,
     frozen_corr=None,
 ) -> np.ndarray:
     """Evaluate the estimating function as an exact finite sum over clusters.
 
-    ``corr_state`` seeds the residual-moment fold of a pseudo-likelihood
-    proxy; ``frozen_corr`` bypasses the fold entirely and uses the given
-    per-cluster proxy matrices, or a ``FrozenProxy`` prepared by
-    ``freeze_proxy`` (the solver freezes proxies this way).
+    ``frozen_corr`` bypasses the residual-moment fold of a
+    pseudo-likelihood proxy and uses the given per-cluster proxy
+    matrices, or a ``FrozenProxy`` prepared by ``freeze_proxy`` (the
+    solver freezes proxies this way).
     """
     beta = as_beta(beta)
     lk = get_link(link)
@@ -515,9 +546,7 @@ def eval_g(
         mu = lk.eval(0, packed.x @ beta)
         return packed.x.T @ (packed.y - mu)
     moments = _moments(packed, beta, lk)
-    coeffs = _bucket_coefficients(
-        kind, dataset, beta, lk, moments, corr_state, frozen_corr
-    )
+    coeffs = _bucket_coefficients(kind, dataset, beta, lk, moments, frozen_corr)
     return _total_score(packed, coeffs, moments)
 
 
@@ -547,7 +576,6 @@ def eval_g_perturbed(
     perturbation: "Perturbation",
     link,
     spec: WorkingCorrelationSpec,
-    corr_state: Optional[PseudoLikelihoodState] = None,
 ) -> np.ndarray:
     """Working-correlation estimating function with misspecified regressors.
 
@@ -561,18 +589,13 @@ def eval_g_perturbed(
     kind = EstimatingFunction.gee_star(spec)
     if not any(d.any() for d in deltas):
         # exact zero perturbation: reproduce the plain evaluation bitwise
-        return eval_g(kind, dataset, beta, lk, corr_state)
+        return eval_g(kind, dataset, beta, lk)
     packed = dataset.packed
     moments = _moments(packed, beta, lk)
     if spec.kind == "identity":
         coeffs = [np.swapaxes(xp, 1, 2) for xp in xps]
     else:
-        frozen = None
-        if spec.depends_on_data:
-            frozen = _perturbed_pseudo_trajectory(
-                dataset, beta, lk, spec, deltas, corr_state
-            )
-        proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr=frozen)
+        proxy = _perturbed_proxy(kind, dataset, beta, lk, xps)
         var_p = _link_variances(packed, xps, beta, lk, "perturbed regressors")
         coeffs = [
             _coefficients(xp, np.sqrt(var), rinv)
@@ -581,32 +604,29 @@ def eval_g_perturbed(
     return _total_score(packed, coeffs, moments)
 
 
-def _perturbed_residuals(cluster, xp, beta, lk):
-    eta = xp @ beta
-    mean = lk.eval(0, eta)
-    var = lk.eval(1, eta)
-    if np.any(var <= 0.0) or not np.all(np.isfinite(var)):
-        raise InvalidInputError(
-            f"perturbed regressors of cluster {cluster.index} leave the link domain"
-        )
-    return (cluster.response - mean) / np.sqrt(var)
+def _perturbed_pseudo_trajectory(dataset, beta, lk, xps) -> np.ndarray:
+    """``proxy_stack`` with residuals standardized at the perturbed
+    per-bucket regressors ``xps``."""
+    packed = dataset.packed
+    resid = _pearson_residuals(packed, beta, lk, xps)
+    return residual_moment_stack(packed, resid, dataset.m_max)
 
 
-def _perturbed_pseudo_trajectory(dataset, beta, lk, spec, deltas, init_state):
-    acc = _seed_accumulator(dataset, init_state)
-    out = []
-    for c, delta in zip(dataset.clusters, deltas):
-        out.append(acc.working(c.size))
-        xp = c.regressors + delta.T if delta.any() else c.regressors
-        acc.update_residuals(_perturbed_residuals(c, xp, beta, lk))
-    return out
+def _perturbed_proxy(kind, dataset, beta, lk, xps) -> FrozenProxy:
+    """The inverse proxies under a perturbation: a data-dependent proxy
+    folds residuals standardized at the perturbed regressors ``xps``."""
+    if not kind.spec.depends_on_data:
+        return freeze_proxy(kind, dataset, beta, lk)
+    packed = dataset.packed
+    stack = _perturbed_pseudo_trajectory(dataset, beta, lk, xps)
+    return FrozenProxy(packed, _invert_proxies(packed, _bucket_proxies(packed, stack)))
 
 
 # ---------------------------------------------------------------------------
 # Jacobians
 
 
-def _analytic_available(kind: EstimatingFunction, link) -> bool:
+def _analytic_available(kind: EstimatingFunction, link, frozen_corr=None) -> bool:
     lk = get_link(link)
     if lk.kind not in ("identity", "log"):
         return False
@@ -615,7 +635,8 @@ def _analytic_available(kind: EstimatingFunction, link) -> bool:
     if kind.variant == "quasi_score":
         return True
     if kind.variant == "gee_star":
-        return not kind.spec.depends_on_beta
+        # a frozen proxy no longer moves with beta
+        return frozen_corr is not None or not kind.spec.depends_on_beta
     return False
 
 
@@ -624,45 +645,46 @@ def jacobian(
     dataset: Dataset,
     beta,
     link,
-    corr_state: Optional[PseudoLikelihoodState] = None,
     frozen_corr=None,
     method: Optional[str] = None,
 ) -> np.ndarray:
     """Negative derivative of the estimating function, -d g / d beta'.
 
     Analytic evaluation is implemented for identity/log links with
-    beta-independent proxies; anything else uses central differences with
-    per-coordinate steps ``cbrt(eps) * max(1, |beta_l|)``.
+    beta-independent proxies, a ``frozen_corr`` included; anything else
+    uses central differences with per-coordinate steps
+    ``cbrt(eps) * max(1, |beta_l|)``.
     """
     beta = as_beta(beta)
     lk = get_link(link)
+    analytic = _analytic_available(kind, lk, frozen_corr)
     if method is None:
-        method = "analytic" if _analytic_available(kind, lk) else "finite_difference"
+        method = "analytic" if analytic else "finite_difference"
     if method == "analytic":
-        if not _analytic_available(kind, lk):
+        if not analytic:
             raise UnsupportedMethodError(
                 "analytic Jacobian is only available for identity/log links "
                 "with beta-independent working correlations"
             )
-        return _analytic_jacobian(kind, dataset, beta, lk, corr_state, frozen_corr)
+        return _analytic_jacobian(kind, dataset, beta, lk, frozen_corr)
     if method != "finite_difference":
         raise InvalidInputError(f"unknown jacobian method {method!r}")
     cols = []
     for h, bp, bm in central_points(beta):
-        gp = eval_g(kind, dataset, bp, lk, corr_state, frozen_corr)
-        gm = eval_g(kind, dataset, bm, lk, corr_state, frozen_corr)
+        gp = eval_g(kind, dataset, bp, lk, frozen_corr)
+        gm = eval_g(kind, dataset, bm, lk, frozen_corr)
         cols.append((gp - gm) / (2.0 * h))
     return -np.column_stack(cols)
 
 
-def _analytic_jacobian(kind, dataset, beta, lk, corr_state, frozen_corr):
+def _analytic_jacobian(kind, dataset, beta, lk, frozen_corr):
     packed = dataset.packed
     if kind.reduces_to_independence:
         xs = packed.x
         w = lk.eval(1, xs @ beta)
         return xs.T @ (xs * w[:, None])
     moments = _moments(packed, beta, lk)
-    proxy = freeze_proxy(kind, dataset, beta, lk, corr_state, frozen_corr)
+    proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr)
     p = beta.shape[0]
     total = np.zeros((p, p))
     log_link = lk.kind == "log"
@@ -761,13 +783,12 @@ def path_information_increments(
     packed = dataset.packed
     n, p = dataset.n, beta.shape[0]
     kind = EstimatingFunction.gee_star(spec)
-    xs = [b.x for b in packed.buckets]
-    frozen = None
-    if perturbation is not None:
-        deltas, xs = _perturbed_regressors(dataset, perturbation, p)
-        if spec.depends_on_data:
-            frozen = _perturbed_pseudo_trajectory(dataset, beta, lk, spec, deltas, None)
-    proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr=frozen)
+    if perturbation is None:
+        xs = [b.x for b in packed.buckets]
+        proxy = freeze_proxy(kind, dataset, beta, lk)
+    else:
+        _, xs = _perturbed_regressors(dataset, perturbation, p)
+        proxy = _perturbed_proxy(kind, dataset, beta, lk, xs)
     rbar_inv = _invert_proxies(packed, [truth.rbar(b.size) for b in packed.buckets])
     variances = _link_variances(packed, xs, beta, lk, "regressors")
     out = {k: np.empty((n, p, p)) for k in ("h_ind", "h_star", "m_bar", "m_star")}
@@ -965,10 +986,13 @@ def a2_schedule(
     deltas = []
     halvings = []
     violations = []
-    acc = acc_p = None
     if spec.depends_on_data:
-        acc = _seed_accumulator(dataset, None)
-        acc_p = _seed_accumulator(dataset, None)
+        proxies = proxy_stack(dataset, beta, lk)
+        # the perturbed fold: delta_i depends on a gap that the earlier
+        # deltas fix, so it advances one cluster at a time
+        d = dataset.m_max
+        sums_p = np.zeros((1, d, d))
+        counts_p = np.zeros((1, d, d), dtype=np.int64)
 
     def transform_gap(cluster, delta, y0):
         xp = cluster.regressors + delta.T
@@ -978,7 +1002,7 @@ def a2_schedule(
             return float(np.linalg.norm(yp - y0, 2)), xp
         return np.inf, xp
 
-    for c in dataset.clusters:
+    for pos, c in enumerate(dataset.clusters):
         target = math.ldexp(1.0, -c.index)
         draw = rng.uniform(-1.0, 1.0, size=(p, c.size))
         nrm = float(np.linalg.norm(draw, 2))
@@ -991,10 +1015,11 @@ def a2_schedule(
         if spec.depends_on_data:
             # fixed by the earlier deltas: halving the current one cannot
             # move this gap
+            r_p = residual_moment_templates(sums_p, counts_p, np.array([pos]))[0]
+            m = c.size
             gap_r = float(
                 np.linalg.norm(
-                    np.linalg.inv(acc_p.working(c.size))
-                    - np.linalg.inv(acc.working(c.size)),
+                    np.linalg.inv(r_p[:m, :m]) - np.linalg.inv(proxies[pos, :m, :m]),
                     2,
                 )
             )
@@ -1019,8 +1044,15 @@ def a2_schedule(
         halvings.append(used)
         deltas.append(delta)
         if spec.depends_on_data:
-            acc.update_residuals(_standardized_residuals(c, beta, lk))
-            acc_p.update_residuals(_perturbed_residuals(c, xp, beta, lk))
+            eta_p = xp @ beta
+            var_p = lk.eval(1, eta_p)
+            if np.any(var_p <= 0.0) or not np.all(np.isfinite(var_p)):
+                raise InvalidInputError(
+                    f"perturbed regressors of cluster {c.index} leave the link domain"
+                )
+            resid = (c.response - lk.eval(0, eta_p)) / np.sqrt(var_p)
+            sums_p[0, :m, :m] += np.outer(resid, resid)
+            counts_p[0, :m, :m] += 1
     report = {
         "halvings": halvings,
         "violations": violations,

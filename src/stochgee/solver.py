@@ -13,7 +13,14 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .estimating import EstimatingFunction, eval_g, freeze_proxy, jacobian
+from .estimating import (
+    EstimatingFunction,
+    _invert_proxies,
+    _stack_by_bucket,
+    eval_g,
+    freeze_proxy,
+    jacobian,
+)
 from .exceptions import (
     InvalidInputError,
     SingularDesignError,
@@ -203,32 +210,19 @@ def linear_closed_form(dataset: Dataset, r_sequence) -> np.ndarray:
     submatrix weights each cluster) or a sequence of per-cluster SPD
     matrices.
     """
+    packed = dataset.packed
     if isinstance(r_sequence, np.ndarray) and r_sequence.ndim == 2:
-        template = r_sequence
-        mats = None
+        template = linalg.symmetrize_checked(r_sequence)
+        mats = [template[: b.size, : b.size] for b in packed.buckets]
     else:
-        template = None
-        mats = list(r_sequence)
-        if len(mats) != dataset.n:
-            raise InvalidInputError(
-                f"{len(mats)} weight matrices supplied for {dataset.n} clusters"
-            )
-    inv_cache: dict = {}
+        mats = _stack_by_bucket(packed, r_sequence)
     p = dataset.p
     normal = np.zeros((p, p))
     rhs = np.zeros(p)
-    for pos, c in enumerate(dataset.clusters):
-        if template is not None:
-            key = c.size
-            rinv = inv_cache.get(key)
-            if rinv is None:
-                rinv = linalg.spd_inverse(template[: c.size, : c.size])
-                inv_cache[key] = rinv
-        else:
-            rinv = linalg.spd_inverse(mats[pos])
-        xtr = c.regressors.T @ rinv
-        normal += xtr @ c.regressors
-        rhs += xtr @ c.response
+    for b, rinv in zip(packed.buckets, _invert_proxies(packed, mats)):
+        xtr = np.swapaxes(b.x, 1, 2) @ rinv
+        normal += (xtr @ b.x).sum(axis=0)
+        rhs += (xtr @ b.y[..., None]).sum(axis=(0, 2))
     normal = 0.5 * (normal + normal.T)
     lam_min = float(linalg.sym_eigenvalues(normal)[0])
     if lam_min <= 1e-12:

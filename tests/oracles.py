@@ -203,3 +203,96 @@ def loop_conditional_variance(clusters, beta, link, corr_seq, rbar_of):
         inc = coeff @ (rbar_of(x.shape[0]) * np.outer(sd, sd)) @ coeff.T
         out.append(0.5 * (inc + inc.T))
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# the residual-moment proxy, one cluster at a time
+#
+# The sequential accumulator the package folded before its proxy became a
+# prefix sum, and the per-cluster loop of the proxy-lattice diagnostics.
+
+_MIN_EIGENVALUE = 1e-6
+_SHRINK_PRIOR_FACTOR = 4
+
+
+def _loop_template(total, counts, count):
+    d = total.shape[0]
+    if count < 1:
+        return np.eye(d)
+    raw = np.eye(d)
+    seen = counts > 0
+    raw[seen] = total[seen] / counts[seen]
+    prior = _SHRINK_PRIOR_FACTOR * d
+    eps = prior / (count + prior)
+    t = (1.0 - eps) * raw + eps * np.eye(d)
+    homogeneous = int(counts.min()) == int(counts.max()) == count
+    if homogeneous and eps >= _MIN_EIGENVALUE:
+        return t
+    lam_min = float(np.linalg.eigvalsh(t)[0])
+    if lam_min >= _MIN_EIGENVALUE:
+        return t
+    nu = (_MIN_EIGENVALUE - lam_min) / max(1.0 - lam_min, _MIN_EIGENVALUE)
+    return (1.0 - nu) * t + nu * np.eye(d)
+
+
+def loop_pseudo_templates(clusters, beta, link, m_max, deltas=None):
+    """Templates R_0 .. R_n of the residual-moment proxy, folding one
+    cluster's standardized residual outer product at a time; with
+    ``deltas`` the residuals are standardized at X_i + delta_i'."""
+    total = np.zeros((m_max, m_max))
+    counts = np.zeros((m_max, m_max), dtype=np.int64)
+    out = []
+    for pos, (y, x) in enumerate(clusters):
+        out.append(_loop_template(total, counts, pos))
+        if deltas is not None:
+            x = x + deltas[pos].T
+        mean, var = _link_moments(link, x @ beta)
+        resid = (y - mean) / np.sqrt(var)
+        m = len(y)
+        total[:m, :m] += np.outer(resid, resid)
+        counts[:m, :m] += 1
+    out.append(_loop_template(total, counts, len(clusters)))
+    return out
+
+
+def loop_proxy_lattice(clusters, beta, link, m_max, lattices, n_grid):
+    """pi_n(r) and d_n(r) of the residual-moment proxy, one cluster and
+    one lattice point at a time: the largest eigenvalue of
+    sqrt(R_i(beta)) R_i(point)^{-1} sqrt(R_i(beta)) and the largest
+    |eigenvalue| of the central-difference dR_i/dbeta_l, maximized over
+    the points of each radius and run up to each checkpoint."""
+
+    def trajectory(b):
+        templates = loop_pseudo_templates(clusters, b, link, m_max)
+        return [t[: len(y), : len(y)] for t, (y, _) in zip(templates, clusters)]
+
+    def sym(m):
+        return 0.5 * (m + m.T)
+
+    roots = []
+    for r in trajectory(beta):
+        w, v = np.linalg.eigh(r)
+        roots.append((v * np.sqrt(np.maximum(w, 0.0))) @ v.T)
+    n = len(clusters)
+    last = np.asarray(n_grid) - 1
+    pi_out, d_out = {}, {}
+    for radius, lattice in lattices.items():
+        pi = np.zeros(n)
+        d = np.zeros(n)
+        for point in lattice:
+            seq = trajectory(point)
+            for pos in range(n):
+                q = roots[pos] @ np.linalg.inv(seq[pos]) @ roots[pos]
+                pi[pos] = max(pi[pos], float(np.linalg.eigvalsh(sym(q))[-1]))
+            for l in range(point.shape[0]):
+                step = np.zeros_like(point)
+                step[l] = float(np.cbrt(np.finfo(float).eps)) * max(1.0, abs(point[l]))
+                seq_p = trajectory(point + step)
+                seq_m = trajectory(point - step)
+                for pos in range(n):
+                    dmat = (seq_p[pos] - seq_m[pos]) / (2.0 * step[l])
+                    w = np.linalg.eigvalsh(sym(dmat))
+                    d[pos] = max(d[pos], abs(w[0]), abs(w[-1]))
+        pi_out[radius] = np.maximum.accumulate(pi)[last]
+        d_out[radius] = np.maximum.accumulate(d)[last]
+    return pi_out, d_out

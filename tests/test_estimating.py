@@ -15,6 +15,7 @@ from stochgee import (
     WorkingCorrelationSpec,
     a2_schedule,
     conditional_variance,
+    corr_trajectory,
     dataset_from_arrays,
     det_ratio,
     eval_g,
@@ -112,6 +113,26 @@ class TestEvalG:
         )
         np.testing.assert_allclose(g_general, g_ind, atol=1e-12)
         assert seen == list(range(10))
+
+    def test_general_history_cannot_reach_current_cluster(self):
+        ds = simulate_scenario(exch_scenario(n=6))
+        checked = []
+
+        def coeff(history, x_i, beta):
+            i = len(history)
+            assert [c.index for c in history] == list(range(1, i + 1))
+            assert history[:] == ds.clusters[:i]
+            if i:
+                assert history[-1] is ds.clusters[i - 1]
+                assert history[-i] is ds.clusters[0]
+            for k in (i, i + 1, -i - 1):
+                with pytest.raises(IndexError):
+                    history[k]
+            checked.append(i)
+            return x_i.T
+
+        eval_g(EstimatingFunction.general(coeff), ds, np.zeros(2), "identity")
+        assert checked == list(range(6))
 
     def test_quasi_score_equals_gee_at_truth_template(self):
         cfg = exch_scenario()
@@ -250,6 +271,24 @@ class TestJacobian:
         kind = EstimatingFunction.gee_star(WorkingCorrelationSpec.pseudo_likelihood(3))
         with pytest.raises(UnsupportedMethodError):
             jacobian(kind, ds, np.zeros(2), "identity", method="analytic")
+
+    @pytest.mark.parametrize("link", ["identity", "log"])
+    def test_frozen_pseudo_proxy_takes_analytic_path(self, link):
+        # a frozen proxy no longer depends on beta, so the default method
+        # is the analytic Jacobian
+        cfg = exch_scenario(link=link, scale=0.4)
+        ds = simulate_scenario(cfg)
+        kind = EstimatingFunction.gee_star(WorkingCorrelationSpec.pseudo_likelihood(3))
+        beta = np.array([0.3, -0.2])
+        frozen = corr_trajectory(ds, beta + 0.1, link, kind.spec)
+        auto = jacobian(kind, ds, beta, link, frozen_corr=frozen)
+        da = jacobian(kind, ds, beta, link, frozen_corr=frozen, method="analytic")
+        df = jacobian(
+            kind, ds, beta, link, frozen_corr=frozen, method="finite_difference"
+        )
+        np.testing.assert_array_equal(auto, da)
+        err = np.abs(da - df) / np.maximum(np.abs(da), 1e-8)
+        assert err.max() < 1e-5
 
 
 class TestOptimalityMatrices:

@@ -1,4 +1,5 @@
-"""The batched per-cluster kernel against the per-cluster reference loops."""
+"""The batched per-cluster kernel and the prefix-sum proxy against the
+per-cluster reference loops."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 
 from stochgee import (
     CorrelationTruth,
+    DiagnosticsParams,
     EstimatingFunction,
     InvalidVarianceError,
     NotPositiveDefiniteError,
     Perturbation,
     WorkingCorrelationSpec,
+    ball_lattice,
+    condition_trajectories,
     conditional_variance,
     corr_trajectory,
     dataset_from_arrays,
@@ -21,7 +25,11 @@ from stochgee import (
     path_information_increments,
     working_corr,
 )
-from stochgee.estimating import _analytic_jacobian
+from stochgee.estimating import (
+    _perturbed_pseudo_trajectory,
+    _perturbed_regressors,
+    proxy_stack,
+)
 from stochgee.model import get_link
 
 from oracles import (
@@ -29,6 +37,8 @@ from oracles import (
     loop_eval_g,
     loop_information_increments,
     loop_jacobian,
+    loop_proxy_lattice,
+    loop_pseudo_templates,
 )
 
 RTOL = 1e-12
@@ -111,7 +121,7 @@ def test_eval_g_and_jacobian_match_loops(seed, n, m_max, link, variant):
     expect_jac = loop_jacobian(pairs(ds), beta, link, seq)
     if variant.startswith("pseudo"):
         # the analytic Jacobian of a proxy held fixed at ``seq``
-        jac = _analytic_jacobian(kind, ds, beta, get_link(link), None, seq)
+        jac = jacobian(kind, ds, beta, link, frozen_corr=seq, method="analytic")
     else:
         jac = jacobian(kind, ds, beta, link, frozen_corr=frozen, method="analytic")
     assert_close(jac, expect_jac)
@@ -218,3 +228,55 @@ def test_not_pd_proxy_carries_cluster_index():
         eval_g(kind, ds, np.zeros(2), "log", frozen_corr=frozen)
     assert err.value.cluster_index == 6
     assert err.value.lambda_min == pytest.approx(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# the residual-moment proxy as a prefix sum, against the sequential fold
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 25),
+    m_max=st.integers(1, 4),
+    link=st.sampled_from(["identity", "log"]),
+    perturbed=st.booleans(),
+)
+def test_proxy_stack_equals_sequential_fold(seed, n, m_max, link, perturbed):
+    ds, rng = mixed_dataset(seed, n, m_max)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    if perturbed:
+        deltas = [0.1 * rng.uniform(-1, 1, size=(2, c.size)) for c in ds.clusters]
+        _, xps = _perturbed_regressors(ds, Perturbation(tuple(deltas), 1.0), 2)
+        stack = _perturbed_pseudo_trajectory(ds, beta, get_link(link), xps)
+    else:
+        deltas = None
+        stack = proxy_stack(ds, beta, link)
+    expect = loop_pseudo_templates(pairs(ds), beta, link, m_max, deltas)
+    assert stack.shape == (n + 1, m_max, m_max)
+    for got, ref in zip(stack, expect):
+        np.testing.assert_array_equal(got, ref)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    m_max=st.integers(1, 3),
+    link=st.sampled_from(["identity", "log"]),
+)
+def test_pseudo_condition_trajectories_match_loops(seed, n, m_max, link):
+    ds, rng = mixed_dataset(seed, n, m_max)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    params = DiagnosticsParams(r_grid=(0.3, 0.1), n_grid=(n // 2, n))
+    spec = WorkingCorrelationSpec.pseudo_likelihood(m_max)
+    report = condition_trajectories(ds, beta, link, spec, params=params)
+    lattices = {r: ball_lattice(beta, r) for r in params.r_grid}
+    pi, d = loop_proxy_lattice(pairs(ds), beta, link, m_max, lattices, params.n_grid)
+    for r in params.r_grid:
+        assert_close(report.series_by_r["pi"][r], pi[r])
+        assert_close(report.series_by_r["d"][r], d[r])
+    templates = loop_pseudo_templates(pairs(ds), beta, link, m_max)
+    extremes = np.array([np.linalg.eigvalsh(templates[k - 1]) for k in params.n_grid])
+    assert_close(report.series["lambda_min_rstar"], extremes[:, 0])
+    assert_close(report.series["lambda_max_rstar"], extremes[:, -1])
