@@ -63,7 +63,6 @@ from .exceptions import (
 from .linalg import (
     EigenExtremes,
     numerical_radius,
-    spd_inverse,
     spd_solve,
     spectral_norm,
     sym_eigen_extremes,

@@ -153,7 +153,6 @@ def condition_trajectories(
         raise InvalidInputError(
             f"n_grid reaches {n_grid[-1]} but the dataset has {dataset.n} clusters"
         )
-    checkpoints = set(n_grid)
     delta = params.delta
     plugin_variance = truth is None
     var_truth = truth if truth is not None else CorrelationTruth.plugin(dataset.m_max)
@@ -164,9 +163,6 @@ def condition_trajectories(
     )
 
     lattices = {r: ball_lattice(beta, r) for r in params.r_grid}
-    k2_run = {r: 0.0 for r in params.r_grid}
-    k3_run = {r: 0.0 for r in params.r_grid}
-    eta_run = {r: 0.0 for r in params.r_grid}
 
     # the martingale g_n, its predictable covariation V_n and H'_n as
     # cumulative sums, read at the checkpoints; H' accumulates row by row
@@ -176,8 +172,11 @@ def condition_trajectories(
     rows = packed.x
     w_rows = lk.eval(1, rows @ beta)
     h_cum = np.cumsum(rows[:, :, None] * (rows * w_rows[:, None])[:, None, :], axis=0)
-    # R_{i-1} at cluster i: read from the stack of a data-dependent proxy
-    proxies = proxy_stack(dataset, beta, lk) if spec.depends_on_data else None
+    # R_{n-1} at each checkpoint n: read from the stack of a data-dependent proxy
+    if spec.depends_on_data:
+        rstars = list(proxy_stack(dataset, beta, lk)[np.asarray(n_grid) - 1])
+    else:
+        rstars = [working_corr(spec, None, spec.template_dim, beta)] * len(n_grid)
 
     series: dict = {
         k: []
@@ -192,88 +191,52 @@ def condition_trajectories(
             "s_delta_ratio",
             "c0_running_min",
             "c_gamma_h",
-            "slln_ratio",
-            "lambda_min_v",
-            "lambda_max_v",
         )
     }
-    if truth is not None:
-        series.update({k: [] for k in ("lambda_min_rbar", "lambda_max_rbar", "a1_gap")})
-    by_r: dict = {k: {r: [] for r in params.r_grid} for k in ("k2", "k3", "eta", "c3")}
+    slln = slln_monitor([(q_cum[n - 1], v_cum[n - 1]) for n in n_grid], delta)
+    series["slln_ratio"] = slln["ratio"]
+    series["lambda_min_v"] = slln["lambda_min_v"]
+    series["lambda_max_v"] = slln["lambda_max_v"]
+    by_r: dict = _curvature_series(packed, lk, lattices, n_grid)
+    by_r["c3"] = {}
 
     c0_running = math.inf
     seen_nonsingular = False
-
-    for pos, c in enumerate(dataset.clusters):
-        i = pos + 1
-        x = c.regressors
-
-        for r in params.r_grid:
-            lat = lattices[r]
-            etas = x @ lat.T  # (m_i, n_points)
-            d1 = lk.eval(1, etas)
-            d2 = lk.eval(2, etas)
-            d3 = lk.eval(3, etas)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                k2_run[r] = max(k2_run[r], float(np.max(np.abs(d2 / d1))))
-                k3_run[r] = max(k3_run[r], float(np.max(np.abs(d3 / d1))))
-                ratio = np.sqrt(d1[:, None, :] / d1[:, :, None])
-            eta_run[r] = max(eta_run[r], float(np.max(np.abs(ratio - 1.0))))
-
-        if i in checkpoints:
-            n_rows = int(packed.offsets[i])
-            h_prime = h_cum[n_rows - 1]
-            lo_h, hi_h = linalg.sym_eigen_extremes(h_prime)
-            series["lambda_min_h_prime"].append(lo_h)
-            series["lambda_max_h_prime"].append(hi_h)
-            gamma = _max_leverage(h_prime, rows[:n_rows])
-            series["gamma_prime"].append(gamma)
-            a_prime = hi_h * gamma if math.isfinite(gamma) else math.inf
-            series["a_prime"].append(a_prime)
-            series["a_tilde_prime"].append(
-                max(a_prime, a_prime * a_prime) if math.isfinite(a_prime) else math.inf
-            )
-            if lo_h > 1e-12:
-                s_ratio = lo_h / hi_h ** (0.5 + delta)
-                seen_nonsingular = True
-                c0_running = min(c0_running, s_ratio)
-            else:
-                s_ratio = math.nan
-            series["s_delta_ratio"].append(s_ratio)
-            series["c0_running_min"].append(
-                c0_running if seen_nonsingular else math.nan
-            )
-            series["c_gamma_h"].append(
-                math.sqrt(gamma) * hi_h ** (1.0 - delta)
-                if math.isfinite(gamma)
-                else math.inf
-            )
-            qn = float(np.linalg.norm(q_cum[pos]))
-            lo_v, hi_v = linalg.sym_eigen_extremes(v_cum[pos])
-            series["lambda_min_v"].append(lo_v)
-            series["lambda_max_v"].append(hi_v)
-            series["slln_ratio"].append(
-                qn / hi_v ** (0.5 + delta) if hi_v > 0 else math.nan
-            )
-            if proxies is not None:
-                rstar_now = proxies[pos]
-            else:
-                rstar_now = working_corr(spec, None, spec.template_dim, beta)
-            lo_r, hi_r = linalg.sym_eigen_extremes(rstar_now)
-            series["lambda_min_rstar"].append(lo_r)
-            series["lambda_max_rstar"].append(hi_r)
-            if truth is not None:
-                rbar = truth.rbar(c.size)
-                lo_b, hi_b = linalg.sym_eigen_extremes(rbar)
-                series["lambda_min_rbar"].append(lo_b)
-                series["lambda_max_rbar"].append(hi_b)
-                series["a1_gap"].append(
-                    float(np.max(np.abs(rstar_now[: c.size, : c.size] - rbar)))
-                )
-            for r in params.r_grid:
-                by_r["k2"][r].append(k2_run[r])
-                by_r["k3"][r].append(k3_run[r])
-                by_r["eta"][r].append(eta_run[r])
+    for n, rstar in zip(n_grid, rstars):
+        n_rows = int(packed.offsets[n])
+        h_prime = h_cum[n_rows - 1]
+        lo_h, hi_h = linalg.sym_eigen_extremes(h_prime)
+        series["lambda_min_h_prime"].append(lo_h)
+        series["lambda_max_h_prime"].append(hi_h)
+        gamma = _max_leverage(h_prime, rows[:n_rows])
+        series["gamma_prime"].append(gamma)
+        a_prime = hi_h * gamma if math.isfinite(gamma) else math.inf
+        series["a_prime"].append(a_prime)
+        series["a_tilde_prime"].append(
+            max(a_prime, a_prime * a_prime) if math.isfinite(a_prime) else math.inf
+        )
+        if lo_h > 1e-12:
+            s_ratio = lo_h / hi_h ** (0.5 + delta)
+            seen_nonsingular = True
+            c0_running = min(c0_running, s_ratio)
+        else:
+            s_ratio = math.nan
+        series["s_delta_ratio"].append(s_ratio)
+        series["c0_running_min"].append(c0_running if seen_nonsingular else math.nan)
+        series["c_gamma_h"].append(
+            math.sqrt(gamma) * hi_h ** (1.0 - delta)
+            if math.isfinite(gamma)
+            else math.inf
+        )
+        lo_r, hi_r = linalg.sym_eigen_extremes(rstar)
+        series["lambda_min_rstar"].append(lo_r)
+        series["lambda_max_rstar"].append(hi_r)
+    if truth is not None:
+        rbars = [truth.rbar(dataset.clusters[n - 1].size) for n in n_grid]
+        extremes = [linalg.sym_eigen_extremes(rbar) for rbar in rbars]
+        series["lambda_min_rbar"] = [lo for lo, _ in extremes]
+        series["lambda_max_rbar"] = [hi for _, hi in extremes]
+        series["a1_gap"] = a1_gap(rstars, rbars)
 
     pi_by_r, d_by_r = _proxy_lattice_quantities(
         dataset, beta, lk, spec, lattices, n_grid
@@ -342,6 +305,35 @@ def _safe_ratio(num, den):
         return math.nan
 
 
+def _curvature_series(packed, lk, lattices, n_grid) -> dict:
+    """k2, k3 and eta for each radius: running maxima over the clusters,
+    read at the checkpoints; a cluster whose maximum is NaN is skipped.
+
+    eta, the largest |sqrt(mu'(b) / mu'(a)) - 1| over pairs of points,
+    comes from the extreme mu' of each row: division and sqrt round
+    monotonically. A zero or non-finite mu' makes the row NaN, as the pair
+    a = b would.
+    """
+    out: dict = {k: {} for k in ("k2", "k3", "eta")}
+    at = np.asarray(n_grid)
+    for r, lattice in lattices.items():
+        per_cluster = {k: np.empty(packed.offsets.shape[0] - 1) for k in out}
+        for b in packed.buckets:
+            d1, d2, d3 = (lk.eval(k, b.x @ lattice.T) for k in (1, 2, 3))
+            lo, hi = d1.min(axis=2), d1.max(axis=2)
+            positive = np.all((d1 > 0.0) & np.isfinite(d1), axis=2)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                per_cluster["k2"][b.positions] = np.abs(d2 / d1).max(axis=(1, 2))
+                per_cluster["k3"][b.positions] = np.abs(d3 / d1).max(axis=(1, 2))
+                eta = np.maximum(
+                    np.abs(np.sqrt(hi / lo) - 1.0), np.abs(np.sqrt(lo / hi) - 1.0)
+                )
+            per_cluster["eta"][b.positions] = np.where(positive, eta, np.nan).max(1)
+        for k, v in per_cluster.items():
+            out[k][r] = np.fmax.accumulate(np.concatenate(([0.0], v)))[at].tolist()
+    return out
+
+
 def _max_leverage(h_prime, rows):
     try:
         sol = linalg.spd_solve(h_prime, rows.T)
@@ -365,12 +357,6 @@ def _proxy_lattice_quantities(dataset, beta, lk, spec, lattices, n_grid):
         zeros = [0.0] * len(n_grid)
         return {r: list(ones) for r in r_grid}, {r: list(zeros) for r in r_grid}
     packed = dataset.packed
-
-    def per_cluster(values):
-        out = np.empty(dataset.n)
-        for b, v in zip(packed.buckets, values):
-            out[b.positions] = v
-        return out
 
     def sym(m):
         return 0.5 * (m + np.swapaxes(m, -1, -2))
@@ -401,8 +387,8 @@ def _proxy_lattice_quantities(dataset, beta, lk, spec, lattices, n_grid):
                     for m in _bucket_proxies(packed, diff / (2.0 * h))
                 ]
                 extremes = [np.abs(x[:, [0, -1]]).max(axis=1) for x in w]
-                d = np.maximum(d, per_cluster(extremes))
-            terms[key] = (per_cluster(lam), d)
+                d = np.maximum(d, packed.in_cluster_order(extremes))
+            terms[key] = (packed.in_cluster_order(lam), d)
         return terms[key]
 
     pi_out: dict = {}
@@ -704,15 +690,9 @@ def _slln_worker(args):
     ds = simulate_scenario(config.with_n(max(n_grid)), rep)
     truth = config.truth.template(config.m_max)
     q_inc, v_inc = score_increments(kind, ds, config.beta0_array, config.link, truth)
-    q_cum = np.cumsum(q_inc, axis=0)
-    v_cum = np.cumsum(v_inc, axis=0)
-    ratios, lo_vs = [], []
-    for n in n_grid:
-        lo, hi = linalg.sym_eigen_extremes(v_cum[n - 1])
-        lo_vs.append(lo)
-        qn = float(np.linalg.norm(q_cum[n - 1]))
-        ratios.append(qn / hi ** (0.5 + delta) if hi > 0 else math.nan)
-    return ratios, lo_vs
+    q_cum, v_cum = np.cumsum(q_inc, axis=0), np.cumsum(v_inc, axis=0)
+    slln = slln_monitor([(q_cum[n - 1], v_cum[n - 1]) for n in n_grid], delta)
+    return slln["ratio"], slln["lambda_min_v"]
 
 
 def slln_decay_study(

@@ -10,7 +10,6 @@ the inverse proxy correlation, and rescales:
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -249,7 +248,7 @@ def corr_trajectory(
         }
         return [by_size[c.size] for c in dataset.clusters]
     stack = proxy_stack(dataset, beta, link)
-    return [stack[pos, : c.size, : c.size] for pos, c in enumerate(dataset.clusters)]
+    return [r[: c.size, : c.size] for r, c in zip(stack, dataset.clusters)]
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +490,10 @@ def _bucket_coefficients(kind, dataset, beta, lk, moments, frozen_corr=None) -> 
         ]
     p = beta.shape[0]
     coeffs = []
-    for i, c in enumerate(dataset.clusters):
+    for c in dataset.clusters:
+        history = _History(dataset.clusters, c.index - 1)
         coeff = np.asarray(
-            kind.coefficients(_History(dataset.clusters, i), c.regressors, beta),
-            dtype=float,
+            kind.coefficients(history, c.regressors, beta), dtype=float
         )
         if coeff.shape != (p, c.size):
             raise InvalidInputError(
@@ -943,13 +942,18 @@ class Perturbation:
         deltas = tuple(np.asarray(d, dtype=float) for d in self.deltas)
         if self.bound <= 0:
             raise InvalidInputError("perturbation bound must be positive")
-        for i, d in enumerate(deltas, start=1):
-            if d.ndim != 2:
-                raise InvalidInputError(f"delta {i} must be a matrix")
-            if np.linalg.norm(d, 2) > self.bound * (1.0 + 1e-9) and d.any():
-                raise InvalidInputError(
-                    f"delta {i} exceeds the declared spectral-norm bound"
-                )
+        bad = next((i for i, d in enumerate(deltas, 1) if d.ndim != 2), None)
+        if bad is not None:
+            raise InvalidInputError(f"delta {bad} must be a matrix")
+        norms = np.empty(len(deltas))
+        for shape in {d.shape for d in deltas}:
+            idx = [i for i, d in enumerate(deltas) if d.shape == shape]
+            norms[idx] = linalg.spectral_norm(np.stack([deltas[i] for i in idx]))
+        over = np.flatnonzero(norms > self.bound * (1.0 + 1e-9))
+        if over.size:
+            raise InvalidInputError(
+                f"delta {over[0] + 1} exceeds the declared spectral-norm bound"
+            )
         object.__setattr__(self, "deltas", deltas)
 
     @classmethod
@@ -957,6 +961,18 @@ class Perturbation:
         return cls(
             tuple(np.zeros((dataset.p, c.size)) for c in dataset.clusters), bound=1.0
         )
+
+
+def _regressor_gaps(x, y0, delta, beta, lk) -> np.ndarray:
+    """||(X_i + delta_i') A_i^{1/2} - y0_i||_2 for a (k, p, m) stack of
+    deltas, with A_i taken at the perturbed regressors; inf where a
+    perturbed variance is not positive and finite."""
+    xp = x + np.swapaxes(delta, 1, 2)
+    var = lk.eval(1, xp @ beta)
+    ok = np.all((var > 0) & np.isfinite(var), axis=1)
+    gaps = np.full(delta.shape[0], np.inf)
+    gaps[ok] = linalg.spectral_norm(xp[ok] * np.sqrt(var[ok])[..., None] - y0[ok])
+    return gaps
 
 
 def a2_schedule(
@@ -981,84 +997,83 @@ def a2_schedule(
     """
     beta = as_beta(beta)
     lk = get_link(link)
+    packed = dataset.packed
+    n, p, d = dataset.n, beta.shape[0], dataset.m_max
     rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**128 - 1)))
-    p = beta.shape[0]
-    deltas = []
-    halvings = []
-    violations = []
+    # one stream in cluster order: cluster i takes the next p * m_i values
+    draws = rng.uniform(-1.0, 1.0, size=p * packed.x.shape[0])
+    targets = np.ldexp(1.0, -np.arange(1, n + 1))
+    xs = [b.x for b in packed.buckets]
+    variances = _link_variances(packed, xs, beta, lk, "regressors")
+    # per cluster, zero-padded: the halved delta (0) and that delta collapsed
+    # by the halvings left (1), their gaps; per bucket, their regressors
+    deltas = np.zeros((2, n, p, d))
+    gaps = np.empty((2, n))
+    used = np.empty(n, dtype=np.int64)
+    moved = []
+    for b, var in zip(packed.buckets, variances):
+        target = targets[b.positions]
+        start = p * packed.offsets[b.positions]
+        draw = draws[start[:, None] + np.arange(p * b.size)].reshape(-1, p, b.size)
+        nrm = linalg.spectral_norm(draw)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = draw * (target * (1.0 - 1e-12) / nrm)[:, None, None]
+        delta[(target == 0.0) | (nrm == 0.0)] = 0.0
+        y0 = b.x * np.sqrt(var)[..., None]
+        gap = _regressor_gaps(b.x, y0, delta, beta, lk)
+        halvings = np.zeros(target.shape[0], dtype=np.int64)
+        for _ in range(max_halvings):
+            active = gap > target
+            if not active.any():
+                break
+            delta[active] = 0.5 * delta[active]
+            halvings[active] += 1
+            gap[active] = _regressor_gaps(
+                b.x[active], y0[active], delta[active], beta, lk
+            )
+        # the transform inequality is monotone in the scale, so the
+        # exhausted halving loop collapses deterministically
+        shrunk = delta * np.ldexp(1.0, halvings - max_halvings)[:, None, None]
+        deltas[:, b.positions, :, : b.size] = delta, shrunk
+        moved.append([b.x + np.swapaxes(dl, 1, 2) for dl in (delta, shrunk)])
+        gaps[:, b.positions] = gap, _regressor_gaps(b.x, y0, shrunk, beta, lk)
+        used[b.positions] = halvings
+    sizes = np.diff(packed.offsets)
+    collapsed = np.zeros(n, dtype=np.int64)
+    gap_r = np.zeros(n)
     if spec.depends_on_data:
-        proxies = proxy_stack(dataset, beta, lk)
-        # the perturbed fold: delta_i depends on a gap that the earlier
-        # deltas fix, so it advances one cluster at a time
-        d = dataset.m_max
-        sums_p = np.zeros((1, d, d))
-        counts_p = np.zeros((1, d, d), dtype=np.int64)
-
-    def transform_gap(cluster, delta, y0):
-        xp = cluster.regressors + delta.T
-        var_p = lk.eval(1, xp @ beta)
-        if np.all(var_p > 0) and np.all(np.isfinite(var_p)):
-            yp = xp * np.sqrt(var_p)[:, None]
-            return float(np.linalg.norm(yp - y0, 2)), xp
-        return np.inf, xp
-
-    for pos, c in enumerate(dataset.clusters):
-        target = math.ldexp(1.0, -c.index)
-        draw = rng.uniform(-1.0, 1.0, size=(p, c.size))
-        nrm = float(np.linalg.norm(draw, 2))
-        if target == 0.0 or nrm == 0.0:
-            delta = np.zeros((p, c.size))
-        else:
-            delta = draw * (target * (1.0 - 1e-12) / nrm)
-        var0 = lk.eval(1, c.regressors @ beta)
-        y0 = c.regressors * np.sqrt(var0)[:, None]
-        if spec.depends_on_data:
-            # fixed by the earlier deltas: halving the current one cannot
-            # move this gap
-            r_p = residual_moment_templates(sums_p, counts_p, np.array([pos]))[0]
-            m = c.size
-            gap_r = float(
-                np.linalg.norm(
-                    np.linalg.inv(r_p[:m, :m]) - np.linalg.inv(proxies[pos, :m, :m]),
-                    2,
-                )
-            )
-        else:
-            gap_r = 0.0
-        used = 0
-        gap_y, xp = transform_gap(c, delta, y0)
-        while used < max_halvings and gap_y > target:
-            delta = 0.5 * delta
-            used += 1
-            gap_y, xp = transform_gap(c, delta, y0)
-        if gap_y <= target < gap_r and used < max_halvings:
-            # the transform inequality is monotone in the scale, so the
-            # exhausted halving loop collapses deterministically
-            delta = delta * math.ldexp(1.0, -(max_halvings - used))
-            used = max_halvings
-            gap_y, xp = transform_gap(c, delta, y0)
-        if gap_y > target or gap_r > target:
-            violations.append(
-                {"cluster": c.index, "gap_y": gap_y, "gap_r": gap_r, "target": target}
-            )
-        halvings.append(used)
-        deltas.append(delta)
-        if spec.depends_on_data:
-            eta_p = xp @ beta
-            var_p = lk.eval(1, eta_p)
-            if np.any(var_p <= 0.0) or not np.all(np.isfinite(var_p)):
-                raise InvalidInputError(
-                    f"perturbed regressors of cluster {c.index} leave the link domain"
-                )
-            resid = (c.response - lk.eval(0, eta_p)) / np.sqrt(var_p)
-            sums_p[0, :m, :m] += np.outer(resid, resid)
-            counts_p[0, :m, :m] += 1
+        kind = EstimatingFunction.gee_star(spec)
+        rinv = packed.in_cluster_order(freeze_proxy(kind, dataset, beta, lk).inverses)
+        resid = [
+            packed.in_cluster_order(_pearson_residuals(packed, beta, lk, xp))
+            for xp in zip(*moved)
+        ]
+        # the perturbed fold: the inverse-proxy gap of cluster i is fixed by
+        # the deltas chosen before it, so this pass runs in cluster order
+        sums = np.zeros((1, d, d))
+        counts = np.zeros((1, d, d), dtype=np.int64)
+        for pos, m in enumerate(sizes):
+            r_p = residual_moment_templates(sums, counts, np.array([pos]))[0]
+            rinv_gap = np.linalg.inv(r_p[:m, :m]) - rinv[pos, :m, :m]
+            gap_r[pos] = linalg.spectral_norm(rinv_gap)
+            if gaps[0, pos] <= targets[pos] < gap_r[pos] and used[pos] < max_halvings:
+                collapsed[pos] = 1
+            r = resid[collapsed[pos]][pos, :m]
+            sums[0, :m, :m] += np.outer(r, r)
+            counts[0, :m, :m] += 1
+    used[collapsed == 1] = max_halvings
+    checks = np.column_stack((gaps[collapsed, np.arange(n)], gap_r, targets)).tolist()
     report = {
-        "halvings": halvings,
-        "violations": violations,
+        "halvings": used.tolist(),
+        "violations": [
+            {"cluster": i + 1, "gap_y": gy, "gap_r": gr, "target": t}
+            for i, (gy, gr, t) in enumerate(checks)
+            if gy > t or gr > t
+        ],
         "max_halvings": max_halvings,
     }
-    return Perturbation(tuple(deltas), bound=0.5), report
+    chosen = (deltas[j, pos, :, :m] for pos, (j, m) in enumerate(zip(collapsed, sizes)))
+    return Perturbation(tuple(chosen), bound=0.5), report
 
 
 # ---------------------------------------------------------------------------

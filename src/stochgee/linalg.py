@@ -2,8 +2,9 @@
 
 Everything here targets matrices no larger than the maximal cluster size
 (a few dozen at most). Inputs are checked for finiteness and symmetry
-before LAPACK computes eigenvalues and Cholesky factors; the independent
-eigenvalue oracles of the test suite pin the results.
+before LAPACK computes eigenvalues, singular values and Cholesky
+factors; the independent eigenvalue oracles of the test suite pin the
+results.
 """
 
 from __future__ import annotations
@@ -79,20 +80,19 @@ def sym_eigen_extremes(m: np.ndarray) -> EigenExtremes:
     return EigenExtremes(float(w[0]), float(w[-1]))
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value, computed as sqrt(lambda_max(M^T M)).
+def spectral_norm(m: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of a matrix, or of each matrix of a
+    (..., r, c) stack; a 2-D input gives a float.
 
-    Accepts rectangular input; M^T M is symmetric PSD so the symmetric
-    eigensolver applies.
+    Every entry must be finite; the singular values come from LAPACK's
+    SVD, one matrix at a time, so a stack and its matrices taken alone
+    agree bit for bit.
     """
     m = _check_finite(m)
-    if m.ndim != 2:
+    if m.ndim < 2:
         m = np.atleast_2d(m)
-    if m.size == 0:
-        return 0.0
-    gram = m.T @ m
-    lam = sym_eigenvalues(gram)[-1]
-    return float(np.sqrt(max(lam, 0.0)))
+    norms = np.linalg.norm(m, 2, axis=(-2, -1))
+    return float(norms) if m.ndim == 2 else norms
 
 
 def _radius_profile(s: np.ndarray, k: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -199,7 +199,3 @@ def spd_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
         x = x + _solve(resid)
     return x[:, 0] if vector else x
 
-
-def spd_inverse(m: np.ndarray) -> np.ndarray:
-    """Explicit inverse of an SPD matrix (requested-inverse escape hatch)."""
-    return spd_solve(m, np.eye(np.asarray(m).shape[0]))

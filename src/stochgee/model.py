@@ -225,6 +225,16 @@ class PackedDataset:
             arr.setflags(write=False)
         return cls(x, y, offsets, buckets)
 
+    def in_cluster_order(self, parts) -> np.ndarray:
+        """Per-bucket stacks of shape (k, m, ..., m), one stack per bucket,
+        as one (n, M, ..., M) array in cluster order, every m axis
+        zero-padded to the largest cluster size M."""
+        size = self.buckets[-1].size
+        out = np.zeros((self.offsets.shape[0] - 1,) + (size,) * (parts[0].ndim - 1))
+        for b, v in zip(self.buckets, parts):
+            out[(b.positions,) + (slice(b.size),) * (v.ndim - 1)] = v
+        return out
+
     def prefix(self, n: int) -> "PackedDataset":
         """The pack of the first ``n`` clusters, as views into this one."""
         buckets = []

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.stats import poisson as _poisson
 
+from .correlation import _floor_eigenvalues
 from .estimating import CorrelationTruth, EstimatingFunction
 from .exceptions import ConfigError, MisspecificationWarning, StochGeeError
 from .model import Cluster, Dataset, get_link
@@ -397,11 +398,7 @@ def effective_truth(
             c = np.corrcoef(yj, yk)[0, 1]
             est[j, k] = est[k, j] = c if np.isfinite(c) else 0.0
     # pairwise estimates can drift slightly off PD; blend minimally
-    w = np.linalg.eigvalsh(est)
-    if w[0] < 1e-6:
-        nu = (1e-6 - w[0]) / max(1.0 - w[0], 1e-6)
-        est = (1.0 - nu) * est + nu * np.eye(m)
-    return CorrelationTruth(est, is_estimate=True)
+    return CorrelationTruth(_floor_eigenvalues(est), is_estimate=True)
 
 
 # ---------------------------------------------------------------------------

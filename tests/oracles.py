@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own numerics: the
 eigenvalue oracle works through the characteristic polynomial, norms come
 from power iteration or brute-force grid search, determinants from
-cofactor expansion, and the estimating-function quantities from plain
+cofactor expansion, and the estimating-function quantities, the
+perturbation schedule and the lattice curvature series from plain
 per-cluster loops.
 """
 
@@ -296,3 +297,105 @@ def loop_proxy_lattice(clusters, beta, link, m_max, lattices, n_grid):
         pi_out[radius] = np.maximum.accumulate(pi)[last]
         d_out[radius] = np.maximum.accumulate(d)[last]
     return pi_out, d_out
+
+
+# ---------------------------------------------------------------------------
+# the perturbation schedule and the lattice curvature series, one cluster
+# at a time, as the package computed them before they ran on size buckets
+
+
+def loop_a2_schedule(
+    clusters, beta, link, m_max, data_dependent, seed, max_halvings=40
+):
+    """(deltas, halvings, violations) of the geometric perturbation schedule.
+
+    Cluster i draws a (p, m_i) uniform(-1, 1) block from the Philox stream
+    of ``seed``, scaled to spectral norm 2^-i, and halves it while the
+    transformed-regressor gap exceeds 2^-i. With a ``data_dependent``
+    proxy the inverse-proxy gap is set by the earlier deltas; when it
+    exceeds 2^-i the delta collapses by the halvings left.
+    """
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**128 - 1)))
+    p = beta.shape[0]
+    proxies = loop_pseudo_templates(clusters, beta, link, m_max)
+    total = np.zeros((m_max, m_max))
+    counts = np.zeros((m_max, m_max), dtype=np.int64)
+
+    def transform_gap(x, delta, y0):
+        xp = x + delta.T
+        _, var = _link_moments(link, xp @ beta)
+        if np.all(var > 0) and np.all(np.isfinite(var)):
+            return float(np.linalg.norm(xp * np.sqrt(var)[:, None] - y0, 2))
+        return np.inf
+
+    deltas, halvings, violations = [], [], []
+    for pos, (y, x) in enumerate(clusters):
+        m = len(y)
+        target = 2.0 ** -(pos + 1)
+        draw = rng.uniform(-1.0, 1.0, size=(p, m))
+        nrm = float(np.linalg.norm(draw, 2))
+        if target == 0.0 or nrm == 0.0:
+            delta = np.zeros((p, m))
+        else:
+            delta = draw * (target * (1.0 - 1e-12) / nrm)
+        _, var0 = _link_moments(link, x @ beta)
+        y0 = x * np.sqrt(var0)[:, None]
+        gap_r = 0.0
+        if data_dependent:
+            r_p = _loop_template(total, counts, pos)
+            gap_r = float(
+                np.linalg.norm(
+                    np.linalg.inv(r_p[:m, :m]) - np.linalg.inv(proxies[pos][:m, :m]), 2
+                )
+            )
+        used = 0
+        gap_y = transform_gap(x, delta, y0)
+        while used < max_halvings and gap_y > target:
+            delta = 0.5 * delta
+            used += 1
+            gap_y = transform_gap(x, delta, y0)
+        if gap_y <= target < gap_r and used < max_halvings:
+            delta = delta * 2.0 ** -(max_halvings - used)
+            used = max_halvings
+            gap_y = transform_gap(x, delta, y0)
+        if gap_y > target or gap_r > target:
+            violations.append(
+                {"cluster": pos + 1, "gap_y": gap_y, "gap_r": gap_r, "target": target}
+            )
+        halvings.append(used)
+        deltas.append(delta)
+        if data_dependent:
+            mean, var = _link_moments(link, (x + delta.T) @ beta)
+            resid = (y - mean) / np.sqrt(var)
+            total[:m, :m] += np.outer(resid, resid)
+            counts[:m, :m] += 1
+    return deltas, halvings, violations
+
+
+def loop_lattice_curvature(clusters, link, lattices, n_grid):
+    """k2, k3 and eta of each lattice, read at the checkpoints.
+
+    Running maxima over the clusters of max |mu''/mu'| and |mu'''/mu'|
+    over the lattice points and of max |sqrt(mu'(b) / mu'(a)) - 1| over
+    pairs of points; Python's ``max`` skips a cluster whose maximum is NaN.
+    """
+    out = {k: {r: [] for r in lattices} for k in ("k2", "k3", "eta")}
+    run = {k: dict.fromkeys(lattices, 0.0) for k in out}
+    for pos, (_, x) in enumerate(clusters):
+        for r, lattice in lattices.items():
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                _, d1 = _link_moments(link, x @ lattice.T)
+                d2 = d3 = d1 if link == "log" else np.zeros_like(d1)
+                ratio = np.sqrt(d1[:, None, :] / d1[:, :, None])
+                values = {
+                    "k2": np.max(np.abs(d2 / d1)),
+                    "k3": np.max(np.abs(d3 / d1)),
+                    "eta": np.max(np.abs(ratio - 1.0)),
+                }
+            for k, v in values.items():
+                run[k][r] = max(run[k][r], float(v))
+        if pos + 1 in n_grid:
+            for k in out:
+                for r in lattices:
+                    out[k][r].append(run[k][r])
+    return out

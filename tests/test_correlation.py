@@ -259,6 +259,17 @@ class TestCorrBetaDerivative:
         np.testing.assert_array_equal(working_corr(spec, state, 3), t)
         np.testing.assert_array_equal(_floor_eigenvalues(t), t)
 
+    def test_floor_lifts_a_non_pd_matrix(self):
+        from stochgee.correlation import MIN_EIGENVALUE, _floor_eigenvalues
+
+        t = np.array([[1.0, 1.2, 0.3], [1.2, 1.0, 0.1], [0.3, 0.1, 1.0]])
+        lam = float(np.linalg.eigvalsh(t)[0])
+        assert lam < 0.0
+        nu = (MIN_EIGENVALUE - lam) / max(1.0 - lam, MIN_EIGENVALUE)
+        floored = _floor_eigenvalues(t)
+        np.testing.assert_array_equal(floored, (1.0 - nu) * t + nu * np.eye(3))
+        assert np.linalg.eigvalsh(floored)[0] == pytest.approx(MIN_EIGENVALUE, rel=1e-6)
+
     def test_richardson_step_halving(self):
         # central differences converge at O(h^2): halving the step cuts
         # the increment by ~4

@@ -175,6 +175,18 @@ class TestPerturbed:
         )
         assert g[0] == pytest.approx(1.1, abs=1e-15)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_perturbation_rejects_non_finite_delta(self, bad):
+        with pytest.raises(InvalidInputError, match="NaN or infinite"):
+            Perturbation((np.array([[bad, 0.1]]),), bound=0.5)
+
+    def test_perturbation_names_first_delta_over_bound(self):
+        deltas = (np.zeros((2, 1)), np.full((2, 3), 0.5), np.full((2, 1), 0.5))
+        with pytest.raises(InvalidInputError, match="^delta 2 exceeds"):
+            Perturbation(deltas, bound=0.5)
+        with pytest.raises(InvalidInputError, match="^delta 3 must be a matrix"):
+            Perturbation(deltas[:2] + (np.zeros(2),), bound=2.0)
+
     def test_geometric_schedule_bounded_difference(self):
         cfg = exch_scenario(seed=7, n=200, link="log", scale=0.4)
         ds = simulate_scenario(cfg)

@@ -14,6 +14,7 @@ from stochgee import (
     NotPositiveDefiniteError,
     Perturbation,
     WorkingCorrelationSpec,
+    a2_schedule,
     ball_lattice,
     condition_trajectories,
     conditional_variance,
@@ -33,10 +34,12 @@ from stochgee.estimating import (
 from stochgee.model import get_link
 
 from oracles import (
+    loop_a2_schedule,
     loop_conditional_variance,
     loop_eval_g,
     loop_information_increments,
     loop_jacobian,
+    loop_lattice_curvature,
     loop_proxy_lattice,
     loop_pseudo_templates,
 )
@@ -280,3 +283,85 @@ def test_pseudo_condition_trajectories_match_loops(seed, n, m_max, link):
     extremes = np.array([np.linalg.eigvalsh(templates[k - 1]) for k in params.n_grid])
     assert_close(report.series["lambda_min_rstar"], extremes[:, 0])
     assert_close(report.series["lambda_max_rstar"], extremes[:, -1])
+
+
+# ---------------------------------------------------------------------------
+# the perturbation schedule and the lattice curvature series on the size
+# buckets, against the per-cluster loops
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 25),
+    m_max=st.integers(1, 4),
+    link=st.sampled_from(["identity", "log"]),
+    kind_name=st.sampled_from(["identity", "exchangeable", "pseudo"]),
+    scale=st.sampled_from([1.0, 4.0]),
+)
+def test_a2_schedule_matches_loop(seed, n, m_max, link, kind_name, scale):
+    ds, rng = mixed_dataset(seed, n, m_max)
+    if scale != 1.0:
+        ds = dataset_from_arrays([(y, scale * x) for y, x in pairs(ds)], m_max=m_max)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    spec = {
+        "identity": WorkingCorrelationSpec.identity(m_max),
+        "exchangeable": WorkingCorrelationSpec.exchangeable(0.3, m_max),
+        "pseudo": WorkingCorrelationSpec.pseudo_likelihood(m_max),
+    }[kind_name]
+    pert, report = a2_schedule(ds, beta, link, spec, seed=seed)
+    deltas, halvings, violations = loop_a2_schedule(
+        pairs(ds), beta, link, m_max, spec.depends_on_data, seed
+    )
+    assert [d.shape for d in pert.deltas] == [d.shape for d in deltas]
+    for got, ref in zip(pert.deltas, deltas):
+        assert got.tobytes() == ref.tobytes()
+    assert report["halvings"] == halvings
+    assert report["violations"] == violations
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 25),
+    m_max=st.integers(1, 4),
+    link=st.sampled_from(["identity", "log"]),
+    grid=st.lists(st.integers(1, 25), min_size=1, max_size=4, unique=True),
+)
+def test_lattice_curvature_matches_loop(seed, n, m_max, link, grid):
+    ds, rng = mixed_dataset(seed, n, m_max)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    n_grid = tuple(sorted({min(k, n) for k in grid}))
+    params = DiagnosticsParams(r_grid=(0.5, 0.1), n_grid=n_grid)
+    spec = WorkingCorrelationSpec.exchangeable(0.3, m_max)
+    report = condition_trajectories(ds, beta, link, spec, params=params)
+    lattices = {r: ball_lattice(beta, r) for r in params.r_grid}
+    expect = loop_lattice_curvature(pairs(ds), link, lattices, n_grid)
+    for key, by_r in expect.items():
+        assert report.series_by_r[key] == by_r
+
+
+def test_lattice_curvature_skips_a_nan_cluster():
+    # cluster 4 leaves the log link's range at the radius-0.5 axis points:
+    # exp overflows to inf at one and underflows to 0 at the other, so its
+    # lattice maxima are NaN there, and the running maxima pass it over
+    rng = np.random.default_rng(8)
+    pairs_ = [
+        (rng.standard_normal(2), 0.3 * rng.standard_normal((2, 2))) for _ in range(8)
+    ]
+    pairs_[3][1][:, 0] = 1500.0
+    ds = dataset_from_arrays(pairs_, m_max=2)
+    beta = np.array([0.0, 0.2])
+    params = DiagnosticsParams(r_grid=(0.5, 0.25), n_grid=(3, 4, 8))
+    lattices = {r: ball_lattice(beta, r) for r in params.r_grid}
+    with np.errstate(over="ignore"):
+        d1 = np.exp(pairs_[3][1] @ lattices[0.5].T)
+    assert np.isinf(d1).any() and (d1 == 0.0).any()
+    spec = WorkingCorrelationSpec.exchangeable(0.3, 2)
+    report = condition_trajectories(ds, beta, "log", spec, params=params)
+    expect = loop_lattice_curvature(pairs(ds), "log", lattices, params.n_grid)
+    for key, by_r in expect.items():
+        assert report.series_by_r[key] == by_r
+        assert np.all(np.isfinite(by_r[0.5]))
+    # the radius-0.25 lattice stays in range and sees cluster 4
+    assert report.series_by_r["eta"][0.25][1] > report.series_by_r["eta"][0.25][0]

@@ -105,6 +105,21 @@ class TestSpectralNorm:
         with pytest.raises(InvalidInputError):
             spectral_norm(np.array([[np.nan]]))
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(29)
+        stack = rng.standard_normal((6, 2, 3, 2))
+        norms = spectral_norm(stack)
+        assert norms.shape == (6, 2)
+        for got, m in zip(norms.reshape(-1), stack.reshape(-1, 3, 2)):
+            assert isinstance(spectral_norm(m), float)
+            assert got == spectral_norm(m)
+
+    def test_stack_rejects_non_finite_entry(self):
+        stack = np.ones((3, 2, 2))
+        stack[2, 0, 1] = np.inf
+        with pytest.raises(InvalidInputError):
+            spectral_norm(stack)
+
 
 class TestNumericalRadius:
     def test_symmetric_equals_abs_extreme(self):
