@@ -18,10 +18,8 @@ import numpy as np
 
 from . import linalg
 from .correlation import (
-    PseudoLikelihoodState,
     WorkingCorrelationSpec,
     residual_moment_stack,
-    residual_moment_sums,
     residual_moment_templates,
     working_corr,
 )
@@ -202,20 +200,6 @@ def resolve_estimator(
 
 # ---------------------------------------------------------------------------
 # working-correlation trajectories (the predictable proxy sequence)
-
-
-def fold_pseudo_state(
-    dataset: Dataset,
-    beta,
-    link,
-    upto: Optional[int] = None,
-) -> PseudoLikelihoodState:
-    """Fold the residual-moment state over the first ``upto`` clusters."""
-    packed = dataset.packed
-    resid = _pearson_residuals(packed, as_beta(beta), get_link(link))
-    sums, counts = residual_moment_sums(packed, resid, dataset.m_max)
-    stop = dataset.n if upto is None else min(upto, dataset.n)
-    return PseudoLikelihoodState(stop, sums[stop], counts[stop])
 
 
 def proxy_stack(dataset: Dataset, beta, link) -> np.ndarray:

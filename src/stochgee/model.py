@@ -210,6 +210,12 @@ class PackedDataset:
         x = np.concatenate([c.regressors for c in clusters])
         y = np.concatenate([c.response for c in clusters])
         sizes = np.array([c.size for c in clusters], dtype=np.int64)
+        return cls.of_rows(x, y, sizes)
+
+    @classmethod
+    def of_rows(cls, x, y, sizes) -> "PackedDataset":
+        """The pack of rows already in cluster order, with the cluster
+        sizes as an int64 array; freezes ``x`` and ``y`` in place."""
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         buckets = []
         for size in np.unique(sizes):

@@ -5,6 +5,18 @@ cluster's responses, so the generated estimating functions are martingale
 transforms by construction. Every random draw comes from a counter-based
 generator keyed by (seed, replication, cluster), which makes dataset
 prefixes nested across an ``n`` grid and replications independent.
+
+Because each cluster's draws depend only on its key, ``simulate_scenario``
+separates drawing from transforming. Phase 1 derives every cluster's
+Philox key in one splitmix64 pass over ``np.uint64`` arrays and takes the
+cluster's draws, in the fixed stream order (size, latent innovation, row
+jitter, response noise), from one Philox whose state is reset per
+cluster. Phase 2 forms regressors, link moments, the domain check and the
+responses per cluster-size bucket with stacked ``np.matmul``, whose
+per-matrix products equal the per-cluster ones bit for bit; only the
+``feedback`` process, whose regressors need the previous responses,
+keeps a recursion over clusters. ``substream``, ``regenerate_regressors``
+and ``_draw_response`` replay single clusters the per-cluster way.
 """
 
 from __future__ import annotations
@@ -17,13 +29,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import poisson as _poisson
+from scipy.special import ndtr, ndtri, pdtr, pdtrik
 
 from .correlation import _floor_eigenvalues
 from .estimating import CorrelationTruth, EstimatingFunction
 from .exceptions import ConfigError, MisspecificationWarning, StochGeeError
-from .model import Cluster, Dataset, get_link
+from .model import Cluster, Dataset, PackedDataset, get_link
 from .solver import GeeFit, SolverConfig, solve_gee
 
 #: algorithm identifier embedded in reports for cross-run reproducibility
@@ -34,11 +45,12 @@ GENERATOR_ID = (
 )
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 def splitmix64(x: int) -> int:
     """The splitmix64 finalizer; a documented, portable integer hash."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = (x + _GOLDEN) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -57,7 +69,7 @@ def substream(rep_seed: int, cluster_index: int, lane: int = 0) -> np.random.Gen
     """Counter-based generator for one cluster's draws."""
     tag = ((cluster_index & _MASK64) << 3) ^ (lane & 0x7)
     lo = splitmix64(rep_seed ^ splitmix64(tag))
-    hi = splitmix64((rep_seed + 0x9E3779B97F4A7C15) ^ splitmix64(tag ^ _MASK64))
+    hi = splitmix64((rep_seed + _GOLDEN) ^ splitmix64(tag ^ _MASK64))
     return np.random.Generator(np.random.Philox(key=(hi << 64) | lo))
 
 
@@ -251,24 +263,152 @@ def _draw_regressors(proc, rng, size, p, latent, prev_y_mean):
     return x, latent
 
 
-def _draw_response(config, rng, mean, var, chol):
-    m = mean.shape[0]
-    eps = rng.standard_normal(m)
-    z = chol @ eps
-    if config.response_family == "gaussian_link_moments":
+def _poisson_quantile(q, mu):
+    """Poisson quantile, bit for bit ``scipy.stats.poisson.ppf`` for q in
+    (0, 1) and mu >= 0: scipy's own ``ceil(pdtrik)`` with a ``pdtr``
+    back-step, without the argument handling of ``rv_discrete.ppf``
+    (whose ``+ loc`` the ``+ 0.0`` keeps: it turns -0.0 into 0.0)."""
+    vals = np.ceil(pdtrik(q, mu))
+    vals1 = np.maximum(vals - 1.0, 0.0)
+    return np.where(pdtr(vals1, mu) >= q, vals1, vals) + 0.0
+
+
+def _response(family, mean, var, z):
+    """Responses from link moments and copula normals ``z``; elementwise,
+    so one cluster's vectors and a size bucket's stacks alike."""
+    if family == "gaussian_link_moments":
         return mean + np.sqrt(var) * z
-    if config.response_family == "poisson_log":
-        u = np.clip(ndtr(z), 1e-16, 1.0 - 1e-16)
-        return _poisson.ppf(u, mean).astype(float)
+    if family == "poisson_log":
+        return _poisson_quantile(np.clip(ndtr(z), 1e-16, 1.0 - 1e-16), mean)
     # correlated Bernoulli through the same normal copula; deliberately
     # violates Var = mu' and is flagged as a misspecification scenario
     thresh = ndtri(np.clip(mean, 1e-12, 1.0 - 1e-12))
     return (z <= thresh).astype(float)
 
 
+def _draw_response(config, rng, mean, var, chol):
+    eps = rng.standard_normal(mean.shape[0])
+    return _response(config.response_family, mean, var, chol @ eps)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """splitmix64 over a ``np.uint64`` array (array arithmetic wraps mod
+    2^64 silently, where scalar ``np.uint64`` overflow warns)."""
+    x = x + np.uint64(_GOLDEN)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _cluster_keys(rep_seed: int, n: int) -> list:
+    """The Philox keys ``[lo, hi]`` that ``substream`` derives for
+    clusters 1..n (lane 0), in one array pass."""
+    tag = np.arange(1, n + 1, dtype=np.uint64) << np.uint64(3)
+    lo = _splitmix64_array(np.uint64(rep_seed) ^ _splitmix64_array(tag))
+    hi = _splitmix64_array(
+        np.uint64((rep_seed + _GOLDEN) & _MASK64)
+        ^ _splitmix64_array(tag ^ np.uint64(_MASK64))
+    )
+    return np.stack([lo, hi], axis=1).tolist()
+
+
+def _draw_clusters(config: ScenarioConfig, rep_seed: int, lead: int):
+    """Phase 1: every cluster's size and its block of standard normals.
+
+    Cluster i's block is what ``substream(rep_seed, i)`` yields after the
+    size draw: ``lead`` latent innovations, the (m_i, p) row jitter and
+    the m_i response noises, in stream order. One Philox is reset to each
+    cluster's key instead of building a generator per cluster. Returns
+    (sizes, starts, draws) with block i at ``draws[starts[i-1]:]``.
+    """
+    n, p = config.n, config.p
+    schedule = config.sizes
+    sizes = np.empty(n, dtype=np.int64)
+    starts = np.empty(n, dtype=np.int64)
+    draws = np.empty(n * (lead + schedule.max_size * (p + 1)))
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": None},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    stop = 0
+    for i, key in enumerate(_cluster_keys(rep_seed, n)):
+        state["state"]["key"] = key
+        bitgen.state = state
+        size = schedule.draw(i + 1, rng)
+        sizes[i] = size
+        starts[i] = stop
+        stop += lead + size * (p + 1)
+        rng.standard_normal(out=draws[starts[i] : stop])
+    return sizes, starts, draws
+
+
+def _latent_bases(proc: RegressorProcess, innovations: np.ndarray) -> np.ndarray:
+    """``loc + u_i`` of the exogenous AR(1) latent state, one row per
+    cluster, from the scaled innovations ``scale * z_i``."""
+    bases = np.empty_like(innovations)
+    latent = np.zeros(innovations.shape[1])
+    for i, step in enumerate(innovations):
+        latent = proc.phi * latent + step
+        bases[i] = proc.loc + latent
+    return bases
+
+
+def _link_domain_error(cluster: int) -> ConfigError:
+    return ConfigError(
+        f"cluster {cluster}: the regressor process left the link domain",
+        field="regressors",
+    )
+
+
+def _outside_domain(x, mean, var):
+    """Per cluster of a (..., m, p) stack: do its moments leave the link
+    domain?"""
+    return (
+        (var <= 0).any(-1)
+        | ~np.isfinite(mean).all(-1)
+        | ~np.isfinite(x).all((-2, -1))
+    )
+
+
+def _feedback_recursion(config, link, x, z, offsets):
+    """The feedback process cluster by cluster: cluster i's regressors
+    centre on ``gain * mean(y_{i-1})``, so its moments, domain check and
+    responses wait for cluster i-1. ``x`` holds the scaled jitter on
+    entry and the regressors on exit."""
+    proc, beta0 = config.regressors, config.beta0_array
+    y = np.empty_like(z)
+    prev_y_mean = 0.0
+    bounds = offsets.tolist()
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
+        xi = (proc.loc + proc.gain * prev_y_mean) + x[lo:hi]
+        x[lo:hi] = xi
+        eta = xi @ beta0
+        mean, var = link.eval(0, eta), link.eval(1, eta)
+        if _outside_domain(xi, mean, var):
+            raise _link_domain_error(i)
+        y[lo:hi] = yi = _response(config.response_family, mean, var, z[lo:hi])
+        prev_y_mean = float(np.mean(yi))
+    return y
+
+
 def simulate_scenario(config: ScenarioConfig, replication: int = 0) -> Dataset:
     """Generate one dataset; identical (config, replication) pairs always
-    reproduce identical content."""
+    reproduce identical content.
+
+    Phase 1 takes every cluster's draws (``_draw_clusters``). Phase 2
+    works per size bucket: the regressors, ``chol @ eps`` as one stacked
+    matmul, the link moments and the domain check, then the responses.
+    A cluster whose moments leave the link domain raises ``ConfigError``
+    naming the first such cluster, before any response is formed. The
+    ``feedback`` process takes its moments and responses in a recursion
+    over clusters. The clusters are read-only views into the pack.
+    """
     if config.response_family == "bernoulli_probit_flagged":
         warnings.warn(
             "bernoulli_probit_flagged violates the modelled variance "
@@ -280,43 +420,52 @@ def simulate_scenario(config: ScenarioConfig, replication: int = 0) -> Dataset:
     link = get_link(config.link)
     beta0 = config.beta0_array
     p = config.p
+    proc = config.regressors
     truth = config.truth.template(config.m_max)
-    chol_by_size: dict = {}
-    latent = np.zeros(p)
-    prev_y_mean = 0.0
-    clusters = []
-    for i in range(1, config.n + 1):
-        rng = substream(rep_seed, i)
-        size = config.sizes.draw(i, rng)
-        x, latent = _draw_regressors(
-            config.regressors, rng, size, p, latent, prev_y_mean
-        )
-        eta = x @ beta0
-        mean = link.eval(0, np.atleast_1d(eta))
-        var = link.eval(1, np.atleast_1d(eta))
-        if (
-            np.any(var <= 0)
-            or not np.all(np.isfinite(mean))
-            or not np.all(np.isfinite(x))
-        ):
-            raise ConfigError(
-                f"cluster {i}: the regressor process left the link domain",
-                field="regressors",
-            )
-        chol = chol_by_size.get(size)
-        if chol is None:
-            chol = np.linalg.cholesky(truth.rbar(size))
-            chol_by_size[size] = chol
-        y = _draw_response(config, rng, mean, var, chol)
-        clusters.append(Cluster._trusted(i, np.atleast_1d(y), x))
-        prev_y_mean = float(np.mean(y))
-    return Dataset(
-        tuple(clusters),
-        p,
-        config.m_max,
-        link=config.link,
-        beta0=beta0,
+    lead = p if proc.kind == "exogenous_ar1" else 0
+    sizes, starts, draws = _draw_clusters(config, rep_seed, lead)
+    if proc.kind == "exogenous_ar1":
+        bases = _latent_bases(proc, proc.scale * draws[starts[:, None] + np.arange(p)])
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    x = np.empty((offsets[-1], p))
+    z = np.empty(offsets[-1])
+    buckets = []
+    for size in np.unique(sizes).tolist():
+        positions = np.flatnonzero(sizes == size)
+        block = draws[starts[positions][:, None] + np.arange(lead + size * (p + 1))]
+        xb = proc.scale * block[:, lead : lead + size * p].reshape(-1, size, p)
+        if proc.kind == "iid":
+            xb = proc.loc + xb
+        elif proc.kind == "exogenous_ar1":
+            xb = bases[positions][:, None, :] + xb
+        eps = np.ascontiguousarray(block[:, lead + size * p :])
+        rows = offsets[positions][:, None] + np.arange(size)
+        x[rows] = xb
+        z[rows] = (np.linalg.cholesky(truth.rbar(size)) @ eps[..., None])[..., 0]
+        buckets.append((positions, rows, xb))
+    if proc.kind == "feedback":
+        y = _feedback_recursion(config, link, x, z, offsets)
+    else:
+        moments, offenders = [], []
+        for positions, _, xb in buckets:
+            eta = xb @ beta0
+            mean, var = link.eval(0, eta), link.eval(1, eta)
+            offenders += positions[_outside_domain(xb, mean, var)][:1].tolist()
+            moments.append((mean, var))
+        if offenders:
+            raise _link_domain_error(min(offenders) + 1)
+        y = np.empty_like(z)
+        for (_, rows, _), (mean, var) in zip(buckets, moments):
+            y[rows] = _response(config.response_family, mean, var, z[rows])
+    packed = PackedDataset.of_rows(x, y, sizes)
+    bounds = offsets.tolist()
+    clusters = tuple(
+        Cluster._trusted(i, packed.y[lo:hi], packed.x[lo:hi])
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1)
     )
+    dataset = Dataset(clusters, p, config.m_max, link=config.link, beta0=beta0)
+    object.__setattr__(dataset, "packed", packed)
+    return dataset
 
 
 def regenerate_regressors(
@@ -390,8 +539,8 @@ def effective_truth(
                 n_samples
             )
             if config.response_family == "poisson_log":
-                yj = _poisson.ppf(np.clip(ndtr(z1), 1e-16, 1 - 1e-16), intensities[j])
-                yk = _poisson.ppf(np.clip(ndtr(z2), 1e-16, 1 - 1e-16), intensities[k])
+                yj = _poisson_quantile(np.clip(ndtr(z1), 1e-16, 1 - 1e-16), intensities[j])
+                yk = _poisson_quantile(np.clip(ndtr(z2), 1e-16, 1 - 1e-16), intensities[k])
             else:
                 yj = (z1 <= ndtri(np.clip(intensities[j], 1e-12, 1 - 1e-12))).astype(float)
                 yk = (z2 <= ndtri(np.clip(intensities[k], 1e-12, 1 - 1e-12))).astype(float)

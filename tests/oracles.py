@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's own numerics: the
 eigenvalue oracle works through the characteristic polynomial, norms come
 from power iteration or brute-force grid search, determinants from
 cofactor expansion, and the estimating-function quantities, the
-perturbation schedule and the lattice curvature series from plain
-per-cluster loops.
+perturbation schedule, the lattice curvature series and the scenario
+generator from plain per-cluster loops.
 """
 
 import numpy as np
@@ -399,3 +399,106 @@ def loop_lattice_curvature(clusters, link, lattices, n_grid):
                 for r in lattices:
                     out[k][r].append(run[k][r])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the scenario generator, one cluster at a time with a fresh Philox stream
+# per cluster, as the package generated scenarios before its two-phase
+# rewrite
+
+
+class LinkDomainExit(Exception):
+    """The generator's regressors left the link domain at ``cluster``."""
+
+    def __init__(self, cluster):
+        super().__init__(f"cluster {cluster}")
+        self.cluster = cluster
+
+
+_MASK64 = 2**64 - 1
+
+
+def _splitmix64(x):
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _cluster_rng(rep_seed, index):
+    tag = index << 3
+    lo = _splitmix64(rep_seed ^ _splitmix64(tag))
+    hi = _splitmix64((rep_seed + 0x9E3779B97F4A7C15) ^ _splitmix64(tag ^ _MASK64))
+    return np.random.Generator(np.random.Philox(key=(hi << 64) | lo))
+
+
+def _truth_matrix(kind, rho, m_max):
+    if kind == "independence":
+        return np.eye(m_max)
+    if kind == "exchangeable":
+        t = np.full((m_max, m_max), rho)
+        np.fill_diagonal(t, 1.0)
+        return t
+    idx = np.arange(m_max)
+    return rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+def loop_simulate_scenario(config, replication=0):
+    """(sizes, x, y) of one replication, with x (N, p) and y (N,) holding
+    the clusters' rows in cluster order.
+
+    Cluster i takes, from its own Philox stream and in this order, its
+    size (random schedule only), the latent innovation (exogenous_ar1
+    only), the (m_i, p) row jitter and the m_i response noises. Raises
+    LinkDomainExit naming the first cluster whose moments leave the link
+    domain.
+    """
+    from scipy.special import ndtr, ndtri
+    from scipy.stats import poisson
+
+    seed = config.seed
+    rep_seed = seed if replication == 0 else seed ^ _splitmix64(replication)
+    proc, sched = config.regressors, config.sizes
+    beta0 = np.asarray(config.beta0, dtype=float)
+    p = beta0.shape[0]
+    truth = _truth_matrix(config.truth.kind, config.truth.rho, config.m_max)
+    latent = np.zeros(p)
+    prev_y_mean = 0.0
+    sizes, xs, ys = [], [], []
+    for i in range(1, config.n + 1):
+        rng = _cluster_rng(rep_seed, i)
+        if sched.kind == "constant":
+            m = sched.m
+        elif sched.kind == "cyclic":
+            m = sched.sizes[(i - 1) % len(sched.sizes)]
+        else:
+            m = int(rng.integers(sched.lo, sched.hi + 1))
+        if proc.kind == "exogenous_ar1":
+            latent = proc.phi * latent + proc.scale * rng.standard_normal(p)
+            base = proc.loc + latent
+        elif proc.kind == "feedback":
+            base = proc.loc + proc.gain * prev_y_mean
+        else:
+            base = proc.loc
+        x = base + proc.scale * rng.standard_normal((m, p))
+        eta = x @ beta0
+        if config.link == "probit":
+            with np.errstate(over="ignore"):
+                mean, var = ndtr(eta), np.exp(-0.5 * eta * eta) / np.sqrt(2.0 * np.pi)
+        else:
+            with np.errstate(over="ignore"):
+                mean, var = _link_moments(config.link, eta)
+        if np.any(var <= 0) or not np.all(np.isfinite(mean)) or not np.all(np.isfinite(x)):
+            raise LinkDomainExit(i)
+        z = np.linalg.cholesky(truth[:m, :m]) @ rng.standard_normal(m)
+        if config.response_family == "gaussian_link_moments":
+            y = mean + np.sqrt(var) * z
+        elif config.response_family == "poisson_log":
+            y = poisson.ppf(np.clip(ndtr(z), 1e-16, 1.0 - 1e-16), mean).astype(float)
+        else:
+            y = (z <= ndtri(np.clip(mean, 1e-12, 1.0 - 1e-12))).astype(float)
+        sizes.append(m)
+        xs.append(x)
+        ys.append(y)
+        prev_y_mean = float(np.mean(y))
+    return np.array(sizes), np.concatenate(xs), np.concatenate(ys)

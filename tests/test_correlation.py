@@ -17,7 +17,19 @@ from stochgee import (
     true_correlation,
     working_corr,
 )
-from stochgee.estimating import fold_pseudo_state
+from stochgee.correlation import residual_moment_sums
+from stochgee.model import get_link
+
+
+def folded_state(ds, beta, link):
+    """The residual-moment state folded over every cluster of ``ds``."""
+    lk = get_link(link)
+    resid = []
+    for b in ds.packed.buckets:
+        eta = b.x @ beta
+        resid.append((b.y - lk.eval(0, eta)) / np.sqrt(lk.eval(1, eta)))
+    sums, counts = residual_moment_sums(ds.packed, resid, ds.m_max)
+    return PseudoLikelihoodState(ds.n, sums[-1], counts[-1])
 
 
 class TestTemplates:
@@ -99,7 +111,7 @@ class TestPseudoLikelihood:
         )
 
     def test_emitted_is_regularized_outer_product(self):
-        state = fold_pseudo_state(
+        state = folded_state(
             dataset_from_arrays([([1.0, -2.0], np.zeros((2, 1)))]),
             np.zeros(1),
             "identity",
@@ -207,7 +219,7 @@ class TestCorrBetaDerivative:
             ]
         )
         spec = WorkingCorrelationSpec.pseudo_likelihood(3)
-        state_fn = lambda b: fold_pseudo_state(ds, b, "log")
+        state_fn = lambda b: folded_state(ds, b, "log")
         return spec, state_fn
 
     def test_pseudo_symmetric_output(self):
