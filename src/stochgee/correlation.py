@@ -5,6 +5,15 @@ respect to the history through the previous cluster; the leading
 ``m_i x m_i`` principal submatrix is what multiplies cluster ``i``. This
 resolves the dimension bookkeeping for variable cluster sizes while
 keeping the proxy predictable.
+
+The residual-moment proxies of a whole dataset come from one prefix sum
+(``residual_moment_sums``) regularized in one batch
+(``residual_moment_templates``). The one-cluster fold
+(``PseudoLikelihoodState``, ``pseudo_likelihood_update``) is kept beside
+it as the public incremental API: ``working_corr`` and
+``corr_beta_derivative`` take its state, ``bench/tracing.py`` wraps
+``pseudo_likelihood_update``, and ``BENCHMARK.json`` names per-layer
+metrics after it.
 """
 
 from __future__ import annotations
@@ -177,9 +186,15 @@ def _shrinkage_keeps_floor(count, dim: int):
 def _floor_eigenvalues(t: np.ndarray) -> np.ndarray:
     """Blend in just enough identity to lift the smallest eigenvalue of
     each (d, d) matrix of ``t`` to MIN_EIGENVALUE."""
-    lam = np.linalg.eigvalsh(t)[..., :1, None]
+    lam = np.linalg.eigvalsh(t)[..., 0]
+    low = lam < MIN_EIGENVALUE
+    # only the matrices below the floor are blended: for a kept matrix with
+    # lam >> 1 the blend weight is about -lam * 1e6 and would overflow
+    lam = lam[low][:, None, None]
     nu = (MIN_EIGENVALUE - lam) / np.maximum(1.0 - lam, MIN_EIGENVALUE)
-    return np.where(lam < MIN_EIGENVALUE, (1.0 - nu) * t + nu * np.eye(t.shape[-1]), t)
+    out = np.array(t, dtype=float)
+    out[low] = (1.0 - nu) * t[low] + nu * np.eye(t.shape[-1])
+    return out
 
 
 def residual_moment_templates(sums, counts, count) -> np.ndarray:
@@ -211,12 +226,13 @@ def residual_moment_templates(sums, counts, count) -> np.ndarray:
     return t
 
 
-def residual_moment_sums(packed: PackedDataset, resid, dim: int) -> tuple:
-    """Prefix sums of the zero-padded residual outer products.
+def residual_moment_terms(packed: PackedDataset, resid, dim: int) -> tuple:
+    """The zero-padded residual outer products and their count masks.
 
     ``resid[b]`` holds the (k, m) standardized residuals of bucket ``b``
-    of ``packed``. Returns ``(sums, counts)``, each (n+1, dim, dim): row
-    ``i`` is the fold over the first ``i`` clusters, in cluster order.
+    of ``packed``. Returns ``(outer, mask)``, each (n+1, dim, dim): row 0
+    is zero and row ``i + 1`` holds cluster ``i`` (0-based) in its
+    leading m_i x m_i block.
     """
     n = packed.offsets.shape[0] - 1
     outer = np.zeros((n + 1, dim, dim))
@@ -224,6 +240,16 @@ def residual_moment_sums(packed: PackedDataset, resid, dim: int) -> tuple:
     for b, r in zip(packed.buckets, resid):
         outer[b.positions + 1, : b.size, : b.size] = r[:, :, None] * r[:, None, :]
         mask[b.positions + 1, : b.size, : b.size] = 1
+    return outer, mask
+
+
+def residual_moment_sums(packed: PackedDataset, resid, dim: int) -> tuple:
+    """Prefix sums of ``residual_moment_terms``: ``(sums, counts)``, each
+    (n+1, dim, dim), where row ``i`` is the fold over the first ``i``
+    clusters, in cluster order. ``np.cumsum`` adds the rows one after
+    another, so row ``i`` equals the sequential ``+=`` bit for bit.
+    """
+    outer, mask = residual_moment_terms(packed, resid, dim)
     return np.cumsum(outer, axis=0), np.cumsum(mask, axis=0)
 
 

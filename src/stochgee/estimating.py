@@ -21,6 +21,7 @@ from .correlation import (
     WorkingCorrelationSpec,
     residual_moment_stack,
     residual_moment_templates,
+    residual_moment_terms,
     working_corr,
 )
 from .exceptions import (
@@ -976,8 +977,18 @@ def a2_schedule(
     is fixed by the earlier deltas, so halving the current delta cannot
     always repair it; residual violations are reported, not raised.
 
+    With a data-dependent proxy, each cluster chooses between its halved
+    delta and that delta collapsed by the halvings left, and the chosen
+    one enters the proxies of the clusters after it. That choice is made
+    in cluster order up to ``K``, one past the last cluster whose two
+    candidates give bitwise different standardized residuals; from ``K``
+    on, ``x + delta`` rounds alike for both, so the proxies of the rest
+    are one prefix sum and their choices one batch.
+
     Returns (Perturbation, report) where the report carries per-cluster
-    halving counts and any remaining inequality violations.
+    halving counts, any remaining inequality violations and, as
+    ``ordered_prefix``, the ``K`` of the pass in cluster order (0 for a
+    data-independent proxy).
     """
     beta = as_beta(beta)
     lk = get_link(link)
@@ -1025,18 +1036,21 @@ def a2_schedule(
     sizes = np.diff(packed.offsets)
     collapsed = np.zeros(n, dtype=np.int64)
     gap_r = np.zeros(n)
+    ordered = 0
     if spec.depends_on_data:
         kind = EstimatingFunction.gee_star(spec)
         rinv = packed.in_cluster_order(freeze_proxy(kind, dataset, beta, lk).inverses)
-        resid = [
-            packed.in_cluster_order(_pearson_residuals(packed, beta, lk, xp))
-            for xp in zip(*moved)
-        ]
+        parts = [_pearson_residuals(packed, beta, lk, xp) for xp in zip(*moved)]
+        resid = [packed.in_cluster_order(r) for r in parts]
         # the perturbed fold: the inverse-proxy gap of cluster i is fixed by
-        # the deltas chosen before it, so this pass runs in cluster order
+        # the deltas chosen before it, so this pass runs in cluster order,
+        # but only up to one past the last cluster whose two candidates'
+        # residuals differ bitwise; beyond it both fold the same residual
+        differ = (resid[0].view(np.int64) != resid[1].view(np.int64)).any(axis=1)
+        ordered = int(np.flatnonzero(differ)[-1]) + 1 if differ.any() else 0
         sums = np.zeros((1, d, d))
         counts = np.zeros((1, d, d), dtype=np.int64)
-        for pos, m in enumerate(sizes):
+        for pos, m in enumerate(sizes[:ordered]):
             r_p = residual_moment_templates(sums, counts, np.array([pos]))[0]
             rinv_gap = np.linalg.inv(r_p[:m, :m]) - rinv[pos, :m, :m]
             gap_r[pos] = linalg.spectral_norm(rinv_gap)
@@ -1045,6 +1059,24 @@ def a2_schedule(
             r = resid[collapsed[pos]][pos, :m]
             sums[0, :m, :m] += np.outer(r, r)
             counts[0, :m, :m] += 1
+        # the rest in one batch: a prefix sum from the state at `ordered`
+        outer, mask = residual_moment_terms(packed, parts[0], d)
+        outer[ordered], mask[ordered] = sums[0], counts[0]
+        tail = residual_moment_templates(
+            np.cumsum(outer[ordered:n], axis=0),
+            np.cumsum(mask[ordered:n], axis=0),
+            np.arange(ordered, n),
+        )
+        for b in packed.buckets:
+            pos = b.positions[np.searchsorted(b.positions, ordered) :]
+            inv = np.linalg.inv(tail[pos - ordered, : b.size, : b.size])
+            gap_r[pos] = linalg.spectral_norm(inv - rinv[pos, : b.size, : b.size])
+        rest = slice(ordered, n)
+        collapsed[rest] = (
+            (gaps[0, rest] <= targets[rest])
+            & (targets[rest] < gap_r[rest])
+            & (used[rest] < max_halvings)
+        )
     used[collapsed == 1] = max_halvings
     checks = np.column_stack((gaps[collapsed, np.arange(n)], gap_r, targets)).tolist()
     report = {
@@ -1055,6 +1087,7 @@ def a2_schedule(
             if gy > t or gr > t
         ],
         "max_halvings": max_halvings,
+        "ordered_prefix": ordered,
     }
     chosen = (deltas[j, pos, :, :m] for pos, (j, m) in enumerate(zip(collapsed, sizes)))
     return Perturbation(tuple(chosen), bound=0.5), report

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,20 @@ class TestCorrBetaDerivative:
         floored = _floor_eigenvalues(t)
         np.testing.assert_array_equal(floored, (1.0 - nu) * t + nu * np.eye(3))
         assert np.linalg.eigvalsh(floored)[0] == pytest.approx(MIN_EIGENVALUE, rel=1e-6)
+
+    def test_floor_blends_only_matrices_below_it(self):
+        # for a kept matrix with lambda_min >> 1 the blend weight is about
+        # -lambda_min * 1e6; forming its blend anyway overflowed
+        from stochgee.correlation import MIN_EIGENVALUE, _floor_eigenvalues
+
+        t = np.array([[[1e160, 0.0], [0.0, 1e160]], [[1.0, 1.0], [1.0, 1.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            floored = _floor_eigenvalues(t)
+        np.testing.assert_array_equal(floored[0], t[0])
+        lam = float(np.linalg.eigvalsh(t[1])[0])
+        nu = (MIN_EIGENVALUE - lam) / max(1.0 - lam, MIN_EIGENVALUE)
+        np.testing.assert_array_equal(floored[1], (1.0 - nu) * t[1] + nu * np.eye(2))
 
     def test_richardson_step_halving(self):
         # central differences converge at O(h^2): halving the step cuts

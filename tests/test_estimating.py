@@ -217,6 +217,18 @@ class TestPerturbed:
             assert np.linalg.norm(d, 2) <= 2.0 ** (-i) * (1 + 1e-9)
         assert not report["violations"]
 
+    def test_schedule_reports_ordered_prefix(self):
+        # the pass in cluster order stops once 2^-i falls below the rounding
+        # of the perturbed residuals; a data-independent proxy needs none
+        cfg = exch_scenario(n=120, link="log", scale=0.4)
+        ds = simulate_scenario(cfg)
+        for spec, (lo, hi) in (
+            (WorkingCorrelationSpec.exchangeable(0.4, 3), (0, 0)),
+            (WorkingCorrelationSpec.pseudo_likelihood(3), (30, 70)),
+        ):
+            _, report = a2_schedule(ds, cfg.beta0_array, "log", spec, seed=3)
+            assert lo <= report["ordered_prefix"] <= hi
+
     def test_pseudo_schedule_reports_history_violations(self):
         # the inverse-proxy inequality at step i is set by earlier deltas;
         # halving the current delta cannot repair it, so violations are

@@ -320,6 +320,31 @@ def test_a2_schedule_matches_loop(seed, n, m_max, link, kind_name, scale):
     assert report["violations"] == violations
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(80, 200),
+    link=st.sampled_from(["identity", "log"]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_a2_schedule_batched_suffix_matches_loop(seed, n, link, scale):
+    # 2^-i falls below the rounding of the perturbed residuals after a few
+    # dozen clusters, so the pass in cluster order stops at some K < n and
+    # the rest is decided in one batch; the regressor scale moves K
+    ds, rng = mixed_dataset(seed, n, 4)
+    ds = dataset_from_arrays([(y, scale * x) for y, x in pairs(ds)], m_max=4)
+    beta = rng.uniform(-0.5, 0.5, size=2) / np.sqrt(scale)
+    spec = WorkingCorrelationSpec.pseudo_likelihood(4)
+    pert, report = a2_schedule(ds, beta, link, spec, seed=seed)
+    deltas, halvings, violations = loop_a2_schedule(pairs(ds), beta, link, 4, True, seed)
+    assert 0 < report["ordered_prefix"] < n
+    assert len(pert.deltas) == len(deltas) == n
+    for got, ref in zip(pert.deltas, deltas):
+        assert got.tobytes() == ref.tobytes()
+    assert report["halvings"] == halvings
+    assert report["violations"] == violations
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
