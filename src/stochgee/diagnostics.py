@@ -232,7 +232,7 @@ def condition_trajectories(
         series["lambda_min_rstar"].append(lo_r)
         series["lambda_max_rstar"].append(hi_r)
     if truth is not None:
-        rbars = [truth.rbar(dataset.clusters[n - 1].size) for n in n_grid]
+        rbars = [truth.rbar(int(packed.sizes[n - 1])) for n in n_grid]
         extremes = [linalg.sym_eigen_extremes(rbar) for rbar in rbars]
         series["lambda_min_rbar"] = [lo for lo, _ in extremes]
         series["lambda_max_rbar"] = [hi for _, hi in extremes]
@@ -644,7 +644,7 @@ def _a1_worker(args):
     for name, spec in specs:
         seq = corr_trajectory(ds, beta0, lk, spec)
         for n in n_grid:
-            rbar = truth.rbar(ds.clusters[n - 1].size)
+            rbar = truth.rbar(int(ds.packed.sizes[n - 1]))
             gaps[name].append(a1_gap([seq[n - 1]], [rbar])[0])
     return gaps
 

@@ -231,9 +231,9 @@ def corr_trajectory(
             b.size: working_corr(spec, None, b.size, beta)
             for b in dataset.packed.buckets
         }
-        return [by_size[c.size] for c in dataset.clusters]
+        return [by_size[m] for m in dataset.packed.sizes.tolist()]
     stack = proxy_stack(dataset, beta, link)
-    return [r[: c.size, : c.size] for r, c in zip(stack, dataset.clusters)]
+    return [r[:m, :m] for r, m in zip(stack, dataset.packed.sizes.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +542,10 @@ def _perturbed_regressors(dataset: Dataset, perturbation: "Perturbation", p: int
         raise InvalidInputError(
             f"perturbation has {len(deltas)} matrices for {dataset.n} clusters"
         )
-    for c, d in zip(dataset.clusters, deltas):
-        if d.shape != (p, c.size):
+    for i, (m, d) in enumerate(zip(dataset.packed.sizes.tolist(), deltas), start=1):
+        if d.shape != (p, m):
             raise InvalidInputError(
-                f"delta for cluster {c.index} has shape {d.shape}, "
-                f"expected {(p, c.size)}"
+                f"delta for cluster {i} has shape {d.shape}, expected {(p, m)}"
             )
     return deltas, [
         b.x + np.swapaxes(np.stack([deltas[pos] for pos in b.positions]), 1, 2)
@@ -944,7 +943,8 @@ class Perturbation:
     @classmethod
     def zero(cls, dataset: Dataset) -> "Perturbation":
         return cls(
-            tuple(np.zeros((dataset.p, c.size)) for c in dataset.clusters), bound=1.0
+            tuple(np.zeros((dataset.p, m)) for m in dataset.packed.sizes.tolist()),
+            bound=1.0,
         )
 
 
@@ -958,6 +958,26 @@ def _regressor_gaps(x, y0, delta, beta, lk) -> np.ndarray:
     gaps = np.full(delta.shape[0], np.inf)
     gaps[ok] = linalg.spectral_norm(xp[ok] * np.sqrt(var[ok])[..., None] - y0[ok])
     return gaps
+
+
+def _template_inverse(templates: np.ndarray, positions) -> np.ndarray:
+    """Inverses of a (k, m, m) stack of perturbed proxy templates of the
+    clusters at 0-based ``positions``; a numerically singular template
+    raises NotPositiveDefiniteError naming the first such cluster."""
+    try:
+        return np.linalg.inv(templates)
+    except np.linalg.LinAlgError as exc:
+        for pos, r in zip(positions, templates):
+            try:
+                np.linalg.inv(r)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefiniteError(
+                    f"perturbed proxy template of cluster {pos + 1} is "
+                    "numerically singular",
+                    lambda_min=float(np.linalg.eigvalsh(r)[0]),
+                    cluster_index=int(pos) + 1,
+                ) from exc
+        raise
 
 
 def a2_schedule(
@@ -1033,7 +1053,7 @@ def a2_schedule(
         moved.append([b.x + np.swapaxes(dl, 1, 2) for dl in (delta, shrunk)])
         gaps[:, b.positions] = gap, _regressor_gaps(b.x, y0, shrunk, beta, lk)
         used[b.positions] = halvings
-    sizes = np.diff(packed.offsets)
+    sizes = packed.sizes
     collapsed = np.zeros(n, dtype=np.int64)
     gap_r = np.zeros(n)
     ordered = 0
@@ -1052,7 +1072,7 @@ def a2_schedule(
         counts = np.zeros((1, d, d), dtype=np.int64)
         for pos, m in enumerate(sizes[:ordered]):
             r_p = residual_moment_templates(sums, counts, np.array([pos]))[0]
-            rinv_gap = np.linalg.inv(r_p[:m, :m]) - rinv[pos, :m, :m]
+            rinv_gap = _template_inverse(r_p[None, :m, :m], [pos])[0] - rinv[pos, :m, :m]
             gap_r[pos] = linalg.spectral_norm(rinv_gap)
             if gaps[0, pos] <= targets[pos] < gap_r[pos] and used[pos] < max_halvings:
                 collapsed[pos] = 1
@@ -1067,10 +1087,17 @@ def a2_schedule(
             np.cumsum(mask[ordered:n], axis=0),
             np.arange(ordered, n),
         )
+        singular = []
         for b in packed.buckets:
             pos = b.positions[np.searchsorted(b.positions, ordered) :]
-            inv = np.linalg.inv(tail[pos - ordered, : b.size, : b.size])
+            try:
+                inv = _template_inverse(tail[pos - ordered, : b.size, : b.size], pos)
+            except NotPositiveDefiniteError as exc:
+                singular.append(exc)
+                continue
             gap_r[pos] = linalg.spectral_norm(inv - rinv[pos, : b.size, : b.size])
+        if singular:
+            raise min(singular, key=lambda exc: exc.cluster_index)
         rest = slice(ordered, n)
         collapsed[rest] = (
             (gaps[0, rest] <= targets[rest])

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -231,6 +232,11 @@ class PackedDataset:
             arr.setflags(write=False)
         return cls(x, y, offsets, buckets)
 
+    @property
+    def sizes(self) -> np.ndarray:
+        """The cluster sizes in cluster order."""
+        return np.diff(self.offsets)
+
     def in_cluster_order(self, parts) -> np.ndarray:
         """Per-bucket stacks of shape (k, m, ..., m), one stack per bucket,
         as one (n, M, ..., M) array in cluster order, every m axis
@@ -254,48 +260,104 @@ class PackedDataset:
         )
 
 
-@dataclass(frozen=True)
+def _row_labels(sizes: np.ndarray) -> tuple:
+    """The 1-based cluster index and observation number of every row."""
+    starts = np.cumsum(sizes) - sizes
+    index = np.repeat(np.arange(1, sizes.shape[0] + 1), sizes)
+    return index, np.arange(index.shape[0]) - np.repeat(starts, sizes) + 1
+
+
+def _check_clusters(index, sizes, widths, p, m_max) -> None:
+    """Raise for the first cluster, in cluster order, whose index is not
+    its position, whose size is outside 1..m_max or whose width is not p."""
+    bad = (index != np.arange(1, index.shape[0] + 1)) | (sizes < 1)
+    bad |= (sizes > m_max) | (widths != p)
+    if not bad.any():
+        return
+    pos = int(np.argmax(bad))
+    i, size, width = int(index[pos]), int(sizes[pos]), int(widths[pos])
+    if i != pos + 1:
+        raise InvalidInputError(
+            f"non-consecutive cluster index: expected {pos + 1}, got {i}"
+        )
+    if size < 1:
+        raise InvalidInputError(f"cluster {i} is empty")
+    if size > m_max:
+        raise InvalidInputError(f"cluster {i} has size {size} > m_max {m_max}")
+    raise InvalidInputError(
+        f"cluster {i} has {width} regressor columns, expected p={p}"
+    )
+
+
 class Dataset:
     """Ordered clusters with the declared maximal cluster size.
 
-    ``m_max`` is declared, never inferred, because working-correlation
-    templates need a fixed ambient dimension. ``link`` and ``beta0`` are
-    optional metadata carried through the CSV sidecar.
+    The storage is one ``PackedDataset`` (``packed``), validated once with
+    array checks; ``clusters`` are read-only ``Cluster`` views into it,
+    built on first access. ``m_max`` is declared, never inferred, because
+    working-correlation templates need a fixed ambient dimension. ``link``
+    and ``beta0`` are optional metadata carried through the CSV sidecar.
     """
 
-    clusters: tuple
-    p: int
-    m_max: int
-    link: Optional[str] = None
-    beta0: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        clusters = tuple(self.clusters)
+    def __init__(self, clusters, p, m_max, link=None, beta0=None):
+        clusters = tuple(clusters)
         if not clusters:
             raise InvalidInputError("dataset has no clusters")
-        for pos, c in enumerate(clusters, start=1):
-            if c.index != pos:
-                raise InvalidInputError(
-                    f"non-consecutive cluster index: expected {pos}, got {c.index}"
-                )
-            if c.size > self.m_max:
-                raise InvalidInputError(
-                    f"cluster {c.index} has size {c.size} > m_max {self.m_max}"
-                )
-            if c.regressors.shape[1] != self.p:
-                raise InvalidInputError(
-                    f"cluster {c.index} has {c.regressors.shape[1]} regressor "
-                    f"columns, expected p={self.p}"
-                )
-        object.__setattr__(self, "clusters", clusters)
-        if self.beta0 is not None:
-            b = np.asarray(self.beta0, dtype=float).copy()
-            b.setflags(write=False)
-            object.__setattr__(self, "beta0", b)
+        _check_clusters(
+            np.array([c.index for c in clusters]),
+            np.array([c.size for c in clusters]),
+            np.array([c.regressors.shape[1] for c in clusters]),
+            p,
+            m_max,
+        )
+        self._store(PackedDataset.of(clusters), p, m_max, link, beta0)
+
+    @classmethod
+    def of_rows(cls, x, y, sizes, p, m_max, link=None, beta0=None) -> "Dataset":
+        """The dataset of rows in cluster order: ``x`` (N, p), ``y`` (N,)
+        and the int64 cluster ``sizes``, which become its read-only
+        storage after the same checks as the cluster constructor's."""
+        n = sizes.shape[0]
+        if n == 0:
+            raise InvalidInputError("dataset has no clusters")
+        _check_clusters(np.arange(1, n + 1), sizes, np.full(n, x.shape[1]), p, m_max)
+        packed = PackedDataset.of_rows(x, y, sizes)
+        bad = ~(np.isfinite(y) & np.isfinite(x).all(axis=1))
+        if bad.any():
+            i = int(np.searchsorted(packed.offsets, np.argmax(bad), side="right"))
+            raise InvalidInputError(f"cluster {i} has non-finite entries")
+        return cls._trusted(packed, p, m_max, link, beta0)
+
+    @classmethod
+    def _trusted(cls, packed, p, m_max, link=None, beta0=None) -> "Dataset":
+        """Construction without checks, for producers whose pack is
+        consistent by construction."""
+        self = object.__new__(cls)
+        self._store(packed, p, m_max, link, beta0)
+        return self
+
+    def _store(self, packed, p, m_max, link, beta0) -> None:
+        if beta0 is not None:
+            beta0 = np.asarray(beta0, dtype=float).copy()
+            beta0.setflags(write=False)
+        self.__dict__.update(packed=packed, p=p, m_max=m_max, link=link, beta0=beta0)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Dataset")
 
     @property
     def n(self) -> int:
-        return len(self.clusters)
+        return self.packed.offsets.shape[0] - 1
+
+    @functools.cached_property
+    def clusters(self) -> tuple:
+        """One read-only ``Cluster`` view into the pack per cluster."""
+        x, y = self.packed.x, self.packed.y
+        bounds = self.packed.offsets.tolist()
+        return tuple(
+            Cluster._trusted(i, y[lo:hi], x[lo:hi])
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1)
+        )
 
     def prefix(self, n: int) -> "Dataset":
         """First ``n`` clusters (the filtration-order prefix)."""
@@ -303,22 +365,19 @@ class Dataset:
             raise InvalidInputError(f"prefix length {n} outside 1..{self.n}")
         if n == self.n:
             return self
-        sub = Dataset(self.clusters[:n], self.p, self.m_max, self.link, self.beta0)
-        object.__setattr__(sub, "packed", self.packed.prefix(n))
-        return sub
-
-    @functools.cached_property
-    def packed(self) -> PackedDataset:
-        """The clusters packed into stacked arrays and size buckets."""
-        return PackedDataset.of(self.clusters)
+        return Dataset._trusted(
+            self.packed.prefix(n), self.p, self.m_max, self.link, self.beta0
+        )
 
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(f"{self.p},{self.m_max}".encode())
-        for c in self.clusters:
-            h.update(np.int64(c.size).tobytes())
-            h.update(np.ascontiguousarray(c.response).tobytes())
-            h.update(np.ascontiguousarray(c.regressors).tobytes())
+        x, y = self.packed.x, self.packed.y
+        bounds = self.packed.offsets.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            h.update(np.int64(hi - lo).tobytes())
+            h.update(y[lo:hi].tobytes())
+            h.update(x[lo:hi].tobytes())
         return h.hexdigest()
 
 
@@ -424,19 +483,23 @@ def sidecar_path(path: str) -> str:
     return (root if ext == ".csv" else path) + ".meta.json"
 
 
+def _header(p: int) -> list:
+    return ["cluster", "obs", "y"] + [f"x{j+1}" for j in range(p)]
+
+
 def write_dataset(dataset: Dataset, path: str, fmt: str = "csv") -> None:
     """Write the long CSV (17 significant digits) and its metadata sidecar."""
     if fmt != "csv":
         raise InvalidInputError(f"unsupported dataset format {fmt!r}")
+    packed = dataset.packed
+    index, obs = _row_labels(packed.sizes)
+    rows = zip(index.tolist(), obs.tolist(), packed.y.tolist(), packed.x.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["cluster", "obs", "y"] + [f"x{j+1}" for j in range(dataset.p)])
-        for c in dataset.clusters:
-            for j in range(c.size):
-                writer.writerow(
-                    [c.index, j + 1, f"{c.response[j]:.17g}"]
-                    + [f"{v:.17g}" for v in c.regressors[j]]
-                )
+        writer.writerow(_header(dataset.p))
+        writer.writerows(
+            [i, j, f"{y:.17g}"] + [f"{v:.17g}" for v in x] for i, j, y, x in rows
+        )
     meta = {
         "n": dataset.n,
         "p": dataset.p,
@@ -450,7 +513,15 @@ def write_dataset(dataset: Dataset, path: str, fmt: str = "csv") -> None:
 
 
 def load_dataset(path: str, fmt: str = "csv") -> Dataset:
-    """Load a long-CSV dataset; the sidecar declares m_max (never inferred)."""
+    """Load a long-CSV dataset; the sidecar declares m_max (never inferred)
+    and, when it has ``n``, the cluster count the file must hold.
+
+    One ``np.loadtxt`` call parses the rows, and array checks confirm the
+    header, the cluster and observation numbering, m_max and finiteness.
+    Whatever that path rejects is read again by the row loop, which
+    accepts what it accepted before and raises each ``DatasetParseError``
+    with its line number.
+    """
     if fmt != "csv":
         raise InvalidInputError(f"unsupported dataset format {fmt!r}")
     meta_path = sidecar_path(path)
@@ -464,16 +535,51 @@ def load_dataset(path: str, fmt: str = "csv") -> Dataset:
     try:
         p = int(meta["p"])
         m_max = int(meta["m_max"])
+        n = None if meta.get("n") is None else int(meta["n"])
     except (KeyError, TypeError, ValueError):
-        raise DatasetParseError("sidecar must declare integer fields 'p', 'm_max'")
-    link = meta.get("link")
-    beta0 = meta.get("beta0")
+        raise DatasetParseError(
+            "sidecar must declare integer fields 'p', 'm_max' (and 'n', if any)"
+        )
+    x, y, sizes = _parsed_columns(path, p, m_max) or _parsed_rows(path, p, m_max)
+    if n is not None and sizes.shape[0] != n:
+        raise DatasetParseError(
+            f"sidecar declares n={n} but the file holds {sizes.shape[0]} clusters"
+        )
+    return Dataset.of_rows(
+        x, y, sizes, p, m_max, link=meta.get("link"), beta0=meta.get("beta0")
+    )
 
-    expected_header = ["cluster", "obs", "y"] + [f"x{j+1}" for j in range(p)]
-    pairs = []
-    cur_y: list = []
-    cur_x: list = []
-    cur_cluster = 0
+
+def _parsed_columns(path: str, p: int, m_max: int):
+    """(x, y, sizes) from one ``np.loadtxt`` call, or None when anything
+    is off: the ids must parse as integers (not via float), the values as
+    finite floats, and the numbering must be what the row loop accepts."""
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != ",".join(_header(p)):
+            return None
+        try:
+            dtype = [("c", np.int64), ("o", np.int64), ("v", np.float64, (1 + p,))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    ids, values = rows["c"], rows["v"]
+    sizes = np.diff(np.flatnonzero(np.concatenate(([1], ids[1:] - ids[:-1], [1]))))
+    index, obs = _row_labels(sizes)
+    ok = (ids == index).all() and (rows["o"] == obs).all() and sizes.max() <= m_max
+    if not (ok and np.isfinite(values).all()):
+        return None
+    return np.ascontiguousarray(values[:, 1:]), values[:, 0].copy(), sizes
+
+
+def _parsed_rows(path: str, p: int, m_max: int) -> tuple:
+    """(x, y, sizes) from the row loop, which names the line of the first
+    malformed row."""
+    expected_header = _header(p)
+    xs: list = []
+    ys: list = []
+    sizes: list = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -499,17 +605,14 @@ def load_dataset(path: str, fmt: str = "csv") -> Dataset:
                 raise DatasetParseError(f"unparseable value: {exc}", line=lineno)
             if not all(math.isfinite(v) for v in vals):
                 raise DatasetParseError("non-finite value", line=lineno)
-            if cid == cur_cluster + 1:
-                if cur_cluster > 0:
-                    pairs.append((cur_y, cur_x))
-                cur_cluster = cid
-                cur_y, cur_x = [], []
-            elif cid != cur_cluster:
+            if cid == len(sizes) + 1:
+                sizes.append(0)
+            elif cid != len(sizes) or not sizes:
                 raise DatasetParseError(
-                    f"non-consecutive cluster index {cid} after {cur_cluster}",
+                    f"non-consecutive cluster index {cid} after {len(sizes)}",
                     line=lineno,
                 )
-            if obs != len(cur_y) + 1:
+            if obs != sizes[-1] + 1:
                 raise DatasetParseError(
                     f"bad observation index {obs} in cluster {cid}", line=lineno
                 )
@@ -517,18 +620,9 @@ def load_dataset(path: str, fmt: str = "csv") -> Dataset:
                 raise DatasetParseError(
                     f"cluster {cid} exceeds declared m_max={m_max}", line=lineno
                 )
-            cur_y.append(vals[0])
-            cur_x.append(vals[1:])
-    if cur_cluster == 0:
+            sizes[-1] = obs
+            ys.append(vals[0])
+            xs.append(vals[1:])
+    if not sizes:
         raise DatasetParseError("dataset file has no data rows", line=2)
-    pairs.append((cur_y, cur_x))
-    clusters = tuple(
-        Cluster(i + 1, np.array(y), np.array(x)) for i, (y, x) in enumerate(pairs)
-    )
-    return Dataset(
-        clusters,
-        p,
-        m_max,
-        link=link,
-        beta0=None if beta0 is None else np.asarray(beta0, dtype=float),
-    )
+    return np.array(xs), np.array(ys), np.array(sizes, dtype=np.int64)

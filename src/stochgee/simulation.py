@@ -407,7 +407,7 @@ def simulate_scenario(config: ScenarioConfig, replication: int = 0) -> Dataset:
     A cluster whose moments leave the link domain raises ``ConfigError``
     naming the first such cluster, before any response is formed. The
     ``feedback`` process takes its moments and responses in a recursion
-    over clusters. The clusters are read-only views into the pack.
+    over clusters. The rows become the dataset's storage as they are.
     """
     if config.response_family == "bernoulli_probit_flagged":
         warnings.warn(
@@ -458,14 +458,7 @@ def simulate_scenario(config: ScenarioConfig, replication: int = 0) -> Dataset:
         for (_, rows, _), (mean, var) in zip(buckets, moments):
             y[rows] = _response(config.response_family, mean, var, z[rows])
     packed = PackedDataset.of_rows(x, y, sizes)
-    bounds = offsets.tolist()
-    clusters = tuple(
-        Cluster._trusted(i, packed.y[lo:hi], packed.x[lo:hi])
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1)
-    )
-    dataset = Dataset(clusters, p, config.m_max, link=config.link, beta0=beta0)
-    object.__setattr__(dataset, "packed", packed)
-    return dataset
+    return Dataset._trusted(packed, p, config.m_max, link=config.link, beta0=beta0)
 
 
 def regenerate_regressors(

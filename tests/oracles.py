@@ -5,10 +5,20 @@ eigenvalue oracle works through the characteristic polynomial, norms come
 from power iteration or brute-force grid search, determinants from
 cofactor expansion, and the estimating-function quantities, the
 perturbation schedule, the lattice curvature series and the scenario
-generator from plain per-cluster loops.
+generator from plain per-cluster loops. The dataset-file writer and
+loader are the row-by-row versions, building datasets through the
+public ``Cluster`` and ``Dataset`` constructors.
 """
 
+import csv
+import json
+import math
+import os
+
 import numpy as np
+
+from stochgee import Cluster, Dataset, DatasetParseError, InvalidInputError
+from stochgee.model import sidecar_path
 
 
 def cofactor_det(m):
@@ -502,3 +512,117 @@ def loop_simulate_scenario(config, replication=0):
         ys.append(y)
         prev_y_mean = float(np.mean(y))
     return np.array(sizes), np.concatenate(xs), np.concatenate(ys)
+
+
+# ---------------------------------------------------------------------------
+# dataset files: the row-by-row writer and loader, through the public
+# Cluster and Dataset constructors
+
+def loop_write_dataset(dataset: Dataset, path: str, fmt: str = "csv") -> None:
+    """Write the long CSV (17 significant digits) and its metadata sidecar."""
+    if fmt != "csv":
+        raise InvalidInputError(f"unsupported dataset format {fmt!r}")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["cluster", "obs", "y"] + [f"x{j+1}" for j in range(dataset.p)])
+        for c in dataset.clusters:
+            for j in range(c.size):
+                writer.writerow(
+                    [c.index, j + 1, f"{c.response[j]:.17g}"]
+                    + [f"{v:.17g}" for v in c.regressors[j]]
+                )
+    meta = {
+        "n": dataset.n,
+        "p": dataset.p,
+        "m_max": dataset.m_max,
+        "link": dataset.link,
+        "beta0": None if dataset.beta0 is None else [float(v) for v in dataset.beta0],
+    }
+    with open(sidecar_path(path), "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def loop_load_dataset(path: str, fmt: str = "csv") -> Dataset:
+    """Load a long-CSV dataset; the sidecar declares m_max (never inferred)."""
+    if fmt != "csv":
+        raise InvalidInputError(f"unsupported dataset format {fmt!r}")
+    meta_path = sidecar_path(path)
+    if not os.path.exists(meta_path):
+        raise DatasetParseError(f"missing metadata sidecar {meta_path}")
+    with open(meta_path) as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DatasetParseError(f"invalid metadata sidecar: {exc}") from None
+    try:
+        p = int(meta["p"])
+        m_max = int(meta["m_max"])
+    except (KeyError, TypeError, ValueError):
+        raise DatasetParseError("sidecar must declare integer fields 'p', 'm_max'")
+    link = meta.get("link")
+    beta0 = meta.get("beta0")
+
+    expected_header = ["cluster", "obs", "y"] + [f"x{j+1}" for j in range(p)]
+    pairs = []
+    cur_y: list = []
+    cur_x: list = []
+    cur_cluster = 0
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetParseError("empty dataset file", line=1) from None
+        if header != expected_header:
+            raise DatasetParseError(
+                f"bad header {header!r}, expected {expected_header!r}", line=1
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3 + p:
+                raise DatasetParseError(
+                    f"ragged row: {len(row)} fields, expected {3 + p}", line=lineno
+                )
+            try:
+                cid = int(row[0])
+                obs = int(row[1])
+                vals = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise DatasetParseError(f"unparseable value: {exc}", line=lineno)
+            if not all(math.isfinite(v) for v in vals):
+                raise DatasetParseError("non-finite value", line=lineno)
+            if cid == cur_cluster + 1:
+                if cur_cluster > 0:
+                    pairs.append((cur_y, cur_x))
+                cur_cluster = cid
+                cur_y, cur_x = [], []
+            elif cid != cur_cluster:
+                raise DatasetParseError(
+                    f"non-consecutive cluster index {cid} after {cur_cluster}",
+                    line=lineno,
+                )
+            if obs != len(cur_y) + 1:
+                raise DatasetParseError(
+                    f"bad observation index {obs} in cluster {cid}", line=lineno
+                )
+            if obs > m_max:
+                raise DatasetParseError(
+                    f"cluster {cid} exceeds declared m_max={m_max}", line=lineno
+                )
+            cur_y.append(vals[0])
+            cur_x.append(vals[1:])
+    if cur_cluster == 0:
+        raise DatasetParseError("dataset file has no data rows", line=2)
+    pairs.append((cur_y, cur_x))
+    clusters = tuple(
+        Cluster(i + 1, np.array(y), np.array(x)) for i, (y, x) in enumerate(pairs)
+    )
+    return Dataset(
+        clusters,
+        p,
+        m_max,
+        link=link,
+        beta0=None if beta0 is None else np.asarray(beta0, dtype=float),
+    )

@@ -29,6 +29,7 @@ from stochgee import (
 from stochgee.estimating import (
     _perturbed_pseudo_trajectory,
     _perturbed_regressors,
+    _template_inverse,
     proxy_stack,
 )
 from stochgee.model import get_link
@@ -343,6 +344,28 @@ def test_a2_schedule_batched_suffix_matches_loop(seed, n, link, scale):
         assert got.tobytes() == ref.tobytes()
     assert report["halvings"] == halvings
     assert report["violations"] == violations
+
+
+@pytest.mark.parametrize("seed", [56, 2])
+def test_a2_schedule_singular_perturbed_template_names_its_cluster(seed):
+    # a perturbed standardized residual near 1.5e21 gives a pseudo template
+    # with leading entry near 2e42 that LAPACK finds exactly singular
+    ds, rng = mixed_dataset(56, 109, 4)
+    ds = dataset_from_arrays([(y, 1e-3 * x) for y, x in pairs(ds)], m_max=4)
+    beta = rng.uniform(-0.5, 0.5, 2) * 1e3
+    spec = WorkingCorrelationSpec.pseudo_likelihood(4)
+    with pytest.raises(NotPositiveDefiniteError, match="cluster 2 ") as err:
+        a2_schedule(ds, beta, "log", spec, seed=seed)
+    assert err.value.cluster_index == 2
+
+
+def test_template_inverse_names_the_first_singular_template():
+    stack = np.stack([np.eye(2), np.ones((2, 2)), np.eye(2), np.zeros((2, 2))])
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        _template_inverse(stack, np.array([3, 7, 9, 12]))
+    assert err.value.cluster_index == 8
+    assert err.value.lambda_min == pytest.approx(0.0, abs=1e-15)
+    np.testing.assert_array_equal(_template_inverse(stack[[0, 2]], [0, 1]), stack[[0, 2]])
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochgee import (
     Cluster,
@@ -18,7 +23,9 @@ from stochgee import (
     load_dataset,
     write_dataset,
 )
-from stochgee.model import sidecar_path
+from stochgee.model import _parsed_columns, sidecar_path
+
+from oracles import loop_load_dataset, loop_write_dataset
 
 LINKS = ["identity", "log", "probit"]
 
@@ -228,3 +235,246 @@ class TestDatasetIO:
     def test_sidecar_path(self):
         assert sidecar_path("a/b.csv") == "a/b.meta.json"
         assert sidecar_path("a/b.dat") == "a/b.dat.meta.json"
+
+
+class TestColumnarDataset:
+    def test_clusters_are_cached_read_only_views_of_the_pack(self):
+        ds = dataset_from_arrays(
+            [(np.zeros(2), np.ones((2, 1))), (np.ones(3), np.arange(3.0)[:, None])]
+        )
+        assert "clusters" not in vars(ds)
+        clusters = ds.clusters
+        assert ds.clusters is clusters
+        assert [c.index for c in clusters] == [1, 2]
+        for c in clusters:
+            assert np.shares_memory(c.response, ds.packed.y)
+            assert np.shares_memory(c.regressors, ds.packed.x)
+            assert not c.response.flags.writeable
+            assert not c.regressors.flags.writeable
+
+    def test_dataset_is_immutable(self):
+        ds = dataset_from_arrays([(np.zeros(2), np.ones((2, 1)))])
+        with pytest.raises(AttributeError):
+            ds.p = 2
+
+    def test_of_rows_checks_the_arrays(self):
+        x, y = np.ones((5, 2)), np.zeros(5)
+        sizes = np.array([2, 3])
+        ds = Dataset.of_rows(x.copy(), y.copy(), sizes, 2, 3)
+        assert ds.n == 2 and ds.packed.sizes.tolist() == [2, 3]
+        with pytest.raises(InvalidInputError, match="cluster 2 has size 3 > m_max 2"):
+            Dataset.of_rows(x.copy(), y.copy(), sizes, 2, 2)
+        with pytest.raises(InvalidInputError, match="cluster 1 has 2 regressor columns"):
+            Dataset.of_rows(x.copy(), y.copy(), sizes, 3, 3)
+        bad = x.copy()
+        bad[3, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="cluster 2 has non-finite entries"):
+            Dataset.of_rows(bad, y.copy(), sizes, 2, 3)
+
+    def test_prefix_slices_the_pack(self):
+        ds = dataset_from_arrays(
+            [(np.full(m, float(m)), np.full((m, 1), float(m))) for m in (2, 1, 3)]
+        )
+        sub = ds.prefix(2)
+        assert sub.n == 2 and sub.packed.sizes.tolist() == [2, 1]
+        assert np.shares_memory(sub.packed.x, ds.packed.x)
+        assert [c.size for c in sub.clusters] == [2, 1]
+
+
+def _write_meta(path, p, m_max, n=None):
+    meta = {"p": p, "m_max": m_max, "link": None, "beta0": None}
+    if n is not None:
+        meta["n"] = n
+    with open(sidecar_path(str(path)), "w") as fh:
+        json.dump(meta, fh)
+
+
+def _same_dataset(got, ref):
+    assert got.n == ref.n and got.p == ref.p and got.m_max == ref.m_max
+    assert got.packed.sizes.tolist() == ref.packed.sizes.tolist()
+    assert got.packed.x.tobytes() == ref.packed.x.tobytes()
+    assert got.packed.y.tobytes() == ref.packed.y.tobytes()
+    assert got.digest() == ref.digest()
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e-300, -1e-300]
+
+
+class TestLoaderMatchesRowLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+        p=st.integers(1, 4),
+        fmt=st.sampled_from(["17g", "repr"]),
+        data=st.data(),
+    )
+    def test_same_arrays_as_the_row_loop(self, sizes, p, fmt, data):
+        values = st.one_of(
+            st.sampled_from(EDGE_VALUES),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        rows = sum(sizes)
+        flat = data.draw(st.lists(values, min_size=rows * (1 + p), max_size=rows * (1 + p)))
+        v = np.array(flat).reshape(rows, 1 + p)
+        m_max = max(sizes) + data.draw(st.integers(0, 1))
+        ds = Dataset.of_rows(
+            np.ascontiguousarray(v[:, 1:]), v[:, 0].copy(), np.array(sizes), p, m_max
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            if fmt == "17g":
+                write_dataset(ds, path)
+            else:
+                _write_repr(path, ds)
+            # both layouts take the one-call path
+            assert _parsed_columns(path, p, m_max) is not None
+            got, ref = load_dataset(path), loop_load_dataset(path)
+        _same_dataset(got, ref)
+        _same_dataset(got, ds)
+
+    HEADER = "cluster,obs,y,x1\n"
+    CASES = {
+        "id 1.0": "1.0,1,0.5,1.0\n",
+        "id 1e0": "1e0,1,0.5,1.0\n",
+        "id 1_0": "1_0,1,0.5,1.0\n",
+        "id +1": "+1,1,0.5,1.0\n2,1,0.25,2.0\n",
+        "id space": " 1,1,0.5,1.0\n1 ,2,0.25,2.0\n",
+        "obs gap": "1,1,0.5,1.0\n1,3,0.5,1.0\n",
+        "obs above m_max": "1,1,0.5,1.0\n1,2,0.5,1.0\n1,3,0.5,1.0\n",
+        "nan": "1,1,nan,1.0\n",
+        "inf": "1,1,0.5,inf\n",
+        "infinity": "1,1,-Infinity,1.0\n",
+        "ragged short": "1,1,0.5,1.0\n1,2,0.5\n",
+        "ragged long": "1,1,0.5,1.0,2.0\n",
+        "quoted fields": '"1","1","0.5","1.0"\n"2",1,0.25,"2"\n',
+        "quoted comma": '1,1,"0.5,1",1.0\n',
+        "value 1_0": "1,1,1_0,1.0\n",
+        "blank line mid-file": "1,1,0.5,1.0\n\n2,1,0.25,2.0\n",
+        "whitespace line": "1,1,0.5,1.0\n  \n2,1,0.25,2.0\n",
+        "crlf": "1,1,0.5,1.0\r\n1,2,-0.0,2e-310\r\n2,1,0.25,2.0\r\n",
+        "lone cr": "1,1,0.5,1.0\r2,1,0.25,2.0\r",
+        "header only": "",
+        "blank lines only": "\n\n",
+        "non-consecutive id": "1,1,0.5,1.0\n3,1,0.5,1.0\n",
+        "id back to 1": "1,1,0.5,1.0\n2,1,0.5,1.0\n1,2,0.5,1.0\n",
+        "hash": "1,1,0.5#c,1.0\n",
+        "hash at end": "1,1,0.5,1.0#c\n",
+        "big id": "99999999999999999999,1,0.5,1.0\n",
+        "empty field": "1,1,,1.0\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_error_parity(self, tmp_path, name):
+        path = tmp_path / "d.csv"
+        path.write_bytes((self.HEADER + self.CASES[name]).encode())
+        _write_meta(path, 1, 2)
+        try:
+            ref = loop_load_dataset(str(path))
+        except Exception as exc:
+            with pytest.raises(type(exc)) as err:
+                load_dataset(str(path))
+            assert str(err.value) == str(exc)
+            assert getattr(err.value, "line", None) == getattr(exc, "line", None)
+        else:
+            _same_dataset(load_dataset(str(path)), ref)
+
+    @pytest.mark.parametrize(
+        "header", ["cluster,obs,y\n", "cluster,obs,y,x1,x2\n", '"cluster",obs,y,x1\n', ""]
+    )
+    def test_header_parity(self, tmp_path, header):
+        path = tmp_path / "d.csv"
+        path.write_text(header + "1,1,0.5,1.0\n")
+        _write_meta(path, 1, 2)
+        try:
+            ref = loop_load_dataset(str(path))
+        except DatasetParseError as exc:
+            with pytest.raises(DatasetParseError) as err:
+                load_dataset(str(path))
+            assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        else:
+            _same_dataset(load_dataset(str(path)), ref)
+
+    def test_header_only_file_under_ignored_warnings(self, tmp_path):
+        # np.loadtxt warns on input without data; whatever the caller's
+        # warning filters, that must end in the row loop's error
+        path = tmp_path / "d.csv"
+        path.write_text(self.HEADER)
+        _write_meta(path, 1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DatasetParseError, match="no data rows") as err:
+                load_dataset(str(path))
+        assert err.value.line == 2
+
+    def test_cluster_id_zero_is_rejected(self, tmp_path):
+        # the row loop used to drop leading rows of a cluster 0 silently
+        path = tmp_path / "d.csv"
+        path.write_text(self.HEADER + "0,1,0.5,1.0\n1,1,0.5,1.0\n")
+        _write_meta(path, 1, 2)
+        with pytest.raises(DatasetParseError, match="non-consecutive") as err:
+            load_dataset(str(path))
+        assert err.value.line == 2
+
+
+def _write_repr(path, ds):
+    """The benchmark's layout: ``repr`` values, LF line ends."""
+    lines = [",".join(["cluster", "obs", "y"] + [f"x{j + 1}" for j in range(ds.p)])]
+    for c in ds.clusters:
+        for j in range(c.size):
+            vals = [c.response[j]] + list(c.regressors[j])
+            lines.append(",".join([str(c.index), str(j + 1)] + [repr(float(v)) for v in vals]))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+    _write_meta(path, ds.p, ds.m_max, n=ds.n)
+
+
+class TestSidecarCount:
+    def _written(self, tmp_path):
+        ds = dataset_from_arrays(
+            [(np.full(m, 0.5 * m), np.full((m, 2), float(m))) for m in (2, 3, 1)],
+            m_max=3,
+        )
+        path = tmp_path / "d.csv"
+        write_dataset(ds, str(path))
+        return ds, path
+
+    def test_truncated_file_is_rejected(self, tmp_path):
+        ds, path = self._written(tmp_path)
+        lines = path.read_bytes().split(b"\r\n")
+        # header, 2 + 3 rows: cut before the last cluster's single row
+        path.write_bytes(b"\r\n".join(lines[:6]) + b"\r\n")
+        assert loop_load_dataset(str(path)).n == 2
+        with pytest.raises(DatasetParseError, match="n=3 but the file holds 2 clusters"):
+            load_dataset(str(path))
+
+    def test_sidecar_without_n_is_accepted(self, tmp_path):
+        ds, path = self._written(tmp_path)
+        _write_meta(path, 2, 3)
+        assert load_dataset(str(path)).digest() == ds.digest()
+
+    def test_non_integer_n_is_rejected(self, tmp_path):
+        ds, path = self._written(tmp_path)
+        meta = json.loads(open(sidecar_path(str(path))).read())
+        meta["n"] = "three"
+        with open(sidecar_path(str(path)), "w") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(DatasetParseError, match="integer fields"):
+            load_dataset(str(path))
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_bytes_as_the_cluster_loop(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(30):
+            m = int(rng.integers(1, 5))
+            scale = 10.0 ** rng.integers(-300, 300)
+            pairs.append((rng.standard_normal(m) * scale, rng.standard_normal((m, 3))))
+        pairs.append((np.array([-0.0, 5e-324]), np.array([[0.0, -1e-310, 1e300]] * 2)))
+        ds = dataset_from_arrays(pairs, m_max=4, link="log", beta0=[0.5, -0.25, 1.0])
+        write_dataset(ds, str(tmp_path / "new.csv"))
+        loop_write_dataset(ds, str(tmp_path / "old.csv"))
+        for name in ("{}.csv", "{}.meta.json"):
+            new = (tmp_path / name.format("new")).read_bytes()
+            assert new == (tmp_path / name.format("old")).read_bytes()
