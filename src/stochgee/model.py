@@ -31,6 +31,9 @@ class LinkFunction:
     """Base link; subclasses provide mu and its first three derivatives."""
 
     kind: str = ""
+    #: mu as a bare elementwise function of an array: no order check and
+    #: no error-state handling, for loops that set the error state once
+    mu = None
 
     def eval(self, order: int, u):
         """Evaluate mu (order 0) or its order-th derivative at u."""
@@ -53,6 +56,7 @@ class LinkFunction:
 
 class IdentityLink(LinkFunction):
     kind = "identity"
+    mu = functools.partial(np.add, 0.0)
 
     def _eval(self, order, u):
         if order == 0:
@@ -67,6 +71,7 @@ class IdentityLink(LinkFunction):
 
 class LogLink(LinkFunction):
     kind = "log"
+    mu = np.exp
 
     def _eval(self, order, u):
         with np.errstate(over="ignore"):
@@ -86,6 +91,7 @@ class ProbitLink(LinkFunction):
     """
 
     kind = "probit"
+    mu = ndtr
 
     @staticmethod
     def _phi(u):
@@ -370,14 +376,22 @@ class Dataset:
         )
 
     def digest(self) -> str:
+        """SHA-256 of ``p,m_max`` and then, per cluster, its int64 size,
+        its responses and its regressor rows, hashed as one buffer."""
         h = hashlib.sha256()
         h.update(f"{self.p},{self.m_max}".encode())
-        x, y = self.packed.x, self.packed.y
-        bounds = self.packed.offsets.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            h.update(np.int64(hi - lo).tobytes())
-            h.update(y[lo:hi].tobytes())
-            h.update(x[lo:hi].tobytes())
+        x, y, offsets = self.packed.x, self.packed.y, self.packed.offsets
+        p, rows = self.p, np.arange(y.shape[0])
+        sizes = np.diff(offsets)
+        cluster = np.repeat(np.arange(sizes.shape[0]), sizes)
+        # cluster c (0-based) opens at word c + offsets[c] * (p + 1) with
+        # its size, then its y and x rows: row r of the pack lands at
+        # c + 1 + r + offsets[c] * p (y) and c + 1 + offsets[c + 1] + r * p (x)
+        words = np.empty(sizes.shape[0] + rows.shape[0] * (p + 1))
+        words.view(np.int64)[np.arange(sizes.shape[0]) + offsets[:-1] * (p + 1)] = sizes
+        words[cluster + 1 + rows + offsets[cluster] * p] = y
+        words[(cluster + 1 + offsets[cluster + 1] + rows * p)[:, None] + np.arange(p)] = x
+        h.update(words.tobytes())
         return h.hexdigest()
 
 

@@ -273,13 +273,18 @@ def _poisson_quantile(q, mu):
     return np.where(pdtr(vals1, mu) >= q, vals1, vals) + 0.0
 
 
+def _copula_uniforms(z):
+    """The Poisson copula's uniforms, kept off 0 and 1."""
+    return np.clip(ndtr(z), 1e-16, 1.0 - 1e-16)
+
+
 def _response(family, mean, var, z):
     """Responses from link moments and copula normals ``z``; elementwise,
     so one cluster's vectors and a size bucket's stacks alike."""
     if family == "gaussian_link_moments":
         return mean + np.sqrt(var) * z
     if family == "poisson_log":
-        return _poisson_quantile(np.clip(ndtr(z), 1e-16, 1.0 - 1e-16), mean)
+        return _poisson_quantile(_copula_uniforms(z), mean)
     # correlated Bernoulli through the same normal copula; deliberately
     # violates Var = mu' and is flagged as a misspecification scenario
     thresh = ndtri(np.clip(mean, 1e-12, 1.0 - 1e-12))
@@ -376,24 +381,40 @@ def _outside_domain(x, mean, var):
     )
 
 
-def _feedback_recursion(config, link, x, z, offsets):
+def _feedback_recursion(config, link, x, z, eta, offsets):
     """The feedback process cluster by cluster: cluster i's regressors
-    centre on ``gain * mean(y_{i-1})``, so its moments, domain check and
-    responses wait for cluster i-1. ``x`` holds the scaled jitter on
-    entry and the regressors on exit."""
+    centre on ``gain * mean(y_{i-1})``, so its linear predictor and
+    responses wait for cluster i-1. Only that chain runs per cluster; the
+    copula uniforms are formed for all rows up front and the domain check
+    is left to the caller. ``x`` holds the scaled jitter on entry and the
+    regressors on exit; ``eta`` receives the linear predictors. Returns
+    the responses.
+
+    Past a cluster that leaves the link domain the chain carries NaN or
+    inf, which the error state keeps from warning; the caller's domain
+    check names that cluster."""
     proc, beta0 = config.regressors, config.beta0_array
+    family = config.response_family
+    mu = link.mu
     y = np.empty_like(z)
+    if family == "poisson_log":
+        u = _copula_uniforms(z)
     prev_y_mean = 0.0
     bounds = offsets.tolist()
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
-        xi = (proc.loc + proc.gain * prev_y_mean) + x[lo:hi]
-        x[lo:hi] = xi
-        eta = xi @ beta0
-        mean, var = link.eval(0, eta), link.eval(1, eta)
-        if _outside_domain(xi, mean, var):
-            raise _link_domain_error(i)
-        y[lo:hi] = yi = _response(config.response_family, mean, var, z[lo:hi])
-        prev_y_mean = float(np.mean(yi))
+    with np.errstate(all="ignore"):
+        for lo, hi in zip(bounds, bounds[1:]):
+            xi = x[lo:hi]
+            xi += proc.loc + proc.gain * prev_y_mean
+            etai = np.matmul(xi, beta0, out=eta[lo:hi])
+            if family == "poisson_log":
+                yi = _poisson_quantile(u[lo:hi], mu(etai))
+            elif family == "gaussian_link_moments":
+                yi = mu(etai) + np.sqrt(link.eval(1, etai)) * z[lo:hi]
+            else:
+                yi = _response(family, mu(etai), None, z[lo:hi])
+            y[lo:hi] = yi
+            # what np.mean(yi) computes, without its dispatch
+            prev_y_mean = float(np.add.reduce(yi)) / (hi - lo)
     return y
 
 
@@ -404,10 +425,14 @@ def simulate_scenario(config: ScenarioConfig, replication: int = 0) -> Dataset:
     Phase 1 takes every cluster's draws (``_draw_clusters``). Phase 2
     works per size bucket: the regressors, ``chol @ eps`` as one stacked
     matmul, the link moments and the domain check, then the responses.
-    A cluster whose moments leave the link domain raises ``ConfigError``
-    naming the first such cluster, before any response is formed. The
-    ``feedback`` process takes its moments and responses in a recursion
-    over clusters. The rows become the dataset's storage as they are.
+    The ``feedback`` process forms its regressors, linear predictors and
+    responses in a recursion over clusters that carries only the previous
+    cluster's mean response (``_feedback_recursion``); its moments and
+    domain check then run per size bucket like the others'. A cluster
+    whose moments leave the link domain raises ``ConfigError`` naming the
+    first such cluster; failing that, so does the first cluster with a
+    non-finite response. The rows become the dataset's storage as they
+    are.
     """
     if config.response_family == "bernoulli_probit_flagged":
         warnings.warn(
@@ -429,6 +454,7 @@ def simulate_scenario(config: ScenarioConfig, replication: int = 0) -> Dataset:
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     x = np.empty((offsets[-1], p))
     z = np.empty(offsets[-1])
+    eta = np.empty(offsets[-1])
     buckets = []
     for size in np.unique(sizes).tolist():
         positions = np.flatnonzero(sizes == size)
@@ -442,21 +468,29 @@ def simulate_scenario(config: ScenarioConfig, replication: int = 0) -> Dataset:
         rows = offsets[positions][:, None] + np.arange(size)
         x[rows] = xb
         z[rows] = (np.linalg.cholesky(truth.rbar(size)) @ eps[..., None])[..., 0]
-        buckets.append((positions, rows, xb))
+        if proc.kind != "feedback":
+            eta[rows] = xb @ beta0
+        buckets.append((positions, rows))
     if proc.kind == "feedback":
-        y = _feedback_recursion(config, link, x, z, offsets)
-    else:
-        moments, offenders = [], []
-        for positions, _, xb in buckets:
-            eta = xb @ beta0
-            mean, var = link.eval(0, eta), link.eval(1, eta)
-            offenders += positions[_outside_domain(xb, mean, var)][:1].tolist()
-            moments.append((mean, var))
-        if offenders:
-            raise _link_domain_error(min(offenders) + 1)
+        y = _feedback_recursion(config, link, x, z, eta, offsets)
+    moments, offenders = [], []
+    for positions, rows in buckets:
+        mean, var = link.eval(0, eta[rows]), link.eval(1, eta[rows])
+        offenders += positions[_outside_domain(x[rows], mean, var)][:1].tolist()
+        moments.append((mean, var))
+    if offenders:
+        raise _link_domain_error(min(offenders) + 1)
+    if proc.kind != "feedback":
         y = np.empty_like(z)
-        for (_, rows, _), (mean, var) in zip(buckets, moments):
+        for (_, rows), (mean, var) in zip(buckets, moments):
             y[rows] = _response(config.response_family, mean, var, z[rows])
+    bad = ~np.isfinite(y)
+    if bad.any():
+        cluster = int(np.searchsorted(offsets, np.argmax(bad), side="right"))
+        raise ConfigError(
+            f"cluster {cluster}: the response sampler gave a non-finite response",
+            field="regressors",
+        )
     packed = PackedDataset.of_rows(x, y, sizes)
     return Dataset._trusted(packed, p, config.m_max, link=config.link, beta0=beta0)
 
@@ -532,8 +566,8 @@ def effective_truth(
                 n_samples
             )
             if config.response_family == "poisson_log":
-                yj = _poisson_quantile(np.clip(ndtr(z1), 1e-16, 1 - 1e-16), intensities[j])
-                yk = _poisson_quantile(np.clip(ndtr(z2), 1e-16, 1 - 1e-16), intensities[k])
+                yj = _poisson_quantile(_copula_uniforms(z1), intensities[j])
+                yk = _poisson_quantile(_copula_uniforms(z2), intensities[k])
             else:
                 yj = (z1 <= ndtri(np.clip(intensities[j], 1e-12, 1 - 1e-12))).astype(float)
                 yk = (z2 <= ndtri(np.clip(intensities[k], 1e-12, 1 - 1e-12))).astype(float)

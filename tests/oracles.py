@@ -7,10 +7,12 @@ cofactor expansion, and the estimating-function quantities, the
 perturbation schedule, the lattice curvature series and the scenario
 generator from plain per-cluster loops. The dataset-file writer and
 loader are the row-by-row versions, building datasets through the
-public ``Cluster`` and ``Dataset`` constructors.
+public ``Cluster`` and ``Dataset`` constructors, and the dataset digest
+hashes cluster by cluster.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -626,3 +628,19 @@ def loop_load_dataset(path: str, fmt: str = "csv") -> Dataset:
         link=link,
         beta0=None if beta0 is None else np.asarray(beta0, dtype=float),
     )
+
+
+# ---------------------------------------------------------------------------
+# the dataset digest, three hash updates per cluster
+
+
+def loop_digest(dataset: Dataset) -> str:
+    h = hashlib.sha256()
+    h.update(f"{dataset.p},{dataset.m_max}".encode())
+    x, y = dataset.packed.x, dataset.packed.y
+    bounds = dataset.packed.offsets.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        h.update(np.int64(hi - lo).tobytes())
+        h.update(y[lo:hi].tobytes())
+        h.update(x[lo:hi].tobytes())
+    return h.hexdigest()

@@ -25,7 +25,7 @@ from stochgee import (
 )
 from stochgee.model import _parsed_columns, sidecar_path
 
-from oracles import loop_load_dataset, loop_write_dataset
+from oracles import loop_digest, loop_load_dataset, loop_write_dataset
 
 LINKS = ["identity", "log", "probit"]
 
@@ -298,6 +298,28 @@ def _same_dataset(got, ref):
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e-300, -1e-300]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=12),
+    p=st.integers(1, 4),
+    data=st.data(),
+)
+def test_digest_matches_cluster_loop(sizes, p, data):
+    values = st.one_of(
+        st.sampled_from(EDGE_VALUES),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    rows = sum(sizes)
+    flat = data.draw(st.lists(values, min_size=rows * (1 + p), max_size=rows * (1 + p)))
+    v = np.array(flat).reshape(rows, 1 + p)
+    ds = Dataset.of_rows(
+        np.ascontiguousarray(v[:, 1:]), v[:, 0].copy(), np.array(sizes), p, max(sizes)
+    )
+    assert ds.digest() == loop_digest(ds)
+    head = ds.prefix(data.draw(st.integers(1, len(sizes))))
+    assert head.digest() == loop_digest(head)
 
 
 class TestLoaderMatchesRowLoop:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import LinkDomainExit, loop_simulate_scenario
@@ -586,6 +586,9 @@ def test_cluster_keys_match_substream(rep_seed, n):
             SizeSchedule(kind="constant", m=5),
             SizeSchedule(kind="cyclic", sizes=(2, 5, 1, 3)),
             SizeSchedule(kind="random", lo=1, hi=5),
+            # sizes of 9 and more take NumPy's unrolled summation in the
+            # feedback process's cluster means
+            SizeSchedule(kind="cyclic", sizes=(9, 1, 12)),
         ]
     ),
     truth=st.sampled_from(
@@ -597,13 +600,23 @@ def test_cluster_keys_match_substream(rep_seed, n):
     ),
     beta0=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
 )
+@example(
+    seed=11,
+    replication=0,
+    n=12,
+    family_link=("gaussian_link_moments", "identity"),
+    kind="feedback",
+    sizes=SizeSchedule(kind="cyclic", sizes=(9, 1, 12)),
+    truth=TruthSpec(kind="exchangeable", rho=0.3),
+    beta0=[0.7, -0.4],
+)
 def test_matches_loop_oracle(seed, replication, n, family_link, kind, sizes, truth, beta0):
     family, link = family_link
     cfg = ScenarioConfig(
         link=link,
         beta0=tuple(beta0),
         n=n,
-        m_max=5,
+        m_max=max(5, sizes.max_size),
         sizes=sizes,
         regressors=PROCESSES[kind],
         truth=truth,
@@ -617,6 +630,11 @@ def test_matches_loop_oracle(seed, replication, n, family_link, kind, sizes, tru
             simulate_quietly(cfg, replication)
         return
     sizes_, x, y = want
+    if not np.isfinite(y).all():
+        cluster = np.searchsorted(np.cumsum(sizes_), np.argmax(~np.isfinite(y)), side="right")
+        with pytest.raises(ConfigError, match=f"cluster {cluster + 1}: .* non-finite"):
+            simulate_quietly(cfg, replication)
+        return
     ds = simulate_quietly(cfg, replication)
     np.testing.assert_array_equal(np.diff(ds.packed.offsets), sizes_)
     assert ds.packed.x.tobytes() == x.tobytes()
@@ -661,7 +679,38 @@ class TestLinkDomainFailure:
         with pytest.raises(ConfigError, match=f"cluster {first}: ") as err:
             simulate_scenario(self.CFG)
         assert err.value.field == "regressors"
-        simulate_scenario(self.CFG.with_n(first - 1))
+        # the clusters before it stay in the domain, but their means near
+        # 1e304 are beyond the Poisson quantile
+        _, _, y = loop_simulate_scenario(self.CFG.with_n(first - 1))
+        assert np.isnan(y[0])
+        with pytest.raises(ConfigError, match="cluster 1: .* non-finite response"):
+            simulate_scenario(self.CFG.with_n(first - 1))
+
+    # x_i = 0.5 + 3 mean(y_{i-1}) + 0.3 w_i with y_i near exp(x_i): the
+    # drift overflows the log link's mean in cluster 4
+    FEEDBACK = ScenarioConfig(
+        link="log",
+        beta0=(1.0,),
+        n=10,
+        m_max=3,
+        sizes=SizeSchedule(kind="random", lo=1, hi=3),
+        regressors=RegressorProcess(kind="feedback", loc=0.5, gain=3.0, scale=0.3),
+        response_family="gaussian_link_moments",
+        seed=7,
+    )
+
+    def test_feedback_drift_names_the_cluster(self):
+        with pytest.raises(LinkDomainExit) as oracle:
+            loop_simulate_scenario(self.FEEDBACK)
+        k = oracle.value.cluster
+        assert k > 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match=f"cluster {k}: ") as err:
+                simulate_scenario(self.FEEDBACK)
+            assert err.value.field == "regressors"
+            ds = simulate_scenario(self.FEEDBACK.with_n(k - 1))
+        assert np.isfinite(ds.packed.x).all() and np.isfinite(ds.packed.y).all()
 
 
 # ---------------------------------------------------------------------------
