@@ -31,7 +31,7 @@ from .exceptions import (
     NotPositiveDefiniteError,
 )
 from .linalg import EigenExtremes, sym_eigen_extremes, sym_eigenvalues
-from .model import Cluster, PackedDataset, as_beta, conditional_moments, get_link
+from .model import Cluster, Dataset, as_beta, conditional_moments, get_link
 
 #: hard lower bound enforced on every emitted working correlation
 MIN_EIGENVALUE = 1e-6
@@ -226,41 +226,41 @@ def residual_moment_templates(sums, counts, count) -> np.ndarray:
     return t
 
 
-def residual_moment_terms(packed: PackedDataset, resid, dim: int) -> tuple:
+def residual_moment_terms(dataset: Dataset, resid) -> tuple:
     """The zero-padded residual outer products and their count masks.
 
     ``resid[b]`` holds the (k, m) standardized residuals of bucket ``b``
-    of ``packed``. Returns ``(outer, mask)``, each (n+1, dim, dim): row 0
-    is zero and row ``i + 1`` holds cluster ``i`` (0-based) in its
+    of ``dataset``. Returns ``(outer, mask)``, each (n+1, m_max, m_max):
+    row 0 is zero and row ``i + 1`` holds cluster ``i`` (0-based) in its
     leading m_i x m_i block.
     """
-    n = packed.offsets.shape[0] - 1
-    outer = np.zeros((n + 1, dim, dim))
-    mask = np.zeros((n + 1, dim, dim), dtype=np.int64)
-    for b, r in zip(packed.buckets, resid):
+    shape = (dataset.n + 1, dataset.m_max, dataset.m_max)
+    outer = np.zeros(shape)
+    mask = np.zeros(shape, dtype=np.int64)
+    for b, r in zip(dataset.buckets, resid):
         outer[b.positions + 1, : b.size, : b.size] = r[:, :, None] * r[:, None, :]
         mask[b.positions + 1, : b.size, : b.size] = 1
     return outer, mask
 
 
-def residual_moment_sums(packed: PackedDataset, resid, dim: int) -> tuple:
+def residual_moment_sums(dataset: Dataset, resid) -> tuple:
     """Prefix sums of ``residual_moment_terms``: ``(sums, counts)``, each
-    (n+1, dim, dim), where row ``i`` is the fold over the first ``i``
+    (n+1, m_max, m_max), where row ``i`` is the fold over the first ``i``
     clusters, in cluster order. ``np.cumsum`` adds the rows one after
     another, so row ``i`` equals the sequential ``+=`` bit for bit.
     """
-    outer, mask = residual_moment_terms(packed, resid, dim)
+    outer, mask = residual_moment_terms(dataset, resid)
     return np.cumsum(outer, axis=0), np.cumsum(mask, axis=0)
 
 
-def residual_moment_stack(packed: PackedDataset, resid, dim: int) -> np.ndarray:
+def residual_moment_stack(dataset: Dataset, resid) -> np.ndarray:
     """The proxy templates R_0 .. R_n of the residual-moment fold.
 
-    Shape (n+1, dim, dim); ``R_{i-1}`` has seen clusters 1..i-1 and its
-    leading m_i x m_i block serves cluster ``i``. ``resid`` is laid out
-    as for ``residual_moment_sums``.
+    Shape (n+1, m_max, m_max); ``R_{i-1}`` has seen clusters 1..i-1 and
+    its leading m_i x m_i block serves cluster ``i``. ``resid`` is laid
+    out as for ``residual_moment_sums``.
     """
-    sums, counts = residual_moment_sums(packed, resid, dim)
+    sums, counts = residual_moment_sums(dataset, resid)
     return residual_moment_templates(sums, counts, np.arange(sums.shape[0]))
 
 

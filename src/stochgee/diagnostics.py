@@ -168,8 +168,7 @@ def condition_trajectories(
     # cumulative sums, read at the checkpoints; H' accumulates row by row
     q_inc, v_inc = score_increments(kind, dataset, beta, lk, var_truth)
     q_cum, v_cum = np.cumsum(q_inc, axis=0), np.cumsum(v_inc, axis=0)
-    packed = dataset.packed
-    rows = packed.x
+    rows = dataset.x
     w_rows = lk.eval(1, rows @ beta)
     h_cum = np.cumsum(rows[:, :, None] * (rows * w_rows[:, None])[:, None, :], axis=0)
     # R_{n-1} at each checkpoint n: read from the stack of a data-dependent proxy
@@ -197,13 +196,13 @@ def condition_trajectories(
     series["slln_ratio"] = slln["ratio"]
     series["lambda_min_v"] = slln["lambda_min_v"]
     series["lambda_max_v"] = slln["lambda_max_v"]
-    by_r: dict = _curvature_series(packed, lk, lattices, n_grid)
+    by_r: dict = _curvature_series(dataset, lk, lattices, n_grid)
     by_r["c3"] = {}
 
     c0_running = math.inf
     seen_nonsingular = False
     for n, rstar in zip(n_grid, rstars):
-        n_rows = int(packed.offsets[n])
+        n_rows = int(dataset.offsets[n])
         h_prime = h_cum[n_rows - 1]
         lo_h, hi_h = linalg.sym_eigen_extremes(h_prime)
         series["lambda_min_h_prime"].append(lo_h)
@@ -232,7 +231,7 @@ def condition_trajectories(
         series["lambda_min_rstar"].append(lo_r)
         series["lambda_max_rstar"].append(hi_r)
     if truth is not None:
-        rbars = [truth.rbar(int(packed.sizes[n - 1])) for n in n_grid]
+        rbars = [truth.rbar(int(dataset.sizes[n - 1])) for n in n_grid]
         extremes = [linalg.sym_eigen_extremes(rbar) for rbar in rbars]
         series["lambda_min_rbar"] = [lo for lo, _ in extremes]
         series["lambda_max_rbar"] = [hi for _, hi in extremes]
@@ -305,7 +304,7 @@ def _safe_ratio(num, den):
         return math.nan
 
 
-def _curvature_series(packed, lk, lattices, n_grid) -> dict:
+def _curvature_series(dataset, lk, lattices, n_grid) -> dict:
     """k2, k3 and eta for each radius: running maxima over the clusters,
     read at the checkpoints; a cluster whose maximum is NaN is skipped.
 
@@ -317,8 +316,8 @@ def _curvature_series(packed, lk, lattices, n_grid) -> dict:
     out: dict = {k: {} for k in ("k2", "k3", "eta")}
     at = np.asarray(n_grid)
     for r, lattice in lattices.items():
-        per_cluster = {k: np.empty(packed.offsets.shape[0] - 1) for k in out}
-        for b in packed.buckets:
+        per_cluster = {k: np.empty(dataset.n) for k in out}
+        for b in dataset.buckets:
             d1, d2, d3 = (lk.eval(k, b.x @ lattice.T) for k in (1, 2, 3))
             lo, hi = d1.min(axis=2), d1.max(axis=2)
             positive = np.all((d1 > 0.0) & np.isfinite(d1), axis=2)
@@ -356,13 +355,12 @@ def _proxy_lattice_quantities(dataset, beta, lk, spec, lattices, n_grid):
         ones = [1.0] * len(n_grid)
         zeros = [0.0] * len(n_grid)
         return {r: list(ones) for r in r_grid}, {r: list(zeros) for r in r_grid}
-    packed = dataset.packed
 
     def sym(m):
         return 0.5 * (m + np.swapaxes(m, -1, -2))
 
     roots = []
-    for mats in _bucket_proxies(packed, proxy_stack(dataset, beta, lk)):
+    for mats in _bucket_proxies(dataset, proxy_stack(dataset, beta, lk)):
         w, v = np.linalg.eigh(mats)
         root_w = np.sqrt(np.maximum(w, 0.0))[:, None, :]
         roots.append((v * root_w) @ np.swapaxes(v, 1, 2))
@@ -375,7 +373,7 @@ def _proxy_lattice_quantities(dataset, beta, lk, spec, lattices, n_grid):
         key = point.tobytes()
         if key not in terms:
             lam = []
-            mats = _bucket_proxies(packed, proxy_stack(dataset, point, lk))
+            mats = _bucket_proxies(dataset, proxy_stack(dataset, point, lk))
             for root, m in zip(roots, mats):
                 q = root @ np.linalg.inv(m) @ root
                 lam.append(np.linalg.eigvalsh(sym(q))[:, -1])
@@ -384,11 +382,11 @@ def _proxy_lattice_quantities(dataset, beta, lk, spec, lattices, n_grid):
                 diff = proxy_stack(dataset, bp, lk) - proxy_stack(dataset, bm, lk)
                 w = [
                     np.linalg.eigvalsh(sym(m))
-                    for m in _bucket_proxies(packed, diff / (2.0 * h))
+                    for m in _bucket_proxies(dataset, diff / (2.0 * h))
                 ]
                 extremes = [np.abs(x[:, [0, -1]]).max(axis=1) for x in w]
-                d = np.maximum(d, packed.in_cluster_order(extremes))
-            terms[key] = (packed.in_cluster_order(lam), d)
+                d = np.maximum(d, dataset.in_cluster_order(extremes))
+            terms[key] = (dataset.in_cluster_order(lam), d)
         return terms[key]
 
     pi_out: dict = {}
@@ -644,7 +642,7 @@ def _a1_worker(args):
     for name, spec in specs:
         seq = corr_trajectory(ds, beta0, lk, spec)
         for n in n_grid:
-            rbar = truth.rbar(int(ds.packed.sizes[n - 1]))
+            rbar = truth.rbar(int(ds.sizes[n - 1]))
             gaps[name].append(a1_gap([seq[n - 1]], [rbar])[0])
     return gaps
 

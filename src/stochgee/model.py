@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -198,74 +199,6 @@ class SizeBucket:
     y: np.ndarray
 
 
-@dataclass(frozen=True)
-class PackedDataset:
-    """A dataset's arrays, packed once.
-
-    ``x`` (N, p) and ``y`` (N,) hold every row in cluster order, with
-    cluster ``i`` in rows ``offsets[i-1]:offsets[i]``; ``buckets`` group
-    the clusters by size, smallest size first. All arrays are read-only.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    offsets: np.ndarray
-    buckets: tuple
-
-    @classmethod
-    def of(cls, clusters) -> "PackedDataset":
-        x = np.concatenate([c.regressors for c in clusters])
-        y = np.concatenate([c.response for c in clusters])
-        sizes = np.array([c.size for c in clusters], dtype=np.int64)
-        return cls.of_rows(x, y, sizes)
-
-    @classmethod
-    def of_rows(cls, x, y, sizes) -> "PackedDataset":
-        """The pack of rows already in cluster order, with the cluster
-        sizes as an int64 array; freezes ``x`` and ``y`` in place."""
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        buckets = []
-        for size in np.unique(sizes):
-            positions = np.flatnonzero(sizes == size)
-            rows = offsets[positions][:, None] + np.arange(size)
-            buckets.append(SizeBucket(int(size), positions, x[rows], y[rows]))
-        return cls._frozen(x, y, offsets, tuple(buckets))
-
-    @classmethod
-    def _frozen(cls, x, y, offsets, buckets) -> "PackedDataset":
-        arrays = [x, y, offsets] + [a for b in buckets for a in (b.positions, b.x, b.y)]
-        for arr in arrays:
-            arr.setflags(write=False)
-        return cls(x, y, offsets, buckets)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """The cluster sizes in cluster order."""
-        return np.diff(self.offsets)
-
-    def in_cluster_order(self, parts) -> np.ndarray:
-        """Per-bucket stacks of shape (k, m, ..., m), one stack per bucket,
-        as one (n, M, ..., M) array in cluster order, every m axis
-        zero-padded to the largest cluster size M."""
-        size = self.buckets[-1].size
-        out = np.zeros((self.offsets.shape[0] - 1,) + (size,) * (parts[0].ndim - 1))
-        for b, v in zip(self.buckets, parts):
-            out[(b.positions,) + (slice(b.size),) * (v.ndim - 1)] = v
-        return out
-
-    def prefix(self, n: int) -> "PackedDataset":
-        """The pack of the first ``n`` clusters, as views into this one."""
-        buckets = []
-        for b in self.buckets:
-            k = int(np.searchsorted(b.positions, n))
-            if k:
-                buckets.append(SizeBucket(b.size, b.positions[:k], b.x[:k], b.y[:k]))
-        rows = self.offsets[n]
-        return PackedDataset._frozen(
-            self.x[:rows], self.y[:rows], self.offsets[: n + 1], tuple(buckets)
-        )
-
-
 def _row_labels(sizes: np.ndarray) -> tuple:
     """The 1-based cluster index and observation number of every row."""
     starts = np.cumsum(sizes) - sizes
@@ -296,27 +229,34 @@ def _check_clusters(index, sizes, widths, p, m_max) -> None:
 
 
 class Dataset:
-    """Ordered clusters with the declared maximal cluster size.
+    """Ordered clusters with the declared maximal cluster size, stored as
+    columns and validated once with array checks.
 
-    The storage is one ``PackedDataset`` (``packed``), validated once with
-    array checks; ``clusters`` are read-only ``Cluster`` views into it,
-    built on first access. ``m_max`` is declared, never inferred, because
-    working-correlation templates need a fixed ambient dimension. ``link``
-    and ``beta0`` are optional metadata carried through the CSV sidecar.
+    ``x`` (N, p) and ``y`` (N,) hold every row in cluster order, with
+    cluster ``i`` in rows ``offsets[i-1]:offsets[i]`` and ``sizes`` the
+    cluster sizes; ``buckets`` group the clusters by size, smallest size
+    first. All arrays are read-only, and ``clusters`` are read-only
+    ``Cluster`` views into them, built on first access. ``m_max`` is
+    declared, never inferred, because working-correlation templates need
+    a fixed ambient dimension. ``link`` and ``beta0`` are optional
+    metadata carried through the CSV sidecar.
     """
 
     def __init__(self, clusters, p, m_max, link=None, beta0=None):
         clusters = tuple(clusters)
         if not clusters:
             raise InvalidInputError("dataset has no clusters")
+        sizes = np.array([c.size for c in clusters], dtype=np.int64)
         _check_clusters(
             np.array([c.index for c in clusters]),
-            np.array([c.size for c in clusters]),
+            sizes,
             np.array([c.regressors.shape[1] for c in clusters]),
             p,
             m_max,
         )
-        self._store(PackedDataset.of(clusters), p, m_max, link, beta0)
+        x = np.concatenate([c.regressors for c in clusters])
+        y = np.concatenate([c.response for c in clusters])
+        self._store_rows(x, y, sizes, p, m_max, link, beta0)
 
     @classmethod
     def of_rows(cls, x, y, sizes, p, m_max, link=None, beta0=None) -> "Dataset":
@@ -327,65 +267,94 @@ class Dataset:
         if n == 0:
             raise InvalidInputError("dataset has no clusters")
         _check_clusters(np.arange(1, n + 1), sizes, np.full(n, x.shape[1]), p, m_max)
-        packed = PackedDataset.of_rows(x, y, sizes)
+        self = cls._trusted(x, y, sizes, p, m_max, link, beta0)
         bad = ~(np.isfinite(y) & np.isfinite(x).all(axis=1))
         if bad.any():
-            i = int(np.searchsorted(packed.offsets, np.argmax(bad), side="right"))
+            i = int(np.searchsorted(self.offsets, np.argmax(bad), side="right"))
             raise InvalidInputError(f"cluster {i} has non-finite entries")
-        return cls._trusted(packed, p, m_max, link, beta0)
-
-    @classmethod
-    def _trusted(cls, packed, p, m_max, link=None, beta0=None) -> "Dataset":
-        """Construction without checks, for producers whose pack is
-        consistent by construction."""
-        self = object.__new__(cls)
-        self._store(packed, p, m_max, link, beta0)
         return self
 
-    def _store(self, packed, p, m_max, link, beta0) -> None:
+    @classmethod
+    def _trusted(cls, x, y, sizes, p, m_max, link=None, beta0=None) -> "Dataset":
+        """``of_rows`` without checks, for producers whose rows are
+        consistent by construction; freezes ``x``, ``y`` and ``sizes``."""
+        self = object.__new__(cls)
+        self._store_rows(x, y, sizes, p, m_max, link, beta0)
+        return self
+
+    def _store_rows(self, x, y, sizes, p, m_max, link, beta0) -> None:
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        buckets = []
+        for size in np.unique(sizes):
+            positions = np.flatnonzero(sizes == size)
+            rows = offsets[positions][:, None] + np.arange(size)
+            buckets.append(SizeBucket(int(size), positions, x[rows], y[rows]))
+        self._store(x, y, sizes, offsets, tuple(buckets), p, m_max, link, beta0)
+
+    def _store(self, x, y, sizes, offsets, buckets, p, m_max, link, beta0) -> None:
+        arrays = [x, y, sizes, offsets]
+        for arr in arrays + [a for b in buckets for a in (b.positions, b.x, b.y)]:
+            arr.setflags(write=False)
         if beta0 is not None:
             beta0 = np.asarray(beta0, dtype=float).copy()
             beta0.setflags(write=False)
-        self.__dict__.update(packed=packed, p=p, m_max=m_max, link=link, beta0=beta0)
+        columns = dict(x=x, y=y, sizes=sizes, offsets=offsets, buckets=buckets)
+        self.__dict__.update(columns, p=p, m_max=m_max, link=link, beta0=beta0)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a Dataset")
 
     @property
     def n(self) -> int:
-        return self.packed.offsets.shape[0] - 1
+        return self.sizes.shape[0]
 
     @functools.cached_property
     def clusters(self) -> tuple:
-        """One read-only ``Cluster`` view into the pack per cluster."""
-        x, y = self.packed.x, self.packed.y
-        bounds = self.packed.offsets.tolist()
+        """One read-only ``Cluster`` view into the rows per cluster."""
+        bounds = self.offsets.tolist()
         return tuple(
-            Cluster._trusted(i, y[lo:hi], x[lo:hi])
+            Cluster._trusted(i, self.y[lo:hi], self.x[lo:hi])
             for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1)
         )
 
+    def in_cluster_order(self, parts) -> np.ndarray:
+        """Per-bucket stacks of shape (k, m, ..., m), one stack per bucket,
+        as one (n, M, ..., M) array in cluster order, every m axis
+        zero-padded to the largest cluster size M."""
+        size = self.buckets[-1].size
+        out = np.zeros((self.n,) + (size,) * (parts[0].ndim - 1))
+        for b, v in zip(self.buckets, parts):
+            out[(b.positions,) + (slice(b.size),) * (v.ndim - 1)] = v
+        return out
+
     def prefix(self, n: int) -> "Dataset":
-        """First ``n`` clusters (the filtration-order prefix)."""
+        """First ``n`` clusters (the filtration-order prefix), as views
+        into this dataset's arrays."""
         if not 1 <= n <= self.n:
             raise InvalidInputError(f"prefix length {n} outside 1..{self.n}")
         if n == self.n:
             return self
-        return Dataset._trusted(
-            self.packed.prefix(n), self.p, self.m_max, self.link, self.beta0
-        )
+        buckets = []
+        for b in self.buckets:
+            k = int(np.searchsorted(b.positions, n))
+            if k:
+                buckets.append(SizeBucket(b.size, b.positions[:k], b.x[:k], b.y[:k]))
+        rows = self.offsets[n]
+        columns = (self.x[:rows], self.y[:rows], self.sizes[:n], self.offsets[: n + 1])
+        out = object.__new__(Dataset)
+        out._store(*columns, tuple(buckets), self.p, self.m_max, self.link, self.beta0)
+        return out
 
     def digest(self) -> str:
         """SHA-256 of ``p,m_max`` and then, per cluster, its int64 size,
         its responses and its regressor rows, hashed as one buffer."""
         h = hashlib.sha256()
         h.update(f"{self.p},{self.m_max}".encode())
-        x, y, offsets = self.packed.x, self.packed.y, self.packed.offsets
+        x, y, offsets, sizes = self.x, self.y, self.offsets, self.sizes
         p, rows = self.p, np.arange(y.shape[0])
-        sizes = np.diff(offsets)
         cluster = np.repeat(np.arange(sizes.shape[0]), sizes)
         # cluster c (0-based) opens at word c + offsets[c] * (p + 1) with
-        # its size, then its y and x rows: row r of the pack lands at
+        # its size, then its y and x rows: row r lands at
         # c + 1 + r + offsets[c] * p (y) and c + 1 + offsets[c + 1] + r * p (x)
         words = np.empty(sizes.shape[0] + rows.shape[0] * (p + 1))
         words.view(np.int64)[np.arange(sizes.shape[0]) + offsets[:-1] * (p + 1)] = sizes
@@ -505,9 +474,8 @@ def write_dataset(dataset: Dataset, path: str, fmt: str = "csv") -> None:
     """Write the long CSV (17 significant digits) and its metadata sidecar."""
     if fmt != "csv":
         raise InvalidInputError(f"unsupported dataset format {fmt!r}")
-    packed = dataset.packed
-    index, obs = _row_labels(packed.sizes)
-    rows = zip(index.tolist(), obs.tolist(), packed.y.tolist(), packed.x.tolist())
+    index, obs = _row_labels(dataset.sizes)
+    rows = zip(index.tolist(), obs.tolist(), dataset.y.tolist(), dataset.x.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_header(dataset.p))
@@ -554,13 +522,30 @@ def load_dataset(path: str, fmt: str = "csv") -> Dataset:
         raise DatasetParseError(
             "sidecar must declare integer fields 'p', 'm_max' (and 'n', if any)"
         )
+    link, beta0 = meta.get("link"), meta.get("beta0")
+    if not (link is None or isinstance(link, str) and link in _LINKS):
+        raise DatasetParseError(
+            f"sidecar 'link' must be null or one of {sorted(_LINKS)}, got {link!r}"
+        )
+    if not (beta0 is None or _is_finite_vector(beta0, p)):
+        raise DatasetParseError(
+            f"sidecar 'beta0' must be null or a list of p={p} finite numbers, "
+            f"got {beta0!r}"
+        )
     x, y, sizes = _parsed_columns(path, p, m_max) or _parsed_rows(path, p, m_max)
     if n is not None and sizes.shape[0] != n:
         raise DatasetParseError(
             f"sidecar declares n={n} but the file holds {sizes.shape[0]} clusters"
         )
-    return Dataset.of_rows(
-        x, y, sizes, p, m_max, link=meta.get("link"), beta0=meta.get("beta0")
+    return Dataset.of_rows(x, y, sizes, p, m_max, link=link, beta0=beta0)
+
+
+def _is_finite_vector(value, p: int) -> bool:
+    """Whether a sidecar value is a list of ``p`` numbers finite as floats."""
+    return (
+        isinstance(value, list)
+        and len(value) == p
+        and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value)
     )
 
 

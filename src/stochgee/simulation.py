@@ -15,8 +15,8 @@ cluster. Phase 2 forms regressors, link moments, the domain check and the
 responses per cluster-size bucket with stacked ``np.matmul``, whose
 per-matrix products equal the per-cluster ones bit for bit; only the
 ``feedback`` process, whose regressors need the previous responses,
-keeps a recursion over clusters. ``substream``, ``regenerate_regressors``
-and ``_draw_response`` replay single clusters the per-cluster way.
+keeps a recursion over clusters. ``substream`` and
+``regenerate_regressors`` replay single clusters the per-cluster way.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from scipy.special import ndtr, ndtri, pdtr, pdtrik
 from .correlation import _floor_eigenvalues
 from .estimating import CorrelationTruth, EstimatingFunction
 from .exceptions import ConfigError, MisspecificationWarning, StochGeeError
-from .model import Cluster, Dataset, PackedDataset, get_link
+from .model import Cluster, Dataset, get_link
 from .solver import GeeFit, SolverConfig, solve_gee
 
 #: algorithm identifier embedded in reports for cross-run reproducibility
@@ -291,11 +291,6 @@ def _response(family, mean, var, z):
     return (z <= thresh).astype(float)
 
 
-def _draw_response(config, rng, mean, var, chol):
-    eps = rng.standard_normal(mean.shape[0])
-    return _response(config.response_family, mean, var, chol @ eps)
-
-
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     """splitmix64 over a ``np.uint64`` array (array arithmetic wraps mod
     2^64 silently, where scalar ``np.uint64`` overflow warns)."""
@@ -491,8 +486,7 @@ def simulate_scenario(config: ScenarioConfig, replication: int = 0) -> Dataset:
             f"cluster {cluster}: the response sampler gave a non-finite response",
             field="regressors",
         )
-    packed = PackedDataset.of_rows(x, y, sizes)
-    return Dataset._trusted(packed, p, config.m_max, link=config.link, beta0=beta0)
+    return Dataset._trusted(x, y, sizes, p, config.m_max, link=config.link, beta0=beta0)
 
 
 def regenerate_regressors(

@@ -66,8 +66,8 @@ def default_init(dataset: Dataset, link) -> np.ndarray:
     the zero vector is returned.
     """
     lk = get_link(link)
-    xs = dataset.packed.x
-    z = lk.inverse(dataset.packed.y)
+    xs = dataset.x
+    z = lk.inverse(dataset.y)
     ok = np.isfinite(z)
     p = dataset.p
     if ok.sum() < p:
@@ -210,16 +210,15 @@ def linear_closed_form(dataset: Dataset, r_sequence) -> np.ndarray:
     submatrix weights each cluster) or a sequence of per-cluster SPD
     matrices.
     """
-    packed = dataset.packed
     if isinstance(r_sequence, np.ndarray) and r_sequence.ndim == 2:
         template = linalg.symmetrize_checked(r_sequence)
-        mats = [template[: b.size, : b.size] for b in packed.buckets]
+        mats = [template[: b.size, : b.size] for b in dataset.buckets]
     else:
-        mats = _stack_by_bucket(packed, r_sequence)
+        mats = _stack_by_bucket(dataset, r_sequence)
     p = dataset.p
     normal = np.zeros((p, p))
     rhs = np.zeros(p)
-    for b, rinv in zip(packed.buckets, _invert_proxies(packed, mats)):
+    for b, rinv in zip(dataset.buckets, _invert_proxies(dataset, mats)):
         xtr = np.swapaxes(b.x, 1, 2) @ rinv
         normal += (xtr @ b.x).sum(axis=0)
         rhs += (xtr @ b.y[..., None]).sum(axis=(0, 2))

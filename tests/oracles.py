@@ -637,8 +637,8 @@ def loop_load_dataset(path: str, fmt: str = "csv") -> Dataset:
 def loop_digest(dataset: Dataset) -> str:
     h = hashlib.sha256()
     h.update(f"{dataset.p},{dataset.m_max}".encode())
-    x, y = dataset.packed.x, dataset.packed.y
-    bounds = dataset.packed.offsets.tolist()
+    x, y = dataset.x, dataset.y
+    bounds = dataset.offsets.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         h.update(np.int64(hi - lo).tobytes())
         h.update(y[lo:hi].tobytes())

@@ -166,6 +166,39 @@ class TestFit:
         assert main(argv + ["--out", str(out)]) == 2
 
 
+def _sidecar_case(tmp_path, **fields):
+    rng = np.random.default_rng(4)
+    pairs = [(rng.standard_normal(2), rng.standard_normal((2, 2))) for _ in range(3)]
+    ds = dataset_from_arrays(pairs, link="identity", beta0=np.array([0.5, -0.3]))
+    data = tmp_path / "ds.csv"
+    write_dataset(ds, str(data))
+    meta_path = tmp_path / "ds.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta.update(fields)
+    meta_path.write_text(json.dumps(meta))
+    return str(data)
+
+
+MALFORMED_SIDECARS = [
+    {"beta0": "abc"},
+    {"beta0": [0.1, 0.2, 0.3]},
+    {"beta0": [0.1, None]},
+    {"link": "bogus"},
+]
+
+
+class TestMalformedSidecar:
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    @pytest.mark.parametrize("fields", MALFORMED_SIDECARS)
+    def test_is_a_config_error(self, tmp_path, capsys, command, fields):
+        data = _sidecar_case(tmp_path, **fields)
+        out = tmp_path / "out"
+        assert main([command, "--data", data, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sidecar" in err
+        assert not out.exists()
+
+
 class TestDiagnose:
     def test_data_without_delta_uses_default(self, tmp_path):
         rng = np.random.default_rng(3)

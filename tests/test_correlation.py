@@ -27,10 +27,10 @@ def folded_state(ds, beta, link):
     """The residual-moment state folded over every cluster of ``ds``."""
     lk = get_link(link)
     resid = []
-    for b in ds.packed.buckets:
+    for b in ds.buckets:
         eta = b.x @ beta
         resid.append((b.y - lk.eval(0, eta)) / np.sqrt(lk.eval(1, eta)))
-    sums, counts = residual_moment_sums(ds.packed, resid, ds.m_max)
+    sums, counts = residual_moment_sums(ds, resid)
     return PseudoLikelihoodState(ds.n, sums[-1], counts[-1])
 
 

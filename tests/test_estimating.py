@@ -22,10 +22,13 @@ from stochgee import (
     eval_g_perturbed,
     integrability_summary,
     jacobian,
+    linear_closed_form,
     optimality_matrices,
+    path_information_increments,
     resolve_estimator,
     simulate_scenario,
 )
+from stochgee.estimating import freeze_proxy
 
 from oracles import cofactor_det
 
@@ -187,6 +190,40 @@ class TestPerturbed:
         with pytest.raises(InvalidInputError, match="^delta 3 must be a matrix"):
             Perturbation(deltas[:2] + (np.zeros(2),), bound=2.0)
 
+    def test_perturbation_rejects_mixed_row_counts(self):
+        deltas = (np.zeros((2, 1)), np.zeros((2, 2)), np.zeros((3, 1)))
+        msg = "^delta 3 has 3 rows, delta 1 has 2$"
+        with pytest.raises(InvalidInputError, match=msg):
+            Perturbation(deltas, bound=0.5)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            WorkingCorrelationSpec.exchangeable(0.3, 4),
+            WorkingCorrelationSpec.pseudo_likelihood(4),
+        ],
+    )
+    def test_schedule_stack_is_the_padded_deltas(self, spec):
+        # sizes 1..3 under m_max = 4: the stack is padded to the largest size
+        rng = np.random.default_rng(8)
+        pairs = [
+            (1.0 + rng.standard_normal(m), 0.4 * rng.standard_normal((m, 2)))
+            for m in rng.integers(1, 4, size=40)
+        ]
+        ds = dataset_from_arrays(pairs, m_max=4)
+        pert, _ = a2_schedule(ds, np.array([0.2, -0.1]), "log", spec, seed=4)
+        assert pert.stack.shape == (40, 2, 3)
+        assert pert.sizes.tolist() == [c.size for c in ds.clusters]
+        rebuilt = Perturbation(pert.deltas, 0.5)
+        assert rebuilt.stack.tobytes() == pert.stack.tobytes()
+        assert rebuilt.sizes.tolist() == pert.sizes.tolist()
+        for p in (pert, rebuilt):
+            assert not (p.stack.flags.writeable or p.sizes.flags.writeable)
+            for d, m, padded in zip(p.deltas, p.sizes, p.stack):
+                assert d.shape == (2, m) and not d.flags.writeable
+                assert np.shares_memory(d, p.stack)
+                assert not padded[:, m:].any()
+
     def test_geometric_schedule_bounded_difference(self):
         cfg = exch_scenario(seed=7, n=200, link="log", scale=0.4)
         ds = simulate_scenario(cfg)
@@ -240,6 +277,81 @@ class TestPerturbed:
         assert report["violations"]
         for i, d in enumerate(pert.deltas, start=1):
             assert np.linalg.norm(d, 2) <= 2.0 ** (-i) * (1 + 1e-9)
+
+
+def mixed_sizes_dataset():
+    # sizes 3, 1, 2, 1: cluster 1 sits in the last size bucket
+    rng = np.random.default_rng(5)
+    pairs = [
+        (rng.standard_normal(m), rng.standard_normal((m, 2))) for m in (3, 1, 2, 1)
+    ]
+    return dataset_from_arrays(pairs, m_max=3, link="identity")
+
+
+def perturbed_entry_points():
+    spec = WorkingCorrelationSpec.exchangeable(0.4, 3)
+    truth = CorrelationTruth.from_kind("exchangeable", 0.4, 3)
+    return [
+        lambda ds, pert: eval_g_perturbed(ds, np.zeros(2), pert, "identity", spec),
+        lambda ds, pert: path_information_increments(
+            ds, np.zeros(2), "identity", spec, truth, perturbation=pert
+        ),
+    ]
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("entry", perturbed_entry_points())
+    def test_perturbation_count(self, entry):
+        ds = mixed_sizes_dataset()
+        deltas = tuple(np.zeros((2, c.size)) for c in ds.clusters)
+        msg = "^perturbation has 3 matrices for 4 clusters$"
+        with pytest.raises(InvalidInputError, match=msg):
+            entry(ds, Perturbation(deltas[:3], bound=1.0))
+
+    @pytest.mark.parametrize("entry", perturbed_entry_points())
+    def test_first_bad_delta_in_cluster_order_is_named(self, entry):
+        # clusters 1 (size 3) and 4 (size 1) get two columns; cluster 1's
+        # size bucket comes last, cluster 4's first
+        ds = mixed_sizes_dataset()
+        deltas = [np.zeros((2, c.size)) for c in ds.clusters]
+        deltas[0] = deltas[3] = np.zeros((2, 2))
+        msg = r"^delta for cluster 1 has shape \(2, 2\), expected \(2, 3\)$"
+        with pytest.raises(InvalidInputError, match=msg):
+            entry(ds, Perturbation(tuple(deltas), bound=1.0))
+
+    @pytest.mark.parametrize("entry", perturbed_entry_points())
+    def test_wrong_row_count_is_named(self, entry):
+        ds = mixed_sizes_dataset()
+        deltas = tuple(np.zeros((3, c.size)) for c in ds.clusters)
+        msg = r"^delta for cluster 1 has shape \(3, 3\), expected \(2, 3\)$"
+        with pytest.raises(InvalidInputError, match=msg):
+            entry(ds, Perturbation(deltas, bound=1.0))
+
+    @pytest.mark.parametrize("prep_prefix", [True, False])
+    def test_frozen_proxy_of_another_dataset(self, prep_prefix):
+        cfg = exch_scenario(n=20)
+        ds = simulate_scenario(cfg)
+        kind = EstimatingFunction.gee_star(WorkingCorrelationSpec.pseudo_likelihood(3))
+        beta = cfg.beta0_array
+        prepared, used = (ds.prefix(10), ds) if prep_prefix else (ds, ds.prefix(10))
+        frozen = freeze_proxy(kind, prepared, beta, "identity")
+        msg = "^frozen proxy was prepared for another dataset$"
+        with pytest.raises(InvalidInputError, match=msg):
+            eval_g(kind, used, beta, "identity", frozen_corr=frozen)
+        with pytest.raises(InvalidInputError, match=msg):
+            jacobian(kind, used, beta, "identity", frozen_corr=frozen)
+
+    def test_frozen_sequence_length(self):
+        cfg = exch_scenario(n=20)
+        ds = simulate_scenario(cfg)
+        spec = WorkingCorrelationSpec.pseudo_likelihood(3)
+        kind = EstimatingFunction.gee_star(spec)
+        seq = corr_trajectory(ds, cfg.beta0_array, "identity", spec)
+        msg = "^frozen correlation sequence has 19 entries for 20 clusters$"
+        with pytest.raises(InvalidInputError, match=msg):
+            eval_g(kind, ds, cfg.beta0_array, "identity", frozen_corr=seq[:-1])
+        with pytest.raises(InvalidInputError, match=msg):
+            linear_closed_form(ds, seq[:-1])
 
 
 class TestJacobian:

@@ -247,8 +247,8 @@ class TestColumnarDataset:
         assert ds.clusters is clusters
         assert [c.index for c in clusters] == [1, 2]
         for c in clusters:
-            assert np.shares_memory(c.response, ds.packed.y)
-            assert np.shares_memory(c.regressors, ds.packed.x)
+            assert np.shares_memory(c.response, ds.y)
+            assert np.shares_memory(c.regressors, ds.x)
             assert not c.response.flags.writeable
             assert not c.regressors.flags.writeable
 
@@ -261,7 +261,7 @@ class TestColumnarDataset:
         x, y = np.ones((5, 2)), np.zeros(5)
         sizes = np.array([2, 3])
         ds = Dataset.of_rows(x.copy(), y.copy(), sizes, 2, 3)
-        assert ds.n == 2 and ds.packed.sizes.tolist() == [2, 3]
+        assert ds.n == 2 and ds.sizes.tolist() == [2, 3]
         with pytest.raises(InvalidInputError, match="cluster 2 has size 3 > m_max 2"):
             Dataset.of_rows(x.copy(), y.copy(), sizes, 2, 2)
         with pytest.raises(InvalidInputError, match="cluster 1 has 2 regressor columns"):
@@ -276,8 +276,8 @@ class TestColumnarDataset:
             [(np.full(m, float(m)), np.full((m, 1), float(m))) for m in (2, 1, 3)]
         )
         sub = ds.prefix(2)
-        assert sub.n == 2 and sub.packed.sizes.tolist() == [2, 1]
-        assert np.shares_memory(sub.packed.x, ds.packed.x)
+        assert sub.n == 2 and sub.sizes.tolist() == [2, 1]
+        assert np.shares_memory(sub.x, ds.x)
         assert [c.size for c in sub.clusters] == [2, 1]
 
 
@@ -291,9 +291,9 @@ def _write_meta(path, p, m_max, n=None):
 
 def _same_dataset(got, ref):
     assert got.n == ref.n and got.p == ref.p and got.m_max == ref.m_max
-    assert got.packed.sizes.tolist() == ref.packed.sizes.tolist()
-    assert got.packed.x.tobytes() == ref.packed.x.tobytes()
-    assert got.packed.y.tobytes() == ref.packed.y.tobytes()
+    assert got.sizes.tolist() == ref.sizes.tolist()
+    assert got.x.tobytes() == ref.x.tobytes()
+    assert got.y.tobytes() == ref.y.tobytes()
     assert got.digest() == ref.digest()
 
 
@@ -482,6 +482,71 @@ class TestSidecarCount:
             json.dump(meta, fh)
         with pytest.raises(DatasetParseError, match="integer fields"):
             load_dataset(str(path))
+
+
+def _rewrite_meta(path, **fields):
+    meta = json.loads(open(sidecar_path(str(path))).read())
+    meta.update(fields)
+    with open(sidecar_path(str(path)), "w") as fh:
+        json.dump(meta, fh)
+
+
+class TestSidecarMetadata:
+    def _written(self, tmp_path):
+        ds = dataset_from_arrays(
+            [(np.full(m, 0.5 * m), np.full((m, 2), float(m))) for m in (2, 3, 1)],
+            m_max=3,
+            link="log",
+            beta0=[0.1, -0.2],
+        )
+        path = tmp_path / "d.csv"
+        write_dataset(ds, str(path))
+        return ds, path
+
+    @pytest.mark.parametrize("link", ["bogus", "Log", 3, ["log"]])
+    def test_unknown_link_is_a_parse_error(self, tmp_path, link):
+        _, path = self._written(tmp_path)
+        _rewrite_meta(path, link=link)
+        with pytest.raises(DatasetParseError, match="'link'"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "beta0",
+        [
+            "abc",
+            0.1,
+            [0.1, 0.2, 0.3],
+            [0.1],
+            [0.1, None],
+            [True, 0.1],
+            ["0.1", 0.2],
+            [10**400, 0.1],
+        ],
+    )
+    def test_malformed_beta0_is_a_parse_error(self, tmp_path, beta0):
+        _, path = self._written(tmp_path)
+        _rewrite_meta(path, beta0=beta0)
+        with pytest.raises(DatasetParseError, match="'beta0'"):
+            load_dataset(str(path))
+
+    def test_non_finite_beta0_is_a_parse_error(self, tmp_path):
+        _, path = self._written(tmp_path)
+        _rewrite_meta(path, beta0=[0.1, float("nan")])
+        with pytest.raises(DatasetParseError, match="'beta0'"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "link, beta0", [(None, None), ("identity", [1, -2]), ("probit", [0.5, 0.0])]
+    )
+    def test_well_formed_metadata_is_kept(self, tmp_path, link, beta0):
+        ds, path = self._written(tmp_path)
+        _rewrite_meta(path, link=link, beta0=beta0)
+        got = load_dataset(str(path))
+        assert got.link == link and got.digest() == ds.digest()
+        if beta0 is None:
+            assert got.beta0 is None
+        else:
+            assert got.beta0.tolist() == [float(b) for b in beta0]
 
 
 class TestWriterBytes:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import LinkDomainExit, loop_simulate_scenario
 from stochgee import (
     ConfigError,
+    Dataset,
     EstimatingFunction,
     MisspecificationWarning,
     RegressorProcess,
@@ -24,8 +25,7 @@ from stochgee import (
     splitmix64,
     substream,
 )
-from stochgee.model import PackedDataset
-from stochgee.simulation import _cluster_keys, _draw_response, _poisson_quantile
+from stochgee.simulation import _cluster_keys, _poisson_quantile, _response
 
 
 def base_config(**kw):
@@ -162,7 +162,8 @@ class TestMomentFidelity:
         rng = substream(cfg.seed, 999, lane=3)
         draws = np.empty((n_draws, cluster.size))
         for k in range(n_draws):
-            draws[k] = _draw_response(cfg, rng, mean, var, chol)
+            eps = chol @ rng.standard_normal(cluster.size)
+            draws[k] = _response(cfg.response_family, mean, var, eps)
         return mean, var, draws
 
     def test_gaussian_family_matches_link_moments(self):
@@ -534,13 +535,13 @@ class TestPackedOutput:
     @pytest.mark.parametrize("kind", sorted(PROCESSES))
     def test_pack_equals_packing_the_clusters(self, kind):
         ds = simulate_scenario(golden_config("poisson_log", "log", kind, "random"))
-        ref = PackedDataset.of(ds.clusters)
+        ref = Dataset(ds.clusters, ds.p, ds.m_max)
         for name in ("x", "y", "offsets"):
-            got, want = getattr(ds.packed, name), getattr(ref, name)
+            got, want = getattr(ds, name), getattr(ref, name)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-        assert [b.size for b in ds.packed.buckets] == [b.size for b in ref.buckets]
-        for got, want in zip(ds.packed.buckets, ref.buckets):
+        assert [b.size for b in ds.buckets] == [b.size for b in ref.buckets]
+        for got, want in zip(ds.buckets, ref.buckets):
             for name in ("positions", "x", "y"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
@@ -548,10 +549,10 @@ class TestPackedOutput:
         cfg = golden_config("gaussian_link_moments", "identity", "iid", "cyclic")
         ds = simulate_scenario(cfg)
         c = ds.clusters[4]
-        assert np.shares_memory(c.regressors, ds.packed.x)
-        assert np.shares_memory(c.response, ds.packed.y)
+        assert np.shares_memory(c.regressors, ds.x)
+        assert np.shares_memory(c.response, ds.y)
         assert not (c.regressors.flags.writeable or c.response.flags.writeable)
-        assert not (ds.packed.x.flags.writeable or ds.packed.y.flags.writeable)
+        assert not (ds.x.flags.writeable or ds.y.flags.writeable)
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +637,9 @@ def test_matches_loop_oracle(seed, replication, n, family_link, kind, sizes, tru
             simulate_quietly(cfg, replication)
         return
     ds = simulate_quietly(cfg, replication)
-    np.testing.assert_array_equal(np.diff(ds.packed.offsets), sizes_)
-    assert ds.packed.x.tobytes() == x.tobytes()
-    assert ds.packed.y.tobytes() == y.tobytes()
+    np.testing.assert_array_equal(np.diff(ds.offsets), sizes_)
+    assert ds.x.tobytes() == x.tobytes()
+    assert ds.y.tobytes() == y.tobytes()
 
 
 class TestLinkDomainFailure:
@@ -710,7 +711,7 @@ class TestLinkDomainFailure:
                 simulate_scenario(self.FEEDBACK)
             assert err.value.field == "regressors"
             ds = simulate_scenario(self.FEEDBACK.with_n(k - 1))
-        assert np.isfinite(ds.packed.x).all() and np.isfinite(ds.packed.y).all()
+        assert np.isfinite(ds.x).all() and np.isfinite(ds.y).all()
 
 
 # ---------------------------------------------------------------------------
