@@ -198,12 +198,14 @@ def _floor_eigenvalues(t: np.ndarray) -> np.ndarray:
 
 
 def residual_moment_templates(sums, counts, count) -> np.ndarray:
-    """Regularized residual-moment templates, batched over a leading axis.
+    """Regularized residual-moment templates, batched over leading axes.
 
-    ``sums`` and ``counts`` are (k, d, d) accumulated standardized-residual
-    outer products and their per-entry counts after ``count[j]`` clusters.
-    Each template is the per-entry mean shrunk toward the identity, then
-    floored at MIN_EIGENVALUE; no clusters give the identity.
+    ``sums`` and ``counts`` are (..., k, d, d) accumulated
+    standardized-residual outer products and their per-entry counts after
+    ``count[j]`` clusters; ``counts`` may have fewer leading axes than
+    ``sums`` and is then shared by every template of them. Each template
+    is the per-entry mean shrunk toward the identity, then floored at
+    MIN_EIGENVALUE; no clusters give the identity.
     """
     d = sums.shape[-1]
     count = np.asarray(count)
@@ -218,50 +220,52 @@ def residual_moment_templates(sums, counts, count) -> np.ndarray:
     t = (1.0 - eps) * _entry_means(sums, counts) + eps * np.eye(d)
     # a homogeneous count matrix means the running sum is a true average
     # of PSD outer products, so the shrinkage alone may keep the floor
-    lo, hi = counts.min(axis=(1, 2)), counts.max(axis=(1, 2))
+    lo, hi = counts.min(axis=(-2, -1)), counts.max(axis=(-2, -1))
     homogeneous = (lo == count) & (hi == count)
     check = ~(homogeneous & _shrinkage_keeps_floor(count, d))
     if check.any():
-        t[check] = _floor_eigenvalues(t[check])
+        t[..., check, :, :] = _floor_eigenvalues(t[..., check, :, :])
     return t
 
 
 def residual_moment_terms(dataset: Dataset, resid) -> tuple:
     """The zero-padded residual outer products and their count masks.
 
-    ``resid[b]`` holds the (k, m) standardized residuals of bucket ``b``
-    of ``dataset``. Returns ``(outer, mask)``, each (n+1, m_max, m_max):
-    row 0 is zero and row ``i + 1`` holds cluster ``i`` (0-based) in its
-    leading m_i x m_i block.
+    ``resid[b]`` holds the (..., k, m) standardized residuals of bucket
+    ``b`` of ``dataset``, with the same leading axes in every bucket.
+    Returns ``outer`` of shape (..., n+1, m_max, m_max) and ``mask`` of
+    shape (n+1, m_max, m_max): row 0 is zero and row ``i + 1`` holds
+    cluster ``i`` (0-based) in its leading m_i x m_i block.
     """
     shape = (dataset.n + 1, dataset.m_max, dataset.m_max)
-    outer = np.zeros(shape)
+    outer = np.zeros(resid[0].shape[:-2] + shape)
     mask = np.zeros(shape, dtype=np.int64)
     for b, r in zip(dataset.buckets, resid):
-        outer[b.positions + 1, : b.size, : b.size] = r[:, :, None] * r[:, None, :]
+        outer[..., b.positions + 1, : b.size, : b.size] = r[..., None] * r[..., None, :]
         mask[b.positions + 1, : b.size, : b.size] = 1
     return outer, mask
 
 
 def residual_moment_sums(dataset: Dataset, resid) -> tuple:
-    """Prefix sums of ``residual_moment_terms``: ``(sums, counts)``, each
-    (n+1, m_max, m_max), where row ``i`` is the fold over the first ``i``
+    """Prefix sums of ``residual_moment_terms`` along the clusters:
+    ``(sums, counts)``, where row ``i`` is the fold over the first ``i``
     clusters, in cluster order. ``np.cumsum`` adds the rows one after
     another, so row ``i`` equals the sequential ``+=`` bit for bit.
     """
     outer, mask = residual_moment_terms(dataset, resid)
-    return np.cumsum(outer, axis=0), np.cumsum(mask, axis=0)
+    return np.cumsum(outer, axis=-3), np.cumsum(mask, axis=0)
 
 
 def residual_moment_stack(dataset: Dataset, resid) -> np.ndarray:
     """The proxy templates R_0 .. R_n of the residual-moment fold.
 
-    Shape (n+1, m_max, m_max); ``R_{i-1}`` has seen clusters 1..i-1 and
-    its leading m_i x m_i block serves cluster ``i``. ``resid`` is laid
-    out as for ``residual_moment_sums``.
+    Shape (..., n+1, m_max, m_max); ``R_{i-1}`` has seen clusters 1..i-1
+    and its leading m_i x m_i block serves cluster ``i``. ``resid`` is
+    laid out as for ``residual_moment_terms``; its leading axes (one per
+    parameter point, say) carry over to the result.
     """
     sums, counts = residual_moment_sums(dataset, resid)
-    return residual_moment_templates(sums, counts, np.arange(sums.shape[0]))
+    return residual_moment_templates(sums, counts, np.arange(counts.shape[0]))
 
 
 def _template(spec: WorkingCorrelationSpec, state: Optional[PseudoLikelihoodState]):

@@ -21,12 +21,12 @@ from .estimating import (
     CorrelationTruth,
     EstimatingFunction,
     _bucket_proxies,
+    _proxy_stacks,
     a2_schedule,
     central_points,
     corr_trajectory,
     det_ratio,
     path_information_increments,
-    proxy_stack,
     score_increments,
 )
 from .exceptions import (
@@ -47,6 +47,11 @@ from .simulation import (
 )
 
 _PERTURBATION_TAG = 0x5045525442455441  # distinguishes the schedule stream
+
+#: stacked proxy entries one block of the lattice fold may hold; a block
+#: takes whole points with their central-difference neighbours, and with p = 2
+#: and clusters of size 3 up to about 3700 clusters fit in one block
+_LATTICE_BLOCK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -171,11 +176,6 @@ def condition_trajectories(
     rows = dataset.x
     w_rows = lk.eval(1, rows @ beta)
     h_cum = np.cumsum(rows[:, :, None] * (rows * w_rows[:, None])[:, None, :], axis=0)
-    # R_{n-1} at each checkpoint n: read from the stack of a data-dependent proxy
-    if spec.depends_on_data:
-        rstars = list(proxy_stack(dataset, beta, lk)[np.asarray(n_grid) - 1])
-    else:
-        rstars = [working_corr(spec, None, spec.template_dim, beta)] * len(n_grid)
 
     series: dict = {
         k: []
@@ -201,7 +201,7 @@ def condition_trajectories(
 
     c0_running = math.inf
     seen_nonsingular = False
-    for n, rstar in zip(n_grid, rstars):
+    for n in n_grid:
         n_rows = int(dataset.offsets[n])
         h_prime = h_cum[n_rows - 1]
         lo_h, hi_h = linalg.sym_eigen_extremes(h_prime)
@@ -227,6 +227,17 @@ def condition_trajectories(
             if math.isfinite(gamma)
             else math.inf
         )
+
+    centre, pi_by_r, d_by_r = _proxy_lattice_quantities(
+        dataset, beta, lk, spec, lattices, n_grid
+    )
+    # R_{n-1} at each checkpoint n: read from the centre's stack of a
+    # data-dependent proxy
+    if centre is not None:
+        rstars = list(centre[np.asarray(n_grid) - 1])
+    else:
+        rstars = [working_corr(spec, None, spec.template_dim, beta)] * len(n_grid)
+    for rstar in rstars:
         lo_r, hi_r = linalg.sym_eigen_extremes(rstar)
         series["lambda_min_rstar"].append(lo_r)
         series["lambda_max_rstar"].append(hi_r)
@@ -237,9 +248,6 @@ def condition_trajectories(
         series["lambda_max_rbar"] = [hi for _, hi in extremes]
         series["a1_gap"] = a1_gap(rstars, rbars)
 
-    pi_by_r, d_by_r = _proxy_lattice_quantities(
-        dataset, beta, lk, spec, lattices, n_grid
-    )
     by_r["pi"] = pi_by_r
     by_r["d"] = d_by_r
     for r in params.r_grid:
@@ -342,64 +350,80 @@ def _max_leverage(h_prime, rows):
 
 
 def _proxy_lattice_quantities(dataset, beta, lk, spec, lattices, n_grid):
-    """pi_n(r) and d_n(r) along the checkpoints.
+    """pi_n(r) and d_n(r) along the checkpoints, with the proxy stack at
+    the centre (None for a data-independent proxy).
 
     Data-independent proxies have no parameter dependence: the scaled
     inverse collapses to the identity (pi = 1) and the derivative is zero.
-    The data-dependent proxy is refolded at every distinct lattice point
-    (the centre is shared by all radii) and differentiated by central
-    differences, each cluster-size bucket in one batch.
+    The data-dependent proxy is folded in one batch (``_proxy_stacks``)
+    at every distinct lattice point, the centre shared by all radii and
+    visited first, and at each point's central-difference neighbours; a
+    block of at most ``_LATTICE_BLOCK_ELEMENTS`` stacked entries is folded
+    at a time. Each block's matrices are inverted and diagonalized as
+    (points, clusters, m, m) stacks per cluster-size bucket.
     """
     r_grid = list(lattices)
     if not spec.depends_on_data:
         ones = [1.0] * len(n_grid)
         zeros = [0.0] * len(n_grid)
-        return {r: list(ones) for r in r_grid}, {r: list(zeros) for r in r_grid}
+        return None, {r: list(ones) for r in r_grid}, {r: list(zeros) for r in r_grid}
 
     def sym(m):
         return 0.5 * (m + np.swapaxes(m, -1, -2))
 
-    roots = []
-    for mats in _bucket_proxies(dataset, proxy_stack(dataset, beta, lk)):
-        w, v = np.linalg.eigh(mats)
-        root_w = np.sqrt(np.maximum(w, 0.0))[:, None, :]
-        roots.append((v * root_w) @ np.swapaxes(v, 1, 2))
-
-    terms: dict = {}
-
-    def point_terms(point):
-        """Per-cluster lambda_max of sqrt(R) R(point)^{-1} sqrt(R) and
-        largest |eigenvalue| of dR/dbeta_l over l, at one lattice point."""
-        key = point.tobytes()
-        if key not in terms:
-            lam = []
-            mats = _bucket_proxies(dataset, proxy_stack(dataset, point, lk))
-            for root, m in zip(roots, mats):
-                q = root @ np.linalg.inv(m) @ root
-                lam.append(np.linalg.eigvalsh(sym(q))[:, -1])
-            d = np.zeros(dataset.n)
+    distinct: dict = {}
+    for lattice in lattices.values():
+        for point in lattice:
+            distinct.setdefault(point.tobytes(), point)
+    points = list(distinct.values())
+    row_of = {key: j for j, key in enumerate(distinct)}
+    # each point is folded with its central-difference neighbours, in the
+    # order point, point + h e_1, point - h e_1, point + h e_2, ...
+    width = 1 + 2 * beta.shape[0]
+    shape = (dataset.n + 1, dataset.m_max, dataset.m_max)
+    per_block = max(1, _LATTICE_BLOCK_ELEMENTS // (width * math.prod(shape)))
+    pi = np.empty((len(points), dataset.n))
+    d = np.empty((len(points), dataset.n))
+    for start in range(0, len(points), per_block):
+        block = points[start : start + per_block]
+        visits, steps = [], []
+        for point in block:
+            visits.append(point)
             for h, bp, bm in central_points(point):
-                diff = proxy_stack(dataset, bp, lk) - proxy_stack(dataset, bm, lk)
-                w = [
-                    np.linalg.eigvalsh(sym(m))
-                    for m in _bucket_proxies(dataset, diff / (2.0 * h))
-                ]
-                extremes = [np.abs(x[:, [0, -1]]).max(axis=1) for x in w]
-                d = np.maximum(d, dataset.in_cluster_order(extremes))
-            terms[key] = (dataset.in_cluster_order(lam), d)
-        return terms[key]
+                visits += [bp, bm]
+                steps.append(2.0 * h)
+        stacks = _proxy_stacks(dataset, np.array(visits), lk)
+        stacks = stacks.reshape((len(block), width) + shape)
+        if start == 0:
+            centre = stacks[0, 0]
+            roots = []
+            for mats in _bucket_proxies(dataset, centre):
+                w, v = np.linalg.eigh(mats)
+                root_w = np.sqrt(np.maximum(w, 0.0))[:, None, :]
+                roots.append((v * root_w) @ np.swapaxes(v, 1, 2))
+        steps = np.reshape(steps, (len(block), -1, 1, 1, 1))
+        diffs = (stacks[:, 1::2] - stacks[:, 2::2]) / steps
+        extremes = np.empty((len(block), beta.shape[0], dataset.n))
+        rows = slice(start, start + len(block))
+        for b, root in zip(dataset.buckets, roots):
+            m = b.size
+            # largest eigenvalue of sqrt(R) R(point)^{-1} sqrt(R) per cluster
+            q = root @ np.linalg.inv(stacks[:, 0, b.positions, :m, :m]) @ root
+            pi[rows, b.positions] = np.linalg.eigvalsh(sym(q))[..., -1]
+            # largest |eigenvalue| of the central difference dR/dbeta_l
+            w = np.linalg.eigvalsh(sym(diffs[:, :, b.positions, :m, :m]))
+            extremes[:, :, b.positions] = np.abs(w[..., [0, -1]]).max(axis=-1)
+        d[rows] = extremes.max(axis=1)
 
     pi_out: dict = {}
     d_out: dict = {}
     last = np.asarray(n_grid) - 1
     for r in r_grid:
-        per_point = [point_terms(point) for point in lattices[r]]
-        per_cluster_pi = np.max([t[0] for t in per_point], axis=0)
-        per_cluster_d = np.max([t[1] for t in per_point], axis=0)
+        at = [row_of[point.tobytes()] for point in lattices[r]]
         # running maxima over the clusters, read at the checkpoints
-        pi_out[r] = np.maximum.accumulate(per_cluster_pi)[last].tolist()
-        d_out[r] = np.maximum.accumulate(per_cluster_d)[last].tolist()
-    return pi_out, d_out
+        pi_out[r] = np.maximum.accumulate(pi[at].max(axis=0))[last].tolist()
+        d_out[r] = np.maximum.accumulate(d[at].max(axis=0))[last].tolist()
+    return centre, pi_out, d_out
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,36 @@ def proxy_stack(dataset: Dataset, beta, link) -> np.ndarray:
     return residual_moment_stack(dataset, resid)
 
 
+def _proxy_stacks(dataset: Dataset, points: np.ndarray, lk) -> np.ndarray:
+    """``proxy_stack`` at each row of the (L, p) ``points``, as one
+    (L, n+1, m_max, m_max) array folded in one batch.
+
+    Each point's linear predictor is its own ``b.x @ point`` product and
+    every later step works element by element or one LAPACK call per
+    matrix, so row ``l`` equals ``proxy_stack(dataset, points[l], lk)``
+    bit for bit. If a moment or residual is bad at any point, the points
+    are folded one at a time in order, so the first bad point raises the
+    error ``proxy_stack`` raises for it.
+    """
+    moments = []
+    for b in dataset.buckets:
+        eta = np.stack([b.x @ point for point in points])
+        moments.append((lk.eval(0, eta), lk.eval(1, eta)))
+    good = all(
+        (np.isfinite(mean) & np.isfinite(var) & (var > 0.0)).all()
+        for mean, var in moments
+    )
+    if good:
+        resid = [
+            (b.y - mean) / np.sqrt(var)
+            for b, (mean, var) in zip(dataset.buckets, moments)
+        ]
+        good = all(np.isfinite(r).all() for r in resid)
+    if not good:
+        return np.stack([proxy_stack(dataset, point, lk) for point in points])
+    return residual_moment_stack(dataset, resid)
+
+
 def corr_trajectory(
     dataset: Dataset,
     beta,

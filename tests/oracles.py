@@ -8,7 +8,10 @@ perturbation schedule, the lattice curvature series and the scenario
 generator from plain per-cluster loops. The dataset-file writer and
 loader are the row-by-row versions, building datasets through the
 public ``Cluster`` and ``Dataset`` constructors, and the dataset digest
-hashes cluster by cluster.
+hashes cluster by cluster. Two references instead keep an earlier
+evaluation order on the library's own numerics, to pin a reordering bit
+for bit: the proxy lattice folded one point at a time and the
+numerical-radius searches run one after another.
 """
 
 import csv
@@ -20,6 +23,8 @@ import os
 import numpy as np
 
 from stochgee import Cluster, Dataset, DatasetParseError, InvalidInputError
+from stochgee.estimating import _bucket_proxies, central_points, proxy_stack
+from stochgee.linalg import _radius_profile, sym_eigen_extremes
 from stochgee.model import sidecar_path
 
 
@@ -309,6 +314,97 @@ def loop_proxy_lattice(clusters, beta, link, m_max, lattices, n_grid):
         pi_out[radius] = np.maximum.accumulate(pi)[last]
         d_out[radius] = np.maximum.accumulate(d)[last]
     return pi_out, d_out
+
+
+def point_proxy_lattice(dataset, beta, lk, lattices, n_grid):
+    """pi_n(r) and d_n(r) of the residual-moment proxy as the package
+    computed them before the lattice fold was batched: ``proxy_stack``
+    once per distinct lattice point and once per central-difference
+    neighbour, each cluster-size bucket in one batch. Same operations on
+    the same arrays, so the batched fold must match it bit for bit."""
+
+    def sym(m):
+        return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+    roots = []
+    for mats in _bucket_proxies(dataset, proxy_stack(dataset, beta, lk)):
+        w, v = np.linalg.eigh(mats)
+        root_w = np.sqrt(np.maximum(w, 0.0))[:, None, :]
+        roots.append((v * root_w) @ np.swapaxes(v, 1, 2))
+
+    terms: dict = {}
+
+    def point_terms(point):
+        """Per-cluster lambda_max of sqrt(R) R(point)^{-1} sqrt(R) and
+        largest |eigenvalue| of dR/dbeta_l over l, at one lattice point."""
+        key = point.tobytes()
+        if key not in terms:
+            lam = []
+            mats = _bucket_proxies(dataset, proxy_stack(dataset, point, lk))
+            for root, m in zip(roots, mats):
+                q = root @ np.linalg.inv(m) @ root
+                lam.append(np.linalg.eigvalsh(sym(q))[:, -1])
+            d = np.zeros(dataset.n)
+            for h, bp, bm in central_points(point):
+                diff = proxy_stack(dataset, bp, lk) - proxy_stack(dataset, bm, lk)
+                w = [
+                    np.linalg.eigvalsh(sym(m))
+                    for m in _bucket_proxies(dataset, diff / (2.0 * h))
+                ]
+                extremes = [np.abs(x[:, [0, -1]]).max(axis=1) for x in w]
+                d = np.maximum(d, dataset.in_cluster_order(extremes))
+            terms[key] = (dataset.in_cluster_order(lam), d)
+        return terms[key]
+
+    pi_out: dict = {}
+    d_out: dict = {}
+    last = np.asarray(n_grid) - 1
+    for r in lattices:
+        per_point = [point_terms(point) for point in lattices[r]]
+        per_cluster_pi = np.max([t[0] for t in per_point], axis=0)
+        per_cluster_d = np.max([t[1] for t in per_point], axis=0)
+        # running maxima over the clusters, read at the checkpoints
+        pi_out[r] = np.maximum.accumulate(per_cluster_pi)[last].tolist()
+        d_out[r] = np.maximum.accumulate(per_cluster_d)[last].tolist()
+    return pi_out, d_out
+
+
+def sequential_numerical_radius(m, grid=256):
+    """``numerical_radius`` with its three golden-section searches run one
+    after another, one single-angle profile evaluation per step, as the
+    package ran them before the searches were stepped together."""
+    m = np.asarray(m, dtype=float)
+    if m.size == 0:
+        return 0.0
+    s = 0.5 * (m + m.T)
+    k = 0.5 * (m - m.T)
+    lo, hi = sym_eigen_extremes(s)
+    sym_part = max(abs(lo), abs(hi))
+    skew_scale = float(np.max(np.abs(k))) if k.size else 0.0
+    if skew_scale <= 1e-14 * max(1.0, float(np.max(np.abs(m)))):
+        return sym_part
+    thetas = np.linspace(0.0, np.pi, grid, endpoint=False)
+    vals = _radius_profile(s, k, thetas)
+    best = float(vals.max())
+    order = np.argsort(vals)[::-1][:3]
+    step = np.pi / grid
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    for idx in order:
+        a, b = thetas[idx] - step, thetas[idx] + step
+        c, d = b - phi * (b - a), a + phi * (b - a)
+        fc = float(_radius_profile(s, k, np.array([c]))[0])
+        fd = float(_radius_profile(s, k, np.array([d]))[0])
+        while b - a > 1e-10:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - phi * (b - a)
+                fc = float(_radius_profile(s, k, np.array([c]))[0])
+            else:
+                a, c, fc = c, d, fd
+                d = a + phi * (b - a)
+                fd = float(_radius_profile(s, k, np.array([d]))[0])
+            best = max(best, fc, fd)
+    return max(best, sym_part)
 
 
 # ---------------------------------------------------------------------------

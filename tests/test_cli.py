@@ -214,6 +214,30 @@ class TestDiagnose:
         payload = json.loads((out / "report.json").read_text())
         assert payload["report"]["delta"] == 0.25
 
+    def test_bad_lattice_point_is_a_numerical_failure(self, tmp_path, capsys):
+        # regular at beta0 = 0; cluster 5 overflows the log link at the
+        # first lattice point of radius 0.5, beta0 + 0.5 e_1
+        rng = np.random.default_rng(21)
+        pairs = []
+        for i in range(1, 9):
+            m = 1 if i in (2, 5) else 2
+            x = 0.3 * rng.standard_normal((m, 2))
+            if i == 5:
+                x[:, 0] = 1500.0
+            if i == 3:
+                x[:, 1] = 1500.0
+            pairs.append((1.0 + 0.5 * rng.standard_normal(m), x))
+        ds = dataset_from_arrays(pairs, m_max=2, link="log", beta0=np.zeros(2))
+        data = tmp_path / "ds.csv"
+        write_dataset(ds, str(data))
+        out = tmp_path / "diag"
+        argv = ["diagnose", "--data", str(data), "--estimator", "pseudo"]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: cluster 5: non-finite moments at beta=[0.5, 0.0]\n"
+        )
+        assert not (out / "report.json").exists()
+
     def test_scenario_report(self, scenario_file, tmp_path):
         out = tmp_path / "diag"
         code = main(

@@ -8,6 +8,7 @@ from stochgee import (
     DiagnosticsParams,
     EstimatingFunction,
     InvalidInputError,
+    InvalidVarianceError,
     RegressorProcess,
     ScenarioConfig,
     SizeSchedule,
@@ -221,6 +222,35 @@ class TestConditionTrajectories:
         )
         assert all(v <= 3.0 + 1e-12 for v in rep.series["lambda_max_rbar"])
         assert all(v > 0.0 for v in rep.series["lambda_min_rbar"])
+
+
+def lattice_overflow_pairs():
+    """Log-link clusters that are regular at beta = 0 but overflow at
+    lattice points of radius 0.5: cluster 5 (size 1) along the first
+    coordinate and cluster 3 (size 2, a later bucket) along the second."""
+    rng = np.random.default_rng(21)
+    pairs = []
+    for i in range(1, 9):
+        m = 1 if i in (2, 5) else 2
+        x = 0.3 * rng.standard_normal((m, 2))
+        if i == 5:
+            x[:, 0] = 1500.0
+        if i == 3:
+            x[:, 1] = 1500.0
+        pairs.append((1.0 + 0.5 * rng.standard_normal(m), x))
+    return pairs
+
+
+class TestLatticeErrorPath:
+    def test_first_bad_lattice_point_is_named(self):
+        # the centre and its neighbours are regular; the first lattice
+        # point visited, beta + 0.5 e_1, overflows cluster 5 while cluster
+        # 3 only overflows later, at beta + 0.5 e_2
+        ds = dataset_from_arrays(lattice_overflow_pairs(), m_max=2)
+        spec = WorkingCorrelationSpec.pseudo_likelihood(2)
+        with pytest.raises(InvalidVarianceError) as err:
+            condition_trajectories(ds, np.zeros(2), "log", spec)
+        assert str(err.value) == "cluster 5: non-finite moments at beta=[0.5, 0.0]"
 
 
 class TestSllnMonitor:

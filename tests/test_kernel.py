@@ -34,6 +34,7 @@ from stochgee.estimating import (
 )
 from stochgee.model import get_link
 
+from stochgee import correlation, diagnostics
 from oracles import (
     loop_a2_schedule,
     loop_conditional_variance,
@@ -43,6 +44,7 @@ from oracles import (
     loop_lattice_curvature,
     loop_proxy_lattice,
     loop_pseudo_templates,
+    point_proxy_lattice,
 )
 
 RTOL = 1e-12
@@ -284,6 +286,63 @@ def test_pseudo_condition_trajectories_match_loops(seed, n, m_max, link):
     extremes = np.array([np.linalg.eigvalsh(templates[k - 1]) for k in params.n_grid])
     assert_close(report.series["lambda_min_rstar"], extremes[:, 0])
     assert_close(report.series["lambda_max_rstar"], extremes[:, -1])
+
+
+def batched_lattice_case(seed, n, m_max, link, radii):
+    ds, rng = mixed_dataset(seed, n, m_max)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    r_grid = tuple(sorted(rng.uniform(0.05, 0.6, size=radii), reverse=True))
+    params = DiagnosticsParams(r_grid=r_grid, n_grid=tuple(range(1, n + 1)))
+    spec = WorkingCorrelationSpec.pseudo_likelihood(m_max)
+    report = condition_trajectories(ds, beta, link, spec, params=params)
+    lattices = {r: ball_lattice(beta, r) for r in params.r_grid}
+    pi, d = point_proxy_lattice(ds, beta, get_link(link), lattices, params.n_grid)
+    for r in params.r_grid:
+        np.testing.assert_array_equal(report.series_by_r["pi"][r], pi[r])
+        np.testing.assert_array_equal(report.series_by_r["d"][r], d[r])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 20),
+    m_max=st.integers(1, 4),
+    link=st.sampled_from(["identity", "log"]),
+    radii=st.integers(1, 3),
+)
+def test_batched_lattice_equals_point_by_point(seed, n, m_max, link, radii):
+    batched_lattice_case(seed, n, m_max, link, radii)
+
+
+@pytest.mark.parametrize("budget", [1, 1200])
+def test_batched_lattice_in_blocks_equals_point_by_point(monkeypatch, budget):
+    # a budget of 1 folds one point (with its 4 neighbours) per block; 1200
+    # entries hold 2 of the 25 distinct points: 2 * 5 * 12 * 3 * 3 = 1080
+    monkeypatch.setattr(diagnostics, "_LATTICE_BLOCK_ELEMENTS", budget)
+    batched_lattice_case(seed=8, n=11, m_max=3, link="log", radii=3)
+
+
+def test_lattice_fold_count_does_not_grow_with_the_radii(monkeypatch):
+    # per-point folding would call the template regularization once per
+    # lattice point and neighbour: 48 times for one radius, 128 for three
+    calls = []
+    templates = correlation.residual_moment_templates
+
+    def counted(*args):
+        calls.append(1)
+        return templates(*args)
+
+    monkeypatch.setattr(correlation, "residual_moment_templates", counted)
+    ds, rng = mixed_dataset(16, 16, 3)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    spec = WorkingCorrelationSpec.pseudo_likelihood(3)
+    counts = []
+    for r_grid in ((0.5,), DiagnosticsParams.r_grid):
+        calls.clear()
+        params = DiagnosticsParams(r_grid=r_grid)
+        condition_trajectories(ds, beta, "log", spec, params=params)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
