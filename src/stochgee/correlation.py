@@ -169,7 +169,9 @@ def _entry_means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-entry averages, over any leading batch axes; entries never
     observed default to the identity."""
     seen = counts > 0
-    return np.where(seen, sums / np.where(seen, counts, 1), np.eye(sums.shape[-1]))
+    means = sums / np.where(seen, counts, 1)
+    np.copyto(means, np.eye(sums.shape[-1]), where=~seen)
+    return means
 
 
 def _shrinkage_keeps_floor(count, dim: int):
@@ -217,7 +219,10 @@ def residual_moment_templates(sums, counts, count) -> np.ndarray:
     # inverse while vanishing at rate O(1/count).
     prior = SHRINK_PRIOR_FACTOR * d
     eps = (prior / (count + prior))[:, None, None]
-    t = (1.0 - eps) * _entry_means(sums, counts) + eps * np.eye(d)
+    # in place: a stacked fold holds one template array at a time
+    t = _entry_means(sums, counts)
+    t *= 1.0 - eps
+    t += eps * np.eye(d)
     # a homogeneous count matrix means the running sum is a true average
     # of PSD outer products, so the shrinkage alone may keep the floor
     lo, hi = counts.min(axis=(-2, -1)), counts.max(axis=(-2, -1))

@@ -21,12 +21,12 @@ from .estimating import (
     CorrelationTruth,
     EstimatingFunction,
     _bucket_proxies,
-    _proxy_stacks,
     a2_schedule,
     central_points,
     corr_trajectory,
     det_ratio,
     path_information_increments,
+    proxy_stack,
     score_increments,
 )
 from .exceptions import (
@@ -48,10 +48,11 @@ from .simulation import (
 
 _PERTURBATION_TAG = 0x5045525442455441  # distinguishes the schedule stream
 
-#: stacked proxy entries one block of the lattice fold may hold; a block
-#: takes whole points with their central-difference neighbours, and with p = 2
-#: and clusters of size 3 up to about 3700 clusters fit in one block
-_LATTICE_BLOCK_ELEMENTS = 1 << 22
+#: stacked proxy entries (512 KiB of float64) one block of the lattice fold
+#: may hold; a block takes whole points with their central-difference
+#: neighbours, at least one point, so with p = 2 and clusters of size 3 the
+#: default 25-point lattice is one block up to 57 clusters
+_LATTICE_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,12 @@ def condition_trajectories(
     rows = dataset.x
     w_rows = lk.eval(1, rows @ beta)
     h_cum = np.cumsum(rows[:, :, None] * (rows * w_rows[:, None])[:, None, :], axis=0)
+    # R_{n-1} at each checkpoint n: read from the stack of a data-dependent proxy
+    centre = proxy_stack(dataset, beta, lk) if spec.depends_on_data else None
+    if centre is not None:
+        rstars = list(centre[np.asarray(n_grid) - 1])
+    else:
+        rstars = [working_corr(spec, None, spec.template_dim, beta)] * len(n_grid)
 
     series: dict = {
         k: []
@@ -201,7 +208,7 @@ def condition_trajectories(
 
     c0_running = math.inf
     seen_nonsingular = False
-    for n in n_grid:
+    for n, rstar in zip(n_grid, rstars):
         n_rows = int(dataset.offsets[n])
         h_prime = h_cum[n_rows - 1]
         lo_h, hi_h = linalg.sym_eigen_extremes(h_prime)
@@ -227,17 +234,6 @@ def condition_trajectories(
             if math.isfinite(gamma)
             else math.inf
         )
-
-    centre, pi_by_r, d_by_r = _proxy_lattice_quantities(
-        dataset, beta, lk, spec, lattices, n_grid
-    )
-    # R_{n-1} at each checkpoint n: read from the centre's stack of a
-    # data-dependent proxy
-    if centre is not None:
-        rstars = list(centre[np.asarray(n_grid) - 1])
-    else:
-        rstars = [working_corr(spec, None, spec.template_dim, beta)] * len(n_grid)
-    for rstar in rstars:
         lo_r, hi_r = linalg.sym_eigen_extremes(rstar)
         series["lambda_min_rstar"].append(lo_r)
         series["lambda_max_rstar"].append(hi_r)
@@ -248,6 +244,7 @@ def condition_trajectories(
         series["lambda_max_rbar"] = [hi for _, hi in extremes]
         series["a1_gap"] = a1_gap(rstars, rbars)
 
+    pi_by_r, d_by_r = _proxy_lattice_quantities(dataset, centre, lk, lattices, n_grid)
     by_r["pi"] = pi_by_r
     by_r["d"] = d_by_r
     for r in params.r_grid:
@@ -349,27 +346,33 @@ def _max_leverage(h_prime, rows):
     return float(np.max(np.sum(rows * sol.T, axis=1)))
 
 
-def _proxy_lattice_quantities(dataset, beta, lk, spec, lattices, n_grid):
-    """pi_n(r) and d_n(r) along the checkpoints, with the proxy stack at
-    the centre (None for a data-independent proxy).
+def _proxy_lattice_quantities(dataset, centre, lk, lattices, n_grid):
+    """pi_n(r) and d_n(r) along the checkpoints; ``centre`` is the proxy
+    stack at the centre, or None for a data-independent proxy.
 
     Data-independent proxies have no parameter dependence: the scaled
     inverse collapses to the identity (pi = 1) and the derivative is zero.
-    The data-dependent proxy is folded in one batch (``_proxy_stacks``)
-    at every distinct lattice point, the centre shared by all radii and
-    visited first, and at each point's central-difference neighbours; a
-    block of at most ``_LATTICE_BLOCK_ELEMENTS`` stacked entries is folded
-    at a time. Each block's matrices are inverted and diagonalized as
+    The data-dependent proxy is folded at every distinct lattice point
+    (the centre is shared by all radii) and at each point's
+    central-difference neighbours, in blocks of whole points of at most
+    ``_LATTICE_BLOCK_ELEMENTS`` stacked entries, each block in one
+    ``proxy_stack`` batch; its matrices are inverted and diagonalized as
     (points, clusters, m, m) stacks per cluster-size bucket.
     """
     r_grid = list(lattices)
-    if not spec.depends_on_data:
+    if centre is None:
         ones = [1.0] * len(n_grid)
         zeros = [0.0] * len(n_grid)
-        return None, {r: list(ones) for r in r_grid}, {r: list(zeros) for r in r_grid}
+        return {r: list(ones) for r in r_grid}, {r: list(zeros) for r in r_grid}
 
     def sym(m):
         return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+    roots = []
+    for mats in _bucket_proxies(dataset, centre):
+        w, v = np.linalg.eigh(mats)
+        root_w = np.sqrt(np.maximum(w, 0.0))[:, None, :]
+        roots.append((v * root_w) @ np.swapaxes(v, 1, 2))
 
     distinct: dict = {}
     for lattice in lattices.values():
@@ -379,9 +382,8 @@ def _proxy_lattice_quantities(dataset, beta, lk, spec, lattices, n_grid):
     row_of = {key: j for j, key in enumerate(distinct)}
     # each point is folded with its central-difference neighbours, in the
     # order point, point + h e_1, point - h e_1, point + h e_2, ...
-    width = 1 + 2 * beta.shape[0]
-    shape = (dataset.n + 1, dataset.m_max, dataset.m_max)
-    per_block = max(1, _LATTICE_BLOCK_ELEMENTS // (width * math.prod(shape)))
+    width = 1 + 2 * dataset.p
+    per_block = max(1, _LATTICE_BLOCK_ELEMENTS // (width * centre.size))
     pi = np.empty((len(points), dataset.n))
     d = np.empty((len(points), dataset.n))
     for start in range(0, len(points), per_block):
@@ -392,18 +394,12 @@ def _proxy_lattice_quantities(dataset, beta, lk, spec, lattices, n_grid):
             for h, bp, bm in central_points(point):
                 visits += [bp, bm]
                 steps.append(2.0 * h)
-        stacks = _proxy_stacks(dataset, np.array(visits), lk)
-        stacks = stacks.reshape((len(block), width) + shape)
-        if start == 0:
-            centre = stacks[0, 0]
-            roots = []
-            for mats in _bucket_proxies(dataset, centre):
-                w, v = np.linalg.eigh(mats)
-                root_w = np.sqrt(np.maximum(w, 0.0))[:, None, :]
-                roots.append((v * root_w) @ np.swapaxes(v, 1, 2))
+        stacks = proxy_stack(dataset, np.array(visits), lk)
+        stacks = stacks.reshape((len(block), width) + centre.shape)
         steps = np.reshape(steps, (len(block), -1, 1, 1, 1))
-        diffs = (stacks[:, 1::2] - stacks[:, 2::2]) / steps
-        extremes = np.empty((len(block), beta.shape[0], dataset.n))
+        diffs = stacks[:, 1::2] - stacks[:, 2::2]
+        diffs /= steps
+        extremes = np.empty((len(block), dataset.p, dataset.n))
         rows = slice(start, start + len(block))
         for b, root in zip(dataset.buckets, roots):
             m = b.size
@@ -423,7 +419,7 @@ def _proxy_lattice_quantities(dataset, beta, lk, spec, lattices, n_grid):
         # running maxima over the clusters, read at the checkpoints
         pi_out[r] = np.maximum.accumulate(pi[at].max(axis=0))[last].tolist()
         d_out[r] = np.maximum.accumulate(d[at].max(axis=0))[last].tolist()
-    return centre, pi_out, d_out
+    return pi_out, d_out
 
 
 # ---------------------------------------------------------------------------

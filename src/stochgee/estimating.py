@@ -209,38 +209,12 @@ def proxy_stack(dataset: Dataset, beta, link) -> np.ndarray:
 
     Shape (n+1, m_max, m_max): ``R_{i-1}`` sees data through cluster
     ``i-1`` only, and its leading m_i x m_i block serves cluster ``i``.
+    An (L, p) stack of points ``beta`` is folded in one batch into an
+    (L, n+1, m_max, m_max) array whose row ``l`` equals the stack at
+    point ``l`` bit for bit.
     """
-    resid = _pearson_residuals(dataset, as_beta(beta), get_link(link))
-    return residual_moment_stack(dataset, resid)
-
-
-def _proxy_stacks(dataset: Dataset, points: np.ndarray, lk) -> np.ndarray:
-    """``proxy_stack`` at each row of the (L, p) ``points``, as one
-    (L, n+1, m_max, m_max) array folded in one batch.
-
-    Each point's linear predictor is its own ``b.x @ point`` product and
-    every later step works element by element or one LAPACK call per
-    matrix, so row ``l`` equals ``proxy_stack(dataset, points[l], lk)``
-    bit for bit. If a moment or residual is bad at any point, the points
-    are folded one at a time in order, so the first bad point raises the
-    error ``proxy_stack`` raises for it.
-    """
-    moments = []
-    for b in dataset.buckets:
-        eta = np.stack([b.x @ point for point in points])
-        moments.append((lk.eval(0, eta), lk.eval(1, eta)))
-    good = all(
-        (np.isfinite(mean) & np.isfinite(var) & (var > 0.0)).all()
-        for mean, var in moments
-    )
-    if good:
-        resid = [
-            (b.y - mean) / np.sqrt(var)
-            for b, (mean, var) in zip(dataset.buckets, moments)
-        ]
-        good = all(np.isfinite(r).all() for r in resid)
-    if not good:
-        return np.stack([proxy_stack(dataset, point, lk) for point in points])
+    beta = as_beta(beta) if np.ndim(beta) < 2 else np.asarray(beta, dtype=float)
+    resid = _pearson_residuals(dataset, beta, get_link(link))
     return residual_moment_stack(dataset, resid)
 
 
@@ -396,15 +370,20 @@ def _moments(dataset: Dataset, beta: np.ndarray, lk) -> list:
 
     Raises InvalidVarianceError for the first cluster with a non-finite
     moment or a nonpositive variance, as ``conditional_moments`` would.
+    At an (L, p) stack of points each is (L, k, m), every point's linear
+    predictor its own ``b.x @ point``; a stack is left for
+    ``_pearson_residuals`` to check.
     """
-    if dataset.p != beta.shape[0]:
+    if dataset.p != beta.shape[-1]:
         raise InvalidInputError(
-            f"cluster 1: regressor width {dataset.p} != len(beta) {beta.shape[0]}"
+            f"cluster 1: regressor width {dataset.p} != len(beta) {beta.shape[-1]}"
         )
     out = []
     for b in dataset.buckets:
-        eta = b.x @ beta
+        eta = b.x @ beta if beta.ndim == 1 else np.stack([b.x @ pt for pt in beta])
         out.append((lk.eval(0, eta), lk.eval(1, eta)))
+    if beta.ndim > 1:
+        return out
     nonfinite = [~(np.isfinite(mean) & np.isfinite(var)) for mean, var in out]
     bad = [nf | (var <= 0.0) for nf, (_, var) in zip(nonfinite, out)]
     index = _first_offender(dataset, bad)
@@ -431,15 +410,35 @@ def _link_variances(dataset: Dataset, xs, beta, lk, what: str) -> list:
 
 def _pearson_residuals(dataset: Dataset, beta, lk, xs=None) -> list:
     """Standardized residuals (y_i - mu_i) / sqrt(var_i) per bucket, with
-    the moments taken at the per-bucket regressors ``xs`` when given."""
+    the moments taken at the per-bucket regressors ``xs`` when given.
+
+    At an (L, p) stack of points ``beta`` (no ``xs``) each bucket's
+    residuals are (L, k, m). If a moment or residual is bad at any point,
+    the points are standardized one at a time, in order, so that the
+    first bad point raises the error it raises alone.
+    """
     if xs is None:
         moments = _moments(dataset, beta, lk)
     else:
         variances = _link_variances(dataset, xs, beta, lk, "perturbed regressors")
         moments = [(lk.eval(0, x @ beta), v) for x, v in zip(xs, variances)]
-    resid = [
-        (b.y - mean) / np.sqrt(var) for b, (mean, var) in zip(dataset.buckets, moments)
-    ]
+    # only an unchecked stack of points can divide by zero or take the
+    # root of a negative variance here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resid = [
+            (b.y - mean) / np.sqrt(var)
+            for b, (mean, var) in zip(dataset.buckets, moments)
+        ]
+    if beta.ndim > 1:
+        # a bad moment leaves a non-finite residual, or else an infinite
+        # variance beside a finite mean
+        if not all(
+            np.isfinite(r).all() and np.isfinite(var).all()
+            for r, (_, var) in zip(resid, moments)
+        ):
+            for point in beta:
+                _pearson_residuals(dataset, point, lk)
+        return resid
     index = _first_offender(dataset, [~np.isfinite(r) for r in resid])
     if index is not None:
         raise InvalidVarianceError(

@@ -9,7 +9,6 @@ results.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -136,45 +135,26 @@ def numerical_radius(m: np.ndarray, grid: int = 256) -> float:
     thetas = np.linspace(0.0, np.pi, grid, endpoint=False)
     vals = _radius_profile(s, k, thetas)
     best = float(vals.max())
-    # golden-section polish around the top grid peaks, the searches stepped
-    # together: one stacked profile call evaluates every live search's probe
+    # golden-section polish around the top grid peaks
+    order = np.argsort(vals)[::-1][:3]
     step = np.pi / grid
-    peaks = np.argsort(vals)[::-1][:3]
-    searches = [_golden_max(thetas[i] - step, thetas[i] + step) for i in peaks]
-    probes = [next(g) for g in searches]
-    while searches:
-        values = iter(_radius_profile(s, k, np.array([t for ts in probes for t in ts])))
-        sent = [[float(next(values)) for _ in ts] for ts in probes]
-        live, probes = [], []
-        for g, fs in zip(searches, sent):
-            try:
-                probes.append(g.send(fs))
-                live.append(g)
-            except StopIteration as done:
-                best = max(best, done.value)
-        searches = live
-    return max(best, sym_part)
-
-
-def _golden_max(a, b):
-    """Golden-section search for a maximum on [a, b], as a generator: it
-    yields the angles it needs next and is sent their profile values; it
-    returns the largest value held after any step (-inf if none)."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = yield (c, d)
-    best = -math.inf
-    while b - a > 1e-10:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            (fc,) = yield (c,)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            (fd,) = yield (d,)
-        best = max(best, fc, fd)
-    return best
+    for idx in order:
+        a, b = thetas[idx] - step, thetas[idx] + step
+        c, d = b - phi * (b - a), a + phi * (b - a)
+        fc = float(_radius_profile(s, k, np.array([c]))[0])
+        fd = float(_radius_profile(s, k, np.array([d]))[0])
+        while b - a > 1e-10:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - phi * (b - a)
+                fc = float(_radius_profile(s, k, np.array([c]))[0])
+            else:
+                a, c, fc = c, d, fd
+                d = a + phi * (b - a)
+                fd = float(_radius_profile(s, k, np.array([d]))[0])
+            best = max(best, fc, fd)
+    return max(best, sym_part)
 
 
 def spd_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:

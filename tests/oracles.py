@@ -8,10 +8,9 @@ perturbation schedule, the lattice curvature series and the scenario
 generator from plain per-cluster loops. The dataset-file writer and
 loader are the row-by-row versions, building datasets through the
 public ``Cluster`` and ``Dataset`` constructors, and the dataset digest
-hashes cluster by cluster. Two references instead keep an earlier
+hashes cluster by cluster. One reference instead keeps an earlier
 evaluation order on the library's own numerics, to pin a reordering bit
-for bit: the proxy lattice folded one point at a time and the
-numerical-radius searches run one after another.
+for bit: the proxy lattice folded one point at a time.
 """
 
 import csv
@@ -24,7 +23,6 @@ import numpy as np
 
 from stochgee import Cluster, Dataset, DatasetParseError, InvalidInputError
 from stochgee.estimating import _bucket_proxies, central_points, proxy_stack
-from stochgee.linalg import _radius_profile, sym_eigen_extremes
 from stochgee.model import sidecar_path
 
 
@@ -367,44 +365,6 @@ def point_proxy_lattice(dataset, beta, lk, lattices, n_grid):
         pi_out[r] = np.maximum.accumulate(per_cluster_pi)[last].tolist()
         d_out[r] = np.maximum.accumulate(per_cluster_d)[last].tolist()
     return pi_out, d_out
-
-
-def sequential_numerical_radius(m, grid=256):
-    """``numerical_radius`` with its three golden-section searches run one
-    after another, one single-angle profile evaluation per step, as the
-    package ran them before the searches were stepped together."""
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return 0.0
-    s = 0.5 * (m + m.T)
-    k = 0.5 * (m - m.T)
-    lo, hi = sym_eigen_extremes(s)
-    sym_part = max(abs(lo), abs(hi))
-    skew_scale = float(np.max(np.abs(k))) if k.size else 0.0
-    if skew_scale <= 1e-14 * max(1.0, float(np.max(np.abs(m)))):
-        return sym_part
-    thetas = np.linspace(0.0, np.pi, grid, endpoint=False)
-    vals = _radius_profile(s, k, thetas)
-    best = float(vals.max())
-    order = np.argsort(vals)[::-1][:3]
-    step = np.pi / grid
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    for idx in order:
-        a, b = thetas[idx] - step, thetas[idx] + step
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        fc = float(_radius_profile(s, k, np.array([c]))[0])
-        fd = float(_radius_profile(s, k, np.array([d]))[0])
-        while b - a > 1e-10:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - phi * (b - a)
-                fc = float(_radius_profile(s, k, np.array([c]))[0])
-            else:
-                a, c, fc = c, d, fd
-                d = a + phi * (b - a)
-                fd = float(_radius_profile(s, k, np.array([d]))[0])
-            best = max(best, fc, fd)
-    return max(best, sym_part)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,18 @@ class TestLatticeErrorPath:
             condition_trajectories(ds, np.zeros(2), "log", spec)
         assert str(err.value) == "cluster 5: non-finite moments at beta=[0.5, 0.0]"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_checkpoint_checks_come_before_the_lattice(self):
+        # a huge response overflows the centre's residual outer products, so
+        # R_{n-1} is non-finite at the checkpoints while the centre's moments
+        # are regular; its eigenvalue check fails before any lattice point
+        pairs = lattice_overflow_pairs()
+        pairs[6] = (np.array([1e160, 1.0]), pairs[6][1])
+        ds = dataset_from_arrays(pairs, m_max=2)
+        spec = WorkingCorrelationSpec.pseudo_likelihood(2)
+        with pytest.raises(InvalidInputError, match="NaN or infinite entries"):
+            condition_trajectories(ds, np.zeros(2), "log", spec)
+
 
 class TestSllnMonitor:
     def test_scalar_direct_substitution(self):

@@ -264,6 +264,49 @@ def test_proxy_stack_equals_sequential_fold(seed, n, m_max, link, perturbed):
         np.testing.assert_array_equal(got, ref)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    m_max=st.integers(1, 4),
+    link=st.sampled_from(["identity", "log"]),
+    points=st.integers(1, 6),
+)
+def test_stacked_proxy_stack_equals_each_point(seed, n, m_max, link, points):
+    ds, rng = mixed_dataset(seed, n, m_max)
+    betas = rng.uniform(-0.5, 0.5, size=(points, 2))
+    stacks = proxy_stack(ds, betas, link)
+    assert stacks.shape == (points, n + 1, m_max, m_max)
+    for beta, got in zip(betas, stacks):
+        np.testing.assert_array_equal(got, proxy_stack(ds, beta, link))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ((0, 1, 2), "cluster 1: residual standardization overflowed"),
+        ((0, 2, 1), "cluster 2: non-finite moments at beta=[0.0, 800.0]"),
+    ],
+)
+def test_stacked_proxy_stack_raises_for_the_first_bad_point(order, message):
+    # beta = (-740, 0) leaves cluster 1 a subnormal variance, so its huge
+    # response overflows the standardization; beta = (0, 800) overflows the
+    # moments of cluster 2. Whichever comes first in the stack is named.
+    ds = dataset_from_arrays(
+        [(np.array([1e150]), np.array([[1.0, 0.0]])),
+         (np.array([1.0, 2.0]), np.array([[0.0, 1.0], [0.0, 0.5]]))],
+        m_max=2,
+    )
+    betas = np.array([[0.0, 0.0], [-740.0, 0.0], [0.0, 800.0]])
+    with pytest.raises(InvalidVarianceError) as one:
+        proxy_stack(ds, betas[order[1]], "log")
+    assert str(one.value) == message
+    with pytest.raises(InvalidVarianceError) as stacked:
+        proxy_stack(ds, betas[list(order)], "log")
+    assert str(stacked.value) == message
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -21,7 +21,6 @@ from oracles import (
     eigenvalues_by_bisection,
     power_iteration_norm,
     quadratic_form_radius_2x2,
-    sequential_numerical_radius,
 )
 
 
@@ -147,19 +146,6 @@ class TestNumericalRadius:
         w = numerical_radius(m)
         assert w == pytest.approx(1.0, abs=1e-10)
         assert spectral_norm(m) <= 2.0 * w + 1e-12
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 6),
-        grid=st.sampled_from([1, 2, 3, 16, 256]),
-        skew=st.sampled_from([0.0, 1e-16, 1.0]),
-    )
-    def test_lockstep_searches_equal_sequential(self, seed, n, grid, skew):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n))
-        m = 0.5 * (a + a.T) + skew * (a - a.T)
-        assert numerical_radius(m, grid) == sequential_numerical_radius(m, grid)
 
     def test_two_sided_bound_on_random_matrices(self):
         rng = np.random.default_rng(23)
