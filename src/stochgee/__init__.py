@@ -7,11 +7,8 @@ optimality and strong-consistency conditions.
 """
 
 from .correlation import (
-    PseudoLikelihoodState,
     TrueCorrelation,
     WorkingCorrelationSpec,
-    corr_beta_derivative,
-    pseudo_likelihood_update,
     true_correlation,
     working_corr,
 )
@@ -72,11 +69,9 @@ from .linalg import (
 )
 from .model import (
     Cluster,
-    ConditionalMoments,
     Dataset,
     LinkFunction,
     Parameter,
-    conditional_moments,
     dataset_from_arrays,
     get_link,
     link_eval,

@@ -6,20 +6,17 @@ respect to the history through the previous cluster; the leading
 resolves the dimension bookkeeping for variable cluster sizes while
 keeping the proxy predictable.
 
-The residual-moment proxies of a whole dataset come from one prefix sum
+The residual-moment proxy of a whole dataset comes from one prefix sum
 (``residual_moment_sums``) regularized in one batch
-(``residual_moment_templates``). The one-cluster fold
-(``PseudoLikelihoodState``, ``pseudo_likelihood_update``) is kept beside
-it as the public incremental API: ``working_corr`` and
-``corr_beta_derivative`` take its state, ``bench/tracing.py`` wraps
-``pseudo_likelihood_update``, and ``BENCHMARK.json`` names per-layer
-metrics after it.
+(``residual_moment_templates``); ``residual_moment_stack`` gives every
+R_0 .. R_n at once. ``working_corr`` serves the data-independent
+templates; for the pseudo-likelihood spec it gives R_0, the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,13 +28,13 @@ from .exceptions import (
     NotPositiveDefiniteError,
 )
 from .linalg import EigenExtremes, sym_eigen_extremes, sym_eigenvalues
-from .model import Cluster, Dataset, as_beta, conditional_moments, get_link
+from .model import Dataset
 
-#: hard lower bound enforced on every emitted working correlation
+#: hard lower bound enforced on every emitted residual-moment template
 MIN_EIGENVALUE = 1e-6
 
 #: identity pseudo-observations per template dimension blended into the
-#: residual-moment average (see _template)
+#: residual-moment average (see residual_moment_templates)
 SHRINK_PRIOR_FACTOR = 4
 
 _KINDS = ("identity", "exchangeable", "ar1", "pseudo_likelihood", "fixed")
@@ -99,70 +96,8 @@ class WorkingCorrelationSpec:
         return cls("fixed", m.shape[0], matrix=m)
 
     @property
-    def depends_on_beta(self) -> bool:
-        return self.kind == "pseudo_likelihood"
-
-    @property
     def depends_on_data(self) -> bool:
         return self.kind == "pseudo_likelihood"
-
-
-@dataclass(frozen=True)
-class PseudoLikelihoodState:
-    """Accumulated standardized-residual outer products.
-
-    Clusters smaller than the template contribute to their leading block
-    only; per-entry counts keep the averaging unbiased.
-    """
-
-    count: int
-    running_sum: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        rs = np.asarray(self.running_sum, dtype=float).copy()
-        ct = np.asarray(self.counts, dtype=np.int64).copy()
-        if rs.shape != ct.shape or rs.ndim != 2 or rs.shape[0] != rs.shape[1]:
-            raise InvalidInputError("state arrays must be square and congruent")
-        if np.max(np.abs(rs - rs.T)) > 1e-12 * max(1.0, np.abs(rs).max(initial=1.0)):
-            raise InvalidInputError("running_sum must be symmetric")
-        if ct.max(initial=0) > self.count:
-            raise InvalidInputError("per-entry count exceeds cluster count")
-        rs.setflags(write=False)
-        ct.setflags(write=False)
-        object.__setattr__(self, "running_sum", rs)
-        object.__setattr__(self, "counts", ct)
-
-    @classmethod
-    def empty(cls, m_max: int) -> "PseudoLikelihoodState":
-        return cls(0, np.zeros((m_max, m_max)), np.zeros((m_max, m_max), dtype=np.int64))
-
-    @property
-    def dim(self) -> int:
-        return self.running_sum.shape[0]
-
-    def mean_matrix(self) -> np.ndarray:
-        """Per-entry average; never-observed entries default to identity."""
-        return _entry_means(self.running_sum, self.counts)
-
-
-def pseudo_likelihood_update(
-    state: PseudoLikelihoodState, cluster: Cluster, beta, link
-) -> PseudoLikelihoodState:
-    """Fold one cluster's standardized residual outer product into the state."""
-    moments = conditional_moments(cluster, beta, get_link(link))
-    scale = np.sqrt(moments.variance_diag)
-    resid = (cluster.response - moments.mean) / scale
-    if not np.all(np.isfinite(resid)):
-        raise InvalidVarianceError(
-            f"cluster {cluster.index}: residual standardization overflowed"
-        )
-    m = cluster.size
-    rs = state.running_sum.copy()
-    ct = state.counts.copy()
-    rs[:m, :m] += np.outer(resid, resid)
-    ct[:m, :m] += 1
-    return PseudoLikelihoodState(state.count + 1, rs, ct)
 
 
 def _entry_means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -273,10 +208,8 @@ def residual_moment_stack(dataset: Dataset, resid) -> np.ndarray:
     return residual_moment_templates(sums, counts, np.arange(counts.shape[0]))
 
 
-def _template(spec: WorkingCorrelationSpec, state: Optional[PseudoLikelihoodState]):
+def _template(spec: WorkingCorrelationSpec) -> np.ndarray:
     d = spec.template_dim
-    if spec.kind == "identity":
-        return np.eye(d)
     if spec.kind == "exchangeable":
         t = np.full((d, d), spec.rho)
         np.fill_diagonal(t, 1.0)
@@ -285,31 +218,24 @@ def _template(spec: WorkingCorrelationSpec, state: Optional[PseudoLikelihoodStat
         idx = np.arange(d)
         return spec.rho ** np.abs(idx[:, None] - idx[None, :])
     if spec.kind == "fixed":
-        return spec.matrix.copy()
-    # pseudo-likelihood
-    if state is None:
-        return np.eye(d)
-    return residual_moment_templates(
-        state.running_sum[None], state.counts[None], np.array([state.count])
-    )[0]
+        return spec.matrix
+    # identity, and R_0 of the pseudo-likelihood proxy
+    return np.eye(d)
 
 
-def working_corr(
-    spec: WorkingCorrelationSpec,
-    state: Optional[PseudoLikelihoodState],
-    target_size: int,
-    beta=None,
-) -> np.ndarray:
+def working_corr(spec: WorkingCorrelationSpec, target_size: int) -> np.ndarray:
     """The m_i x m_i working correlation applied to a cluster of that size.
 
-    Always the leading principal submatrix of the template; positive
-    definiteness is enforced by the shrinkage/floor regularization.
+    Always the leading principal submatrix of the spec's fixed template,
+    which the spec constructors keep positive definite. A data-dependent
+    proxy comes from ``residual_moment_stack``; here a pseudo-likelihood
+    spec gives R_0, the identity.
     """
     if target_size < 1 or target_size > spec.template_dim:
         raise InvalidInputError(
             f"target size {target_size} outside 1..{spec.template_dim}"
         )
-    return _template(spec, state)[:target_size, :target_size].copy()
+    return _template(spec)[:target_size, :target_size].copy()
 
 
 @dataclass(frozen=True)
@@ -340,35 +266,3 @@ def true_correlation(sigma, variance_diag) -> TrueCorrelation:
     rbar = sigma * np.outer(inv_sd, inv_sd)
     np.fill_diagonal(rbar, 1.0)
     return TrueCorrelation(sigma=sigma, rbar=rbar, extremes=sym_eigen_extremes(rbar))
-
-
-def corr_beta_derivative(
-    spec: WorkingCorrelationSpec,
-    state_fn: Optional[Callable[[np.ndarray], Optional[PseudoLikelihoodState]]],
-    size: int,
-    beta,
-    coord: int,
-    step: Optional[float] = None,
-) -> np.ndarray:
-    """d R*(beta) / d beta_l by central differences, symmetrized.
-
-    Only the pseudo-likelihood proxy actually depends on beta (through the
-    refolded state); every template family returns an exact zero matrix.
-    ``state_fn`` maps a parameter vector to the folded state at that
-    parameter; passing None treats the state as frozen.
-    """
-    beta = as_beta(beta)
-    if not 0 <= coord < beta.shape[0]:
-        raise InvalidInputError(f"coordinate {coord} outside 0..{beta.shape[0]-1}")
-    if spec.kind != "pseudo_likelihood" or state_fn is None:
-        return np.zeros((size, size))
-    if step is None:
-        step = float(np.cbrt(np.finfo(float).eps)) * max(1.0, abs(beta[coord]))
-    bp = beta.copy()
-    bm = beta.copy()
-    bp[coord] += step
-    bm[coord] -= step
-    rp = working_corr(spec, state_fn(bp), size, bp)
-    rm = working_corr(spec, state_fn(bm), size, bm)
-    d = (rp - rm) / (2.0 * step)
-    return 0.5 * (d + d.T)

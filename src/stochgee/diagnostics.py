@@ -182,7 +182,7 @@ def condition_trajectories(
     if centre is not None:
         rstars = list(centre[np.asarray(n_grid) - 1])
     else:
-        rstars = [working_corr(spec, None, spec.template_dim, beta)] * len(n_grid)
+        rstars = [working_corr(spec, spec.template_dim)] * len(n_grid)
 
     series: dict = {
         k: []
@@ -254,7 +254,7 @@ def condition_trajectories(
         ]
     by_r["c4"] = {
         r: [
-            n * (pi**2) * at * hi
+            n * _power(pi, 2) * at * hi
             for n, pi, at, hi in zip(
                 n_grid, pi_by_r[r], series["a_tilde_prime"], series["lambda_max_h_prime"]
             )
@@ -263,7 +263,7 @@ def condition_trajectories(
     }
     by_r["c5"] = {
         r: [
-            n * (pi**4) * (d**2) * hi
+            n * _power(pi, 4) * _power(d, 2) * hi
             for n, pi, d, hi in zip(
                 n_grid, pi_by_r[r], d_by_r[r], series["lambda_max_h_prime"]
             )
@@ -344,6 +344,15 @@ def _max_leverage(h_prime, rows):
     except NotPositiveDefiniteError:
         return math.inf
     return float(np.max(np.sum(rows * sol.T, axis=1)))
+
+
+def _power(x: float, k: int) -> float:
+    """``x ** k`` of a Python float for an even ``k``; inf where the power
+    overflows, as float products do."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
 
 
 def _proxy_lattice_quantities(dataset, centre, lk, lattices, n_grid):

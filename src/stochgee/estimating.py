@@ -231,9 +231,7 @@ def corr_trajectory(
     size, a data-dependent one gives views into ``proxy_stack``.
     """
     if not spec.depends_on_data:
-        by_size = {
-            b.size: working_corr(spec, None, b.size, beta) for b in dataset.buckets
-        }
+        by_size = {b.size: working_corr(spec, b.size) for b in dataset.buckets}
         return [by_size[m] for m in dataset.sizes.tolist()]
     stack = proxy_stack(dataset, beta, link)
     return [r[:m, :m] for r, m in zip(stack, dataset.sizes.tolist())]
@@ -354,7 +352,7 @@ def freeze_proxy(
     elif kind.spec.depends_on_data:
         mats = _bucket_proxies(dataset, proxy_stack(dataset, beta, link))
     else:
-        mats = [working_corr(kind.spec, None, b.size, beta) for b in dataset.buckets]
+        mats = [working_corr(kind.spec, b.size) for b in dataset.buckets]
     return FrozenProxy(dataset, _invert_proxies(dataset, mats))
 
 
@@ -368,8 +366,8 @@ def _first_offender(dataset: Dataset, bad_rows) -> Optional[int]:
 def _moments(dataset: Dataset, beta: np.ndarray, lk) -> list:
     """Per-bucket (mean, variance) at ``beta``, each (k, m).
 
-    Raises InvalidVarianceError for the first cluster with a non-finite
-    moment or a nonpositive variance, as ``conditional_moments`` would.
+    Raises InvalidVarianceError for the first cluster, in cluster order,
+    with a non-finite moment or a nonpositive variance.
     At an (L, p) stack of points each is (L, k, m), every point's linear
     predictor its own ``b.x @ point``; a stack is left for
     ``_pearson_residuals`` to check.
@@ -638,7 +636,7 @@ def _analytic_available(kind: EstimatingFunction, link, frozen_corr=None) -> boo
         return True
     if kind.variant == "gee_star":
         # a frozen proxy no longer moves with beta
-        return frozen_corr is not None or not kind.spec.depends_on_beta
+        return frozen_corr is not None or not kind.spec.depends_on_data
     return False
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .exceptions import DatasetParseError, InvalidInputError, InvalidVarianceError
+from .exceptions import DatasetParseError, InvalidInputError
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -379,12 +379,6 @@ def dataset_from_arrays(pairs, m_max=None, link=None, beta0=None) -> Dataset:
 
 
 @dataclass(frozen=True)
-class ConditionalMoments:
-    mean: np.ndarray
-    variance_diag: np.ndarray
-
-
-@dataclass(frozen=True)
 class Parameter:
     """Regression parameter with an optional axis-aligned box region."""
 
@@ -432,29 +426,6 @@ def as_beta(value) -> np.ndarray:
     if b.ndim != 1 or not np.all(np.isfinite(b)):
         raise InvalidInputError("beta must be a finite 1-d vector")
     return b
-
-
-def conditional_moments(cluster: Cluster, beta, link) -> ConditionalMoments:
-    """Conditional means mu(x'beta) and variances mu'(x'beta) for a cluster."""
-    beta = as_beta(beta)
-    link = get_link(link)
-    if cluster.regressors.shape[1] != beta.shape[0]:
-        raise InvalidInputError(
-            f"cluster {cluster.index}: regressor width "
-            f"{cluster.regressors.shape[1]} != len(beta) {beta.shape[0]}"
-        )
-    eta = cluster.regressors @ beta
-    mean = link.eval(0, eta)
-    var = link.eval(1, eta)
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
-        raise InvalidVarianceError(
-            f"cluster {cluster.index}: non-finite moments at beta={beta.tolist()}"
-        )
-    if np.any(var <= 0.0):
-        raise InvalidVarianceError(
-            f"cluster {cluster.index}: nonpositive conditional variance"
-        )
-    return ConditionalMoments(mean=mean, variance_diag=var)
 
 
 # ---------------------------------------------------------------------------

@@ -224,8 +224,10 @@ def loop_conditional_variance(clusters, beta, link, corr_seq, rbar_of):
 # ---------------------------------------------------------------------------
 # the residual-moment proxy, one cluster at a time
 #
-# The sequential accumulator the package folded before its proxy became a
-# prefix sum, and the per-cluster loop of the proxy-lattice diagnostics.
+# ``loop_pseudo_templates`` is the sole per-cluster reference for the
+# package's prefix-sum proxy (``residual_moment_stack``, ``proxy_stack``):
+# it folds one cluster's residual outer product into a running sum at a
+# time. Below it, the per-cluster loop of the proxy-lattice diagnostics.
 
 _MIN_EIGENVALUE = 1e-6
 _SHRINK_PRIOR_FACTOR = 4

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -214,22 +215,29 @@ class TestDiagnose:
         payload = json.loads((out / "report.json").read_text())
         assert payload["report"]["delta"] == 0.25
 
-    def test_bad_lattice_point_is_a_numerical_failure(self, tmp_path, capsys):
-        # regular at beta0 = 0; cluster 5 overflows the log link at the
-        # first lattice point of radius 0.5, beta0 + 0.5 e_1
+    @staticmethod
+    def _lattice_data(tmp_path, scale):
+        """Log-link data, regular at beta0 = 0, whose clusters 5 and 3 have
+        one regressor column at ``scale``."""
         rng = np.random.default_rng(21)
         pairs = []
         for i in range(1, 9):
             m = 1 if i in (2, 5) else 2
             x = 0.3 * rng.standard_normal((m, 2))
             if i == 5:
-                x[:, 0] = 1500.0
+                x[:, 0] = scale
             if i == 3:
-                x[:, 1] = 1500.0
+                x[:, 1] = scale
             pairs.append((1.0 + 0.5 * rng.standard_normal(m), x))
         ds = dataset_from_arrays(pairs, m_max=2, link="log", beta0=np.zeros(2))
         data = tmp_path / "ds.csv"
         write_dataset(ds, str(data))
+        return data
+
+    def test_bad_lattice_point_is_a_numerical_failure(self, tmp_path, capsys):
+        # regular at beta0 = 0; cluster 5 overflows the log link at the
+        # first lattice point of radius 0.5, beta0 + 0.5 e_1
+        data = self._lattice_data(tmp_path, 1500.0)
         out = tmp_path / "diag"
         argv = ["diagnose", "--data", str(data), "--estimator", "pseudo"]
         assert main(argv + ["--out", str(out)]) == 3
@@ -237,6 +245,18 @@ class TestDiagnose:
             "numerical failure: cluster 5: non-finite moments at beta=[0.5, 0.0]\n"
         )
         assert not (out / "report.json").exists()
+
+    def test_overflowing_curvature_is_reported_as_inf(self, tmp_path):
+        # every lattice point is regular, but at radius 0.5 the proxy
+        # derivative is about 1e219, so its square overflows a float; the
+        # c5 series reports inf there instead of raising OverflowError
+        data = self._lattice_data(tmp_path, 1000.0)
+        out = tmp_path / "diag"
+        argv = ["diagnose", "--data", str(data), "--estimator", "pseudo"]
+        assert main(argv + ["--out", str(out)]) == 0
+        by_r = json.loads((out / "report.json").read_text())["report"]["series_by_r"]
+        assert by_r["c5"]["0.5"] == ["inf"]
+        assert all(math.isfinite(v) for r in ("0.25", "0.1") for v in by_r["c5"][r])
 
     def test_scenario_report(self, scenario_file, tmp_path):
         out = tmp_path / "diag"

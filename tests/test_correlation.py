@@ -4,34 +4,41 @@ import numpy as np
 import pytest
 
 from stochgee import (
-    Cluster,
     InconsistentMomentsError,
     InvalidInputError,
     InvalidVarianceError,
     NotPositiveDefiniteError,
-    PseudoLikelihoodState,
     WorkingCorrelationSpec,
-    corr_beta_derivative,
     dataset_from_arrays,
-    pseudo_likelihood_update,
     sym_eigen_extremes,
     sym_eigenvalues,
     true_correlation,
     working_corr,
 )
-from stochgee.correlation import residual_moment_sums
+from stochgee.correlation import (
+    _entry_means,
+    residual_moment_sums,
+    residual_moment_templates,
+)
+from stochgee.estimating import _pearson_residuals, corr_trajectory, proxy_stack
 from stochgee.model import get_link
 
+from oracles import loop_pseudo_templates
 
-def folded_state(ds, beta, link):
-    """The residual-moment state folded over every cluster of ``ds``."""
-    lk = get_link(link)
-    resid = []
-    for b in ds.buckets:
-        eta = b.x @ beta
-        resid.append((b.y - lk.eval(0, eta)) / np.sqrt(lk.eval(1, eta)))
-    sums, counts = residual_moment_sums(ds, resid)
-    return PseudoLikelihoodState(ds.n, sums[-1], counts[-1])
+
+def central_differences(ds, beta, link, coord, steps):
+    """(R_n(beta + h e_l) - R_n(beta - h e_l)) / 2h for each step h, of
+    the proxy folded over every cluster of ``ds``; all the points are
+    folded in one stacked ``proxy_stack`` call."""
+    points = []
+    for h in steps:
+        shift = np.zeros(len(beta))
+        shift[coord] = h
+        points += [beta + shift, beta - shift]
+    stacks = proxy_stack(ds, np.array(points), link)[:, -1]
+    return [
+        (stacks[2 * k] - stacks[2 * k + 1]) / (2.0 * h) for k, h in enumerate(steps)
+    ]
 
 
 class TestTemplates:
@@ -39,12 +46,12 @@ class TestTemplates:
         spec = WorkingCorrelationSpec.identity(4)
         for size in (1, 2, 4):
             np.testing.assert_array_equal(
-                working_corr(spec, None, size), np.eye(size)
+                working_corr(spec, size), np.eye(size)
             )
 
     def test_exchangeable_eigenvalues(self):
         spec = WorkingCorrelationSpec.exchangeable(0.5, 3)
-        r = working_corr(spec, None, 3)
+        r = working_corr(spec, 3)
         np.testing.assert_allclose(
             sym_eigenvalues(r), [0.5, 0.5, 2.0], atol=1e-12
         )
@@ -58,7 +65,7 @@ class TestTemplates:
 
     def test_ar1(self):
         spec = WorkingCorrelationSpec.ar1(-0.7, 4)
-        r = working_corr(spec, None, 4)
+        r = working_corr(spec, 4)
         assert r[0, 3] == pytest.approx((-0.7) ** 3)
         np.testing.assert_array_equal(np.diag(r), np.ones(4))
         assert np.all(np.abs(r[~np.eye(4, dtype=bool)]) < 1.0)
@@ -80,46 +87,46 @@ class TestTemplates:
             (WorkingCorrelationSpec.identity(2), WorkingCorrelationSpec.identity(5)),
         ]:
             np.testing.assert_array_equal(
-                working_corr(spec_small, None, 2), working_corr(spec_big, None, 2)
+                working_corr(spec_small, 2), working_corr(spec_big, 2)
             )
 
     def test_emitted_matrices_are_pd(self):
         rng = np.random.default_rng(2)
-        state = PseudoLikelihoodState.empty(3)
-        spec = WorkingCorrelationSpec.pseudo_likelihood(3)
-        beta = np.array([0.1])
-        for i in range(1, 8):
-            r = working_corr(spec, state, 3, beta)
+        pairs = [
+            (rng.standard_normal(3), rng.standard_normal((3, 1))) for _ in range(7)
+        ]
+        ds = dataset_from_arrays(pairs)
+        for r in proxy_stack(ds, np.array([0.1]), "identity"):
             lo, hi = sym_eigen_extremes(r)
             assert lo > 1e-7
             np.testing.assert_allclose(r, r.T, atol=1e-15)
-            c = Cluster(i, rng.standard_normal(3), rng.standard_normal((3, 1)))
-            state = pseudo_likelihood_update(state, c, beta, "identity")
 
 
 class TestPseudoLikelihood:
-    def _cluster(self, i, y, x=None):
-        y = np.asarray(y, dtype=float)
-        x = np.zeros((y.size, 1)) if x is None else x
-        return Cluster(i, y, x)
+    # identity link, beta 0, zero regressors: the residuals are y itself
+    def _dataset(self, *ys, m_max=None):
+        pairs = [(np.asarray(y, dtype=float), np.zeros((len(y), 1))) for y in ys]
+        return dataset_from_arrays(pairs, m_max=m_max)
+
+    def _sums(self, ds):
+        resid = _pearson_residuals(ds, np.zeros(1), get_link("identity"))
+        return residual_moment_sums(ds, resid)
+
+    def _means(self, *ys, m_max=None):
+        sums, counts = self._sums(self._dataset(*ys, m_max=m_max))
+        return _entry_means(sums[-1], counts[-1]), counts[-1]
 
     def test_single_cluster_state_mean(self):
-        state = PseudoLikelihoodState.empty(2)
-        c = self._cluster(1, [1.0, -2.0])
-        # identity link, beta 0, zero regressors: residuals are y itself
-        state = pseudo_likelihood_update(state, c, np.zeros(1), "identity")
+        means, _ = self._means([1.0, -2.0])
         np.testing.assert_allclose(
-            state.mean_matrix(), np.outer([1.0, -2.0], [1.0, -2.0]), atol=1e-15
+            means, np.outer([1.0, -2.0], [1.0, -2.0]), atol=1e-15
         )
 
     def test_emitted_is_regularized_outer_product(self):
-        state = folded_state(
-            dataset_from_arrays([([1.0, -2.0], np.zeros((2, 1)))]),
-            np.zeros(1),
-            "identity",
-        )
-        spec = WorkingCorrelationSpec.pseudo_likelihood(2)
-        r = working_corr(spec, state, 2)
+        ds = self._dataset([1.0, -2.0])
+        sums, counts = self._sums(ds)
+        r = residual_moment_templates(sums, counts, np.arange(2))[1]
+        np.testing.assert_array_equal(proxy_stack(ds, np.zeros(1), "identity")[1], r)
         lo, _ = sym_eigen_extremes(r)
         assert lo >= 1e-6 - 1e-12
         # blend of the outer product with the identity, nothing else
@@ -131,47 +138,36 @@ class TestPseudoLikelihood:
         )
 
     def test_two_identical_clusters(self):
-        state = PseudoLikelihoodState.empty(2)
-        for i in (1, 2):
-            state = pseudo_likelihood_update(
-                state, self._cluster(i, [0.5, 0.5]), np.zeros(1), "identity"
-            )
-        np.testing.assert_allclose(
-            state.mean_matrix(), np.full((2, 2), 0.25), atol=1e-15
-        )
+        means, _ = self._means([0.5, 0.5], [0.5, 0.5])
+        np.testing.assert_allclose(means, np.full((2, 2), 0.25), atol=1e-15)
 
     def test_two_distinct_clusters_average(self):
-        state = PseudoLikelihoodState.empty(2)
         a, b = np.array([1.0, 2.0]), np.array([-0.5, 3.0])
-        state = pseudo_likelihood_update(state, self._cluster(1, a), np.zeros(1), "identity")
-        state = pseudo_likelihood_update(state, self._cluster(2, b), np.zeros(1), "identity")
+        means, _ = self._means(a, b)
         expect = 0.5 * (np.outer(a, a) + np.outer(b, b))
-        assert np.max(np.abs(state.mean_matrix() - expect)) < 1e-15
+        assert np.max(np.abs(means - expect)) < 1e-15
 
     def test_partial_clusters_update_leading_block(self):
-        state = PseudoLikelihoodState.empty(3)
-        state = pseudo_likelihood_update(
-            state, self._cluster(1, [1.0, 1.0]), np.zeros(1), "identity"
-        )
-        assert state.counts[0, 0] == 1
-        assert state.counts[2, 2] == 0
+        means, counts = self._means([1.0, 1.0], m_max=3)
+        assert counts[0, 0] == 1
+        assert counts[2, 2] == 0
         # unobserved entries fall back to the identity
-        assert state.mean_matrix()[2, 2] == 1.0
-        assert state.mean_matrix()[0, 2] == 0.0
+        assert means[2, 2] == 1.0
+        assert means[0, 2] == 0.0
 
     def test_fallback_to_identity_without_state(self):
         spec = WorkingCorrelationSpec.pseudo_likelihood(3)
-        np.testing.assert_array_equal(working_corr(spec, None, 3), np.eye(3))
-        empty = PseudoLikelihoodState.empty(3)
-        np.testing.assert_array_equal(working_corr(spec, empty, 3), np.eye(3))
+        np.testing.assert_array_equal(working_corr(spec, 3), np.eye(3))
+        ds = self._dataset([1.0, -2.0], m_max=3)
+        np.testing.assert_array_equal(
+            proxy_stack(ds, np.zeros(1), "identity")[0], np.eye(3)
+        )
 
     def test_zero_variance_rejected(self):
         # the probit density underflows far in the tail
-        c = Cluster(1, np.zeros(1), np.array([[60.0]]))
-        with pytest.raises(InvalidVarianceError):
-            pseudo_likelihood_update(
-                PseudoLikelihoodState.empty(1), c, np.ones(1), "probit"
-            )
+        ds = dataset_from_arrays([(np.zeros(1), np.array([[60.0]]))])
+        with pytest.raises(InvalidVarianceError, match="nonpositive conditional variance"):
+            proxy_stack(ds, np.ones(1), "probit")
 
 
 class TestTrueCorrelation:
@@ -202,75 +198,79 @@ class TestTrueCorrelation:
 
 class TestCorrBetaDerivative:
     def test_constant_specs_have_zero_derivative(self):
+        rng = np.random.default_rng(8)
+        ds = dataset_from_arrays(
+            [(rng.standard_normal(3), rng.standard_normal((3, 2))) for _ in range(5)]
+        )
         beta = np.array([0.5, -0.5])
+        h = float(np.cbrt(np.finfo(float).eps)) * max(1.0, abs(beta[0]))
+        step = np.array([h, 0.0])
         for spec in (
             WorkingCorrelationSpec.identity(3),
             WorkingCorrelationSpec.exchangeable(0.4, 3),
             WorkingCorrelationSpec.ar1(0.2, 3),
             WorkingCorrelationSpec.fixed(np.eye(3)),
         ):
-            d = corr_beta_derivative(spec, None, 3, beta, 0)
-            np.testing.assert_array_equal(d, np.zeros((3, 3)))
+            plus = corr_trajectory(ds, beta + step, "log", spec)
+            minus = corr_trajectory(ds, beta - step, "log", spec)
+            for rp, rm in zip(plus, minus):
+                np.testing.assert_array_equal(rp - rm, np.zeros((3, 3)))
 
     def _pseudo_setup(self):
         rng = np.random.default_rng(8)
-        ds = dataset_from_arrays(
+        return dataset_from_arrays(
             [
                 (rng.standard_normal(3) + 1.0, rng.standard_normal((3, 2)) * 0.4)
                 for _ in range(25)
             ]
         )
-        spec = WorkingCorrelationSpec.pseudo_likelihood(3)
-        state_fn = lambda b: folded_state(ds, b, "log")
-        return spec, state_fn
 
     def test_pseudo_symmetric_output(self):
-        spec, state_fn = self._pseudo_setup()
-        d = corr_beta_derivative(spec, state_fn, 3, np.array([0.2, 0.1]), 1)
+        ds = self._pseudo_setup()
+        beta = np.array([0.2, 0.1])
+        step = float(np.cbrt(np.finfo(float).eps)) * max(1.0, abs(beta[1]))
+        (d,) = central_differences(ds, beta, "log", 1, [step])
         np.testing.assert_allclose(d, d.T, atol=1e-10)
 
     def test_accumulator_matches_state_fold(self):
-        # the hot-loop accumulator must reproduce the validated state
+        # the prefix-sum proxy must reproduce the one-cluster-at-a-time
         # fold bit for bit, including variable cluster sizes
-        from stochgee import dataset_from_arrays as dfa
-        from stochgee.estimating import corr_trajectory
-
         rng = np.random.default_rng(17)
         pairs = []
-        for i in range(12):
+        for _ in range(12):
             m = int(rng.integers(1, 4))
             pairs.append((rng.standard_normal(m), rng.standard_normal((m, 2)) * 0.3))
-        ds = dfa(pairs, m_max=3)
+        ds = dataset_from_arrays(pairs, m_max=3)
         beta = np.array([0.2, -0.1])
         spec = WorkingCorrelationSpec.pseudo_likelihood(3)
         fast = corr_trajectory(ds, beta, "log", spec)
-        state = PseudoLikelihoodState.empty(3)
-        slow = []
-        for c in ds.clusters:
-            slow.append(working_corr(spec, state, c.size, beta))
-            state = pseudo_likelihood_update(state, c, beta, "log")
+        slow = loop_pseudo_templates(pairs, beta, "log", 3)
+        assert len(fast) == len(slow) - 1
         for a, b in zip(fast, slow):
-            np.testing.assert_array_equal(a, b)
+            m = a.shape[0]
+            np.testing.assert_array_equal(a, b[:m, :m])
 
     def test_shrinkage_floor_bound_follows_min_eigenvalue(self):
         # 4d / (count + 4d) >= MIN_EIGENVALUE keeps the floor without an
         # eigenvalue check: at d = 3 up to about 1.2e7 clusters
         from stochgee.correlation import (
+            SHRINK_PRIOR_FACTOR,
             _floor_eigenvalues,
             _shrinkage_keeps_floor,
-            _template,
         )
 
         assert _shrinkage_keeps_floor(11_999_000, 3)
         assert not _shrinkage_keeps_floor(12_001_000, 3)
         assert _shrinkage_keeps_floor(3_999_000, 1)
         assert not _shrinkage_keeps_floor(4_001_000, 1)
-        spec = WorkingCorrelationSpec.pseudo_likelihood(3)
         count = 5_000_000
         r = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
-        state = PseudoLikelihoodState(count, r * count, np.full((3, 3), count))
-        t = _template(spec, state)
-        np.testing.assert_array_equal(working_corr(spec, state, 3), t)
+        sums, counts = r * count, np.full((3, 3), count)
+        t = residual_moment_templates(sums[None], counts[None], np.array([count]))[0]
+        # the emitted template is the shrunk mean, with no floor applied
+        eps = SHRINK_PRIOR_FACTOR * 3 / (count + SHRINK_PRIOR_FACTOR * 3)
+        shrunk = _entry_means(sums, counts) * (1.0 - eps) + eps * np.eye(3)
+        np.testing.assert_array_equal(t, shrunk)
         np.testing.assert_array_equal(_floor_eigenvalues(t), t)
 
     def test_floor_lifts_a_non_pd_matrix(self):
@@ -301,10 +301,9 @@ class TestCorrBetaDerivative:
     def test_richardson_step_halving(self):
         # central differences converge at O(h^2): halving the step cuts
         # the increment by ~4
-        spec, state_fn = self._pseudo_setup()
+        ds = self._pseudo_setup()
         beta = np.array([0.2, 0.1])
-        d1 = corr_beta_derivative(spec, state_fn, 3, beta, 0, step=2e-3)
-        d2 = corr_beta_derivative(spec, state_fn, 3, beta, 0, step=1e-3)
-        d3 = corr_beta_derivative(spec, state_fn, 3, beta, 0, step=5e-4)
+        diffs = central_differences(ds, beta, "log", 0, [2e-3, 1e-3, 5e-4])
+        d1, d2, d3 = (0.5 * (d + d.T) for d in diffs)
         ratio = np.linalg.norm(d1 - d2) / np.linalg.norm(d2 - d3)
         assert 3.2 <= ratio <= 4.8

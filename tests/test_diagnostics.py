@@ -264,6 +264,18 @@ class TestLatticeErrorPath:
         with pytest.raises(InvalidInputError, match="NaN or infinite entries"):
             condition_trajectories(ds, np.zeros(2), "log", spec)
 
+    def test_overflowing_curvature_is_inf(self):
+        # at radius 0.25 every lattice point is regular, but the proxy
+        # derivative is so large that the Python float power d**2 of the
+        # c5 series overflows; the entry is inf, like any other float
+        # overflow in the report
+        ds = dataset_from_arrays(lattice_overflow_pairs(), m_max=2)
+        spec = WorkingCorrelationSpec.pseudo_likelihood(2)
+        params = DiagnosticsParams(r_grid=(0.25,))
+        report = condition_trajectories(ds, np.zeros(2), "log", spec, params=params)
+        assert report.series_by_r["c5"][0.25] == [math.inf]
+        assert all(math.isfinite(v) for v in report.series_by_r["d"][0.25])
+
 
 class TestSllnMonitor:
     def test_scalar_direct_substitution(self):

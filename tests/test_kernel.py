@@ -88,7 +88,7 @@ def variant_setup(variant, ds, rng, beta, link):
         return (
             EstimatingFunction.gee_star(spec),
             None,
-            [working_corr(spec, None, m) for m in sizes],
+            [working_corr(spec, m) for m in sizes],
         )
     spec = WorkingCorrelationSpec.pseudo_likelihood(m_max)
     kind = EstimatingFunction.gee_star(spec)
@@ -178,7 +178,7 @@ def test_perturbed_paths_match_loops(seed, n, m_max, link, kind_name):
         )
         seq = corr_trajectory(moved, beta, link, spec)
     else:
-        seq = [working_corr(spec, None, c.size) for c in ds.clusters]
+        seq = [working_corr(spec, c.size) for c in ds.clusters]
     expect = loop_eval_g(pairs(ds), beta, link, seq, deltas)
     assert_close(eval_g_perturbed(ds, beta, pert, link, spec), expect)
     truth = CorrelationTruth.from_kind("exchangeable", 0.4, m_max)

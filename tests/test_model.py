@@ -16,13 +16,13 @@ from stochgee import (
     InvalidInputError,
     InvalidVarianceError,
     Parameter,
-    conditional_moments,
     dataset_from_arrays,
     get_link,
     link_eval,
     load_dataset,
     write_dataset,
 )
+from stochgee.estimating import _moments
 from stochgee.model import _parsed_columns, sidecar_path
 
 from oracles import loop_digest, loop_load_dataset, loop_write_dataset
@@ -108,46 +108,49 @@ class TestClusterDataset:
             Parameter(np.array([2.0]), lower=np.array([0.0]), upper=np.array([1.0]))
 
 
+def cluster_moments(x, beta, link):
+    """Conditional means and variances of a one-cluster dataset with
+    regressors ``x``, from the batched kernel's ``_moments``."""
+    x = np.asarray(x, dtype=float)
+    ds = dataset_from_arrays([(np.zeros(x.shape[0]), x)])
+    ((mean, var),) = _moments(ds, np.asarray(beta, dtype=float), get_link(link))
+    return mean[0], var[0]
+
+
 class TestConditionalMoments:
     def test_identity_link(self):
-        c = Cluster(1, np.zeros(3), np.arange(6.0).reshape(3, 2))
-        mom = conditional_moments(c, np.array([1.0, -1.0]), "identity")
-        np.testing.assert_allclose(mom.mean, c.regressors @ [1.0, -1.0])
-        np.testing.assert_allclose(mom.variance_diag, np.ones(3))
+        x = np.arange(6.0).reshape(3, 2)
+        mean, var = cluster_moments(x, [1.0, -1.0], "identity")
+        np.testing.assert_allclose(mean, x @ [1.0, -1.0])
+        np.testing.assert_allclose(var, np.ones(3))
 
     def test_log_link_zero_eta(self):
-        c = Cluster(1, np.zeros(2), np.zeros((2, 2)))
-        mom = conditional_moments(c, np.array([3.0, -1.0]), "log")
-        np.testing.assert_allclose(mom.mean, np.ones(2))
-        np.testing.assert_allclose(mom.variance_diag, np.ones(2))
+        mean, var = cluster_moments(np.zeros((2, 2)), [3.0, -1.0], "log")
+        np.testing.assert_allclose(mean, np.ones(2))
+        np.testing.assert_allclose(var, np.ones(2))
 
     def test_log_link_scalar_example(self):
-        c = Cluster(1, np.zeros(2), np.array([[1.0], [2.0]]))
-        mom = conditional_moments(c, np.array([0.5]), "log")
-        np.testing.assert_allclose(mom.mean, [math.exp(0.5), math.exp(1.0)], rtol=1e-15)
-        np.testing.assert_allclose(
-            mom.variance_diag, [math.exp(0.5), math.exp(1.0)], rtol=1e-15
-        )
+        mean, var = cluster_moments([[1.0], [2.0]], [0.5], "log")
+        np.testing.assert_allclose(mean, [math.exp(0.5), math.exp(1.0)], rtol=1e-15)
+        np.testing.assert_allclose(var, [math.exp(0.5), math.exp(1.0)], rtol=1e-15)
 
     def test_row_permutation_consistency(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 2))
         beta = np.array([0.3, -0.2])
         perm = [2, 0, 3, 1]
-        a = conditional_moments(Cluster(1, np.zeros(4), x), beta, "log")
-        b = conditional_moments(Cluster(1, np.zeros(4), x[perm]), beta, "log")
-        np.testing.assert_allclose(a.mean[perm], b.mean)
-        np.testing.assert_allclose(a.variance_diag[perm], b.variance_diag)
+        mean_a, var_a = cluster_moments(x, beta, "log")
+        mean_b, var_b = cluster_moments(x[perm], beta, "log")
+        np.testing.assert_allclose(mean_a[perm], mean_b)
+        np.testing.assert_allclose(var_a[perm], var_b)
 
     def test_width_mismatch(self):
-        c = Cluster(1, np.zeros(2), np.ones((2, 2)))
         with pytest.raises(InvalidInputError):
-            conditional_moments(c, np.array([1.0]), "identity")
+            cluster_moments(np.ones((2, 2)), [1.0], "identity")
 
     def test_variance_overflow_rejected(self):
-        c = Cluster(1, np.zeros(1), np.array([[1000.0]]))
         with pytest.raises(InvalidVarianceError):
-            conditional_moments(c, np.array([1.0]), "log")
+            cluster_moments([[1000.0]], [1.0], "log")
 
 
 class TestDatasetIO:
