@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, scenario_required=True):
+    def common(p):
         p.add_argument("--scenario", help="scenario INI file")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--out", default=".", help="output directory")

@@ -476,7 +476,7 @@ def a1_gap(proxy_trajectory: Sequence, truth_trajectory: Sequence) -> list:
 # ensemble studies
 
 
-def _resolve_specs(specs, m_max) -> list:
+def _resolve_specs(specs) -> list:
     out = []
     for s in specs:
         if isinstance(s, WorkingCorrelationSpec):
@@ -553,7 +553,7 @@ def optimality_study(
     if reps < 1:
         raise ConfigError("reps must be >= 1", field="reps")
     n_grid = sorted(int(n) for n in n_grid)
-    specs = _resolve_specs(specs, config.m_max)
+    specs = _resolve_specs(specs)
     beta_ref = config.beta0_array if beta_ref is None else as_beta(beta_ref)
     payloads = [
         (config, rep, specs, tuple(n_grid), perturbed, beta_ref)
@@ -685,7 +685,7 @@ def a1_gap_study(
 ) -> StudyResult:
     """Median element-wise proxy-vs-truth gaps across replications."""
     n_grid = sorted(int(n) for n in n_grid)
-    specs = _resolve_specs(specs, config.m_max)
+    specs = _resolve_specs(specs)
     payloads = [(config, rep, specs, tuple(n_grid)) for rep in range(reps)]
     results = parallel_map(_a1_worker, payloads, jobs)
     rows = []

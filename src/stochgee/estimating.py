@@ -75,22 +75,12 @@ class CorrelationTruth:
     @classmethod
     def from_kind(cls, kind: str, rho: float, m_max: int) -> "CorrelationTruth":
         if kind == "independence":
-            return cls(np.eye(m_max))
-        if kind == "exchangeable":
-            lo = -1.0 / (m_max - 1) if m_max > 1 else -1.0
-            if not lo < rho < 1.0:
-                raise InvalidInputError(
-                    f"exchangeable correlation needs rho in ({lo:.4g}, 1), got {rho}"
-                )
-            t = np.full((m_max, m_max), rho)
-            np.fill_diagonal(t, 1.0)
-            return cls(t)
-        if kind == "ar1":
-            if not -1.0 < rho < 1.0:
-                raise InvalidInputError(f"ar1 correlation needs |rho| < 1, got {rho}")
-            idx = np.arange(m_max)
-            return cls(rho ** np.abs(idx[:, None] - idx[None, :]))
-        raise InvalidInputError(f"unknown truth-correlation kind {kind!r}")
+            spec = WorkingCorrelationSpec.identity(m_max)
+        elif kind in ("exchangeable", "ar1"):
+            spec = getattr(WorkingCorrelationSpec, kind)(rho, m_max)
+        else:
+            raise InvalidInputError(f"unknown truth-correlation kind {kind!r}")
+        return cls(working_corr(spec, m_max))
 
     @classmethod
     def plugin(cls, m_max: int) -> "CorrelationTruth":
@@ -394,32 +384,15 @@ def _moments(dataset: Dataset, beta: np.ndarray, lk) -> list:
     return out
 
 
-def _link_variances(dataset: Dataset, xs, beta, lk, what: str) -> list:
-    """Per-bucket variances at regressors ``xs``; InvalidInputError names
-    the first cluster whose regressors leave the link domain."""
-    out = [lk.eval(1, x @ beta) for x in xs]
-    index = _first_offender(dataset, [~np.isfinite(v) | (v <= 0) for v in out])
-    if index is not None:
-        raise InvalidInputError(
-            f"{what} of cluster {index} leave the link domain"
-        )
-    return out
+def _pearson_residuals(dataset: Dataset, beta, lk) -> list:
+    """Standardized residuals (y_i - mu_i) / sqrt(var_i) per bucket.
 
-
-def _pearson_residuals(dataset: Dataset, beta, lk, xs=None) -> list:
-    """Standardized residuals (y_i - mu_i) / sqrt(var_i) per bucket, with
-    the moments taken at the per-bucket regressors ``xs`` when given.
-
-    At an (L, p) stack of points ``beta`` (no ``xs``) each bucket's
-    residuals are (L, k, m). If a moment or residual is bad at any point,
-    the points are standardized one at a time, in order, so that the
-    first bad point raises the error it raises alone.
+    At an (L, p) stack of points ``beta`` each bucket's residuals are
+    (L, k, m). If a moment or residual is bad at any point, the points
+    are standardized one at a time, in order, so that the first bad point
+    raises the error it raises alone.
     """
-    if xs is None:
-        moments = _moments(dataset, beta, lk)
-    else:
-        variances = _link_variances(dataset, xs, beta, lk, "perturbed regressors")
-        moments = [(lk.eval(0, x @ beta), v) for x, v in zip(xs, variances)]
+    moments = _moments(dataset, beta, lk)
     # only an unchecked stack of points can divide by zero or take the
     # root of a negative variance here
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -552,9 +525,8 @@ def eval_g(
 
 
 def _perturbed_regressors(dataset: Dataset, perturbation: "Perturbation", p: int):
-    """(delta stack, per-bucket regressors X_i + delta_i') after checking
-    the count and every shape, naming the first bad cluster in cluster
-    order."""
+    """The dataset with regressors X_i + delta_i', after checking the count
+    and every shape, naming the first bad cluster in cluster order."""
     stack, sizes = perturbation.stack, perturbation.sizes
     if sizes.shape[0] != dataset.n:
         raise InvalidInputError(
@@ -567,10 +539,7 @@ def _perturbed_regressors(dataset: Dataset, perturbation: "Perturbation", p: int
         raise InvalidInputError(
             f"delta for cluster {i + 1} has shape {shape}, expected {expected}"
         )
-    return stack, [
-        b.x + np.swapaxes(stack[b.positions, :, : b.size], 1, 2)
-        for b in dataset.buckets
-    ]
+    return dataset.shifted(stack)
 
 
 def eval_g_perturbed(
@@ -582,44 +551,22 @@ def eval_g_perturbed(
 ) -> np.ndarray:
     """Working-correlation estimating function with misspecified regressors.
 
-    Regressor rows, the variance factors, and any data-dependent proxy are
-    recomputed at ``X_i + delta_i^T``; the residuals keep the unperturbed
-    means.
+    The coefficients ``C_i`` of the shifted dataset, with regressors
+    ``X_i + delta_i'`` (variance factors and any data-dependent proxy
+    included), multiply the residuals of the unperturbed means.
     """
     beta = as_beta(beta)
     lk = get_link(link)
-    stack, xps = _perturbed_regressors(dataset, perturbation, beta.shape[0])
+    shifted = _perturbed_regressors(dataset, perturbation, beta.shape[0])
     kind = EstimatingFunction.gee_star(spec)
-    if not stack.any():
+    if not perturbation.stack.any():
         # exact zero perturbation: reproduce the plain evaluation bitwise
         return eval_g(kind, dataset, beta, lk)
     moments = _moments(dataset, beta, lk)
-    if spec.kind == "identity":
-        coeffs = [np.swapaxes(xp, 1, 2) for xp in xps]
-    else:
-        proxy = _perturbed_proxy(kind, dataset, beta, lk, xps)
-        var_p = _link_variances(dataset, xps, beta, lk, "perturbed regressors")
-        coeffs = [
-            _coefficients(xp, np.sqrt(var), rinv)
-            for xp, var, rinv in zip(xps, var_p, proxy.inverses)
-        ]
+    # the identity coefficients X_i' need no moments of the shifted data
+    moved = None if kind.reduces_to_independence else _moments(shifted, beta, lk)
+    coeffs = _bucket_coefficients(kind, shifted, beta, lk, moved)
     return _total_score(dataset, coeffs, moments)
-
-
-def _perturbed_pseudo_trajectory(dataset, beta, lk, xps) -> np.ndarray:
-    """``proxy_stack`` with residuals standardized at the perturbed
-    per-bucket regressors ``xps``."""
-    return residual_moment_stack(dataset, _pearson_residuals(dataset, beta, lk, xps))
-
-
-def _perturbed_proxy(kind, dataset, beta, lk, xps) -> FrozenProxy:
-    """The inverse proxies under a perturbation: a data-dependent proxy
-    folds residuals standardized at the perturbed regressors ``xps``."""
-    if not kind.spec.depends_on_data:
-        return freeze_proxy(kind, dataset, beta, lk)
-    stack = _perturbed_pseudo_trajectory(dataset, beta, lk, xps)
-    mats = _bucket_proxies(dataset, stack)
-    return FrozenProxy(dataset, _invert_proxies(dataset, mats))
 
 
 # ---------------------------------------------------------------------------
@@ -772,27 +719,24 @@ def path_information_increments(
 ) -> dict:
     """Per-cluster summands of the four comparison matrices on one path.
 
-    With a perturbation, the variance factors and any data-dependent proxy
-    are evaluated at the misspecified regressors while the true
-    correlation is untouched. Returns (n, p, p) arrays keyed by family.
+    A perturbation shifts the regressors to ``X_i + delta_i'`` first, so
+    the variance factors and any data-dependent proxy are those of the
+    shifted dataset while the true correlation is untouched. Returns
+    (n, p, p) arrays keyed by family.
     """
     beta = as_beta(beta)
     lk = get_link(link)
     n, p = dataset.n, beta.shape[0]
-    kind = EstimatingFunction.gee_star(spec)
-    if perturbation is None:
-        xs = [b.x for b in dataset.buckets]
-        proxy = freeze_proxy(kind, dataset, beta, lk)
-    else:
-        _, xs = _perturbed_regressors(dataset, perturbation, p)
-        proxy = _perturbed_proxy(kind, dataset, beta, lk, xs)
+    if perturbation is not None:
+        dataset = _perturbed_regressors(dataset, perturbation, p)
+    proxy = freeze_proxy(EstimatingFunction.gee_star(spec), dataset, beta, lk)
     rbar_inv = _invert_proxies(dataset, [truth.rbar(b.size) for b in dataset.buckets])
-    variances = _link_variances(dataset, xs, beta, lk, "regressors")
+    moments = _moments(dataset, beta, lk)
     out = {k: np.empty((n, p, p)) for k in ("h_ind", "h_star", "m_bar", "m_star")}
-    for b, x, var, rinv, tinv in zip(
-        dataset.buckets, xs, variances, proxy.inverses, rbar_inv
+    for b, (_, var), rinv, tinv in zip(
+        dataset.buckets, moments, proxy.inverses, rbar_inv
     ):
-        z = x * np.sqrt(var)[..., None]
+        z = b.x * np.sqrt(var)[..., None]
         zt = np.swapaxes(z, 1, 2)
         v = rinv @ z
         out["h_ind"][b.positions] = zt @ z
@@ -1059,16 +1003,13 @@ def a2_schedule(
     # one stream in cluster order: cluster i takes the next p * m_i values
     draws = rng.uniform(-1.0, 1.0, size=p * dataset.x.shape[0])
     targets = np.ldexp(1.0, -np.arange(1, n + 1))
-    xs = [b.x for b in dataset.buckets]
-    variances = _link_variances(dataset, xs, beta, lk, "regressors")
+    moments = _moments(dataset, beta, lk)
     # per cluster, zero-padded to the largest size: the halved delta (0) and
-    # that delta collapsed by the halvings left (1), their gaps; per bucket,
-    # their regressors
+    # that delta collapsed by the halvings left (1), and their gaps
     deltas = np.zeros((2, n, p, dataset.buckets[-1].size))
     gaps = np.empty((2, n))
     used = np.empty(n, dtype=np.int64)
-    moved = []
-    for b, var in zip(dataset.buckets, variances):
+    for b, (_, var) in zip(dataset.buckets, moments):
         target = targets[b.positions]
         start = p * dataset.offsets[b.positions]
         draw = draws[start[:, None] + np.arange(p * b.size)].reshape(-1, p, b.size)
@@ -1092,7 +1033,6 @@ def a2_schedule(
         # exhausted halving loop collapses deterministically
         shrunk = delta * np.ldexp(1.0, halvings - max_halvings)[:, None, None]
         deltas[:, b.positions, :, : b.size] = delta, shrunk
-        moved.append([b.x + np.swapaxes(dl, 1, 2) for dl in (delta, shrunk)])
         gaps[:, b.positions] = gap, _regressor_gaps(b.x, y0, shrunk, beta, lk)
         used[b.positions] = halvings
     collapsed = np.zeros(n, dtype=np.int64)
@@ -1101,7 +1041,7 @@ def a2_schedule(
     if spec.depends_on_data:
         kind = EstimatingFunction.gee_star(spec)
         rinv = dataset.in_cluster_order(freeze_proxy(kind, dataset, beta, lk).inverses)
-        parts = [_pearson_residuals(dataset, beta, lk, xp) for xp in zip(*moved)]
+        parts = [_pearson_residuals(dataset.shifted(dl), beta, lk) for dl in deltas]
         resid = [dataset.in_cluster_order(r) for r in parts]
         # the perturbed fold: the inverse-proxy gap of cluster i is fixed by
         # the deltas chosen before it, so this pass runs in cluster order,

@@ -345,6 +345,21 @@ class Dataset:
         out._store(*columns, tuple(buckets), self.p, self.m_max, self.link, self.beta0)
         return out
 
+    def shifted(self, stack: np.ndarray) -> "Dataset":
+        """This dataset with regressors ``X_i + delta_i'`` for a zero-padded
+        (n, p, max m_i) ``stack`` of deltas; ``y`` and the cluster layout
+        are shared, and the buckets keep their positions."""
+        moved = np.swapaxes(stack, 1, 2)
+        x = self.x + moved[np.arange(moved.shape[1]) < self.sizes[:, None]]
+        buckets = tuple(
+            SizeBucket(b.size, b.positions, b.x + moved[b.positions, : b.size], b.y)
+            for b in self.buckets
+        )
+        out = object.__new__(Dataset)
+        columns = (x, self.y, self.sizes, self.offsets, buckets)
+        out._store(*columns, self.p, self.m_max, self.link, self.beta0)
+        return out
+
     def digest(self) -> str:
         """SHA-256 of ``p,m_max`` and then, per cluster, its int64 size,
         its responses and its regressor rows, hashed as one buffer."""

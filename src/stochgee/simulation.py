@@ -25,7 +25,7 @@ import hashlib
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -213,26 +213,11 @@ class ScenarioConfig:
     def beta0_array(self) -> np.ndarray:
         return np.asarray(self.beta0, dtype=float)
 
-    def _replace(self, **kw) -> "ScenarioConfig":
-        base = dict(
-            link=self.link,
-            beta0=self.beta0,
-            n=self.n,
-            m_max=self.m_max,
-            sizes=self.sizes,
-            regressors=self.regressors,
-            truth=self.truth,
-            response_family=self.response_family,
-            seed=self.seed,
-        )
-        base.update(kw)
-        return ScenarioConfig(**base)
-
     def with_n(self, n: int) -> "ScenarioConfig":
-        return self._replace(n=n)
+        return replace(self, n=n)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        return self._replace(seed=seed)
+        return replace(self, seed=seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -582,15 +567,13 @@ class ReplicationResult:
     ``fits`` maps estimator name -> {str(n): fit summary};
     ``first_converged_n`` maps estimator name -> the smallest grid size at
     which the solver converged (a computable stand-in for the random index
-    past which roots exist, with no claim of equality). ``trajectories``
-    is filled by diagnostic ensembles that request condition reports.
+    past which roots exist, with no claim of equality).
     """
 
     replication: int
     digest: str
     fits: dict
     first_converged_n: Optional[dict] = None
-    trajectories: Optional[dict] = None
     error: Optional[str] = None
 
 

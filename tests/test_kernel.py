@@ -26,12 +26,7 @@ from stochgee import (
     path_information_increments,
     working_corr,
 )
-from stochgee.estimating import (
-    _perturbed_pseudo_trajectory,
-    _perturbed_regressors,
-    _template_inverse,
-    proxy_stack,
-)
+from stochgee.estimating import _template_inverse, proxy_stack
 from stochgee.model import get_link
 
 from stochgee import correlation, diagnostics
@@ -222,6 +217,46 @@ def test_invalid_variance_names_first_cluster_in_cluster_order(call):
         call(kind, ds, np.array([1.0, 0.0]))
 
 
+def shift_error_case():
+    """Mixed sizes; under the perturbation, clusters 4 and 5 overflow the
+    log link at beta=(1, 0), and no cluster does without it.
+
+    Cluster 5 has size 1, so its bucket comes before the bucket of
+    cluster 4."""
+    rng = np.random.default_rng(7)
+    sizes = (2, 3, 2, 2, 1, 3)
+    pairs_ = [(rng.standard_normal(m), 0.3 * rng.standard_normal((m, 2))) for m in sizes]
+    deltas = [np.zeros((2, m)) for m in sizes]
+    for i in (3, 4):
+        deltas[i][0] = 800.0
+    return dataset_from_arrays(pairs_, m_max=3), Perturbation(deltas, bound=2000.0)
+
+
+@pytest.mark.parametrize("kind_name", ["identity", "exchangeable", "pseudo"])
+def test_shifted_overflow_names_first_cluster_in_cluster_order(kind_name):
+    ds, pert = shift_error_case()
+    spec = {
+        "identity": WorkingCorrelationSpec.identity(3),
+        "exchangeable": WorkingCorrelationSpec.exchangeable(0.4, 3),
+        "pseudo": WorkingCorrelationSpec.pseudo_likelihood(3),
+    }[kind_name]
+    beta = np.array([1.0, 0.0])
+    truth = CorrelationTruth.from_kind("exchangeable", 0.4, 3)
+    msg = r"^cluster 4: non-finite moments at beta=\[1\.0, 0\.0\]$"
+    with pytest.raises(InvalidVarianceError, match=msg):
+        path_information_increments(ds, beta, "log", spec, truth, perturbation=pert)
+    if spec.kind != "identity":
+        with pytest.raises(InvalidVarianceError, match=msg):
+            eval_g_perturbed(ds, beta, pert, "log", spec)
+        return
+    # the identity coefficients X_i + delta_i' take no variance of the
+    # shifted data, so nothing overflows
+    expect = sum(
+        (x + d.T).T @ (y - np.exp(x @ beta)) for (y, x), d in zip(pairs(ds), pert.deltas)
+    )
+    assert_close(eval_g_perturbed(ds, beta, pert, "log", spec), expect)
+
+
 def test_not_pd_proxy_carries_cluster_index():
     ds = error_dataset()
     kind = EstimatingFunction.gee_star(WorkingCorrelationSpec.exchangeable(0.4, 3))
@@ -253,8 +288,8 @@ def test_proxy_stack_equals_sequential_fold(seed, n, m_max, link, perturbed):
     beta = rng.uniform(-0.5, 0.5, size=2)
     if perturbed:
         deltas = [0.1 * rng.uniform(-1, 1, size=(2, c.size)) for c in ds.clusters]
-        _, xps = _perturbed_regressors(ds, Perturbation(tuple(deltas), 1.0), 2)
-        stack = _perturbed_pseudo_trajectory(ds, beta, get_link(link), xps)
+        shifted = ds.shifted(Perturbation(tuple(deltas), 1.0).stack)
+        stack = proxy_stack(shifted, beta, link)
     else:
         deltas = None
         stack = proxy_stack(ds, beta, link)

@@ -16,6 +16,7 @@ from stochgee import (
     InvalidInputError,
     InvalidVarianceError,
     Parameter,
+    Perturbation,
     dataset_from_arrays,
     get_link,
     link_eval,
@@ -323,6 +324,34 @@ def test_digest_matches_cluster_loop(sizes, p, data):
     assert ds.digest() == loop_digest(ds)
     head = ds.prefix(data.draw(st.integers(1, len(sizes))))
     assert head.digest() == loop_digest(head)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+    p=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_shifted_is_the_dataset_of_moved_regressors(sizes, p, seed, data):
+    # sizes in random order, m_max declared above the largest one
+    rng = np.random.default_rng(seed)
+    pairs = [(rng.standard_normal(m), rng.standard_normal((m, p))) for m in sizes]
+    ds = dataset_from_arrays(pairs, m_max=max(sizes) + 1)
+    for n in (len(sizes), data.draw(st.integers(1, len(sizes)))):
+        deltas = [rng.uniform(-0.1, 0.1, size=(p, m)) for m in sizes[:n]]
+        got = ds.prefix(n).shifted(Perturbation(deltas, bound=1.0).stack)
+        ref = dataset_from_arrays(
+            [(y, x + d.T) for (y, x), d in zip(pairs, deltas)], m_max=ds.m_max
+        )
+        _same_dataset(got, ref)
+        assert len(got.buckets) == len(ref.buckets)
+        for b, r in zip(got.buckets, ref.buckets):
+            assert b.size == r.size
+            assert b.positions.tolist() == r.positions.tolist()
+            assert b.x.tobytes() == r.x.tobytes()
+            assert b.y.tobytes() == r.y.tobytes()
+            assert not b.x.flags.writeable
 
 
 class TestLoaderMatchesRowLoop:
