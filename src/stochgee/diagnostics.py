@@ -21,6 +21,7 @@ from .estimating import (
     CorrelationTruth,
     EstimatingFunction,
     _bucket_proxies,
+    a2_halving_pass,
     a2_schedule,
     central_points,
     corr_trajectory,
@@ -316,7 +317,10 @@ def _curvature_series(dataset, lk, lattices, n_grid) -> dict:
     eta, the largest |sqrt(mu'(b) / mu'(a)) - 1| over pairs of points,
     comes from the extreme mu' of each row: division and sqrt round
     monotonically. A zero or non-finite mu' makes the row NaN, as the pair
-    a = b would.
+    a = b would, except that a mu' which overflows to +inf makes the
+    cluster's eta inf: the ratio is unbounded there, and a skipped cluster
+    would let eta shrink as the radius grows. k2 and k3 skip such a
+    cluster (for the log link they are exactly 1).
     """
     out: dict = {k: {} for k in ("k2", "k3", "eta")}
     at = np.asarray(n_grid)
@@ -332,7 +336,9 @@ def _curvature_series(dataset, lk, lattices, n_grid) -> dict:
                 eta = np.maximum(
                     np.abs(np.sqrt(hi / lo) - 1.0), np.abs(np.sqrt(lo / hi) - 1.0)
                 )
-            per_cluster["eta"][b.positions] = np.where(positive, eta, np.nan).max(1)
+            eta = np.where(positive, eta, np.nan).max(1)
+            eta[np.isposinf(d1).any(axis=(1, 2))] = np.inf
+            per_cluster["eta"][b.positions] = eta
         for k, v in per_cluster.items():
             out[k][r] = np.fmax.accumulate(np.concatenate(([0.0], v)))[at].tolist()
     return out
@@ -492,16 +498,19 @@ def _optimality_worker(args):
     config, rep, specs, n_grid, perturbed, beta_ref = args
     truth = config.truth.template(config.m_max)
     ds = simulate_scenario(config.with_n(max(n_grid)), rep)
+    pert_seed = splitmix64(replication_seed(config.seed, rep) ^ _PERTURBATION_TAG)
+    # the draws and halvings of the schedule are shared by every spec; they
+    # are taken where the first spec's schedule would take them
+    halving = None
     out = {}
     for name, spec in specs:
         inc = path_information_increments(ds, beta_ref, config.link, spec, truth)
         entry = {"plain": _checkpoint_sums(inc, n_grid)}
         if perturbed:
-            pert_seed = splitmix64(
-                replication_seed(config.seed, rep) ^ _PERTURBATION_TAG
-            )
+            if halving is None:
+                halving = a2_halving_pass(ds, beta_ref, config.link, pert_seed)
             schedule, report = a2_schedule(
-                ds, beta_ref, config.link, spec, seed=pert_seed
+                ds, beta_ref, config.link, spec, seed=pert_seed, halving=halving
             )
             inc_p = path_information_increments(
                 ds, beta_ref, config.link, spec, truth, perturbation=schedule

@@ -33,7 +33,7 @@ from .exceptions import (
     SymmetryViolationError,
     UnsupportedMethodError,
 )
-from .model import Dataset, as_beta, get_link
+from .model import Dataset, LinkFunction, as_beta, get_link
 
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
@@ -912,7 +912,13 @@ class Perturbation:
         return self
 
     def _store(self, stack, sizes, bound) -> None:
-        over = np.flatnonzero(linalg.spectral_norm(stack) > bound * (1.0 + 1e-9))
+        # ||D||_2 <= ||D||_F: only deltas whose Frobenius norm exceeds the
+        # bound (or is NaN) can exceed it, so only those take an SVD
+        with np.errstate(over="ignore"):
+            fro = np.sqrt(np.einsum("kij,kij->k", stack, stack))
+        screened = np.flatnonzero(~(fro <= bound))
+        norms = linalg.spectral_norm(stack[screened])
+        over = screened[norms > bound * (1.0 + 1e-9)]
         if over.size:
             raise InvalidInputError(
                 f"delta {over[0] + 1} exceeds the declared spectral-norm bound"
@@ -964,51 +970,62 @@ def _template_inverse(templates: np.ndarray, positions) -> np.ndarray:
         raise
 
 
-def a2_schedule(
-    dataset: Dataset,
-    beta,
-    link,
-    spec: WorkingCorrelationSpec,
-    seed: int,
-    max_halvings: int = 40,
-) -> tuple:
-    """Construct the geometric perturbation schedule with norms <= 2^{-i}.
+@dataclass(frozen=True, eq=False)
+class A2HalvingPass:
+    """The spec-independent half of ``a2_schedule``, from ``a2_halving_pass``.
 
-    Each delta is drawn with uniform(-1, 1) entries, rescaled to spectral
-    norm 2^{-i}, then halved until both induced-difference inequalities
-    (on the transformed regressor factor and on the inverse proxy) hold.
-    For data-dependent proxies the inverse-proxy difference at step ``i``
-    is fixed by the earlier deltas, so halving the current delta cannot
-    always repair it; residual violations are reported, not raised. Nearly
-    every cluster is reported (995 of 1000 on the 1000-cluster optimality
-    scenario): that gap decays like 1/i, not 2^-i, so ``violations ~ n``.
-
-    With a data-dependent proxy, each cluster chooses between its halved
-    delta and that delta collapsed by the halvings left, and the chosen
-    one enters the proxies of the clusters after it. That choice is made
-    in cluster order up to ``K``, one past the last cluster whose two
-    candidates give bitwise different standardized residuals; from ``K``
-    on, ``x + delta`` rounds alike for both, so the proxies of the rest
-    are one prefix sum and their choices one batch.
-
-    Returns (Perturbation, report) where the report carries per-cluster
-    halving counts, any remaining inequality violations and, as
-    ``ordered_prefix``, the ``K`` of the pass in cluster order (0 for a
-    data-independent proxy).
+    Per cluster: the two candidate deltas, zero-padded to the largest
+    size (``deltas[0]`` halved until the transform inequality holds,
+    ``deltas[1]`` that delta collapsed by the halvings left), the gap of
+    the halved one, the halvings and the target 2^-i; ``y0`` is the
+    unperturbed ``X_i A_i^{1/2}`` per size bucket. All read-only.
     """
+
+    dataset: Dataset
+    beta: np.ndarray
+    link: LinkFunction
+    key: int
+    max_halvings: int
+    deltas: np.ndarray
+    gaps: np.ndarray
+    halvings: np.ndarray
+    targets: np.ndarray
+    y0: tuple
+
+    def check(self, dataset: Dataset, beta, lk, seed: int, max_halvings: int):
+        """Raise InvalidInputError unless the pass was built for these
+        arguments."""
+        for field, same in (
+            ("dataset", self.dataset is dataset),
+            ("beta", self.beta.tobytes() == beta.tobytes()),
+            ("link", self.link is lk),
+            ("seed", self.key == int(seed) & (2**128 - 1)),
+            ("max_halvings", self.max_halvings == max_halvings),
+        ):
+            if not same:
+                raise InvalidInputError(f"halving pass was built for another {field}")
+
+
+def a2_halving_pass(
+    dataset: Dataset, beta, link, seed: int, max_halvings: int = 40
+) -> A2HalvingPass:
+    """The draws and halvings of ``a2_schedule``: each delta is drawn with
+    uniform(-1, 1) entries, rescaled to spectral norm 2^{-i}, then halved
+    until the transformed-regressor inequality holds or ``max_halvings``
+    is spent."""
     beta = as_beta(beta)
     lk = get_link(link)
-    n, p, d = dataset.n, beta.shape[0], dataset.m_max
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**128 - 1)))
+    key = int(seed) & (2**128 - 1)
+    n, p = dataset.n, beta.shape[0]
+    rng = np.random.Generator(np.random.Philox(key=key))
     # one stream in cluster order: cluster i takes the next p * m_i values
     draws = rng.uniform(-1.0, 1.0, size=p * dataset.x.shape[0])
     targets = np.ldexp(1.0, -np.arange(1, n + 1))
     moments = _moments(dataset, beta, lk)
-    # per cluster, zero-padded to the largest size: the halved delta (0) and
-    # that delta collapsed by the halvings left (1), and their gaps
     deltas = np.zeros((2, n, p, dataset.buckets[-1].size))
-    gaps = np.empty((2, n))
+    gaps = np.empty(n)
     used = np.empty(n, dtype=np.int64)
+    y0s = []
     for b, (_, var) in zip(dataset.buckets, moments):
         target = targets[b.positions]
         start = p * dataset.offsets[b.positions]
@@ -1033,12 +1050,68 @@ def a2_schedule(
         # exhausted halving loop collapses deterministically
         shrunk = delta * np.ldexp(1.0, halvings - max_halvings)[:, None, None]
         deltas[:, b.positions, :, : b.size] = delta, shrunk
-        gaps[:, b.positions] = gap, _regressor_gaps(b.x, y0, shrunk, beta, lk)
+        gaps[b.positions] = gap
         used[b.positions] = halvings
+        y0s.append(y0)
+    for a in (deltas, gaps, used, targets, *y0s):
+        a.setflags(write=False)
+    return A2HalvingPass(
+        dataset, beta, lk, key, max_halvings, deltas, gaps, used, targets, tuple(y0s)
+    )
+
+
+def a2_schedule(
+    dataset: Dataset,
+    beta,
+    link,
+    spec: WorkingCorrelationSpec,
+    seed: int,
+    max_halvings: int = 40,
+    *,
+    halving: Optional[A2HalvingPass] = None,
+) -> tuple:
+    """Construct the geometric perturbation schedule with norms <= 2^{-i}.
+
+    The deltas are drawn, scaled to 2^{-i} and halved against the
+    transformed-regressor inequality by ``a2_halving_pass``, which does
+    not depend on ``spec``; ``halving`` passes one in to share it between
+    specs (built for the same dataset, beta, link, seed and
+    ``max_halvings``; the result is the same). The spec then adds the
+    inverse-proxy inequality. For data-dependent proxies its difference
+    at step ``i`` is fixed by the earlier deltas, so halving the current
+    delta cannot always repair it; residual violations are reported, not
+    raised. Nearly every cluster is reported (995 of 1000 on the
+    1000-cluster optimality scenario): that gap decays like 1/i, not
+    2^-i, so ``violations ~ n``.
+
+    A data-independent proxy takes every halved delta. With a
+    data-dependent proxy each cluster chooses between its halved delta
+    and that delta collapsed by the halvings left, and the chosen one
+    enters the proxies of the clusters after it. That choice is made in
+    cluster order up to ``K``, one past the last cluster whose two
+    candidates give bitwise different standardized residuals; from ``K``
+    on, ``x + delta`` rounds alike for both, so the proxies of the rest
+    are one prefix sum and their choices one batch. The transform gap of
+    a collapsed delta is computed only where it is chosen.
+
+    Returns (Perturbation, report) where the report carries per-cluster
+    halving counts, any remaining inequality violations and, as
+    ``ordered_prefix``, the ``K`` of the pass in cluster order (0 for a
+    data-independent proxy).
+    """
+    beta = as_beta(beta)
+    lk = get_link(link)
+    if halving is None:
+        halving = a2_halving_pass(dataset, beta, lk, seed, max_halvings)
+    else:
+        halving.check(dataset, beta, lk, seed, max_halvings)
+    n, d = dataset.n, dataset.m_max
+    deltas, targets = halving.deltas, halving.targets
     collapsed = np.zeros(n, dtype=np.int64)
     gap_r = np.zeros(n)
     ordered = 0
     if spec.depends_on_data:
+        gaps, used = halving.gaps, halving.halvings
         kind = EstimatingFunction.gee_star(spec)
         rinv = dataset.in_cluster_order(freeze_proxy(kind, dataset, beta, lk).inverses)
         parts = [_pearson_residuals(dataset.shifted(dl), beta, lk) for dl in deltas]
@@ -1055,7 +1128,7 @@ def a2_schedule(
             r_p = residual_moment_templates(sums, counts, np.array([pos]))[0]
             rinv_gap = _template_inverse(r_p[None, :m, :m], [pos])[0] - rinv[pos, :m, :m]
             gap_r[pos] = linalg.spectral_norm(rinv_gap)
-            if gaps[0, pos] <= targets[pos] < gap_r[pos] and used[pos] < max_halvings:
+            if gaps[pos] <= targets[pos] < gap_r[pos] and used[pos] < max_halvings:
                 collapsed[pos] = 1
             r = resid[collapsed[pos]][pos, :m]
             sums[0, :m, :m] += np.outer(r, r)
@@ -1081,12 +1154,19 @@ def a2_schedule(
             raise min(singular, key=lambda exc: exc.cluster_index)
         rest = slice(ordered, n)
         collapsed[rest] = (
-            (gaps[0, rest] <= targets[rest])
+            (gaps[rest] <= targets[rest])
             & (targets[rest] < gap_r[rest])
             & (used[rest] < max_halvings)
         )
-    used[collapsed == 1] = max_halvings
-    checks = np.column_stack((gaps[collapsed, np.arange(n)], gap_r, targets)).tolist()
+    gap_y = halving.gaps.copy()
+    for b, y0 in zip(dataset.buckets, halving.y0):
+        pick = np.flatnonzero(collapsed[b.positions])
+        if pick.size:
+            pos = b.positions[pick]
+            shrunk = deltas[1, pos, :, : b.size]
+            gap_y[pos] = _regressor_gaps(b.x[pick], y0[pick], shrunk, beta, lk)
+    used = np.where(collapsed == 1, max_halvings, halving.halvings)
+    checks = np.column_stack((gap_y, gap_r, targets)).tolist()
     report = {
         "halvings": used.tolist(),
         "violations": [
@@ -1097,7 +1177,7 @@ def a2_schedule(
         "max_halvings": max_halvings,
         "ordered_prefix": ordered,
     }
-    chosen = deltas[collapsed, np.arange(n)]
+    chosen = deltas[collapsed, np.arange(n)] if collapsed.any() else deltas[0]
     return Perturbation._of_stack(chosen, dataset.sizes, bound=0.5), report
 
 
@@ -1131,12 +1211,12 @@ def integrability_summary(
 
     abs_c, abs_dc_resid, abs_ccv = [], [], []
     for ds in ensemble:
-        base = coeffs(ds, beta)
+        moments = _moments(ds, beta, lk)
+        base = _bucket_coefficients(kind, ds, beta, lk, moments)
         grads = [
             [(a - b) / (2.0 * h) for a, b in zip(coeffs(ds, bp), coeffs(ds, bm))]
             for h, bp, bm in central_points(beta)
         ]
-        moments = _moments(ds, beta, lk)
         for j, (bk, (mean, var)) in enumerate(zip(ds.buckets, moments)):
             resid = bk.y - mean
             sigma = _sigma(truth, bk.size, np.sqrt(var))

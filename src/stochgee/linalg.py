@@ -84,14 +84,18 @@ def spectral_norm(m: np.ndarray) -> float | np.ndarray:
     """Largest singular value of a matrix, or of each matrix of a
     (..., r, c) stack; a 2-D input gives a float.
 
-    Every entry must be finite; the singular values come from LAPACK's
-    SVD, one matrix at a time, so a stack and its matrices taken alone
-    agree bit for bit.
+    Every entry must be finite; an empty matrix has norm 0.0. The norm is
+    the first (largest) singular value of LAPACK's SVD, the call that
+    ``np.linalg.norm(m, 2)`` makes, one matrix at a time, so a stack and
+    its matrices taken alone agree bit for bit.
     """
     m = _check_finite(m)
     if m.ndim < 2:
         m = np.atleast_2d(m)
-    norms = np.linalg.norm(m, 2, axis=(-2, -1))
+    if 0 in m.shape[-2:]:
+        norms = np.zeros(m.shape[:-2])
+    else:
+        norms = np.linalg.svd(m, compute_uv=False)[..., 0]
     return float(norms) if m.ndim == 2 else norms
 
 

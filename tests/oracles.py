@@ -448,6 +448,7 @@ def loop_lattice_curvature(clusters, link, lattices, n_grid):
     Running maxima over the clusters of max |mu''/mu'| and |mu'''/mu'|
     over the lattice points and of max |sqrt(mu'(b) / mu'(a)) - 1| over
     pairs of points; Python's ``max`` skips a cluster whose maximum is NaN.
+    A mu' that overflows to +inf makes the cluster's eta inf.
     """
     out = {k: {r: [] for r in lattices} for k in ("k2", "k3", "eta")}
     run = {k: dict.fromkeys(lattices, 0.0) for k in out}
@@ -460,7 +461,9 @@ def loop_lattice_curvature(clusters, link, lattices, n_grid):
                 values = {
                     "k2": np.max(np.abs(d2 / d1)),
                     "k3": np.max(np.abs(d3 / d1)),
-                    "eta": np.max(np.abs(ratio - 1.0)),
+                    "eta": (
+                        np.inf if np.isposinf(d1).any() else np.max(np.abs(ratio - 1.0))
+                    ),
                 }
             for k, v in values.items():
                 run[k][r] = max(run[k][r], float(v))

@@ -258,6 +258,18 @@ class TestDiagnose:
         assert by_r["c5"]["0.5"] == ["inf"]
         assert all(math.isfinite(v) for r in ("0.25", "0.1") for v in by_r["c5"][r])
 
+    def test_overflowing_mu_prime_makes_eta_inf(self, tmp_path):
+        # at radius 0.5 exp overflows for clusters 3 and 5; eta must stay
+        # inf there, not drop those clusters and read smaller than at 0.25
+        data = self._lattice_data(tmp_path, 1500.0)
+        out = tmp_path / "diag"
+        argv = ["diagnose", "--data", str(data), "--estimator", "exchangeable:0.4"]
+        assert main(argv + ["--out", str(out)]) == 0
+        by_r = json.loads((out / "report.json").read_text())["report"]["series_by_r"]
+        assert by_r["eta"]["0.25"] == ["inf"]
+        assert by_r["eta"]["0.5"] == ["inf"]
+        assert all(math.isfinite(v) for k in ("k2", "k3") for v in by_r[k]["0.5"])
+
     def test_scenario_report(self, scenario_file, tmp_path):
         out = tmp_path / "diag"
         code = main(

@@ -190,6 +190,40 @@ class TestPerturbed:
         with pytest.raises(InvalidInputError, match="^delta 3 must be a matrix"):
             Perturbation(deltas[:2] + (np.zeros(2),), bound=2.0)
 
+    def test_bound_screen_decides_as_the_spectral_norm(self):
+        # every Frobenius norm is above the bound, so each delta reaches the
+        # SVD; the spectral norms sit a few ulps on either side of the
+        # threshold, and a delta is rejected exactly when
+        # np.linalg.norm(d, 2) exceeds it
+        bound = 0.25
+        threshold = bound * (1.0 + 1e-9)
+        small = np.full((2, 1), 0.1)
+        big = np.full((2, 2), bound)
+        rng = np.random.default_rng(14)
+        outcomes = []
+        for _ in range(20):
+            base = rng.uniform(-1.0, 1.0, size=(2, 3))
+            base *= threshold / np.linalg.norm(base, 2)
+            for k in range(-4, 5):
+                d = base * (1.0 + k * np.finfo(float).eps)
+                assert np.linalg.norm(d) > bound
+                over = bool(np.linalg.norm(d, 2) > threshold)
+                outcomes.append(over)
+                with pytest.raises(InvalidInputError) as err:
+                    Perturbation((small, d, big), bound)
+                assert str(err.value) == (
+                    f"delta {2 if over else 3} exceeds the declared spectral-norm bound"
+                )
+                if over:
+                    with pytest.raises(InvalidInputError, match="^delta 2 exceeds"):
+                        Perturbation((small, d), bound)
+                else:
+                    Perturbation((small, d), bound)
+        assert any(outcomes) and not all(outcomes)
+        nan = np.full((2, 2), np.nan)
+        with pytest.raises(InvalidInputError, match="NaN or infinite"):
+            Perturbation((small, nan, big), bound)
+
     def test_perturbation_rejects_mixed_row_counts(self):
         deltas = (np.zeros((2, 1)), np.zeros((2, 2)), np.zeros((3, 1)))
         msg = "^delta 3 has 3 rows, delta 1 has 2$"

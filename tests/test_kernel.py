@@ -10,6 +10,7 @@ from stochgee import (
     CorrelationTruth,
     DiagnosticsParams,
     EstimatingFunction,
+    InvalidInputError,
     InvalidVarianceError,
     NotPositiveDefiniteError,
     Perturbation,
@@ -26,7 +27,7 @@ from stochgee import (
     path_information_increments,
     working_corr,
 )
-from stochgee.estimating import _template_inverse, proxy_stack
+from stochgee.estimating import _template_inverse, a2_halving_pass, proxy_stack
 from stochgee.model import get_link
 
 from stochgee import correlation, diagnostics
@@ -483,6 +484,59 @@ def test_a2_schedule_batched_suffix_matches_loop(seed, n, link, scale):
     assert report["violations"] == violations
 
 
+SCHEDULE_SPECS = {
+    "identity": WorkingCorrelationSpec.identity,
+    "exchangeable": lambda m: WorkingCorrelationSpec.exchangeable(0.3, m),
+    "pseudo": WorkingCorrelationSpec.pseudo_likelihood,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 90),
+    m_max=st.integers(1, 4),
+    link=st.sampled_from(["identity", "log"]),
+    order=st.permutations(list(SCHEDULE_SPECS)),
+    scale=st.sampled_from([1.0, 4.0]),
+)
+def test_a2_schedule_shared_halving_pass_equals_fresh_calls(
+    seed, n, m_max, link, order, scale
+):
+    # one halving pass serves the specs in any order, and each schedule
+    # equals the one a2_schedule builds on its own
+    ds, rng = mixed_dataset(seed, n, m_max)
+    ds = dataset_from_arrays([(y, scale * x) for y, x in pairs(ds)], m_max=m_max)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    halving = a2_halving_pass(ds, beta, link, seed)
+    for name in order:
+        spec = SCHEDULE_SPECS[name](m_max)
+        shared, shared_report = a2_schedule(ds, beta, link, spec, seed, halving=halving)
+        fresh, fresh_report = a2_schedule(ds, beta, link, spec, seed)
+        assert shared.stack.tobytes() == fresh.stack.tobytes()
+        assert shared.sizes.tolist() == fresh.sizes.tolist()
+        assert shared_report == fresh_report
+
+
+def test_a2_schedule_rejects_a_halving_pass_for_other_arguments():
+    ds, rng = mixed_dataset(3, 30, 3)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    spec = WorkingCorrelationSpec.pseudo_likelihood(3)
+    halving = a2_halving_pass(ds, beta, "log", 7)
+    a2_schedule(ds, beta, "log", spec, 7, halving=halving)
+    for field, args, kwargs in [
+        ("dataset", (dataset_from_arrays(pairs(ds), m_max=3), beta, "log"), {}),
+        ("dataset", (ds.prefix(29), beta, "log"), {}),
+        ("beta", (ds, beta + 1e-9, "log"), {}),
+        ("link", (ds, beta, "identity"), {}),
+        ("seed", (ds, beta, "log"), {"seed": 8}),
+        ("max_halvings", (ds, beta, "log"), {"max_halvings": 39}),
+    ]:
+        kwargs = {"seed": 7, **kwargs}
+        with pytest.raises(InvalidInputError, match=f"another {field}$"):
+            a2_schedule(*args, spec, halving=halving, **kwargs)
+
+
 @pytest.mark.parametrize("seed", [56, 2])
 def test_a2_schedule_singular_perturbed_template_names_its_cluster(seed):
     # a perturbed standardized residual near 1.5e21 gives a pseudo template
@@ -529,7 +583,8 @@ def test_lattice_curvature_matches_loop(seed, n, m_max, link, grid):
 def test_lattice_curvature_skips_a_nan_cluster():
     # cluster 4 leaves the log link's range at the radius-0.5 axis points:
     # exp overflows to inf at one and underflows to 0 at the other, so its
-    # lattice maxima are NaN there, and the running maxima pass it over
+    # k2 and k3 maxima are NaN there and the running maxima pass it over,
+    # while the overflow makes its eta inf
     rng = np.random.default_rng(8)
     pairs_ = [
         (rng.standard_normal(2), 0.3 * rng.standard_normal((2, 2))) for _ in range(8)
@@ -547,6 +602,9 @@ def test_lattice_curvature_skips_a_nan_cluster():
     expect = loop_lattice_curvature(pairs(ds), "log", lattices, params.n_grid)
     for key, by_r in expect.items():
         assert report.series_by_r[key] == by_r
-        assert np.all(np.isfinite(by_r[0.5]))
+    for key in ("k2", "k3"):
+        assert np.all(np.isfinite(expect[key][0.5]))
+    eta = report.series_by_r["eta"][0.5]
+    assert np.isfinite(eta[0]) and eta[1:] == [np.inf, np.inf]
     # the radius-0.25 lattice stays in range and sees cluster 4
     assert report.series_by_r["eta"][0.25][1] > report.series_by_r["eta"][0.25][0]

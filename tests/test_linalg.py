@@ -113,6 +113,16 @@ class TestSpectralNorm:
         for got, m in zip(norms.reshape(-1), stack.reshape(-1, 3, 2)):
             assert isinstance(spectral_norm(m), float)
             assert got == spectral_norm(m)
+        # bit for bit np.linalg.norm(., 2), also for vectors and empty stacks
+        for shape in [(6, 2, 3, 2), (5, 1, 4), (5, 4, 1), (5, 0, 3), (0, 2, 3)]:
+            stack = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            norms = spectral_norm(stack)
+            want = np.linalg.norm(stack, 2, axis=(-2, -1))
+            assert norms.shape == want.shape == shape[:-2]
+            assert norms.tobytes() == want.tobytes()
+        for shape in [(0, 3), (3, 0), (0, 0)]:
+            norm = spectral_norm(np.zeros(shape))
+            assert isinstance(norm, float) and norm == 0.0
 
     def test_stack_rejects_non_finite_entry(self):
         stack = np.ones((3, 2, 2))
