@@ -30,6 +30,7 @@ from .estimating import (
     EstimatingFunction,
     OptimalityMatrices,
     Perturbation,
+    a2_halving_pass,
     a2_schedule,
     conditional_variance,
     corr_trajectory,

@@ -317,7 +317,8 @@ def _curvature_series(dataset, lk, lattices, n_grid) -> dict:
     eta, the largest |sqrt(mu'(b) / mu'(a)) - 1| over pairs of points,
     comes from the extreme mu' of each row: division and sqrt round
     monotonically. A zero or non-finite mu' makes the row NaN, as the pair
-    a = b would, except that a mu' which overflows to +inf makes the
+    a = b would, except that a mu' which overflows to +inf, or a row whose
+    mu' underflows to 0 at one point and is positive at another, makes the
     cluster's eta inf: the ratio is unbounded there, and a skipped cluster
     would let eta shrink as the radius grows. k2 and k3 skip such a
     cluster (for the log link they are exactly 1).
@@ -337,7 +338,8 @@ def _curvature_series(dataset, lk, lattices, n_grid) -> dict:
                     np.abs(np.sqrt(hi / lo) - 1.0), np.abs(np.sqrt(lo / hi) - 1.0)
                 )
             eta = np.where(positive, eta, np.nan).max(1)
-            eta[np.isposinf(d1).any(axis=(1, 2))] = np.inf
+            underflow = ((d1 == 0.0).any(axis=2) & (d1 > 0.0).any(axis=2)).any(axis=1)
+            eta[np.isposinf(d1).any(axis=(1, 2)) | underflow] = np.inf
             per_cluster["eta"][b.positions] = eta
         for k, v in per_cluster.items():
             out[k][r] = np.fmax.accumulate(np.concatenate(([0.0], v)))[at].tolist()
@@ -509,9 +511,7 @@ def _optimality_worker(args):
         if perturbed:
             if halving is None:
                 halving = a2_halving_pass(ds, beta_ref, config.link, pert_seed)
-            schedule, report = a2_schedule(
-                ds, beta_ref, config.link, spec, seed=pert_seed, halving=halving
-            )
+            schedule, report = a2_schedule(halving, spec)
             inc_p = path_information_increments(
                 ds, beta_ref, config.link, spec, truth, perturbation=schedule
             )

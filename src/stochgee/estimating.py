@@ -251,23 +251,26 @@ class FrozenProxy:
     inverses: tuple
 
 
-def _invert_proxies(dataset: Dataset, mats) -> tuple:
+def _checked_inverse(parts) -> list:
     """Batched Cholesky positive-definiteness check, then batched inverse.
 
-    ``mats[b]`` is (m, m) or (k, m, m) for bucket ``b``; a proxy that is
-    not positive definite is reported for the first cluster, in cluster
-    order, that uses one.
+    Each part is ``(mats, positions)``: an (m, m) matrix shared by the
+    clusters at 0-based ``positions``, or a (k, m, m) stack with one per
+    cluster. A matrix that Cholesky or the inverse rejects is reported for
+    the first cluster, in cluster order, that uses one.
     """
-    failed = []
-    for bucket, m in zip(dataset.buckets, mats):
+    inverses, failed = [], []
+    for mats, positions in parts:
         try:
-            np.linalg.cholesky(m)
+            np.linalg.cholesky(mats)
+            inverses.append(np.linalg.inv(mats))
         except np.linalg.LinAlgError:
-            for j, mat in enumerate(m.reshape((-1,) + m.shape[-2:])):
+            for pos, mat in zip(positions, mats.reshape((-1,) + mats.shape[-2:])):
                 try:
                     np.linalg.cholesky(mat)
+                    np.linalg.inv(mat)
                 except np.linalg.LinAlgError:
-                    failed.append((int(bucket.positions[j]) + 1, mat))
+                    failed.append((int(pos) + 1, mat))
                     break
     if failed:
         cluster_index, mat = min(failed, key=lambda f: f[0])
@@ -278,7 +281,7 @@ def _invert_proxies(dataset: Dataset, mats) -> tuple:
             lambda_min=lam_min,
             cluster_index=cluster_index,
         )
-    return tuple(np.linalg.inv(m) for m in mats)
+    return inverses
 
 
 def _stack_by_bucket(dataset: Dataset, corr_seq) -> list:
@@ -343,7 +346,8 @@ def freeze_proxy(
         mats = _bucket_proxies(dataset, proxy_stack(dataset, beta, link))
     else:
         mats = [working_corr(kind.spec, b.size) for b in dataset.buckets]
-    return FrozenProxy(dataset, _invert_proxies(dataset, mats))
+    positions = [b.positions for b in dataset.buckets]
+    return FrozenProxy(dataset, tuple(_checked_inverse(zip(mats, positions))))
 
 
 def _first_offender(dataset: Dataset, bad_rows) -> Optional[int]:
@@ -426,6 +430,12 @@ def _apply(mats, v: np.ndarray) -> np.ndarray:
 def _coefficients(x, sd, rinv) -> np.ndarray:
     """C_i = X_i' A_i^{1/2} R^{-1} A_i^{-1/2} per cluster, (k, p, m)."""
     return np.swapaxes(x * sd[..., None], 1, 2) @ (rinv / sd[:, None, :])
+
+
+def _whitened(x, var, rinv) -> tuple:
+    """z_i = A_i^{1/2} X_i and v_i = R^{-1} z_i per cluster, each (k, m, p)."""
+    z = x * np.sqrt(var)[..., None]
+    return z, rinv @ z
 
 
 class _History(Sequence):
@@ -630,24 +640,24 @@ def _analytic_jacobian(kind, dataset, beta, lk, frozen_corr):
         return dataset.x.T @ (dataset.x * w[:, None])
     moments = _moments(dataset, beta, lk)
     proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr)
-    p = beta.shape[0]
-    total = np.zeros((p, p))
-    log_link = lk.kind == "log"
-    for b, (mean, var), rinv in zip(dataset.buckets, moments, proxy.inverses):
-        sd = np.sqrt(var)
-        rows = b.x.reshape(-1, p)
-        # B = A^{1/2} R^{-1} A^{-1/2}; main term is X' B A X
-        bmat = rinv * (sd[:, :, None] * (1.0 / sd)[:, None, :])
-        total += rows.T @ (bmat @ (b.x * var[..., None])).reshape(-1, p)
-        if log_link:
-            # d b_jk / d beta_l = b_jk (x_jl - x_kl) / 2 for the log link;
-            # contracted with the residual this is
-            # (x_l o (B r) - B (x_l o r)) / 2, for every column l at once
-            resid = b.y - mean
-            corr_term = 0.5 * (
-                b.x * _apply(bmat, resid)[..., None] - bmat @ (b.x * resid[..., None])
-            )
-            total -= rows.T @ corr_term.reshape(-1, p)
+    parts = list(zip(dataset.buckets, moments, proxy.inverses))
+
+    def rows(per_bucket):
+        # the (k, m, c) arrays of the buckets stacked as one (N, c) array
+        return np.concatenate([a.reshape(-1, a.shape[-1]) for a in per_bucket])
+
+    factors = [_whitened(b.x, var, rinv) for b, (_, var), rinv in parts]
+    z, v = rows(z for z, _ in factors), rows(v for _, v in factors)
+    # main term X' A^{1/2} R^{-1} A^{1/2} X = Z' V, one product over all rows
+    total = z.T @ v
+    if lk.kind == "log":
+        # d A^{1/2}_j / d beta_l = x_jl A^{1/2}_j / 2 for the log link;
+        # contracted with the Pearson residual e this is
+        # (Z' (x_l o R^{-1} e) - V' (x_l o e)) / 2, every column l at once
+        e = [((b.y - mean) / np.sqrt(var))[..., None] for b, (mean, var), _ in parts]
+        re = [rinv @ r for (_, _, rinv), r in zip(parts, e)]
+        x = rows(b.x for b, _, _ in parts)
+        total -= 0.5 * (z.T @ (x * rows(re)) - v.T @ (x * rows(e)))
     return total
 
 
@@ -730,15 +740,16 @@ def path_information_increments(
     if perturbation is not None:
         dataset = _perturbed_regressors(dataset, perturbation, p)
     proxy = freeze_proxy(EstimatingFunction.gee_star(spec), dataset, beta, lk)
-    rbar_inv = _invert_proxies(dataset, [truth.rbar(b.size) for b in dataset.buckets])
+    rbar_inv = _checked_inverse(
+        (truth.rbar(b.size), b.positions) for b in dataset.buckets
+    )
     moments = _moments(dataset, beta, lk)
     out = {k: np.empty((n, p, p)) for k in ("h_ind", "h_star", "m_bar", "m_star")}
     for b, (_, var), rinv, tinv in zip(
         dataset.buckets, moments, proxy.inverses, rbar_inv
     ):
-        z = b.x * np.sqrt(var)[..., None]
+        z, v = _whitened(b.x, var, rinv)
         zt = np.swapaxes(z, 1, 2)
-        v = rinv @ z
         out["h_ind"][b.positions] = zt @ z
         # h_star and m_bar take the same operations, so a proxy equal to
         # the truth gives bitwise equal matrices
@@ -950,26 +961,6 @@ def _regressor_gaps(x, y0, delta, beta, lk) -> np.ndarray:
     return gaps
 
 
-def _template_inverse(templates: np.ndarray, positions) -> np.ndarray:
-    """Inverses of a (k, m, m) stack of perturbed proxy templates of the
-    clusters at 0-based ``positions``; a numerically singular template
-    raises NotPositiveDefiniteError naming the first such cluster."""
-    try:
-        return np.linalg.inv(templates)
-    except np.linalg.LinAlgError as exc:
-        for pos, r in zip(positions, templates):
-            try:
-                np.linalg.inv(r)
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefiniteError(
-                    f"perturbed proxy template of cluster {pos + 1} is "
-                    "numerically singular",
-                    lambda_min=float(np.linalg.eigvalsh(r)[0]),
-                    cluster_index=int(pos) + 1,
-                ) from exc
-        raise
-
-
 @dataclass(frozen=True, eq=False)
 class A2HalvingPass:
     """The spec-independent half of ``a2_schedule``, from ``a2_halving_pass``.
@@ -984,26 +975,12 @@ class A2HalvingPass:
     dataset: Dataset
     beta: np.ndarray
     link: LinkFunction
-    key: int
     max_halvings: int
     deltas: np.ndarray
     gaps: np.ndarray
     halvings: np.ndarray
     targets: np.ndarray
     y0: tuple
-
-    def check(self, dataset: Dataset, beta, lk, seed: int, max_halvings: int):
-        """Raise InvalidInputError unless the pass was built for these
-        arguments."""
-        for field, same in (
-            ("dataset", self.dataset is dataset),
-            ("beta", self.beta.tobytes() == beta.tobytes()),
-            ("link", self.link is lk),
-            ("seed", self.key == int(seed) & (2**128 - 1)),
-            ("max_halvings", self.max_halvings == max_halvings),
-        ):
-            if not same:
-                raise InvalidInputError(f"halving pass was built for another {field}")
 
 
 def a2_halving_pass(
@@ -1056,33 +1033,22 @@ def a2_halving_pass(
     for a in (deltas, gaps, used, targets, *y0s):
         a.setflags(write=False)
     return A2HalvingPass(
-        dataset, beta, lk, key, max_halvings, deltas, gaps, used, targets, tuple(y0s)
+        dataset, beta, lk, max_halvings, deltas, gaps, used, targets, tuple(y0s)
     )
 
 
-def a2_schedule(
-    dataset: Dataset,
-    beta,
-    link,
-    spec: WorkingCorrelationSpec,
-    seed: int,
-    max_halvings: int = 40,
-    *,
-    halving: Optional[A2HalvingPass] = None,
-) -> tuple:
+def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
     """Construct the geometric perturbation schedule with norms <= 2^{-i}.
 
     The deltas are drawn, scaled to 2^{-i} and halved against the
     transformed-regressor inequality by ``a2_halving_pass``, which does
-    not depend on ``spec``; ``halving`` passes one in to share it between
-    specs (built for the same dataset, beta, link, seed and
-    ``max_halvings``; the result is the same). The spec then adds the
-    inverse-proxy inequality. For data-dependent proxies its difference
-    at step ``i`` is fixed by the earlier deltas, so halving the current
-    delta cannot always repair it; residual violations are reported, not
-    raised. Nearly every cluster is reported (995 of 1000 on the
-    1000-cluster optimality scenario): that gap decays like 1/i, not
-    2^-i, so ``violations ~ n``.
+    not depend on ``spec``, so one pass serves every spec on its dataset,
+    beta and link. The spec then adds the inverse-proxy inequality. For
+    data-dependent proxies its difference at step ``i`` is fixed by the
+    earlier deltas, so halving the current delta cannot always repair it;
+    residual violations are reported, not raised. Nearly every cluster is
+    reported (995 of 1000 on the 1000-cluster optimality scenario): that
+    gap decays like 1/i, not 2^-i, so ``violations ~ n``.
 
     A data-independent proxy takes every halved delta. With a
     data-dependent proxy each cluster chooses between its halved delta
@@ -1099,12 +1065,8 @@ def a2_schedule(
     ``ordered_prefix``, the ``K`` of the pass in cluster order (0 for a
     data-independent proxy).
     """
-    beta = as_beta(beta)
-    lk = get_link(link)
-    if halving is None:
-        halving = a2_halving_pass(dataset, beta, lk, seed, max_halvings)
-    else:
-        halving.check(dataset, beta, lk, seed, max_halvings)
+    dataset, beta, lk = halving.dataset, halving.beta, halving.link
+    max_halvings = halving.max_halvings
     n, d = dataset.n, dataset.m_max
     deltas, targets = halving.deltas, halving.targets
     collapsed = np.zeros(n, dtype=np.int64)
@@ -1126,8 +1088,8 @@ def a2_schedule(
         counts = np.zeros((1, d, d), dtype=np.int64)
         for pos, m in enumerate(dataset.sizes[:ordered]):
             r_p = residual_moment_templates(sums, counts, np.array([pos]))[0]
-            rinv_gap = _template_inverse(r_p[None, :m, :m], [pos])[0] - rinv[pos, :m, :m]
-            gap_r[pos] = linalg.spectral_norm(rinv_gap)
+            inv = _checked_inverse([(r_p[None, :m, :m], [pos])])[0][0]
+            gap_r[pos] = linalg.spectral_norm(inv - rinv[pos, :m, :m])
             if gaps[pos] <= targets[pos] < gap_r[pos] and used[pos] < max_halvings:
                 collapsed[pos] = 1
             r = resid[collapsed[pos]][pos, :m]
@@ -1141,17 +1103,15 @@ def a2_schedule(
             np.cumsum(mask[ordered:n], axis=0),
             np.arange(ordered, n),
         )
-        singular = []
-        for b in dataset.buckets:
-            pos = b.positions[np.searchsorted(b.positions, ordered) :]
-            try:
-                inv = _template_inverse(tail[pos - ordered, : b.size, : b.size], pos)
-            except NotPositiveDefiniteError as exc:
-                singular.append(exc)
-                continue
-            gap_r[pos] = linalg.spectral_norm(inv - rinv[pos, : b.size, : b.size])
-        if singular:
-            raise min(singular, key=lambda exc: exc.cluster_index)
+        later = [
+            (b.size, b.positions[np.searchsorted(b.positions, ordered) :])
+            for b in dataset.buckets
+        ]
+        inverses = _checked_inverse(
+            (tail[pos - ordered, :m, :m], pos) for m, pos in later
+        )
+        for (m, pos), inv in zip(later, inverses):
+            gap_r[pos] = linalg.spectral_norm(inv - rinv[pos, :m, :m])
         rest = slice(ordered, n)
         collapsed[rest] = (
             (gaps[rest] <= targets[rest])

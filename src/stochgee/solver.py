@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg
 from .estimating import (
     EstimatingFunction,
-    _invert_proxies,
+    _checked_inverse,
     _stack_by_bucket,
     eval_g,
     freeze_proxy,
@@ -218,7 +218,8 @@ def linear_closed_form(dataset: Dataset, r_sequence) -> np.ndarray:
     p = dataset.p
     normal = np.zeros((p, p))
     rhs = np.zeros(p)
-    for b, rinv in zip(dataset.buckets, _invert_proxies(dataset, mats)):
+    inverses = _checked_inverse(zip(mats, [b.positions for b in dataset.buckets]))
+    for b, rinv in zip(dataset.buckets, inverses):
         xtr = np.swapaxes(b.x, 1, 2) @ rinv
         normal += (xtr @ b.x).sum(axis=0)
         rhs += (xtr @ b.y[..., None]).sum(axis=(0, 2))

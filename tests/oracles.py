@@ -448,7 +448,9 @@ def loop_lattice_curvature(clusters, link, lattices, n_grid):
     Running maxima over the clusters of max |mu''/mu'| and |mu'''/mu'|
     over the lattice points and of max |sqrt(mu'(b) / mu'(a)) - 1| over
     pairs of points; Python's ``max`` skips a cluster whose maximum is NaN.
-    A mu' that overflows to +inf makes the cluster's eta inf.
+    A mu' that overflows to +inf, or a row whose mu' underflows to 0 at
+    one point and is positive at another, makes the cluster's eta inf:
+    the ratio of that pair is unbounded.
     """
     out = {k: {r: [] for r in lattices} for k in ("k2", "k3", "eta")}
     run = {k: dict.fromkeys(lattices, 0.0) for k in out}
@@ -458,11 +460,14 @@ def loop_lattice_curvature(clusters, link, lattices, n_grid):
                 _, d1 = _link_moments(link, x @ lattice.T)
                 d2 = d3 = d1 if link == "log" else np.zeros_like(d1)
                 ratio = np.sqrt(d1[:, None, :] / d1[:, :, None])
+                underflow = ((d1 == 0.0).any(axis=1) & (d1 > 0.0).any(axis=1)).any()
                 values = {
                     "k2": np.max(np.abs(d2 / d1)),
                     "k3": np.max(np.abs(d3 / d1)),
                     "eta": (
-                        np.inf if np.isposinf(d1).any() else np.max(np.abs(ratio - 1.0))
+                        np.inf
+                        if np.isposinf(d1).any() or underflow
+                        else np.max(np.abs(ratio - 1.0))
                     ),
                 }
             for k, v in values.items():

@@ -13,6 +13,7 @@ from stochgee import (
     TruthSpec,
     UnsupportedMethodError,
     WorkingCorrelationSpec,
+    a2_halving_pass,
     a2_schedule,
     conditional_variance,
     corr_trajectory,
@@ -245,7 +246,8 @@ class TestPerturbed:
             for m in rng.integers(1, 4, size=40)
         ]
         ds = dataset_from_arrays(pairs, m_max=4)
-        pert, _ = a2_schedule(ds, np.array([0.2, -0.1]), "log", spec, seed=4)
+        halving = a2_halving_pass(ds, np.array([0.2, -0.1]), "log", 4)
+        pert, _ = a2_schedule(halving, spec)
         assert pert.stack.shape == (40, 2, 3)
         assert pert.sizes.tolist() == [c.size for c in ds.clusters]
         rebuilt = Perturbation(pert.deltas, 0.5)
@@ -263,7 +265,7 @@ class TestPerturbed:
         ds = simulate_scenario(cfg)
         spec = WorkingCorrelationSpec.exchangeable(0.4, 3)
         beta = cfg.beta0_array
-        pert, report = a2_schedule(ds, beta, "log", spec, seed=99)
+        pert, report = a2_schedule(a2_halving_pass(ds, beta, "log", 99), spec)
         assert not report["violations"]
         kind = EstimatingFunction.gee_star(spec)
         diffs = []
@@ -281,9 +283,8 @@ class TestPerturbed:
     def test_schedule_norm_bounds(self):
         cfg = exch_scenario(n=30)
         ds = simulate_scenario(cfg)
-        pert, report = a2_schedule(
-            ds, cfg.beta0_array, "identity", WorkingCorrelationSpec.identity(3), seed=5
-        )
+        halving = a2_halving_pass(ds, cfg.beta0_array, "identity", 5)
+        pert, report = a2_schedule(halving, WorkingCorrelationSpec.identity(3))
         for i, d in enumerate(pert.deltas, start=1):
             assert np.linalg.norm(d, 2) <= 2.0 ** (-i) * (1 + 1e-9)
         assert not report["violations"]
@@ -293,11 +294,12 @@ class TestPerturbed:
         # of the perturbed residuals; a data-independent proxy needs none
         cfg = exch_scenario(n=120, link="log", scale=0.4)
         ds = simulate_scenario(cfg)
+        halving = a2_halving_pass(ds, cfg.beta0_array, "log", 3)
         for spec, (lo, hi) in (
             (WorkingCorrelationSpec.exchangeable(0.4, 3), (0, 0)),
             (WorkingCorrelationSpec.pseudo_likelihood(3), (30, 70)),
         ):
-            _, report = a2_schedule(ds, cfg.beta0_array, "log", spec, seed=3)
+            _, report = a2_schedule(halving, spec)
             assert lo <= report["ordered_prefix"] <= hi
 
     def test_pseudo_schedule_reports_history_violations(self):
@@ -307,7 +309,8 @@ class TestPerturbed:
         cfg = exch_scenario(n=40, link="log", scale=0.4)
         ds = simulate_scenario(cfg)
         spec = WorkingCorrelationSpec.pseudo_likelihood(3)
-        pert, report = a2_schedule(ds, cfg.beta0_array, "log", spec, seed=3)
+        halving = a2_halving_pass(ds, cfg.beta0_array, "log", 3)
+        pert, report = a2_schedule(halving, spec)
         assert report["violations"]
         for i, d in enumerate(pert.deltas, start=1):
             assert np.linalg.norm(d, 2) <= 2.0 ** (-i) * (1 + 1e-9)

@@ -10,11 +10,11 @@ from stochgee import (
     CorrelationTruth,
     DiagnosticsParams,
     EstimatingFunction,
-    InvalidInputError,
     InvalidVarianceError,
     NotPositiveDefiniteError,
     Perturbation,
     WorkingCorrelationSpec,
+    a2_halving_pass,
     a2_schedule,
     ball_lattice,
     condition_trajectories,
@@ -24,10 +24,11 @@ from stochgee import (
     eval_g,
     eval_g_perturbed,
     jacobian,
+    linear_closed_form,
     path_information_increments,
     working_corr,
 )
-from stochgee.estimating import _template_inverse, a2_halving_pass, proxy_stack
+from stochgee.estimating import _checked_inverse, proxy_stack
 from stochgee.model import get_link
 
 from stochgee import correlation, diagnostics
@@ -147,6 +148,25 @@ def test_variance_and_information_match_loops(seed, n, m_max, link, variant):
     ref = loop_information_increments(pairs(ds), beta, link, seq, truth.rbar)
     for key in ref:
         assert_close(inc[key], ref[key])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 25),
+    m_max=st.integers(1, 4),
+    variant=st.sampled_from(["exchangeable", "fixed"]),
+)
+def test_identity_link_jacobian_is_the_working_information(seed, n, m_max, variant):
+    # with the identity link -dg/dbeta' is sum_i z_i' R^{-1} z_i, the
+    # cluster sum of the h_star summands, from the same whitened factors
+    ds, rng = mixed_dataset(seed, n, m_max)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    kind, _, _ = variant_setup(variant, ds, rng, beta, "identity")
+    truth = CorrelationTruth.from_kind("exchangeable", 0.4, m_max)
+    jac = jacobian(kind, ds, beta, "identity", method="analytic")
+    inc = path_information_increments(ds, beta, "identity", kind.spec, truth)
+    assert_close(jac, inc["h_star"].sum(axis=0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -448,7 +468,7 @@ def test_a2_schedule_matches_loop(seed, n, m_max, link, kind_name, scale):
         "exchangeable": WorkingCorrelationSpec.exchangeable(0.3, m_max),
         "pseudo": WorkingCorrelationSpec.pseudo_likelihood(m_max),
     }[kind_name]
-    pert, report = a2_schedule(ds, beta, link, spec, seed=seed)
+    pert, report = a2_schedule(a2_halving_pass(ds, beta, link, seed), spec)
     deltas, halvings, violations = loop_a2_schedule(
         pairs(ds), beta, link, m_max, spec.depends_on_data, seed
     )
@@ -474,7 +494,7 @@ def test_a2_schedule_batched_suffix_matches_loop(seed, n, link, scale):
     ds = dataset_from_arrays([(y, scale * x) for y, x in pairs(ds)], m_max=4)
     beta = rng.uniform(-0.5, 0.5, size=2) / np.sqrt(scale)
     spec = WorkingCorrelationSpec.pseudo_likelihood(4)
-    pert, report = a2_schedule(ds, beta, link, spec, seed=seed)
+    pert, report = a2_schedule(a2_halving_pass(ds, beta, link, seed), spec)
     deltas, halvings, violations = loop_a2_schedule(pairs(ds), beta, link, 4, True, seed)
     assert 0 < report["ordered_prefix"] < n
     assert len(pert.deltas) == len(deltas) == n
@@ -511,30 +531,11 @@ def test_a2_schedule_shared_halving_pass_equals_fresh_calls(
     halving = a2_halving_pass(ds, beta, link, seed)
     for name in order:
         spec = SCHEDULE_SPECS[name](m_max)
-        shared, shared_report = a2_schedule(ds, beta, link, spec, seed, halving=halving)
-        fresh, fresh_report = a2_schedule(ds, beta, link, spec, seed)
+        shared, shared_report = a2_schedule(halving, spec)
+        fresh, fresh_report = a2_schedule(a2_halving_pass(ds, beta, link, seed), spec)
         assert shared.stack.tobytes() == fresh.stack.tobytes()
         assert shared.sizes.tolist() == fresh.sizes.tolist()
         assert shared_report == fresh_report
-
-
-def test_a2_schedule_rejects_a_halving_pass_for_other_arguments():
-    ds, rng = mixed_dataset(3, 30, 3)
-    beta = rng.uniform(-0.5, 0.5, size=2)
-    spec = WorkingCorrelationSpec.pseudo_likelihood(3)
-    halving = a2_halving_pass(ds, beta, "log", 7)
-    a2_schedule(ds, beta, "log", spec, 7, halving=halving)
-    for field, args, kwargs in [
-        ("dataset", (dataset_from_arrays(pairs(ds), m_max=3), beta, "log"), {}),
-        ("dataset", (ds.prefix(29), beta, "log"), {}),
-        ("beta", (ds, beta + 1e-9, "log"), {}),
-        ("link", (ds, beta, "identity"), {}),
-        ("seed", (ds, beta, "log"), {"seed": 8}),
-        ("max_halvings", (ds, beta, "log"), {"max_halvings": 39}),
-    ]:
-        kwargs = {"seed": 7, **kwargs}
-        with pytest.raises(InvalidInputError, match=f"another {field}$"):
-            a2_schedule(*args, spec, halving=halving, **kwargs)
 
 
 @pytest.mark.parametrize("seed", [56, 2])
@@ -546,17 +547,51 @@ def test_a2_schedule_singular_perturbed_template_names_its_cluster(seed):
     beta = rng.uniform(-0.5, 0.5, 2) * 1e3
     spec = WorkingCorrelationSpec.pseudo_likelihood(4)
     with pytest.raises(NotPositiveDefiniteError, match="cluster 2 ") as err:
-        a2_schedule(ds, beta, "log", spec, seed=seed)
+        a2_schedule(a2_halving_pass(ds, beta, "log", seed), spec)
     assert err.value.cluster_index == 2
 
 
 def test_template_inverse_names_the_first_singular_template():
     stack = np.stack([np.eye(2), np.ones((2, 2)), np.eye(2), np.zeros((2, 2))])
     with pytest.raises(NotPositiveDefiniteError) as err:
-        _template_inverse(stack, np.array([3, 7, 9, 12]))
+        _checked_inverse([(stack, np.array([3, 7, 9, 12]))])
     assert err.value.cluster_index == 8
     assert err.value.lambda_min == pytest.approx(0.0, abs=1e-15)
-    np.testing.assert_array_equal(_template_inverse(stack[[0, 2]], [0, 1]), stack[[0, 2]])
+    (inverse,) = _checked_inverse([(stack[[0, 2]], [0, 1])])
+    np.testing.assert_array_equal(inverse, stack[[0, 2]])
+    # indefinite but invertible: LU inverts it, Cholesky rejects it
+    indefinite = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        _checked_inverse([(stack[:1], [0]), (indefinite, [5, 4])])
+    assert err.value.cluster_index == 5
+    assert err.value.lambda_min == pytest.approx(-1.0)
+
+
+def test_singular_frozen_proxy_names_its_cluster():
+    # Cholesky accepts this template of the singular-perturbed-template
+    # case above, and LU finds it exactly singular
+    singular = np.array(
+        [
+            [2.3296216299404925e42, 7.6850553342643094e30, 0.0],
+            [7.6850553342643094e30, 2.5351788776194073e19, 0.0],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+    np.linalg.cholesky(singular)
+    rng = np.random.default_rng(4)
+    ds = dataset_from_arrays(
+        [(rng.standard_normal(3), rng.standard_normal((3, 2))) for _ in range(2)],
+        m_max=3,
+    )
+    kind = EstimatingFunction.gee_star(WorkingCorrelationSpec.exchangeable(0.3, 3))
+    frozen = [np.eye(3), singular]
+    for evaluate in (
+        lambda: eval_g(kind, ds, [0.1, 0.2], "identity", frozen_corr=frozen),
+        lambda: linear_closed_form(ds, frozen),
+    ):
+        with pytest.raises(NotPositiveDefiniteError, match="cluster 2 ") as err:
+            evaluate()
+        assert err.value.cluster_index == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -608,3 +643,32 @@ def test_lattice_curvature_skips_a_nan_cluster():
     assert np.isfinite(eta[0]) and eta[1:] == [np.inf, np.inf]
     # the radius-0.25 lattice stays in range and sees cluster 4
     assert report.series_by_r["eta"][0.25][1] > report.series_by_r["eta"][0.25][0]
+
+
+def test_lattice_curvature_underflow_makes_eta_inf():
+    # cluster 4's mu' underflows to 0 at some points of the radius-0.5 and
+    # radius-0.25 lattices and stays positive at others, while nothing
+    # overflows: the ratio is unbounded there, so eta must not shrink
+    # below its value on the radius-0.1 lattice
+    rng = np.random.default_rng(8)
+    pairs_ = [
+        (rng.standard_normal(2), 0.3 * rng.standard_normal((2, 2))) for _ in range(8)
+    ]
+    pairs_[3][1][:, 0] = -1500.0
+    ds = dataset_from_arrays(pairs_, m_max=2)
+    beta = np.array([0.3, 0.2])
+    params = DiagnosticsParams(r_grid=(0.5, 0.25, 0.1), n_grid=(3, 4, 8))
+    lattices = {r: ball_lattice(beta, r) for r in params.r_grid}
+    d1 = {r: np.exp(pairs_[3][1] @ lattice.T) for r, lattice in lattices.items()}
+    for r in (0.5, 0.25):
+        assert (d1[r] == 0.0).any() and (d1[r] > 0.0).any()
+    assert np.isfinite(d1[0.5]).all() and (d1[0.1] > 0.0).all()
+    spec = WorkingCorrelationSpec.exchangeable(0.3, 2)
+    report = condition_trajectories(ds, beta, "log", spec, params=params)
+    expect = loop_lattice_curvature(pairs(ds), "log", lattices, params.n_grid)
+    for key, by_r in expect.items():
+        assert report.series_by_r[key] == by_r
+    eta = report.series_by_r["eta"]
+    for r in (0.5, 0.25):
+        assert np.isfinite(eta[r][0]) and eta[r][1:] == [np.inf, np.inf]
+    assert 1e64 < eta[0.1][1] < np.inf
