@@ -25,23 +25,20 @@ from .diagnostics import (
     slln_monitor,
 )
 from .estimating import (
-    ConditionalVariance,
     CorrelationTruth,
     EstimatingFunction,
-    OptimalityMatrices,
     Perturbation,
     a2_halving_pass,
     a2_schedule,
-    conditional_variance,
     corr_trajectory,
     det_ratio,
     eval_g,
     eval_g_perturbed,
     integrability_summary,
     jacobian,
-    optimality_matrices,
     path_information_increments,
     resolve_estimator,
+    score_increments,
 )
 from .exceptions import (
     ConfigError,

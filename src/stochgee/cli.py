@@ -15,10 +15,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .diagnostics import (
     DiagnosticsParams,
+    _jsonify,
     condition_trajectories,
     consistency_study,
     optimality_study,
@@ -32,8 +31,9 @@ from .simulation import (
     ScenarioConfig,
     SizeSchedule,
     TruthSpec,
+    _quartiles,
+    _replicate,
     effective_truth,
-    parallel_map,
     simulate_scenario,
 )
 from .solver import solve_gee
@@ -276,14 +276,12 @@ def _cmd_fit(args) -> int:
     return 0 if fit.converged else 3
 
 
-def _diagnose_worker(payload):
-    config, rep, spec, diag_params = payload
+def _diagnose_worker(config, spec, diag_params, rep):
     ds = simulate_scenario(config, rep)
     truth = config.truth.template(config.m_max)
-    report = condition_trajectories(
+    return condition_trajectories(
         ds, config.beta0_array, config.link, spec, truth=truth, params=diag_params
     )
-    return report.to_json_dict()
 
 
 def _cmd_diagnose(args) -> int:
@@ -331,12 +329,13 @@ def _cmd_diagnose(args) -> int:
             r_grid=diag["r_grid"],
             n_grid=tuple(sorted(set(n_grid))),
         )
-        payloads = [(config, rep, spec, params) for rep in range(args.reps)]
-        reports = parallel_map(_diagnose_worker, payloads, args.jobs)
+        reports = _replicate(
+            _diagnose_worker, args.reps, params.n_grid, args.jobs, config, spec, params
+        )
         payload = _resolved_payload(
             config,
             "diagnose",
-            {"estimator": name, "reps": args.reps, "report": reports[0]},
+            {"estimator": name, "reps": args.reps, "report": reports[0].to_json_dict()},
         )
         if args.reps > 1:
             payload["ensemble"] = _ensemble_summary(reports)
@@ -348,28 +347,16 @@ def _cmd_diagnose(args) -> int:
 
 
 def _ensemble_summary(reports) -> dict:
+    """Per-checkpoint quartiles of every series across the replications;
+    a replication that reads inf counts as inf."""
     summary: dict = {}
-    names = reports[0]["series"].keys()
-    for name in names:
-        rows = []
-        for rep in reports:
-            rows.append(
-                [v if isinstance(v, float) else np.nan for v in rep["series"][name]]
-            )
-        arr = np.asarray(rows, dtype=float)
-        with np.errstate(all="ignore"):
-            q1, med, q3 = np.nanpercentile(arr, [25.0, 50.0, 75.0], axis=0)
+    for name in reports[0].series:
+        quartiles = _quartiles([rep.series[name] for rep in reports])
         summary[name] = {
-            "q25": [_num(v) for v in q1],
-            "median": [_num(v) for v in med],
-            "q75": [_num(v) for v in q3],
+            key: [_jsonify(v) for v in values]
+            for key, values in zip(("q25", "median", "q75"), quartiles)
         }
     return summary
-
-
-def _num(v):
-    v = float(v)
-    return "nan" if np.isnan(v) else v
 
 
 def _cmd_study_consistency(args) -> int:

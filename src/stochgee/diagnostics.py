@@ -40,7 +40,9 @@ from .model import Dataset, as_beta, get_link
 from .simulation import (
     GENERATOR_ID,
     ScenarioConfig,
-    parallel_map,
+    _quartiles,
+    _replicate,
+    _study_meta,
     replication_seed,
     run_replications,
     simulate_scenario,
@@ -496,8 +498,7 @@ def _resolve_specs(specs) -> list:
     return out
 
 
-def _optimality_worker(args):
-    config, rep, specs, n_grid, perturbed, beta_ref = args
+def _optimality_worker(config, specs, n_grid, perturbed, beta_ref, rep):
     truth = config.truth.template(config.m_max)
     ds = simulate_scenario(config.with_n(max(n_grid)), rep)
     pert_seed = splitmix64(replication_seed(config.seed, rep) ^ _PERTURBATION_TAG)
@@ -521,9 +522,13 @@ def _optimality_worker(args):
     return out
 
 
+#: the comparison matrices an optimality row reads: H*, M-bar and M*
+_INFORMATION = ("h_star", "m_bar", "m_star")
+
+
 def _checkpoint_sums(increments: dict, n_grid) -> dict:
     out = {}
-    for key in ("h_star", "m_bar", "m_star"):
+    for key in _INFORMATION:
         cum = np.cumsum(increments[key], axis=0)
         out[key] = np.stack([cum[n - 1] for n in n_grid])
     return out
@@ -559,53 +564,38 @@ def optimality_study(
             "gaussian_link_moments family",
             field="response_family",
         )
-    if reps < 1:
-        raise ConfigError("reps must be >= 1", field="reps")
     n_grid = sorted(int(n) for n in n_grid)
     specs = _resolve_specs(specs)
     beta_ref = config.beta0_array if beta_ref is None else as_beta(beta_ref)
-    payloads = [
-        (config, rep, specs, tuple(n_grid), perturbed, beta_ref)
-        for rep in range(reps)
-    ]
-    results = parallel_map(_optimality_worker, payloads, jobs)
+    args = (config, specs, tuple(n_grid), perturbed, beta_ref)
+    results = _replicate(_optimality_worker, reps, n_grid, jobs, *args)
     rows = []
     total_violations = 0
     for name, _ in specs:
-        acc: dict = {}
-        acc_p: dict = {}
-        for res in results:
-            entry = res[name]
-            for k, v in entry["plain"].items():
-                acc[k] = acc.get(k, 0.0) + v
-            if perturbed:
-                for k, v in entry["perturbed"].items():
-                    acc_p[k] = acc_p.get(k, 0.0) + v
-                total_violations += entry.get("a2_violations", 0)
+        entries = [res[name] for res in results]
+        # the replications' checkpoint sums, added in replication order, with
+        # the column suffix of each variant
+        sums = [
+            (suffix, {k: sum(e[variant][k] for e in entries) for k in _INFORMATION})
+            for variant, suffix in (("plain", ""), ("perturbed", "_perturbed"))
+            if variant in entries[0]
+        ]
         for gi, n in enumerate(n_grid):
-            row = {
-                "spec": name,
-                "n": n,
-                "det_ratio_h": det_ratio(acc["h_star"][gi], acc["m_bar"][gi]),
-                "det_ratio_m": det_ratio(acc["m_star"][gi], acc["m_bar"][gi]),
-            }
-            if perturbed:
-                row["det_ratio_h_perturbed"] = det_ratio(
-                    acc_p["h_star"][gi], acc_p["m_bar"][gi]
-                )
-                row["det_ratio_m_perturbed"] = det_ratio(
-                    acc_p["m_star"][gi], acc_p["m_bar"][gi]
-                )
+            row = {"spec": name, "n": n}
+            for suffix, acc in sums:
+                h, m_bar, m = (acc[k][gi] for k in _INFORMATION)
+                row["det_ratio_h" + suffix] = det_ratio(h, m_bar)
+                row["det_ratio_m" + suffix] = det_ratio(m, m_bar)
             rows.append(row)
-    meta = {
-        "config": config.to_dict(),
-        "scenario_digest": config.digest(),
-        "reps": reps,
-        "n_grid": list(n_grid),
-        "perturbed": perturbed,
-        "a2_violations": total_violations if perturbed else None,
-        "generator": GENERATOR_ID,
-    }
+        if perturbed:
+            total_violations += sum(e["a2_violations"] for e in entries)
+    meta = _study_meta(
+        config,
+        reps,
+        n_grid,
+        perturbed=perturbed,
+        a2_violations=total_violations if perturbed else None,
+    )
     return StudyResult(rows=tuple(rows), meta=meta)
 
 
@@ -627,27 +617,21 @@ def consistency_study(
     results = run_replications(
         config, reps, estimators, n_grid, jobs=jobs, solver_config=solver_config
     )
+    used = [r for r in results if r.error is None]
     beta0 = config.beta0_array
     rows = []
-    failures = sum(1 for r in results if r.error is not None)
     for name, _ in estimators:
-        for n in n_grid:
-            errs, converged, first_ns = [], [], []
-            for r in results:
-                if r.error is not None:
-                    continue
-                summary = r.fits[name][str(n)]
-                err = float(
-                    np.linalg.norm(np.asarray(summary["beta_hat"]) - beta0)
-                )
-                errs.append(err)
-                converged.append(bool(summary["converged"]))
-            if errs:
-                q1, med, q3 = np.percentile(errs, [25.0, 50.0, 75.0])
-                frac = float(np.mean(converged))
-            else:
-                q1 = med = q3 = math.nan
-                frac = math.nan
+        fits = [[r.fits[name][str(n)] for n in n_grid] for r in used]
+        errs = [
+            [float(np.linalg.norm(np.asarray(f["beta_hat"]) - beta0)) for f in per_n]
+            for per_n in fits
+        ]
+        # with no replication left, every entry reads NaN
+        nans = [math.nan] * len(n_grid)
+        quartiles = _quartiles(errs or [nans])
+        converged = [[f["converged"] for f in per_n] for per_n in fits]
+        fractions = np.mean(converged, axis=0) if fits else nans
+        for n, (q1, med, q3), frac in zip(n_grid, quartiles.T, fractions):
             rows.append(
                 {
                     "estimator": name,
@@ -655,33 +639,24 @@ def consistency_study(
                     "median_err": float(med),
                     "q1_err": float(q1),
                     "q3_err": float(q3),
-                    "converged_fraction": frac,
-                    "replications_used": len(errs),
+                    "converged_fraction": float(frac),
+                    "replications_used": len(fits),
                 }
             )
-    meta = {
-        "config": config.to_dict(),
-        "scenario_digest": config.digest(),
-        "reps": reps,
-        "n_grid": list(n_grid),
-        "failures": failures,
-        "generator": GENERATOR_ID,
-    }
+    meta = _study_meta(config, reps, n_grid, failures=len(results) - len(used))
     return StudyResult(rows=tuple(rows), meta=meta)
 
 
-def _a1_worker(args):
-    config, rep, specs, n_grid = args
+def _a1_worker(config, specs, n_grid, rep):
     truth = config.truth.template(config.m_max)
     ds = simulate_scenario(config.with_n(max(n_grid)), rep)
     lk = get_link(config.link)
     beta0 = config.beta0_array
-    gaps: dict = {name: [] for name, _ in specs}
+    gaps: dict = {}
     for name, spec in specs:
         seq = corr_trajectory(ds, beta0, lk, spec)
-        for n in n_grid:
-            rbar = truth.rbar(int(ds.sizes[n - 1]))
-            gaps[name].append(a1_gap([seq[n - 1]], [rbar])[0])
+        rbars = [truth.rbar(int(ds.sizes[n - 1])) for n in n_grid]
+        gaps[name] = a1_gap([seq[n - 1] for n in n_grid], rbars)
     return gaps
 
 
@@ -695,13 +670,12 @@ def a1_gap_study(
     """Median element-wise proxy-vs-truth gaps across replications."""
     n_grid = sorted(int(n) for n in n_grid)
     specs = _resolve_specs(specs)
-    payloads = [(config, rep, specs, tuple(n_grid)) for rep in range(reps)]
-    results = parallel_map(_a1_worker, payloads, jobs)
+    results = _replicate(_a1_worker, reps, n_grid, jobs, config, specs, tuple(n_grid))
     rows = []
     for name, _ in specs:
-        stacked = np.array([res[name] for res in results])  # (reps, len(grid))
+        quartiles = _quartiles([res[name] for res in results])
         for gi, n in enumerate(n_grid):
-            q1, med, q3 = np.percentile(stacked[:, gi], [25.0, 50.0, 75.0])
+            q1, med, q3 = quartiles[:, gi]
             rows.append(
                 {
                     "spec": name,
@@ -711,18 +685,10 @@ def a1_gap_study(
                     "q3_gap": float(q3),
                 }
             )
-    meta = {
-        "config": config.to_dict(),
-        "scenario_digest": config.digest(),
-        "reps": reps,
-        "n_grid": list(n_grid),
-        "generator": GENERATOR_ID,
-    }
-    return StudyResult(rows=tuple(rows), meta=meta)
+    return StudyResult(rows=tuple(rows), meta=_study_meta(config, reps, n_grid))
 
 
-def _slln_worker(args):
-    config, rep, kind, delta, n_grid = args
+def _slln_worker(config, kind, delta, n_grid, rep):
     ds = simulate_scenario(config.with_n(max(n_grid)), rep)
     truth = config.truth.template(config.m_max)
     q_inc, v_inc = score_increments(kind, ds, config.beta0_array, config.link, truth)
@@ -743,25 +709,13 @@ def slln_decay_study(
     if delta <= 0:
         raise ConfigError("delta must be positive", field="delta")
     n_grid = sorted(int(n) for n in n_grid)
-    payloads = [(config, rep, kind, delta, tuple(n_grid)) for rep in range(reps)]
-    results = parallel_map(_slln_worker, payloads, jobs)
-    ratios = np.array([r[0] for r in results])
-    lo_vs = np.array([r[1] for r in results])
-    rows = []
-    for gi, n in enumerate(n_grid):
-        rows.append(
-            {
-                "n": n,
-                "median_ratio": float(np.percentile(ratios[:, gi], 50.0)),
-                "median_lambda_min_v": float(np.percentile(lo_vs[:, gi], 50.0)),
-            }
-        )
-    meta = {
-        "config": config.to_dict(),
-        "scenario_digest": config.digest(),
-        "reps": reps,
-        "delta": delta,
-        "n_grid": list(n_grid),
-        "generator": GENERATOR_ID,
-    }
+    args = (config, kind, delta, tuple(n_grid))
+    results = _replicate(_slln_worker, reps, n_grid, jobs, *args)
+    ratios = _quartiles([r[0] for r in results])[1]
+    lo_vs = _quartiles([r[1] for r in results])[1]
+    rows = [
+        {"n": n, "median_ratio": float(ratio), "median_lambda_min_v": float(lo_v)}
+        for n, ratio, lo_v in zip(n_grid, ratios, lo_vs)
+    ]
+    meta = _study_meta(config, reps, n_grid, delta=delta)
     return StudyResult(rows=tuple(rows), meta=meta)

@@ -665,60 +665,6 @@ def _analytic_jacobian(kind, dataset, beta, lk, frozen_corr):
 # information / covariance matrices of the section-4 comparison
 
 
-@dataclass(frozen=True)
-class OptimalityMatrices:
-    """Ensemble estimates of the four comparison matrices.
-
-    ``h_ind`` is the expected independence information, ``h_star`` the
-    expected working information, ``m_bar`` the quasi-score covariance and
-    ``m_star`` the working-score covariance. Expectations are ensemble
-    means of per-path cluster sums; per-path totals are retained for
-    single-replication diagnostics. ``*_increments`` hold the
-    ensemble-mean per-cluster summands so partial sums over any cluster
-    window are available.
-    """
-
-    h_ind: np.ndarray
-    h_star: np.ndarray
-    m_bar: np.ndarray
-    m_star: np.ndarray
-    h_ind_increments: np.ndarray
-    k_star_increments: np.ndarray
-    l_bar_increments: np.ndarray
-    m_star_increments: np.ndarray
-    per_path: tuple
-
-    @property
-    def n(self) -> int:
-        return self.k_star_increments.shape[0]
-
-    def partial(self, n0: int, n: int, which: str = "h_star") -> np.ndarray:
-        """Sum of increments over clusters n0..n (1-based, inclusive)."""
-        arrays = {
-            "h_ind": self.h_ind_increments,
-            "h_star": self.k_star_increments,
-            "m_bar": self.l_bar_increments,
-            "m_star": self.m_star_increments,
-        }
-        try:
-            arr = arrays[which]
-        except KeyError:
-            raise InvalidInputError(f"unknown matrix family {which!r}") from None
-        if not 1 <= n0 <= n <= self.n:
-            raise InvalidInputError(f"window {n0}..{n} outside 1..{self.n}")
-        return arr[n0 - 1 : n].sum(axis=0)
-
-    def totals_at(self, n: int) -> dict:
-        return {k: self.partial(1, n, k) for k in ("h_ind", "h_star", "m_bar", "m_star")}
-
-    def det_ratios_at(self, n: int) -> tuple:
-        t = self.totals_at(n)
-        return (
-            det_ratio(t["h_star"], t["m_bar"]),
-            det_ratio(t["m_star"], t["m_bar"]),
-        )
-
-
 def path_information_increments(
     dataset: Dataset,
     beta,
@@ -759,61 +705,8 @@ def path_information_increments(
     return out
 
 
-def optimality_matrices(
-    ensemble: Sequence[Dataset],
-    beta,
-    link,
-    spec: WorkingCorrelationSpec,
-    truth: CorrelationTruth,
-) -> OptimalityMatrices:
-    """Ensemble-mean comparison matrices over dataset replications."""
-    ensemble = list(ensemble)
-    if not ensemble:
-        raise InvalidInputError("ensemble must contain at least one dataset")
-    n = ensemble[0].n
-    if any(ds.n != n for ds in ensemble):
-        raise InvalidInputError("all replications must have the same cluster count")
-    beta = as_beta(beta)
-    p = beta.shape[0]
-    sums = {k: np.zeros((n, p, p)) for k in ("h_ind", "h_star", "m_bar", "m_star")}
-    per_path = []
-    for ds in ensemble:
-        inc = path_information_increments(ds, beta, link, spec, truth)
-        per_path.append({k: v.sum(axis=0) for k, v in inc.items()})
-        for k in sums:
-            sums[k] += inc[k]
-    r = float(len(ensemble))
-    means = {k: v / r for k, v in sums.items()}
-
-    def _sym(a):
-        return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-    means = {k: _sym(v) for k, v in means.items()}
-    totals = {k: v.sum(axis=0) for k, v in means.items()}
-    return OptimalityMatrices(
-        h_ind=totals["h_ind"],
-        h_star=totals["h_star"],
-        m_bar=totals["m_bar"],
-        m_star=totals["m_star"],
-        h_ind_increments=means["h_ind"],
-        k_star_increments=means["h_star"],
-        l_bar_increments=means["m_bar"],
-        m_star_increments=means["m_star"],
-        per_path=tuple(per_path),
-    )
-
-
 # ---------------------------------------------------------------------------
 # conditional variance of the estimating function
-
-
-@dataclass(frozen=True)
-class ConditionalVariance:
-    v_n: np.ndarray
-    increments: np.ndarray  # (n, p, p), each PSD
-
-    def at(self, n: int) -> np.ndarray:
-        return self.increments[:n].sum(axis=0)
 
 
 def score_increments(
@@ -843,22 +736,6 @@ def score_increments(
         v[b.positions] = 0.5 * (inc + np.swapaxes(inc, 1, 2))
         q[b.positions] = _apply(coeff, b.y - mean)
     return q, v
-
-
-def conditional_variance(
-    kind: EstimatingFunction,
-    dataset: Dataset,
-    beta,
-    link,
-    truth: CorrelationTruth,
-) -> ConditionalVariance:
-    """Cumulative predictable covariation of the estimating function.
-
-    Each increment is ``C_i Sigma_i C_i'`` with the true conditional
-    covariance from ``truth`` (or its plug-in approximation).
-    """
-    _, increments = score_increments(kind, dataset, beta, link, truth)
-    return ConditionalVariance(v_n=increments.sum(axis=0), increments=increments)
 
 
 # ---------------------------------------------------------------------------

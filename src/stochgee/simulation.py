@@ -26,6 +26,7 @@ import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -560,6 +561,65 @@ def effective_truth(
 # replication harness
 
 
+def _replicate(worker, reps: int, n_grid: Sequence[int], jobs: int, *args) -> list:
+    """``worker(*args, rep)`` for replications 0..reps-1, in replication
+    order, optionally across processes; output order and content are
+    independent of the worker count.
+
+    Every ensemble study maps its module-level worker through here, so
+    ``reps`` and the checkpoint grid (nonempty, nondecreasing, every
+    ``n >= 1``) are checked once, for all of them. A worker's exception
+    propagates.
+    """
+    if reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {reps}", field="reps")
+    grid = list(n_grid)
+    if not grid or grid[0] < 1 or any(b < a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(
+            f"n_grid must be a nonempty nondecreasing list of sizes >= 1, got {grid}",
+            field="n_grid",
+        )
+    task = partial(worker, *args)
+    if jobs <= 1 or reps == 1:
+        return [task(rep) for rep in range(reps)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, reps // (4 * jobs))
+        return list(pool.map(task, range(reps), chunksize=chunk))
+
+
+def _quartiles(values) -> np.ndarray:
+    """The 25th, 50th and 75th percentiles along axis 0, skipping NaN.
+
+    numpy interpolates ``a + (b - a) * t``, which gives NaN next to an
+    infinity. Here a percentile that lands on an infinity, or between a
+    value and an infinity, reads that infinity (NaN between -inf and
+    +inf), and a column of NaN reads NaN without a warning. Finite
+    values take the plain ``np.percentile``, which gives the same bits.
+    """
+    a = np.asarray(values, dtype=float)
+    if np.isfinite(a).all():
+        return np.percentile(a, (25.0, 50.0, 75.0), axis=0)
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        q, lo, hi = (
+            np.nanpercentile(a, (25.0, 50.0, 75.0), axis=0, method=method)
+            for method in ("linear", "lower", "higher")
+        )
+        return np.where(np.isnan(q), np.where(lo == hi, lo, lo + hi), q)
+
+
+def _study_meta(config: ScenarioConfig, reps: int, n_grid, **extra) -> dict:
+    """The reproducibility meta every ensemble study reports."""
+    return {
+        "config": config.to_dict(),
+        "scenario_digest": config.digest(),
+        "reps": reps,
+        "n_grid": list(n_grid),
+        **extra,
+        "generator": GENERATOR_ID,
+    }
+
+
 @dataclass(frozen=True)
 class ReplicationResult:
     """One replication's outputs.
@@ -586,8 +646,8 @@ def _fit_summary(fit: GeeFit) -> dict:
     }
 
 
-def _replicate_fits(args) -> ReplicationResult:
-    config, rep, estimators, n_grid, solver_config = args
+def _replicate_fits(config, estimators, n_grid, solver_config, rep):
+    """The only worker that records its failure instead of raising."""
     try:
         full = simulate_scenario(config.with_n(max(n_grid)), rep)
         fits: dict = {}
@@ -607,17 +667,6 @@ def _replicate_fits(args) -> ReplicationResult:
         return ReplicationResult(rep, "", {}, error=f"{type(exc).__name__}: {exc}")
 
 
-def parallel_map(worker, payloads, jobs: int):
-    """Ordered map, optionally across processes; output order and content
-    are independent of the worker count."""
-    payloads = list(payloads)
-    if jobs <= 1 or len(payloads) <= 1:
-        return [worker(a) for a in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(payloads) // (4 * jobs))
-        return list(pool.map(worker, payloads, chunksize=chunk))
-
-
 def run_replications(
     config: ScenarioConfig,
     reps: int,
@@ -633,17 +682,11 @@ def run_replications(
     dataset prefixes are nested across the grid, so results for common
     clusters share randomness. Failures are recorded per replication.
     """
-    if reps < 1:
-        raise ConfigError("replication count must be >= 1", field="reps")
-    n_grid = [int(n) for n in n_grid]
-    if not n_grid or any(b < a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
-        raise ConfigError("n_grid must be nondecreasing and >= 1", field="n_grid")
+    n_grid = tuple(int(n) for n in n_grid)
     estimators = list(estimators)
     for name, kind in estimators:
         if not isinstance(kind, EstimatingFunction):
             raise ConfigError(f"estimator {name!r} is not resolved", field="estimators")
     solver_config = solver_config or SolverConfig()
-    payloads = [
-        (config, rep, estimators, tuple(n_grid), solver_config) for rep in range(reps)
-    ]
-    return parallel_map(_replicate_fits, payloads, jobs)
+    args = (config, estimators, n_grid, solver_config)
+    return _replicate(_replicate_fits, reps, n_grid, jobs, *args)

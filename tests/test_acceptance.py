@@ -164,10 +164,12 @@ def test_04_exact_optimality_identity_per_path():
     ds = sg.simulate_scenario(cfg)
     truth = cfg.truth.template(3)
     spec = sg.WorkingCorrelationSpec.exchangeable(0.4, 3)
-    mats = sg.optimality_matrices([ds], cfg.beta0, "identity", spec, truth)
+    inc = sg.path_information_increments(ds, cfg.beta0, "identity", spec, truth)
+    cum = {k: np.cumsum(v, axis=0) for k, v in inc.items()}
     worst = 0.0
     for n in range(1, 301):
-        rh, rm = mats.det_ratios_at(n)
+        rh = sg.det_ratio(cum["h_star"][n - 1], cum["m_bar"][n - 1])
+        rm = sg.det_ratio(cum["m_star"][n - 1], cum["m_bar"][n - 1])
         worst = max(worst, abs(rh - 1.0), abs(rm - 1.0))
     elapsed = time.perf_counter() - t0
     record(

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -315,7 +316,62 @@ class TestDiagnose:
         assert len(payload["ensemble"]["slln_ratio"]["median"]) == 2
 
 
+    def test_ensemble_counts_diverged_replications(self, tmp_path):
+        # random sizes 1..3, seed 5: gamma_prime at n = 1 reads
+        # [1.0, 0.903, inf, 0.8995, 1.0, inf] over the six replications;
+        # the infinities count, they are not skipped as NaN
+        path = tmp_path / "scenario.ini"
+        path.write_text(
+            SCENARIO.replace("seed = 11", "seed = 5").replace(
+                "kind = constant\nm = 3", "kind = random\nlo = 1\nhi = 3"
+            )
+        )
+        out = tmp_path / "diag"
+        argv = ["diagnose", "--scenario", str(path), "--n-grid", "1,40", "--reps", "6"]
+        argv += ["--estimator", "identity", "--jobs", "1", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        text = (out / "report.json").read_text()
+        assert "Infinity" not in text
+        payload = json.loads(text)
+        gamma = payload["ensemble"]["gamma_prime"]
+        assert gamma["median"][0] == 1.0
+        assert gamma["q75"][0] == "inf"
+        assert gamma["q25"][0] == pytest.approx(0.92725, abs=1e-3)
+        assert all(math.isfinite(v) for k in gamma for v in gamma[k][1:])
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_ensemble_needs_a_replication(
+        self, scenario_file, tmp_path, capsys, reps
+    ):
+        argv = ["diagnose", "--scenario", scenario_file, "--reps", reps]
+        assert main(argv + ["--out", str(tmp_path / "diag")]) == 2
+        assert "reps must be >= 1" in capsys.readouterr().err
+
+    def test_ensemble_jobs_invariance_bytes(self, scenario_file, tmp_path):
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}"
+            argv = ["diagnose", "--scenario", scenario_file, "--reps", "3"]
+            argv += ["--n-grid", "20,40", "--estimator", "exchangeable:0.4"]
+            assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+            outs.append(read_bytes(out / "report.json"))
+        assert outs[0] == outs[1]
+
+
 class TestStudies:
+    @pytest.mark.parametrize("grid", ["0,40", "-5,40"])
+    def test_grid_below_one_is_a_config_error(
+        self, scenario_file, tmp_path, capsys, grid
+    ):
+        # n = 0 would read the last cluster: a row equal to the n = 40 row
+        out = tmp_path / "study"
+        argv = ["study-optimality", "--scenario", scenario_file, "--reps", "2"]
+        assert main(argv + [f"--n-grid={grid}", "--out", str(out)]) == 2
+        assert "n_grid" in capsys.readouterr().err
+        assert not (out / "optimality.csv").exists()
+
     def test_consistency_table(self, scenario_file, tmp_path):
         out = tmp_path / "study"
         code = main(

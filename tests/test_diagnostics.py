@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from stochgee import (
+    ConfigError,
     CorrelationTruth,
     DiagnosticsParams,
     EstimatingFunction,
@@ -25,6 +27,7 @@ from stochgee import (
     slln_decay_study,
     slln_monitor,
 )
+from stochgee.simulation import _quartiles
 
 
 def gaussian_exch(seed=5, n=60, link="identity", scale=1.0):
@@ -415,3 +418,98 @@ class TestSafeRatio:
 
         with pytest.raises(InvalidInputError):
             _safe_ratio(np.eye(2), np.eye(3))
+
+
+PSEUDO = [("pseudo", WorkingCorrelationSpec.pseudo_likelihood(3))]
+IDENTITY = [("identity", WorkingCorrelationSpec.identity(3))]
+INDEPENDENCE = EstimatingFunction.independence()
+
+#: every ensemble study, called with a given replication count and grid
+STUDIES = {
+    "optimality": lambda cfg, reps, grid, jobs=1: optimality_study(
+        cfg, PSEUDO, reps, grid, perturbed=True, jobs=jobs
+    ),
+    "consistency": lambda cfg, reps, grid, jobs=1: consistency_study(
+        cfg, [("independence", INDEPENDENCE)], reps, grid, jobs=jobs
+    ),
+    "a1_gap": lambda cfg, reps, grid, jobs=1: a1_gap_study(
+        cfg, IDENTITY + PSEUDO, reps, grid, jobs
+    ),
+    "slln": lambda cfg, reps, grid, jobs=1: slln_decay_study(
+        cfg, INDEPENDENCE, 0.25, reps, grid, jobs=jobs
+    ),
+}
+
+
+class TestReplicationHarness:
+    @pytest.mark.parametrize("grid", [[0, 40], [-5, 40], []])
+    @pytest.mark.parametrize("study", ["optimality", "a1_gap", "slln", "consistency"])
+    def test_grid_below_one_or_empty_is_refused(self, study, grid):
+        # n <= 0 would read cum[n - 1], the last cluster, and report the
+        # full-n numbers under n = 0; an empty grid has no max()
+        with pytest.raises(ConfigError, match="^n_grid: ") as err:
+            STUDIES[study](gaussian_exch(n=40), 2, grid)
+        assert err.value.field == "n_grid"
+
+    @pytest.mark.parametrize("study", ["optimality", "a1_gap", "slln", "consistency"])
+    def test_zero_reps_is_one_config_error(self, study):
+        with pytest.raises(ConfigError) as err:
+            STUDIES[study](gaussian_exch(n=40), 0, [20, 40])
+        assert err.value.field == "reps"
+        assert str(err.value) == "reps: reps must be >= 1, got 0"
+
+    @pytest.mark.parametrize("study", ["a1_gap", "slln", "consistency"])
+    def test_jobs_do_not_change_rows_or_meta(self, study):
+        cfg = gaussian_exch(n=40)
+        one = STUDIES[study](cfg, 4, [10, 40], jobs=1)
+        two = STUDIES[study](cfg, 4, [10, 40], jobs=2)
+        assert repr(one.rows) == repr(two.rows)
+        assert one.meta == two.meta
+        assert one.meta["reps"] == 4 and one.meta["n_grid"] == [10, 40]
+
+    def test_consistency_rows_with_every_replication_failed(self):
+        # the regressor drift overflows the log link in every replication
+        cfg = ScenarioConfig(
+            link="log",
+            beta0=(0.5,),
+            n=10,
+            m_max=1,
+            regressors=RegressorProcess(kind="iid", loc=4000.0, scale=0.0),
+            seed=3,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = STUDIES["consistency"](cfg, 3, [5, 10])
+        assert res.meta["failures"] == 3
+        for row in res.rows:
+            assert row["replications_used"] == 0
+            assert all(
+                math.isnan(row[k])
+                for k in ("median_err", "q1_err", "q3_err", "converged_fraction")
+            )
+
+    def test_quartiles_read_infinities(self):
+        inf = math.inf
+        cases = [
+            # numpy's interpolation gives NaN or drops these
+            ([1.0, 0.903, inf, 0.8995, 1.0, inf], [0.92725, 1.0, inf]),
+            ([1.0, inf, inf, inf], [inf, inf, inf]),
+            ([inf, inf], [inf, inf, inf]),
+            ([1.0, 1.0, 1.0, inf, inf], [1.0, 1.0, inf]),
+            ([-inf, 2.0, 3.0], [-inf, 2.0, 2.5]),
+            ([-inf, 0.0, inf], [-inf, 0.0, inf]),
+            ([-inf, inf], [math.nan] * 3),
+            ([math.nan, inf, 1.0, 2.0], [1.5, 2.0, inf]),
+            ([math.nan, math.nan], [math.nan] * 3),
+        ]
+        for values, expect in cases:
+            np.testing.assert_allclose(_quartiles(values), expect, rtol=1e-15)
+
+    def test_quartiles_of_finite_values_are_numpy_percentiles(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 12):
+            a = rng.standard_normal((n, 3))
+            expect = np.stack(
+                [np.percentile(a[:, j], [25.0, 50.0, 75.0]) for j in range(3)], axis=1
+            )
+            assert np.array_equal(_quartiles(a), expect)

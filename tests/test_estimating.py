@@ -15,7 +15,6 @@ from stochgee import (
     WorkingCorrelationSpec,
     a2_halving_pass,
     a2_schedule,
-    conditional_variance,
     corr_trajectory,
     dataset_from_arrays,
     det_ratio,
@@ -24,9 +23,9 @@ from stochgee import (
     integrability_summary,
     jacobian,
     linear_closed_form,
-    optimality_matrices,
     path_information_increments,
     resolve_estimator,
+    score_increments,
     simulate_scenario,
 )
 from stochgee.estimating import freeze_proxy
@@ -470,12 +469,19 @@ class TestOptimalityMatrices:
         datasets = [simulate_scenario(cfg, rep) for rep in range(3)]
         truth = cfg.truth.template(3)
         spec = WorkingCorrelationSpec.exchangeable(0.4, 3)
-        mats = optimality_matrices(datasets, cfg.beta0, "identity", spec, truth)
-        for path in mats.per_path:
+        incs = [
+            path_information_increments(ds, cfg.beta0, "identity", spec, truth)
+            for ds in datasets
+        ]
+        for inc in incs:
+            path = {k: v.sum(axis=0) for k, v in inc.items()}
             np.testing.assert_array_equal(path["h_star"], path["m_bar"])
             np.testing.assert_allclose(path["m_star"], path["m_bar"], rtol=1e-12)
+        # the ensemble's running sums over the clusters
+        cum = {k: np.cumsum(sum(inc[k] for inc in incs), axis=0) for k in incs[0]}
         for n in (1, 10, 50):
-            rh, rm = mats.det_ratios_at(n)
+            rh = det_ratio(cum["h_star"][n - 1], cum["m_bar"][n - 1])
+            rm = det_ratio(cum["m_star"][n - 1], cum["m_bar"][n - 1])
             assert rh == pytest.approx(1.0, abs=1e-12)
             assert rm == pytest.approx(1.0, abs=1e-12)
 
@@ -487,41 +493,25 @@ class TestOptimalityMatrices:
         ds2 = dataset_from_arrays([(p[0] + 1.0, p[1]) for p in pairs], m_max=3)
         truth = CorrelationTruth.from_kind("exchangeable", 0.4, 3)
         spec = WorkingCorrelationSpec.identity(3)
-        mats = optimality_matrices([ds1, ds2], np.zeros(2), "identity", spec, truth)
-        np.testing.assert_allclose(mats.h_ind, 2 * x.T @ x, atol=1e-12)
-        assert np.array_equal(mats.per_path[0]["h_ind"], mats.per_path[1]["h_ind"])
+        incs = [
+            path_information_increments(ds, np.zeros(2), "identity", spec, truth)
+            for ds in (ds1, ds2)
+        ]
+        per_path = [{k: v.sum(axis=0) for k, v in inc.items()} for inc in incs]
+        mean = {k: (per_path[0][k] + per_path[1][k]) / 2.0 for k in per_path[0]}
+        np.testing.assert_allclose(mean["h_ind"], 2 * x.T @ x, atol=1e-12)
+        assert np.array_equal(per_path[0]["h_ind"], per_path[1]["h_ind"])
         # m_bar never involves the responses: with a fixed design the
         # ensemble estimate equals the closed form exactly
         rinv = np.linalg.inv(truth.rbar(3))
-        np.testing.assert_allclose(mats.m_bar, 2 * x.T @ rinv @ x, atol=1e-10)
-
-    def test_partial_sums(self):
-        cfg = exch_scenario(n=20)
-        ds = simulate_scenario(cfg)
-        truth = cfg.truth.template(3)
-        spec = WorkingCorrelationSpec.exchangeable(0.1, 3)
-        mats = optimality_matrices([ds], cfg.beta0, "identity", spec, truth)
-        window = mats.partial(5, 20, "h_star")
-        np.testing.assert_allclose(
-            window + mats.partial(1, 4, "h_star"), mats.h_star, rtol=1e-12
-        )
-
-    def test_empty_ensemble(self):
-        with pytest.raises(InvalidInputError):
-            optimality_matrices(
-                [],
-                np.zeros(2),
-                "identity",
-                WorkingCorrelationSpec.identity(3),
-                CorrelationTruth.plugin(3),
-            )
+        np.testing.assert_allclose(mean["m_bar"], 2 * x.T @ rinv @ x, atol=1e-10)
 
 
 class TestConditionalVariance:
     def test_independence_plugin_equals_h_ind(self):
         cfg = exch_scenario(n=15)
         ds = simulate_scenario(cfg)
-        res = conditional_variance(
+        _, increments = score_increments(
             EstimatingFunction.independence(),
             ds,
             cfg.beta0,
@@ -529,19 +519,20 @@ class TestConditionalVariance:
             CorrelationTruth.plugin(3),
         )
         expect = sum(c.regressors.T @ c.regressors for c in ds.clusters)
-        np.testing.assert_allclose(res.v_n, expect, rtol=1e-12)
+        np.testing.assert_allclose(increments.sum(axis=0), expect, rtol=1e-12)
 
     def test_scalar_unit_design(self):
         ds = dataset_from_arrays([([0.0], [[1.0]]) for _ in range(7)])
-        res = conditional_variance(
+        _, increments = score_increments(
             EstimatingFunction.independence(),
             ds,
             np.zeros(1),
             "identity",
             CorrelationTruth.plugin(1),
         )
-        assert res.v_n[0, 0] == pytest.approx(7.0, abs=1e-12)
-        np.testing.assert_allclose(res.at(3), [[3.0]], atol=1e-12)
+        v = np.cumsum(increments, axis=0)
+        assert v[-1][0, 0] == pytest.approx(7.0, abs=1e-12)
+        np.testing.assert_allclose(v[3 - 1], [[3.0]], atol=1e-12)
 
     def test_exchangeable_truth_increment_matches_direct_product(self):
         cfg = exch_scenario(n=5)
@@ -549,25 +540,25 @@ class TestConditionalVariance:
         truth = cfg.truth.template(3)
         spec = WorkingCorrelationSpec.ar1(0.25, 3)
         kind = EstimatingFunction.gee_star(spec)
-        res = conditional_variance(kind, ds, cfg.beta0, "identity", truth)
+        _, increments = score_increments(kind, ds, cfg.beta0, "identity", truth)
         rinv = np.linalg.inv(spec.rho ** np.abs(np.subtract.outer(range(3), range(3))))
         for pos, c in enumerate(ds.clusters):
             # identity link: A = I, so C_i = X' R^{-1}
             coeff = c.regressors.T @ rinv
             direct = coeff @ truth.rbar(3) @ coeff.T
-            assert np.max(np.abs(res.increments[pos] - direct)) < 1e-12
+            assert np.max(np.abs(increments[pos] - direct)) < 1e-12
 
     def test_increments_psd(self):
         cfg = exch_scenario(n=25, link="log", scale=0.4)
         ds = simulate_scenario(cfg)
-        res = conditional_variance(
+        _, increments = score_increments(
             EstimatingFunction.gee_star(WorkingCorrelationSpec.pseudo_likelihood(3)),
             ds,
             cfg.beta0,
             "log",
             cfg.truth.template(3),
         )
-        for inc in res.increments:
+        for inc in increments:
             assert np.min(np.linalg.eigvalsh(inc)) >= -1e-10
 
 

@@ -18,7 +18,6 @@ from stochgee import (
     a2_schedule,
     ball_lattice,
     condition_trajectories,
-    conditional_variance,
     corr_trajectory,
     dataset_from_arrays,
     eval_g,
@@ -26,6 +25,7 @@ from stochgee import (
     jacobian,
     linear_closed_form,
     path_information_increments,
+    score_increments,
     working_corr,
 )
 from stochgee.estimating import _checked_inverse, proxy_stack
@@ -139,9 +139,9 @@ def test_variance_and_information_match_loops(seed, n, m_max, link, variant):
         variant = "pseudo"
     kind, _, seq = variant_setup(variant, ds, rng, beta, link)
     truth = CorrelationTruth.from_kind("exchangeable", 0.4, m_max)
-    res = conditional_variance(kind, ds, beta, link, truth)
+    _, increments = score_increments(kind, ds, beta, link, truth)
     expect = loop_conditional_variance(pairs(ds), beta, link, seq, truth.rbar)
-    assert_close(res.increments, expect)
+    assert_close(increments, expect)
     if kind.variant != "gee_star":
         return
     inc = path_information_increments(ds, beta, link, kind.spec, truth)
@@ -226,9 +226,7 @@ def error_dataset():
     [
         lambda k, ds, b: eval_g(k, ds, b, "log"),
         lambda k, ds, b: jacobian(k, ds, b, "log", method="analytic"),
-        lambda k, ds, b: conditional_variance(
-            k, ds, b, "log", CorrelationTruth.plugin(3)
-        ),
+        lambda k, ds, b: score_increments(k, ds, b, "log", CorrelationTruth.plugin(3)),
     ],
 )
 def test_invalid_variance_names_first_cluster_in_cluster_order(call):
