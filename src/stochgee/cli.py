@@ -284,6 +284,18 @@ def _diagnose_worker(config, spec, diag_params, rep):
     )
 
 
+def _diagnose_params(args, n: int, delta: float, **knobs) -> DiagnosticsParams:
+    """``diagnose``'s knobs on n clusters; ``--delta`` (else ``delta``) outside
+    (0, 1/2] or ``--n-grid`` (else n) outside 1..n is a ConfigError."""
+    delta = delta if args.delta is None else args.delta
+    if not 0.0 < delta <= 0.5:
+        raise ConfigError(f"delta must lie in (0, 1/2], got {delta}", field="delta")
+    grid = tuple(sorted(set(_ints(args.n_grid)))) if args.n_grid else (n,)
+    if not grid or grid[0] < 1 or grid[-1] > n:
+        raise ConfigError(f"n_grid must lie in 1..{n}, got {list(grid)}", field="n_grid")
+    return DiagnosticsParams(delta=delta, n_grid=grid, **knobs)
+
+
 def _cmd_diagnose(args) -> int:
     if args.data:
         dataset = load_dataset(args.data)
@@ -303,11 +315,7 @@ def _cmd_diagnose(args) -> int:
                 sizes=SizeSchedule(kind="constant", m=dataset.m_max),
             ),
         )[0][1]
-        n_grid = _ints(args.n_grid) if args.n_grid else (dataset.n,)
-        params = DiagnosticsParams(
-            delta=DiagnosticsParams.delta if args.delta is None else args.delta,
-            n_grid=tuple(sorted(set(n_grid))),
-        )
+        params = _diagnose_params(args, dataset.n, DiagnosticsParams.delta)
         report = condition_trajectories(
             dataset, dataset.beta0, dataset.link, spec, truth=None, params=params
         )
@@ -323,12 +331,7 @@ def _cmd_diagnose(args) -> int:
             config = config.with_seed(args.seed)
         name = args.estimator or est_names[0]
         spec = _spec_only([name], config)[0][1]
-        n_grid = _ints(args.n_grid) if args.n_grid else (config.n,)
-        params = DiagnosticsParams(
-            delta=args.delta if args.delta is not None else diag["delta"],
-            r_grid=diag["r_grid"],
-            n_grid=tuple(sorted(set(n_grid))),
-        )
+        params = _diagnose_params(args, config.n, diag["delta"], r_grid=diag["r_grid"])
         reports = _replicate(
             _diagnose_worker, args.reps, params.n_grid, args.jobs, config, spec, params
         )

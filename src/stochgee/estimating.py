@@ -829,12 +829,16 @@ class Perturbation:
 def _regressor_gaps(x, y0, delta, beta, lk) -> np.ndarray:
     """||(X_i + delta_i') A_i^{1/2} - y0_i||_2 for a (k, p, m) stack of
     deltas, with A_i taken at the perturbed regressors; inf where a
-    perturbed variance is not positive and finite."""
+    perturbed variance is not positive and finite, and 0.0 with no SVD
+    where the difference is exactly zero."""
     xp = x + np.swapaxes(delta, 1, 2)
     var = lk.eval(1, xp @ beta)
-    ok = np.all((var > 0) & np.isfinite(var), axis=1)
+    ok = np.flatnonzero(np.all((var > 0) & np.isfinite(var), axis=1))
+    diff = xp[ok] * np.sqrt(var[ok])[..., None] - y0[ok]
+    moved = diff.any(axis=(1, 2))
     gaps = np.full(delta.shape[0], np.inf)
-    gaps[ok] = linalg.spectral_norm(xp[ok] * np.sqrt(var[ok])[..., None] - y0[ok])
+    gaps[ok] = 0.0
+    gaps[ok[moved]] = linalg.spectral_norm(diff[moved])
     return gaps
 
 
@@ -914,6 +918,33 @@ def a2_halving_pass(
     )
 
 
+def _proxy_gap_window(fold, start: int, stop: int, state, guess) -> tuple:
+    """Inverse-proxy gaps of clusters ``start .. stop-1`` when cluster ``i``
+    folds candidate ``guess[i]`` onto the (sums, counts) ``state`` of the
+    clusters before ``start``; ``fold`` holds both candidates' terms from
+    ``residual_moment_terms`` and the inverse proxies. A template that is
+    not PD or a gap that is not finite halves the window; a window of one
+    cluster, which no guess touches, raises. Returns (stop, sums, counts,
+    gaps), with the fold before each cluster."""
+    dataset, outer, mask, rinv = fold
+    rows = np.arange(start + 1, stop)
+    sums = np.cumsum(np.concatenate((state[0][None], outer[guess[rows - 1], rows])), 0)
+    counts = np.cumsum(np.concatenate((state[1][None], mask[rows])), 0)
+    templates = residual_moment_templates(sums, counts, np.arange(start, stop))
+    spans = [(b, np.searchsorted(b.positions, (start, stop))) for b in dataset.buckets]
+    window = [(b.size, b.positions[lo:hi]) for b, (lo, hi) in spans if lo < hi]
+    try:
+        inverses = _checked_inverse((templates[i - start, :m, :m], i) for m, i in window)
+        gaps = np.empty(stop - start)
+        for (m, i), inv in zip(window, inverses):
+            gaps[i - start] = linalg.spectral_norm(inv - rinv[i, :m, :m])
+    except (NotPositiveDefiniteError, InvalidInputError):
+        if stop - start == 1:
+            raise
+        return _proxy_gap_window(fold, start, (start + stop) // 2, state, guess)
+    return stop, sums, counts, gaps
+
+
 def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
     """Construct the geometric perturbation schedule with norms <= 2^{-i}.
 
@@ -930,17 +961,20 @@ def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
     A data-independent proxy takes every halved delta. With a
     data-dependent proxy each cluster chooses between its halved delta
     and that delta collapsed by the halvings left, and the chosen one
-    enters the proxies of the clusters after it. That choice is made in
-    cluster order up to ``K``, one past the last cluster whose two
-    candidates give bitwise different standardized residuals; from ``K``
-    on, ``x + delta`` rounds alike for both, so the proxies of the rest
-    are one prefix sum and their choices one batch. The transform gap of
-    a collapsed delta is computed only where it is chosen.
+    enters the proxies of the clusters after it. A pass guesses the
+    choices of a window of clusters, folds them as one prefix sum and
+    decides the window in one batch. A cluster's gap depends only on the
+    choices before it, so every decision up to the first wrong guess is
+    right, and the next pass starts there with these decisions as its
+    guesses. Only a cluster before ``K``, one past the last cluster whose
+    candidates give bitwise different standardized residuals, can guess
+    wrong; from ``K`` on both fold alike, so one pass decides the rest.
+    The transform gap of a collapsed delta is computed only where chosen.
 
     Returns (Perturbation, report) where the report carries per-cluster
-    halving counts, any remaining inequality violations and, as
-    ``ordered_prefix``, the ``K`` of the pass in cluster order (0 for a
-    data-independent proxy).
+    halving counts, any remaining inequality violations, ``K`` as
+    ``ordered_prefix`` and the number of passes as ``ordered_passes``
+    (both 0 for a data-independent proxy).
     """
     dataset, beta, lk = halving.dataset, halving.beta, halving.link
     max_halvings = halving.max_halvings
@@ -948,53 +982,32 @@ def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
     deltas, targets = halving.deltas, halving.targets
     collapsed = np.zeros(n, dtype=np.int64)
     gap_r = np.zeros(n)
-    ordered = 0
+    ordered = passes = start = 0
     if spec.depends_on_data:
-        gaps, used = halving.gaps, halving.halvings
         kind = EstimatingFunction.gee_star(spec)
         rinv = dataset.in_cluster_order(freeze_proxy(kind, dataset, beta, lk).inverses)
         parts = [_pearson_residuals(dataset.shifted(dl), beta, lk) for dl in deltas]
         resid = [dataset.in_cluster_order(r) for r in parts]
-        # the perturbed fold: the inverse-proxy gap of cluster i is fixed by
-        # the deltas chosen before it, so this pass runs in cluster order,
-        # but only up to one past the last cluster whose two candidates'
-        # residuals differ bitwise; beyond it both fold the same residual
         differ = (resid[0].view(np.int64) != resid[1].view(np.int64)).any(axis=1)
         ordered = int(np.flatnonzero(differ)[-1]) + 1 if differ.any() else 0
-        sums = np.zeros((1, d, d))
-        counts = np.zeros((1, d, d), dtype=np.int64)
-        for pos, m in enumerate(dataset.sizes[:ordered]):
-            r_p = residual_moment_templates(sums, counts, np.array([pos]))[0]
-            inv = _checked_inverse([(r_p[None, :m, :m], [pos])])[0][0]
-            gap_r[pos] = linalg.spectral_norm(inv - rinv[pos, :m, :m])
-            if gaps[pos] <= targets[pos] < gap_r[pos] and used[pos] < max_halvings:
-                collapsed[pos] = 1
-            r = resid[collapsed[pos]][pos, :m]
-            sums[0, :m, :m] += np.outer(r, r)
-            counts[0, :m, :m] += 1
-        # the rest in one batch: a prefix sum from the state at `ordered`
-        outer, mask = residual_moment_terms(dataset, parts[0])
-        outer[ordered], mask[ordered] = sums[0], counts[0]
-        tail = residual_moment_templates(
-            np.cumsum(outer[ordered:n], axis=0),
-            np.cumsum(mask[ordered:n], axis=0),
-            np.arange(ordered, n),
-        )
-        later = [
-            (b.size, b.positions[np.searchsorted(b.positions, ordered) :])
-            for b in dataset.buckets
-        ]
-        inverses = _checked_inverse(
-            (tail[pos - ordered, :m, :m], pos) for m, pos in later
-        )
-        for (m, pos), inv in zip(later, inverses):
-            gap_r[pos] = linalg.spectral_norm(inv - rinv[pos, :m, :m])
-        rest = slice(ordered, n)
-        collapsed[rest] = (
-            (gaps[rest] <= targets[rest])
-            & (targets[rest] < gap_r[rest])
-            & (used[rest] < max_halvings)
-        )
+        outer, mask = residual_moment_terms(dataset, [np.stack(r) for r in zip(*parts)])
+        fold = (dataset, outer, mask, rinv)
+        eligible = (halving.gaps <= targets) & (halving.halvings < max_halvings)
+        state = (np.zeros((d, d)), np.zeros((d, d), dtype=np.int64))
+        # `collapsed` holds the guesses, at first all halved; a pass keeps its
+        # decisions up to its first wrong guess and the rest guess again
+        while start < n:
+            guess = collapsed.copy()
+            stop = ordered if start < ordered else n
+            stop, sums, counts, gap = _proxy_gap_window(fold, start, stop, state, guess)
+            now = slice(start, stop)
+            gap_r[now] = gap
+            collapsed[now] = eligible[now] & (targets[now] < gap_r[now])
+            wrong = np.flatnonzero(differ[now] & (collapsed[now] != guess[now]))
+            end = start + int(wrong[0]) + 1 if wrong.size else stop
+            k = end - start - 1
+            state = (sums[k] + outer[collapsed[end - 1], end], counts[k] + mask[end])
+            start, passes = end, passes + 1
     gap_y = halving.gaps.copy()
     for b, y0 in zip(dataset.buckets, halving.y0):
         pick = np.flatnonzero(collapsed[b.positions])
@@ -1013,6 +1026,7 @@ def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
         ],
         "max_halvings": max_halvings,
         "ordered_prefix": ordered,
+        "ordered_passes": passes,
     }
     chosen = deltas[collapsed, np.arange(n)] if collapsed.any() else deltas[0]
     return Perturbation._of_stack(chosen, dataset.sizes, bound=0.5), report

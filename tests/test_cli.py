@@ -216,6 +216,32 @@ class TestDiagnose:
         payload = json.loads((out / "report.json").read_text())
         assert payload["report"]["delta"] == 0.25
 
+    @pytest.mark.parametrize("source", ["scenario", "data"])
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--n-grid=0,40"], "n_grid"),
+            (["--n-grid", "10,40000"], "n_grid"),
+            (["--delta", "0.9"], "delta"),
+        ],
+    )
+    def test_bad_grid_or_delta_is_a_config_error(
+        self, scenario_file, tmp_path, capsys, source, flags, field
+    ):
+        # bad input, not a numerical failure (exit 3), on either input kind
+        if source == "data":
+            rng = np.random.default_rng(3)
+            pairs = [(rng.standard_normal(3), rng.standard_normal((3, 2))) for _ in range(12)]
+            ds = dataset_from_arrays(pairs, link="identity", beta0=np.array([0.5, -0.3]))
+            write_dataset(ds, str(tmp_path / "ds.csv"))
+            argv = ["diagnose", "--data", str(tmp_path / "ds.csv")]
+        else:
+            argv = ["diagnose", "--scenario", scenario_file]
+        out = tmp_path / "diag"
+        assert main(argv + flags + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: {field} must lie in ")
+        assert not (out / "report.json").exists()
+
     @staticmethod
     def _lattice_data(tmp_path, scale):
         """Log-link data, regular at beta0 = 0, whose clusters 5 and 3 have

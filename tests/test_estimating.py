@@ -301,6 +301,17 @@ class TestPerturbed:
             _, report = a2_schedule(halving, spec)
             assert lo <= report["ordered_prefix"] <= hi
 
+    def test_schedule_reports_ordered_passes(self):
+        # a data-independent proxy makes no pass; pseudo's passes settle at
+        # least one cluster each before K, and then one more takes the rest
+        cfg = exch_scenario(n=120, link="log", scale=0.4)
+        ds = simulate_scenario(cfg)
+        halving = a2_halving_pass(ds, cfg.beta0_array, "log", 3)
+        _, report = a2_schedule(halving, WorkingCorrelationSpec.exchangeable(0.4, 3))
+        assert report["ordered_passes"] == 0
+        _, report = a2_schedule(halving, WorkingCorrelationSpec.pseudo_likelihood(3))
+        assert 2 <= report["ordered_passes"] <= report["ordered_prefix"] + 1
+
     def test_pseudo_schedule_reports_history_violations(self):
         # the inverse-proxy inequality at step i is set by earlier deltas;
         # halving the current delta cannot repair it, so violations are

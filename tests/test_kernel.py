@@ -3,7 +3,7 @@ per-cluster reference loops."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stochgee import (
@@ -28,7 +28,7 @@ from stochgee import (
     score_increments,
     working_corr,
 )
-from stochgee.estimating import _checked_inverse, proxy_stack
+from stochgee.estimating import _checked_inverse, _proxy_gap_window, proxy_stack
 from stochgee.model import get_link
 
 from stochgee import correlation, diagnostics
@@ -534,6 +534,92 @@ def test_a2_schedule_shared_halving_pass_equals_fresh_calls(
         assert shared.stack.tobytes() == fresh.stack.tobytes()
         assert shared.sizes.tolist() == fresh.sizes.tolist()
         assert shared_report == fresh_report
+
+
+def pseudo_schedule_against_loop(ds, beta, link, seed):
+    """(report, per-cluster choices) of a pseudo-likelihood schedule, after
+    checking it against the loop oracle bit for bit."""
+    halving = a2_halving_pass(ds, beta, link, seed)
+    pert, report = a2_schedule(halving, WorkingCorrelationSpec.pseudo_likelihood(ds.m_max))
+    deltas, halvings, violations = loop_a2_schedule(
+        pairs(ds), beta, link, ds.m_max, True, seed
+    )
+    assert [d.tobytes() for d in pert.deltas] == [d.tobytes() for d in deltas]
+    assert report["halvings"] == halvings
+    assert report["violations"] == violations
+    # a collapsed delta reports max_halvings in place of its own halvings
+    return report, np.asarray(halvings) != halving.halvings
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(60, 120),
+    link=st.sampled_from(["identity", "log"]),
+    scale=st.sampled_from([0.25, 1.0, 4.0]),
+)
+def test_a2_schedule_repasses_after_wrong_guesses_match_loop(seed, n, link, scale):
+    # about one dataset in four has choices that change twice before K; on
+    # the first from `seed` on a pass guesses wrong, so the prefix takes
+    # passes after the first and the tail one more. Sizes 1..4 spread every
+    # window over several size buckets.
+    spec = WorkingCorrelationSpec.pseudo_likelihood(4)
+    for s in range(seed, seed + 40):
+        ds, rng = mixed_dataset(s, n, 4)
+        ds = dataset_from_arrays([(y, scale * x) for y, x in pairs(ds)], m_max=4)
+        beta = rng.uniform(-0.5, 0.5, size=2)
+        halving = a2_halving_pass(ds, beta, link, s)
+        _, report = a2_schedule(halving, spec)
+        k = report["ordered_prefix"]
+        chosen = np.asarray(report["halvings"][:k]) != halving.halvings[:k]
+        if k < n and np.count_nonzero(np.diff(chosen.astype(int))) >= 2:
+            break
+    else:
+        assume(False)
+    assert pseudo_schedule_against_loop(ds, beta, link, s)[0] == report
+    assert report["ordered_passes"] >= 3
+
+
+def test_a2_schedule_verifies_a_prefix_that_reaches_n():
+    # 2^-20 still moves the perturbed residuals, so K = n and there is no
+    # tail; the choices change at clusters 6, 8 and 10, so the only window,
+    # which reaches n, must still be verified and passed again
+    ds, rng = mixed_dataset(5, 20, 4)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    report, chosen = pseudo_schedule_against_loop(ds, beta, "log", 5)
+    assert report["ordered_prefix"] == ds.n
+    assert report["ordered_passes"] >= 2
+    assert chosen.tolist() == [c == "1" for c in "00000110011111111111"]
+
+
+def test_proxy_gap_window_singular_template_after_a_wrong_guess_does_not_raise():
+    # candidate 1 of cluster 3 (0-based 2) has a residual near 1.5e21, which
+    # makes the template of cluster 4 numerically singular; a window that
+    # guesses it must stop short of cluster 4 instead of raising, since the
+    # pass that corrects the guess never folds it
+    rng = np.random.default_rng(0)
+    n, j = 6, 2
+    ds = dataset_from_arrays(
+        [(rng.standard_normal(2), rng.standard_normal((2, 2))) for _ in range(n)]
+    )
+    resid = rng.standard_normal((n, 2))
+    huge = resid.copy()
+    huge[j] = [1.5e21, -0.7e21]
+    outer, mask = correlation.residual_moment_terms(ds, [np.stack([resid, huge])])
+    fold = (ds, outer, mask, np.broadcast_to(np.eye(2), (n, 2, 2)))
+    state = (np.zeros((2, 2)), np.zeros((2, 2), dtype=np.int64))
+    guess = np.zeros(n, dtype=np.int64)
+    assert _proxy_gap_window(fold, 0, n, state, guess)[0] == n
+    guess[j] = 1
+    stop, sums, counts, gaps = _proxy_gap_window(fold, 0, n, state, guess)
+    assert stop == j + 1
+    assert np.all(np.isfinite(gaps))
+    # once the guess at cluster 3 is taken as right, cluster 4 starts a
+    # window and its template raises
+    after = (sums[j] + outer[1, j + 1], counts[j] + mask[j + 1])
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        _proxy_gap_window(fold, j + 1, n, after, guess)
+    assert err.value.cluster_index == j + 2
 
 
 @pytest.mark.parametrize("seed", [56, 2])
