@@ -36,6 +36,7 @@ from .estimating import (
     eval_g_perturbed,
     integrability_summary,
     jacobian,
+    needs_truth,
     path_information_increments,
     resolve_estimator,
     score_increments,

@@ -12,9 +12,11 @@ import argparse
 import configparser
 import io
 import json
+import math
 import os
 import sys
 
+from .correlation import WorkingCorrelationSpec
 from .diagnostics import (
     DiagnosticsParams,
     _jsonify,
@@ -22,7 +24,7 @@ from .diagnostics import (
     consistency_study,
     optimality_study,
 )
-from .estimating import resolve_estimator
+from .estimating import needs_truth, resolve_estimator
 from .exceptions import ConfigError, DatasetParseError, InvalidInputError, StochGeeError
 from .model import load_dataset, sidecar_path, write_dataset
 from .simulation import (
@@ -86,62 +88,63 @@ def _names(text):
 
 
 def parse_scenario(path: str) -> tuple:
-    """Read a scenario INI file; returns (config, estimator names, diag kwargs)."""
+    """Read a scenario INI file; returns (config, estimator names, diag kwargs).
+
+    A file configparser rejects, or a value that does not parse, is a
+    ConfigError; a value's error names its ``section.key``.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"scenario file {path} does not exist", field="scenario")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    with open(path) as fh:
-        parser.read_file(fh)
-    try:
-        sc = parser["scenario"]
-    except KeyError:
-        raise ConfigError("missing [scenario] section", field="scenario") from None
 
-    def section(name):
-        return parser[name] if parser.has_section(name) else {}
+    def get(section, key, default, convert=str):
+        raw = parser.get(section, key, fallback=None)
+        try:
+            return default if raw is None else convert(raw)
+        except ValueError:
+            raise ConfigError(f"bad value {raw!r}", field=f"{section}.{key}") from None
 
-    sizes_raw = section("sizes")
-    sizes = SizeSchedule(
-        kind=sizes_raw.get("kind", "constant"),
-        m=int(sizes_raw.get("m", 1)),
-        sizes=_ints(sizes_raw.get("sizes", "")) if sizes_raw.get("sizes") else (),
-        lo=int(sizes_raw.get("lo", 1)),
-        hi=int(sizes_raw.get("hi", 1)),
-    )
-    reg_raw = section("regressors")
-    regressors = RegressorProcess(
-        kind=reg_raw.get("kind", "iid"),
-        loc=float(reg_raw.get("loc", 0.0)),
-        scale=float(reg_raw.get("scale", 1.0)),
-        phi=float(reg_raw.get("phi", 0.0)),
-        gain=float(reg_raw.get("gain", 0.0)),
-    )
-    truth_raw = section("truth")
-    truth = TruthSpec(
-        kind=truth_raw.get("kind", "independence"),
-        rho=float(truth_raw.get("rho", 0.0)),
-    )
     try:
+        with open(path) as fh:
+            parser.read_file(fh)
+        if not parser.has_section("scenario"):
+            raise ConfigError("missing [scenario] section", field="scenario")
+        sizes = SizeSchedule(
+            kind=get("sizes", "kind", "constant"),
+            m=get("sizes", "m", 1, int),
+            sizes=get("sizes", "sizes", (), _ints),
+            lo=get("sizes", "lo", 1, int),
+            hi=get("sizes", "hi", 1, int),
+        )
+        regressors = RegressorProcess(
+            kind=get("regressors", "kind", "iid"),
+            loc=get("regressors", "loc", 0.0, float),
+            scale=get("regressors", "scale", 1.0, float),
+            phi=get("regressors", "phi", 0.0, float),
+            gain=get("regressors", "gain", 0.0, float),
+        )
+        truth = TruthSpec(
+            kind=get("truth", "kind", "independence"),
+            rho=get("truth", "rho", 0.0, float),
+        )
         config = ScenarioConfig(
-            link=sc.get("link", "identity"),
-            beta0=_floats(sc.get("beta0", "0.0")),
-            n=int(sc.get("n", 100)),
-            m_max=int(sc.get("m_max", str(sizes.max_size))),
+            link=get("scenario", "link", "identity"),
+            beta0=get("scenario", "beta0", (0.0,), _floats),
+            n=get("scenario", "n", 100, int),
+            m_max=get("scenario", "m_max", sizes.max_size, int),
             sizes=sizes,
             regressors=regressors,
             truth=truth,
-            response_family=sc.get("response_family", "gaussian_link_moments"),
-            seed=int(sc.get("seed", 0)),
+            response_family=get("scenario", "response_family", "gaussian_link_moments"),
+            seed=get("scenario", "seed", 0, int),
         )
-    except ValueError as exc:
-        raise ConfigError(f"bad scenario value: {exc}", field="scenario") from None
-    est_raw = section("estimators")
-    estimators = _names(est_raw.get("names", "independence"))
-    diag_raw = section("diagnostics")
-    diag = {
-        "delta": float(diag_raw.get("delta", 0.25)),
-        "r_grid": _floats(diag_raw.get("r_grid", "0.5, 0.25, 0.1")),
-    }
+        estimators = get("estimators", "names", ("independence",), _names)
+        diag = {
+            "delta": get("diagnostics", "delta", 0.25, float),
+            "r_grid": get("diagnostics", "r_grid", (0.5, 0.25, 0.1), _floats),
+        }
+    except (ValueError, configparser.Error) as exc:
+        raise ConfigError(f"bad scenario file: {exc}", field="scenario") from None
     return config, estimators, diag
 
 
@@ -182,10 +185,6 @@ def _cell(v):
     return str(v)
 
 
-def _need_truth(names) -> bool:
-    return any(n.split(":")[0] in ("truth", "quasi", "quasi_score") for n in names)
-
-
 def _estimator(name, m_max, truth=None):
     """resolve_estimator, with a bad name reported as a configuration error."""
     try:
@@ -195,25 +194,22 @@ def _estimator(name, m_max, truth=None):
 
 
 def _resolve_all(names, config: ScenarioConfig):
-    truth = effective_truth(config) if _need_truth(names) else None
+    truth = effective_truth(config) if any(map(needs_truth, names)) else None
     return [(n, _estimator(n, config.m_max, truth)) for n in names]
 
 
-def _spec_only(names, config: ScenarioConfig):
-    pairs = _resolve_all(names, config)
-    out = []
-    for name, kind in pairs:
-        if kind.variant == "independence":
-            spec = resolve_estimator("identity", config.m_max).spec
-        elif kind.variant == "gee_star":
-            spec = kind.spec
-        else:
-            raise ConfigError(
-                f"estimator {name!r} has no working-correlation proxy to study",
-                field="estimators",
-            )
-        out.append((name, spec))
-    return out
+def _spec_only(kind, m_max):
+    """The estimator's proxy; independence reads the identity."""
+    return kind.spec or WorkingCorrelationSpec.identity(m_max)
+
+
+def _n_grid(args, n: int) -> tuple:
+    """The checkpoints ``--n-grid`` lists, else (n,)."""
+    try:
+        return _ints(args.n_grid) if args.n_grid else (n,)
+    except ValueError:
+        msg = f"n_grid must list integers, got {args.n_grid!r}"
+        raise ConfigError(msg, field="n_grid") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -240,13 +236,12 @@ def _cmd_fit(args) -> int:
             raise ConfigError(
                 "dataset sidecar does not declare a link", field="data"
             )
-        config = None
-        names = [args.estimator or "independence"]
-        estimators = [(names[0], _estimator(names[0], dataset.m_max))]
+        name = args.estimator or "independence"
+        kind = _estimator(name, dataset.m_max)
         payload = {
             "command": "fit",
             "data": os.path.abspath(args.data),
-            "estimator": names[0],
+            "estimator": name,
             "generator": GENERATOR_ID,
         }
         link = dataset.link
@@ -256,10 +251,9 @@ def _cmd_fit(args) -> int:
             config = config.with_seed(args.seed)
         dataset = simulate_scenario(config)
         name = args.estimator or scenario_estimators[0]
-        estimators = _resolve_all([name], config)
+        kind = _resolve_all([name], config)[0][1]
         payload = _resolved_payload(config, "fit", {"estimator": name})
         link = config.link
-    name, kind = estimators[0]
     fit = solve_gee(dataset, kind, link)
     os.makedirs(args.out, exist_ok=True)
     payload.update(
@@ -284,16 +278,23 @@ def _diagnose_worker(config, spec, diag_params, rep):
     )
 
 
-def _diagnose_params(args, n: int, delta: float, **knobs) -> DiagnosticsParams:
+def _diagnose_params(
+    args, n: int, delta=DiagnosticsParams.delta, r_grid=DiagnosticsParams.r_grid
+) -> DiagnosticsParams:
     """``diagnose``'s knobs on n clusters; ``--delta`` (else ``delta``) outside
-    (0, 1/2] or ``--n-grid`` (else n) outside 1..n is a ConfigError."""
+    (0, 1/2], ``--n-grid`` (else n) outside 1..n or an ``r_grid`` that is not
+    finite, positive and strictly decreasing is a ConfigError."""
     delta = delta if args.delta is None else args.delta
     if not 0.0 < delta <= 0.5:
         raise ConfigError(f"delta must lie in (0, 1/2], got {delta}", field="delta")
-    grid = tuple(sorted(set(_ints(args.n_grid)))) if args.n_grid else (n,)
+    grid = tuple(sorted(set(_n_grid(args, n))))
     if not grid or grid[0] < 1 or grid[-1] > n:
         raise ConfigError(f"n_grid must lie in 1..{n}, got {list(grid)}", field="n_grid")
-    return DiagnosticsParams(delta=delta, n_grid=grid, **knobs)
+    falling = all(a > b for a, b in zip(r_grid, r_grid[1:]))
+    if not (r_grid and falling and all(0 < r < math.inf for r in r_grid)):
+        msg = "r_grid must be finite, positive and strictly decreasing"
+        raise ConfigError(f"{msg}, got {list(r_grid)}", field="r_grid")
+    return DiagnosticsParams(delta=delta, n_grid=grid, r_grid=r_grid)
 
 
 def _cmd_diagnose(args) -> int:
@@ -304,18 +305,9 @@ def _cmd_diagnose(args) -> int:
                 "diagnosing a raw dataset needs link and beta0 in the sidecar",
                 field="data",
             )
-        names = [args.estimator or "identity"]
-        spec = _spec_only(
-            names,
-            ScenarioConfig(
-                link=dataset.link,
-                beta0=tuple(float(b) for b in dataset.beta0),
-                n=dataset.n,
-                m_max=dataset.m_max,
-                sizes=SizeSchedule(kind="constant", m=dataset.m_max),
-            ),
-        )[0][1]
-        params = _diagnose_params(args, dataset.n, DiagnosticsParams.delta)
+        kind = _estimator(args.estimator or "identity", dataset.m_max)
+        spec = _spec_only(kind, dataset.m_max)
+        params = _diagnose_params(args, dataset.n)
         report = condition_trajectories(
             dataset, dataset.beta0, dataset.link, spec, truth=None, params=params
         )
@@ -330,8 +322,8 @@ def _cmd_diagnose(args) -> int:
         if args.seed is not None:
             config = config.with_seed(args.seed)
         name = args.estimator or est_names[0]
-        spec = _spec_only([name], config)[0][1]
-        params = _diagnose_params(args, config.n, diag["delta"], r_grid=diag["r_grid"])
+        spec = _spec_only(_resolve_all([name], config)[0][1], config.m_max)
+        params = _diagnose_params(args, config.n, **diag)
         reports = _replicate(
             _diagnose_worker, args.reps, params.n_grid, args.jobs, config, spec, params
         )
@@ -368,7 +360,7 @@ def _cmd_study_consistency(args) -> int:
         config = config.with_seed(args.seed)
     names = args.estimator or list(est_names)
     estimators = _resolve_all(names, config)
-    n_grid = _ints(args.n_grid) if args.n_grid else (config.n,)
+    n_grid = _n_grid(args, config.n)
     result = consistency_study(
         config, estimators, args.reps, n_grid, jobs=args.jobs
     )
@@ -399,8 +391,8 @@ def _cmd_study_optimality(args) -> int:
     if args.seed is not None:
         config = config.with_seed(args.seed)
     names = args.estimator or list(est_names)
-    specs = _spec_only(names, config)
-    n_grid = _ints(args.n_grid) if args.n_grid else (config.n,)
+    specs = [(n, _spec_only(k, config.m_max)) for n, k in _resolve_all(names, config)]
+    n_grid = _n_grid(args, config.n)
     result = optimality_study(
         config,
         specs,

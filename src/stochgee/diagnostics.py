@@ -70,8 +70,10 @@ class DiagnosticsParams:
         if not 0.0 < self.delta <= 0.5:
             raise InvalidInputError("delta must lie in (0, 1/2]")
         r = tuple(float(x) for x in self.r_grid)
-        if not r or any(x <= 0 for x in r) or any(b >= a for a, b in zip(r, r[1:])):
-            raise InvalidInputError("r_grid must be positive and strictly decreasing")
+        finite = all(0 < x < math.inf for x in r)
+        if not (r and finite) or any(b >= a for a, b in zip(r, r[1:])):
+            msg = "r_grid must be finite, positive and strictly decreasing"
+            raise InvalidInputError(msg)
         object.__setattr__(self, "r_grid", r)
         if self.n_grid is not None:
             g = tuple(int(x) for x in self.n_grid)
@@ -165,11 +167,7 @@ def condition_trajectories(
     delta = params.delta
     plugin_variance = truth is None
     var_truth = truth if truth is not None else CorrelationTruth.plugin(dataset.m_max)
-    kind = (
-        EstimatingFunction.independence()
-        if spec.kind == "identity"
-        else EstimatingFunction.gee_star(spec)
-    )
+    kind = EstimatingFunction.gee_star(spec)
 
     lattices = {r: ball_lattice(beta, r) for r in params.r_grid}
 
@@ -487,13 +485,11 @@ def a1_gap(proxy_trajectory: Sequence, truth_trajectory: Sequence) -> list:
 
 
 def _resolve_specs(specs) -> list:
-    out = []
-    for s in specs:
-        if isinstance(s, WorkingCorrelationSpec):
-            out.append((s.kind, s))
-        elif isinstance(s, tuple):
-            out.append(s)
-        else:
+    """A study's (name, WorkingCorrelationSpec) pairs; anything else raises."""
+    out = list(specs)
+    for s in out:
+        pair = isinstance(s, tuple) and len(s) == 2
+        if not (pair and isinstance(s[1], WorkingCorrelationSpec)):
             raise InvalidInputError(f"unresolved spec {s!r}")
     return out
 

@@ -57,14 +57,11 @@ class CorrelationTruth:
 
     Holds an ``m_max x m_max`` unit-diagonal SPD template; cluster ``i``
     of size ``m_i`` uses the leading principal submatrix. ``is_estimate``
-    marks templates recovered by sampling rather than known exactly;
-    ``is_plugin`` marks the working approximation that substitutes the
-    model variances for the unknown covariance.
+    marks templates recovered by sampling rather than known exactly.
     """
 
     template: np.ndarray
     is_estimate: bool = False
-    is_plugin: bool = False
 
     def __post_init__(self):
         t = linalg.symmetrize_checked(self.template)
@@ -84,15 +81,10 @@ class CorrelationTruth:
 
     @classmethod
     def plugin(cls, m_max: int) -> "CorrelationTruth":
-        return cls(np.eye(m_max), is_plugin=True)
+        return cls(np.eye(m_max))
 
     def rbar(self, size: int) -> np.ndarray:
         return self.template[:size, :size].copy()
-
-    def sigma(self, variance_diag: np.ndarray) -> np.ndarray:
-        sd = np.sqrt(np.asarray(variance_diag, dtype=float))
-        size = sd.shape[0]
-        return self.rbar(size) * np.outer(sd, sd)
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +104,13 @@ class EstimatingFunction:
 
     variant: str
     spec: Optional[WorkingCorrelationSpec] = None
-    truth: Optional[CorrelationTruth] = None
     coefficients: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.variant not in ("independence", "gee_star", "quasi_score", "general"):
+        if self.variant not in ("independence", "gee_star", "general"):
             raise InvalidInputError(f"unknown estimating variant {self.variant!r}")
         if self.variant == "gee_star" and self.spec is None:
             raise InvalidInputError("gee_star requires a working-correlation spec")
-        if self.variant == "quasi_score" and self.truth is None:
-            raise InvalidInputError("quasi_score requires a true-correlation source")
         if self.variant == "general" and self.coefficients is None:
             raise InvalidInputError("general requires a coefficient callback")
 
@@ -135,7 +124,8 @@ class EstimatingFunction:
 
     @classmethod
     def quasi_score(cls, truth: CorrelationTruth) -> "EstimatingFunction":
-        return cls("quasi_score", truth=truth)
+        """The optimal estimating function: GEE whose proxy is the truth."""
+        return cls.gee_star(WorkingCorrelationSpec.fixed(truth.template))
 
     @classmethod
     def general(cls, coefficients: Callable) -> "EstimatingFunction":
@@ -150,15 +140,20 @@ class EstimatingFunction:
         )
 
 
+def needs_truth(name: str) -> bool:
+    """Whether ``resolve_estimator(name, ...)`` needs a true-correlation source."""
+    return name.partition(":")[0].strip().lower() in ("truth", "quasi", "quasi_score")
+
+
 def resolve_estimator(
     name: str, m_max: int, truth: Optional[CorrelationTruth] = None
 ) -> EstimatingFunction:
     """Build an estimating function from its command-line name.
 
-    Recognized names: ``independence``, ``identity``, ``exchangeable:RHO``,
-    ``ar1:RHO``, ``pseudo`` / ``pseudo_likelihood``, ``truth`` (fixed proxy
-    equal to the scenario's true correlation) and ``quasi`` /
-    ``quasi_score``; the last two need a true-correlation source.
+    Recognized names, case-insensitive: ``independence``, ``identity``,
+    ``exchangeable:RHO``, ``ar1:RHO``, ``pseudo`` / ``pseudo_likelihood``
+    and the quasi-score ``truth`` / ``quasi`` / ``quasi_score`` (the fixed
+    proxy equal to the true correlation ``truth``).
     """
     base, _, arg = name.partition(":")
     base = base.strip().lower()
@@ -179,13 +174,9 @@ def resolve_estimator(
             ) from None
         ctor = getattr(WorkingCorrelationSpec, base)
         return EstimatingFunction.gee_star(ctor(rho, m_max))
-    if base == "truth":
+    if needs_truth(name):
         if truth is None:
-            raise InvalidInputError("estimator 'truth' needs a true-correlation source")
-        return EstimatingFunction.gee_star(WorkingCorrelationSpec.fixed(truth.template))
-    if base in ("quasi", "quasi_score"):
-        if truth is None:
-            raise InvalidInputError("estimator 'quasi' needs a true-correlation source")
+            raise InvalidInputError(f"estimator {name!r} needs the true correlation")
         return EstimatingFunction.quasi_score(truth)
     raise InvalidInputError(f"unknown estimator name {name!r}")
 
@@ -328,8 +319,7 @@ def freeze_proxy(
 ) -> FrozenProxy:
     """The inverse proxies ``eval_g`` applies at ``beta``, computed once.
 
-    ``quasi_score`` takes the true correlation and a data-independent
-    template its own matrix, one inverse per cluster size; a
+    A data-independent template gives one inverse per cluster size; a
     data-dependent proxy is folded at ``beta`` (or read from a
     ``frozen_corr`` sequence) and inverted in one batched call. A
     ``FrozenProxy`` for the same dataset passes through unchanged.
@@ -338,9 +328,7 @@ def freeze_proxy(
         if frozen_corr.dataset is not dataset:
             raise InvalidInputError("frozen proxy was prepared for another dataset")
         return frozen_corr
-    if kind.variant == "quasi_score":
-        mats = [kind.truth.rbar(b.size) for b in dataset.buckets]
-    elif frozen_corr is not None:
+    if frozen_corr is not None:
         mats = _stack_by_bucket(dataset, frozen_corr)
     elif kind.spec.depends_on_data:
         mats = _bucket_proxies(dataset, proxy_stack(dataset, beta, link))
@@ -588,8 +576,6 @@ def _analytic_available(kind: EstimatingFunction, link, frozen_corr=None) -> boo
     if lk.kind not in ("identity", "log"):
         return False
     if kind.reduces_to_independence:
-        return True
-    if kind.variant == "quasi_score":
         return True
     if kind.variant == "gee_star":
         # a frozen proxy no longer moves with beta

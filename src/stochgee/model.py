@@ -456,10 +456,8 @@ def _header(p: int) -> list:
     return ["cluster", "obs", "y"] + [f"x{j+1}" for j in range(p)]
 
 
-def write_dataset(dataset: Dataset, path: str, fmt: str = "csv") -> None:
+def write_dataset(dataset: Dataset, path: str) -> None:
     """Write the long CSV (17 significant digits) and its metadata sidecar."""
-    if fmt != "csv":
-        raise InvalidInputError(f"unsupported dataset format {fmt!r}")
     index, obs = _row_labels(dataset.sizes)
     rows = zip(index.tolist(), obs.tolist(), dataset.y.tolist(), dataset.x.tolist())
     with open(path, "w", newline="") as fh:
@@ -480,7 +478,7 @@ def write_dataset(dataset: Dataset, path: str, fmt: str = "csv") -> None:
         fh.write("\n")
 
 
-def load_dataset(path: str, fmt: str = "csv") -> Dataset:
+def load_dataset(path: str) -> Dataset:
     """Load a long-CSV dataset; the sidecar declares m_max (never inferred)
     and, when it has ``n``, the cluster count the file must hold.
 
@@ -490,8 +488,6 @@ def load_dataset(path: str, fmt: str = "csv") -> Dataset:
     accepts what it accepted before and raises each ``DatasetParseError``
     with its line number.
     """
-    if fmt != "csv":
-        raise InvalidInputError(f"unsupported dataset format {fmt!r}")
     meta_path = sidecar_path(path)
     if not os.path.exists(meta_path):
         raise DatasetParseError(f"missing metadata sidecar {meta_path}")

@@ -37,13 +37,11 @@ class SolverConfig:
     tol_x: float = 1e-12
     max_iter: int = 100
     max_halvings: int = 30
-    jacobian_method: Optional[str] = None  # None picks analytic when available
-    outer_stages: int = 2  # proxy refresh passes for data-dependent proxies
 
     def __post_init__(self):
         if self.tol_g <= 0 or self.tol_x <= 0:
             raise InvalidInputError("tolerances must be positive")
-        if self.max_iter < 1 or self.max_halvings < 0 or self.outer_stages < 1:
+        if self.max_iter < 1 or self.max_halvings < 0:
             raise InvalidInputError("iteration limits must be positive")
 
 
@@ -91,7 +89,7 @@ def _newton(dataset, kind, link, config, init, frozen_corr, region):
         if gnorm < config.tol_g and last_step < config.tol_x:
             converged = True
             break
-        d = _newton_direction(kind, dataset, beta, link, config, frozen_corr, g)
+        d = _newton_direction(kind, dataset, beta, link, frozen_corr, g)
         if gnorm < config.tol_g and float(np.linalg.norm(d)) < config.tol_x:
             converged = True
             break
@@ -125,15 +123,8 @@ def _newton(dataset, kind, link, config, init, frozen_corr, region):
     )
 
 
-def _newton_direction(kind, dataset, beta, link, config, frozen_corr, g):
-    d_mat = jacobian(
-        kind,
-        dataset,
-        beta,
-        link,
-        frozen_corr=frozen_corr,
-        method=config.jacobian_method,
-    )
+def _newton_direction(kind, dataset, beta, link, frozen_corr, g):
+    d_mat = jacobian(kind, dataset, beta, link, frozen_corr=frozen_corr)
     try:
         return np.linalg.solve(d_mat, g)
     except np.linalg.LinAlgError:
@@ -169,9 +160,8 @@ def solve_gee(
     """Solve ``g(beta) = 0`` by damped Newton iteration.
 
     Data-dependent proxy correlations are frozen during each Newton solve
-    and refreshed between outer stages: an independence fit seeds the
-    proxy, which is then refolded at the current estimate before each
-    refit (``config.outer_stages`` passes in total).
+    and refreshed once: an independence fit seeds the proxy, which is
+    refolded at that estimate for the refit.
     """
     config = config or SolverConfig()
     lk = get_link(link)
@@ -181,12 +171,7 @@ def solve_gee(
         beta0 = as_beta(init)
     if region is not None and not region.contains(beta0):
         raise InvalidInputError("initial point lies outside the declared region")
-    needs_stages = (
-        kind.variant == "gee_star"
-        and kind.spec is not None
-        and kind.spec.depends_on_data
-    )
-    if not needs_stages:
+    if not (kind.variant == "gee_star" and kind.spec.depends_on_data):
         frozen = None
         if kind.variant != "general" and not kind.reduces_to_independence:
             frozen = freeze_proxy(kind, dataset, beta0, lk)
@@ -195,12 +180,8 @@ def solve_gee(
     stage_fit = _newton(
         dataset, EstimatingFunction.independence(), lk, config, beta0, None, region
     )
-    for _ in range(config.outer_stages - 1):
-        frozen = freeze_proxy(kind, dataset, stage_fit.beta_hat, lk)
-        stage_fit = _newton(
-            dataset, kind, lk, config, stage_fit.beta_hat, frozen, region
-        )
-    return stage_fit
+    frozen = freeze_proxy(kind, dataset, stage_fit.beta_hat, lk)
+    return _newton(dataset, kind, lk, config, stage_fit.beta_hat, frozen, region)
 
 
 def linear_closed_form(dataset: Dataset, r_sequence) -> np.ndarray:

@@ -477,3 +477,89 @@ class TestStudies:
             assert code == 0
             outs.append(read_bytes(out / "optimality.csv"))
         assert outs[0] == outs[1]
+
+
+def _csv_rows(path):
+    """The table rows of a study CSV, without their first column."""
+    lines = path.read_text().strip().splitlines()
+    return lines[:2] + [line.split(",", 1)[1] for line in lines[2:]]
+
+
+class TestEstimatorNames:
+    """``truth`` and ``quasi`` name one estimator, in any case, and only a
+    scenario supplies the true correlation they need."""
+
+    @pytest.mark.parametrize("name", ["truth", "quasi", "Quasi_Score"])
+    def test_diagnose_data_has_no_truth(self, tmp_path, capsys, name):
+        data = _sidecar_case(tmp_path)
+        out = tmp_path / "diag"
+        argv = ["diagnose", "--data", data, "--estimator", name, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: estimator: ")
+        assert not out.exists()
+
+    def test_study_optimality_quasi_is_truth(self, scenario_file, tmp_path):
+        rows = []
+        for name in ("truth", "quasi"):
+            out = tmp_path / name
+            argv = ["study-optimality", "--scenario", scenario_file, "--jobs", "1"]
+            argv += ["--estimator", name, "--reps", "2", "--n-grid", "20,40"]
+            assert main(argv + ["--out", str(out)]) == 0
+            rows.append(_csv_rows(out / "optimality.csv"))
+        assert rows[0] == rows[1]
+
+    def test_fit_names_are_case_insensitive(self, scenario_file, tmp_path):
+        fits = []
+        for name in ("truth", "Truth", " QUASI"):
+            out = tmp_path / name.strip()
+            argv = ["fit", "--scenario", scenario_file, "--estimator", name]
+            assert main(argv + ["--out", str(out)]) == 0
+            fits.append(json.loads((out / "fit.json").read_text())["beta_hat"])
+        assert fits[0] == fits[1] == fits[2]
+
+
+MALFORMED_SCENARIOS = [
+    (("m = 3", "m = three"), "sizes.m"),
+    (("kind = iid", "kind = iid\nloc = far"), "regressors.loc"),
+    (("rho = 0.4", "rho = r"), "truth.rho"),
+    (("[estimators]", "[diagnostics]\ndelta = x\n\n[estimators]"), "diagnostics.delta"),
+    (("kind = constant\nm = 3", "kind = cyclic\nsizes = 2, x"), "sizes.sizes"),
+    (("n = 40", "n = forty"), "scenario.n"),
+    (("[scenario]\n", ""), "scenario"),
+    (("n = 40", "n = 40\nn = 50"), "scenario"),
+    (("[sizes]", "[sizes]\nkind = constant\n\n[sizes]"), "scenario"),
+    (("beta0 = 0.5", "beta0 = %(x)s"), "scenario"),
+]
+
+
+class TestMalformedScenario:
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    @pytest.mark.parametrize("edit, field", MALFORMED_SCENARIOS)
+    def test_is_a_config_error(self, tmp_path, capsys, command, edit, field):
+        path = tmp_path / "bad.ini"
+        path.write_text(SCENARIO.replace(*edit))
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r_grid", ["0.1, 0.5", "inf, 0.5", "0.5, nan", ""])
+    def test_bad_r_grid_is_a_config_error(self, tmp_path, capsys, r_grid):
+        # an increasing grid was a numerical failure (exit 3) before; an
+        # infinite radius gave a report whose lattice terms read 0
+        path = tmp_path / "bad.ini"
+        path.write_text(SCENARIO + f"\n[diagnostics]\nr_grid = {r_grid}\n")
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: r_grid: r_grid must be finite, positive and strictly decreasing, "
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["diagnose", "study-consistency", "study-optimality"])
+    def test_bad_n_grid_is_a_config_error(self, scenario_file, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [command, "--scenario", scenario_file, "--n-grid", "10,x", "--reps", "1"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: n_grid: ")
+        assert not out.exists()

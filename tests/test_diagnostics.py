@@ -194,8 +194,9 @@ class TestConditionTrajectories:
     def test_grid_validation(self):
         with pytest.raises(InvalidInputError):
             DiagnosticsParams(delta=0.0)
-        with pytest.raises(InvalidInputError):
-            DiagnosticsParams(r_grid=(0.1, 0.5))
+        for r_grid in ((0.1, 0.5), (math.inf, 0.5), (math.nan,)):
+            with pytest.raises(InvalidInputError):
+                DiagnosticsParams(r_grid=r_grid)
         with pytest.raises(InvalidInputError):
             DiagnosticsParams(n_grid=(5, 5))
 
@@ -347,6 +348,13 @@ class TestStudies:
         for row in res.rows:
             assert row["det_ratio_h"] == pytest.approx(1.0, abs=1e-10)
             assert row["det_ratio_m"] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("study", [optimality_study, a1_gap_study])
+    def test_specs_are_named_pairs(self, study):
+        spec = WorkingCorrelationSpec.identity(3)
+        for specs in ([spec], [("identity", "identity")], [("identity",)]):
+            with pytest.raises(InvalidInputError, match="unresolved spec"):
+                study(gaussian_exch(n=20), specs, 1, [20])
 
     def test_optimality_requires_gaussian_truth(self):
         cfg = ScenarioConfig(

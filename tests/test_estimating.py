@@ -23,6 +23,7 @@ from stochgee import (
     integrability_summary,
     jacobian,
     linear_closed_form,
+    needs_truth,
     path_information_increments,
     resolve_estimator,
     score_increments,
@@ -619,7 +620,24 @@ class TestResolveEstimator:
         assert resolve_estimator("pseudo", 3).spec.kind == "pseudo_likelihood"
         truth = CorrelationTruth.from_kind("exchangeable", 0.4, 3)
         assert resolve_estimator("truth", 3, truth).spec.kind == "fixed"
-        assert resolve_estimator("quasi", 3, truth).variant == "quasi_score"
+        quasi = resolve_estimator("quasi", 3, truth)
+        assert quasi.spec.kind == "fixed"
+        np.testing.assert_array_equal(quasi.spec.matrix, truth.template)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["truth", "Truth", " QUASI ", "quasi_score", "pseudo", "Independence", "ar1:0.2"],
+    )
+    def test_needs_truth_agrees_with_resolution(self, name):
+        # names normalize the same way in both: stripped, case-insensitive
+        if needs_truth(name):
+            with pytest.raises(InvalidInputError):
+                resolve_estimator(name, 3)
+            truth = CorrelationTruth.from_kind("exchangeable", 0.4, 3)
+            quasi = resolve_estimator(name, 3, truth)
+            np.testing.assert_array_equal(quasi.spec.matrix, truth.template)
+        else:
+            resolve_estimator(name, 3)
 
     def test_errors(self):
         with pytest.raises(InvalidInputError):
