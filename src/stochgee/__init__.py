@@ -7,9 +7,7 @@ optimality and strong-consistency conditions.
 """
 
 from .correlation import (
-    TrueCorrelation,
     WorkingCorrelationSpec,
-    true_correlation,
     working_corr,
 )
 from .diagnostics import (
@@ -44,7 +42,6 @@ from .estimating import (
 from .exceptions import (
     ConfigError,
     DatasetParseError,
-    InconsistentMomentsError,
     InvalidInputError,
     InvalidVarianceError,
     MisspecificationWarning,
@@ -64,7 +61,6 @@ from .linalg import (
     sym_eigen_extremes,
     sym_eigenvalues,
     sym_eigh,
-    sym_sqrt,
 )
 from .model import (
     Cluster,
@@ -73,7 +69,6 @@ from .model import (
     Parameter,
     dataset_from_arrays,
     get_link,
-    link_eval,
     load_dataset,
     write_dataset,
 )

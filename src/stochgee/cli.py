@@ -12,9 +12,9 @@ import argparse
 import configparser
 import io
 import json
-import math
 import os
 import sys
+from dataclasses import asdict
 
 from .correlation import WorkingCorrelationSpec
 from .diagnostics import (
@@ -35,45 +35,11 @@ from .simulation import (
     TruthSpec,
     _quartiles,
     _replicate,
+    _run_meta,
     effective_truth,
     simulate_scenario,
 )
 from .solver import solve_gee
-
-_DEFAULT_SCENARIO = """\
-[scenario]
-link = identity
-beta0 = 0.0
-n = 100
-m_max = 1
-seed = 0
-response_family = gaussian_link_moments
-
-[sizes]
-kind = constant
-m = 1
-; kind = cyclic needs: sizes = 2, 3
-; kind = random needs: lo = 1, hi = 3
-
-[regressors]
-kind = iid
-loc = 0.0
-scale = 1.0
-phi = 0.0
-gain = 0.0
-
-[truth]
-kind = independence
-rho = 0.0
-
-[estimators]
-names = independence
-
-[diagnostics]
-delta = 0.25
-r_grid = 0.5, 0.25, 0.1
-"""
-
 
 def _floats(text):
     return tuple(float(v.strip()) for v in text.split(",") if v.strip())
@@ -87,78 +53,94 @@ def _names(text):
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
+#: every scenario-file key, section by section, with the reader of its
+#: text; the config classes hold the defaults and the checks
+_KEYS = {
+    "scenario": {
+        "link": str,
+        "beta0": _floats,
+        "n": int,
+        "m_max": int,
+        "seed": int,
+        "response_family": str,
+    },
+    "sizes": {"kind": str, "m": int, "sizes": _ints, "lo": int, "hi": int},
+    "regressors": {"kind": str, "loc": float, "scale": float, "phi": float, "gain": float},
+    "truth": {"kind": str, "rho": float},
+    "estimators": {"names": _names},
+    "diagnostics": {"delta": float, "r_grid": _floats},
+}
+
+#: the estimators a command runs when neither the file nor a flag names one
+_ESTIMATORS = ("independence",)
+
+
+def _default_scenario() -> str:
+    """``_KEYS`` as a scenario file holding the class defaults."""
+    config = ScenarioConfig()
+    holders = {
+        "scenario": config,
+        "sizes": config.sizes,
+        "regressors": config.regressors,
+        "truth": config.truth,
+        "diagnostics": DiagnosticsParams(),
+    }
+    blocks = []
+    for section, keys in _KEYS.items():
+        lines = [f"[{section}]"]
+        for key in keys:
+            value = getattr(holders[section], key) if section in holders else _ESTIMATORS
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else value
+            lines.append(f"{key} = {text}".rstrip())
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
+
+
 def parse_scenario(path: str) -> tuple:
     """Read a scenario INI file; returns (config, estimator names, diag kwargs).
 
-    A file configparser rejects, or a value that does not parse, is a
-    ConfigError; a value's error names its ``section.key``.
+    Each section passes its config class only the keys the file holds, so
+    a missing key takes the class default; ``m_max`` defaults to the size
+    schedule's maximum. A file configparser rejects, or a value that does
+    not parse, is a ConfigError; a value's error names its ``section.key``.
     """
     if not os.path.exists(path):
         raise ConfigError(f"scenario file {path} does not exist", field="scenario")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
 
-    def get(section, key, default, convert=str):
-        raw = parser.get(section, key, fallback=None)
-        try:
-            return default if raw is None else convert(raw)
-        except ValueError:
-            raise ConfigError(f"bad value {raw!r}", field=f"{section}.{key}") from None
+    def read(section):
+        values = {}
+        for key, convert in _KEYS[section].items():
+            raw = parser.get(section, key, fallback=None)
+            if raw is not None:
+                try:
+                    values[key] = convert(raw)
+                except ValueError:
+                    msg = f"bad value {raw!r}"
+                    raise ConfigError(msg, field=f"{section}.{key}") from None
+        return values
 
     try:
         with open(path) as fh:
             parser.read_file(fh)
         if not parser.has_section("scenario"):
             raise ConfigError("missing [scenario] section", field="scenario")
-        sizes = SizeSchedule(
-            kind=get("sizes", "kind", "constant"),
-            m=get("sizes", "m", 1, int),
-            sizes=get("sizes", "sizes", (), _ints),
-            lo=get("sizes", "lo", 1, int),
-            hi=get("sizes", "hi", 1, int),
-        )
-        regressors = RegressorProcess(
-            kind=get("regressors", "kind", "iid"),
-            loc=get("regressors", "loc", 0.0, float),
-            scale=get("regressors", "scale", 1.0, float),
-            phi=get("regressors", "phi", 0.0, float),
-            gain=get("regressors", "gain", 0.0, float),
-        )
-        truth = TruthSpec(
-            kind=get("truth", "kind", "independence"),
-            rho=get("truth", "rho", 0.0, float),
-        )
+        sizes = SizeSchedule(**read("sizes"))
+        regressors = RegressorProcess(**read("regressors"))
+        truth = TruthSpec(**read("truth"))
         config = ScenarioConfig(
-            link=get("scenario", "link", "identity"),
-            beta0=get("scenario", "beta0", (0.0,), _floats),
-            n=get("scenario", "n", 100, int),
-            m_max=get("scenario", "m_max", sizes.max_size, int),
+            **{"m_max": sizes.max_size, **read("scenario")},
             sizes=sizes,
             regressors=regressors,
             truth=truth,
-            response_family=get("scenario", "response_family", "gaussian_link_moments"),
-            seed=get("scenario", "seed", 0, int),
         )
-        estimators = get("estimators", "names", ("independence",), _names)
-        diag = {
-            "delta": get("diagnostics", "delta", 0.25, float),
-            "r_grid": get("diagnostics", "r_grid", (0.5, 0.25, 0.1), _floats),
-        }
+        estimators = read("estimators").get("names", _ESTIMATORS)
+        diag = asdict(DiagnosticsParams(**read("diagnostics")))
+    except ConfigError:
+        raise
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad scenario file: {exc}", field="scenario") from None
     return config, estimators, diag
-
-
-def _resolved_payload(config: ScenarioConfig, command: str, extra=None) -> dict:
-    payload = {
-        "command": command,
-        "config": config.to_dict(),
-        "scenario_digest": config.digest(),
-        "seed": config.seed,
-        "generator": GENERATOR_ID,
-    }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -223,7 +205,7 @@ def _cmd_simulate(args) -> int:
     meta_path = sidecar_path(path)
     with open(meta_path) as fh:
         meta = json.load(fh)
-    meta.update(_resolved_payload(config, "simulate"))
+    meta.update(_run_meta(config, command="simulate", seed=config.seed))
     _write_json(meta_path, meta)
     print(path)
     return 0
@@ -252,7 +234,7 @@ def _cmd_fit(args) -> int:
         dataset = simulate_scenario(config)
         name = args.estimator or scenario_estimators[0]
         kind = _resolve_all([name], config)[0][1]
-        payload = _resolved_payload(config, "fit", {"estimator": name})
+        payload = _run_meta(config, command="fit", seed=config.seed, estimator=name)
         link = config.link
     fit = solve_gee(dataset, kind, link)
     os.makedirs(args.out, exist_ok=True)
@@ -278,23 +260,18 @@ def _diagnose_worker(config, spec, diag_params, rep):
     )
 
 
-def _diagnose_params(
-    args, n: int, delta=DiagnosticsParams.delta, r_grid=DiagnosticsParams.r_grid
-) -> DiagnosticsParams:
-    """``diagnose``'s knobs on n clusters; ``--delta`` (else ``delta``) outside
-    (0, 1/2], ``--n-grid`` (else n) outside 1..n or an ``r_grid`` that is not
-    finite, positive and strictly decreasing is a ConfigError."""
-    delta = delta if args.delta is None else args.delta
-    if not 0.0 < delta <= 0.5:
-        raise ConfigError(f"delta must lie in (0, 1/2], got {delta}", field="delta")
+def _diagnose_params(args, n: int, diag=None) -> DiagnosticsParams:
+    """``diagnose``'s knobs on n clusters: the scenario's ``diag`` with
+    ``--delta`` over its delta, and the checkpoints of ``--n-grid`` (else
+    n), sorted and de-duplicated; a checkpoint outside 1..n is a
+    ConfigError. DiagnosticsParams checks the rest."""
     grid = tuple(sorted(set(_n_grid(args, n))))
     if not grid or grid[0] < 1 or grid[-1] > n:
         raise ConfigError(f"n_grid must lie in 1..{n}, got {list(grid)}", field="n_grid")
-    falling = all(a > b for a, b in zip(r_grid, r_grid[1:]))
-    if not (r_grid and falling and all(0 < r < math.inf for r in r_grid)):
-        msg = "r_grid must be finite, positive and strictly decreasing"
-        raise ConfigError(f"{msg}, got {list(r_grid)}", field="r_grid")
-    return DiagnosticsParams(delta=delta, n_grid=grid, r_grid=r_grid)
+    fields = dict(diag or {}, n_grid=grid)
+    if args.delta is not None:
+        fields["delta"] = args.delta
+    return DiagnosticsParams(**fields)
 
 
 def _cmd_diagnose(args) -> int:
@@ -323,14 +300,17 @@ def _cmd_diagnose(args) -> int:
             config = config.with_seed(args.seed)
         name = args.estimator or est_names[0]
         spec = _spec_only(_resolve_all([name], config)[0][1], config.m_max)
-        params = _diagnose_params(args, config.n, **diag)
+        params = _diagnose_params(args, config.n, diag)
         reports = _replicate(
             _diagnose_worker, args.reps, params.n_grid, args.jobs, config, spec, params
         )
-        payload = _resolved_payload(
+        payload = _run_meta(
             config,
-            "diagnose",
-            {"estimator": name, "reps": args.reps, "report": reports[0].to_json_dict()},
+            command="diagnose",
+            seed=config.seed,
+            estimator=name,
+            reps=args.reps,
+            report=reports[0].to_json_dict(),
         )
         if args.reps > 1:
             payload["ensemble"] = _ensemble_summary(reports)
@@ -474,7 +454,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.print_defaults:
-        sys.stdout.write(_DEFAULT_SCENARIO)
+        sys.stdout.write(_default_scenario())
         return 0
     if not args.command:
         parser.print_help()

@@ -1,4 +1,4 @@
-"""Working-correlation proxies and the true conditional correlation.
+"""Working-correlation proxies.
 
 A proxy is kept as an ``m_max x m_max`` template that is measurable with
 respect to the history through the previous cluster; the leading
@@ -21,13 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .exceptions import (
-    InconsistentMomentsError,
-    InvalidInputError,
-    InvalidVarianceError,
-    NotPositiveDefiniteError,
-)
-from .linalg import EigenExtremes, sym_eigen_extremes, sym_eigenvalues
+from .exceptions import InvalidInputError, NotPositiveDefiniteError
+from .linalg import sym_eigenvalues
 from .model import Dataset
 
 #: hard lower bound enforced on every emitted residual-moment template
@@ -236,33 +231,3 @@ def working_corr(spec: WorkingCorrelationSpec, target_size: int) -> np.ndarray:
             f"target size {target_size} outside 1..{spec.template_dim}"
         )
     return _template(spec)[:target_size, :target_size].copy()
-
-
-@dataclass(frozen=True)
-class TrueCorrelation:
-    sigma: np.ndarray
-    rbar: np.ndarray
-    extremes: EigenExtremes
-
-
-def true_correlation(sigma, variance_diag) -> TrueCorrelation:
-    """Standardize a conditional covariance to its correlation matrix.
-
-    The covariance diagonal must agree with the supplied conditional
-    variances (relative 1e-8); the output has an exactly unit diagonal.
-    """
-    sigma = linalg.symmetrize_checked(np.asarray(sigma, dtype=float))
-    var = np.asarray(variance_diag, dtype=float)
-    if var.ndim != 1 or var.shape[0] != sigma.shape[0]:
-        raise InvalidInputError("variance_diag shape mismatch")
-    if np.any(var <= 0):
-        raise InvalidVarianceError("variance_diag must be strictly positive")
-    d = np.diag(sigma)
-    if np.any(np.abs(d - var) > 1e-8 * np.maximum(np.abs(var), 1e-300)):
-        raise InconsistentMomentsError(
-            "covariance diagonal disagrees with variance_diag beyond rel tol 1e-8"
-        )
-    inv_sd = 1.0 / np.sqrt(d)
-    rbar = sigma * np.outer(inv_sd, inv_sd)
-    np.fill_diagonal(rbar, 1.0)
-    return TrueCorrelation(sigma=sigma, rbar=rbar, extremes=sym_eigen_extremes(rbar))

@@ -42,7 +42,7 @@ from .simulation import (
     ScenarioConfig,
     _quartiles,
     _replicate,
-    _study_meta,
+    _run_meta,
     replication_seed,
     run_replications,
     simulate_scenario,
@@ -60,7 +60,10 @@ _LATTICE_BLOCK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class DiagnosticsParams:
-    """Report knobs: normalizer exponent, ball radii, checkpoint grid."""
+    """Report knobs: normalizer exponent, ball radii, checkpoint grid.
+
+    The only check of these values: a bad one is a ConfigError naming
+    its field."""
 
     delta: float = 0.25
     r_grid: tuple = (0.5, 0.25, 0.1)
@@ -68,17 +71,19 @@ class DiagnosticsParams:
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 0.5:
-            raise InvalidInputError("delta must lie in (0, 1/2]")
+            msg = f"delta must lie in (0, 1/2], got {self.delta}"
+            raise ConfigError(msg, field="delta")
         r = tuple(float(x) for x in self.r_grid)
         finite = all(0 < x < math.inf for x in r)
         if not (r and finite) or any(b >= a for a, b in zip(r, r[1:])):
             msg = "r_grid must be finite, positive and strictly decreasing"
-            raise InvalidInputError(msg)
+            raise ConfigError(f"{msg}, got {list(r)}", field="r_grid")
         object.__setattr__(self, "r_grid", r)
         if self.n_grid is not None:
             g = tuple(int(x) for x in self.n_grid)
             if not g or any(x < 1 for x in g) or any(b <= a for a, b in zip(g, g[1:])):
-                raise InvalidInputError("n_grid must be strictly increasing and >= 1")
+                msg = "n_grid must be strictly increasing and >= 1"
+                raise ConfigError(f"{msg}, got {list(g)}", field="n_grid")
             object.__setattr__(self, "n_grid", g)
 
 
@@ -585,10 +590,10 @@ def optimality_study(
             rows.append(row)
         if perturbed:
             total_violations += sum(e["a2_violations"] for e in entries)
-    meta = _study_meta(
+    meta = _run_meta(
         config,
-        reps,
-        n_grid,
+        reps=reps,
+        n_grid=list(n_grid),
         perturbed=perturbed,
         a2_violations=total_violations if perturbed else None,
     )
@@ -639,7 +644,9 @@ def consistency_study(
                     "replications_used": len(fits),
                 }
             )
-    meta = _study_meta(config, reps, n_grid, failures=len(results) - len(used))
+    meta = _run_meta(
+        config, reps=reps, n_grid=list(n_grid), failures=len(results) - len(used)
+    )
     return StudyResult(rows=tuple(rows), meta=meta)
 
 
@@ -681,7 +688,8 @@ def a1_gap_study(
                     "q3_gap": float(q3),
                 }
             )
-    return StudyResult(rows=tuple(rows), meta=_study_meta(config, reps, n_grid))
+    meta = _run_meta(config, reps=reps, n_grid=list(n_grid))
+    return StudyResult(rows=tuple(rows), meta=meta)
 
 
 def _slln_worker(config, kind, delta, n_grid, rep):
@@ -713,5 +721,5 @@ def slln_decay_study(
         {"n": n, "median_ratio": float(ratio), "median_lambda_min_v": float(lo_v)}
         for n, ratio, lo_v in zip(n_grid, ratios, lo_vs)
     ]
-    meta = _study_meta(config, reps, n_grid, delta=delta)
+    meta = _run_meta(config, reps=reps, n_grid=list(n_grid), delta=delta)
     return StudyResult(rows=tuple(rows), meta=meta)

@@ -30,10 +30,6 @@ class InvalidVarianceError(StochGeeError):
     """A conditional variance is zero, negative, or non-finite."""
 
 
-class InconsistentMomentsError(StochGeeError):
-    """Covariance diagonal disagrees with the supplied variances."""
-
-
 class DatasetParseError(StochGeeError):
     """Malformed dataset file. Carries the offending ``line`` number."""
 
@@ -67,7 +63,7 @@ class SingularDenominatorError(StochGeeError):
     """Determinant ratio requested against a numerically singular matrix."""
 
 
-class ConfigError(StochGeeError):
+class ConfigError(InvalidInputError):
     """Invalid configuration value. Carries the offending ``field`` name."""
 
     def __init__(self, message, field=None):

@@ -68,12 +68,6 @@ def sym_eigenvalues(m: np.ndarray) -> np.ndarray:
     return sym_eigh(m)[0]
 
 
-def sym_sqrt(m: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via the eigendecomposition."""
-    w, v = sym_eigh(m)
-    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-
-
 def sym_eigen_extremes(m: np.ndarray) -> EigenExtremes:
     """Smallest and largest eigenvalue of a symmetric matrix."""
     w = sym_eigenvalues(m)

@@ -134,11 +134,6 @@ def get_link(name) -> LinkFunction:
         ) from None
 
 
-def link_eval(link, order: int, u):
-    """Functional form of LinkFunction.eval."""
-    return get_link(link).eval(order, u)
-
-
 @dataclass(frozen=True)
 class Cluster:
     """One cluster: responses ``y_i`` with their regressor rows ``X_i``."""

@@ -137,6 +137,11 @@ class RegressorProcess:
             raise ConfigError(
                 f"unknown regressor process {self.kind!r}", field="regressors.kind"
             )
+        for key in ("loc", "scale", "phi", "gain"):
+            value = getattr(self, key)
+            if not np.isfinite(value):
+                msg = f"{key} must be finite, got {value}"
+                raise ConfigError(msg, field=f"regressors.{key}")
         if self.scale < 0:
             raise ConfigError("scale must be nonnegative", field="regressors.scale")
         if self.kind == "exogenous_ar1" and not abs(self.phi) < 1:
@@ -545,12 +550,8 @@ def effective_truth(
             z2 = rho * z1 + np.sqrt(max(1.0 - rho * rho, 0.0)) * rng.standard_normal(
                 n_samples
             )
-            if config.response_family == "poisson_log":
-                yj = _poisson_quantile(_copula_uniforms(z1), intensities[j])
-                yk = _poisson_quantile(_copula_uniforms(z2), intensities[k])
-            else:
-                yj = (z1 <= ndtri(np.clip(intensities[j], 1e-12, 1 - 1e-12))).astype(float)
-                yk = (z2 <= ndtri(np.clip(intensities[k], 1e-12, 1 - 1e-12))).astype(float)
+            yj = _response(config.response_family, intensities[j], None, z1)
+            yk = _response(config.response_family, intensities[k], None, z2)
             c = np.corrcoef(yj, yk)[0, 1]
             est[j, k] = est[k, j] = c if np.isfinite(c) else 0.0
     # pairwise estimates can drift slightly off PD; blend minimally
@@ -608,14 +609,14 @@ def _quartiles(values) -> np.ndarray:
         return np.where(np.isnan(q), np.where(lo == hi, lo, lo + hi), q)
 
 
-def _study_meta(config: ScenarioConfig, reps: int, n_grid, **extra) -> dict:
-    """The reproducibility meta every ensemble study reports."""
+def _run_meta(config: ScenarioConfig, **fields) -> dict:
+    """The reproducibility header every output file of a scenario embeds:
+    the resolved configuration, its digest and the generator, plus
+    ``fields``."""
     return {
         "config": config.to_dict(),
         "scenario_digest": config.digest(),
-        "reps": reps,
-        "n_grid": list(n_grid),
-        **extra,
+        **fields,
         "generator": GENERATOR_ID,
     }
 

@@ -1,11 +1,21 @@
+import configparser
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from stochgee import dataset_from_arrays, write_dataset
+from stochgee import (
+    DiagnosticsParams,
+    RegressorProcess,
+    ScenarioConfig,
+    SizeSchedule,
+    TruthSpec,
+    dataset_from_arrays,
+    write_dataset,
+)
 from stochgee.cli import main, parse_scenario
 
 SCENARIO = """\
@@ -56,6 +66,22 @@ class TestParsing:
         assert config.n == 100
         assert estimators == ("independence",)
         assert diag["delta"] == 0.25
+        # every settable field is listed, and reads back as its class default
+        assert config == ScenarioConfig()
+        assert DiagnosticsParams(**diag) == DiagnosticsParams()
+        listed = configparser.ConfigParser()
+        listed.read_string(text)
+
+        def names(cls, *unlisted):
+            return {f.name for f in fields(cls)} - set(unlisted)
+
+        scenario = names(ScenarioConfig, "sizes", "regressors", "truth")
+        assert set(listed["scenario"]) == scenario
+        assert set(listed["sizes"]) == names(SizeSchedule)
+        assert set(listed["regressors"]) == names(RegressorProcess)
+        assert set(listed["truth"]) == names(TruthSpec)
+        assert set(listed["estimators"]) == {"names"}
+        assert set(listed["diagnostics"]) == names(DiagnosticsParams, "n_grid")
 
     def test_scenario_parsing(self, scenario_file):
         config, estimators, _ = parse_scenario(scenario_file)
@@ -529,6 +555,11 @@ MALFORMED_SCENARIOS = [
     (("n = 40", "n = 40\nn = 50"), "scenario"),
     (("[sizes]", "[sizes]\nkind = constant\n\n[sizes]"), "scenario"),
     (("beta0 = 0.5", "beta0 = %(x)s"), "scenario"),
+    (("scale = 1.0", "scale = nan"), "regressors.scale"),
+    (("kind = iid", "kind = iid\nloc = inf"), "regressors.loc"),
+    (("kind = iid", "kind = iid\nphi = nan"), "regressors.phi"),
+    (("kind = iid", "kind = iid\ngain = -inf"), "regressors.gain"),
+    (("[estimators]", "[diagnostics]\ndelta = 0.7\n\n[estimators]"), "delta"),
 ]
 
 

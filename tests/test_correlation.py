@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stochgee import (
-    InconsistentMomentsError,
     InvalidInputError,
     InvalidVarianceError,
     NotPositiveDefiniteError,
@@ -12,7 +11,6 @@ from stochgee import (
     dataset_from_arrays,
     sym_eigen_extremes,
     sym_eigenvalues,
-    true_correlation,
     working_corr,
 )
 from stochgee.correlation import (
@@ -168,32 +166,6 @@ class TestPseudoLikelihood:
         ds = dataset_from_arrays([(np.zeros(1), np.array([[60.0]]))])
         with pytest.raises(InvalidVarianceError, match="nonpositive conditional variance"):
             proxy_stack(ds, np.ones(1), "probit")
-
-
-class TestTrueCorrelation:
-    def test_diagonal_sigma(self):
-        var = np.array([2.0, 3.0])
-        res = true_correlation(np.diag(var), var)
-        np.testing.assert_array_equal(res.rbar, np.eye(2))
-
-    def test_exchangeable_round_trip(self):
-        rho = 0.3
-        rbar = np.full((3, 3), rho)
-        np.fill_diagonal(rbar, 1.0)
-        res = true_correlation(rbar, np.ones(3))
-        np.testing.assert_allclose(res.rbar, rbar, atol=1e-15)
-
-    def test_unit_diagonal_and_eigen_bound(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((4, 6))
-        sigma = a @ a.T + 0.1 * np.eye(4)
-        res = true_correlation(sigma, np.diag(sigma))
-        np.testing.assert_allclose(np.diag(res.rbar), np.ones(4), atol=1e-15)
-        assert res.extremes.lambda_max <= 4 + 1e-10
-
-    def test_diagonal_mismatch(self):
-        with pytest.raises(InconsistentMomentsError):
-            true_correlation(np.eye(2), np.array([1.0, 2.0]))
 
 
 class TestCorrBetaDerivative:

@@ -14,7 +14,6 @@ from stochgee import (
     sym_eigen_extremes,
     sym_eigenvalues,
     sym_eigh,
-    sym_sqrt,
 )
 
 from oracles import (
@@ -51,13 +50,6 @@ class TestSymEigen:
         w, v = sym_eigh(m)
         np.testing.assert_allclose((v * w) @ v.T, m, atol=1e-12)
         np.testing.assert_allclose(v @ v.T, np.eye(6), atol=1e-12)
-
-    def test_sqrt(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((4, 4))
-        spd = a @ a.T + 0.5 * np.eye(4)
-        root = sym_sqrt(spd)
-        np.testing.assert_allclose(root @ root, spd, atol=1e-11)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(SymmetryViolationError):

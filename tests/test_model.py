@@ -19,7 +19,6 @@ from stochgee import (
     Perturbation,
     dataset_from_arrays,
     get_link,
-    link_eval,
     load_dataset,
     write_dataset,
 )
@@ -34,26 +33,26 @@ LINKS = ["identity", "log", "probit"]
 class TestLinks:
     def test_log_all_orders_at_zero(self):
         for order in range(4):
-            assert link_eval("log", order, 0.0) == pytest.approx(1.0, abs=1e-15)
+            assert get_link("log").eval(order, 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_identity_orders(self):
-        assert link_eval("identity", 0, 2.5) == 2.5
-        assert link_eval("identity", 1, 2.5) == 1.0
-        assert link_eval("identity", 2, 2.5) == 0.0
-        assert link_eval("identity", 3, 2.5) == 0.0
+        assert get_link("identity").eval(0, 2.5) == 2.5
+        assert get_link("identity").eval(1, 2.5) == 1.0
+        assert get_link("identity").eval(2, 2.5) == 0.0
+        assert get_link("identity").eval(3, 2.5) == 0.0
 
     def test_probit_at_zero(self):
-        assert link_eval("probit", 0, 0.0) == pytest.approx(0.5, abs=1e-15)
-        assert link_eval("probit", 1, 0.0) == pytest.approx(0.3989422804, abs=1e-10)
+        assert get_link("probit").eval(0, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert get_link("probit").eval(1, 0.0) == pytest.approx(0.3989422804, abs=1e-10)
 
     def test_order_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            link_eval("log", 4, 0.0)
+            get_link("log").eval(4, 0.0)
 
     @pytest.mark.parametrize("name", LINKS)
     def test_first_derivative_positive(self, name):
         u = np.linspace(-3.0, 3.0, 61)
-        assert np.all(link_eval(name, 1, u) > 0)
+        assert np.all(get_link(name).eval(1, u) > 0)
 
     @pytest.mark.parametrize("name", LINKS)
     @pytest.mark.parametrize("order", [1, 2, 3])
