@@ -101,8 +101,9 @@ def parse_scenario(path: str) -> tuple:
 
     Each section passes its config class only the keys the file holds, so
     a missing key takes the class default; ``m_max`` defaults to the size
-    schedule's maximum. A file configparser rejects, or a value that does
-    not parse, is a ConfigError; a value's error names its ``section.key``.
+    schedule's maximum. A file configparser rejects, a section or key
+    outside ``_KEYS``, or a value that does not parse, is a ConfigError; a
+    key's error names its ``section.key``.
     """
     if not os.path.exists(path):
         raise ConfigError(f"scenario file {path} does not exist", field="scenario")
@@ -125,6 +126,14 @@ def parse_scenario(path: str) -> tuple:
             parser.read_file(fh)
         if not parser.has_section("scenario"):
             raise ConfigError("missing [scenario] section", field="scenario")
+        if parser.defaults():
+            raise ConfigError("unknown section", field=parser.default_section)
+        for section in parser.sections():
+            if section not in _KEYS:
+                raise ConfigError("unknown section", field=section)
+            for key in parser.options(section):
+                if key not in _KEYS[section]:
+                    raise ConfigError("unknown key", field=f"{section}.{key}")
         sizes = SizeSchedule(**read("sizes"))
         regressors = RegressorProcess(**read("regressors"))
         truth = TruthSpec(**read("truth"))

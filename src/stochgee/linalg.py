@@ -4,7 +4,8 @@ Everything here targets matrices no larger than the maximal cluster size
 (a few dozen at most). Inputs are checked for finiteness and symmetry
 before LAPACK computes eigenvalues, singular values and Cholesky
 factors; the independent eigenvalue oracles of the test suite pin the
-results.
+results. ``spd_solve`` imports ``scipy.linalg`` where it calls it, so
+SciPy loads on the first solve, not with the package.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import (
     InvalidInputError,
@@ -183,6 +183,7 @@ def spd_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"matrix is not positive definite (lambda_min={lam_min:.3e})",
             lambda_min=lam_min,
         ) from None
+    from scipy.linalg import solve_triangular
 
     def _solve(rhs):
         y = solve_triangular(chol, rhs, lower=True, check_finite=False)

@@ -4,7 +4,9 @@ The model couples the conditional mean and variance through one link:
 ``E[y_ij | history] = mu(x_ij' beta)`` and
 ``Var[y_ij | history] = mu'(x_ij' beta)``. Cluster order is meaningful:
 it encodes the information flow, with the regressors of cluster ``i``
-determined by history strictly before ``y_i``.
+determined by history strictly before ``y_i``. Only the probit link needs
+``scipy.special``, so it imports it where it calls it, and SciPy loads on
+its first use, not with the package.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .exceptions import DatasetParseError, InvalidInputError
 
@@ -92,7 +93,12 @@ class ProbitLink(LinkFunction):
     """
 
     kind = "probit"
-    mu = ndtr
+
+    @property
+    def mu(self):
+        from scipy.special import ndtr
+
+        return ndtr
 
     @staticmethod
     def _phi(u):
@@ -100,7 +106,7 @@ class ProbitLink(LinkFunction):
 
     def _eval(self, order, u):
         if order == 0:
-            return ndtr(u)
+            return self.mu(u)
         phi = self._phi(u)
         if order == 1:
             return phi
@@ -109,6 +115,8 @@ class ProbitLink(LinkFunction):
         return (u * u - 1.0) * phi
 
     def inverse(self, y):
+        from scipy.special import ndtri
+
         y = np.asarray(y, dtype=float)
         with np.errstate(invalid="ignore"):
             out = np.where((y > 0) & (y < 1), ndtri(np.clip(y, 1e-300, 1.0)), np.nan)

@@ -17,6 +17,8 @@ per-matrix products equal the per-cluster ones bit for bit; only the
 ``feedback`` process, whose regressors need the previous responses,
 keeps a recursion over clusters. ``substream`` and
 ``regenerate_regressors`` replay single clusters the per-cluster way.
+Only the copula families need ``scipy.special``; it is imported on their
+first draw, so the gaussian family's draws never load SciPy.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
-from typing import Optional, Sequence
+from functools import cache, partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri, pdtr, pdtrik
 
 from .correlation import _floor_eigenvalues
 from .estimating import CorrelationTruth, EstimatingFunction
@@ -166,9 +167,6 @@ class TruthSpec:
             raise ConfigError(str(exc), field="truth.rho") from None
 
 
-_FAMILIES = ("gaussian_link_moments", "poisson_log", "bernoulli_probit_flagged")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     link: str = "identity"
@@ -196,7 +194,7 @@ class ScenarioConfig:
                 f"{self.sizes.max_size}",
                 field="m_max",
             )
-        if self.response_family not in _FAMILIES:
+        if self.response_family not in _SAMPLERS:
             raise ConfigError(
                 f"unknown response family {self.response_family!r}",
                 field="response_family",
@@ -254,32 +252,73 @@ def _draw_regressors(proc, rng, size, p, latent, prev_y_mean):
     return x, latent
 
 
+@cache
+def _scipy_special():
+    """``scipy.special``, imported on the first call and kept, so the
+    per-cluster draws of the feedback chain run no import statement."""
+    import scipy.special
+
+    return scipy.special
+
+
 def _poisson_quantile(q, mu):
     """Poisson quantile, bit for bit ``scipy.stats.poisson.ppf`` for q in
     (0, 1) and mu >= 0: scipy's own ``ceil(pdtrik)`` with a ``pdtr``
     back-step, without the argument handling of ``rv_discrete.ppf``
     (whose ``+ loc`` the ``+ 0.0`` keeps: it turns -0.0 into 0.0)."""
-    vals = np.ceil(pdtrik(q, mu))
+    special = _scipy_special()
+    vals = np.ceil(special.pdtrik(q, mu))
     vals1 = np.maximum(vals - 1.0, 0.0)
-    return np.where(pdtr(vals1, mu) >= q, vals1, vals) + 0.0
+    return np.where(special.pdtr(vals1, mu) >= q, vals1, vals) + 0.0
+
+
+def _normals(z):
+    return z
 
 
 def _copula_uniforms(z):
     """The Poisson copula's uniforms, kept off 0 and 1."""
-    return np.clip(ndtr(z), 1e-16, 1.0 - 1e-16)
+    return np.clip(_scipy_special().ndtr(z), 1e-16, 1.0 - 1e-16)
+
+
+def _gaussian(mean, var, z):
+    return mean + np.sqrt(var) * z
+
+
+def _poisson(mean, var, u):
+    return _poisson_quantile(u, mean)
+
+
+def _bernoulli(mean, var, z):
+    # correlated Bernoulli through the same normal copula; deliberately
+    # violates Var = mu' and is flagged as a misspecification scenario
+    thresh = _scipy_special().ndtri(np.clip(mean, 1e-12, 1.0 - 1e-12))
+    return (z <= thresh).astype(float)
+
+
+class _Sampler(NamedTuple):
+    """A response family's sampler: ``draw(mean, var, noise(z))`` gives
+    the responses from the link moments and the copula normals ``z``,
+    elementwise. ``noise`` is split off so the feedback chain can form it
+    for all rows at once; ``draw`` reads ``var`` only if ``uses_var``."""
+
+    noise: Callable
+    draw: Callable
+    uses_var: bool
+
+
+_SAMPLERS = {
+    "gaussian_link_moments": _Sampler(_normals, _gaussian, True),
+    "poisson_log": _Sampler(_copula_uniforms, _poisson, False),
+    "bernoulli_probit_flagged": _Sampler(_normals, _bernoulli, False),
+}
 
 
 def _response(family, mean, var, z):
     """Responses from link moments and copula normals ``z``; elementwise,
     so one cluster's vectors and a size bucket's stacks alike."""
-    if family == "gaussian_link_moments":
-        return mean + np.sqrt(var) * z
-    if family == "poisson_log":
-        return _poisson_quantile(_copula_uniforms(z), mean)
-    # correlated Bernoulli through the same normal copula; deliberately
-    # violates Var = mu' and is flagged as a misspecification scenario
-    thresh = ndtri(np.clip(mean, 1e-12, 1.0 - 1e-12))
-    return (z <= thresh).astype(float)
+    sampler = _SAMPLERS[family]
+    return sampler.draw(mean, var, sampler.noise(z))
 
 
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
@@ -371,8 +410,8 @@ def _feedback_recursion(config, link, x, z, eta, offsets):
     """The feedback process cluster by cluster: cluster i's regressors
     centre on ``gain * mean(y_{i-1})``, so its linear predictor and
     responses wait for cluster i-1. Only that chain runs per cluster; the
-    copula uniforms are formed for all rows up front and the domain check
-    is left to the caller. ``x`` holds the scaled jitter on entry and the
+    sampler's noise (the copula uniforms of the Poisson family) is formed
+    for all rows up front and the domain check is left to the caller. ``x`` holds the scaled jitter on entry and the
     regressors on exit; ``eta`` receives the linear predictors. Returns
     the responses.
 
@@ -380,11 +419,10 @@ def _feedback_recursion(config, link, x, z, eta, offsets):
     inf, which the error state keeps from warning; the caller's domain
     check names that cluster."""
     proc, beta0 = config.regressors, config.beta0_array
-    family = config.response_family
-    mu = link.mu
+    sampler = _SAMPLERS[config.response_family]
+    mu, draw, uses_var = link.mu, sampler.draw, sampler.uses_var
+    noise = sampler.noise(z)
     y = np.empty_like(z)
-    if family == "poisson_log":
-        u = _copula_uniforms(z)
     prev_y_mean = 0.0
     bounds = offsets.tolist()
     with np.errstate(all="ignore"):
@@ -392,12 +430,8 @@ def _feedback_recursion(config, link, x, z, eta, offsets):
             xi = x[lo:hi]
             xi += proc.loc + proc.gain * prev_y_mean
             etai = np.matmul(xi, beta0, out=eta[lo:hi])
-            if family == "poisson_log":
-                yi = _poisson_quantile(u[lo:hi], mu(etai))
-            elif family == "gaussian_link_moments":
-                yi = mu(etai) + np.sqrt(link.eval(1, etai)) * z[lo:hi]
-            else:
-                yi = _response(family, mu(etai), None, z[lo:hi])
+            var = link.eval(1, etai) if uses_var else None
+            yi = draw(mu(etai), var, noise[lo:hi])
             y[lo:hi] = yi
             # what np.mean(yi) computes, without its dispatch
             prev_y_mean = float(np.add.reduce(yi)) / (hi - lo)

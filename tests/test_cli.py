@@ -560,6 +560,9 @@ MALFORMED_SCENARIOS = [
     (("kind = iid", "kind = iid\nphi = nan"), "regressors.phi"),
     (("kind = iid", "kind = iid\ngain = -inf"), "regressors.gain"),
     (("[estimators]", "[diagnostics]\ndelta = 0.7\n\n[estimators]"), "delta"),
+    (("scale = 1.0", "sacle = 0.8"), "regressors.sacle"),
+    (("[regressors]", "[regresors]"), "regresors"),
+    (("[sizes]", "[DEFAULT]\nseed = 3\n\n[sizes]"), "DEFAULT"),
 ]
 
 
