@@ -80,7 +80,6 @@ from .simulation import (
     SizeSchedule,
     TruthSpec,
     effective_truth,
-    regenerate_regressors,
     replication_seed,
     run_replications,
     simulate_scenario,

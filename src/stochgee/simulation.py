@@ -15,16 +15,20 @@ cluster. Phase 2 forms regressors, link moments, the domain check and the
 responses per cluster-size bucket with stacked ``np.matmul``, whose
 per-matrix products equal the per-cluster ones bit for bit; only the
 ``feedback`` process, whose regressors need the previous responses,
-keeps a recursion over clusters. ``substream`` and
-``regenerate_regressors`` replay single clusters the per-cluster way.
+keeps a recursion over clusters. ``substream`` gives one cluster's
+generator the per-cluster way.
 Only the copula families need ``scipy.special``; it is imported on their
-first draw, so the gaussian family's draws never load SciPy.
+first draw, so the gaussian family's draws never load SciPy. The Poisson
+quantile walks the CDF in Python floats and leaves cdflib's root finder
+``pdtrik`` only the elements near a CDF step or with an intensity outside
+(0, 20].
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -36,7 +40,7 @@ import numpy as np
 from .correlation import _floor_eigenvalues
 from .estimating import CorrelationTruth, EstimatingFunction
 from .exceptions import ConfigError, MisspecificationWarning, StochGeeError
-from .model import Cluster, Dataset, get_link
+from .model import Dataset, get_link
 from .solver import GeeFit, SolverConfig, solve_gee
 
 #: algorithm identifier embedded in reports for cross-run reproducibility
@@ -235,23 +239,6 @@ class ScenarioConfig:
 # generation
 
 
-def _draw_regressors(proc, rng, size, p, latent, prev_y_mean):
-    """One cluster's regressor matrix plus the updated latent state.
-
-    Draw order within the cluster stream is fixed (latent innovation
-    first, then the row jitter) so prefixes can be replayed exactly.
-    """
-    if proc.kind == "exogenous_ar1":
-        latent = proc.phi * latent + proc.scale * rng.standard_normal(p)
-        base = proc.loc + latent
-    elif proc.kind == "feedback":
-        base = proc.loc + proc.gain * prev_y_mean
-    else:
-        base = proc.loc
-    x = base + proc.scale * rng.standard_normal((size, p))
-    return x, latent
-
-
 @cache
 def _scipy_special():
     """``scipy.special``, imported on the first call and kept, so the
@@ -261,15 +248,72 @@ def _scipy_special():
     return scipy.special
 
 
-def _poisson_quantile(q, mu):
-    """Poisson quantile, bit for bit ``scipy.stats.poisson.ppf`` for q in
-    (0, 1) and mu >= 0: scipy's own ``ceil(pdtrik)`` with a ``pdtr``
+#: largest intensity whose quantile ``_poisson_walk`` finds; above it the
+#: walk takes more steps than cdflib's root finder costs
+_WALK_MU_CAP = 20.0
+#: relative distance from a CDF step within which scipy's root finder,
+#: not the walk, decides the quantile
+_STEP_BAND = 1e-10
+
+
+def _poisson_walk(q, mu):
+    """The smallest k whose walked CDF reaches ``q``, for Python floats,
+    or -1 where scipy must decide: ``mu`` outside (0, ``_WALK_MU_CAP``]
+    (NaN and inf included), ``q`` outside (0, 1), a walk past
+    ``mu + 12 sqrt(mu) + 40`` steps, or ``q`` within ``_STEP_BAND * q`` of
+    the CDF at k or at k - 1."""
+    if not (0.0 < mu <= _WALK_MU_CAP and 0.0 < q < 1.0):
+        return -1
+    limit = mu + 12.0 * math.sqrt(mu) + 40.0
+    k = 0
+    below = 0.0
+    term = cdf = math.exp(-mu)
+    while cdf < q:
+        k += 1
+        if k > limit:
+            return -1
+        below = cdf
+        term *= mu / k
+        cdf += term
+    band = _STEP_BAND * q
+    if cdf - q <= band or q - below <= band:
+        return -1
+    return k
+
+
+def _poisson_ppf(q, mu):
+    """scipy's own Poisson quantile: ``ceil(pdtrik)`` with a ``pdtr``
     back-step, without the argument handling of ``rv_discrete.ppf``
     (whose ``+ loc`` the ``+ 0.0`` keeps: it turns -0.0 into 0.0)."""
     special = _scipy_special()
     vals = np.ceil(special.pdtrik(q, mu))
     vals1 = np.maximum(vals - 1.0, 0.0)
     return np.where(special.pdtr(vals1, mu) >= q, vals1, vals) + 0.0
+
+
+def _poisson_quantile(q, mu):
+    """Poisson quantile, bit for bit ``scipy.stats.poisson.ppf``, elementwise
+    over the broadcast of ``q`` and ``mu``.
+
+    Each element walks the CDF in Python floats (``_poisson_walk``):
+    ``term = cdf = exp(-mu)``, then ``term *= mu / k; cdf += term`` up to
+    the first k with ``cdf >= q``. After k steps the walked CDF is off by
+    a relative (3k + 2) eps at most, about 4e-14 at the step limit for
+    ``mu = 20``, and scipy's root finder departs from the exact smallest k
+    only within 1.5e-14 of a CDF step. Outside the ``_STEP_BAND`` of 1e-10
+    both therefore give the same integer, and ``float(k)`` has the bytes of
+    scipy's result. The elements the walk refuses go through
+    ``_poisson_ppf`` in one call.
+    """
+    q, mu = np.asarray(q), np.asarray(mu)
+    if q.shape != mu.shape:
+        q, mu = np.broadcast_arrays(q, mu)
+    ks = list(map(_poisson_walk, q.ravel().tolist(), mu.ravel().tolist()))
+    out = np.array(ks, dtype=float)
+    hard = [i for i, k in enumerate(ks) if k < 0]
+    if hard:
+        out[hard] = _poisson_ppf(q.ravel()[hard], mu.ravel()[hard])
+    return out.reshape(q.shape)
 
 
 def _normals(z):
@@ -411,9 +455,9 @@ def _feedback_recursion(config, link, x, z, eta, offsets):
     centre on ``gain * mean(y_{i-1})``, so its linear predictor and
     responses wait for cluster i-1. Only that chain runs per cluster; the
     sampler's noise (the copula uniforms of the Poisson family) is formed
-    for all rows up front and the domain check is left to the caller. ``x`` holds the scaled jitter on entry and the
-    regressors on exit; ``eta`` receives the linear predictors. Returns
-    the responses.
+    for all rows up front and the domain check is left to the caller.
+    ``x`` holds the scaled jitter on entry and the regressors on exit;
+    ``eta`` receives the linear predictors. Returns the responses.
 
     Past a cluster that leaves the link domain the chain carries NaN or
     inf, which the error state keeps from warning; the caller's domain
@@ -512,35 +556,6 @@ def simulate_scenario(config: ScenarioConfig, replication: int = 0) -> Dataset:
             field="regressors",
         )
     return Dataset._trusted(x, y, sizes, p, config.m_max, link=config.link, beta0=beta0)
-
-
-def regenerate_regressors(
-    config: ScenarioConfig,
-    replication: int,
-    history: Sequence[Cluster],
-    index: int,
-) -> np.ndarray:
-    """Replay X_index from the seed and the stored history prefix.
-
-    Demonstrates predictability: the regressors of cluster ``index`` are a
-    deterministic function of the seed and clusters 1..index-1.
-    """
-    if index < 1 or index > len(history) + 1:
-        raise ConfigError(
-            f"index {index} needs a history of at least {index - 1} clusters",
-            field="index",
-        )
-    rep_seed = replication_seed(config.seed, replication)
-    p = config.p
-    latent = np.zeros(p)
-    for i in range(1, index + 1):
-        rng = substream(rep_seed, i)
-        size = config.sizes.draw(i, rng)
-        prev_y_mean = float(np.mean(history[i - 2].response)) if i > 1 else 0.0
-        x, latent = _draw_regressors(
-            config.regressors, rng, size, p, latent, prev_y_mean
-        )
-    return x
 
 
 # ---------------------------------------------------------------------------

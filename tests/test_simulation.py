@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import pdtr
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from stochgee import (
     SizeSchedule,
     TruthSpec,
     effective_truth,
-    regenerate_regressors,
     replication_seed,
     run_replications,
     simulate_scenario,
@@ -25,6 +25,7 @@ from stochgee import (
     splitmix64,
     substream,
 )
+from stochgee import simulation
 from stochgee.simulation import _cluster_keys, _poisson_quantile, _response
 
 
@@ -90,7 +91,9 @@ class TestPredictability:
         cfg = base_config(regressors=proc, n=25)
         ds = simulate_scenario(cfg)
         for i in (1, 2, 10, 25):
-            replayed = regenerate_regressors(cfg, 0, ds.clusters[: i - 1], i)
+            # the per-cluster replay of clusters 1..i, whose last rows are X_i
+            sizes, x, _ = loop_simulate_scenario(cfg.with_n(i))
+            replayed = x[-sizes[-1] :]
             np.testing.assert_array_equal(replayed, ds.clusters[i - 1].regressors)
 
     def test_feedback_actually_uses_history(self):
@@ -736,3 +739,82 @@ def test_poisson_quantile_is_scipy_ppf(q, mu):
     assert _poisson_quantile(q, mu).tobytes() == want.tobytes()
     mus = np.full(q.shape, mu)
     assert _poisson_quantile(q, mus).tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mu=st.one_of(
+        st.sampled_from([20.0, float(np.nextafter(20.0, np.inf))]),
+        st.floats(-12.0, float(np.log(20.0))).map(lambda t: min(float(np.exp(t)), 20.0)),
+    ),
+    k=st.integers(0, 80),
+    ulps=st.integers(0, 4),
+    rel=st.floats(-12.0, -6.0).map(lambda e: 10.0**e),
+)
+def test_poisson_quantile_walk_is_scipy_ppf(mu, k, ulps, rel):
+    """q a few ulps and 1e-12 to 1e-6 (relative) either side of the CDF
+    step at k, where the walk and its fallback meet, for mu up to the
+    walk's cap and just past it."""
+    step = float(pdtr(k, mu))
+    below = above = step
+    for _ in range(ulps):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+    q = np.array([below, above, step * (1.0 - rel), step * (1.0 + rel), 1e-16, 1.0 - 1e-16])
+    q = np.clip(q, 1e-16, 1.0 - 1e-16)
+    want = scipy.stats.poisson.ppf(q, mu)
+    assert _poisson_quantile(q, mu).tobytes() == want.tobytes()
+    mus = np.full(q.shape, mu)
+    assert _poisson_quantile(q, mus).tobytes() == want.tobytes()
+
+
+def _count_fallback(monkeypatch):
+    """Route ``_poisson_ppf`` through a recorder of the (q, mu) it gets."""
+    calls = []
+    ppf = simulation._poisson_ppf
+
+    def counted(q, mu):
+        calls.append((q, mu))
+        return ppf(q, mu)
+
+    monkeypatch.setattr(simulation, "_poisson_ppf", counted)
+    return calls
+
+
+def test_poisson_quantile_falls_back_only_where_marked(monkeypatch):
+    calls = _count_fallback(monkeypatch)
+    on_step = float(pdtr(3, 2.0))
+    rows = [  # (q, mu, falls back)
+        (0.5, 0.3, False),
+        (0.5, 25.0, True),
+        (0.9, 4.0, False),
+        (0.5, np.nan, True),
+        (0.2, 7.5, False),
+        (0.5, np.inf, True),
+        (on_step, 2.0, True),
+        (0.7, 20.0, False),
+        (0.5, 0.0, True),
+        (0.999, 19.0, False),
+    ]
+    q, mu, marked = (np.array(c) for c in zip(*rows))
+    got = _poisson_quantile(q, mu)
+    want = np.array([scipy.stats.poisson.ppf(a, m) for a, m in zip(q, mu)])
+    assert got.tobytes() == want.tobytes()
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0][0], q[marked])
+    np.testing.assert_array_equal(calls[0][1], mu[marked])
+
+
+def test_feedback_chain_never_falls_back(monkeypatch):
+    """The Poisson feedback scenario of the consistency study draws every
+    response on the walk."""
+    calls = _count_fallback(monkeypatch)
+    cfg = base_config(
+        link="log",
+        n=400,
+        regressors=RegressorProcess(kind="feedback", gain=0.3, scale=0.5),
+        response_family="poisson_log",
+        seed=2024,
+    )
+    for replication in (0, 1):
+        simulate_scenario(cfg, replication)
+    assert calls == []
