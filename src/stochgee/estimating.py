@@ -219,12 +219,16 @@ def corr_trajectory(
 
 
 # ---------------------------------------------------------------------------
-# the batched per-cluster kernel
+# the whitened factors
 #
-# Once the proxy sequence R_{i-1} is fixed, every coefficient
-# C_i = X_i' A_i^{1/2} R_{i-1}^{-1} A_i^{-1/2} can be formed at once: the
-# clusters of one size are stacked (Dataset.buckets) and each size bucket
-# is one batch of small matrix products.
+# With the proxies R_{i-1} fixed, g = sum_i C_i (y_i - mu_i) and its
+# analytic Jacobian come from z = A^{1/2} X, e = A^{-1/2} (y - mu) and
+# R^{-1} e (the Jacobian adds v = R^{-1} z), each size bucket of clusters
+# (Dataset.buckets) one batch of small matrix products; the solver keeps
+# them per iterate for its Jacobian there. Explicit coefficients
+# C_i = X_i' A_i^{1/2} R_{i-1}^{-1} A_i^{-1/2} are formed only where they
+# are the input or the output: the callback (``general``) variant,
+# ``score_increments`` and ``integrability_summary``.
 
 
 @dataclass(frozen=True)
@@ -410,20 +414,59 @@ def _pearson_residuals(dataset: Dataset, beta, lk) -> list:
     return resid
 
 
+def _whiten(kind, dataset, beta, lk, frozen_corr=None, means=None) -> tuple:
+    """g of the gee_star ``kind`` at ``beta`` and its whitened factors.
+
+    The factors hold per size bucket X (k, m, p), the inverse proxies,
+    ``z = A^{1/2} X`` (k, m, p), ``e = A^{-1/2} (y - mu)`` and
+    ``re = R^{-1} e`` (k, m); ``g`` sums ``z' re`` over the buckets.
+    ``means``, one (k, m) array per bucket, replaces the means the
+    residuals are taken from (``eval_g_perturbed`` passes the unperturbed
+    ones); the variances are always those of ``dataset``.
+    """
+    moments = _moments(dataset, beta, lk)
+    proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr)
+    if means is None:
+        means = [mean for mean, _ in moments]
+    parts = []
+    for b, (_, var), mean, rinv in zip(dataset.buckets, moments, means, proxy.inverses):
+        sd = np.sqrt(var)
+        e = (b.y - mean) / sd
+        parts.append((b.x, rinv, b.x * sd[..., None], e, _apply(rinv, e)))
+    g = sum(z.reshape(-1, z.shape[-1]).T @ re.ravel() for _, _, z, _, re in parts)
+    return g, tuple(parts)
+
+
+def _whitened_jacobian(parts, lk) -> np.ndarray:
+    """-dg/dbeta' from the factors of ``_whiten``, with the proxies held
+    fixed (identity and log links)."""
+    total = 0.0
+    for x, rinv, z, e, re in parts:
+        p = x.shape[-1]
+        v = (rinv @ z).reshape(-1, p)
+        x, z = x.reshape(-1, p), z.reshape(-1, p)
+        # main term X' A^{1/2} R^{-1} A^{1/2} X = Z' V
+        total = total + z.T @ v
+        if lk.kind == "log":
+            # d A^{1/2}_j / d beta_l = x_jl A^{1/2}_j / 2 for the log link;
+            # contracted with the Pearson residual e this is
+            # (Z' (x_l o R^{-1} e) - V' (x_l o e)) / 2, every l at once
+            e, re = e.reshape(-1, 1), re.reshape(-1, 1)
+            total -= 0.5 * (z.T @ (x * re) - v.T @ (x * e))
+    return total
+
+
 def _apply(mats, v: np.ndarray) -> np.ndarray:
-    """M_i v_i for (m, m) or (k, m, m) matrices and (k, m) vectors."""
+    """M_i v_i for (m, m) or (k, m, m) matrices and (k, m) vectors; one
+    shared matrix is one (k, m) x (m, m) product."""
+    if mats.ndim == 2:
+        return v @ mats.T
     return (mats @ v[..., None])[..., 0]
 
 
 def _coefficients(x, sd, rinv) -> np.ndarray:
     """C_i = X_i' A_i^{1/2} R^{-1} A_i^{-1/2} per cluster, (k, p, m)."""
     return np.swapaxes(x * sd[..., None], 1, 2) @ (rinv / sd[:, None, :])
-
-
-def _whitened(x, var, rinv) -> tuple:
-    """z_i = A_i^{1/2} X_i and v_i = R^{-1} z_i per cluster, each (k, m, p)."""
-    z = x * np.sqrt(var)[..., None]
-    return z, rinv @ z
 
 
 class _History(Sequence):
@@ -452,12 +495,12 @@ class _History(Sequence):
         return self._clusters[k % self._stop]
 
 
-def _bucket_coefficients(kind, dataset, beta, lk, moments, frozen_corr=None) -> list:
+def _bucket_coefficients(kind, dataset, beta, lk, moments) -> list:
     """C_i of every cluster, stacked by bucket as (k, p, m)."""
     if kind.reduces_to_independence:
         return [np.swapaxes(b.x, 1, 2) for b in dataset.buckets]
     if kind.variant != "general":
-        proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr)
+        proxy = freeze_proxy(kind, dataset, beta, lk)
         return [
             _coefficients(b.x, np.sqrt(var), rinv)
             for b, (_, var), rinv in zip(dataset.buckets, moments, proxy.inverses)
@@ -476,17 +519,6 @@ def _bucket_coefficients(kind, dataset, beta, lk, moments, frozen_corr=None) -> 
             )
         coeffs.append(coeff)
     return [np.stack([coeffs[pos] for pos in b.positions]) for b in dataset.buckets]
-
-
-def _total_score(dataset: Dataset, coeffs, moments) -> np.ndarray:
-    """g = sum_i C_i (y_i - mu_i)."""
-    return np.sum(
-        [
-            _apply(c, b.y - mean).sum(axis=0)
-            for b, c, (mean, _) in zip(dataset.buckets, coeffs, moments)
-        ],
-        axis=0,
-    )
 
 
 def _sigma(truth: CorrelationTruth, size: int, sd: np.ndarray) -> np.ndarray:
@@ -517,9 +549,12 @@ def eval_g(
     if kind.reduces_to_independence:
         mu = lk.eval(0, dataset.x @ beta)
         return dataset.x.T @ (dataset.y - mu)
+    if kind.variant == "gee_star":
+        return _whiten(kind, dataset, beta, lk, frozen_corr)[0]
     moments = _moments(dataset, beta, lk)
-    coeffs = _bucket_coefficients(kind, dataset, beta, lk, moments, frozen_corr)
-    return _total_score(dataset, coeffs, moments)
+    coeffs = _bucket_coefficients(kind, dataset, beta, lk, moments)
+    parts = zip(dataset.buckets, coeffs, moments)
+    return sum(_apply(c, b.y - mean).sum(axis=0) for b, c, (mean, _) in parts)
 
 
 def _perturbed_regressors(dataset: Dataset, perturbation: "Perturbation", p: int):
@@ -551,7 +586,9 @@ def eval_g_perturbed(
 
     The coefficients ``C_i`` of the shifted dataset, with regressors
     ``X_i + delta_i'`` (variance factors and any data-dependent proxy
-    included), multiply the residuals of the unperturbed means.
+    included), multiply the residuals of the unperturbed means: the
+    whitened factors of the shifted dataset, with ``e`` taken from those
+    means.
     """
     beta = as_beta(beta)
     lk = get_link(link)
@@ -560,11 +597,12 @@ def eval_g_perturbed(
     if not perturbation.stack.any():
         # exact zero perturbation: reproduce the plain evaluation bitwise
         return eval_g(kind, dataset, beta, lk)
-    moments = _moments(dataset, beta, lk)
-    # the identity coefficients X_i' need no moments of the shifted data
-    moved = None if kind.reduces_to_independence else _moments(shifted, beta, lk)
-    coeffs = _bucket_coefficients(kind, shifted, beta, lk, moved)
-    return _total_score(dataset, coeffs, moments)
+    means = [mean for mean, _ in _moments(dataset, beta, lk)]
+    if kind.reduces_to_independence:
+        # the identity coefficients X_i' need no moments of the shifted data
+        p, pairs = beta.shape[0], zip(shifted.buckets, means)
+        return sum(b.x.reshape(-1, p).T @ (b.y - mean).ravel() for b, mean in pairs)
+    return _whiten(kind, shifted, beta, lk, means=means)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +647,10 @@ def jacobian(
                 "analytic Jacobian is only available for identity/log links "
                 "with beta-independent working correlations"
             )
-        return _analytic_jacobian(kind, dataset, beta, lk, frozen_corr)
+        if kind.reduces_to_independence:
+            w = lk.eval(1, dataset.x @ beta)
+            return dataset.x.T @ (dataset.x * w[:, None])
+        return _whitened_jacobian(_whiten(kind, dataset, beta, lk, frozen_corr)[1], lk)
     if method != "finite_difference":
         raise InvalidInputError(f"unknown jacobian method {method!r}")
     cols = []
@@ -618,33 +659,6 @@ def jacobian(
         gm = eval_g(kind, dataset, bm, lk, frozen_corr)
         cols.append((gp - gm) / (2.0 * h))
     return -np.column_stack(cols)
-
-
-def _analytic_jacobian(kind, dataset, beta, lk, frozen_corr):
-    if kind.reduces_to_independence:
-        w = lk.eval(1, dataset.x @ beta)
-        return dataset.x.T @ (dataset.x * w[:, None])
-    moments = _moments(dataset, beta, lk)
-    proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr)
-    parts = list(zip(dataset.buckets, moments, proxy.inverses))
-
-    def rows(per_bucket):
-        # the (k, m, c) arrays of the buckets stacked as one (N, c) array
-        return np.concatenate([a.reshape(-1, a.shape[-1]) for a in per_bucket])
-
-    factors = [_whitened(b.x, var, rinv) for b, (_, var), rinv in parts]
-    z, v = rows(z for z, _ in factors), rows(v for _, v in factors)
-    # main term X' A^{1/2} R^{-1} A^{1/2} X = Z' V, one product over all rows
-    total = z.T @ v
-    if lk.kind == "log":
-        # d A^{1/2}_j / d beta_l = x_jl A^{1/2}_j / 2 for the log link;
-        # contracted with the Pearson residual e this is
-        # (Z' (x_l o R^{-1} e) - V' (x_l o e)) / 2, every column l at once
-        e = [((b.y - mean) / np.sqrt(var))[..., None] for b, (mean, var), _ in parts]
-        re = [rinv @ r for (_, _, rinv), r in zip(parts, e)]
-        x = rows(b.x for b, _, _ in parts)
-        total -= 0.5 * (z.T @ (x * rows(re)) - v.T @ (x * rows(e)))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +694,8 @@ def path_information_increments(
     for b, (_, var), rinv, tinv in zip(
         dataset.buckets, moments, proxy.inverses, rbar_inv
     ):
-        z, v = _whitened(b.x, var, rinv)
+        z = b.x * np.sqrt(var)[..., None]
+        v = rinv @ z
         zt = np.swapaxes(z, 1, 2)
         out["h_ind"][b.positions] = zt @ z
         # h_star and m_bar take the same operations, so a proxy equal to

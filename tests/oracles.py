@@ -147,6 +147,10 @@ def _link_moments(link, eta):
         return eta + 0.0, np.ones_like(eta)
     if link == "log":
         return np.exp(eta), np.exp(eta)
+    if link == "probit":
+        from scipy.special import ndtr
+
+        return ndtr(eta), np.exp(-0.5 * eta * eta) / math.sqrt(2.0 * math.pi)
     raise ValueError(f"no reference moments for link {link!r}")
 
 

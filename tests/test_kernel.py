@@ -130,6 +130,23 @@ def test_eval_g_and_jacobian_match_loops(seed, n, m_max, link, variant):
     assert_close(jac, expect_jac)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 25),
+    m_max=st.integers(1, 4),
+    variant=st.sampled_from(["exchangeable", "fixed", "pseudo_frozen"]),
+)
+def test_probit_eval_g_matches_loop(seed, n, m_max, variant):
+    # the probit link has no analytic Jacobian, so a probit solve steps
+    # along the central differences of this g
+    ds, rng = mixed_dataset(seed, n, m_max)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    kind, frozen, seq = variant_setup(variant, ds, rng, beta, "probit")
+    expect = loop_eval_g(pairs(ds), beta, "probit", seq)
+    assert_close(eval_g(kind, ds, beta, "probit", frozen_corr=frozen), expect)
+
+
 @settings(max_examples=60, deadline=None)
 @given(**cases)
 def test_variance_and_information_match_loops(seed, n, m_max, link, variant):

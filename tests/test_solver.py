@@ -232,6 +232,58 @@ class TestSolveGee:
         assert fit.converged
         assert np.linalg.norm(fit.beta_hat - cfg.beta0_array) < 0.5
 
+    @pytest.mark.parametrize("spec_name", ["exchangeable", "pseudo_likelihood"])
+    def test_jacobian_reuses_the_factors_of_its_iterate(self, monkeypatch, spec_name):
+        """Under a frozen proxy, the moments and the proxy are taken once per
+        evaluation of g (the initial point and each line-search trial) and
+        never again for the analytic Jacobian at an accepted point."""
+        from stochgee import estimating, solver
+
+        ds = simulate_scenario(scenario(link="log", scale=0.4, n=60))
+        spec = (
+            WorkingCorrelationSpec.exchangeable(0.4, 3)
+            if spec_name == "exchangeable"
+            else WorkingCorrelationSpec.pseudo_likelihood(3)
+        )
+        kind = EstimatingFunction.gee_star(spec)
+        moments, freezes, evaluations, jacobians = [], [], [], []
+
+        def recorder(fn, log, at):
+            # log a copy of the point, argument ``at`` of each call
+            def recorded(*args, **kwargs):
+                log.append(np.array(args[at], dtype=float))
+                return fn(*args, **kwargs)
+
+            return recorded
+
+        def evaluate(kind, dataset, beta, link, frozen_corr):
+            if frozen_corr is not None:
+                evaluations.append(beta.copy())
+            return real_evaluate(kind, dataset, beta, link, frozen_corr)
+
+        def jacobian(factors, link):
+            jacobians.append(None)
+            return real_jacobian(factors, link)
+
+        real_evaluate, real_jacobian = solver._evaluate, solver._whitened_jacobian
+        record_moments = recorder(estimating._moments, moments, 1)
+        monkeypatch.setattr(estimating, "_moments", record_moments)
+        freeze = recorder(estimating.freeze_proxy, freezes, 2)
+        monkeypatch.setattr(estimating, "freeze_proxy", freeze)
+        monkeypatch.setattr(solver, "freeze_proxy", freeze)
+        monkeypatch.setattr(solver, "_evaluate", evaluate)
+        monkeypatch.setattr(solver, "_whitened_jacobian", jacobian)
+        fit = solve_gee(ds, kind, "log", init=np.array([1.5, 1.5]))
+        assert fit.converged and fit.iterations >= 3
+        assert len(jacobians) >= fit.iterations
+        # solve_gee freezes the proxy once; the pseudo-likelihood proxy is
+        # folded at the independence estimate, which takes its moments once
+        folds = 1 if spec.depends_on_data else 0
+        assert len(moments) == len(evaluations) + folds
+        assert len(freezes) == len(evaluations) + 1
+        np.testing.assert_array_equal(moments[folds:], evaluations)
+        np.testing.assert_array_equal(freezes[1:], evaluations)
+
     def test_region_constraint(self):
         ds = simulate_scenario(scenario())
         region = Parameter(np.zeros(2), lower=-np.ones(2), upper=np.ones(2))
