@@ -224,8 +224,8 @@ def corr_trajectory(
 # With the proxies R_{i-1} fixed, g = sum_i C_i (y_i - mu_i) and its
 # analytic Jacobian come from z = A^{1/2} X, e = A^{-1/2} (y - mu) and
 # R^{-1} e (the Jacobian adds v = R^{-1} z), each size bucket of clusters
-# (Dataset.buckets) one batch of small matrix products; the solver keeps
-# them per iterate for its Jacobian there. Explicit coefficients
+# (Dataset.buckets) one batch of small matrix products. ``_evaluate``
+# gives the solver g with a Jacobian that reuses them. Explicit coefficients
 # C_i = X_i' A_i^{1/2} R_{i-1}^{-1} A_i^{-1/2} are formed only where they
 # are the input or the output: the callback (``general``) variant,
 # ``score_increments`` and ``integrability_summary``.
@@ -457,10 +457,7 @@ def _whitened_jacobian(parts, lk) -> np.ndarray:
 
 
 def _apply(mats, v: np.ndarray) -> np.ndarray:
-    """M_i v_i for (m, m) or (k, m, m) matrices and (k, m) vectors; one
-    shared matrix is one (k, m) x (m, m) product."""
-    if mats.ndim == 2:
-        return v @ mats.T
+    """M_i v_i for (m, m) or (k, m, m) matrices and (k, m) vectors."""
     return (mats @ v[..., None])[..., 0]
 
 
@@ -659,6 +656,24 @@ def jacobian(
         gm = eval_g(kind, dataset, bm, lk, frozen_corr)
         cols.append((gp - gm) / (2.0 * h))
     return -np.column_stack(cols)
+
+
+def _evaluate(kind, dataset, beta, lk, frozen_corr=None) -> tuple:
+    """g at ``beta`` and a function giving ``jacobian`` there.
+
+    Where the analytic Jacobian of a gee_star ``kind`` is available, that
+    function reads the whitened factors of this evaluation of g, so it
+    takes no new moments, proxy or whitening.
+    """
+    if (
+        kind.variant != "gee_star"
+        or kind.reduces_to_independence
+        or not _analytic_available(kind, lk, frozen_corr)
+    ):
+        g = eval_g(kind, dataset, beta, lk, frozen_corr)
+        return g, lambda: jacobian(kind, dataset, beta, lk, frozen_corr)
+    g, parts = _whiten(kind, dataset, beta, lk, frozen_corr)
+    return g, lambda: _whitened_jacobian(parts, lk)
 
 
 # ---------------------------------------------------------------------------

@@ -303,15 +303,12 @@ def _poisson_quantile(q, mu):
     only within 1.5e-14 of a CDF step. Outside the ``_STEP_BAND`` of 1e-10
     both therefore give the same integer, and ``float(k)`` has the bytes of
     scipy's result. The elements the walk refuses go through
-    ``_poisson_ppf`` in one call, on the arrays as given when it refuses
-    them all.
+    ``_poisson_ppf`` in one call.
     """
     q, mu = np.asarray(q), np.asarray(mu)
     if q.shape != mu.shape:
         q, mu = np.broadcast_arrays(q, mu)
     ks = list(map(_poisson_walk, q.ravel().tolist(), mu.ravel().tolist()))
-    if ks and max(ks) < 0:
-        return np.asarray(_poisson_ppf(q, mu))
     out = np.array(ks, dtype=float)
     hard = [i for i, k in enumerate(ks) if k < 0]
     if hard:

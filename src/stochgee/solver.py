@@ -15,14 +15,11 @@ import numpy as np
 from . import linalg
 from .estimating import (
     EstimatingFunction,
-    _analytic_available,
     _checked_inverse,
+    _evaluate,
     _stack_by_bucket,
-    _whiten,
-    _whitened_jacobian,
-    eval_g,
+    eval_g,  # unused here; bench/test_bench.py reads solver.eval_g
     freeze_proxy,
-    jacobian,
 )
 from .exceptions import (
     InvalidInputError,
@@ -80,17 +77,9 @@ def default_init(dataset: Dataset, link) -> np.ndarray:
     return sol
 
 
-def _evaluate(kind, dataset, beta, link, frozen_corr):
-    """g at ``beta`` and, under a frozen proxy, its whitened factors, from
-    which the analytic Jacobian at ``beta`` takes no new moments."""
-    if frozen_corr is None:
-        return eval_g(kind, dataset, beta, link), None
-    return _whiten(kind, dataset, beta, link, frozen_corr)
-
-
 def _newton(dataset, kind, link, config, init, frozen_corr, region):
     beta = init.copy()
-    g, factors = _evaluate(kind, dataset, beta, link, frozen_corr)
+    g, jac = _evaluate(kind, dataset, beta, link, frozen_corr)
     gnorm = float(np.max(np.abs(g)))
     last_step = 0.0
     trace = [(beta.copy(), gnorm, 0.0)]
@@ -100,7 +89,7 @@ def _newton(dataset, kind, link, config, init, frozen_corr, region):
         if gnorm < config.tol_g and last_step < config.tol_x:
             converged = True
             break
-        d = _newton_direction(kind, dataset, beta, link, frozen_corr, g, factors)
+        d = _newton_direction(jac(), g)
         if gnorm < config.tol_g and float(np.linalg.norm(d)) < config.tol_x:
             converged = True
             break
@@ -110,15 +99,15 @@ def _newton(dataset, kind, link, config, init, frozen_corr, region):
             candidate = beta + t * d
             if region is not None:
                 candidate = _clip_to_region(candidate, region)
-            g_try, f_try = _evaluate(kind, dataset, candidate, link, frozen_corr)
+            g_try, j_try = _evaluate(kind, dataset, candidate, link, frozen_corr)
             gn_try = float(np.max(np.abs(g_try)))
             if gn_try < gnorm:
-                accepted = (candidate, g_try, gn_try, f_try)
+                accepted = (candidate, g_try, gn_try, j_try)
                 break
             t *= 0.5
         if accepted is None:
             break  # stalled: no step decreases the residual
-        new_beta, g, gnorm, factors = accepted
+        new_beta, g, gnorm, jac = accepted
         last_step = float(np.linalg.norm(new_beta - beta))
         beta = new_beta
         iterations += 1
@@ -134,11 +123,7 @@ def _newton(dataset, kind, link, config, init, frozen_corr, region):
     )
 
 
-def _newton_direction(kind, dataset, beta, link, frozen_corr, g, factors):
-    if factors is not None and _analytic_available(kind, link, frozen_corr):
-        d_mat = _whitened_jacobian(factors, link)
-    else:
-        d_mat = jacobian(kind, dataset, beta, link, frozen_corr=frozen_corr)
+def _newton_direction(d_mat, g):
     try:
         return np.linalg.solve(d_mat, g)
     except np.linalg.LinAlgError:

@@ -265,14 +265,14 @@ class TestSolveGee:
             jacobians.append(None)
             return real_jacobian(factors, link)
 
-        real_evaluate, real_jacobian = solver._evaluate, solver._whitened_jacobian
+        real_evaluate, real_jacobian = solver._evaluate, estimating._whitened_jacobian
         record_moments = recorder(estimating._moments, moments, 1)
         monkeypatch.setattr(estimating, "_moments", record_moments)
         freeze = recorder(estimating.freeze_proxy, freezes, 2)
         monkeypatch.setattr(estimating, "freeze_proxy", freeze)
         monkeypatch.setattr(solver, "freeze_proxy", freeze)
         monkeypatch.setattr(solver, "_evaluate", evaluate)
-        monkeypatch.setattr(solver, "_whitened_jacobian", jacobian)
+        monkeypatch.setattr(estimating, "_whitened_jacobian", jacobian)
         fit = solve_gee(ds, kind, "log", init=np.array([1.5, 1.5]))
         assert fit.converged and fit.iterations >= 3
         assert len(jacobians) >= fit.iterations
