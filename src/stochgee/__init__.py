@@ -51,7 +51,6 @@ from .exceptions import (
     SingularJacobianError,
     StochGeeError,
     SymmetryViolationError,
-    UnsupportedMethodError,
 )
 from .linalg import (
     EigenExtremes,

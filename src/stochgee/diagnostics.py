@@ -455,7 +455,7 @@ def slln_monitor(trace: Sequence, delta: float) -> dict:
     with the eigenvalue extremes of V_n; an entry with lambda_max = 0
     yields NaN (undefined ratio), not an error.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise InvalidInputError("delta must be positive")
     ratios, lo_v, hi_v = [], [], []
     for q, v in trace:
@@ -710,7 +710,7 @@ def slln_decay_study(
     jobs: int = 1,
 ) -> StudyResult:
     """Medians of the normalized martingale ratio along the grid."""
-    if delta <= 0:
+    if not delta > 0:
         raise ConfigError("delta must be positive", field="delta")
     n_grid = sorted(int(n) for n in n_grid)
     args = (config, kind, delta, tuple(n_grid))

@@ -31,7 +31,6 @@ from .exceptions import (
     NotPositiveDefiniteError,
     SingularDenominatorError,
     SymmetryViolationError,
-    UnsupportedMethodError,
 )
 from .model import Dataset, LinkFunction, as_beta, get_link
 
@@ -224,8 +223,9 @@ def corr_trajectory(
 # With the proxies R_{i-1} fixed, g = sum_i C_i (y_i - mu_i) and its
 # analytic Jacobian come from z = A^{1/2} X, e = A^{-1/2} (y - mu) and
 # R^{-1} e (the Jacobian adds v = R^{-1} z), each size bucket of clusters
-# (Dataset.buckets) one batch of small matrix products. ``_evaluate``
-# gives the solver g with a Jacobian that reuses them. Explicit coefficients
+# (Dataset.buckets) one batch of small matrix products. ``_evaluate``, the
+# one place that chooses how g and its Jacobian are formed, gives g with a
+# Jacobian that reuses them. Explicit coefficients
 # C_i = X_i' A_i^{1/2} R_{i-1}^{-1} A_i^{-1/2} are formed only where they
 # are the input or the output: the callback (``general``) variant,
 # ``score_increments`` and ``integrability_summary``.
@@ -527,6 +527,46 @@ def _sigma(truth: CorrelationTruth, size: int, sd: np.ndarray) -> np.ndarray:
 # estimating-function evaluation
 
 
+def _evaluate(kind, dataset, beta, lk, frozen_corr=None) -> tuple:
+    """g at ``beta`` and a function giving -dg/dbeta' there.
+
+    The one place that chooses how both are formed. The Jacobian is
+    analytic for identity and log links with a proxy that does not move
+    with beta (fixed, or frozen by ``frozen_corr``): the independence
+    Jacobian ``X' diag(mu') X`` reuses ``eta``, and the gee_star one reads
+    the whitened factors of this evaluation of g, so it takes no new
+    moments, proxy or whitening. Anything else, the callback (``general``)
+    variant included, takes central differences of g (``_fd_jacobian``).
+    """
+    analytic = lk.kind in ("identity", "log")
+    if kind.reduces_to_independence:
+        eta = dataset.x @ beta
+        g = dataset.x.T @ (dataset.y - lk.eval(0, eta))
+        if analytic:
+            return g, lambda: dataset.x.T @ (dataset.x * lk.eval(1, eta)[:, None])
+    elif kind.variant == "gee_star":
+        g, parts = _whiten(kind, dataset, beta, lk, frozen_corr)
+        if analytic and (frozen_corr is not None or not kind.spec.depends_on_data):
+            return g, lambda: _whitened_jacobian(parts, lk)
+    else:
+        moments = _moments(dataset, beta, lk)
+        coeffs = _bucket_coefficients(kind, dataset, beta, lk, moments)
+        parts = zip(dataset.buckets, coeffs, moments)
+        g = sum(_apply(c, b.y - mean).sum(axis=0) for b, c, (mean, _) in parts)
+    return g, lambda: _fd_jacobian(kind, dataset, beta, lk, frozen_corr)
+
+
+def _fd_jacobian(kind, dataset, beta, lk, frozen_corr=None) -> np.ndarray:
+    """-dg/dbeta' by central differences with per-coordinate steps
+    ``cbrt(eps) * max(1, |beta_l|)``."""
+    cols = []
+    for h, bp, bm in central_points(beta):
+        gp = _evaluate(kind, dataset, bp, lk, frozen_corr)[0]
+        gm = _evaluate(kind, dataset, bm, lk, frozen_corr)[0]
+        cols.append((gp - gm) / (2.0 * h))
+    return -np.column_stack(cols)
+
+
 def eval_g(
     kind: EstimatingFunction,
     dataset: Dataset,
@@ -541,17 +581,23 @@ def eval_g(
     matrices, or a ``FrozenProxy`` prepared by ``freeze_proxy`` (the
     solver freezes proxies this way).
     """
-    beta = as_beta(beta)
-    lk = get_link(link)
-    if kind.reduces_to_independence:
-        mu = lk.eval(0, dataset.x @ beta)
-        return dataset.x.T @ (dataset.y - mu)
-    if kind.variant == "gee_star":
-        return _whiten(kind, dataset, beta, lk, frozen_corr)[0]
-    moments = _moments(dataset, beta, lk)
-    coeffs = _bucket_coefficients(kind, dataset, beta, lk, moments)
-    parts = zip(dataset.buckets, coeffs, moments)
-    return sum(_apply(c, b.y - mean).sum(axis=0) for b, c, (mean, _) in parts)
+    return _evaluate(kind, dataset, as_beta(beta), get_link(link), frozen_corr)[0]
+
+
+def jacobian(
+    kind: EstimatingFunction,
+    dataset: Dataset,
+    beta,
+    link,
+    frozen_corr=None,
+) -> np.ndarray:
+    """Negative derivative of the estimating function, -d g / d beta'.
+
+    Analytic for identity and log links with a proxy that does not move
+    with beta, a ``frozen_corr`` included; central differences otherwise
+    (``_evaluate`` decides).
+    """
+    return _evaluate(kind, dataset, as_beta(beta), get_link(link), frozen_corr)[1]()
 
 
 def _perturbed_regressors(dataset: Dataset, perturbation: "Perturbation", p: int):
@@ -591,89 +637,10 @@ def eval_g_perturbed(
     lk = get_link(link)
     shifted = _perturbed_regressors(dataset, perturbation, beta.shape[0])
     kind = EstimatingFunction.gee_star(spec)
-    if not perturbation.stack.any():
-        # exact zero perturbation: reproduce the plain evaluation bitwise
-        return eval_g(kind, dataset, beta, lk)
+    if kind.reduces_to_independence:
+        return shifted.x.T @ (dataset.y - lk.eval(0, dataset.x @ beta))
     means = [mean for mean, _ in _moments(dataset, beta, lk)]
-    if kind.reduces_to_independence:
-        # the identity coefficients X_i' need no moments of the shifted data
-        p, pairs = beta.shape[0], zip(shifted.buckets, means)
-        return sum(b.x.reshape(-1, p).T @ (b.y - mean).ravel() for b, mean in pairs)
     return _whiten(kind, shifted, beta, lk, means=means)[0]
-
-
-# ---------------------------------------------------------------------------
-# Jacobians
-
-
-def _analytic_available(kind: EstimatingFunction, link, frozen_corr=None) -> bool:
-    lk = get_link(link)
-    if lk.kind not in ("identity", "log"):
-        return False
-    if kind.reduces_to_independence:
-        return True
-    if kind.variant == "gee_star":
-        # a frozen proxy no longer moves with beta
-        return frozen_corr is not None or not kind.spec.depends_on_data
-    return False
-
-
-def jacobian(
-    kind: EstimatingFunction,
-    dataset: Dataset,
-    beta,
-    link,
-    frozen_corr=None,
-    method: Optional[str] = None,
-) -> np.ndarray:
-    """Negative derivative of the estimating function, -d g / d beta'.
-
-    Analytic evaluation is implemented for identity/log links with
-    beta-independent proxies, a ``frozen_corr`` included; anything else
-    uses central differences with per-coordinate steps
-    ``cbrt(eps) * max(1, |beta_l|)``.
-    """
-    beta = as_beta(beta)
-    lk = get_link(link)
-    analytic = _analytic_available(kind, lk, frozen_corr)
-    if method is None:
-        method = "analytic" if analytic else "finite_difference"
-    if method == "analytic":
-        if not analytic:
-            raise UnsupportedMethodError(
-                "analytic Jacobian is only available for identity/log links "
-                "with beta-independent working correlations"
-            )
-        if kind.reduces_to_independence:
-            w = lk.eval(1, dataset.x @ beta)
-            return dataset.x.T @ (dataset.x * w[:, None])
-        return _whitened_jacobian(_whiten(kind, dataset, beta, lk, frozen_corr)[1], lk)
-    if method != "finite_difference":
-        raise InvalidInputError(f"unknown jacobian method {method!r}")
-    cols = []
-    for h, bp, bm in central_points(beta):
-        gp = eval_g(kind, dataset, bp, lk, frozen_corr)
-        gm = eval_g(kind, dataset, bm, lk, frozen_corr)
-        cols.append((gp - gm) / (2.0 * h))
-    return -np.column_stack(cols)
-
-
-def _evaluate(kind, dataset, beta, lk, frozen_corr=None) -> tuple:
-    """g at ``beta`` and a function giving ``jacobian`` there.
-
-    Where the analytic Jacobian of a gee_star ``kind`` is available, that
-    function reads the whitened factors of this evaluation of g, so it
-    takes no new moments, proxy or whitening.
-    """
-    if (
-        kind.variant != "gee_star"
-        or kind.reduces_to_independence
-        or not _analytic_available(kind, lk, frozen_corr)
-    ):
-        g = eval_g(kind, dataset, beta, lk, frozen_corr)
-        return g, lambda: jacobian(kind, dataset, beta, lk, frozen_corr)
-    g, parts = _whiten(kind, dataset, beta, lk, frozen_corr)
-    return g, lambda: _whitened_jacobian(parts, lk)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +758,7 @@ class Perturbation:
 
     def __init__(self, deltas, bound: float):
         deltas = [np.asarray(d, dtype=float) for d in deltas]
-        if bound <= 0:
+        if not bound > 0:
             raise InvalidInputError("perturbation bound must be positive")
         bad = next((i for i, d in enumerate(deltas, 1) if d.ndim != 2), None)
         if bad is not None:

@@ -40,10 +40,6 @@ class DatasetParseError(StochGeeError):
         self.line = line
 
 
-class UnsupportedMethodError(StochGeeError):
-    """A requested evaluation method is unavailable for these inputs."""
-
-
 class SingularJacobianError(StochGeeError):
     """Newton step failed: Jacobian singular even after regularization."""
 

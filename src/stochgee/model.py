@@ -507,6 +507,10 @@ def load_dataset(path: str) -> Dataset:
         raise DatasetParseError(
             "sidecar must declare integer fields 'p', 'm_max' (and 'n', if any)"
         )
+    if p < 1 or m_max < 1:
+        raise DatasetParseError(
+            f"sidecar 'p' and 'm_max' must be at least 1, got p={p}, m_max={m_max}"
+        )
     link, beta0 = meta.get("link"), meta.get("beta0")
     if not (link is None or isinstance(link, str) and link in _LINKS):
         raise DatasetParseError(

@@ -39,7 +39,7 @@ class SolverConfig:
     max_halvings: int = 30
 
     def __post_init__(self):
-        if self.tol_g <= 0 or self.tol_x <= 0:
+        if not (self.tol_g > 0 and self.tol_x > 0):
             raise InvalidInputError("tolerances must be positive")
         if self.max_iter < 1 or self.max_halvings < 0:
             raise InvalidInputError("iteration limits must be positive")

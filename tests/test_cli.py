@@ -227,6 +227,22 @@ class TestMalformedSidecar:
         assert not out.exists()
 
 
+class TestSidecarShape:
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_p_below_one_is_refused(self, tmp_path, capsys, command, p):
+        # a file with no regressor columns, whose sidecar says so with p = 0
+        data = tmp_path / "ds.csv"
+        data.write_text("cluster,obs,y\n1,1,0.5\n1,2,0.7\n2,1,0.1\n")
+        meta = {"p": p, "m_max": 2, "link": "identity", "beta0": []}
+        (tmp_path / "ds.meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        assert main([command, "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sidecar 'p' and 'm_max'" in err
+        assert not out.exists()
+
+
 class TestDiagnose:
     def test_data_without_delta_uses_default(self, tmp_path):
         rng = np.random.default_rng(3)

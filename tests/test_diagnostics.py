@@ -305,8 +305,9 @@ class TestSllnMonitor:
         assert math.isnan(out["ratio"][0])
 
     def test_delta_validation(self):
-        with pytest.raises(InvalidInputError):
-            slln_monitor([], delta=0.0)
+        for delta in (0.0, math.nan):
+            with pytest.raises(InvalidInputError):
+                slln_monitor([], delta=delta)
 
 
 class TestA1Gap:
@@ -465,6 +466,11 @@ class TestReplicationHarness:
             STUDIES[study](gaussian_exch(n=40), 0, [20, 40])
         assert err.value.field == "reps"
         assert str(err.value) == "reps: reps must be >= 1, got 0"
+
+    @pytest.mark.parametrize("delta", [0.0, math.nan])
+    def test_slln_delta_must_be_positive(self, delta):
+        with pytest.raises(ConfigError, match="^delta: delta must be positive$"):
+            slln_decay_study(gaussian_exch(n=40), INDEPENDENCE, delta, 2, [20, 40])
 
     @pytest.mark.parametrize("study", ["a1_gap", "slln", "consistency"])
     def test_jobs_do_not_change_rows_or_meta(self, study):

@@ -11,7 +11,6 @@ from stochgee import (
     SingularDenominatorError,
     SizeSchedule,
     TruthSpec,
-    UnsupportedMethodError,
     WorkingCorrelationSpec,
     a2_halving_pass,
     a2_schedule,
@@ -20,6 +19,7 @@ from stochgee import (
     det_ratio,
     eval_g,
     eval_g_perturbed,
+    get_link,
     integrability_summary,
     jacobian,
     linear_closed_form,
@@ -29,7 +29,12 @@ from stochgee import (
     score_increments,
     simulate_scenario,
 )
-from stochgee.estimating import freeze_proxy
+from stochgee.estimating import (
+    _fd_jacobian,
+    _whiten,
+    _whitened_jacobian,
+    freeze_proxy,
+)
 
 from oracles import cofactor_det
 
@@ -183,6 +188,12 @@ class TestPerturbed:
     def test_perturbation_rejects_non_finite_delta(self, bad):
         with pytest.raises(InvalidInputError, match="NaN or infinite"):
             Perturbation((np.array([[bad, 0.1]]),), bound=0.5)
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan])
+    def test_perturbation_bound_must_be_positive(self, bound):
+        # a NaN bound would pass a delta of spectral norm 5.1
+        with pytest.raises(InvalidInputError, match="^perturbation bound must be"):
+            Perturbation((np.array([[5.1, 0.0]]),), bound=bound)
 
     def test_perturbation_names_first_delta_over_bound(self):
         deltas = (np.zeros((2, 1)), np.full((2, 3), 0.5), np.full((2, 1), 0.5))
@@ -408,8 +419,8 @@ class TestJacobian:
         ds = simulate_scenario(cfg)
         spec = WorkingCorrelationSpec.exchangeable(0.4, 3)
         kind = EstimatingFunction.gee_star(spec)
-        d1 = jacobian(kind, ds, np.zeros(2), "identity", method="analytic")
-        d2 = jacobian(kind, ds, np.array([5.0, -4.0]), "identity", method="analytic")
+        d1 = jacobian(kind, ds, np.zeros(2), "identity")
+        d2 = jacobian(kind, ds, np.array([5.0, -4.0]), "identity")
         np.testing.assert_allclose(d1, d2, rtol=1e-12)
         rinv = np.linalg.inv(
             np.full((3, 3), 0.4) + 0.6 * np.eye(3)
@@ -421,7 +432,7 @@ class TestJacobian:
         ds = dataset_from_arrays([([2.0], [[1.0]])])
         kind = EstimatingFunction.independence()
         for beta in (0.0, 0.7, -1.2):
-            d = jacobian(kind, ds, np.array([beta]), "log", method="analytic")
+            d = jacobian(kind, ds, np.array([beta]), "log")
             assert d[0, 0] == pytest.approx(np.exp(beta), rel=1e-12)
 
     @pytest.mark.parametrize("link", ["identity", "log"])
@@ -436,41 +447,45 @@ class TestJacobian:
         rng = np.random.default_rng(hash((link, estimator)) % 2**32)
         for _ in range(3):
             beta = rng.uniform(-0.5, 0.5, size=2)
-            da = jacobian(kind, ds, beta, link, method="analytic")
-            df = jacobian(kind, ds, beta, link, method="finite_difference")
+            da = jacobian(kind, ds, beta, link)
+            df = _fd_jacobian(kind, ds, beta, get_link(link))
             err = np.abs(da - df) / np.maximum(np.abs(da), 1e-8)
             assert err.max() < 1e-5
 
+    @staticmethod
+    def assert_takes_finite_differences(kind, link, scale=1.0):
+        ds = simulate_scenario(exch_scenario(link=link, scale=scale))
+        beta = np.array([0.3, -0.2])
+        jac = jacobian(kind, ds, beta, link)
+        np.testing.assert_array_equal(jac, _fd_jacobian(kind, ds, beta, get_link(link)))
+
     def test_analytic_unavailable_for_probit(self):
-        cfg = exch_scenario(link="probit", scale=0.3)
-        ds = simulate_scenario(cfg)
         kind = EstimatingFunction.gee_star(WorkingCorrelationSpec.exchangeable(0.4, 3))
-        with pytest.raises(UnsupportedMethodError):
-            jacobian(kind, ds, np.zeros(2), "probit", method="analytic")
-        jacobian(kind, ds, np.zeros(2), "probit")  # auto falls back
+        self.assert_takes_finite_differences(kind, "probit", scale=0.3)
 
     def test_analytic_unavailable_for_pseudo(self):
-        cfg = exch_scenario()
-        ds = simulate_scenario(cfg)
+        # an unfrozen proxy moves with beta
         kind = EstimatingFunction.gee_star(WorkingCorrelationSpec.pseudo_likelihood(3))
-        with pytest.raises(UnsupportedMethodError):
-            jacobian(kind, ds, np.zeros(2), "identity", method="analytic")
+        self.assert_takes_finite_differences(kind, "identity")
+
+    def test_analytic_unavailable_for_general(self):
+        kind = EstimatingFunction.general(lambda history, x, beta: x.T)
+        self.assert_takes_finite_differences(kind, "log", scale=0.4)
 
     @pytest.mark.parametrize("link", ["identity", "log"])
     def test_frozen_pseudo_proxy_takes_analytic_path(self, link):
-        # a frozen proxy no longer depends on beta, so the default method
-        # is the analytic Jacobian
+        # a frozen proxy no longer depends on beta, so jacobian reads the
+        # analytic Jacobian of the whitened factors
         cfg = exch_scenario(link=link, scale=0.4)
         ds = simulate_scenario(cfg)
         kind = EstimatingFunction.gee_star(WorkingCorrelationSpec.pseudo_likelihood(3))
         beta = np.array([0.3, -0.2])
         frozen = corr_trajectory(ds, beta + 0.1, link, kind.spec)
-        auto = jacobian(kind, ds, beta, link, frozen_corr=frozen)
-        da = jacobian(kind, ds, beta, link, frozen_corr=frozen, method="analytic")
-        df = jacobian(
-            kind, ds, beta, link, frozen_corr=frozen, method="finite_difference"
-        )
-        np.testing.assert_array_equal(auto, da)
+        lk = get_link(link)
+        da = jacobian(kind, ds, beta, link, frozen_corr=frozen)
+        parts = _whiten(kind, ds, beta, lk, frozen)[1]
+        np.testing.assert_array_equal(da, _whitened_jacobian(parts, lk))
+        df = _fd_jacobian(kind, ds, beta, lk, frozen_corr=frozen)
         err = np.abs(da - df) / np.maximum(np.abs(da), 1e-8)
         assert err.max() < 1e-5
 

@@ -124,9 +124,9 @@ def test_eval_g_and_jacobian_match_loops(seed, n, m_max, link, variant):
     expect_jac = loop_jacobian(pairs(ds), beta, link, seq)
     if variant.startswith("pseudo"):
         # the analytic Jacobian of a proxy held fixed at ``seq``
-        jac = jacobian(kind, ds, beta, link, frozen_corr=seq, method="analytic")
+        jac = jacobian(kind, ds, beta, link, frozen_corr=seq)
     else:
-        jac = jacobian(kind, ds, beta, link, frozen_corr=frozen, method="analytic")
+        jac = jacobian(kind, ds, beta, link, frozen_corr=frozen)
     assert_close(jac, expect_jac)
 
 
@@ -181,7 +181,7 @@ def test_identity_link_jacobian_is_the_working_information(seed, n, m_max, varia
     beta = rng.uniform(-0.5, 0.5, size=2)
     kind, _, _ = variant_setup(variant, ds, rng, beta, "identity")
     truth = CorrelationTruth.from_kind("exchangeable", 0.4, m_max)
-    jac = jacobian(kind, ds, beta, "identity", method="analytic")
+    jac = jacobian(kind, ds, beta, "identity")
     inc = path_information_increments(ds, beta, "identity", kind.spec, truth)
     assert_close(jac, inc["h_star"].sum(axis=0))
 
@@ -242,7 +242,7 @@ def error_dataset():
     "call",
     [
         lambda k, ds, b: eval_g(k, ds, b, "log"),
-        lambda k, ds, b: jacobian(k, ds, b, "log", method="analytic"),
+        lambda k, ds, b: jacobian(k, ds, b, "log"),
         lambda k, ds, b: score_increments(k, ds, b, "log", CorrelationTruth.plugin(3)),
     ],
 )

@@ -505,6 +505,15 @@ class TestSidecarCount:
         _write_meta(path, 2, 3)
         assert load_dataset(str(path)).digest() == ds.digest()
 
+    @pytest.mark.parametrize("fields", [{"p": 0}, {"p": -1}, {"m_max": 0}])
+    def test_p_or_m_max_below_one_is_rejected(self, tmp_path, fields):
+        path = tmp_path / "d.csv"
+        path.write_text("cluster,obs,y\n1,1,0.5\n1,2,0.7\n")
+        meta = {"p": 1, "m_max": 2, "link": None, "beta0": None, **fields}
+        (tmp_path / "d.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetParseError, match="^sidecar 'p' and 'm_max' must"):
+            load_dataset(str(path))
+
     def test_non_integer_n_is_rejected(self, tmp_path):
         ds, path = self._written(tmp_path)
         meta = json.loads(open(sidecar_path(str(path))).read())

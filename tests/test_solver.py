@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +43,16 @@ def exch(rho, m):
     t = np.full((m, m), rho)
     np.fill_diagonal(t, 1.0)
     return t
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("field", ["tol_g", "tol_x"])
+    @pytest.mark.parametrize("value", [0.0, -1e-10, math.nan])
+    def test_nonpositive_or_nan_tolerance_is_refused(self, field, value):
+        from stochgee import InvalidInputError
+
+        with pytest.raises(InvalidInputError, match="^tolerances must be positive$"):
+            SolverConfig(**{field: value})
 
 
 class TestLinearClosedForm:
@@ -283,6 +294,19 @@ class TestSolveGee:
         assert len(freezes) == len(evaluations) + 1
         np.testing.assert_array_equal(moments[folds:], evaluations)
         np.testing.assert_array_equal(freezes[1:], evaluations)
+
+    def test_general_callback_matches_independence(self):
+        # coefficients C_i = X_i' make the callback variant the independence
+        # estimating function, solved with finite-difference Jacobians
+        cyclic = SizeSchedule(kind="cyclic", sizes=(1, 3, 2))
+        ds = simulate_scenario(
+            dataclasses.replace(scenario(link="log", scale=0.4, n=60), sizes=cyclic)
+        )
+        general = EstimatingFunction.general(lambda history, x, beta: x.T)
+        fit = solve_gee(ds, general, "log")
+        ref = solve_gee(ds, EstimatingFunction.independence(), "log")
+        assert fit.converged and ref.converged
+        np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=1e-12)
 
     def test_region_constraint(self):
         ds = simulate_scenario(scenario())
