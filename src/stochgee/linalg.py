@@ -4,8 +4,8 @@ Everything here targets matrices no larger than the maximal cluster size
 (a few dozen at most). Inputs are checked for finiteness and symmetry
 before LAPACK computes eigenvalues, singular values and Cholesky
 factors; the independent eigenvalue oracles of the test suite pin the
-results. ``spd_solve`` imports ``scipy.linalg`` where it calls it, so
-SciPy loads on the first solve, not with the package.
+results. Every routine calls NumPy's LAPACK (``np.linalg``), so none of
+them loads SciPy.
 """
 
 from __future__ import annotations
@@ -160,12 +160,15 @@ def spd_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Cholesky factorization with one round of iterative refinement, so the
     multiply-back residual stays below 1e-10 * ||B||_inf for condition
-    numbers up to about 1e8. No explicit inverse is formed.
+    numbers up to about 1e8. Each solve goes through the factor L by two
+    triangular substitutions on NumPy's LAPACK; no explicit inverse is
+    formed. An empty right-hand side gives an empty solution of its shape.
 
     Raises
     ------
     NotPositiveDefiniteError
-        If the factorization fails; the error carries lambda_min.
+        If the factorization or a solve through the factor fails; the
+        error carries lambda_min.
     """
     m = symmetrize_checked(m)
     b = _check_finite(np.asarray(b, dtype=float), "right-hand side")
@@ -177,24 +180,27 @@ def spd_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     try:
         chol = np.linalg.cholesky(m)
+        # np.linalg.solve runs an LU with partial pivoting, which on an
+        # upper triangular matrix is exact and pivots nothing, leaving a
+        # plain back substitution. So L y = r is solved on L with rows and
+        # columns reversed (upper triangular), not on L, whose LU may pivot.
+        flipped = chol[::-1, ::-1]
+
+        def _solve(rhs):
+            y = np.linalg.solve(flipped, rhs[::-1])[::-1]
+            return np.linalg.solve(chol.T, y)
+
+        x = _solve(bm)
+        stop = 0.25e-10 * max(float(np.max(np.abs(bm), initial=0.0)), 1e-300)
+        for _ in range(3):
+            resid = bm - m @ x
+            if float(np.max(np.abs(resid), initial=0.0)) <= stop:
+                break
+            x = x + _solve(resid)
     except np.linalg.LinAlgError:
         lam_min = float(sym_eigenvalues(m)[0])
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (lambda_min={lam_min:.3e})",
             lambda_min=lam_min,
         ) from None
-    from scipy.linalg import solve_triangular
-
-    def _solve(rhs):
-        y = solve_triangular(chol, rhs, lower=True, check_finite=False)
-        return solve_triangular(chol.T, y, lower=False, check_finite=False)
-
-    x = _solve(bm)
-    bnorm = float(np.max(np.abs(bm))) if bm.size else 0.0
-    for _ in range(3):
-        resid = bm - m @ x
-        if float(np.max(np.abs(resid))) <= 0.25e-10 * max(bnorm, 1e-300):
-            break
-        x = x + _solve(resid)
     return x[:, 0] if vector else x
-

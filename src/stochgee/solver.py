@@ -188,7 +188,9 @@ def linear_closed_form(dataset: Dataset, r_sequence) -> np.ndarray:
 
     ``r_sequence`` is either one SPD template (its leading principal
     submatrix weights each cluster) or a sequence of per-cluster SPD
-    matrices.
+    matrices. A normal matrix whose smallest eigenvalue is at most 1e-12
+    times its largest raises ``SingularDesignError``; the test is relative,
+    so it does not depend on the units of the regressors.
     """
     if isinstance(r_sequence, np.ndarray) and r_sequence.ndim == 2:
         template = linalg.symmetrize_checked(r_sequence)
@@ -204,8 +206,8 @@ def linear_closed_form(dataset: Dataset, r_sequence) -> np.ndarray:
         normal += (xtr @ b.x).sum(axis=0)
         rhs += (xtr @ b.y[..., None]).sum(axis=(0, 2))
     normal = 0.5 * (normal + normal.T)
-    lam_min = float(linalg.sym_eigenvalues(normal)[0])
-    if lam_min <= 1e-12:
+    lam_min, lam_max = linalg.sym_eigen_extremes(normal)
+    if lam_min <= 1e-12 * lam_max:
         raise SingularDesignError(
             f"normal matrix is singular (lambda_min={lam_min:.3e})",
             lambda_min=lam_min,

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from stochgee import (
     EigenExtremes,
@@ -15,6 +18,7 @@ from stochgee import (
     sym_eigenvalues,
     sym_eigh,
 )
+from stochgee.diagnostics import _max_leverage
 
 from oracles import (
     eigenvalues_by_bisection,
@@ -213,6 +217,47 @@ class TestSpdSolve:
         b = np.array([1.0, 2.0])
         x = spd_solve(m, b)
         np.testing.assert_allclose(m @ x, b, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "m, b", [(np.eye(2), np.zeros((2, 0))), (np.zeros((0, 0)), np.zeros(0))]
+    )
+    def test_empty_rhs(self, m, b):
+        x = spd_solve(m, b)
+        assert x.shape == b.shape
+
+    def test_solve_failure_is_not_pd(self, monkeypatch):
+        # a LinAlgError from a solve through the factor surfaces as
+        # NotPositiveDefiniteError, which the leverage reads as inf
+        def failing_solve(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        m = np.array([[2.0, 0.5], [0.5, 1.0]])
+        lam_min = float(np.linalg.eigvalsh(m)[0])
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            spd_solve(m, np.ones(2))
+        assert err.value.lambda_min == pytest.approx(lam_min, rel=1e-12)
+        assert _max_leverage(m, np.ones((3, 2))) == math.inf
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_spd_solve_matches_cho_solve_property(p, k, seed):
+    # random SPD systems whose right-hand-side columns lie up to 1e4 apart
+    # in scale: each column agrees with SciPy's Cholesky solve to 1e-12 of
+    # its largest entry, and the multiply-back residual meets the bound
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, p))
+    m = a @ a.T + 0.5 * np.eye(p)
+    b = rng.standard_normal((p, k)) * 10.0 ** rng.uniform(0.0, 4.0, k)
+    x = spd_solve(m, b)
+    ref = cho_solve(cho_factor(m, lower=True), b)
+    assert np.all(np.abs(x - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))
+    assert np.max(np.abs(m @ x - b)) < 1e-10 * np.max(np.abs(b))
 
 
 @settings(max_examples=150, deadline=None)

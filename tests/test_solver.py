@@ -108,6 +108,18 @@ class TestLinearClosedForm:
             linear_closed_form(ds, np.eye(2))
         assert err.value.lambda_min <= 1e-12
 
+    def test_small_units_design(self):
+        # a well-conditioned design given in small units is solved: the
+        # singularity test is relative to the largest eigenvalue
+        rng = np.random.default_rng(53)
+        xs = rng.standard_normal((50, 3, 2))
+        ys = rng.standard_normal((50, 3))
+        roots = {}
+        for s in (1.0, 1e-8):
+            ds = dataset_from_arrays([(y, s * x) for y, x in zip(ys, xs)])
+            roots[s] = linear_closed_form(ds, np.eye(3))
+        np.testing.assert_allclose(roots[1e-8] * 1e-8, roots[1.0], rtol=1e-12)
+
     def test_cluster_permutation_invariance(self):
         ds = simulate_scenario(scenario(n=10))
         perm = [4, 1, 9, 0, 3, 2, 8, 5, 7, 6]

@@ -26,6 +26,7 @@ link = {link}
 beta0 = 0.5, -0.3
 n = 60
 seed = 17
+response_family = {family}
 
 [sizes]
 kind = constant
@@ -40,6 +41,10 @@ gain = 0.1
 kind = exchangeable
 rho = 0.4
 """
+
+
+def scenario(link="log", kind="iid", family="gaussian_link_moments") -> str:
+    return SCENARIO.format(link=link, kind=kind, family=family)
 
 
 def scipy_after(code: str, cwd) -> list:
@@ -75,7 +80,7 @@ def test_import_loads_no_scipy(tmp_path, module):
 
 @pytest.mark.parametrize("kind", ["iid", "feedback"])
 def test_gaussian_commands_load_no_scipy(tmp_path, kind):
-    (tmp_path / "s.ini").write_text(SCENARIO.format(link="log", kind=kind))
+    (tmp_path / "s.ini").write_text(scenario(kind=kind))
     common = ["--scenario", "s.ini", "--jobs", "1"]
     code = main_calls(
         ["simulate", *common, "--out", "sim"],
@@ -87,7 +92,7 @@ def test_gaussian_commands_load_no_scipy(tmp_path, kind):
 
 @pytest.mark.parametrize("link", ["identity", "log"])
 def test_fit_data_loads_no_scipy(tmp_path, link):
-    (tmp_path / "s.ini").write_text(SCENARIO.format(link=link, kind="iid"))
+    (tmp_path / "s.ini").write_text(scenario(link=link))
     fits = [
         ["fit", "--data", "sim/dataset.csv", "--estimator", name, "--out", name]
         for name in ("independence", "exchangeable:0.4", "pseudo")
@@ -96,8 +101,40 @@ def test_fit_data_loads_no_scipy(tmp_path, link):
     assert scipy_after(code, tmp_path) == []
 
 
+@pytest.mark.parametrize("link", ["identity", "log"])
+def test_diagnose_data_loads_no_scipy(tmp_path, link):
+    (tmp_path / "s.ini").write_text(scenario(link=link))
+    diagnoses = [
+        ["diagnose", "--data", "sim/dataset.csv", "--estimator", name, "--out", name]
+        for name in ("exchangeable:0.4", "pseudo")
+    ]
+    code = main_calls(["simulate", "--scenario", "s.ini", "--out", "sim"], *diagnoses)
+    assert scipy_after(code, tmp_path) == []
+
+
+def test_linear_closed_form_loads_no_scipy(tmp_path):
+    code = (
+        "import numpy as np\n"
+        "from stochgee import dataset_from_arrays, linear_closed_form\n"
+        "rng = np.random.default_rng(3)\n"
+        "ds = dataset_from_arrays(\n"
+        "    [(rng.standard_normal(3), rng.standard_normal((3, 2))) for _ in range(20)]\n"
+        ")\n"
+        "assert np.all(np.isfinite(linear_closed_form(ds, np.eye(3))))"
+    )
+    assert scipy_after(code, tmp_path) == []
+
+
+def test_poisson_diagnose_loads_special_only(tmp_path):
+    (tmp_path / "s.ini").write_text(scenario(family="poisson_log"))
+    code = main_calls(["diagnose", "--scenario", "s.ini", "--jobs", "1", "--out", "d"])
+    loaded = scipy_after(code, tmp_path)
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m.startswith("scipy.linalg")] == []
+
+
 def test_gaussian_study_optimality_loads_no_scipy(tmp_path):
-    (tmp_path / "s.ini").write_text(SCENARIO.format(link="log", kind="iid"))
+    (tmp_path / "s.ini").write_text(scenario())
     argv = ["study-optimality", "--scenario", "s.ini", "--jobs", "1", "--reps", "2"]
     code = main_calls(argv + ["--estimator", "pseudo", "--n-grid", "30,60", "--out", "o"])
     assert scipy_after(code, tmp_path) == []
