@@ -33,6 +33,7 @@ from .simulation import (
     ScenarioConfig,
     SizeSchedule,
     TruthSpec,
+    _fit_summary,
     _quartiles,
     _replicate,
     _run_meta,
@@ -152,6 +153,14 @@ def parse_scenario(path: str) -> tuple:
     return config, estimators, diag
 
 
+def _file_estimators(names: tuple) -> tuple:
+    """The scenario file's estimator names, for a command whose flags
+    name none; an empty list is refused."""
+    if not names:
+        raise ConfigError("no estimator named", field="estimators.names")
+    return names
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -240,22 +249,14 @@ def _cmd_fit(args) -> int:
         config, scenario_estimators, _ = parse_scenario(args.scenario)
         if args.seed is not None:
             config = config.with_seed(args.seed)
+        name = args.estimator or _file_estimators(scenario_estimators)[0]
         dataset = simulate_scenario(config)
-        name = args.estimator or scenario_estimators[0]
         kind = _resolve_all([name], config)[0][1]
         payload = _run_meta(config, command="fit", seed=config.seed, estimator=name)
         link = config.link
     fit = solve_gee(dataset, kind, link)
     os.makedirs(args.out, exist_ok=True)
-    payload.update(
-        {
-            "beta_hat": [float(v) for v in fit.beta_hat],
-            "converged": bool(fit.converged),
-            "iterations": int(fit.iterations),
-            "final_residual_norm": float(fit.final_residual_norm),
-            "residual_trace": [float(t[1]) for t in fit.trace],
-        }
-    )
+    payload.update(_fit_summary(fit), residual_trace=[float(t[1]) for t in fit.trace])
     _write_json(os.path.join(args.out, "fit.json"), payload)
     print(os.path.join(args.out, "fit.json"))
     return 0 if fit.converged else 3
@@ -307,7 +308,7 @@ def _cmd_diagnose(args) -> int:
         config, est_names, diag = parse_scenario(args.scenario)
         if args.seed is not None:
             config = config.with_seed(args.seed)
-        name = args.estimator or est_names[0]
+        name = args.estimator or _file_estimators(est_names)[0]
         spec = _spec_only(_resolve_all([name], config)[0][1], config.m_max)
         params = _diagnose_params(args, config.n, diag)
         reports = _replicate(
@@ -347,7 +348,7 @@ def _cmd_study_consistency(args) -> int:
     config, est_names, _ = parse_scenario(args.scenario)
     if args.seed is not None:
         config = config.with_seed(args.seed)
-    names = args.estimator or list(est_names)
+    names = args.estimator or list(_file_estimators(est_names))
     estimators = _resolve_all(names, config)
     n_grid = _n_grid(args, config.n)
     result = consistency_study(
@@ -379,7 +380,7 @@ def _cmd_study_optimality(args) -> int:
     config, est_names, _ = parse_scenario(args.scenario)
     if args.seed is not None:
         config = config.with_seed(args.seed)
-    names = args.estimator or list(est_names)
+    names = args.estimator or list(_file_estimators(est_names))
     specs = [(n, _spec_only(k, config.m_max)) for n, k in _resolve_all(names, config)]
     n_grid = _n_grid(args, config.n)
     result = optimality_study(

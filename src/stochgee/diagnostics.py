@@ -24,7 +24,6 @@ from .estimating import (
     a2_halving_pass,
     a2_schedule,
     central_points,
-    corr_trajectory,
     det_ratio,
     path_information_increments,
     proxy_stack,
@@ -176,19 +175,11 @@ def condition_trajectories(
 
     lattices = {r: ball_lattice(beta, r) for r in params.r_grid}
 
-    # the martingale g_n, its predictable covariation V_n and H'_n as
-    # cumulative sums, read at the checkpoints; H' accumulates row by row
-    q_inc, v_inc = score_increments(kind, dataset, beta, lk, var_truth)
-    q_cum, v_cum = np.cumsum(q_inc, axis=0), np.cumsum(v_inc, axis=0)
+    # H'_n as a cumulative sum over the rows, read at the checkpoints
     rows = dataset.x
     w_rows = lk.eval(1, rows @ beta)
     h_cum = np.cumsum(rows[:, :, None] * (rows * w_rows[:, None])[:, None, :], axis=0)
-    # R_{n-1} at each checkpoint n: read from the stack of a data-dependent proxy
-    centre = proxy_stack(dataset, beta, lk) if spec.depends_on_data else None
-    if centre is not None:
-        rstars = list(centre[np.asarray(n_grid) - 1])
-    else:
-        rstars = [working_corr(spec, spec.template_dim)] * len(n_grid)
+    centre, rstars = _proxies_at(dataset, beta, lk, spec, n_grid)
 
     series: dict = {
         k: []
@@ -205,7 +196,7 @@ def condition_trajectories(
             "c_gamma_h",
         )
     }
-    slln = slln_monitor([(q_cum[n - 1], v_cum[n - 1]) for n in n_grid], delta)
+    slln = _slln_at(kind, dataset, beta, lk, var_truth, n_grid, delta)
     series["slln_ratio"] = slln["ratio"]
     series["lambda_min_v"] = slln["lambda_min_v"]
     series["lambda_max_v"] = slln["lambda_max_v"]
@@ -279,15 +270,9 @@ def condition_trajectories(
 
     if truth is not None:
         inc = path_information_increments(dataset, beta, lk, spec, truth)
-        h_cum = np.cumsum(inc["h_star"], axis=0)
-        m_cum = np.cumsum(inc["m_bar"], axis=0)
-        s_cum = np.cumsum(inc["m_star"], axis=0)
-        series["det_ratio_h"] = [
-            _safe_ratio(h_cum[n - 1], m_cum[n - 1]) for n in n_grid
-        ]
-        series["det_ratio_m"] = [
-            _safe_ratio(s_cum[n - 1], m_cum[n - 1]) for n in n_grid
-        ]
+        s = _checkpoint_sums(inc, n_grid)
+        for name, key in (("det_ratio_h", "h_star"), ("det_ratio_m", "m_star")):
+            series[name] = [_safe_ratio(a, b) for a, b in zip(s[key], s["m_bar"])]
 
     meta = {
         "spec": spec.kind,
@@ -306,6 +291,23 @@ def condition_trajectories(
         series_by_r=by_r,
         meta=meta,
     )
+
+
+def _proxies_at(dataset, beta, link, spec, n_grid) -> tuple:
+    """The proxy stack at ``beta`` (None for a data-independent proxy) and
+    R_{n-1} at each checkpoint n, read from that stack or the template."""
+    if not spec.depends_on_data:
+        return None, [working_corr(spec, spec.template_dim)] * len(n_grid)
+    centre = proxy_stack(dataset, beta, link)
+    return centre, list(centre[np.asarray(n_grid) - 1])
+
+
+def _slln_at(kind, dataset, beta, link, truth, n_grid, delta) -> dict:
+    """``slln_monitor`` of the martingale g_n and its predictable covariation
+    V_n: sums of ``score_increments`` up to each checkpoint."""
+    q_inc, v_inc = score_increments(kind, dataset, beta, link, truth)
+    q_cum, v_cum = np.cumsum(q_inc, axis=0), np.cumsum(v_inc, axis=0)
+    return slln_monitor([(q_cum[n - 1], v_cum[n - 1]) for n in n_grid], delta)
 
 
 def _safe_ratio(num, den):
@@ -499,8 +501,9 @@ def _resolve_specs(specs) -> list:
     return out
 
 
-def _optimality_worker(config, specs, n_grid, perturbed, beta_ref, rep):
+def _optimality_worker(config, specs, n_grid, perturbed, rep):
     truth = config.truth.template(config.m_max)
+    beta_ref = config.beta0_array
     ds = simulate_scenario(config.with_n(max(n_grid)), rep)
     pert_seed = splitmix64(replication_seed(config.seed, rep) ^ _PERTURBATION_TAG)
     # the draws and halvings of the schedule are shared by every spec; they
@@ -550,7 +553,6 @@ def optimality_study(
     n_grid: Sequence[int],
     perturbed: bool = False,
     jobs: int = 1,
-    beta_ref=None,
 ) -> StudyResult:
     """Determinant ratios of ensemble-mean information matrices per proxy.
 
@@ -567,8 +569,7 @@ def optimality_study(
         )
     n_grid = sorted(int(n) for n in n_grid)
     specs = _resolve_specs(specs)
-    beta_ref = config.beta0_array if beta_ref is None else as_beta(beta_ref)
-    args = (config, specs, tuple(n_grid), perturbed, beta_ref)
+    args = (config, specs, tuple(n_grid), perturbed)
     results = _replicate(_optimality_worker, reps, n_grid, jobs, *args)
     rows = []
     total_violations = 0
@@ -606,7 +607,6 @@ def consistency_study(
     reps: int,
     n_grid: Sequence[int],
     jobs: int = 1,
-    solver_config=None,
 ) -> StudyResult:
     """Estimation-error quartiles and convergence rates along the grid.
 
@@ -615,9 +615,7 @@ def consistency_study(
     replications are tallied, never fatal.
     """
     n_grid = sorted(int(n) for n in n_grid)
-    results = run_replications(
-        config, reps, estimators, n_grid, jobs=jobs, solver_config=solver_config
-    )
+    results = run_replications(config, reps, estimators, n_grid, jobs=jobs)
     used = [r for r in results if r.error is None]
     beta0 = config.beta0_array
     rows = []
@@ -653,13 +651,11 @@ def consistency_study(
 def _a1_worker(config, specs, n_grid, rep):
     truth = config.truth.template(config.m_max)
     ds = simulate_scenario(config.with_n(max(n_grid)), rep)
-    lk = get_link(config.link)
-    beta0 = config.beta0_array
+    rbars = [truth.rbar(int(ds.sizes[n - 1])) for n in n_grid]
     gaps: dict = {}
     for name, spec in specs:
-        seq = corr_trajectory(ds, beta0, lk, spec)
-        rbars = [truth.rbar(int(ds.sizes[n - 1])) for n in n_grid]
-        gaps[name] = a1_gap([seq[n - 1] for n in n_grid], rbars)
+        _, rstars = _proxies_at(ds, config.beta0_array, config.link, spec, n_grid)
+        gaps[name] = a1_gap(rstars, rbars)
     return gaps
 
 
@@ -695,9 +691,7 @@ def a1_gap_study(
 def _slln_worker(config, kind, delta, n_grid, rep):
     ds = simulate_scenario(config.with_n(max(n_grid)), rep)
     truth = config.truth.template(config.m_max)
-    q_inc, v_inc = score_increments(kind, ds, config.beta0_array, config.link, truth)
-    q_cum, v_cum = np.cumsum(q_inc, axis=0), np.cumsum(v_inc, axis=0)
-    slln = slln_monitor([(q_cum[n - 1], v_cum[n - 1]) for n in n_grid], delta)
+    slln = _slln_at(kind, ds, config.beta0_array, config.link, truth, n_grid, delta)
     return slln["ratio"], slln["lambda_min_v"]
 
 

@@ -825,6 +825,10 @@ def _regressor_gaps(x, y0, delta, beta, lk) -> np.ndarray:
     return gaps
 
 
+#: halvings a delta may take before it collapses; the a2 report carries it
+_MAX_HALVINGS = 40
+
+
 @dataclass(frozen=True, eq=False)
 class A2HalvingPass:
     """The spec-independent half of ``a2_schedule``, from ``a2_halving_pass``.
@@ -839,7 +843,6 @@ class A2HalvingPass:
     dataset: Dataset
     beta: np.ndarray
     link: LinkFunction
-    max_halvings: int
     deltas: np.ndarray
     gaps: np.ndarray
     halvings: np.ndarray
@@ -847,13 +850,11 @@ class A2HalvingPass:
     y0: tuple
 
 
-def a2_halving_pass(
-    dataset: Dataset, beta, link, seed: int, max_halvings: int = 40
-) -> A2HalvingPass:
+def a2_halving_pass(dataset: Dataset, beta, link, seed: int) -> A2HalvingPass:
     """The draws and halvings of ``a2_schedule``: each delta is drawn with
     uniform(-1, 1) entries, rescaled to spectral norm 2^{-i}, then halved
-    until the transformed-regressor inequality holds or ``max_halvings``
-    is spent."""
+    until the transformed-regressor inequality holds or ``_MAX_HALVINGS``
+    are spent."""
     beta = as_beta(beta)
     lk = get_link(link)
     key = int(seed) & (2**128 - 1)
@@ -878,7 +879,7 @@ def a2_halving_pass(
         y0 = b.x * np.sqrt(var)[..., None]
         gap = _regressor_gaps(b.x, y0, delta, beta, lk)
         halvings = np.zeros(target.shape[0], dtype=np.int64)
-        for _ in range(max_halvings):
+        for _ in range(_MAX_HALVINGS):
             active = gap > target
             if not active.any():
                 break
@@ -889,16 +890,14 @@ def a2_halving_pass(
             )
         # the transform inequality is monotone in the scale, so the
         # exhausted halving loop collapses deterministically
-        shrunk = delta * np.ldexp(1.0, halvings - max_halvings)[:, None, None]
+        shrunk = delta * np.ldexp(1.0, halvings - _MAX_HALVINGS)[:, None, None]
         deltas[:, b.positions, :, : b.size] = delta, shrunk
         gaps[b.positions] = gap
         used[b.positions] = halvings
         y0s.append(y0)
     for a in (deltas, gaps, used, targets, *y0s):
         a.setflags(write=False)
-    return A2HalvingPass(
-        dataset, beta, lk, max_halvings, deltas, gaps, used, targets, tuple(y0s)
-    )
+    return A2HalvingPass(dataset, beta, lk, deltas, gaps, used, targets, tuple(y0s))
 
 
 def _proxy_gap_window(fold, start: int, stop: int, state, guess) -> tuple:
@@ -960,7 +959,6 @@ def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
     (both 0 for a data-independent proxy).
     """
     dataset, beta, lk = halving.dataset, halving.beta, halving.link
-    max_halvings = halving.max_halvings
     n, d = dataset.n, dataset.m_max
     deltas, targets = halving.deltas, halving.targets
     collapsed = np.zeros(n, dtype=np.int64)
@@ -975,7 +973,7 @@ def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
         ordered = int(np.flatnonzero(differ)[-1]) + 1 if differ.any() else 0
         outer, mask = residual_moment_terms(dataset, [np.stack(r) for r in zip(*parts)])
         fold = (dataset, outer, mask, rinv)
-        eligible = (halving.gaps <= targets) & (halving.halvings < max_halvings)
+        eligible = (halving.gaps <= targets) & (halving.halvings < _MAX_HALVINGS)
         state = (np.zeros((d, d)), np.zeros((d, d), dtype=np.int64))
         # `collapsed` holds the guesses, at first all halved; a pass keeps its
         # decisions up to its first wrong guess and the rest guess again
@@ -998,7 +996,7 @@ def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
             pos = b.positions[pick]
             shrunk = deltas[1, pos, :, : b.size]
             gap_y[pos] = _regressor_gaps(b.x[pick], y0[pick], shrunk, beta, lk)
-    used = np.where(collapsed == 1, max_halvings, halving.halvings)
+    used = np.where(collapsed == 1, _MAX_HALVINGS, halving.halvings)
     checks = np.column_stack((gap_y, gap_r, targets)).tolist()
     report = {
         "halvings": used.tolist(),
@@ -1007,7 +1005,7 @@ def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
             for i, (gy, gr, t) in enumerate(checks)
             if gy > t or gr > t
         ],
-        "max_halvings": max_halvings,
+        "max_halvings": _MAX_HALVINGS,
         "ordered_prefix": ordered,
         "ordered_passes": passes,
     }

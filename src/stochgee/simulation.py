@@ -41,7 +41,7 @@ from .correlation import _floor_eigenvalues
 from .estimating import CorrelationTruth, EstimatingFunction
 from .exceptions import ConfigError, MisspecificationWarning, StochGeeError
 from .model import Dataset, get_link
-from .solver import GeeFit, SolverConfig, solve_gee
+from .solver import GeeFit, solve_gee
 
 #: algorithm identifier embedded in reports for cross-run reproducibility
 GENERATOR_ID = (
@@ -163,6 +163,8 @@ class TruthSpec:
     def __post_init__(self):
         if self.kind not in ("independence", "exchangeable", "ar1"):
             raise ConfigError(f"unknown truth kind {self.kind!r}", field="truth.kind")
+        if not np.isfinite(self.rho):
+            raise ConfigError(f"rho must be finite, got {self.rho}", field="truth.rho")
 
     def template(self, m_max: int) -> CorrelationTruth:
         try:
@@ -563,23 +565,22 @@ def simulate_scenario(config: ScenarioConfig, replication: int = 0) -> Dataset:
 
 
 def effective_truth(
-    config: ScenarioConfig,
-    n_samples: int = 100_000,
-    probe_clusters: int = 200,
+    config: ScenarioConfig, n_samples: int = 100_000
 ) -> CorrelationTruth:
     """True-correlation source matched to the response sampler.
 
     The gaussian family reproduces the target correlation exactly. The
     copula families do not; their per-pair response correlation is
     estimated by sampling at scenario-representative intensities (the mean
-    conditional means of a probe prefix) and stored as an estimate. The
-    estimate treats the marginal means as homogeneous, which is the
-    desk-scale compromise for intensity-dependent copula correlations.
+    conditional means of the first 200 clusters) and stored as an
+    estimate. The estimate treats the marginal means as homogeneous, which
+    is the desk-scale compromise for intensity-dependent copula
+    correlations.
     """
     truth = config.truth.template(config.m_max)
     if config.response_family == "gaussian_link_moments":
         return truth
-    probe = simulate_scenario(config.with_n(min(config.n, probe_clusters)))
+    probe = simulate_scenario(config.with_n(min(config.n, 200)))
     by_pos = np.zeros(config.m_max)
     counts = np.zeros(config.m_max)
     link = get_link(config.link)
@@ -641,16 +642,20 @@ def _quartiles(values) -> np.ndarray:
     """The 25th, 50th and 75th percentiles along axis 0, skipping NaN.
 
     numpy interpolates ``a + (b - a) * t``, which gives NaN next to an
-    infinity. Here a percentile that lands on an infinity, or between a
-    value and an infinity, reads that infinity (NaN between -inf and
-    +inf), and a column of NaN reads NaN without a warning. Finite
-    values take the plain ``np.percentile``, which gives the same bits.
+    infinity, or on an entry whose neighbour lies more than the float
+    maximum away. Here a percentile that lands on an entry reads that
+    entry, one between a value and an infinity reads that infinity (NaN
+    between -inf and +inf), and a column of NaN reads NaN without a
+    warning. The plain ``np.percentile`` goes first, several times faster
+    on a study's few rows; where it reads no NaN, the NaN-aware
+    expression would read the same bits.
     """
     a = np.asarray(values, dtype=float)
-    if np.isfinite(a).all():
-        return np.percentile(a, (25.0, 50.0, 75.0), axis=0)
     with warnings.catch_warnings(), np.errstate(invalid="ignore"):
         warnings.simplefilter("ignore", RuntimeWarning)
+        q = np.percentile(a, (25.0, 50.0, 75.0), axis=0)
+        if not np.isnan(q).any():
+            return q
         q, lo, hi = (
             np.nanpercentile(a, (25.0, 50.0, 75.0), axis=0, method=method)
             for method in ("linear", "lower", "higher")
@@ -696,7 +701,7 @@ def _fit_summary(fit: GeeFit) -> dict:
     }
 
 
-def _replicate_fits(config, estimators, n_grid, solver_config, rep):
+def _replicate_fits(config, estimators, n_grid, rep):
     """The only worker that records its failure instead of raising."""
     try:
         full = simulate_scenario(config.with_n(max(n_grid)), rep)
@@ -706,7 +711,7 @@ def _replicate_fits(config, estimators, n_grid, solver_config, rep):
             per_n = {}
             first = None
             for n in n_grid:
-                fit = solve_gee(full.prefix(n), kind, config.link, solver_config)
+                fit = solve_gee(full.prefix(n), kind, config.link)
                 per_n[str(n)] = _fit_summary(fit)
                 if first is None and fit.converged:
                     first = n
@@ -723,7 +728,6 @@ def run_replications(
     estimators: Sequence,
     n_grid: Sequence[int],
     jobs: int = 1,
-    solver_config: Optional[SolverConfig] = None,
 ) -> list:
     """Fit every estimator at every grid size across seeded replications.
 
@@ -737,6 +741,5 @@ def run_replications(
     for name, kind in estimators:
         if not isinstance(kind, EstimatingFunction):
             raise ConfigError(f"estimator {name!r} is not resolved", field="estimators")
-    solver_config = solver_config or SolverConfig()
-    args = (config, estimators, n_grid, solver_config)
+    args = (config, estimators, n_grid)
     return _replicate(_replicate_fits, reps, n_grid, jobs, *args)

@@ -579,6 +579,8 @@ MALFORMED_SCENARIOS = [
     (("scale = 1.0", "sacle = 0.8"), "regressors.sacle"),
     (("[regressors]", "[regresors]"), "regresors"),
     (("[sizes]", "[DEFAULT]\nseed = 3\n\n[sizes]"), "DEFAULT"),
+    (("kind = exchangeable\nrho = 0.4", "kind = independence\nrho = nan"), "truth.rho"),
+    (("kind = exchangeable\nrho = 0.4", "kind = independence\nrho = inf"), "truth.rho"),
 ]
 
 
@@ -592,6 +594,34 @@ class TestMalformedScenario:
         assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["fit", "diagnose", "study-consistency", "study-optimality"]
+    )
+    def test_empty_estimator_list_is_a_config_error(self, tmp_path, capsys, command):
+        # fit and diagnose raised IndexError, the studies wrote header-only
+        # tables
+        path = tmp_path / "bad.ini"
+        path.write_text(SCENARIO.replace("independence, exchangeable:0.4", ""))
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: estimators.names: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        ["simulate", "fit", "diagnose", "study-consistency", "study-optimality"],
+    )
+    def test_estimator_flag_overrides_an_empty_list(self, tmp_path, command):
+        # the flag takes priority over the file; simulate runs no estimator
+        path = tmp_path / "empty.ini"
+        path.write_text(SCENARIO.replace("independence, exchangeable:0.4", ""))
+        argv = [command, "--scenario", str(path), "--out", str(tmp_path / "out")]
+        if command != "simulate":
+            argv += ["--estimator", "independence", "--jobs", "1"]
+        if command.startswith("study"):
+            argv += ["--reps", "2", "--n-grid", "20,40"]
+        assert main(argv) == 0
 
     @pytest.mark.parametrize("r_grid", ["0.1, 0.5", "inf, 0.5", "0.5, nan", ""])
     def test_bad_r_grid_is_a_config_error(self, tmp_path, capsys, r_grid):

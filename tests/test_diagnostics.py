@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from stochgee import (
     ConfigError,
@@ -415,6 +418,38 @@ class TestStudies:
         assert res.meta["failures"] == 0
 
 
+class TestStudiesMatchReport:
+    @pytest.mark.parametrize(
+        "name, spec",
+        [
+            ("pseudo", WorkingCorrelationSpec.pseudo_likelihood(3)),
+            ("exchangeable:0.4", WorkingCorrelationSpec.exchangeable(0.4, 3)),
+        ],
+    )
+    def test_one_replication_rows_equal_the_report(self, name, spec):
+        # replication 0 is the scenario's own dataset, so a one-replication
+        # study reads the quantities condition_trajectories reports, bit
+        # for bit
+        cfg, grid = gaussian_exch(n=60), [20, 60]
+        truth = cfg.truth.template(cfg.m_max)
+        report = condition_trajectories(
+            simulate_scenario(cfg),
+            cfg.beta0,
+            cfg.link,
+            spec,
+            truth=truth,
+            params=DiagnosticsParams(n_grid=tuple(grid)),
+        )
+        a1 = a1_gap_study(cfg, [(name, spec)], 1, grid)
+        kind = EstimatingFunction.gee_star(spec)
+        slln = slln_decay_study(cfg, kind, 0.25, 1, grid)
+        opt = optimality_study(cfg, [(name, spec)], 1, grid)
+        assert [r["median_gap"] for r in a1.rows] == report.series["a1_gap"]
+        assert [r["median_ratio"] for r in slln.rows] == report.series["slln_ratio"]
+        for key in ("det_ratio_h", "det_ratio_m"):
+            assert [r[key] for r in opt.rows] == report.series[key]
+
+
 class TestSafeRatio:
     def test_singular_denominator_is_nan(self):
         from stochgee.diagnostics import _safe_ratio
@@ -515,6 +550,8 @@ class TestReplicationHarness:
             ([-inf, inf], [math.nan] * 3),
             ([math.nan, inf, 1.0, 2.0], [1.5, 2.0, inf]),
             ([math.nan, math.nan], [math.nan] * 3),
+            # finite, but numpy's interpolation overflows to NaN
+            ([-1e308, -1e308, 1e308, 1e308, 1e308], [-1e308, 1e308, 1e308]),
         ]
         for values, expect in cases:
             np.testing.assert_allclose(_quartiles(values), expect, rtol=1e-15)
@@ -527,3 +564,26 @@ class TestReplicationHarness:
                 [np.percentile(a[:, j], [25.0, 50.0, 75.0]) for j in range(3)], axis=1
             )
             assert np.array_equal(_quartiles(a), expect)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=1, max_dims=2, max_side=9),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_quartiles_of_finite_values_keep_numpy_bits(self, a):
+        # numpy reads NaN on an entry whose neighbour differs from it by
+        # more than the float maximum; everywhere else the bits are
+        # numpy's. A row of NaN sends every column down the NaN-aware path.
+        a = a.reshape(len(a), -1)
+        with np.errstate(all="ignore"):
+            expect = np.percentile(a, (25.0, 50.0, 75.0), axis=0)
+        fixed = np.isnan(expect)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b in (a, np.vstack([a, np.full(a.shape[1], np.nan)])):
+                got = _quartiles(b)
+                assert np.isfinite(got[fixed]).all()
+                assert got[~fixed].tobytes() == expect[~fixed].tobytes()
