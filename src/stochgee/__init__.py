@@ -81,6 +81,7 @@ from .simulation import (
     effective_truth,
     replication_seed,
     run_replications,
+    simulate_replications,
     simulate_scenario,
     splitmix64,
     substream,

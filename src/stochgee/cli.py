@@ -33,6 +33,7 @@ from .simulation import (
     ScenarioConfig,
     SizeSchedule,
     TruthSpec,
+    _chunk_datasets,
     _fit_summary,
     _quartiles,
     _replicate,
@@ -262,12 +263,14 @@ def _cmd_fit(args) -> int:
     return 0 if fit.converged else 3
 
 
-def _diagnose_worker(config, spec, diag_params, rep):
-    ds = simulate_scenario(config, rep)
+def _diagnose_worker(config, spec, diag_params, chunk):
     truth = config.truth.template(config.m_max)
-    return condition_trajectories(
-        ds, config.beta0_array, config.link, spec, truth=truth, params=diag_params
-    )
+    return [
+        condition_trajectories(
+            ds, config.beta0_array, config.link, spec, truth=truth, params=diag_params
+        )
+        for ds in _chunk_datasets(config, chunk)
+    ]
 
 
 def _diagnose_params(args, n: int, diag=None) -> DiagnosticsParams:

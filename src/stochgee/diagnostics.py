@@ -25,6 +25,7 @@ from .estimating import (
     a2_schedule,
     central_points,
     det_ratio,
+    freeze_proxy,
     path_information_increments,
     proxy_stack,
     score_increments,
@@ -39,12 +40,12 @@ from .model import Dataset, as_beta, get_link
 from .simulation import (
     GENERATOR_ID,
     ScenarioConfig,
+    _chunk_datasets,
     _quartiles,
     _replicate,
     _run_meta,
     replication_seed,
     run_replications,
-    simulate_scenario,
     splitmix64,
 )
 
@@ -501,22 +502,34 @@ def _resolve_specs(specs) -> list:
     return out
 
 
-def _optimality_worker(config, specs, n_grid, perturbed, rep):
+def _optimality_worker(config, specs, n_grid, perturbed, chunk):
+    datasets = _chunk_datasets(config.with_n(max(n_grid)), chunk)
+    return [
+        _optimality_sums(config, specs, n_grid, perturbed, rep, ds)
+        for rep, ds in zip(chunk, datasets)
+    ]
+
+
+def _optimality_sums(config, specs, n_grid, perturbed, rep, ds) -> dict:
     truth = config.truth.template(config.m_max)
     beta_ref = config.beta0_array
-    ds = simulate_scenario(config.with_n(max(n_grid)), rep)
     pert_seed = splitmix64(replication_seed(config.seed, rep) ^ _PERTURBATION_TAG)
     # the draws and halvings of the schedule are shared by every spec; they
     # are taken where the first spec's schedule would take them
     halving = None
     out = {}
     for name, spec in specs:
-        inc = path_information_increments(ds, beta_ref, config.link, spec, truth)
+        # the unperturbed proxy, folded and inverted once for the plain sums
+        # and the schedule
+        proxy = freeze_proxy(EstimatingFunction.gee_star(spec), ds, beta_ref, config.link)
+        inc = path_information_increments(
+            ds, beta_ref, config.link, spec, truth, frozen_corr=proxy
+        )
         entry = {"plain": _checkpoint_sums(inc, n_grid)}
         if perturbed:
             if halving is None:
                 halving = a2_halving_pass(ds, beta_ref, config.link, pert_seed)
-            schedule, report = a2_schedule(halving, spec)
+            schedule, report = a2_schedule(halving, spec, frozen_corr=proxy)
             inc_p = path_information_increments(
                 ds, beta_ref, config.link, spec, truth, perturbation=schedule
             )
@@ -648,15 +661,17 @@ def consistency_study(
     return StudyResult(rows=tuple(rows), meta=meta)
 
 
-def _a1_worker(config, specs, n_grid, rep):
+def _a1_worker(config, specs, n_grid, chunk):
     truth = config.truth.template(config.m_max)
-    ds = simulate_scenario(config.with_n(max(n_grid)), rep)
-    rbars = [truth.rbar(int(ds.sizes[n - 1])) for n in n_grid]
-    gaps: dict = {}
-    for name, spec in specs:
-        _, rstars = _proxies_at(ds, config.beta0_array, config.link, spec, n_grid)
-        gaps[name] = a1_gap(rstars, rbars)
-    return gaps
+    out = []
+    for ds in _chunk_datasets(config.with_n(max(n_grid)), chunk):
+        rbars = [truth.rbar(int(ds.sizes[n - 1])) for n in n_grid]
+        gaps: dict = {}
+        for name, spec in specs:
+            _, rstars = _proxies_at(ds, config.beta0_array, config.link, spec, n_grid)
+            gaps[name] = a1_gap(rstars, rbars)
+        out.append(gaps)
+    return out
 
 
 def a1_gap_study(
@@ -688,11 +703,13 @@ def a1_gap_study(
     return StudyResult(rows=tuple(rows), meta=meta)
 
 
-def _slln_worker(config, kind, delta, n_grid, rep):
-    ds = simulate_scenario(config.with_n(max(n_grid)), rep)
+def _slln_worker(config, kind, delta, n_grid, chunk):
     truth = config.truth.template(config.m_max)
-    slln = _slln_at(kind, ds, config.beta0_array, config.link, truth, n_grid, delta)
-    return slln["ratio"], slln["lambda_min_v"]
+    out = []
+    for ds in _chunk_datasets(config.with_n(max(n_grid)), chunk):
+        slln = _slln_at(kind, ds, config.beta0_array, config.link, truth, n_grid, delta)
+        out.append((slln["ratio"], slln["lambda_min_v"]))
+    return out
 
 
 def slln_decay_study(

@@ -654,20 +654,23 @@ def path_information_increments(
     spec: WorkingCorrelationSpec,
     truth: CorrelationTruth,
     perturbation: Optional["Perturbation"] = None,
+    frozen_corr: Optional[FrozenProxy] = None,
 ) -> dict:
     """Per-cluster summands of the four comparison matrices on one path.
 
     A perturbation shifts the regressors to ``X_i + delta_i'`` first, so
     the variance factors and any data-dependent proxy are those of the
-    shifted dataset while the true correlation is untouched. Returns
-    (n, p, p) arrays keyed by family.
+    shifted dataset while the true correlation is untouched. A
+    ``frozen_corr`` from ``freeze_proxy`` for the (unshifted) dataset
+    spares the proxy's fold and inversion. Returns (n, p, p) arrays keyed
+    by family.
     """
     beta = as_beta(beta)
     lk = get_link(link)
     n, p = dataset.n, beta.shape[0]
     if perturbation is not None:
         dataset = _perturbed_regressors(dataset, perturbation, p)
-    proxy = freeze_proxy(EstimatingFunction.gee_star(spec), dataset, beta, lk)
+    proxy = freeze_proxy(EstimatingFunction.gee_star(spec), dataset, beta, lk, frozen_corr)
     rbar_inv = _checked_inverse(
         (truth.rbar(b.size), b.positions) for b in dataset.buckets
     )
@@ -927,7 +930,7 @@ def _proxy_gap_window(fold, start: int, stop: int, state, guess) -> tuple:
     return stop, sums, counts, gaps
 
 
-def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
+def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec, frozen_corr=None) -> tuple:
     """Construct the geometric perturbation schedule with norms <= 2^{-i}.
 
     The deltas are drawn, scaled to 2^{-i} and halved against the
@@ -953,6 +956,9 @@ def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
     wrong; from ``K`` on both fold alike, so one pass decides the rest.
     The transform gap of a collapsed delta is computed only where chosen.
 
+    A ``frozen_corr`` from ``freeze_proxy`` for the pass's dataset and
+    beta spares the unperturbed proxy's fold and inversion.
+
     Returns (Perturbation, report) where the report carries per-cluster
     halving counts, any remaining inequality violations, ``K`` as
     ``ordered_prefix`` and the number of passes as ``ordered_passes``
@@ -966,7 +972,8 @@ def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
     ordered = passes = start = 0
     if spec.depends_on_data:
         kind = EstimatingFunction.gee_star(spec)
-        rinv = dataset.in_cluster_order(freeze_proxy(kind, dataset, beta, lk).inverses)
+        proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr)
+        rinv = dataset.in_cluster_order(proxy.inverses)
         parts = [_pearson_residuals(dataset.shifted(dl), beta, lk) for dl in deltas]
         resid = [dataset.in_cluster_order(r) for r in parts]
         differ = (resid[0].view(np.int64) != resid[1].view(np.int64)).any(axis=1)

@@ -6,17 +6,23 @@ transforms by construction. Every random draw comes from a counter-based
 generator keyed by (seed, replication, cluster), which makes dataset
 prefixes nested across an ``n`` grid and replications independent.
 
-Because each cluster's draws depend only on its key, ``simulate_scenario``
-separates drawing from transforming. Phase 1 derives every cluster's
-Philox key in one splitmix64 pass over ``np.uint64`` arrays and takes the
-cluster's draws, in the fixed stream order (size, latent innovation, row
-jitter, response noise), from one Philox whose state is reset per
-cluster. Phase 2 forms regressors, link moments, the domain check and the
-responses per cluster-size bucket with stacked ``np.matmul``, whose
-per-matrix products equal the per-cluster ones bit for bit; only the
-``feedback`` process, whose regressors need the previous responses,
-keeps a recursion over clusters. ``substream`` gives one cluster's
-generator the per-cluster way.
+Because each cluster's draws depend only on its key, the simulator
+separates drawing from transforming, and it simulates a chunk of
+replications in one call (``simulate_replications``; ``simulate_scenario``
+is a chunk of one). Phase 1 derives each replication's Philox keys in
+one splitmix64 pass over ``np.uint64`` arrays and takes every cluster's
+draws, in the fixed stream order (size, latent innovation, row jitter,
+response noise), from one Philox whose state is reset per cluster.
+Phase 2 forms regressors, link moments, the domain check and the
+responses per cluster-size bucket of the whole chunk with stacked
+``np.matmul``, whose per-matrix products equal the per-cluster ones bit
+for bit. Only the exogenous AR(1) latent state and the ``feedback``
+process, whose regressors need the previous responses, keep a recursion
+over clusters, and it steps cluster i of every replication of the chunk
+at once; the feedback chain keeps only its shifts, Poisson draws and
+running means on Python floats per step. So each replication has the
+bits it has alone, and a replication that fails, fails alone.
+``substream`` gives one cluster's generator the per-cluster way.
 Only the copula families need ``scipy.special``; it is imported on their
 first draw, so the gaussian family's draws never load SciPy. The Poisson
 quantile walks the CDF in Python floats and leaves cdflib's root finder
@@ -266,13 +272,13 @@ def _poisson_walk(q, mu):
     the CDF at k or at k - 1."""
     if not (0.0 < mu <= _WALK_MU_CAP and 0.0 < q < 1.0):
         return -1
-    limit = mu + 12.0 * math.sqrt(mu) + 40.0
     k = 0
     below = 0.0
     term = cdf = math.exp(-mu)
     while cdf < q:
         k += 1
-        if k > limit:
+        # the limit is at least 40, so its square root waits for k > 40
+        if k > 40 and k > mu + 12.0 * math.sqrt(mu) + 40.0:
             return -1
         below = cdf
         term *= mu / k
@@ -312,8 +318,8 @@ def _poisson_quantile(q, mu):
         q, mu = np.broadcast_arrays(q, mu)
     ks = list(map(_poisson_walk, q.ravel().tolist(), mu.ravel().tolist()))
     out = np.array(ks, dtype=float)
-    hard = [i for i, k in enumerate(ks) if k < 0]
-    if hard:
+    if min(ks, default=0) < 0:
+        hard = [i for i, k in enumerate(ks) if k < 0]
         out[hard] = _poisson_ppf(q.ravel()[hard], mu.ravel()[hard])
     return out.reshape(q.shape)
 
@@ -388,20 +394,21 @@ def _cluster_keys(rep_seed: int, n: int) -> list:
     return np.stack([lo, hi], axis=1).tolist()
 
 
-def _draw_clusters(config: ScenarioConfig, rep_seed: int, lead: int):
-    """Phase 1: every cluster's size and its block of standard normals.
+def _draw_clusters(config: ScenarioConfig, rep_seeds: Sequence[int], lead: int):
+    """Phase 1: every cluster's size and its block of standard normals, for
+    each replication seed in turn.
 
-    Cluster i's block is what ``substream(rep_seed, i)`` yields after the
-    size draw: ``lead`` latent innovations, the (m_i, p) row jitter and
-    the m_i response noises, in stream order. One Philox is reset to each
+    Cluster i of the r-th seed sits at position ``r * n + i - 1``. Its
+    block is what ``substream(rep_seed, i)`` yields after the size draw:
+    ``lead`` latent innovations, the (m_i, p) row jitter and the m_i
+    response noises, in stream order. One Philox is reset to each
     cluster's key instead of building a generator per cluster. Returns
-    (sizes, starts, draws) with block i at ``draws[starts[i-1]:]``.
+    (sizes, starts, draws) with the block at position q at
+    ``draws[starts[q]:]``.
     """
     n, p = config.n, config.p
     schedule = config.sizes
-    sizes = np.empty(n, dtype=np.int64)
-    starts = np.empty(n, dtype=np.int64)
-    draws = np.empty(n * (lead + schedule.max_size * (p + 1)))
+    draws = np.empty(n * len(rep_seeds) * (lead + schedule.max_size * (p + 1)))
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = {
@@ -412,27 +419,32 @@ def _draw_clusters(config: ScenarioConfig, rep_seed: int, lead: int):
         "has_uint32": 0,
         "uinteger": 0,
     }
+    sizes = []
     stop = 0
-    for i, key in enumerate(_cluster_keys(rep_seed, n)):
-        state["state"]["key"] = key
-        bitgen.state = state
-        size = schedule.draw(i + 1, rng)
-        sizes[i] = size
-        starts[i] = stop
-        stop += lead + size * (p + 1)
-        rng.standard_normal(out=draws[starts[i] : stop])
-    return sizes, starts, draws
+    for rep_seed in rep_seeds:
+        for i, key in enumerate(_cluster_keys(rep_seed, n), 1):
+            state["state"]["key"] = key
+            bitgen.state = state
+            size = schedule.draw(i, rng)
+            sizes.append(size)
+            start, stop = stop, stop + lead + size * (p + 1)
+            rng.standard_normal(out=draws[start:stop])
+    sizes = np.array(sizes, dtype=np.int64)
+    blocks = lead + sizes * (p + 1)
+    return sizes, np.cumsum(blocks) - blocks, draws
 
 
-def _latent_bases(proc: RegressorProcess, innovations: np.ndarray) -> np.ndarray:
+def _latent_bases(proc: RegressorProcess, innovations: np.ndarray, n: int) -> np.ndarray:
     """``loc + u_i`` of the exogenous AR(1) latent state, one row per
-    cluster, from the scaled innovations ``scale * z_i``."""
-    bases = np.empty_like(innovations)
-    latent = np.zeros(innovations.shape[1])
-    for i, step in enumerate(innovations):
+    cluster, from the scaled innovations ``scale * z_i`` of each
+    replication's n clusters in turn; the replications step together."""
+    steps = innovations.reshape(-1, n, innovations.shape[1]).swapaxes(0, 1)
+    bases = np.empty_like(steps)
+    latent = np.zeros(steps.shape[1:])
+    for i, step in enumerate(steps):
         latent = proc.phi * latent + step
         bases[i] = proc.loc + latent
-    return bases
+    return bases.swapaxes(0, 1).reshape(innovations.shape)
 
 
 def _link_domain_error(cluster: int) -> ConfigError:
@@ -452,75 +464,174 @@ def _outside_domain(x, mean, var):
     )
 
 
-def _feedback_recursion(config, link, x, z, eta, offsets):
-    """The feedback process cluster by cluster: cluster i's regressors
-    centre on ``gain * mean(y_{i-1})``, so its linear predictor and
-    responses wait for cluster i-1. Only that chain runs per cluster; the
-    sampler's noise (the copula uniforms of the Poisson family) is formed
-    for all rows up front and the domain check is left to the caller.
-    ``x`` holds the scaled jitter on entry and the regressors on exit;
-    ``eta`` receives the linear predictors. Returns the responses.
+#: steps of the feedback chain laid out at once; bounds the Python lists
+#: that a long path's chain holds
+_CHAIN_STEPS = 1 << 12
 
-    Past a cluster that leaves the link domain the chain carries NaN or
-    inf, which the error state keeps from warning; the caller's domain
-    check names that cluster."""
-    proc, beta0 = config.regressors, config.beta0_array
+
+def _step_layout(sizes: np.ndarray, offsets: np.ndarray, n: int, steps: range) -> tuple:
+    """The step-major layout of a chunk's rows at ``steps`` of the
+    feedback chain.
+
+    ``sizes`` and ``offsets`` describe the chunk's clusters replication by
+    replication, n each. Step i holds cluster i of every replication,
+    ordered by size (stably), so that the clusters of one size form a run
+    of rows; nothing is padded. Returns the rows in that order and an
+    iterator over the runs, in step order, as (lo, hi, m, members): rows
+    ``lo:hi`` of the layout hold a size-m cluster of each replication in
+    ``members``, in that order.
+    """
+    reps = sizes.shape[0] // n
+    by_size = np.argsort(sizes.reshape(reps, n)[:, steps.start : steps.stop], 0, kind="stable")
+    order = (by_size * n + np.arange(steps.start, steps.stop)).T.ravel()
+    lens = sizes[order]
+    stops = np.cumsum(lens)
+    rows = np.repeat(offsets[order] - stops + lens, lens) + np.arange(stops[-1])
+    head = np.ones(order.shape[0], dtype=bool)
+    head[1:] = lens[1:] != lens[:-1]
+    head[::reps] = True
+    heads = np.flatnonzero(head)
+    ends = np.append(heads[1:], order.shape[0])
+    members = (order // n).tolist()
+    runs = zip(
+        (stops - lens)[heads].tolist(),
+        stops[ends - 1].tolist(),
+        lens[heads].tolist(),
+        [members[a:b] for a, b in zip(heads.tolist(), ends.tolist())],
+    )
+    return rows, runs
+
+
+def _array_step(mu, var, draw, eta, noise):
+    """One run of the feedback chain on arrays: the linear predictors
+    ``eta`` of k clusters of size m, (k, m) or for k = 1 (m,), and their
+    copula noise give the clusters' responses, as a flat list, and their
+    sums, each ``float(np.add.reduce(y_i))`` to the bit."""
+    y = draw(mu(eta), var(eta) if var else None, noise.reshape(eta.shape))
+    return y.ravel().tolist(), np.add.reduce(y.reshape(-1, eta.shape[-1]), 1).tolist()
+
+
+def _poisson_step(mu, array_step, eta, uniforms):
+    """``_array_step`` for the Poisson family on Python floats: the walk
+    draws the counts from the run's uniforms (a list), and their integer
+    sums are exact, so the means divided from them keep the bits. A run
+    in which some walk refuses goes through ``array_step``."""
+    ks = list(map(_poisson_walk, uniforms, mu(eta).ravel().tolist()))
+    if min(ks) < 0:
+        return array_step(eta, np.array(uniforms))
+    return ks, list(map(sum, zip(*[iter(ks)] * eta.shape[-1])))
+
+
+def _feedback_recursion(config, link, x, z, offsets):
+    """The feedback process over a chunk of replications, each one's n
+    clusters in turn in ``offsets``: cluster i's regressors centre on
+    ``gain * mean(y_{i-1})`` of its own replication, so its linear
+    predictor and responses wait for cluster i-1. The chain steps cluster
+    i of every replication at once, in the runs of ``_step_layout``: the
+    shift, the linear predictors (one stacked matmul, each cluster's
+    product bit for bit its own) and the link mean act on the run's
+    stack, while the shifts and the running means stay Python floats.
+    The layout and the sampler's noise are formed up front for a block of
+    ``_CHAIN_STEPS`` steps at a time; the linear predictors and the domain
+    check are left to the caller. ``x`` holds the scaled jitter on entry
+    and the regressors on exit. Returns the responses.
+
+    Past a cluster that leaves the link domain a replication's chain
+    carries NaN or inf, which the error state keeps from warning, and the
+    other replications' chains never see it; the caller's domain check
+    names that cluster."""
+    proc, beta0, p, n = config.regressors, config.beta0_array, config.p, config.n
+    loc, gain = proc.loc, proc.gain
+    sizes = np.diff(offsets)
     sampler = _SAMPLERS[config.response_family]
-    mu, draw, uses_var = link.mu, sampler.draw, sampler.uses_var
-    noise = sampler.noise(z)
+    # the bare derivative, without the argument checks of ``link.eval``
+    var = partial(link._eval, 1) if sampler.uses_var else None
+    step = partial(_array_step, link.mu, var, sampler.draw)
+    lean = config.response_family == "poisson_log"
+    if lean:
+        step = partial(_poisson_step, link.mu, step)
+    shifts = [loc + gain * 0.0] * (sizes.shape[0] // n)
     y = np.empty_like(z)
-    prev_y_mean = 0.0
-    bounds = offsets.tolist()
-    with np.errstate(all="ignore"):
-        for lo, hi in zip(bounds, bounds[1:]):
-            xi = x[lo:hi]
-            xi += proc.loc + proc.gain * prev_y_mean
-            etai = np.matmul(xi, beta0, out=eta[lo:hi])
-            var = link.eval(1, etai) if uses_var else None
-            yi = draw(mu(etai), var, noise[lo:hi])
-            y[lo:hi] = yi
-            # what np.mean(yi) computes, without its dispatch
-            prev_y_mean = float(np.add.reduce(yi)) / (hi - lo)
+    for first in range(0, n, _CHAIN_STEPS):
+        rows, runs = _step_layout(sizes, offsets, n, range(first, min(first + _CHAIN_STEPS, n)))
+        xs, noise, ys = x[rows], sampler.noise(z[rows]), []
+        if lean:
+            noise = noise.tolist()
+        with np.errstate(all="ignore"):
+            for lo, hi, m, members in runs:
+                # a run of one cluster takes its rows as they are and a
+                # float: the stack and its shift array cost about 2.4 us a
+                # cluster, 13 % of a one-replication Poisson path at n = 100
+                if len(members) == 1:
+                    xi = xs[lo:hi]
+                    xi += shifts[members[0]]
+                else:
+                    xi = xs[lo:hi].reshape(-1, m, p)
+                    xi += np.array([shifts[r] for r in members])[:, None, None]
+                yi, sums = step(xi @ beta0, noise[lo:hi])
+                ys += yi
+                for r, total in zip(members, sums):
+                    shifts[r] = loc + gain * (total / m)
+        x[rows], y[rows] = xs, ys
     return y
 
 
-def simulate_scenario(config: ScenarioConfig, replication: int = 0) -> Dataset:
-    """Generate one dataset; identical (config, replication) pairs always
-    reproduce identical content.
+def _finish(config, x, y, sizes, offsets, outside, r):
+    """Replication r of a chunk: its Dataset, or the ConfigError that
+    names its first cluster whose moments leave the link domain, failing
+    that its first cluster with a non-finite response. The rows become
+    the dataset's storage as they are."""
+    a, b = r * config.n, (r + 1) * config.n
+    if outside[a:b].any():
+        return _link_domain_error(int(np.argmax(outside[a:b])) + 1)
+    lo, hi = offsets[a], offsets[b]
+    bad = ~np.isfinite(y[lo:hi])
+    if bad.any():
+        first = int(np.argmax(bad))
+        cluster = int(np.searchsorted(offsets[a : b + 1] - lo, first, side="right"))
+        return ConfigError(
+            f"cluster {cluster}: the response sampler gave a non-finite response",
+            field="regressors",
+        )
+    p, m_max, link, beta0 = config.p, config.m_max, config.link, config.beta0_array
+    return Dataset._trusted(x[lo:hi], y[lo:hi], sizes[a:b], p, m_max, link=link, beta0=beta0)
 
-    Phase 1 takes every cluster's draws (``_draw_clusters``). Phase 2
-    works per size bucket: the regressors, ``chol @ eps`` as one stacked
-    matmul, the link moments and the domain check, then the responses.
-    The ``feedback`` process forms its regressors, linear predictors and
-    responses in a recursion over clusters that carries only the previous
-    cluster's mean response (``_feedback_recursion``); its moments and
-    domain check then run per size bucket like the others'. A cluster
-    whose moments leave the link domain raises ``ConfigError`` naming the
-    first such cluster; failing that, so does the first cluster with a
-    non-finite response. The rows become the dataset's storage as they
-    are.
+
+def _simulate(config: ScenarioConfig, replications: Sequence[int]) -> list:
+    """The chunk's datasets, or their ConfigErrors, in replication order.
+
+    Phase 1 takes every cluster's draws (``_draw_clusters``), the chunk's
+    replications one after another. Phase 2 works per size bucket of the
+    whole chunk: the regressors, ``chol @ eps`` as one stacked matmul,
+    the link moments and the domain check, then the responses. The
+    exogenous AR(1) latent states and the ``feedback`` chain
+    (``_feedback_recursion``) run over clusters with the replications in
+    lockstep. Every step acts on each cluster's own values alone, so each
+    replication keeps the bits it has when simulated alone, and a failing
+    one fails alone (``_finish``). The warning of the flagged family
+    points at the caller of the public function that called this one.
     """
     if config.response_family == "bernoulli_probit_flagged":
         warnings.warn(
             "bernoulli_probit_flagged violates the modelled variance "
             "mu'(x'beta); this is a deliberate misspecification scenario",
             MisspecificationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    rep_seed = replication_seed(config.seed, replication)
     link = get_link(config.link)
     beta0 = config.beta0_array
-    p = config.p
+    n, p = config.n, config.p
     proc = config.regressors
     truth = config.truth.template(config.m_max)
     lead = p if proc.kind == "exogenous_ar1" else 0
-    sizes, starts, draws = _draw_clusters(config, rep_seed, lead)
+    seeds = [replication_seed(config.seed, r) for r in replications]
+    sizes, starts, draws = _draw_clusters(config, seeds, lead)
     if proc.kind == "exogenous_ar1":
-        bases = _latent_bases(proc, proc.scale * draws[starts[:, None] + np.arange(p)])
+        innovations = proc.scale * draws[starts[:, None] + np.arange(p)]
+        bases = _latent_bases(proc, innovations, n)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     x = np.empty((offsets[-1], p))
     z = np.empty(offsets[-1])
-    eta = np.empty(offsets[-1])
     buckets = []
     for size in np.unique(sizes).tolist():
         positions = np.flatnonzero(sizes == size)
@@ -534,30 +645,60 @@ def simulate_scenario(config: ScenarioConfig, replication: int = 0) -> Dataset:
         rows = offsets[positions][:, None] + np.arange(size)
         x[rows] = xb
         z[rows] = (np.linalg.cholesky(truth.rbar(size)) @ eps[..., None])[..., 0]
-        if proc.kind != "feedback":
-            eta[rows] = xb @ beta0
         buckets.append((positions, rows))
     if proc.kind == "feedback":
-        y = _feedback_recursion(config, link, x, z, eta, offsets)
-    moments, offenders = [], []
-    for positions, rows in buckets:
-        mean, var = link.eval(0, eta[rows]), link.eval(1, eta[rows])
-        offenders += positions[_outside_domain(x[rows], mean, var)][:1].tolist()
-        moments.append((mean, var))
-    if offenders:
-        raise _link_domain_error(min(offenders) + 1)
-    if proc.kind != "feedback":
+        y = _feedback_recursion(config, link, x, z, offsets)
+    else:
         y = np.empty_like(z)
-        for (_, rows), (mean, var) in zip(buckets, moments):
-            y[rows] = _response(config.response_family, mean, var, z[rows])
-    bad = ~np.isfinite(y)
-    if bad.any():
-        cluster = int(np.searchsorted(offsets, np.argmax(bad), side="right"))
-        raise ConfigError(
-            f"cluster {cluster}: the response sampler gave a non-finite response",
-            field="regressors",
-        )
-    return Dataset._trusted(x, y, sizes, p, config.m_max, link=config.link, beta0=beta0)
+    outside = np.zeros(sizes.shape[0], dtype=bool)
+    # a failing replication's moments and responses may be NaN or inf; as
+    # in the chain, the error state keeps them from warning, and _finish
+    # names the cluster
+    with np.errstate(all="ignore"):
+        for positions, rows in buckets:
+            xb = x[rows]
+            eta = xb @ beta0
+            mean, var = link.eval(0, eta), link.eval(1, eta)
+            outside[positions] = _outside_domain(xb, mean, var)
+            if proc.kind != "feedback":
+                y[rows] = _response(config.response_family, mean, var, z[rows])
+    return [_finish(config, x, y, sizes, offsets, outside, r) for r in range(len(seeds))]
+
+
+def simulate_replications(config: ScenarioConfig, replications: Sequence[int]) -> list:
+    """Simulate several replications of one scenario in one call.
+
+    Entry r is what ``simulate_scenario(config, replications[r])`` gives:
+    its Dataset, bit for bit, or the ConfigError it raises, returned in
+    place of the dataset so that a failing replication fails alone. The
+    replications share phase 2 and step their ``feedback`` chains
+    together (``_simulate``).
+    """
+    return _simulate(config, list(replications))
+
+
+def simulate_scenario(config: ScenarioConfig, replication: int = 0) -> Dataset:
+    """Generate one dataset; identical (config, replication) pairs always
+    reproduce identical content.
+
+    A chunk of one replication (``simulate_replications``). A cluster
+    whose moments leave the link domain raises ``ConfigError`` naming the
+    first such cluster; failing that, so does the first cluster with a
+    non-finite response.
+    """
+    (out,) = _simulate(config, [replication])
+    if isinstance(out, ConfigError):
+        raise out
+    return out
+
+
+def _chunk_datasets(config: ScenarioConfig, replications: Sequence[int]):
+    """The chunk's datasets in replication order, simulated in one call; a
+    failing replication raises its ConfigError when it is reached."""
+    for out in simulate_replications(config, replications):
+        if isinstance(out, ConfigError):
+            raise out
+        yield out
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +753,28 @@ def effective_truth(
 # replication harness
 
 
-def _replicate(worker, reps: int, n_grid: Sequence[int], jobs: int, *args) -> list:
-    """``worker(*args, rep)`` for replications 0..reps-1, in replication
-    order, optionally across processes; output order and content are
-    independent of the worker count.
+#: replications per task of ``_replicate`` at most; a chunk is simulated
+#: in one call, with its feedback chains in lockstep
+_CHUNK_REPS = 16
+#: rows (clusters times m_max) a chunk may hold; a replication with more
+#: is a chunk of its own
+_CHUNK_ROWS = 1 << 18
+
+
+def _replicate(worker, reps: int, n_grid: Sequence[int], jobs: int, config, *args) -> list:
+    """``worker(config, *args, chunk)`` over consecutive chunks of the
+    replications 0..reps-1, each worker returning one result per
+    replication of its chunk; the results come back in replication order,
+    optionally across processes, and order and content are independent
+    of the worker count.
 
     Every ensemble study maps its module-level worker through here, so
     ``reps`` and the checkpoint grid (nonempty, nondecreasing, every
-    ``n >= 1``) are checked once, for all of them. A worker's exception
-    propagates.
+    ``n >= 1``) are checked once, for all of them. A chunk holds
+    ``_CHUNK_REPS`` replications, fewer where that would leave some of the
+    ``jobs`` processes without a chunk or where their rows would pass
+    ``_CHUNK_ROWS``; the pool has at most one process per chunk, and a
+    single chunk runs in this process. A worker's exception propagates.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}", field="reps")
@@ -630,12 +784,16 @@ def _replicate(worker, reps: int, n_grid: Sequence[int], jobs: int, *args) -> li
             f"n_grid must be a nonempty nondecreasing list of sizes >= 1, got {grid}",
             field="n_grid",
         )
-    task = partial(worker, *args)
-    if jobs <= 1 or reps == 1:
-        return [task(rep) for rep in range(reps)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, reps // (4 * jobs))
-        return list(pool.map(task, range(reps), chunksize=chunk))
+    rows = max(config.n, grid[-1]) * config.m_max
+    size = max(1, min(_CHUNK_REPS, -(-reps // max(jobs, 1)), _CHUNK_ROWS // rows))
+    chunks = [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+    task = partial(worker, config, *args)
+    if jobs <= 1 or len(chunks) == 1:
+        results = list(map(task, chunks))
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+            results = list(pool.map(task, chunks))
+    return [res for chunk in results for res in chunk]
 
 
 def _quartiles(values) -> np.ndarray:
@@ -701,17 +859,29 @@ def _fit_summary(fit: GeeFit) -> dict:
     }
 
 
-def _replicate_fits(config, estimators, n_grid, rep):
-    """The only worker that records its failure instead of raising."""
+def _replicate_fits(config, estimators, n_grid, chunk):
+    """The only worker that records a replication's failure instead of
+    raising."""
+    sims = simulate_replications(config.with_n(max(n_grid)), chunk)
+    return [
+        _fit_replication(config.link, estimators, n_grid, rep, sim)
+        for rep, sim in zip(chunk, sims)
+    ]
+
+
+def _fit_replication(link, estimators, n_grid, rep, full) -> ReplicationResult:
+    """Every estimator at every grid size on ``full``, the replication's
+    dataset or the ConfigError its simulation gave."""
     try:
-        full = simulate_scenario(config.with_n(max(n_grid)), rep)
+        if isinstance(full, ConfigError):
+            raise full
         fits: dict = {}
         first_conv: dict = {}
         for name, kind in estimators:
             per_n = {}
             first = None
             for n in n_grid:
-                fit = solve_gee(full.prefix(n), kind, config.link)
+                fit = solve_gee(full.prefix(n), kind, link)
                 per_n[str(n)] = _fit_summary(fit)
                 if first is None and fit.converged:
                     first = n

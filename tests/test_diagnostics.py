@@ -30,6 +30,7 @@ from stochgee import (
     slln_decay_study,
     slln_monitor,
 )
+from stochgee import estimating, simulation
 from stochgee.simulation import _quartiles
 
 
@@ -515,6 +516,44 @@ class TestReplicationHarness:
         assert repr(one.rows) == repr(two.rows)
         assert one.meta == two.meta
         assert one.meta["reps"] == 4 and one.meta["n_grid"] == [10, 40]
+
+    def test_jobs_do_not_change_rows_across_chunks(self):
+        # a replication count that jobs 1 and 2 cut into different chunks,
+        # on the Poisson feedback scenario whose chains step in lockstep
+        cfg = ScenarioConfig(
+            link="log",
+            beta0=(0.5, -0.3),
+            n=30,
+            m_max=3,
+            sizes=SizeSchedule(kind="random", lo=1, hi=3),
+            regressors=RegressorProcess(kind="feedback", gain=0.3, scale=0.5),
+            truth=TruthSpec(kind="exchangeable", rho=0.4),
+            response_family="poisson_log",
+            seed=11,
+        )
+        reps = simulation._CHUNK_REPS + 3
+        one = STUDIES["consistency"](cfg, reps, [10, 30], jobs=1)
+        two = STUDIES["consistency"](cfg, reps, [10, 30], jobs=2)
+        assert repr(one.rows) == repr(two.rows)
+        assert one.meta == two.meta
+        assert one.rows[0]["replications_used"] == reps
+
+    def test_optimality_folds_the_plain_proxy_once_per_spec(self, monkeypatch):
+        # the plain information sums and the schedule share one fold; the
+        # perturbed sums fold the shifted dataset
+        folds = []
+        stack = estimating.proxy_stack
+
+        def counted(dataset, beta, link):
+            folds.append(dataset.n)
+            return stack(dataset, beta, link)
+
+        cfg = gaussian_exch(n=30)
+        want = STUDIES["optimality"](cfg, 2, [10, 30])
+        monkeypatch.setattr(estimating, "proxy_stack", counted)
+        got = STUDIES["optimality"](cfg, 2, [10, 30])
+        assert repr(got.rows) == repr(want.rows) and got.meta == want.meta
+        assert folds == [30, 30] * 2
 
     def test_consistency_rows_with_every_replication_failed(self):
         # the regressor drift overflows the log link in every replication

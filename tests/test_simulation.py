@@ -20,6 +20,7 @@ from stochgee import (
     effective_truth,
     replication_seed,
     run_replications,
+    simulate_replications,
     simulate_scenario,
     solve_gee,
     splitmix64,
@@ -532,6 +533,154 @@ class TestGoldenDigests:
         cfg = golden_config(*scenario)
         got = tuple(simulate_quietly(cfg, rep).digest() for rep in (0, 3))
         assert got == GOLDEN_DIGESTS[scenario]
+
+
+def simulate_chunk_quietly(config, replications):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MisspecificationWarning)
+        return simulate_replications(config, replications)
+
+
+def assert_same_outcome(got, config, replication):
+    """``got`` is what ``simulate_scenario(config, replication)`` gives:
+    the same bytes, or a ConfigError with the same text and field."""
+    try:
+        want = simulate_quietly(config, replication)
+    except ConfigError as exc:
+        assert isinstance(got, ConfigError)
+        assert (str(got), got.field) == (str(exc), exc.field)
+        return
+    assert isinstance(got, Dataset)
+    for name in ("x", "y", "sizes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert got.digest() == want.digest()
+
+
+class TestChunks:
+    @pytest.mark.parametrize("scenario", sorted(GOLDEN_DIGESTS), ids="-".join)
+    def test_chunk_equals_solo(self, scenario):
+        cfg = golden_config(*scenario)
+        chunk = simulate_chunk_quietly(cfg, (0, 1, 3))
+        assert len(chunk) == 3
+        for got, replication in zip(chunk, (0, 1, 3)):
+            assert_same_outcome(got, cfg, replication)
+        assert (chunk[0].digest(), chunk[2].digest()) == GOLDEN_DIGESTS[scenario]
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("family, link", FAMILY_LINKS)
+    def test_chain_blocks_keep_the_bits(self, monkeypatch, family, link, schedule):
+        # blocks of 7 steps cut the 40-cluster golden paths at 5 places
+        monkeypatch.setattr(simulation, "_CHAIN_STEPS", 7)
+        scenario = (family, link, "feedback", schedule)
+        chunk = simulate_chunk_quietly(golden_config(*scenario), (0, 1, 3))
+        assert (chunk[0].digest(), chunk[2].digest()) == GOLDEN_DIGESTS[scenario]
+        assert simulate_quietly(golden_config(*scenario), 1).digest() == chunk[1].digest()
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [SizeSchedule(kind="constant", m=9), SizeSchedule(kind="random", lo=6, hi=12)],
+        ids=["constant9", "random6-12"],
+    )
+    @pytest.mark.parametrize("family, link", FAMILY_LINKS)
+    def test_chunk_equals_solo_past_eight_rows(self, family, link, sizes):
+        # np.add.reduce sums 8 or more elements in unrolled blocks, so the
+        # running means of runs of such clusters must keep each one's sum
+        cfg = ScenarioConfig(
+            link=link,
+            beta0=(0.3, -0.2),
+            n=40,
+            m_max=sizes.max_size,
+            sizes=sizes,
+            regressors=PROCESSES["feedback"],
+            truth=TruthSpec(kind="exchangeable", rho=0.4),
+            response_family=family,
+            seed=2718,
+        )
+        chunk = simulate_chunk_quietly(cfg, (0, 1, 3))
+        for got, replication in zip(chunk, (0, 1, 3)):
+            assert isinstance(got, Dataset)
+            assert_same_outcome(got, cfg, replication)
+        # some step holds at least two clusters of one size of 8 or more
+        steps = np.array([ds.sizes for ds in chunk]).T
+        assert any(np.bincount(step)[8:].max(initial=0) >= 2 for step in steps)
+
+    def test_drifting_replication_fails_alone(self):
+        # at n = 4 the drift of TestLinkDomainFailure.FEEDBACK leaves the
+        # link domain in cluster 3 or 4 of some replications and stays in
+        # it in others, with sizes 1 to 3 mixed within a step
+        cfg = TestLinkDomainFailure.FEEDBACK.with_n(4)
+        reps = range(12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            chunk = simulate_replications(cfg, reps)
+            outcomes = set()
+            for got, replication in zip(chunk, reps):
+                assert_same_outcome(got, cfg, replication)
+                outcomes.add(str(got)[:21] if isinstance(got, ConfigError) else "ok")
+        assert outcomes == {"regressors: cluster 3", "regressors: cluster 4", "ok"}
+
+    def test_one_chain_pass_per_chunk(self, monkeypatch):
+        passes = []
+        chain = simulation._feedback_recursion
+
+        def counted(config, *args):
+            passes.append(config.n)
+            return chain(config, *args)
+
+        monkeypatch.setattr(simulation, "_feedback_recursion", counted)
+        cfg = golden_config("poisson_log", "log", "feedback", "random").with_n(12)
+        est = [("independence", EstimatingFunction.independence())]
+        reps = 2 * simulation._CHUNK_REPS + 1
+        results = run_replications(cfg, reps, est, [6, 12], jobs=1)
+        assert [r.replication for r in results] == list(range(reps))
+        assert passes == [12, 12, 12]
+
+    def test_pool_is_capped_at_the_chunks(self, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
+        cfg = base_config(n=10)
+        est = [("independence", EstimatingFunction.independence())]
+        # a single chunk runs in this process; fewer replications than jobs
+        # take one process each; otherwise every process gets a chunk
+        for reps, pool in ((1, []), (2, [2]), (17, [6]), (32, [8]), (200, [8])):
+            pools.clear()
+            results = run_replications(cfg, reps, est, [10], jobs=8)
+            assert [r.replication for r in results] == list(range(reps))
+            assert pools == pool
+
+    def test_chunks_fit_the_row_budget(self, monkeypatch):
+        # a replication of more rows than the budget is a chunk of its own
+        sizes = []
+        worker = simulation._replicate_fits
+
+        def recorded(config, estimators, n_grid, chunk):
+            sizes.append(len(chunk))
+            return worker(config, estimators, n_grid, chunk)
+
+        monkeypatch.setattr(simulation, "_replicate_fits", recorded)
+        monkeypatch.setattr(simulation, "_CHUNK_ROWS", 60)
+        est = [("independence", EstimatingFunction.independence())]
+        run_replications(base_config(n=10), 5, est, [10])
+        assert sizes == [2, 2, 1]
+        sizes.clear()
+        run_replications(base_config(n=30), 3, est, [30])
+        assert sizes == [1, 1, 1]
 
 
 class TestPackedOutput:
