@@ -65,7 +65,6 @@ from .model import (
     Cluster,
     Dataset,
     LinkFunction,
-    Parameter,
     dataset_from_arrays,
     get_link,
     load_dataset,

@@ -21,6 +21,7 @@ from .estimating import (
     CorrelationTruth,
     EstimatingFunction,
     _bucket_proxies,
+    _invert_proxies,
     a2_halving_pass,
     a2_schedule,
     central_points,
@@ -181,6 +182,12 @@ def condition_trajectories(
     w_rows = lk.eval(1, rows @ beta)
     h_cum = np.cumsum(rows[:, :, None] * (rows * w_rows[:, None])[:, None, :], axis=0)
     centre, rstars = _proxies_at(dataset, beta, lk, spec, n_grid)
+    # the proxy at the centre, folded once above and inverted once here for
+    # the SLLN trace and the information sums
+    if centre is None:
+        proxy = freeze_proxy(kind, dataset, beta, lk)
+    else:
+        proxy = _invert_proxies(dataset, _bucket_proxies(dataset, centre))
 
     series: dict = {
         k: []
@@ -197,7 +204,7 @@ def condition_trajectories(
             "c_gamma_h",
         )
     }
-    slln = _slln_at(kind, dataset, beta, lk, var_truth, n_grid, delta)
+    slln = _slln_at(kind, dataset, beta, lk, var_truth, n_grid, delta, proxy)
     series["slln_ratio"] = slln["ratio"]
     series["lambda_min_v"] = slln["lambda_min_v"]
     series["lambda_max_v"] = slln["lambda_max_v"]
@@ -270,7 +277,9 @@ def condition_trajectories(
     }
 
     if truth is not None:
-        inc = path_information_increments(dataset, beta, lk, spec, truth)
+        inc = path_information_increments(
+            dataset, beta, lk, spec, truth, frozen_corr=proxy
+        )
         s = _checkpoint_sums(inc, n_grid)
         for name, key in (("det_ratio_h", "h_star"), ("det_ratio_m", "m_star")):
             series[name] = [_safe_ratio(a, b) for a, b in zip(s[key], s["m_bar"])]
@@ -303,10 +312,11 @@ def _proxies_at(dataset, beta, link, spec, n_grid) -> tuple:
     return centre, list(centre[np.asarray(n_grid) - 1])
 
 
-def _slln_at(kind, dataset, beta, link, truth, n_grid, delta) -> dict:
+def _slln_at(kind, dataset, beta, link, truth, n_grid, delta, proxy) -> dict:
     """``slln_monitor`` of the martingale g_n and its predictable covariation
-    V_n: sums of ``score_increments`` up to each checkpoint."""
-    q_inc, v_inc = score_increments(kind, dataset, beta, link, truth)
+    V_n: sums of ``score_increments`` up to each checkpoint, under the
+    ``frozen_corr`` ``proxy`` (None folds it at ``beta``)."""
+    q_inc, v_inc = score_increments(kind, dataset, beta, link, truth, proxy)
     q_cum, v_cum = np.cumsum(q_inc, axis=0), np.cumsum(v_inc, axis=0)
     return slln_monitor([(q_cum[n - 1], v_cum[n - 1]) for n in n_grid], delta)
 
@@ -704,10 +714,10 @@ def a1_gap_study(
 
 
 def _slln_worker(config, kind, delta, n_grid, chunk):
-    truth = config.truth.template(config.m_max)
+    truth, beta = config.truth.template(config.m_max), config.beta0_array
     out = []
     for ds in _chunk_datasets(config.with_n(max(n_grid)), chunk):
-        slln = _slln_at(kind, ds, config.beta0_array, config.link, truth, n_grid, delta)
+        slln = _slln_at(kind, ds, beta, config.link, truth, n_grid, delta, None)
         out.append((slln["ratio"], slln["lambda_min_v"]))
     return out
 

@@ -225,10 +225,11 @@ def corr_trajectory(
 # R^{-1} e (the Jacobian adds v = R^{-1} z), each size bucket of clusters
 # (Dataset.buckets) one batch of small matrix products. ``_evaluate``, the
 # one place that chooses how g and its Jacobian are formed, gives g with a
-# Jacobian that reuses them. Explicit coefficients
-# C_i = X_i' A_i^{1/2} R_{i-1}^{-1} A_i^{-1/2} are formed only where they
-# are the input or the output: the callback (``general``) variant,
-# ``score_increments`` and ``integrability_summary``.
+# Jacobian that reuses them. ``score_increments`` reads the same factors
+# as u_i = A_i^{1/2} C_i' (R^{-1} z, or z for independence). Explicit
+# coefficients C_i = X_i' A_i^{1/2} R_{i-1}^{-1} A_i^{-1/2} are formed only
+# where they are the input or the output: the callback (``general``)
+# variant and ``integrability_summary``.
 
 
 @dataclass(frozen=True)
@@ -338,6 +339,12 @@ def freeze_proxy(
         mats = _bucket_proxies(dataset, proxy_stack(dataset, beta, link))
     else:
         mats = [working_corr(kind.spec, b.size) for b in dataset.buckets]
+    return _invert_proxies(dataset, mats)
+
+
+def _invert_proxies(dataset: Dataset, mats) -> FrozenProxy:
+    """The ``FrozenProxy`` of per-bucket proxies ``mats``, each an (m, m)
+    template or a (k, m, m) stack, checked and inverted in one batch."""
     positions = [b.positions for b in dataset.buckets]
     return FrozenProxy(dataset, tuple(_checked_inverse(zip(mats, positions))))
 
@@ -461,11 +468,6 @@ def _apply(mats, v: np.ndarray) -> np.ndarray:
     return (mats @ v[..., None])[..., 0]
 
 
-def _coefficients(x, sd, rinv) -> np.ndarray:
-    """C_i = X_i' A_i^{1/2} R^{-1} A_i^{-1/2} per cluster, (k, p, m)."""
-    return np.swapaxes(x * sd[..., None], 1, 2) @ (rinv / sd[:, None, :])
-
-
 class _History(Sequence):
     """Read-only view of the clusters strictly before cluster ``i``.
 
@@ -492,16 +494,9 @@ class _History(Sequence):
         return self._clusters[k % self._stop]
 
 
-def _bucket_coefficients(kind, dataset, beta, lk, moments) -> list:
-    """C_i of every cluster, stacked by bucket as (k, p, m)."""
-    if kind.reduces_to_independence:
-        return [np.swapaxes(b.x, 1, 2) for b in dataset.buckets]
-    if kind.variant != "general":
-        proxy = freeze_proxy(kind, dataset, beta, lk)
-        return [
-            _coefficients(b.x, np.sqrt(var), rinv)
-            for b, (_, var), rinv in zip(dataset.buckets, moments, proxy.inverses)
-        ]
+def _callback_coefficients(kind, dataset, beta) -> list:
+    """C_i of the callback (``general``) variant, stacked by bucket as
+    (k, p, m)."""
     p = beta.shape[0]
     coeffs = []
     for c in dataset.clusters:
@@ -518,9 +513,24 @@ def _bucket_coefficients(kind, dataset, beta, lk, moments) -> list:
     return [np.stack([coeffs[pos] for pos in b.positions]) for b in dataset.buckets]
 
 
-def _sigma(truth: CorrelationTruth, size: int, sd: np.ndarray) -> np.ndarray:
-    """Sigma_i = A_i^{1/2} Rbar A_i^{1/2} per cluster, (k, m, m)."""
-    return truth.rbar(size) * (sd[:, :, None] * sd[:, None, :])
+def _score_factors(kind, dataset, beta, lk, frozen_corr=None) -> list:
+    """Per size bucket ``u = A^{1/2} C'`` (k, m, p) and the Pearson residuals
+    ``e = A^{-1/2} (y - mu)`` (k, m), so that ``C (y - mu) = u' e``:
+    ``u = R^{-1} z`` from ``_whiten`` for a gee_star kind, ``z`` for
+    independence; only the callback variant forms ``C_i``."""
+    if kind.variant == "gee_star" and not kind.reduces_to_independence:
+        _, parts = _whiten(kind, dataset, beta, lk, frozen_corr)
+        return [(rinv @ z, e) for _, rinv, z, e, _ in parts]
+    moments = _moments(dataset, beta, lk)
+    if kind.variant == "general":
+        xs = [np.swapaxes(c, 1, 2) for c in _callback_coefficients(kind, dataset, beta)]
+    else:
+        xs = [b.x for b in dataset.buckets]
+    out = []
+    for b, x, (mean, var) in zip(dataset.buckets, xs, moments):
+        sd = np.sqrt(var)
+        out.append((x * sd[..., None], (b.y - mean) / sd))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +560,7 @@ def _evaluate(kind, dataset, beta, lk, frozen_corr=None) -> tuple:
             return g, lambda: _whitened_jacobian(parts, lk)
     else:
         moments = _moments(dataset, beta, lk)
-        coeffs = _bucket_coefficients(kind, dataset, beta, lk, moments)
+        coeffs = _callback_coefficients(kind, dataset, beta)
         parts = zip(dataset.buckets, coeffs, moments)
         g = sum(_apply(c, b.y - mean).sum(axis=0) for b, c, (mean, _) in parts)
     return g, lambda: _fd_jacobian(kind, dataset, beta, lk, frozen_corr)
@@ -701,26 +711,28 @@ def score_increments(
     beta,
     link,
     truth: CorrelationTruth,
+    frozen_corr=None,
 ) -> tuple:
     """Per-cluster increments of the estimating function and of its
     predictable covariation.
 
-    Returns ``(q, v)``: ``q[i] = C_i (y_i - mu_i)`` of shape (n, p) and
-    ``v[i] = C_i Sigma_i C_i'``, symmetrized, of shape (n, p, p), with the
-    true conditional covariance ``Sigma_i`` from ``truth`` (or its plug-in
-    approximation). Cumulative sums give ``g`` and ``V`` along ``n``.
+    Returns ``(q, v)``: ``q[i] = C_i (y_i - mu_i) = u_i' e_i`` of shape
+    (n, p) and ``v[i] = C_i Sigma_i C_i' = u_i' Rbar u_i``, symmetrized, of
+    shape (n, p, p), from ``_score_factors`` and the true correlation
+    ``Rbar`` of ``truth`` (or its plug-in approximation). Cumulative sums
+    give ``g`` and ``V`` along ``n``. ``frozen_corr`` is read as by ``eval_g``.
     """
     beta = as_beta(beta)
     lk = get_link(link)
     n, p = dataset.n, beta.shape[0]
-    moments = _moments(dataset, beta, lk)
-    coeffs = _bucket_coefficients(kind, dataset, beta, lk, moments)
     q = np.empty((n, p))
     v = np.empty((n, p, p))
-    for b, coeff, (mean, var) in zip(dataset.buckets, coeffs, moments):
-        inc = coeff @ _sigma(truth, b.size, np.sqrt(var)) @ np.swapaxes(coeff, 1, 2)
+    factors = _score_factors(kind, dataset, beta, lk, frozen_corr)
+    for b, (u, e) in zip(dataset.buckets, factors):
+        ut = np.swapaxes(u, 1, 2)
+        inc = ut @ (truth.rbar(b.size) @ u)
         v[b.positions] = 0.5 * (inc + np.swapaxes(inc, 1, 2))
-        q[b.positions] = _apply(coeff, b.y - mean)
+        q[b.positions] = _apply(ut, e)
     return q, v
 
 
@@ -1046,19 +1058,26 @@ def integrability_summary(
         truth = CorrelationTruth.plugin(ensemble[0].m_max)
 
     def coeffs(ds, b):
-        return _bucket_coefficients(kind, ds, b, lk, _moments(ds, b, lk))
+        # C_i read back from u_i = A_i^{1/2} C_i'
+        factors = _score_factors(kind, ds, b, lk)
+        moments = _moments(ds, b, lk)
+        return [
+            np.swapaxes(u, 1, 2) / np.sqrt(var)[:, None, :]
+            for (u, _), (_, var) in zip(factors, moments)
+        ]
 
     abs_c, abs_dc_resid, abs_ccv = [], [], []
     for ds in ensemble:
         moments = _moments(ds, beta, lk)
-        base = _bucket_coefficients(kind, ds, beta, lk, moments)
+        base = coeffs(ds, beta)
         grads = [
             [(a - b) / (2.0 * h) for a, b in zip(coeffs(ds, bp), coeffs(ds, bm))]
             for h, bp, bm in central_points(beta)
         ]
         for j, (bk, (mean, var)) in enumerate(zip(ds.buckets, moments)):
             resid = bk.y - mean
-            sigma = _sigma(truth, bk.size, np.sqrt(var))
+            sd = np.sqrt(var)
+            sigma = truth.rbar(bk.size) * (sd[:, :, None] * sd[:, None, :])
             ci = base[j]
             abs_c.append(np.abs(ci).mean(axis=(1, 2)))
             for grad in grads:

@@ -20,7 +20,6 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -396,48 +395,8 @@ def dataset_from_arrays(pairs, m_max=None, link=None, beta0=None) -> Dataset:
     return Dataset(clusters, p, int(m_max), link, beta0)
 
 
-@dataclass(frozen=True)
-class Parameter:
-    """Regression parameter with an optional axis-aligned box region."""
-
-    beta: np.ndarray
-    lower: Optional[np.ndarray] = None
-    upper: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        b = np.asarray(self.beta, dtype=float).copy()
-        if b.ndim != 1 or not np.all(np.isfinite(b)):
-            raise InvalidInputError("beta must be a finite 1-d vector")
-        b.setflags(write=False)
-        object.__setattr__(self, "beta", b)
-        for name in ("lower", "upper"):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.asarray(v, dtype=float).copy()
-                if v.shape != b.shape:
-                    raise InvalidInputError(f"{name} bound shape mismatch")
-                v.setflags(write=False)
-                object.__setattr__(self, name, v)
-        if not self.contains(b):
-            raise InvalidInputError("beta lies outside its declared box")
-
-    def contains(self, beta) -> bool:
-        beta = np.asarray(beta, dtype=float)
-        if self.lower is not None and np.any(beta < self.lower):
-            return False
-        if self.upper is not None and np.any(beta > self.upper):
-            return False
-        return True
-
-    @property
-    def p(self) -> int:
-        return self.beta.shape[0]
-
-
 def as_beta(value) -> np.ndarray:
-    """Coerce a Parameter or array-like into a finite 1-d float vector."""
-    if isinstance(value, Parameter):
-        return value.beta
+    """Coerce an array-like into a finite 1-d float vector."""
     b = np.asarray(value, dtype=float)
     if b.ndim == 0:
         b = b[None]

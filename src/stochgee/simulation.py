@@ -24,10 +24,10 @@ running means on Python floats per step. So each replication has the
 bits it has alone, and a replication that fails, fails alone.
 ``substream`` gives one cluster's generator the per-cluster way.
 Only the copula families need ``scipy.special``; it is imported on their
-first draw, so the gaussian family's draws never load SciPy. The Poisson
-quantile walks the CDF in Python floats and leaves cdflib's root finder
-``pdtrik`` only the elements near a CDF step or with an intensity outside
-(0, 20].
+first draw, or before a study's pool forks, so the gaussian family never
+loads SciPy. The Poisson quantile walks the CDF in Python floats and
+leaves cdflib's root finder ``pdtrik`` only the elements near a CDF step
+or with an intensity outside (0, 20].
 """
 
 from __future__ import annotations
@@ -791,6 +791,10 @@ def _replicate(worker, reps: int, n_grid: Sequence[int], jobs: int, config, *arg
     if jobs <= 1 or len(chunks) == 1:
         results = list(map(task, chunks))
     else:
+        if config.response_family != "gaussian_link_moments":
+            # the forked workers inherit the import instead of each paying it
+            # on its first copula draw
+            _scipy_special()
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             results = list(pool.map(task, chunks))
     return [res for chunk in results for res in chunk]

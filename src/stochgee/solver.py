@@ -23,10 +23,11 @@ from .estimating import (
 )
 from .exceptions import (
     InvalidInputError,
+    InvalidVarianceError,
     SingularDesignError,
     SingularJacobianError,
 )
-from .model import Dataset, Parameter, as_beta, get_link
+from .model import Dataset, as_beta, get_link
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,18 @@ def default_init(dataset: Dataset, link) -> np.ndarray:
     return sol
 
 
-def _newton(dataset, kind, link, config, init, frozen_corr, region):
+def _trial(kind, dataset, beta, link, frozen_corr):
+    """g and its Jacobian at a line-search trial point, or None where the
+    point leaves the link domain. A g that overflows there fails the
+    residual test like any worse point, so the overflow is not warned of."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _evaluate(kind, dataset, beta, link, frozen_corr)
+        except InvalidVarianceError:
+            return None
+
+
+def _newton(dataset, kind, link, config, init, frozen_corr):
     beta = init.copy()
     g, jac = _evaluate(kind, dataset, beta, link, frozen_corr)
     gnorm = float(np.max(np.abs(g)))
@@ -97,13 +109,13 @@ def _newton(dataset, kind, link, config, init, frozen_corr, region):
         accepted = None
         for _ in range(config.max_halvings + 1):
             candidate = beta + t * d
-            if region is not None:
-                candidate = _clip_to_region(candidate, region)
-            g_try, j_try = _evaluate(kind, dataset, candidate, link, frozen_corr)
-            gn_try = float(np.max(np.abs(g_try)))
-            if gn_try < gnorm:
-                accepted = (candidate, g_try, gn_try, j_try)
-                break
+            trial = _trial(kind, dataset, candidate, link, frozen_corr)
+            if trial is not None:
+                g_try, j_try = trial
+                gn_try = float(np.max(np.abs(g_try)))
+                if gn_try < gnorm:
+                    accepted = (candidate, g_try, gn_try, j_try)
+                    break
             t *= 0.5
         if accepted is None:
             break  # stalled: no step decreases the residual
@@ -139,22 +151,12 @@ def _newton_direction(d_mat, g):
         ) from None
 
 
-def _clip_to_region(beta, region: Parameter):
-    out = beta
-    if region.lower is not None:
-        out = np.maximum(out, region.lower)
-    if region.upper is not None:
-        out = np.minimum(out, region.upper)
-    return out
-
-
 def solve_gee(
     dataset: Dataset,
     kind: EstimatingFunction,
     link,
     config: Optional[SolverConfig] = None,
     init=None,
-    region: Optional[Parameter] = None,
 ) -> GeeFit:
     """Solve ``g(beta) = 0`` by damped Newton iteration.
 
@@ -168,19 +170,17 @@ def solve_gee(
         beta0 = default_init(dataset, lk)
     else:
         beta0 = as_beta(init)
-    if region is not None and not region.contains(beta0):
-        raise InvalidInputError("initial point lies outside the declared region")
     if not (kind.variant == "gee_star" and kind.spec.depends_on_data):
         frozen = None
         if kind.variant != "general" and not kind.reduces_to_independence:
             frozen = freeze_proxy(kind, dataset, beta0, lk)
-        return _newton(dataset, kind, lk, config, beta0, frozen, region)
+        return _newton(dataset, kind, lk, config, beta0, frozen)
     # staged fit: independence first, then refit under the refolded proxy
     stage_fit = _newton(
-        dataset, EstimatingFunction.independence(), lk, config, beta0, None, region
+        dataset, EstimatingFunction.independence(), lk, config, beta0, None
     )
     frozen = freeze_proxy(kind, dataset, stage_fit.beta_hat, lk)
-    return _newton(dataset, kind, lk, config, stage_fit.beta_hat, frozen, region)
+    return _newton(dataset, kind, lk, config, stage_fit.beta_hat, frozen)
 
 
 def linear_closed_form(dataset: Dataset, r_sequence) -> np.ndarray:

@@ -212,6 +212,16 @@ def loop_information_increments(clusters, beta, link, corr_seq, rbar_of, deltas=
     return {k: np.array(v) for k, v in out.items()}
 
 
+def loop_score_terms(clusters, beta, link, corr_seq):
+    """Per-cluster C_i (y_i - mu_i), one cluster at a time."""
+    out = []
+    for pos, (y, x) in enumerate(clusters):
+        mean, var = _link_moments(link, x @ beta)
+        r = None if corr_seq is None else corr_seq[pos]
+        out.append(_loop_coefficient(x, var, r) @ (y - mean))
+    return np.array(out)
+
+
 def loop_conditional_variance(clusters, beta, link, corr_seq, rbar_of):
     """Per-cluster C_i Sigma_i C_i', symmetrized, one cluster at a time."""
     out = []

@@ -231,6 +231,42 @@ class TestConditionTrajectories:
         assert all(v <= 3.0 + 1e-12 for v in rep.series["lambda_max_rbar"])
         assert all(v > 0.0 for v in rep.series["lambda_min_rbar"])
 
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_centre_proxy_folded_and_inverted_once(self, monkeypatch, with_truth):
+        # the SLLN trace and the information sums share the centre fold of
+        # the a1 series; the lattice folds its points as one (L, p) stack
+        # and inverts them itself
+        from stochgee import diagnostics
+
+        folds, inversions = [], []
+        stack, inverse = estimating.proxy_stack, estimating._checked_inverse
+
+        def counted_stack(dataset, beta, link):
+            if np.ndim(beta) < 2:
+                folds.append(dataset.n)
+            return stack(dataset, beta, link)
+
+        def counted_inverse(parts):
+            parts = list(parts)
+            if any(np.ndim(mats) == 3 for mats, _ in parts):
+                inversions.append(None)
+            return inverse(parts)
+
+        cfg = gaussian_exch(n=30, link="log", scale=0.4)
+        args = (simulate_scenario(cfg), cfg.beta0, cfg.link)
+        kwargs = dict(
+            spec=WorkingCorrelationSpec.pseudo_likelihood(3),
+            truth=cfg.truth.template(3) if with_truth else None,
+            params=DiagnosticsParams(n_grid=(10, 30)),
+        )
+        want = condition_trajectories(*args, **kwargs).to_json_dict()
+        for module in (estimating, diagnostics):
+            monkeypatch.setattr(module, "proxy_stack", counted_stack)
+        monkeypatch.setattr(estimating, "_checked_inverse", counted_inverse)
+        got = condition_trajectories(*args, **kwargs).to_json_dict()
+        assert got == want
+        assert folds == [30] and len(inversions) == 1
+
 
 def lattice_overflow_pairs():
     """Log-link clusters that are regular at beta = 0 but overflow at

@@ -575,6 +575,39 @@ class TestConditionalVariance:
             direct = coeff @ truth.rbar(3) @ coeff.T
             assert np.max(np.abs(increments[pos] - direct)) < 1e-12
 
+    def test_callback_increments_match_gee_star(self):
+        # the callback returns the gee_star coefficients, so its explicit
+        # C_i and the whitened route give the same increments
+        cfg = exch_scenario(n=20, link="log", scale=0.4)
+        ds = simulate_scenario(cfg)
+        spec = WorkingCorrelationSpec.exchangeable(0.4, 3)
+        rinv = np.linalg.inv(spec.rho + (1.0 - spec.rho) * np.eye(3))
+
+        def coeff(history, x, beta):
+            sd = np.sqrt(np.exp(x @ beta))
+            return (x * sd[:, None]).T @ (rinv / sd[None, :])
+
+        truth = cfg.truth.template(3)
+        got = score_increments(
+            EstimatingFunction.general(coeff), ds, cfg.beta0, "log", truth
+        )
+        ref = score_increments(
+            EstimatingFunction.gee_star(spec), ds, cfg.beta0, "log", truth
+        )
+        for a, b in zip(got, ref):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_frozen_proxy_keeps_the_bits_of_the_fold(self):
+        cfg = exch_scenario(n=25, link="log", scale=0.4)
+        ds = simulate_scenario(cfg)
+        kind = EstimatingFunction.gee_star(WorkingCorrelationSpec.pseudo_likelihood(3))
+        truth = cfg.truth.template(3)
+        proxy = freeze_proxy(kind, ds, cfg.beta0, "log")
+        folded = score_increments(kind, ds, cfg.beta0, "log", truth)
+        frozen = score_increments(kind, ds, cfg.beta0, "log", truth, frozen_corr=proxy)
+        for a, b in zip(folded, frozen):
+            assert np.array_equal(a, b)
+
     def test_increments_psd(self):
         cfg = exch_scenario(n=25, link="log", scale=0.4)
         ds = simulate_scenario(cfg)

@@ -41,6 +41,7 @@ from oracles import (
     loop_lattice_curvature,
     loop_proxy_lattice,
     loop_pseudo_templates,
+    loop_score_terms,
     point_proxy_lattice,
 )
 
@@ -156,9 +157,11 @@ def test_variance_and_information_match_loops(seed, n, m_max, link, variant):
         variant = "pseudo"
     kind, _, seq = variant_setup(variant, ds, rng, beta, link)
     truth = CorrelationTruth.from_kind("exchangeable", 0.4, m_max)
-    _, increments = score_increments(kind, ds, beta, link, truth)
+    q, increments = score_increments(kind, ds, beta, link, truth)
     expect = loop_conditional_variance(pairs(ds), beta, link, seq, truth.rbar)
     assert_close(increments, expect)
+    assert_close(q, loop_score_terms(pairs(ds), beta, link, seq))
+    assert_close(q.sum(axis=0), eval_g(kind, ds, beta, link))
     if kind.variant != "gee_star":
         return
     inc = path_information_increments(ds, beta, link, kind.spec, truth)

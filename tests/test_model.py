@@ -15,7 +15,6 @@ from stochgee import (
     DatasetParseError,
     InvalidInputError,
     InvalidVarianceError,
-    Parameter,
     Perturbation,
     dataset_from_arrays,
     get_link,
@@ -99,13 +98,6 @@ class TestClusterDataset:
         )
         assert ds.prefix(1).n == 1
         assert ds.prefix(2) is ds
-
-    def test_parameter_box(self):
-        par = Parameter(np.array([0.5]), lower=np.array([0.0]), upper=np.array([1.0]))
-        assert par.contains([0.7])
-        assert not par.contains([1.5])
-        with pytest.raises(InvalidInputError):
-            Parameter(np.array([2.0]), lower=np.array([0.0]), upper=np.array([1.0]))
 
 
 def cluster_moments(x, beta, link):

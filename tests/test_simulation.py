@@ -776,6 +776,39 @@ def test_matches_loop_oracle(seed, replication, n, family_link, kind, sizes, tru
         response_family=family,
         seed=seed,
     )
+    assert_matches_loop_oracle(cfg, replication)
+
+
+def test_poisson_walk_fallback_matches_loop_oracle(monkeypatch):
+    # intensities around exp(3.2) pass the walk's cap of 20, so some runs
+    # of the feedback chain fall back from ``_poisson_step`` to the array
+    # step, which no other Poisson path here reaches
+    fallbacks = []
+    array_step = simulation._array_step
+
+    def counted(*args):
+        fallbacks.append(None)
+        return array_step(*args)
+
+    monkeypatch.setattr(simulation, "_array_step", counted)
+    cfg = ScenarioConfig(
+        link="log",
+        beta0=(1.0,),
+        n=30,
+        m_max=5,
+        sizes=SizeSchedule(kind="random", lo=1, hi=5),
+        regressors=RegressorProcess(kind="feedback", loc=3.2, gain=-0.02, scale=0.3),
+        truth=TruthSpec(kind="exchangeable", rho=0.3),
+        response_family="poisson_log",
+        seed=11,
+    )
+    assert_matches_loop_oracle(cfg, 0)
+    assert 0 < len(fallbacks) < cfg.n
+
+
+def assert_matches_loop_oracle(cfg, replication):
+    """Replication ``replication`` of ``cfg`` equals the per-cluster loop
+    bit for bit, or fails at the loop's first bad cluster."""
     try:
         want = loop_simulate_scenario(cfg, replication)
     except LinkDomainExit as exc:

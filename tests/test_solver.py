@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from stochgee import (
     EstimatingFunction,
-    Parameter,
+    InvalidVarianceError,
     RegressorProcess,
     ScenarioConfig,
     SingularDesignError,
@@ -18,9 +19,11 @@ from stochgee import (
     default_init,
     eval_g,
     linear_closed_form,
+    resolve_estimator,
     simulate_scenario,
     solve_gee,
 )
+from stochgee import solver
 
 from oracles import cofactor_det
 
@@ -320,27 +323,92 @@ class TestSolveGee:
         assert fit.converged and ref.converged
         np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=1e-12)
 
-    def test_region_constraint(self):
-        ds = simulate_scenario(scenario())
-        region = Parameter(np.zeros(2), lower=-np.ones(2), upper=np.ones(2))
-        fit = solve_gee(
-            ds, EstimatingFunction.independence(), "identity", region=region
+
+def link_domain_case():
+    """50 clusters of size 3 with x = (1, z) and y = exp(0.3 + 0.5 z) plus
+    noise: from beta = (-6, 0) the first full Newton step of a log-link
+    fit leaves the link's domain."""
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal((50, 3))
+    y = np.exp(0.3 + 0.5 * z) + 0.1 * rng.standard_normal((50, 3))
+    pairs = [(yi, np.column_stack((np.ones(3), zi))) for yi, zi in zip(y, z)]
+    return dataset_from_arrays(pairs, m_max=3)
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize(
+        "name, init",
+        [
+            # the trial moments overflow, which _moments rejects
+            ("exchangeable:0.4", (-6.0, 0.0)),
+            # the trial means overflow into an independence g of NaN
+            ("independence", (-6.0, -1.0)),
+        ],
+    )
+    def test_trial_point_outside_link_domain_halves_the_step(
+        self, monkeypatch, name, init
+    ):
+        points = []
+        real_evaluate = solver._evaluate
+
+        def evaluate(kind, dataset, beta, link, frozen_corr=None):
+            points.append(beta)
+            return real_evaluate(kind, dataset, beta, link, frozen_corr)
+
+        monkeypatch.setattr(solver, "_evaluate", evaluate)
+        kind = resolve_estimator(name, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = solve_gee(link_domain_case(), kind, "log", init=np.array(init))
+        assert fit.converged
+        np.testing.assert_allclose(fit.beta_hat, [0.28, 0.52], atol=0.01)
+        # beside the start and the accepted iterates, some trial failed and
+        # its step was halved
+        assert len(points) > fit.iterations + 1
+
+    def test_start_outside_link_domain_raises(self):
+        kind = resolve_estimator("exchangeable:0.4", 3)
+        with pytest.raises(InvalidVarianceError, match="^cluster 1: non-finite"):
+            solve_gee(link_domain_case(), kind, "log", init=np.array([800.0, 0.0]))
+
+    @pytest.mark.parametrize("link", ["identity", "log"])
+    def test_duplicate_columns_take_the_ridge_retry(self, monkeypatch, link):
+        # X_i = (1, z, z) makes every Jacobian exactly singular; the ridge
+        # splits the slope of the fit on (1, z) evenly between the copies
+        ds = link_domain_case()
+        twice = dataset_from_arrays(
+            [(c.response, c.regressors[:, [0, 1, 1]]) for c in ds.clusters], m_max=3
         )
-        assert region.contains(fit.beta_hat)
+        singular = []
+        real_solve = np.linalg.solve
 
-    def test_init_outside_region_rejected(self):
-        from stochgee import InvalidInputError
+        def solve(a, b):
+            try:
+                return real_solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(None)
+                raise
 
-        ds = simulate_scenario(scenario())
-        region = Parameter(np.zeros(2), lower=-np.ones(2), upper=np.ones(2))
-        with pytest.raises(InvalidInputError):
-            solve_gee(
-                ds,
-                EstimatingFunction.independence(),
-                "identity",
-                init=np.array([5.0, 0.0]),
-                region=region,
-            )
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        kind = EstimatingFunction.independence()
+        fit = solve_gee(twice, kind, link)
+        ref = solve_gee(ds, kind, link)
+        assert fit.converged and ref.converged
+        assert len(singular) >= fit.iterations > 0
+        beta = fit.beta_hat
+        np.testing.assert_allclose(beta[1], beta[2], rtol=1e-9)
+        np.testing.assert_allclose([beta[0], beta[1] + beta[2]], ref.beta_hat, rtol=1e-9)
+
+    @pytest.mark.parametrize("name", ["independence", "exchangeable:0.4"])
+    def test_stall_below_the_roundoff_floor_stops_early(self, name):
+        # no ||g|| can reach 1e-30, so the line search stalls at the floor
+        config = SolverConfig(tol_g=1e-30)
+        kind = resolve_estimator(name, 3)
+        fit = solve_gee(link_domain_case(), kind, "log", config)
+        assert fit.iterations < config.max_iter
+        norms = [t[1] for t in fit.trace]
+        assert all(b <= a for a, b in zip(norms, norms[1:]))
+        assert fit.final_residual_norm == norms[-1] < 1e-10
 
 
 class TestDefaultInit:

@@ -133,6 +133,20 @@ def test_poisson_diagnose_loads_special_only(tmp_path):
     assert [m for m in loaded if m.startswith("scipy.linalg")] == []
 
 
+def test_study_pool_forks_after_the_copula_import(tmp_path):
+    # forked workers inherit the parent's modules, so a copula study imports
+    # scipy.special before its pool starts; a gaussian study loads no SciPy
+    for family in ("poisson_log", "gaussian_link_moments"):
+        (tmp_path / "s.ini").write_text(scenario(kind="feedback", family=family))
+        argv = ["study-consistency", "--scenario", "s.ini", "--jobs", "2", "--reps", "4"]
+        code = main_calls(argv + ["--n-grid", "30,60", "--out", family])
+        loaded = scipy_after(code, tmp_path)
+        if family == "poisson_log":
+            assert "scipy.special" in loaded
+        else:
+            assert loaded == []
+
+
 def test_gaussian_study_optimality_loads_no_scipy(tmp_path):
     (tmp_path / "s.ini").write_text(scenario())
     argv = ["study-optimality", "--scenario", "s.ini", "--jobs", "1", "--reps", "2"]
