@@ -9,6 +9,7 @@ deterministic lattice, documented in the report metadata.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,11 +21,11 @@ from .correlation import WorkingCorrelationSpec, working_corr
 from .estimating import (
     CorrelationTruth,
     EstimatingFunction,
+    _FD_STEP,
     _bucket_proxies,
     _invert_proxies,
     a2_halving_pass,
     a2_schedule,
-    central_points,
     det_ratio,
     freeze_proxy,
     path_information_increments,
@@ -55,8 +56,14 @@ _PERTURBATION_TAG = 0x5045525442455441  # distinguishes the schedule stream
 #: stacked proxy entries (512 KiB of float64) one block of the lattice fold
 #: may hold; a block takes whole points with their central-difference
 #: neighbours, at least one point, so with p = 2 and clusters of size 3 the
-#: default 25-point lattice is one block up to 57 clusters
+#: default 25-point lattice is one block up to 57 clusters. Once one point's
+#: stacks pass the budget (from 1456 such clusters) a block is that one
+#: point whatever its size, so the budget no longer bounds memory
 _LATTICE_BLOCK_ELEMENTS = 1 << 16
+
+#: relative widening of the eigenvalue bounds by which the lattice screens
+#: out matrices, far above the error of LAPACK's eigenvalues
+_SCREEN_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -381,6 +388,58 @@ def _power(x: float, k: int) -> float:
         return math.inf
 
 
+def _fold(ufunc, a, axis=-1):
+    """``ufunc.reduce(a, axis)`` one slice at a time: NumPy reduces along
+    a short axis far more slowly."""
+    return functools.reduce(ufunc, np.moveaxis(a, axis, 0))
+
+
+def _lattice_matrices(dataset, lk, roots, block):
+    """The symmetrized matrices of the lattice at the points of ``block``,
+    with bounds of their eigenvalues.
+
+    Each point is folded with its central-difference neighbours, in the
+    order point, point + h e_1, point - h e_1, point + h e_2, ..., with
+    the steps of ``central_points``. Per cluster-size bucket, ``mats``
+    holds the (point, cluster, m, m) stack of sqrt(R) R(point)^{-1}
+    sqrt(R), where ``roots`` holds the buckets' sqrt(R) at the centre,
+    and the (point, l, cluster, m, m) stack of dR/dbeta_l. ``lower``
+    (point, 2, cluster) bounds the eigenvalue that pi, then d, takes from
+    below; ``upper`` (point, 1 + p, cluster) bounds that of each matrix
+    from above.
+    """
+
+    def sym(m):
+        return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+    p = dataset.p
+    h = _FD_STEP * np.maximum(1.0, np.abs(block))
+    shift = h[:, :, None] * np.eye(p)
+    pairs = np.stack((block[:, None] + shift, block[:, None] - shift), axis=2)
+    visits = np.concatenate((block[:, None], pairs.reshape(len(block), 2 * p, p)), 1)
+    stacks = proxy_stack(dataset, visits.reshape(-1, p), lk)
+    stacks = stacks.reshape((len(block), 1 + 2 * p) + stacks.shape[1:])
+    diffs = stacks[:, 1::2] - stacks[:, 2::2]
+    diffs /= (2.0 * h)[:, :, None, None, None]
+    lower = np.empty((len(block), 2, dataset.n))
+    upper = np.empty((len(block), 1 + p, dataset.n))
+    mats = []
+    for b, root in zip(dataset.buckets, roots):
+        m, at = b.size, b.positions
+        q = sym(root @ np.linalg.inv(stacks[:, 0, at, :m, :m]) @ root)
+        dq = sym(diffs[:, :, at, :m, :m])
+        mats.append((q, dq))
+        with np.errstate(over="ignore"):
+            lower[:, 0, at] = _fold(np.maximum, np.diagonal(q, 0, -2, -1))
+            upper[:, 0, at] = _fold(np.maximum, _fold(np.add, np.abs(q)))
+            # squared column norms of each dR/dbeta_l
+            columns = _fold(np.add, dq * dq, axis=-2)
+            radius = np.sqrt(_fold(np.maximum, columns))
+            lower[:, 1, at] = _fold(np.maximum, radius, axis=1)
+            upper[:, 1:, at] = np.sqrt(_fold(np.add, columns))
+    return mats, lower, upper
+
+
 def _proxy_lattice_quantities(dataset, centre, lk, lattices, n_grid):
     """pi_n(r) and d_n(r) along the checkpoints; ``centre`` is the proxy
     stack at the centre, or None for a data-independent proxy.
@@ -391,8 +450,23 @@ def _proxy_lattice_quantities(dataset, centre, lk, lattices, n_grid):
     (the centre is shared by all radii) and at each point's
     central-difference neighbours, in blocks of whole points of at most
     ``_LATTICE_BLOCK_ELEMENTS`` stacked entries, each block in one
-    ``proxy_stack`` batch; its matrices are inverted and diagonalized as
-    (points, clusters, m, m) stacks per cluster-size bucket.
+    ``proxy_stack`` batch; its matrices are inverted as (points, clusters,
+    m, m) stacks per cluster-size bucket.
+
+    Each reported value is a running maximum, so only a few matrices can
+    set one, and the eigenvalues are screened (Horn & Johnson, Matrix
+    Analysis, 5.6 and 6.1). For pi, ``max diag(q) <= lambda_max(q) <=
+    max_i sum_j |q_ij|``; for d, the largest column norm of dR/dbeta_l
+    bounds its spectral radius from below and the Frobenius norm from
+    above. A matrix is diagonalized only where its upper bound, widened by
+    ``_SCREEN_MARGIN``, reaches its threshold: for each radius of its
+    point, the largest lower bound seen so far among that radius's points
+    and the clusters up to the end of its checkpoint segment, and the
+    lowest of these over the radii. The thresholds only rise from block
+    to block, so a matrix screened out cannot set a maximum; it counts as
+    -inf. A NaN or infinite bound never screens a matrix out nor raises a
+    threshold. ``eigvalsh`` gives the same bits on a subset of a stack as
+    on the whole, so the series are those of the unscreened fold.
     """
     r_grid = list(lattices)
     if centre is None:
@@ -400,60 +474,82 @@ def _proxy_lattice_quantities(dataset, centre, lk, lattices, n_grid):
         zeros = [0.0] * len(n_grid)
         return {r: list(ones) for r in r_grid}, {r: list(zeros) for r in r_grid}
 
-    def sym(m):
-        return 0.5 * (m + np.swapaxes(m, -1, -2))
-
     roots = []
     for mats in _bucket_proxies(dataset, centre):
         w, v = np.linalg.eigh(mats)
         root_w = np.sqrt(np.maximum(w, 0.0))[:, None, :]
         roots.append((v * root_w) @ np.swapaxes(v, 1, 2))
 
-    distinct: dict = {}
-    for lattice in lattices.values():
-        for point in lattice:
-            distinct.setdefault(point.tobytes(), point)
-    points = list(distinct.values())
-    row_of = {key: j for j, key in enumerate(distinct)}
-    # each point is folded with its central-difference neighbours, in the
-    # order point, point + h e_1, point - h e_1, point + h e_2, ...
+    # each radius's points but the centre, then the centre that they all
+    # share; it comes last because there every q is the identity up to
+    # rounding, so its matrices tie and only the other points' thresholds
+    # can screen them. member[k, j]: point j lies on the k-th lattice
+    lattice = list(lattices.values())
+    size = len(lattice[0]) - 1
+    points = np.concatenate([pts[1:] for pts in lattice] + [lattice[0][:1]])
+    member = np.zeros((len(r_grid), len(points)), dtype=bool)
+    for k in range(len(r_grid)):
+        member[k, k * size : (k + 1) * size] = True
+    member[:, -1] = True
+    last = np.asarray(n_grid) - 1
+    # a cluster's checkpoint segment: the first checkpoint that reads it,
+    # len(n_grid) past the last one
+    segment = np.searchsorted(last, np.arange(dataset.n))
+    # floors[k, c, s]: the largest lower bound of quantity c (pi, d) seen
+    # so far among the k-th radius's points and the clusters up to
+    # checkpoint s; +inf past the last checkpoint, where nothing is read
+    floors = np.full((len(r_grid), 2, len(n_grid) + 1), -np.inf)
+    floors[..., -1] = np.inf
+    # the quantity that each bound of ``upper`` serves: pi for q, then d
+    # for each dR/dbeta_l
+    quantity = np.minimum(np.arange(1 + dataset.p), 1)
+
+    def screen(lower, upper, rows):
+        """Raise the floors by a block's (point, quantity, cluster) lower
+        bounds and mark the matrices whose upper bound reaches the
+        threshold."""
+        on = member[:, rows, None, None]
+        # a bound that overflowed bounds nothing
+        seen = np.where(on & np.isfinite(lower), lower, -np.inf).max(axis=1)
+        seen = np.maximum.accumulate(seen, axis=-1)[..., last]
+        np.maximum(floors[..., :-1], seen, out=floors[..., :-1])
+        t = np.where(on, floors[:, None], np.inf).min(axis=0)
+        t = t[:, quantity][..., segment]
+        return ~(upper * (1.0 + _SCREEN_MARGIN) < t * (1.0 - _SCREEN_MARGIN))
+
+    def fold(rows):
+        """pi and d at the points of ``rows``, screened; the block's stacks
+        die with the call."""
+        mats, lower, upper = _lattice_matrices(dataset, lk, roots, points[rows])
+        keep = screen(lower, upper, rows)
+        for b, (q, dq) in zip(dataset.buckets, mats):
+            # the largest eigenvalue of q
+            hit = keep[:, 0, b.positions]
+            top = np.full(hit.shape, -np.inf)
+            if hit.any():
+                top[hit] = np.linalg.eigvalsh(q[hit])[:, -1]
+            pi[rows, b.positions] = top
+            # the largest |eigenvalue| of dR/dbeta_l, over l
+            hit = keep[:, 1:, b.positions]
+            rad = np.full(hit.shape, -np.inf)
+            if hit.any():
+                w = np.linalg.eigvalsh(dq[hit])
+                rad[hit] = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+            d[rows, b.positions] = _fold(np.maximum, rad, axis=1)
+
     width = 1 + 2 * dataset.p
     per_block = max(1, _LATTICE_BLOCK_ELEMENTS // (width * centre.size))
     pi = np.empty((len(points), dataset.n))
     d = np.empty((len(points), dataset.n))
     for start in range(0, len(points), per_block):
-        block = points[start : start + per_block]
-        visits, steps = [], []
-        for point in block:
-            visits.append(point)
-            for h, bp, bm in central_points(point):
-                visits += [bp, bm]
-                steps.append(2.0 * h)
-        stacks = proxy_stack(dataset, np.array(visits), lk)
-        stacks = stacks.reshape((len(block), width) + centre.shape)
-        steps = np.reshape(steps, (len(block), -1, 1, 1, 1))
-        diffs = stacks[:, 1::2] - stacks[:, 2::2]
-        diffs /= steps
-        extremes = np.empty((len(block), dataset.p, dataset.n))
-        rows = slice(start, start + len(block))
-        for b, root in zip(dataset.buckets, roots):
-            m = b.size
-            # largest eigenvalue of sqrt(R) R(point)^{-1} sqrt(R) per cluster
-            q = root @ np.linalg.inv(stacks[:, 0, b.positions, :m, :m]) @ root
-            pi[rows, b.positions] = np.linalg.eigvalsh(sym(q))[..., -1]
-            # largest |eigenvalue| of the central difference dR/dbeta_l
-            w = np.linalg.eigvalsh(sym(diffs[:, :, b.positions, :m, :m]))
-            extremes[:, :, b.positions] = np.abs(w[..., [0, -1]]).max(axis=-1)
-        d[rows] = extremes.max(axis=1)
+        fold(slice(start, start + per_block))
 
     pi_out: dict = {}
     d_out: dict = {}
-    last = np.asarray(n_grid) - 1
-    for r in r_grid:
-        at = [row_of[point.tobytes()] for point in lattices[r]]
+    for k, r in enumerate(r_grid):
         # running maxima over the clusters, read at the checkpoints
-        pi_out[r] = np.maximum.accumulate(pi[at].max(axis=0))[last].tolist()
-        d_out[r] = np.maximum.accumulate(d[at].max(axis=0))[last].tolist()
+        pi_out[r] = np.maximum.accumulate(pi[member[k]].max(axis=0))[last].tolist()
+        d_out[r] = np.maximum.accumulate(d[member[k]].max(axis=0))[last].tolist()
     return pi_out, d_out
 
 

@@ -551,7 +551,16 @@ def _evaluate(kind, dataset, beta, lk, frozen_corr=None) -> tuple:
     analytic = lk.kind in ("identity", "log")
     if kind.reduces_to_independence:
         eta = dataset.x @ beta
-        g = dataset.x.T @ (dataset.y - lk.eval(0, eta))
+        mean = lk.eval(0, eta)
+        if not np.isfinite(mean).all():
+            # the rows of each bucket, laid out as _moments lays them out
+            starts = [(dataset.offsets[b.positions], b.size) for b in dataset.buckets]
+            rows = [at[:, None] + np.arange(m) for at, m in starts]
+            index = _first_offender(dataset, [~np.isfinite(mean[r]) for r in rows])
+            raise InvalidVarianceError(
+                f"cluster {index}: non-finite moments at beta={beta.tolist()}"
+            )
+        g = dataset.x.T @ (dataset.y - mean)
         if analytic:
             return g, lambda: dataset.x.T @ (dataset.x * lk.eval(1, eta)[:, None])
     elif kind.variant == "gee_star":

@@ -30,8 +30,11 @@ from stochgee import (
     slln_decay_study,
     slln_monitor,
 )
-from stochgee import estimating, simulation
+from stochgee import diagnostics, estimating, simulation
+from stochgee.model import get_link
 from stochgee.simulation import _quartiles
+
+from oracles import point_proxy_lattice
 
 
 def gaussian_exch(seed=5, n=60, link="identity", scale=1.0):
@@ -319,6 +322,53 @@ class TestLatticeErrorPath:
         report = condition_trajectories(ds, np.zeros(2), "log", spec, params=params)
         assert report.series_by_r["c5"][0.25] == [math.inf]
         assert all(math.isfinite(v) for v in report.series_by_r["d"][0.25])
+
+
+def assert_lattice_matches_oracle(ds, beta, params):
+    spec = WorkingCorrelationSpec.pseudo_likelihood(ds.m_max)
+    report = condition_trajectories(ds, beta, "log", spec, params=params)
+    lattices = {r: ball_lattice(beta, r) for r in params.r_grid}
+    n_grid = params.n_grid or (ds.n,)
+    pi, d = point_proxy_lattice(ds, beta, get_link("log"), lattices, n_grid)
+    for r in params.r_grid:
+        np.testing.assert_array_equal(report.series_by_r["pi"][r], pi[r])
+        np.testing.assert_array_equal(report.series_by_r["d"][r], d[r])
+    return report
+
+
+class TestLatticeScreenFallsBack:
+    """Matrices whose eigenvalue bounds cannot screen them take the exact
+    path, and the lattice series stay those of the unscreened fold."""
+
+    @pytest.mark.parametrize("n_grid", [None, (3, 5), (1, 4, 8)])
+    def test_overflowing_bounds(self, monkeypatch, n_grid):
+        # at radius 0.25 some proxy derivatives are finite but so large
+        # (d reaches 8e164) that their squared column norms overflow to inf
+        bounds = []
+        real = diagnostics._lattice_matrices
+
+        def spy(*args):
+            mats, lower, upper = real(*args)
+            bounds.append((lower, upper))
+            return mats, lower, upper
+
+        monkeypatch.setattr(diagnostics, "_lattice_matrices", spy)
+        ds = dataset_from_arrays(lattice_overflow_pairs(), m_max=2)
+        params = DiagnosticsParams(r_grid=(0.25,), n_grid=n_grid)
+        assert_lattice_matches_oracle(ds, np.zeros(2), params)
+        assert any(np.isinf(lo).any() and np.isinf(up).any() for lo, up in bounds)
+
+    @pytest.mark.parametrize("n_grid", [None, (2, 5), (1, 2, 3, 4, 5, 6, 7)])
+    def test_tied_bounds(self, n_grid):
+        # clusters of size 1 with zero regressors: the proxy does not move
+        # with beta, so every dR/dbeta_l is 0 and both of its bounds are 0,
+        # and the lower and upper bound of each 1 x 1 q are equal
+        rng = np.random.default_rng(4)
+        pairs = [(1.0 + rng.standard_normal(1), np.zeros((1, 2))) for _ in range(7)]
+        ds = dataset_from_arrays(pairs, m_max=1)
+        params = DiagnosticsParams(n_grid=n_grid)
+        report = assert_lattice_matches_oracle(ds, np.array([0.2, -0.1]), params)
+        assert all(v == 0.0 for by_r in report.series_by_r["d"].values() for v in by_r)
 
 
 class TestSllnMonitor:

@@ -1,6 +1,8 @@
 """The batched per-cluster kernel and the prefix-sum proxy against the
 per-cluster reference loops."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -405,11 +407,18 @@ def test_pseudo_condition_trajectories_match_loops(seed, n, m_max, link):
     assert_close(report.series["lambda_max_rstar"], extremes[:, -1])
 
 
-def batched_lattice_case(seed, n, m_max, link, radii):
+def batched_lattice_case(seed, n, m_max, link, radii, checkpoints=0):
+    """The lattice series of the report against the point-by-point oracle,
+    bit for bit; the checkpoints are 1..n, or that many (at most n) drawn
+    at random, so that a segment between them holds several clusters and
+    the clusters past the last one are read by none."""
     ds, rng = mixed_dataset(seed, n, m_max)
     beta = rng.uniform(-0.5, 0.5, size=2)
     r_grid = tuple(sorted(rng.uniform(0.05, 0.6, size=radii), reverse=True))
-    params = DiagnosticsParams(r_grid=r_grid, n_grid=tuple(range(1, n + 1)))
+    n_grid = tuple(range(1, n + 1))
+    if checkpoints:
+        n_grid = tuple(sorted(rng.choice(n_grid, min(checkpoints, n), replace=False)))
+    params = DiagnosticsParams(r_grid=r_grid, n_grid=n_grid)
     spec = WorkingCorrelationSpec.pseudo_likelihood(m_max)
     report = condition_trajectories(ds, beta, link, spec, params=params)
     lattices = {r: ball_lattice(beta, r) for r in params.r_grid}
@@ -426,17 +435,49 @@ def batched_lattice_case(seed, n, m_max, link, radii):
     m_max=st.integers(1, 4),
     link=st.sampled_from(["identity", "log"]),
     radii=st.integers(1, 3),
+    checkpoints=st.integers(0, 3),
 )
-def test_batched_lattice_equals_point_by_point(seed, n, m_max, link, radii):
-    batched_lattice_case(seed, n, m_max, link, radii)
+def test_batched_lattice_equals_point_by_point(seed, n, m_max, link, radii, checkpoints):
+    batched_lattice_case(seed, n, m_max, link, radii, checkpoints)
 
 
+@pytest.mark.parametrize("checkpoints", [0, 2])
 @pytest.mark.parametrize("budget", [1, 1200])
-def test_batched_lattice_in_blocks_equals_point_by_point(monkeypatch, budget):
+def test_batched_lattice_in_blocks_equals_point_by_point(
+    monkeypatch, budget, checkpoints
+):
     # a budget of 1 folds one point (with its 4 neighbours) per block; 1200
     # entries hold 2 of the 25 distinct points: 2 * 5 * 12 * 3 * 3 = 1080
     monkeypatch.setattr(diagnostics, "_LATTICE_BLOCK_ELEMENTS", budget)
-    batched_lattice_case(seed=8, n=11, m_max=3, link="log", radii=3)
+    batched_lattice_case(8, n=11, m_max=3, link="log", radii=3, checkpoints=checkpoints)
+
+
+def test_lattice_screen_skips_most_eigenvalues(monkeypatch):
+    # 300 clusters of sizes 1..3, the default 25-point lattice and three
+    # checkpoints: without the screen, every point and cluster hands q and
+    # dR/dbeta_1, dR/dbeta_2 to eigvalsh, 3 * 25 * 300 = 22500 matrices
+    ds, rng = mixed_dataset(30, 300, 3)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    params = DiagnosticsParams(n_grid=(100, 200, 300))
+    lattices = {r: ball_lattice(beta, r) for r in params.r_grid}
+    pi, d = point_proxy_lattice(ds, beta, get_link("log"), lattices, params.n_grid)
+    # count the matrices of the calls made in diagnostics itself, not the
+    # eigenvalue-floor checks of the proxy fold
+    counted = []
+    real = np.linalg.eigvalsh
+
+    def eigvalsh(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == diagnostics.__name__:
+            counted.append(int(np.prod(np.shape(a)[:-2])))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    spec = WorkingCorrelationSpec.pseudo_likelihood(3)
+    report = condition_trajectories(ds, beta, "log", spec, params=params)
+    for r in params.r_grid:
+        np.testing.assert_array_equal(report.series_by_r["pi"][r], pi[r])
+        np.testing.assert_array_equal(report.series_by_r["d"][r], d[r])
+    assert 0 < sum(counted) < 0.1 * 3 * 25 * 300
 
 
 def test_lattice_fold_count_does_not_grow_with_the_radii(monkeypatch):

@@ -341,7 +341,7 @@ class TestLineSearch:
         [
             # the trial moments overflow, which _moments rejects
             ("exchangeable:0.4", (-6.0, 0.0)),
-            # the trial means overflow into an independence g of NaN
+            # the trial means overflow, which _evaluate rejects
             ("independence", (-6.0, -1.0)),
         ],
     )
@@ -366,8 +366,9 @@ class TestLineSearch:
         # its step was halved
         assert len(points) > fit.iterations + 1
 
-    def test_start_outside_link_domain_raises(self):
-        kind = resolve_estimator("exchangeable:0.4", 3)
+    @pytest.mark.parametrize("name", ["exchangeable:0.4", "independence"])
+    def test_start_outside_link_domain_raises(self, name):
+        kind = resolve_estimator(name, 3)
         with pytest.raises(InvalidVarianceError, match="^cluster 1: non-finite"):
             solve_gee(link_domain_case(), kind, "log", init=np.array([800.0, 0.0]))
 
