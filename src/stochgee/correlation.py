@@ -135,9 +135,11 @@ def residual_moment_templates(sums, counts, count) -> np.ndarray:
     ``sums`` and ``counts`` are (..., k, d, d) accumulated
     standardized-residual outer products and their per-entry counts after
     ``count[j]`` clusters; ``counts`` may have fewer leading axes than
-    ``sums`` and is then shared by every template of them. Each template
-    is the per-entry mean shrunk toward the identity, then floored at
-    MIN_EIGENVALUE; no clusters give the identity.
+    ``sums`` and is then shared by every template of them. The counts are
+    those of leading blocks (``Dataset.fold_counts``), so the last
+    diagonal entry is the least covered and the first the most. Each
+    template is the per-entry mean shrunk toward the identity, then
+    floored at MIN_EIGENVALUE; no clusters give the identity.
     """
     d = sums.shape[-1]
     count = np.asarray(count)
@@ -155,7 +157,7 @@ def residual_moment_templates(sums, counts, count) -> np.ndarray:
     t += eps * np.eye(d)
     # a homogeneous count matrix means the running sum is a true average
     # of PSD outer products, so the shrinkage alone may keep the floor
-    lo, hi = counts.min(axis=(-2, -1)), counts.max(axis=(-2, -1))
+    lo, hi = counts[..., -1, -1], counts[..., 0, 0]
     homogeneous = (lo == count) & (hi == count)
     check = ~(homogeneous & _shrinkage_keeps_floor(count, d))
     if check.any():
@@ -163,32 +165,31 @@ def residual_moment_templates(sums, counts, count) -> np.ndarray:
     return t
 
 
-def residual_moment_terms(dataset: Dataset, resid) -> tuple:
-    """The zero-padded residual outer products and their count masks.
+def residual_moment_terms(dataset: Dataset, resid) -> np.ndarray:
+    """The zero-padded residual outer products.
 
     ``resid[b]`` holds the (..., k, m) standardized residuals of bucket
     ``b`` of ``dataset``, with the same leading axes in every bucket.
-    Returns ``outer`` of shape (..., n+1, m_max, m_max) and ``mask`` of
-    shape (n+1, m_max, m_max): row 0 is zero and row ``i + 1`` holds
-    cluster ``i`` (0-based) in its leading m_i x m_i block.
+    Returns shape (..., n+1, m_max, m_max): row 0 is zero and row ``i + 1``
+    holds cluster ``i`` (0-based) in its leading m_i x m_i block. Their
+    counts are ``dataset.fold_counts``.
     """
     shape = (dataset.n + 1, dataset.m_max, dataset.m_max)
     outer = np.zeros(resid[0].shape[:-2] + shape)
-    mask = np.zeros(shape, dtype=np.int64)
     for b, r in zip(dataset.buckets, resid):
         outer[..., b.positions + 1, : b.size, : b.size] = r[..., None] * r[..., None, :]
-        mask[b.positions + 1, : b.size, : b.size] = 1
-    return outer, mask
+    return outer
 
 
 def residual_moment_sums(dataset: Dataset, resid) -> tuple:
     """Prefix sums of ``residual_moment_terms`` along the clusters:
     ``(sums, counts)``, where row ``i`` is the fold over the first ``i``
-    clusters, in cluster order. ``np.cumsum`` adds the rows one after
-    another, so row ``i`` equals the sequential ``+=`` bit for bit.
+    clusters, in cluster order, and ``counts`` are the dataset's
+    ``fold_counts``. ``np.cumsum`` adds the rows one after another, so
+    row ``i`` equals the sequential ``+=`` bit for bit.
     """
-    outer, mask = residual_moment_terms(dataset, resid)
-    return np.cumsum(outer, axis=-3), np.cumsum(mask, axis=0)
+    sums = np.cumsum(residual_moment_terms(dataset, resid), axis=-3)
+    return sums, dataset.fold_counts
 
 
 def residual_moment_stack(dataset: Dataset, resid) -> np.ndarray:

@@ -21,14 +21,16 @@ from .correlation import WorkingCorrelationSpec, working_corr
 from .estimating import (
     CorrelationTruth,
     EstimatingFunction,
+    FrozenProxy,
     _FD_STEP,
+    _a2_decide,
     _bucket_proxies,
     _invert_proxies,
+    _scheduled_deltas,
     a2_halving_pass,
-    a2_schedule,
     det_ratio,
     freeze_proxy,
-    path_information_increments,
+    information_sums,
     proxy_stack,
     score_increments,
 )
@@ -284,10 +286,7 @@ def condition_trajectories(
     }
 
     if truth is not None:
-        inc = path_information_increments(
-            dataset, beta, lk, spec, truth, frozen_corr=proxy
-        )
-        s = _checkpoint_sums(inc, n_grid)
+        s = information_sums(dataset, beta, lk, spec, truth, n_grid, frozen_corr=proxy)
         for name, key in (("det_ratio_h", "h_star"), ("det_ratio_m", "m_star")):
             series[name] = [_safe_ratio(a, b) for a, b in zip(s[key], s["m_bar"])]
 
@@ -617,44 +616,45 @@ def _optimality_worker(config, specs, n_grid, perturbed, chunk):
 
 
 def _optimality_sums(config, specs, n_grid, perturbed, rep, ds) -> dict:
+    """One replication's ``information_sums`` per spec, plain and, with
+    ``perturbed``, on the path shifted by the spec's ``a2_schedule``, with
+    the count of its violations.
+
+    Each proxy is folded once: the unperturbed one by ``freeze_proxy``,
+    shared by the plain sums and the schedule's decisions, and the
+    perturbed one by the decisions themselves, whose inverses are the
+    shifted dataset's ``FrozenProxy``. The violations are counted from
+    the decisions' gap arrays, as ``a2_schedule`` lists them.
+    """
     truth = config.truth.template(config.m_max)
-    beta_ref = config.beta0_array
+    beta_ref, link = config.beta0_array, config.link
     pert_seed = splitmix64(replication_seed(config.seed, rep) ^ _PERTURBATION_TAG)
     # the draws and halvings of the schedule are shared by every spec; they
     # are taken where the first spec's schedule would take them
     halving = None
     out = {}
     for name, spec in specs:
-        # the unperturbed proxy, folded and inverted once for the plain sums
-        # and the schedule
-        proxy = freeze_proxy(EstimatingFunction.gee_star(spec), ds, beta_ref, config.link)
-        inc = path_information_increments(
-            ds, beta_ref, config.link, spec, truth, frozen_corr=proxy
-        )
-        entry = {"plain": _checkpoint_sums(inc, n_grid)}
+        proxy = freeze_proxy(EstimatingFunction.gee_star(spec), ds, beta_ref, link)
+        sums = information_sums(ds, beta_ref, link, spec, truth, n_grid, proxy)
+        entry = {"plain": sums}
         if perturbed:
             if halving is None:
-                halving = a2_halving_pass(ds, beta_ref, config.link, pert_seed)
-            schedule, report = a2_schedule(halving, spec, frozen_corr=proxy)
-            inc_p = path_information_increments(
-                ds, beta_ref, config.link, spec, truth, perturbation=schedule
+                halving = a2_halving_pass(ds, beta_ref, link, pert_seed)
+            decided = _a2_decide(halving, spec, frozen_corr=proxy)
+            shifted = ds.shifted(_scheduled_deltas(halving, decided.collapsed))
+            # the perturbed proxy as the decisions inverted it; a
+            # data-independent proxy is the unperturbed one
+            frozen = FrozenProxy(shifted, decided.inverses or proxy.inverses)
+            entry["perturbed"] = information_sums(
+                shifted, beta_ref, link, spec, truth, n_grid, frozen
             )
-            entry["perturbed"] = _checkpoint_sums(inc_p, n_grid)
-            entry["a2_violations"] = len(report["violations"])
+            entry["a2_violations"] = int(np.count_nonzero(decided.violated))
         out[name] = entry
     return out
 
 
 #: the comparison matrices an optimality row reads: H*, M-bar and M*
 _INFORMATION = ("h_star", "m_bar", "m_star")
-
-
-def _checkpoint_sums(increments: dict, n_grid) -> dict:
-    out = {}
-    for key in _INFORMATION:
-        cum = np.cumsum(increments[key], axis=0)
-        out[key] = np.stack([cum[n - 1] for n in n_grid])
-    return out
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -239,8 +239,10 @@ class FrozenProxy:
     Entry ``b`` of ``inverses`` serves bucket ``b`` of ``dataset``: one
     (m, m) inverse shared by every cluster of that size (a fixed template
     or the true correlation) or a (k, m, m) stack with one per cluster.
-    Build it with ``freeze_proxy``; passed as ``frozen_corr`` it spares
-    every evaluation the proxy fold and inversion.
+    Build it with ``freeze_proxy``, or from the inverses that
+    ``_a2_decide`` returns for the shifted dataset of its schedule; passed
+    as ``frozen_corr`` it spares every evaluation the proxy fold and
+    inversion.
     """
 
     dataset: Dataset
@@ -361,8 +363,8 @@ def _moments(dataset: Dataset, beta: np.ndarray, lk) -> list:
 
     Raises InvalidVarianceError for the first cluster, in cluster order,
     with a non-finite moment or a nonpositive variance.
-    At an (L, p) stack of points each is (L, k, m), every point's linear
-    predictor its own ``b.x @ point``; a stack is left for
+    At an (L, p) stack of points each is (L, k, m), from one batched
+    product whose matrices are each ``b.x @ point``; a stack is left for
     ``_pearson_residuals`` to check.
     """
     if dataset.p != beta.shape[-1]:
@@ -371,7 +373,10 @@ def _moments(dataset: Dataset, beta: np.ndarray, lk) -> list:
         )
     out = []
     for b in dataset.buckets:
-        eta = b.x @ beta if beta.ndim == 1 else np.stack([b.x @ pt for pt in beta])
+        if beta.ndim == 1:
+            eta = b.x @ beta
+        else:
+            eta = (b.x[None] @ beta[:, None, :, None])[..., 0]
         out.append((lk.eval(0, eta), lk.eval(1, eta)))
     if beta.ndim > 1:
         return out
@@ -666,6 +671,36 @@ def eval_g_perturbed(
 # information / covariance matrices of the section-4 comparison
 
 
+#: each comparison matrix as the product a'c of two factors (a, c) of
+#: ``_information_factors``, which are z, v, w and u in that order
+_INFORMATION_PAIRS = {
+    "h_ind": (0, 0),
+    "h_star": (0, 1),
+    "m_bar": (0, 2),
+    "m_star": (1, 3),
+}
+
+
+def _information_factors(dataset, beta, lk, spec, truth, frozen_corr) -> list:
+    """Per size bucket the (k, m, p) factors of the comparison matrices:
+    ``z = A^{1/2} X``, ``v = R^{-1} z``, ``w = Rbar^{-1} z`` and
+    ``u = Rbar v``. ``v`` and ``w`` take the same operation, so a proxy
+    equal to the truth gives them bitwise equal."""
+    proxy = freeze_proxy(EstimatingFunction.gee_star(spec), dataset, beta, lk, frozen_corr)
+    rbar_inv = _checked_inverse(
+        (truth.rbar(b.size), b.positions) for b in dataset.buckets
+    )
+    moments = _moments(dataset, beta, lk)
+    out = []
+    for b, (_, var), rinv, tinv in zip(
+        dataset.buckets, moments, proxy.inverses, rbar_inv
+    ):
+        z = b.x * np.sqrt(var)[..., None]
+        v = rinv @ z
+        out.append((z, v, tinv @ z, truth.rbar(b.size) @ v))
+    return out
+
+
 def path_information_increments(
     dataset: Dataset,
     beta,
@@ -673,41 +708,68 @@ def path_information_increments(
     spec: WorkingCorrelationSpec,
     truth: CorrelationTruth,
     perturbation: Optional["Perturbation"] = None,
-    frozen_corr: Optional[FrozenProxy] = None,
 ) -> dict:
     """Per-cluster summands of the four comparison matrices on one path.
 
+    ``h_ind = z'z``, ``h_star = z'v``, ``m_bar = z'w`` and ``m_star =
+    v'u`` of each cluster, from the factors of ``_information_factors``
+    (``_INFORMATION_PAIRS``).
     A perturbation shifts the regressors to ``X_i + delta_i'`` first, so
     the variance factors and any data-dependent proxy are those of the
-    shifted dataset while the true correlation is untouched. A
-    ``frozen_corr`` from ``freeze_proxy`` for the (unshifted) dataset
-    spares the proxy's fold and inversion. Returns (n, p, p) arrays keyed
-    by family.
+    shifted dataset while the true correlation is untouched. Returns
+    (n, p, p) arrays keyed by family; ``information_sums`` gives their
+    sums at checkpoints.
     """
     beta = as_beta(beta)
     lk = get_link(link)
     n, p = dataset.n, beta.shape[0]
     if perturbation is not None:
         dataset = _perturbed_regressors(dataset, perturbation, p)
-    proxy = freeze_proxy(EstimatingFunction.gee_star(spec), dataset, beta, lk, frozen_corr)
-    rbar_inv = _checked_inverse(
-        (truth.rbar(b.size), b.positions) for b in dataset.buckets
-    )
-    moments = _moments(dataset, beta, lk)
-    out = {k: np.empty((n, p, p)) for k in ("h_ind", "h_star", "m_bar", "m_star")}
-    for b, (_, var), rinv, tinv in zip(
-        dataset.buckets, moments, proxy.inverses, rbar_inv
-    ):
-        z = b.x * np.sqrt(var)[..., None]
-        v = rinv @ z
-        zt = np.swapaxes(z, 1, 2)
-        out["h_ind"][b.positions] = zt @ z
-        # h_star and m_bar take the same operations, so a proxy equal to
-        # the truth gives bitwise equal matrices
-        out["h_star"][b.positions] = zt @ v
-        out["m_bar"][b.positions] = zt @ (tinv @ z)
-        out["m_star"][b.positions] = np.swapaxes(v, 1, 2) @ (truth.rbar(b.size) @ v)
+    factors = _information_factors(dataset, beta, lk, spec, truth, None)
+    out = {k: np.empty((n, p, p)) for k in _INFORMATION_PAIRS}
+    for b, parts in zip(dataset.buckets, factors):
+        for key, (a, c) in _INFORMATION_PAIRS.items():
+            out[key][b.positions] = np.swapaxes(parts[a], 1, 2) @ parts[c]
     return out
+
+
+def information_sums(
+    dataset: Dataset,
+    beta,
+    link,
+    spec: WorkingCorrelationSpec,
+    truth: CorrelationTruth,
+    n_grid,
+    frozen_corr: Optional[FrozenProxy] = None,
+) -> dict:
+    """The comparison matrices of ``path_information_increments`` summed
+    over the first ``n`` clusters, at each checkpoint ``n`` of the
+    increasing ``n_grid``: (len(n_grid), p, p) arrays keyed by family.
+
+    No per-cluster matrix is formed. In each size bucket the clusters
+    between two checkpoints are a run of its factors ``z``, ``v``, ``w``
+    and ``u``, whose rows give one (p x rows)(rows x p) product per
+    matrix; the buckets' products are added, in bucket order, and the
+    segments summed. ``h_star`` and ``m_bar`` take the same operations,
+    so a proxy equal to the truth gives them bitwise equal. A
+    ``frozen_corr`` for ``dataset`` spares the proxy's fold and
+    inversion; a perturbed path is the shifted dataset.
+    """
+    beta = as_beta(beta)
+    lk = get_link(link)
+    p = beta.shape[0]
+    factors = _information_factors(dataset, beta, lk, spec, truth, frozen_corr)
+    cuts = np.concatenate(([0], n_grid))
+    total = dict.fromkeys(_INFORMATION_PAIRS, 0.0)
+    for b, parts in zip(dataset.buckets, factors):
+        rows = [f.reshape(-1, p) for f in parts]
+        # the bucket's rows of the clusters between two checkpoints
+        at = (b.size * np.searchsorted(b.positions, cuts)).tolist()
+        runs = [slice(lo, hi) for lo, hi in zip(at, at[1:])]
+        for key, (a, c) in _INFORMATION_PAIRS.items():
+            products = [rows[a][r].T @ rows[c][r] for r in runs]
+            total[key] = total[key] + np.stack(products)
+    return {key: np.cumsum(seg, axis=0) for key, seg in total.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -926,32 +988,134 @@ def a2_halving_pass(dataset: Dataset, beta, link, seed: int) -> A2HalvingPass:
 
 def _proxy_gap_window(fold, start: int, stop: int, state, guess) -> tuple:
     """Inverse-proxy gaps of clusters ``start .. stop-1`` when cluster ``i``
-    folds candidate ``guess[i]`` onto the (sums, counts) ``state`` of the
-    clusters before ``start``; ``fold`` holds both candidates' terms from
-    ``residual_moment_terms`` and the inverse proxies. A template that is
-    not PD or a gap that is not finite halves the window; a window of one
-    cluster, which no guess touches, raises. Returns (stop, sums, counts,
-    gaps), with the fold before each cluster."""
-    dataset, outer, mask, rinv = fold
+    folds candidate ``guess[i]`` onto the residual-moment sums ``state``
+    of the clusters before ``start``; ``fold`` holds the dataset, both
+    candidates' terms from ``residual_moment_terms`` and the inverse
+    proxies in cluster order. A template that is not PD or a gap that is
+    not finite halves the window; a window of one cluster, which no guess
+    touches, raises. Returns (stop, sums, gaps, inverses), with the sums
+    before each cluster and, per size bucket that the window meets, its
+    index, the index in the bucket of its first cluster in the window and
+    the inverses of the window's templates of its clusters."""
+    dataset, outer, rinv = fold
     rows = np.arange(start + 1, stop)
-    sums = np.cumsum(np.concatenate((state[0][None], outer[guess[rows - 1], rows])), 0)
-    counts = np.cumsum(np.concatenate((state[1][None], mask[rows])), 0)
+    sums = np.cumsum(np.concatenate((state[None], outer[guess[rows - 1], rows])), 0)
+    counts = dataset.fold_counts[start:stop]
     templates = residual_moment_templates(sums, counts, np.arange(start, stop))
-    spans = [(b, np.searchsorted(b.positions, (start, stop))) for b in dataset.buckets]
-    window = [(b.size, b.positions[lo:hi]) for b, (lo, hi) in spans if lo < hi]
+    window = []
+    for j, b in enumerate(dataset.buckets):
+        lo, hi = np.searchsorted(b.positions, (start, stop))
+        if lo < hi:
+            window.append((j, lo, b.size, b.positions[lo:hi]))
     try:
-        inverses = _checked_inverse((templates[i - start, :m, :m], i) for m, i in window)
+        inverses = _checked_inverse(
+            (templates[i - start, :m, :m], i) for _, _, m, i in window
+        )
         gaps = np.empty(stop - start)
-        for (m, i), inv in zip(window, inverses):
+        for (_, _, m, i), inv in zip(window, inverses):
             gaps[i - start] = linalg.spectral_norm(inv - rinv[i, :m, :m])
     except (NotPositiveDefiniteError, InvalidInputError):
         if stop - start == 1:
             raise
         return _proxy_gap_window(fold, start, (start + stop) // 2, state, guess)
-    return stop, sums, counts, gaps
+    parts = [(j, lo, inv) for (j, lo, _, _), inv in zip(window, inverses)]
+    return stop, sums, gaps, parts
 
 
-def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec, frozen_corr=None) -> tuple:
+class _A2Decisions(NamedTuple):
+    """What ``_a2_decide`` settles: per cluster, whether the collapsed
+    delta is chosen (0 or 1), the transform and inverse-proxy gaps of the
+    chosen one and whether either exceeds the target 2^-i; ``K`` as
+    ``ordered``, the passes, and for a data-dependent proxy the inverse
+    perturbed proxies per size bucket."""
+
+    collapsed: np.ndarray
+    gap_y: np.ndarray
+    gap_r: np.ndarray
+    violated: np.ndarray
+    ordered: int
+    passes: int
+    inverses: Optional[tuple]
+
+
+def _a2_decide(halving: A2HalvingPass, spec, frozen_corr=None) -> _A2Decisions:
+    """The choices of ``a2_schedule`` between each halved delta and that
+    delta collapsed by the halvings left, with both gap arrays.
+
+    A data-independent proxy takes every halved delta. With a
+    data-dependent proxy the chosen delta enters the proxies of the
+    clusters after it. A pass guesses the choices of a window of
+    clusters, folds them as one prefix sum and decides the window in one
+    batch. A cluster's gap depends only on the choices before it, so
+    every decision up to the first wrong guess is right, and the next pass
+    starts there with these decisions as its guesses. Only a cluster
+    before ``K``, one past the last cluster whose candidates give bitwise
+    different standardized residuals, can guess wrong; from ``K`` on both
+    fold alike, so one pass decides the rest. The templates of that
+    decided prefix folded only chosen deltas, so their inverses are those
+    of the shifted dataset's proxy, bit for bit as ``freeze_proxy`` forms
+    them, and are returned as ``inverses``, laid out as its
+    ``FrozenProxy``. The transform gap of a collapsed delta is computed
+    only where chosen. A ``frozen_corr`` from ``freeze_proxy`` for the
+    pass's dataset and beta spares the unperturbed proxy's fold and
+    inversion.
+    """
+    dataset, beta, lk = halving.dataset, halving.beta, halving.link
+    n, d = dataset.n, dataset.m_max
+    deltas, targets = halving.deltas, halving.targets
+    collapsed = np.zeros(n, dtype=np.int64)
+    gap_r = np.zeros(n)
+    ordered = passes = start = 0
+    inverses = None
+    if spec.depends_on_data:
+        kind = EstimatingFunction.gee_star(spec)
+        proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr)
+        rinv = dataset.in_cluster_order(proxy.inverses)
+        parts = [_pearson_residuals(dataset.shifted(dl), beta, lk) for dl in deltas]
+        resid = [dataset.in_cluster_order(r) for r in parts]
+        differ = (resid[0].view(np.int64) != resid[1].view(np.int64)).any(axis=1)
+        ordered = int(np.flatnonzero(differ)[-1]) + 1 if differ.any() else 0
+        outer = residual_moment_terms(dataset, [np.stack(r) for r in zip(*parts)])
+        fold = (dataset, outer, rinv)
+        eligible = (halving.gaps <= targets) & (halving.halvings < _MAX_HALVINGS)
+        state = np.zeros((d, d))
+        inverses = [np.empty(b.x.shape[:2] + (b.size,)) for b in dataset.buckets]
+        # `collapsed` holds the guesses, at first all halved; a pass keeps its
+        # decisions up to its first wrong guess and the rest guess again
+        while start < n:
+            guess = collapsed.copy()
+            stop = ordered if start < ordered else n
+            stop, sums, gap, window = _proxy_gap_window(fold, start, stop, state, guess)
+            now = slice(start, stop)
+            gap_r[now] = gap
+            collapsed[now] = eligible[now] & (targets[now] < gap_r[now])
+            wrong = np.flatnonzero(differ[now] & (collapsed[now] != guess[now]))
+            end = start + int(wrong[0]) + 1 if wrong.size else stop
+            # what a wrong guess left past `end`, the next pass overwrites
+            for j, lo, inv in window:
+                inverses[j][lo : lo + len(inv)] = inv
+            state = sums[end - start - 1] + outer[collapsed[end - 1], end]
+            start, passes = end, passes + 1
+        inverses = tuple(inverses)
+    gap_y = halving.gaps.copy()
+    for b, y0 in zip(dataset.buckets, halving.y0):
+        pick = np.flatnonzero(collapsed[b.positions])
+        if pick.size:
+            pos = b.positions[pick]
+            shrunk = deltas[1, pos, :, : b.size]
+            gap_y[pos] = _regressor_gaps(b.x[pick], y0[pick], shrunk, beta, lk)
+    violated = (gap_y > targets) | (gap_r > targets)
+    return _A2Decisions(collapsed, gap_y, gap_r, violated, ordered, passes, inverses)
+
+
+def _scheduled_deltas(halving: A2HalvingPass, collapsed) -> np.ndarray:
+    """The chosen deltas as a zero-padded (n, p, max m_i) stack."""
+    if not collapsed.any():
+        return halving.deltas[0]
+    return halving.deltas[collapsed, np.arange(collapsed.shape[0])]
+
+
+def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
     """Construct the geometric perturbation schedule with norms <= 2^{-i}.
 
     The deltas are drawn, scaled to 2^{-i} and halved against the
@@ -962,83 +1126,32 @@ def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec, frozen_cor
     earlier deltas, so halving the current delta cannot always repair it;
     residual violations are reported, not raised. Nearly every cluster is
     reported (995 of 1000 on the 1000-cluster optimality scenario): that
-    gap decays like 1/i, not 2^-i, so ``violations ~ n``.
-
-    A data-independent proxy takes every halved delta. With a
-    data-dependent proxy each cluster chooses between its halved delta
-    and that delta collapsed by the halvings left, and the chosen one
-    enters the proxies of the clusters after it. A pass guesses the
-    choices of a window of clusters, folds them as one prefix sum and
-    decides the window in one batch. A cluster's gap depends only on the
-    choices before it, so every decision up to the first wrong guess is
-    right, and the next pass starts there with these decisions as its
-    guesses. Only a cluster before ``K``, one past the last cluster whose
-    candidates give bitwise different standardized residuals, can guess
-    wrong; from ``K`` on both fold alike, so one pass decides the rest.
-    The transform gap of a collapsed delta is computed only where chosen.
-
-    A ``frozen_corr`` from ``freeze_proxy`` for the pass's dataset and
-    beta spares the unperturbed proxy's fold and inversion.
+    gap decays like 1/i, not 2^-i, so ``violations ~ n``. Each cluster's
+    choice between its halved delta and that delta collapsed by the
+    halvings left is made by ``_a2_decide``, in passes over windows of
+    clusters.
 
     Returns (Perturbation, report) where the report carries per-cluster
     halving counts, any remaining inequality violations, ``K`` as
     ``ordered_prefix`` and the number of passes as ``ordered_passes``
     (both 0 for a data-independent proxy).
     """
-    dataset, beta, lk = halving.dataset, halving.beta, halving.link
-    n, d = dataset.n, dataset.m_max
-    deltas, targets = halving.deltas, halving.targets
-    collapsed = np.zeros(n, dtype=np.int64)
-    gap_r = np.zeros(n)
-    ordered = passes = start = 0
-    if spec.depends_on_data:
-        kind = EstimatingFunction.gee_star(spec)
-        proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr)
-        rinv = dataset.in_cluster_order(proxy.inverses)
-        parts = [_pearson_residuals(dataset.shifted(dl), beta, lk) for dl in deltas]
-        resid = [dataset.in_cluster_order(r) for r in parts]
-        differ = (resid[0].view(np.int64) != resid[1].view(np.int64)).any(axis=1)
-        ordered = int(np.flatnonzero(differ)[-1]) + 1 if differ.any() else 0
-        outer, mask = residual_moment_terms(dataset, [np.stack(r) for r in zip(*parts)])
-        fold = (dataset, outer, mask, rinv)
-        eligible = (halving.gaps <= targets) & (halving.halvings < _MAX_HALVINGS)
-        state = (np.zeros((d, d)), np.zeros((d, d), dtype=np.int64))
-        # `collapsed` holds the guesses, at first all halved; a pass keeps its
-        # decisions up to its first wrong guess and the rest guess again
-        while start < n:
-            guess = collapsed.copy()
-            stop = ordered if start < ordered else n
-            stop, sums, counts, gap = _proxy_gap_window(fold, start, stop, state, guess)
-            now = slice(start, stop)
-            gap_r[now] = gap
-            collapsed[now] = eligible[now] & (targets[now] < gap_r[now])
-            wrong = np.flatnonzero(differ[now] & (collapsed[now] != guess[now]))
-            end = start + int(wrong[0]) + 1 if wrong.size else stop
-            k = end - start - 1
-            state = (sums[k] + outer[collapsed[end - 1], end], counts[k] + mask[end])
-            start, passes = end, passes + 1
-    gap_y = halving.gaps.copy()
-    for b, y0 in zip(dataset.buckets, halving.y0):
-        pick = np.flatnonzero(collapsed[b.positions])
-        if pick.size:
-            pos = b.positions[pick]
-            shrunk = deltas[1, pos, :, : b.size]
-            gap_y[pos] = _regressor_gaps(b.x[pick], y0[pick], shrunk, beta, lk)
-    used = np.where(collapsed == 1, _MAX_HALVINGS, halving.halvings)
-    checks = np.column_stack((gap_y, gap_r, targets)).tolist()
+    decided = _a2_decide(halving, spec)
+    used = np.where(decided.collapsed == 1, _MAX_HALVINGS, halving.halvings)
+    over = np.flatnonzero(decided.violated)
+    checks = np.column_stack((decided.gap_y, decided.gap_r, halving.targets))[over]
     report = {
         "halvings": used.tolist(),
         "violations": [
             {"cluster": i + 1, "gap_y": gy, "gap_r": gr, "target": t}
-            for i, (gy, gr, t) in enumerate(checks)
-            if gy > t or gr > t
+            for i, (gy, gr, t) in zip(over.tolist(), checks.tolist())
         ],
         "max_halvings": _MAX_HALVINGS,
-        "ordered_prefix": ordered,
-        "ordered_passes": passes,
+        "ordered_prefix": decided.ordered,
+        "ordered_passes": decided.passes,
     }
-    chosen = deltas[collapsed, np.arange(n)] if collapsed.any() else deltas[0]
-    return Perturbation._of_stack(chosen, dataset.sizes, bound=0.5), report
+    chosen = _scheduled_deltas(halving, decided.collapsed)
+    return Perturbation._of_stack(chosen, halving.dataset.sizes, bound=0.5), report
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,29 @@ class Dataset:
             for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1)
         )
 
+    @functools.cached_property
+    def fold_counts(self) -> np.ndarray:
+        """Per-entry cluster counts of the residual-moment fold, (n+1,
+        m_max, m_max) int64 and read-only: row ``i`` counts, for every
+        template entry, the first ``i`` clusters whose leading block covers
+        it. They depend only on the sizes, so a prefix or a shifted copy
+        shares them once they are formed."""
+        covers = self.sizes[:, None] > np.arange(self.m_max)
+        seen = np.zeros((self.n + 1, self.m_max), dtype=np.int64)
+        np.cumsum(covers, axis=0, out=seen[1:])
+        # entry (a, b) is covered by the clusters of size > max(a, b)
+        corner = np.maximum.outer(np.arange(self.m_max), np.arange(self.m_max))
+        counts = seen[:, corner]
+        counts.setflags(write=False)
+        return counts
+
+    def _share_counts(self, out: "Dataset", n: int) -> "Dataset":
+        """``out``, a copy of this dataset's first ``n`` clusters, with its
+        fold counts read from this dataset's, if they are formed."""
+        if "fold_counts" in self.__dict__:
+            out.__dict__["fold_counts"] = self.fold_counts[: n + 1]
+        return out
+
     def in_cluster_order(self, parts) -> np.ndarray:
         """Per-bucket stacks of shape (k, m, ..., m), one stack per bucket,
         as one (n, M, ..., M) array in cluster order, every m axis
@@ -345,7 +368,7 @@ class Dataset:
         columns = (self.x[:rows], self.y[:rows], self.sizes[:n], self.offsets[: n + 1])
         out = object.__new__(Dataset)
         out._store(*columns, tuple(buckets), self.p, self.m_max, self.link, self.beta0)
-        return out
+        return self._share_counts(out, n)
 
     def shifted(self, stack: np.ndarray) -> "Dataset":
         """This dataset with regressors ``X_i + delta_i'`` for a zero-padded
@@ -360,7 +383,7 @@ class Dataset:
         out = object.__new__(Dataset)
         columns = (x, self.y, self.sizes, self.offsets, buckets)
         out._store(*columns, self.p, self.m_max, self.link, self.beta0)
-        return out
+        return self._share_counts(out, self.n)
 
     def digest(self) -> str:
         """SHA-256 of ``p,m_max`` and then, per cluster, its int64 size,

@@ -626,7 +626,7 @@ class TestReplicationHarness:
 
     def test_optimality_folds_the_plain_proxy_once_per_spec(self, monkeypatch):
         # the plain information sums and the schedule share one fold; the
-        # perturbed sums fold the shifted dataset
+        # perturbed sums read the inverses of the schedule's own fold
         folds = []
         stack = estimating.proxy_stack
 
@@ -639,7 +639,36 @@ class TestReplicationHarness:
         monkeypatch.setattr(estimating, "proxy_stack", counted)
         got = STUDIES["optimality"](cfg, 2, [10, 30])
         assert repr(got.rows) == repr(want.rows) and got.meta == want.meta
-        assert folds == [30, 30] * 2
+        assert folds == [30] * 2
+
+    @pytest.mark.parametrize("link", ["identity", "log"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            WorkingCorrelationSpec.pseudo_likelihood(3),
+            WorkingCorrelationSpec.exchangeable(0.4, 3),
+        ],
+        ids=["pseudo", "exchangeable"],
+    )
+    def test_optimality_replication_reads_the_public_schedule(self, spec, link):
+        # a replication's violation count is the length of the schedule's
+        # violation list, and its perturbed sums are those of the path that
+        # a2_schedule returns, with that path's proxy folded afresh
+        cfg, grid, rep = gaussian_exch(n=60, link=link, scale=0.4), (20, 60), 0
+        ds = simulate_scenario(cfg)
+        got = diagnostics._optimality_sums(cfg, [("s", spec)], grid, True, rep, ds)["s"]
+        seed = simulation.replication_seed(cfg.seed, rep) ^ diagnostics._PERTURBATION_TAG
+        beta = cfg.beta0_array
+        halving = estimating.a2_halving_pass(ds, beta, link, simulation.splitmix64(seed))
+        pert, report = estimating.a2_schedule(halving, spec)
+        assert got["a2_violations"] == len(report["violations"])
+        if spec.depends_on_data:
+            assert 0 < got["a2_violations"] < ds.n
+        truth = cfg.truth.template(3)
+        shifted = ds.shifted(pert.stack)
+        want = estimating.information_sums(shifted, beta, link, spec, truth, grid)
+        for key in diagnostics._INFORMATION:
+            assert got["perturbed"][key].tobytes() == want[key].tobytes()
 
     def test_consistency_rows_with_every_replication_failed(self):
         # the regressor drift overflows the log link in every replication

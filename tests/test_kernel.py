@@ -30,7 +30,15 @@ from stochgee import (
     score_increments,
     working_corr,
 )
-from stochgee.estimating import _checked_inverse, _proxy_gap_window, proxy_stack
+from stochgee.estimating import (
+    _a2_decide,
+    _checked_inverse,
+    _moments,
+    _proxy_gap_window,
+    freeze_proxy,
+    information_sums,
+    proxy_stack,
+)
 from stochgee.model import get_link
 
 from stochgee import correlation, diagnostics
@@ -226,6 +234,57 @@ def test_perturbed_paths_match_loops(seed, n, m_max, link, kind_name):
         assert_close(inc[key], ref[key])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 25),
+    m_max=st.integers(1, 4),
+    link=st.sampled_from(["identity", "log"]),
+    kind_name=st.sampled_from(["exchangeable", "pseudo"]),
+    perturbed=st.booleans(),
+)
+def test_information_sums_match_loop_cumsums(seed, n, m_max, link, kind_name, perturbed):
+    # every n of the dense grid 1..n is a checkpoint
+    ds, rng = mixed_dataset(seed, n, m_max)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    spec = {
+        "exchangeable": WorkingCorrelationSpec.exchangeable(0.3, m_max),
+        "pseudo": WorkingCorrelationSpec.pseudo_likelihood(m_max),
+    }[kind_name]
+    deltas = None
+    if perturbed:
+        deltas = [0.1 * rng.uniform(-1, 1, size=(2, c.size)) for c in ds.clusters]
+        moved = ds.shifted(Perturbation(tuple(deltas), bound=1.0).stack)
+    else:
+        moved = ds
+    seq = corr_trajectory(moved, beta, link, spec)
+    truth = CorrelationTruth.from_kind("exchangeable", 0.4, m_max)
+    sums = information_sums(moved, beta, link, spec, truth, tuple(range(1, n + 1)))
+    ref = loop_information_increments(pairs(ds), beta, link, seq, truth.rbar, deltas)
+    assert sums.keys() == ref.keys()
+    for key in ref:
+        assert sums[key].shape == (n, 2, 2)
+        assert_close(sums[key], np.cumsum(ref[key], axis=0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    m_max=st.integers(1, 4),
+    link=st.sampled_from(["identity", "log"]),
+)
+def test_information_sums_of_a_proxy_equal_to_the_truth(seed, n, m_max, link):
+    # the exchangeable proxy is the truth, so H* and M-bar are bitwise equal
+    ds, rng = mixed_dataset(seed, n, m_max)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    n_grid = tuple(sorted(set(rng.integers(1, n + 1, size=3).tolist())))
+    spec = WorkingCorrelationSpec.exchangeable(0.3, m_max)
+    truth = CorrelationTruth.from_kind("exchangeable", 0.3, m_max)
+    sums = information_sums(ds, beta, link, spec, truth, n_grid)
+    assert sums["h_star"].tobytes() == sums["m_bar"].tobytes()
+
+
 def error_dataset():
     """Mixed sizes; clusters 7, 9 and 11 overflow the log link at
     beta=(1, 0).
@@ -355,6 +414,31 @@ def test_stacked_proxy_stack_equals_each_point(seed, n, m_max, link, points):
     assert stacks.shape == (points, n + 1, m_max, m_max)
     for beta, got in zip(betas, stacks):
         np.testing.assert_array_equal(got, proxy_stack(ds, beta, link))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 20),
+    m=st.integers(1, 4),
+    p=st.integers(1, 4),
+    points=st.integers(1, 30),
+    link=st.sampled_from(["identity", "log"]),
+)
+def test_stacked_moments_equal_each_point(seed, k, m, p, points, link):
+    # the one batched product of a stack of points gives each point's
+    # b.x @ point byte for byte
+    rng = np.random.default_rng(seed)
+    ds = dataset_from_arrays(
+        [(rng.standard_normal(m), rng.standard_normal((m, p))) for _ in range(k)]
+    )
+    betas = rng.uniform(-0.5, 0.5, size=(points, p))
+    lk = get_link(link)
+    (bucket,) = ds.buckets
+    ((mean, var),) = _moments(ds, betas, lk)
+    etas = np.stack([bucket.x @ point for point in betas])
+    assert mean.tobytes() == lk.eval(0, etas).tobytes()
+    assert var.tobytes() == lk.eval(1, etas).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -641,6 +725,56 @@ def test_a2_schedule_repasses_after_wrong_guesses_match_loop(seed, n, link, scal
     assert report["ordered_passes"] >= 3
 
 
+def assert_schedule_hands_over_its_inverses(ds, beta, link, seed):
+    """The decisions of a pseudo-likelihood schedule, after checking that
+    their inverse proxies are those of a fresh fold of the shifted
+    dataset, bit for bit."""
+    spec = WorkingCorrelationSpec.pseudo_likelihood(ds.m_max)
+    halving = a2_halving_pass(ds, beta, link, seed)
+    decided = _a2_decide(halving, spec)
+    pert, report = a2_schedule(halving, spec)
+    assert (decided.ordered, decided.passes) == (
+        report["ordered_prefix"],
+        report["ordered_passes"],
+    )
+    shifted = ds.shifted(pert.stack)
+    fresh = freeze_proxy(EstimatingFunction.gee_star(spec), shifted, beta, link)
+    assert len(decided.inverses) == len(fresh.inverses) == len(ds.buckets)
+    for got, want in zip(decided.inverses, fresh.inverses):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    return decided
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 90),
+    link=st.sampled_from(["identity", "log"]),
+    scale=st.sampled_from([0.25, 1.0, 4.0]),
+)
+def test_a2_schedule_inverses_equal_a_fresh_fold(seed, n, link, scale):
+    # mixed sizes 1..4; the scales and lengths give K = n as well as K < n
+    # with passes after the first
+    ds, rng = mixed_dataset(seed, n, 4)
+    ds = dataset_from_arrays([(y, scale * x) for y, x in pairs(ds)], m_max=4)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    assert_schedule_hands_over_its_inverses(ds, beta, link, seed)
+
+
+@pytest.mark.parametrize(
+    "seed, n, prefix, passes", [(0, 80, 50, 3), (5, 20, 20, 2)]
+)
+def test_a2_schedule_hands_over_both_kinds_of_prefix(seed, n, prefix, passes):
+    # K < n after passes over the prefix, and K = n, whose one window is
+    # passed again
+    ds, rng = mixed_dataset(seed, n, 4)
+    beta = rng.uniform(-0.5, 0.5, size=2)
+    decided = assert_schedule_hands_over_its_inverses(ds, beta, "log", seed)
+    assert decided.ordered == prefix
+    assert decided.passes >= passes
+
+
 def test_a2_schedule_verifies_a_prefix_that_reaches_n():
     # 2^-20 still moves the perturbed residuals, so K = n and there is no
     # tail; the choices change at clusters 6, 8 and 10, so the only window,
@@ -666,18 +800,18 @@ def test_proxy_gap_window_singular_template_after_a_wrong_guess_does_not_raise()
     resid = rng.standard_normal((n, 2))
     huge = resid.copy()
     huge[j] = [1.5e21, -0.7e21]
-    outer, mask = correlation.residual_moment_terms(ds, [np.stack([resid, huge])])
-    fold = (ds, outer, mask, np.broadcast_to(np.eye(2), (n, 2, 2)))
-    state = (np.zeros((2, 2)), np.zeros((2, 2), dtype=np.int64))
+    outer = correlation.residual_moment_terms(ds, [np.stack([resid, huge])])
+    fold = (ds, outer, np.broadcast_to(np.eye(2), (n, 2, 2)))
+    state = np.zeros((2, 2))
     guess = np.zeros(n, dtype=np.int64)
     assert _proxy_gap_window(fold, 0, n, state, guess)[0] == n
     guess[j] = 1
-    stop, sums, counts, gaps = _proxy_gap_window(fold, 0, n, state, guess)
+    stop, sums, gaps, _ = _proxy_gap_window(fold, 0, n, state, guess)
     assert stop == j + 1
     assert np.all(np.isfinite(gaps))
     # once the guess at cluster 3 is taken as right, cluster 4 starts a
     # window and its template raises
-    after = (sums[j] + outer[1, j + 1], counts[j] + mask[j + 1])
+    after = sums[j] + outer[1, j + 1]
     with pytest.raises(NotPositiveDefiniteError) as err:
         _proxy_gap_window(fold, j + 1, n, after, guess)
     assert err.value.cluster_index == j + 2

@@ -345,6 +345,34 @@ def test_shifted_is_the_dataset_of_moved_regressors(sizes, p, seed, data):
             assert not b.x.flags.writeable
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+    extra=st.integers(0, 1),
+    data=st.data(),
+)
+def test_fold_counts_count_the_leading_blocks(sizes, extra, data):
+    # row i counts, per entry, the first i clusters whose leading block
+    # covers it: the prefix sums of the clusters' masks
+    m_max = max(sizes) + extra
+    pairs = [(np.zeros(m), np.zeros((m, 1))) for m in sizes]
+    ds = dataset_from_arrays(pairs, m_max=m_max)
+    mask = np.zeros((len(sizes) + 1, m_max, m_max), dtype=np.int64)
+    for i, m in enumerate(sizes):
+        mask[i + 1, :m, :m] = 1
+    n = data.draw(st.integers(1, len(sizes)))
+    early = ds.prefix(n)
+    counts = ds.fold_counts
+    assert counts.dtype == np.int64 and not counts.flags.writeable
+    assert counts.tobytes() == np.cumsum(mask, axis=0).tobytes()
+    # a copy made once the counts are formed shares them; one made before
+    # forms its own
+    shifted = ds.shifted(np.zeros((len(sizes), 1, max(sizes))))
+    assert np.shares_memory(shifted.fold_counts, counts)
+    assert np.shares_memory(ds.prefix(n).fold_counts, counts)
+    assert early.fold_counts.tobytes() == counts[: n + 1].tobytes()
+
+
 class TestLoaderMatchesRowLoop:
     @settings(max_examples=60, deadline=None)
     @given(
