@@ -9,7 +9,6 @@ deterministic lattice, documented in the report metadata.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -40,6 +39,7 @@ from .exceptions import (
     NotPositiveDefiniteError,
     SingularDenominatorError,
 )
+from .linalg import _fold
 from .model import Dataset, as_beta, get_link
 from .simulation import (
     GENERATOR_ID,
@@ -387,12 +387,6 @@ def _power(x: float, k: int) -> float:
         return math.inf
 
 
-def _fold(ufunc, a, axis=-1):
-    """``ufunc.reduce(a, axis)`` one slice at a time: NumPy reduces along
-    a short axis far more slowly."""
-    return functools.reduce(ufunc, np.moveaxis(a, axis, 0))
-
-
 def _lattice_matrices(dataset, lk, roots, block):
     """The symmetrized matrices of the lattice at the points of ``block``,
     with bounds of their eigenvalues.
@@ -624,7 +618,9 @@ def _optimality_sums(config, specs, n_grid, perturbed, rep, ds) -> dict:
     shared by the plain sums and the schedule's decisions, and the
     perturbed one by the decisions themselves, whose inverses are the
     shifted dataset's ``FrozenProxy``. The violations are counted from
-    the decisions' gap arrays, as ``a2_schedule`` lists them.
+    the decisions' ``violated`` mask, the clusters ``a2_schedule`` lists;
+    the study forms no gap of the inverse proxies, only whether each
+    exceeds its target.
     """
     truth = config.truth.template(config.m_max)
     beta_ref, link = config.beta0_array, config.link

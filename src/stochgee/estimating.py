@@ -542,7 +542,7 @@ def _score_factors(kind, dataset, beta, lk, frozen_corr=None) -> list:
 # estimating-function evaluation
 
 
-def _evaluate(kind, dataset, beta, lk, frozen_corr=None) -> tuple:
+def _evaluate(kind, dataset, beta, lk, frozen_corr=None, *, with_g=True) -> tuple:
     """g at ``beta`` and a function giving -dg/dbeta' there.
 
     The one place that chooses how both are formed. The Jacobian is
@@ -551,9 +551,18 @@ def _evaluate(kind, dataset, beta, lk, frozen_corr=None) -> tuple:
     Jacobian ``X' diag(mu') X`` reuses ``eta``, and the gee_star one reads
     the whitened factors of this evaluation of g, so it takes no new
     moments, proxy or whitening. Anything else, the callback (``general``)
-    variant included, takes central differences of g (``_fd_jacobian``).
+    variant included, takes central differences of g (``_fd_jacobian``);
+    there g is needed only by a caller that reads it, so ``with_g=False``
+    returns None for it and evaluates nothing at ``beta``.
     """
-    analytic = lk.kind in ("identity", "log")
+    analytic = lk.kind in ("identity", "log") and (
+        kind.reduces_to_independence
+        or kind.variant == "gee_star"
+        and (frozen_corr is not None or not kind.spec.depends_on_data)
+    )
+    fd = functools.partial(_fd_jacobian, kind, dataset, beta, lk, frozen_corr)
+    if not (analytic or with_g):
+        return None, fd
     if kind.reduces_to_independence:
         eta = dataset.x @ beta
         mean = lk.eval(0, eta)
@@ -570,14 +579,14 @@ def _evaluate(kind, dataset, beta, lk, frozen_corr=None) -> tuple:
             return g, lambda: dataset.x.T @ (dataset.x * lk.eval(1, eta)[:, None])
     elif kind.variant == "gee_star":
         g, parts = _whiten(kind, dataset, beta, lk, frozen_corr)
-        if analytic and (frozen_corr is not None or not kind.spec.depends_on_data):
+        if analytic:
             return g, lambda: _whitened_jacobian(parts, lk)
     else:
         moments = _moments(dataset, beta, lk)
         coeffs = _callback_coefficients(kind, dataset, beta)
         parts = zip(dataset.buckets, coeffs, moments)
         g = sum(_apply(c, b.y - mean).sum(axis=0) for b, c, (mean, _) in parts)
-    return g, lambda: _fd_jacobian(kind, dataset, beta, lk, frozen_corr)
+    return g, fd
 
 
 def _fd_jacobian(kind, dataset, beta, lk, frozen_corr=None) -> np.ndarray:
@@ -619,9 +628,10 @@ def jacobian(
 
     Analytic for identity and log links with a proxy that does not move
     with beta, a ``frozen_corr`` included; central differences otherwise
-    (``_evaluate`` decides).
+    (``_evaluate`` decides); g itself is not formed at ``beta``.
     """
-    return _evaluate(kind, dataset, as_beta(beta), get_link(link), frozen_corr)[1]()
+    beta, lk = as_beta(beta), get_link(link)
+    return _evaluate(kind, dataset, beta, lk, frozen_corr, with_g=False)[1]()
 
 
 def _perturbed_regressors(dataset: Dataset, perturbation: "Perturbation", p: int):
@@ -869,13 +879,7 @@ class Perturbation:
         return self
 
     def _store(self, stack, sizes, bound) -> None:
-        # ||D||_2 <= ||D||_F: only deltas whose Frobenius norm exceeds the
-        # bound (or is NaN) can exceed it, so only those take an SVD
-        with np.errstate(over="ignore"):
-            fro = np.sqrt(np.einsum("kij,kij->k", stack, stack))
-        screened = np.flatnonzero(~(fro <= bound))
-        norms = linalg.spectral_norm(stack[screened])
-        over = screened[norms > bound * (1.0 + 1e-9)]
+        over = np.flatnonzero(linalg.spectral_norm_exceeds(stack, bound * (1.0 + 1e-9)))
         if over.size:
             raise InvalidInputError(
                 f"delta {over[0] + 1} exceeds the declared spectral-norm bound"
@@ -987,17 +991,20 @@ def a2_halving_pass(dataset: Dataset, beta, link, seed: int) -> A2HalvingPass:
 
 
 def _proxy_gap_window(fold, start: int, stop: int, state, guess) -> tuple:
-    """Inverse-proxy gaps of clusters ``start .. stop-1`` when cluster ``i``
-    folds candidate ``guess[i]`` onto the residual-moment sums ``state``
-    of the clusters before ``start``; ``fold`` holds the dataset, both
-    candidates' terms from ``residual_moment_terms`` and the inverse
-    proxies in cluster order. A template that is not PD or a gap that is
-    not finite halves the window; a window of one cluster, which no guess
-    touches, raises. Returns (stop, sums, gaps, inverses), with the sums
-    before each cluster and, per size bucket that the window meets, its
-    index, the index in the bucket of its first cluster in the window and
-    the inverses of the window's templates of its clusters."""
-    dataset, outer, rinv = fold
+    """Whether the inverse-proxy gaps of clusters ``start .. stop-1`` exceed
+    their targets 2^-i when cluster ``i`` folds candidate ``guess[i]`` onto
+    the residual-moment sums ``state`` of the clusters before ``start``;
+    ``fold`` holds the dataset, both candidates' terms from
+    ``residual_moment_terms``, the unperturbed inverse proxies in cluster
+    order and the targets. Each gap is the spectral norm of the difference
+    of the inverses, decided by ``linalg.spectral_norm_exceeds``. A
+    template that is not PD or a difference that is not finite halves the
+    window; a window of one cluster, which no guess touches, raises.
+    Returns (stop, sums, exceeds, inverses), with the sums before each
+    cluster and, per size bucket that the window meets, its index, the
+    index in the bucket of its first cluster in the window and the
+    inverses of the window's templates of its clusters."""
+    dataset, outer, rinv, targets = fold
     rows = np.arange(start + 1, stop)
     sums = np.cumsum(np.concatenate((state[None], outer[guess[rows - 1], rows])), 0)
     counts = dataset.fold_counts[start:stop]
@@ -1011,27 +1018,29 @@ def _proxy_gap_window(fold, start: int, stop: int, state, guess) -> tuple:
         inverses = _checked_inverse(
             (templates[i - start, :m, :m], i) for _, _, m, i in window
         )
-        gaps = np.empty(stop - start)
+        exceeds = np.empty(stop - start, dtype=bool)
         for (_, _, m, i), inv in zip(window, inverses):
-            gaps[i - start] = linalg.spectral_norm(inv - rinv[i, :m, :m])
+            diff = inv - rinv[i, :m, :m]
+            exceeds[i - start] = linalg.spectral_norm_exceeds(diff, targets[i])
     except (NotPositiveDefiniteError, InvalidInputError):
         if stop - start == 1:
             raise
         return _proxy_gap_window(fold, start, (start + stop) // 2, state, guess)
     parts = [(j, lo, inv) for (j, lo, _, _), inv in zip(window, inverses)]
-    return stop, sums, gaps, parts
+    return stop, sums, exceeds, parts
 
 
 class _A2Decisions(NamedTuple):
     """What ``_a2_decide`` settles: per cluster, whether the collapsed
-    delta is chosen (0 or 1), the transform and inverse-proxy gaps of the
-    chosen one and whether either exceeds the target 2^-i; ``K`` as
+    delta is chosen (0 or 1), the transform gap of the chosen one, whether
+    its inverse-proxy gap exceeds the target 2^-i (decided by bounds, so
+    the gap itself is not formed) and whether either gap does; ``K`` as
     ``ordered``, the passes, and for a data-dependent proxy the inverse
     perturbed proxies per size bucket."""
 
     collapsed: np.ndarray
     gap_y: np.ndarray
-    gap_r: np.ndarray
+    over_r: np.ndarray
     violated: np.ndarray
     ordered: int
     passes: int
@@ -1040,13 +1049,16 @@ class _A2Decisions(NamedTuple):
 
 def _a2_decide(halving: A2HalvingPass, spec, frozen_corr=None) -> _A2Decisions:
     """The choices of ``a2_schedule`` between each halved delta and that
-    delta collapsed by the halvings left, with both gap arrays.
+    delta collapsed by the halvings left, with the transform gaps and the
+    inverse-proxy decisions.
 
     A data-independent proxy takes every halved delta. With a
     data-dependent proxy the chosen delta enters the proxies of the
     clusters after it. A pass guesses the choices of a window of
     clusters, folds them as one prefix sum and decides the window in one
-    batch. A cluster's gap depends only on the choices before it, so
+    batch, each cluster by whether its inverse-proxy gap exceeds 2^-i
+    (``_proxy_gap_window``; an SVD only where norm bounds cannot tell). A
+    cluster's gap depends only on the choices before it, so
     every decision up to the first wrong guess is right, and the next pass
     starts there with these decisions as its guesses. Only a cluster
     before ``K``, one past the last cluster whose candidates give bitwise
@@ -1064,7 +1076,7 @@ def _a2_decide(halving: A2HalvingPass, spec, frozen_corr=None) -> _A2Decisions:
     n, d = dataset.n, dataset.m_max
     deltas, targets = halving.deltas, halving.targets
     collapsed = np.zeros(n, dtype=np.int64)
-    gap_r = np.zeros(n)
+    over_r = np.zeros(n, dtype=bool)
     ordered = passes = start = 0
     inverses = None
     if spec.depends_on_data:
@@ -1076,7 +1088,7 @@ def _a2_decide(halving: A2HalvingPass, spec, frozen_corr=None) -> _A2Decisions:
         differ = (resid[0].view(np.int64) != resid[1].view(np.int64)).any(axis=1)
         ordered = int(np.flatnonzero(differ)[-1]) + 1 if differ.any() else 0
         outer = residual_moment_terms(dataset, [np.stack(r) for r in zip(*parts)])
-        fold = (dataset, outer, rinv)
+        fold = (dataset, outer, rinv, targets)
         eligible = (halving.gaps <= targets) & (halving.halvings < _MAX_HALVINGS)
         state = np.zeros((d, d))
         inverses = [np.empty(b.x.shape[:2] + (b.size,)) for b in dataset.buckets]
@@ -1085,10 +1097,10 @@ def _a2_decide(halving: A2HalvingPass, spec, frozen_corr=None) -> _A2Decisions:
         while start < n:
             guess = collapsed.copy()
             stop = ordered if start < ordered else n
-            stop, sums, gap, window = _proxy_gap_window(fold, start, stop, state, guess)
+            stop, sums, over, window = _proxy_gap_window(fold, start, stop, state, guess)
             now = slice(start, stop)
-            gap_r[now] = gap
-            collapsed[now] = eligible[now] & (targets[now] < gap_r[now])
+            over_r[now] = over
+            collapsed[now] = eligible[now] & over
             wrong = np.flatnonzero(differ[now] & (collapsed[now] != guess[now]))
             end = start + int(wrong[0]) + 1 if wrong.size else stop
             # what a wrong guess left past `end`, the next pass overwrites
@@ -1104,8 +1116,8 @@ def _a2_decide(halving: A2HalvingPass, spec, frozen_corr=None) -> _A2Decisions:
             pos = b.positions[pick]
             shrunk = deltas[1, pos, :, : b.size]
             gap_y[pos] = _regressor_gaps(b.x[pick], y0[pick], shrunk, beta, lk)
-    violated = (gap_y > targets) | (gap_r > targets)
-    return _A2Decisions(collapsed, gap_y, gap_r, violated, ordered, passes, inverses)
+    violated = (gap_y > targets) | over_r
+    return _A2Decisions(collapsed, gap_y, over_r, violated, ordered, passes, inverses)
 
 
 def _scheduled_deltas(halving: A2HalvingPass, collapsed) -> np.ndarray:
@@ -1129,17 +1141,32 @@ def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
     gap decays like 1/i, not 2^-i, so ``violations ~ n``. Each cluster's
     choice between its halved delta and that delta collapsed by the
     halvings left is made by ``_a2_decide``, in passes over windows of
-    clusters.
+    clusters; the unperturbed proxy is frozen once, here, for both the
+    decisions and the report.
 
     Returns (Perturbation, report) where the report carries per-cluster
-    halving counts, any remaining inequality violations, ``K`` as
+    halving counts, any remaining inequality violations with both exact
+    gaps (the inverse-proxy gap, 0.0 for a data-independent proxy, is
+    formed only for these clusters: the spectral norm of the difference
+    between the decisions' inverses and the unperturbed ones), ``K`` as
     ``ordered_prefix`` and the number of passes as ``ordered_passes``
     (both 0 for a data-independent proxy).
     """
-    decided = _a2_decide(halving, spec)
+    dataset = halving.dataset
+    proxy = None
+    if spec.depends_on_data:
+        kind = EstimatingFunction.gee_star(spec)
+        proxy = freeze_proxy(kind, dataset, halving.beta, halving.link)
+    decided = _a2_decide(halving, spec, proxy)
     used = np.where(decided.collapsed == 1, _MAX_HALVINGS, halving.halvings)
     over = np.flatnonzero(decided.violated)
-    checks = np.column_stack((decided.gap_y, decided.gap_r, halving.targets))[over]
+    gap_r = np.zeros(dataset.n)
+    if decided.inverses is not None:
+        for b, inv, plain in zip(dataset.buckets, decided.inverses, proxy.inverses):
+            rows = np.flatnonzero(decided.violated[b.positions])
+            diff = inv[rows] - plain[rows]
+            gap_r[b.positions[rows]] = linalg.spectral_norm(diff)
+    checks = np.column_stack((decided.gap_y, gap_r, halving.targets))[over]
     report = {
         "halvings": used.tolist(),
         "violations": [
@@ -1151,7 +1178,7 @@ def a2_schedule(halving: A2HalvingPass, spec: WorkingCorrelationSpec) -> tuple:
         "ordered_passes": decided.passes,
     }
     chosen = _scheduled_deltas(halving, decided.collapsed)
-    return Perturbation._of_stack(chosen, halving.dataset.sizes, bound=0.5), report
+    return Perturbation._of_stack(chosen, dataset.sizes, bound=0.5), report
 
 
 # ---------------------------------------------------------------------------

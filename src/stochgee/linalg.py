@@ -10,6 +10,7 @@ them loads SciPy.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +92,49 @@ def spectral_norm(m: np.ndarray) -> float | np.ndarray:
     else:
         norms = np.linalg.svd(m, compute_uv=False)[..., 0]
     return float(norms) if m.ndim == 2 else norms
+
+
+def _fold(ufunc, a, axis=-1):
+    """``ufunc.reduce(a, axis)`` one slice at a time: NumPy reduces along
+    a short axis far more slowly. The axis must not be empty."""
+    return functools.reduce(ufunc, np.moveaxis(a, axis, 0))
+
+
+#: relative widening of the screen's bounds: far above the rounding of the
+#: bounds and of the SVD on the small matrices this module serves
+_SCREEN_MARGIN = 1e-10
+
+
+def spectral_norm_exceeds(stack: np.ndarray, limits) -> np.ndarray:
+    """``spectral_norm(stack) > limits`` for a (..., r, c) stack, element for
+    element, with an SVD only where cheap bounds cannot decide; a 2-D
+    input gives a 0-d array.
+
+    The largest column 2-norm bounds the spectral norm below and the
+    Frobenius norm above (Horn & Johnson, *Matrix Analysis*, 5.6). Each
+    bound is widened by ``_SCREEN_MARGIN`` relative and by an absolute
+    ``sqrt(r * c * tiny)``, which covers squares that underflow. A matrix
+    whose widened bounds straddle its limit, or whose Frobenius norm is not
+    finite (a NaN or infinite entry, or squares that overflow), takes
+    ``spectral_norm``, which raises on a non-finite entry.
+    """
+    stack = np.asarray(stack, dtype=float)
+    limits = np.broadcast_to(np.asarray(limits, dtype=float), stack.shape[:-2])
+    r, c = stack.shape[-2:]
+    if r * c == 0:
+        # an empty matrix has norm 0
+        return np.zeros(limits.shape) > limits
+    with np.errstate(over="ignore", under="ignore"):
+        cols = np.einsum("...ij,...ij->...j", stack, stack)
+        fro = np.sqrt(_fold(np.add, cols))
+        col = np.sqrt(_fold(np.maximum, cols))
+    floor = np.sqrt(r * c * np.finfo(float).tiny)
+    exceeds = np.asarray(col * (1.0 - _SCREEN_MARGIN) - floor > limits)
+    settled = exceeds | (fro * (1.0 + _SCREEN_MARGIN) + floor <= limits)
+    exact = ~(settled & np.isfinite(fro))
+    if exact.any():
+        exceeds[exact] = spectral_norm(stack[exact]) > limits[exact]
+    return exceeds
 
 
 def _radius_profile(s: np.ndarray, k: np.ndarray, thetas: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from stochgee import (
     slln_decay_study,
     slln_monitor,
 )
-from stochgee import diagnostics, estimating, simulation
+from stochgee import diagnostics, estimating, linalg, simulation
 from stochgee.model import get_link
 from stochgee.simulation import _quartiles
 
@@ -669,6 +669,36 @@ class TestReplicationHarness:
         want = estimating.information_sums(shifted, beta, link, spec, truth, grid)
         for key in diagnostics._INFORMATION:
             assert got["perturbed"][key].tobytes() == want[key].tobytes()
+
+    @pytest.mark.parametrize("seed", [5, 101, 3001])
+    def test_perturbed_study_screens_the_inverse_proxy_gaps(self, monkeypatch, seed):
+        # the benchmark's optimality scenario at full size: the schedule's
+        # windows decide each gap > 2^-i by norm bounds, so of the 1000
+        # window matrices at most one reaches the SVD, an early cluster whose
+        # gap lies between its column and Frobenius norms
+        received = []
+        inside = [0]
+        real_norm, real_window = linalg.spectral_norm, estimating._proxy_gap_window
+
+        def norm(m):
+            if inside[0]:
+                received.append(np.shape(m)[:-2])
+            return real_norm(m)
+
+        def window(*args):
+            inside[0] += 1
+            try:
+                return real_window(*args)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(linalg, "spectral_norm", norm)
+        monkeypatch.setattr(estimating, "_proxy_gap_window", window)
+        spec = WorkingCorrelationSpec.pseudo_likelihood(3)
+        cfg = gaussian_exch(seed=seed, n=1000)
+        res = optimality_study(cfg, [("pseudo", spec)], 1, [1000], perturbed=True)
+        assert res.meta["a2_violations"] > 900
+        assert sum(int(np.prod(shape)) for shape in received) <= 1
 
     def test_consistency_rows_with_every_replication_failed(self):
         # the regressor drift overflows the log link in every replication

@@ -472,6 +472,22 @@ class TestJacobian:
         kind = EstimatingFunction.general(lambda history, x, beta: x.T)
         self.assert_takes_finite_differences(kind, "log", scale=0.4)
 
+    def test_finite_differences_evaluate_g_only_at_the_steps(self):
+        # 2p evaluations of g, each calling the callback once per cluster;
+        # g at beta itself is not formed
+        calls = []
+
+        def coefficients(history, x, beta):
+            calls.append(beta.copy())
+            return x.T
+
+        kind = EstimatingFunction.general(coefficients)
+        ds = simulate_scenario(exch_scenario(link="log", scale=0.4))
+        beta = np.array([0.3, -0.2])
+        jacobian(kind, ds, beta, "log")
+        assert len(calls) == 2 * beta.size * ds.n
+        assert not any(np.array_equal(b, beta) for b in calls)
+
     @pytest.mark.parametrize("link", ["identity", "log"])
     def test_frozen_pseudo_proxy_takes_analytic_path(self, link):
         # a frozen proxy no longer depends on beta, so jacobian reads the

@@ -28,6 +28,7 @@ from stochgee import (
     linear_closed_form,
     path_information_increments,
     score_increments,
+    spectral_norm,
     working_corr,
 )
 from stochgee.estimating import (
@@ -801,14 +802,20 @@ def test_proxy_gap_window_singular_template_after_a_wrong_guess_does_not_raise()
     huge = resid.copy()
     huge[j] = [1.5e21, -0.7e21]
     outer = correlation.residual_moment_terms(ds, [np.stack([resid, huge])])
-    fold = (ds, outer, np.broadcast_to(np.eye(2), (n, 2, 2)))
+    rinv = np.broadcast_to(np.eye(2), (n, 2, 2))
+    targets = np.ldexp(1.0, -np.arange(1, n + 1))
+    fold = (ds, outer, rinv, targets)
     state = np.zeros((2, 2))
     guess = np.zeros(n, dtype=np.int64)
     assert _proxy_gap_window(fold, 0, n, state, guess)[0] == n
     guess[j] = 1
-    stop, sums, gaps, _ = _proxy_gap_window(fold, 0, n, state, guess)
+    stop, sums, exceeds, window = _proxy_gap_window(fold, 0, n, state, guess)
     assert stop == j + 1
-    assert np.all(np.isfinite(gaps))
+    # the decisions of the clusters before the singular template are those
+    # of their exact gaps
+    (_, _, inv), = window
+    gaps = spectral_norm(inv - rinv[:stop])
+    assert exceeds.tolist() == (gaps > targets[:stop]).tolist()
     # once the guess at cluster 3 is taken as right, cluster 4 starts a
     # window and its template raises
     after = sums[j] + outer[1, j + 1]

@@ -19,6 +19,7 @@ from stochgee import (
     sym_eigh,
 )
 from stochgee.diagnostics import _max_leverage
+from stochgee.linalg import spectral_norm_exceeds
 
 from oracles import (
     eigenvalues_by_bisection,
@@ -125,6 +126,73 @@ class TestSpectralNorm:
         stack[2, 0, 1] = np.inf
         with pytest.raises(InvalidInputError):
             spectral_norm(stack)
+
+
+class TestSpectralNormExceeds:
+    @staticmethod
+    def assert_decides_as_the_spectral_norm(stack, limits):
+        want = np.asarray(spectral_norm(stack) > limits)
+        got = spectral_norm_exceeds(stack, limits)
+        assert got.dtype == bool and got.shape == stack.shape[:-2]
+        assert got.tolist() == want.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.integers(1, 4),
+        c=st.integers(1, 4),
+        k=st.integers(0, 4),
+        rank_one=st.booleans(),
+        scale=st.sampled_from([1.0, 1e150, 1e-150, 1e160, 1e-160, 1e300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_limits_a_few_ulps_from_the_norm(self, r, c, k, rank_one, scale, seed):
+        # each matrix is repeated with limits norm * (1 + j eps), j in -4..4,
+        # so some limits sit between a computed bound and the computed norm;
+        # a rank-one matrix has a column or Frobenius norm equal to its
+        # spectral norm in exact arithmetic; at 1e+-160 the squares of the
+        # bounds overflow or fall into the subnormals
+        rng = np.random.default_rng(seed)
+        if rank_one:
+            mats = rng.uniform(-1, 1, (k, r, 1)) * rng.uniform(-1, 1, (k, 1, c))
+        else:
+            mats = rng.uniform(-1, 1, (k, r, c))
+        mats *= scale
+        steps = np.arange(-4, 5) * np.finfo(float).eps
+        stack = np.repeat(mats, steps.size, axis=0)
+        limits = np.repeat(spectral_norm(mats), steps.size) * np.tile(1.0 + steps, k)
+        self.assert_decides_as_the_spectral_norm(stack, limits)
+
+    def test_zero_matrices_and_zero_limits(self):
+        for r, c in [(1, 1), (2, 3), (4, 4), (3, 0), (0, 2)]:
+            zero = np.zeros((4, r, c))
+            one = np.ones((4, r, c))
+            limits = np.array([0.0, 1e-300, -1.0, 1.0])
+            for stack in (zero, one):
+                self.assert_decides_as_the_spectral_norm(stack, limits)
+                self.assert_decides_as_the_spectral_norm(stack, 0.0)
+        for shape in [(0, 2, 3), (0, 1, 1), (0, 4, 4)]:
+            self.assert_decides_as_the_spectral_norm(np.zeros(shape), np.zeros(0))
+
+    def test_leading_axes_broadcast_a_limit(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((3, 2, 3, 3))
+        self.assert_decides_as_the_spectral_norm(stack, 2.0)
+        # a single matrix, at a limit that the bounds cannot settle
+        m = stack[0, 0]
+        for limit in (spectral_norm(m), 0.0, 1e3):
+            self.assert_decides_as_the_spectral_norm(m, limit)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_as_the_spectral_norm(self, bad):
+        stack = np.ones((3, 2, 2))
+        stack[2, 0, 1] = bad
+        with pytest.raises(InvalidInputError) as want:
+            spectral_norm(stack)
+        # a limit that every bound would settle still takes the exact path
+        for limits in (np.full(3, 10.0), np.full(3, -1.0), np.inf):
+            with pytest.raises(InvalidInputError) as got:
+                spectral_norm_exceeds(stack, limits)
+            assert str(got.value) == str(want.value)
 
 
 class TestNumericalRadius:
