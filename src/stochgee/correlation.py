@@ -86,7 +86,6 @@ class WorkingCorrelationSpec:
                 f"fixed working correlation is not PD (lambda_min={lam_min:.3e})",
                 lambda_min=lam_min,
             )
-        m = m.copy()
         m.setflags(write=False)
         return cls("fixed", m.shape[0], matrix=m)
 

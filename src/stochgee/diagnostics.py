@@ -63,10 +63,6 @@ _PERTURBATION_TAG = 0x5045525442455441  # distinguishes the schedule stream
 #: point whatever its size, so the budget no longer bounds memory
 _LATTICE_BLOCK_ELEMENTS = 1 << 16
 
-#: relative widening of the eigenvalue bounds by which the lattice screens
-#: out matrices, far above the error of LAPACK's eigenvalues
-_SCREEN_MARGIN = 1e-10
-
 
 @dataclass(frozen=True)
 class DiagnosticsParams:
@@ -399,7 +395,8 @@ def _lattice_matrices(dataset, lk, roots, block):
     and the (point, l, cluster, m, m) stack of dR/dbeta_l. ``lower``
     (point, 2, cluster) bounds the eigenvalue that pi, then d, takes from
     below; ``upper`` (point, 1 + p, cluster) bounds that of each matrix
-    from above.
+    from above. Both are ``linalg.spectral_bounds``: of the largest
+    eigenvalue for q, of the spectral norm for each dR/dbeta_l.
     """
 
     def sym(m):
@@ -422,14 +419,9 @@ def _lattice_matrices(dataset, lk, roots, block):
         q = sym(root @ np.linalg.inv(stacks[:, 0, at, :m, :m]) @ root)
         dq = sym(diffs[:, :, at, :m, :m])
         mats.append((q, dq))
-        with np.errstate(over="ignore"):
-            lower[:, 0, at] = _fold(np.maximum, np.diagonal(q, 0, -2, -1))
-            upper[:, 0, at] = _fold(np.maximum, _fold(np.add, np.abs(q)))
-            # squared column norms of each dR/dbeta_l
-            columns = _fold(np.add, dq * dq, axis=-2)
-            radius = np.sqrt(_fold(np.maximum, columns))
-            lower[:, 1, at] = _fold(np.maximum, radius, axis=1)
-            upper[:, 1:, at] = np.sqrt(_fold(np.add, columns))
+        lower[:, 0, at], upper[:, 0, at] = linalg.spectral_bounds(q, top=True)
+        radius, upper[:, 1:, at] = linalg.spectral_bounds(dq)
+        lower[:, 1, at] = _fold(np.maximum, radius, axis=1)
     return mats, lower, upper
 
 
@@ -447,19 +439,16 @@ def _proxy_lattice_quantities(dataset, centre, lk, lattices, n_grid):
     m, m) stacks per cluster-size bucket.
 
     Each reported value is a running maximum, so only a few matrices can
-    set one, and the eigenvalues are screened (Horn & Johnson, Matrix
-    Analysis, 5.6 and 6.1). For pi, ``max diag(q) <= lambda_max(q) <=
-    max_i sum_j |q_ij|``; for d, the largest column norm of dR/dbeta_l
-    bounds its spectral radius from below and the Frobenius norm from
-    above. A matrix is diagonalized only where its upper bound, widened by
-    ``_SCREEN_MARGIN``, reaches its threshold: for each radius of its
-    point, the largest lower bound seen so far among that radius's points
-    and the clusters up to the end of its checkpoint segment, and the
-    lowest of these over the radii. The thresholds only rise from block
-    to block, so a matrix screened out cannot set a maximum; it counts as
-    -inf. A NaN or infinite bound never screens a matrix out nor raises a
-    threshold. ``eigvalsh`` gives the same bits on a subset of a stack as
-    on the whole, so the series are those of the unscreened fold.
+    set one, and the eigenvalues are screened by the widened bounds of
+    ``_lattice_matrices``. A matrix is diagonalized only where its upper
+    bound reaches its threshold: for each radius of its point, the largest
+    lower bound seen so far among that radius's points and the clusters up
+    to the end of its checkpoint segment, and the lowest of these over the
+    radii. The thresholds only rise from block to block, so a matrix
+    screened out cannot set a maximum; it counts as -inf. A matrix left
+    unbounded is never screened out and raises no threshold.
+    ``eigvalsh`` gives the same bits on a subset of a stack as on the
+    whole, so the series are those of the unscreened fold.
     """
     r_grid = list(lattices)
     if centre is None:
@@ -502,13 +491,12 @@ def _proxy_lattice_quantities(dataset, centre, lk, lattices, n_grid):
         bounds and mark the matrices whose upper bound reaches the
         threshold."""
         on = member[:, rows, None, None]
-        # a bound that overflowed bounds nothing
-        seen = np.where(on & np.isfinite(lower), lower, -np.inf).max(axis=1)
+        seen = np.where(on, lower, -np.inf).max(axis=1)
         seen = np.maximum.accumulate(seen, axis=-1)[..., last]
         np.maximum(floors[..., :-1], seen, out=floors[..., :-1])
         t = np.where(on, floors[:, None], np.inf).min(axis=0)
         t = t[:, quantity][..., segment]
-        return ~(upper * (1.0 + _SCREEN_MARGIN) < t * (1.0 - _SCREEN_MARGIN))
+        return ~(upper < t)
 
     def fold(rows):
         """pi and d at the points of ``rows``, screened; the block's stacks

@@ -64,7 +64,6 @@ class CorrelationTruth:
 
     def __post_init__(self):
         t = linalg.symmetrize_checked(self.template)
-        t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "template", t)
 

@@ -3,9 +3,9 @@
 Everything here targets matrices no larger than the maximal cluster size
 (a few dozen at most). Inputs are checked for finiteness and symmetry
 before LAPACK computes eigenvalues, singular values and Cholesky
-factors; the independent eigenvalue oracles of the test suite pin the
-results. Every routine calls NumPy's LAPACK (``np.linalg``), so none of
-them loads SciPy.
+factors; the screens' bounds take unchecked stacks. The independent
+eigenvalue oracles of the test suite pin the results. Every routine
+calls NumPy's LAPACK (``np.linalg``), so none of them loads SciPy.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _check_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def symmetrize_checked(m: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Return (M + M^T)/2 after verifying max |M - M^T| <= tol.
+    """Return a new array (M + M^T)/2 after verifying max |M - M^T| <= tol.
 
     Finite-difference Jacobians carry roundoff asymmetry; anything beyond
     `tol` is treated as a caller bug rather than silently averaged away.
@@ -100,38 +100,52 @@ def _fold(ufunc, a, axis=-1):
     return functools.reduce(ufunc, np.moveaxis(a, axis, 0))
 
 
-#: relative widening of the screen's bounds: far above the rounding of the
-#: bounds and of the SVD on the small matrices this module serves
+#: relative widening of the screens' bounds: far above the rounding of the
+#: bounds and of LAPACK on the small matrices this module serves
 _SCREEN_MARGIN = 1e-10
+
+
+def spectral_bounds(stack: np.ndarray, top: bool = False) -> tuple:
+    """Widened (lower, upper) bounds per matrix of a nonempty (..., r, c)
+    stack: of the spectral norm, the largest column 2-norm and the
+    Frobenius norm (Horn & Johnson, *Matrix Analysis*, 5.6); with ``top``,
+    of the largest eigenvalue of a symmetric matrix, the largest diagonal
+    entry and the largest absolute row sum (6.1), so an upper bound is not
+    negative. Each moves outward by ``_SCREEN_MARGIN`` times its magnitude
+    plus ``sqrt(r * c * tiny)``, which covers squares that underflow. A
+    matrix whose upper bound is not finite (a NaN or infinite entry, or a
+    sum that overflows) gets (-inf, inf).
+    """
+    r, c = stack.shape[-2:]
+    floor = np.sqrt(r * c * np.finfo(float).tiny)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if top:
+            lower = _fold(np.maximum, np.diagonal(stack, 0, -2, -1))
+            upper = _fold(np.maximum, _fold(np.add, np.abs(stack)))
+        else:
+            cols = np.einsum("...ij,...ij->...j", stack, stack)
+            lower = np.sqrt(_fold(np.maximum, cols))
+            upper = np.sqrt(_fold(np.add, cols))
+        lower = lower - (_SCREEN_MARGIN * np.abs(lower) + floor)
+        upper = upper * (1.0 + _SCREEN_MARGIN) + floor
+    bounded = np.isfinite(upper)
+    return np.where(bounded, lower, -np.inf), np.where(bounded, upper, np.inf)
 
 
 def spectral_norm_exceeds(stack: np.ndarray, limits) -> np.ndarray:
     """``spectral_norm(stack) > limits`` for a (..., r, c) stack, element for
-    element, with an SVD only where cheap bounds cannot decide; a 2-D
-    input gives a 0-d array.
-
-    The largest column 2-norm bounds the spectral norm below and the
-    Frobenius norm above (Horn & Johnson, *Matrix Analysis*, 5.6). Each
-    bound is widened by ``_SCREEN_MARGIN`` relative and by an absolute
-    ``sqrt(r * c * tiny)``, which covers squares that underflow. A matrix
-    whose widened bounds straddle its limit, or whose Frobenius norm is not
-    finite (a NaN or infinite entry, or squares that overflow), takes
-    ``spectral_norm``, which raises on a non-finite entry.
+    element; a 2-D input gives a 0-d array. Only a matrix whose
+    ``spectral_bounds`` straddle or touch its limit, or that they leave
+    unbounded, takes ``spectral_norm``, which raises on a non-finite entry.
     """
     stack = np.asarray(stack, dtype=float)
     limits = np.broadcast_to(np.asarray(limits, dtype=float), stack.shape[:-2])
-    r, c = stack.shape[-2:]
-    if r * c == 0:
+    if 0 in stack.shape[-2:]:
         # an empty matrix has norm 0
         return np.zeros(limits.shape) > limits
-    with np.errstate(over="ignore", under="ignore"):
-        cols = np.einsum("...ij,...ij->...j", stack, stack)
-        fro = np.sqrt(_fold(np.add, cols))
-        col = np.sqrt(_fold(np.maximum, cols))
-    floor = np.sqrt(r * c * np.finfo(float).tiny)
-    exceeds = np.asarray(col * (1.0 - _SCREEN_MARGIN) - floor > limits)
-    settled = exceeds | (fro * (1.0 + _SCREEN_MARGIN) + floor <= limits)
-    exact = ~(settled & np.isfinite(fro))
+    lower, upper = spectral_bounds(stack)
+    exceeds = np.asarray(lower > limits)
+    exact = ~(exceeds | (upper < limits))
     if exact.any():
         exceeds[exact] = spectral_norm(stack[exact]) > limits[exact]
     return exceeds

@@ -370,6 +370,53 @@ class TestLatticeScreenFallsBack:
         report = assert_lattice_matches_oracle(ds, np.array([0.2, -0.1]), params)
         assert all(v == 0.0 for by_r in report.series_by_r["d"].values() for v in by_r)
 
+    @pytest.mark.parametrize(
+        "radii, angles",
+        [
+            ((4.25e-162, 4.2498e-162), (1.81, 3.05)),
+            ((1e-161, 1.0001e-161), (1.5, 3.0)),
+            ((2e-162, 2.0001e-162), (2.0, 0.5)),
+        ],
+    )
+    def test_underflowing_bounds(self, monkeypatch, radii, angles):
+        # a proxy that is the identity at every point and +-dR * h at its
+        # neighbours, with near-tied rank-one dR/dbeta of radius about
+        # 1e-161 at the two clusters: their squared entries underflow, so
+        # bounds without an absolute widening screen out the larger one
+        v = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        dr = np.asarray(radii)[:, None, None] * v[:, :, None] * v[:, None, :]
+        eye = np.eye(2)
+
+        def fake_proxy_stack(dataset, beta, link):
+            beta = np.asarray(beta, dtype=float)
+            if beta.ndim == 1:
+                return np.broadcast_to(eye, (3, 2, 2)).copy()
+            # (point, point + h, point - h) visits of p = 1
+            visits = beta.reshape(-1, 3)
+            h = estimating._FD_STEP * np.maximum(1.0, np.abs(visits[:, :1, None, None]))
+            stacks = np.broadcast_to(eye, visits.shape + (3, 2, 2)).copy()
+            stacks[:, 1, :2] = dr * h
+            stacks[:, 2, :2] = -dr * h
+            return stacks.reshape(-1, 3, 2, 2)
+
+        monkeypatch.setattr(diagnostics, "proxy_stack", fake_proxy_stack)
+        pairs = [
+            (np.array([1.2, 0.7]), np.array([[0.3], [-0.2]])),
+            (np.array([0.9, 1.4]), np.array([[-0.1], [0.4]])),
+        ]
+        ds = dataset_from_arrays(pairs, m_max=2)
+        spec = WorkingCorrelationSpec.pseudo_likelihood(2)
+        report = condition_trajectories(ds, np.zeros(1), "log", spec)
+        for r, series in report.series_by_r["d"].items():
+            # the fold's own arithmetic on the injected differences
+            expect = -np.inf
+            for point in ball_lattice(np.zeros(1), r):
+                h = estimating._FD_STEP * max(1.0, abs(point[0]))
+                diff = (dr * h - (-dr * h)) / (2.0 * h)
+                w = np.linalg.eigvalsh(0.5 * (diff + np.swapaxes(diff, 1, 2)))
+                expect = max(expect, np.abs(w[:, [0, -1]]).max())
+            assert series == [expect]
+
 
 class TestSllnMonitor:
     def test_scalar_direct_substitution(self):

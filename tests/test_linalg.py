@@ -19,7 +19,7 @@ from stochgee import (
     sym_eigh,
 )
 from stochgee.diagnostics import _max_leverage
-from stochgee.linalg import spectral_norm_exceeds
+from stochgee.linalg import spectral_bounds, spectral_norm_exceeds
 
 from oracles import (
     eigenvalues_by_bisection,
@@ -193,6 +193,46 @@ class TestSpectralNormExceeds:
             with pytest.raises(InvalidInputError) as got:
                 spectral_norm_exceeds(stack, limits)
             assert str(got.value) == str(want.value)
+
+
+class TestSpectralBounds:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        r=st.integers(1, 4),
+        c=st.integers(1, 4),
+        top=st.booleans(),
+        sparse=st.booleans(),
+        scale=st.sampled_from([1.0, 1e150, 1e-150, 1e160, 1e-160, 1e300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_enclose_the_exact_value(self, r, c, top, sparse, scale, seed):
+        # sparse: a rank-one matrix, whose largest column norm is its
+        # spectral norm in exact arithmetic, or with ``top`` a diagonal one,
+        # whose largest diagonal entry is its largest eigenvalue and may be
+        # negative; at 1e+-160 squares overflow or fall into the subnormals
+        rng = np.random.default_rng(seed)
+        if top:
+            mats = rng.uniform(-1, 1, (3, r, r))
+            mats = np.eye(r) * mats if sparse else 0.5 * (mats + np.swapaxes(mats, 1, 2))
+        elif sparse:
+            mats = rng.uniform(-1, 1, (3, r, 1)) * rng.uniform(-1, 1, (3, 1, c))
+        else:
+            mats = rng.uniform(-1, 1, (3, r, c))
+        mats *= scale
+        exact = np.linalg.eigvalsh(mats)[:, -1] if top else spectral_norm(mats)
+        lower, upper = spectral_bounds(mats, top=top)
+        assert lower.shape == upper.shape == (3,)
+        assert np.all(lower <= exact) and np.all(exact <= upper)
+
+    @pytest.mark.parametrize("top", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+    def test_non_finite_bounds_bound_nothing(self, top, bad):
+        # a NaN or infinite entry, or a row of 1e308 whose sums overflow
+        stack = np.ones((3, 2, 2))
+        stack[1, 0] = bad
+        lower, upper = spectral_bounds(stack, top=top)
+        assert lower[1] == -np.inf and upper[1] == np.inf
+        assert np.all(np.isfinite(lower[::2])) and np.all(np.isfinite(upper[::2]))
 
 
 class TestNumericalRadius:
