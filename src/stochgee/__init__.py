@@ -32,10 +32,10 @@ from .estimating import (
     det_ratio,
     eval_g,
     eval_g_perturbed,
+    information_sums,
     integrability_summary,
     jacobian,
     needs_truth,
-    path_information_increments,
     resolve_estimator,
     score_increments,
 )

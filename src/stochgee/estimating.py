@@ -82,6 +82,11 @@ class CorrelationTruth:
         return cls(np.eye(m_max))
 
     def rbar(self, size: int) -> np.ndarray:
+        m = self.template.shape[0]
+        if size > m:
+            raise InvalidInputError(
+                f"a {m} x {m} template cannot serve clusters of size {size}"
+            )
         return self.template[:size, :size].copy()
 
 
@@ -633,24 +638,6 @@ def jacobian(
     return _evaluate(kind, dataset, beta, lk, frozen_corr, with_g=False)[1]()
 
 
-def _perturbed_regressors(dataset: Dataset, perturbation: "Perturbation", p: int):
-    """The dataset with regressors X_i + delta_i', after checking the count
-    and every shape, naming the first bad cluster in cluster order."""
-    stack, sizes = perturbation.stack, perturbation.sizes
-    if sizes.shape[0] != dataset.n:
-        raise InvalidInputError(
-            f"perturbation has {sizes.shape[0]} matrices for {dataset.n} clusters"
-        )
-    bad = (sizes != dataset.sizes) | (stack.shape[1] != p)
-    if bad.any():
-        i = int(np.argmax(bad))
-        shape, expected = (stack.shape[1], int(sizes[i])), (p, int(dataset.sizes[i]))
-        raise InvalidInputError(
-            f"delta for cluster {i + 1} has shape {shape}, expected {expected}"
-        )
-    return dataset.shifted(stack)
-
-
 def eval_g_perturbed(
     dataset: Dataset,
     beta,
@@ -660,15 +647,15 @@ def eval_g_perturbed(
 ) -> np.ndarray:
     """Working-correlation estimating function with misspecified regressors.
 
-    The coefficients ``C_i`` of the shifted dataset, with regressors
-    ``X_i + delta_i'`` (variance factors and any data-dependent proxy
-    included), multiply the residuals of the unperturbed means: the
-    whitened factors of the shifted dataset, with ``e`` taken from those
-    means.
+    The coefficients ``C_i`` of the shifted dataset
+    ``perturbation.shift(dataset)``, with regressors ``X_i + delta_i'``
+    (variance factors and any data-dependent proxy included), multiply
+    the residuals of the unperturbed means: the whitened factors of the
+    shifted dataset, with ``e`` taken from those means.
     """
     beta = as_beta(beta)
     lk = get_link(link)
-    shifted = _perturbed_regressors(dataset, perturbation, beta.shape[0])
+    shifted = perturbation.shift(dataset)
     kind = EstimatingFunction.gee_star(spec)
     if kind.reduces_to_independence:
         return shifted.x.T @ (dataset.y - lk.eval(0, dataset.x @ beta))
@@ -681,65 +668,13 @@ def eval_g_perturbed(
 
 
 #: each comparison matrix as the product a'c of two factors (a, c) of
-#: ``_information_factors``, which are z, v, w and u in that order
+#: ``information_sums``, which are z, v, w and u in that order
 _INFORMATION_PAIRS = {
     "h_ind": (0, 0),
     "h_star": (0, 1),
     "m_bar": (0, 2),
     "m_star": (1, 3),
 }
-
-
-def _information_factors(dataset, beta, lk, spec, truth, frozen_corr) -> list:
-    """Per size bucket the (k, m, p) factors of the comparison matrices:
-    ``z = A^{1/2} X``, ``v = R^{-1} z``, ``w = Rbar^{-1} z`` and
-    ``u = Rbar v``. ``v`` and ``w`` take the same operation, so a proxy
-    equal to the truth gives them bitwise equal."""
-    proxy = freeze_proxy(EstimatingFunction.gee_star(spec), dataset, beta, lk, frozen_corr)
-    rbar_inv = _checked_inverse(
-        (truth.rbar(b.size), b.positions) for b in dataset.buckets
-    )
-    moments = _moments(dataset, beta, lk)
-    out = []
-    for b, (_, var), rinv, tinv in zip(
-        dataset.buckets, moments, proxy.inverses, rbar_inv
-    ):
-        z = b.x * np.sqrt(var)[..., None]
-        v = rinv @ z
-        out.append((z, v, tinv @ z, truth.rbar(b.size) @ v))
-    return out
-
-
-def path_information_increments(
-    dataset: Dataset,
-    beta,
-    link,
-    spec: WorkingCorrelationSpec,
-    truth: CorrelationTruth,
-    perturbation: Optional["Perturbation"] = None,
-) -> dict:
-    """Per-cluster summands of the four comparison matrices on one path.
-
-    ``h_ind = z'z``, ``h_star = z'v``, ``m_bar = z'w`` and ``m_star =
-    v'u`` of each cluster, from the factors of ``_information_factors``
-    (``_INFORMATION_PAIRS``).
-    A perturbation shifts the regressors to ``X_i + delta_i'`` first, so
-    the variance factors and any data-dependent proxy are those of the
-    shifted dataset while the true correlation is untouched. Returns
-    (n, p, p) arrays keyed by family; ``information_sums`` gives their
-    sums at checkpoints.
-    """
-    beta = as_beta(beta)
-    lk = get_link(link)
-    n, p = dataset.n, beta.shape[0]
-    if perturbation is not None:
-        dataset = _perturbed_regressors(dataset, perturbation, p)
-    factors = _information_factors(dataset, beta, lk, spec, truth, None)
-    out = {k: np.empty((n, p, p)) for k in _INFORMATION_PAIRS}
-    for b, parts in zip(dataset.buckets, factors):
-        for key, (a, c) in _INFORMATION_PAIRS.items():
-            out[key][b.positions] = np.swapaxes(parts[a], 1, 2) @ parts[c]
-    return out
 
 
 def information_sums(
@@ -751,27 +686,36 @@ def information_sums(
     n_grid,
     frozen_corr: Optional[FrozenProxy] = None,
 ) -> dict:
-    """The comparison matrices of ``path_information_increments`` summed
-    over the first ``n`` clusters, at each checkpoint ``n`` of the
-    increasing ``n_grid``: (len(n_grid), p, p) arrays keyed by family.
-
-    No per-cluster matrix is formed. In each size bucket the clusters
-    between two checkpoints are a run of its factors ``z``, ``v``, ``w``
-    and ``u``, whose rows give one (p x rows)(rows x p) product per
-    matrix; the buckets' products are added, in bucket order, and the
-    segments summed. ``h_star`` and ``m_bar`` take the same operations,
-    so a proxy equal to the truth gives them bitwise equal. A
+    """The section-4 comparison matrices summed over the first ``n``
+    clusters at each checkpoint ``n`` of the increasing ``n_grid`` (the
+    dense grid ``range(1, n + 1)`` gives every partial sum): (len(n_grid),
+    p, p) arrays keyed by family, each a product a'c of two per-bucket
+    factors (``_INFORMATION_PAIRS``) ``z = A^{1/2} X``, ``v = R^{-1} z``,
+    ``w = Rbar^{-1} z`` and ``u = Rbar v``. No per-cluster matrix is
+    formed: the clusters of a size bucket between two checkpoints are a
+    run of rows, with one (p x rows)(rows x p) product per matrix; the
+    buckets' products are added, in bucket order, and the segments
+    summed. ``v`` and ``w`` take the same operation, so a proxy equal to
+    the truth gives ``h_star`` and ``m_bar`` bitwise equal. A
     ``frozen_corr`` for ``dataset`` spares the proxy's fold and
-    inversion; a perturbed path is the shifted dataset.
+    inversion. A perturbed path is ``perturbation.shift(dataset)``, whose
+    variance factors and any data-dependent proxy move with the
+    regressors while the truth does not.
     """
     beta = as_beta(beta)
     lk = get_link(link)
     p = beta.shape[0]
-    factors = _information_factors(dataset, beta, lk, spec, truth, frozen_corr)
+    proxy = freeze_proxy(EstimatingFunction.gee_star(spec), dataset, beta, lk, frozen_corr)
+    rbars = [truth.rbar(b.size) for b in dataset.buckets]
+    rbar_inv = _checked_inverse(zip(rbars, [b.positions for b in dataset.buckets]))
+    moments = _moments(dataset, beta, lk)
     cuts = np.concatenate(([0], n_grid))
     total = dict.fromkeys(_INFORMATION_PAIRS, 0.0)
-    for b, parts in zip(dataset.buckets, factors):
-        rows = [f.reshape(-1, p) for f in parts]
+    buckets = zip(dataset.buckets, moments, proxy.inverses, rbar_inv, rbars)
+    for b, (_, var), rinv, tinv, rbar in buckets:
+        z = b.x * np.sqrt(var)[..., None]
+        v = rinv @ z
+        rows = [f.reshape(-1, p) for f in (z, v, tinv @ z, rbar @ v)]
         # the bucket's rows of the clusters between two checkpoints
         at = (b.size * np.searchsorted(b.positions, cuts)).tolist()
         runs = [slice(lo, hi) for lo, hi in zip(at, at[1:])]
@@ -844,7 +788,8 @@ class Perturbation:
 
     Stored as one read-only (n, p, max m_i) ``stack``, each delta
     zero-padded on the right, with the column counts ``sizes``; the
-    ``deltas`` are read-only views into the stack.
+    ``deltas`` are read-only views into the stack; ``shift`` applies
+    them to a dataset, after checking that they fit it.
     """
 
     stack: np.ndarray
@@ -891,6 +836,24 @@ class Perturbation:
     def deltas(self) -> tuple:
         """delta_i as read-only (p, m_i) views into the stack."""
         return tuple(d[:, :m] for d, m in zip(self.stack, self.sizes.tolist()))
+
+    def shift(self, dataset: Dataset) -> Dataset:
+        """``dataset`` with regressors X_i + delta_i', after checking the
+        count and every delta's shape against it, naming the first bad
+        cluster in cluster order."""
+        stack, sizes, p = self.stack, self.sizes, dataset.p
+        if sizes.shape[0] != dataset.n:
+            raise InvalidInputError(
+                f"perturbation has {sizes.shape[0]} matrices for {dataset.n} clusters"
+            )
+        bad = (sizes != dataset.sizes) | (stack.shape[1] != p)
+        if bad.any():
+            i = int(np.argmax(bad))
+            shape, expected = (stack.shape[1], int(sizes[i])), (p, int(dataset.sizes[i]))
+            raise InvalidInputError(
+                f"delta for cluster {i + 1} has shape {shape}, expected {expected}"
+            )
+        return dataset.shifted(stack)
 
     @classmethod
     def zero(cls, dataset: Dataset) -> "Perturbation":

@@ -44,17 +44,17 @@ def _check_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def symmetrize_checked(m: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Return a new array (M + M^T)/2 after verifying max |M - M^T| <= tol.
+def symmetrize_checked(m: np.ndarray) -> np.ndarray:
+    """Return (M + M^T)/2 as a new array once max |M - M^T| <= SYMMETRY_TOL.
 
     Finite-difference Jacobians carry roundoff asymmetry; anything beyond
-    `tol` is treated as a caller bug rather than silently averaged away.
+    the tolerance is treated as a caller bug rather than silently averaged.
     """
     m = _check_square(m)
     asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    if asym > tol:
+    if asym > SYMMETRY_TOL:
         raise SymmetryViolationError(
-            f"matrix is not symmetric: max asymmetry {asym:.3e} > {tol:.1e}"
+            f"matrix is not symmetric: max asymmetry {asym:.3e} > {SYMMETRY_TOL:.1e}"
         )
     return 0.5 * (m + m.T)
 
@@ -167,7 +167,11 @@ def _radius_profile(s: np.ndarray, k: np.ndarray, thetas: np.ndarray) -> np.ndar
     return np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
 
 
-def numerical_radius(m: np.ndarray, grid: int = 256) -> float:
+#: angles of the numerical radius's profile over [0, pi), before the polish
+_RADIUS_GRID = 256
+
+
+def numerical_radius(m: np.ndarray) -> float:
     """Numerical radius sup |x* M x| over complex unit vectors.
 
     Equals max over angles t of the largest-magnitude eigenvalue of the
@@ -188,12 +192,12 @@ def numerical_radius(m: np.ndarray, grid: int = 256) -> float:
     if skew_scale <= 1e-14 * max(1.0, float(np.max(np.abs(m)))):
         return sym_part
     # profile over the half period [0, pi); the other half mirrors it
-    thetas = np.linspace(0.0, np.pi, grid, endpoint=False)
+    thetas = np.linspace(0.0, np.pi, _RADIUS_GRID, endpoint=False)
     vals = _radius_profile(s, k, thetas)
     best = float(vals.max())
     # golden-section polish around the top grid peaks
     order = np.argsort(vals)[::-1][:3]
-    step = np.pi / grid
+    step = np.pi / _RADIUS_GRID
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     for idx in order:
         a, b = thetas[idx] - step, thetas[idx] + step

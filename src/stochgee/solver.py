@@ -14,6 +14,7 @@ import numpy as np
 
 from . import linalg
 from .estimating import (
+    CorrelationTruth,
     EstimatingFunction,
     _checked_inverse,
     _evaluate,
@@ -193,8 +194,8 @@ def linear_closed_form(dataset: Dataset, r_sequence) -> np.ndarray:
     so it does not depend on the units of the regressors.
     """
     if isinstance(r_sequence, np.ndarray) and r_sequence.ndim == 2:
-        template = linalg.symmetrize_checked(r_sequence)
-        mats = [template[: b.size, : b.size] for b in dataset.buckets]
+        template = CorrelationTruth(r_sequence)
+        mats = [template.rbar(b.size) for b in dataset.buckets]
     else:
         mats = _stack_by_bucket(dataset, r_sequence)
     p = dataset.p

@@ -165,8 +165,7 @@ def test_04_exact_optimality_identity_per_path():
     ds = sg.simulate_scenario(cfg)
     truth = cfg.truth.template(3)
     spec = sg.WorkingCorrelationSpec.exchangeable(0.4, 3)
-    inc = sg.path_information_increments(ds, cfg.beta0, "identity", spec, truth)
-    cum = {k: np.cumsum(v, axis=0) for k, v in inc.items()}
+    cum = sg.information_sums(ds, cfg.beta0, "identity", spec, truth, range(1, 301))
     worst = 0.0
     for n in range(1, 301):
         rh = sg.det_ratio(cum["h_star"][n - 1], cum["m_bar"][n - 1])

@@ -20,11 +20,11 @@ from stochgee import (
     eval_g,
     eval_g_perturbed,
     get_link,
+    information_sums,
     integrability_summary,
     jacobian,
     linear_closed_form,
     needs_truth,
-    path_information_increments,
     resolve_estimator,
     score_increments,
     simulate_scenario,
@@ -349,12 +349,9 @@ def mixed_sizes_dataset():
 
 def perturbed_entry_points():
     spec = WorkingCorrelationSpec.exchangeable(0.4, 3)
-    truth = CorrelationTruth.from_kind("exchangeable", 0.4, 3)
     return [
         lambda ds, pert: eval_g_perturbed(ds, np.zeros(2), pert, "identity", spec),
-        lambda ds, pert: path_information_increments(
-            ds, np.zeros(2), "identity", spec, truth, perturbation=pert
-        ),
+        lambda ds, pert: pert.shift(ds),
     ]
 
 
@@ -411,6 +408,24 @@ class TestShapeChecks:
             eval_g(kind, ds, cfg.beta0_array, "identity", frozen_corr=seq[:-1])
         with pytest.raises(InvalidInputError, match=msg):
             linear_closed_form(ds, seq[:-1])
+
+    def test_truth_smaller_than_a_cluster(self):
+        # clusters of sizes 3, 1, 2, 1 and a 2 x 2 true correlation
+        ds = mixed_sizes_dataset()
+        truth = CorrelationTruth.from_kind("exchangeable", 0.4, 2)
+        spec = WorkingCorrelationSpec.exchangeable(0.4, 3)
+        msg = "^a 2 x 2 template cannot serve clusters of size 3$"
+        with pytest.raises(InvalidInputError, match=msg):
+            information_sums(ds, np.zeros(2), "identity", spec, truth, (4,))
+        kind = EstimatingFunction.gee_star(spec)
+        with pytest.raises(InvalidInputError, match=msg):
+            score_increments(kind, ds, np.zeros(2), "identity", truth)
+
+    def test_linear_closed_form_template_smaller_than_a_cluster(self):
+        ds = mixed_sizes_dataset()
+        msg = "^a 2 x 2 template cannot serve clusters of size 3$"
+        with pytest.raises(InvalidInputError, match=msg):
+            linear_closed_form(ds, np.eye(2))
 
 
 class TestJacobian:
@@ -512,16 +527,16 @@ class TestOptimalityMatrices:
         datasets = [simulate_scenario(cfg, rep) for rep in range(3)]
         truth = cfg.truth.template(3)
         spec = WorkingCorrelationSpec.exchangeable(0.4, 3)
-        incs = [
-            path_information_increments(ds, cfg.beta0, "identity", spec, truth)
+        sums = [
+            information_sums(ds, cfg.beta0, "identity", spec, truth, range(1, 51))
             for ds in datasets
         ]
-        for inc in incs:
-            path = {k: v.sum(axis=0) for k, v in inc.items()}
+        for s in sums:
+            path = {k: v[-1] for k, v in s.items()}
             np.testing.assert_array_equal(path["h_star"], path["m_bar"])
             np.testing.assert_allclose(path["m_star"], path["m_bar"], rtol=1e-12)
         # the ensemble's running sums over the clusters
-        cum = {k: np.cumsum(sum(inc[k] for inc in incs), axis=0) for k in incs[0]}
+        cum = {k: sum(s[k] for s in sums) for k in sums[0]}
         for n in (1, 10, 50):
             rh = det_ratio(cum["h_star"][n - 1], cum["m_bar"][n - 1])
             rm = det_ratio(cum["m_star"][n - 1], cum["m_bar"][n - 1])
@@ -536,11 +551,11 @@ class TestOptimalityMatrices:
         ds2 = dataset_from_arrays([(p[0] + 1.0, p[1]) for p in pairs], m_max=3)
         truth = CorrelationTruth.from_kind("exchangeable", 0.4, 3)
         spec = WorkingCorrelationSpec.identity(3)
-        incs = [
-            path_information_increments(ds, np.zeros(2), "identity", spec, truth)
+        sums = [
+            information_sums(ds, np.zeros(2), "identity", spec, truth, (2,))
             for ds in (ds1, ds2)
         ]
-        per_path = [{k: v.sum(axis=0) for k, v in inc.items()} for inc in incs]
+        per_path = [{k: v[0] for k, v in s.items()} for s in sums]
         mean = {k: (per_path[0][k] + per_path[1][k]) / 2.0 for k in per_path[0]}
         np.testing.assert_allclose(mean["h_ind"], 2 * x.T @ x, atol=1e-12)
         assert np.array_equal(per_path[0]["h_ind"], per_path[1]["h_ind"])

@@ -26,7 +26,6 @@ from stochgee import (
     eval_g_perturbed,
     jacobian,
     linear_closed_form,
-    path_information_increments,
     score_increments,
     spectral_norm,
     working_corr,
@@ -175,10 +174,10 @@ def test_variance_and_information_match_loops(seed, n, m_max, link, variant):
     assert_close(q.sum(axis=0), eval_g(kind, ds, beta, link))
     if kind.variant != "gee_star":
         return
-    inc = path_information_increments(ds, beta, link, kind.spec, truth)
+    sums = information_sums(ds, beta, link, kind.spec, truth, range(1, n + 1))
     ref = loop_information_increments(pairs(ds), beta, link, seq, truth.rbar)
     for key in ref:
-        assert_close(inc[key], ref[key])
+        assert_close(sums[key], np.cumsum(ref[key], axis=0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,8 +195,8 @@ def test_identity_link_jacobian_is_the_working_information(seed, n, m_max, varia
     kind, _, _ = variant_setup(variant, ds, rng, beta, "identity")
     truth = CorrelationTruth.from_kind("exchangeable", 0.4, m_max)
     jac = jacobian(kind, ds, beta, "identity")
-    inc = path_information_increments(ds, beta, "identity", kind.spec, truth)
-    assert_close(jac, inc["h_star"].sum(axis=0))
+    sums = information_sums(ds, beta, "identity", kind.spec, truth, (n,))
+    assert_close(jac, sums["h_star"][0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,10 +228,10 @@ def test_perturbed_paths_match_loops(seed, n, m_max, link, kind_name):
     expect = loop_eval_g(pairs(ds), beta, link, seq, deltas)
     assert_close(eval_g_perturbed(ds, beta, pert, link, spec), expect)
     truth = CorrelationTruth.from_kind("exchangeable", 0.4, m_max)
-    inc = path_information_increments(ds, beta, link, spec, truth, perturbation=pert)
+    sums = information_sums(pert.shift(ds), beta, link, spec, truth, range(1, n + 1))
     ref = loop_information_increments(pairs(ds), beta, link, seq, truth.rbar, deltas)
     for key in ref:
-        assert_close(inc[key], ref[key])
+        assert_close(sums[key], np.cumsum(ref[key], axis=0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -345,7 +344,7 @@ def test_shifted_overflow_names_first_cluster_in_cluster_order(kind_name):
     truth = CorrelationTruth.from_kind("exchangeable", 0.4, 3)
     msg = r"^cluster 4: non-finite moments at beta=\[1\.0, 0\.0\]$"
     with pytest.raises(InvalidVarianceError, match=msg):
-        path_information_increments(ds, beta, "log", spec, truth, perturbation=pert)
+        information_sums(pert.shift(ds), beta, "log", spec, truth, (ds.n,))
     if spec.kind != "identity":
         with pytest.raises(InvalidVarianceError, match=msg):
             eval_g_perturbed(ds, beta, pert, "log", spec)
