@@ -253,6 +253,51 @@ class FrozenProxy:
     inverses: tuple
 
 
+class Lanes:
+    """Datasets fitted in lockstep (``members``), their rows stacked in
+    lane order as ``dataset``; a lone member is its own. Lane ``l`` holds
+    the rows ``rows[l]`` and, in each size bucket it has, one run of
+    clusters: ``cuts[l]`` lists ``(bucket, slice)``, the slice of the
+    bucket's rows flattened to (k * m, ...). ``owners`` gives per bucket
+    each cluster's lane (None for a lone member). Elementwise work runs
+    once over the stack and every sum over clusters on one lane's runs,
+    so each lane gets its member's bits whatever shares the stack.
+    """
+
+    def __init__(self, members):
+        self.members = members = tuple(members)
+        self.dataset, self.owners = members[0], None
+        if len(members) == 1:
+            return
+        cat = [np.concatenate([getattr(d, a) for d in members]) for a in ("x", "y", "sizes")]
+        self.dataset = Dataset._trusted(*cat, members[0].p, members[0].m_max)
+        bounds = np.cumsum([0] + [d.x.shape[0] for d in members]).tolist()
+        self.rows = tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
+        bucket = {b.size: j for j, b in enumerate(self.dataset.buckets)}
+        counts = np.zeros((len(bucket), len(members)), dtype=np.int64)
+        self.cuts = []
+        for l, d in enumerate(members):
+            self.cuts.append([])
+            for b in d.buckets:
+                j, k = bucket[b.size], b.positions.shape[0]
+                lo = int(counts[j].sum())
+                self.cuts[-1].append((j, slice(lo * b.size, (lo + k) * b.size)))
+                counts[j, l] = k
+        self.owners = [np.repeat(np.arange(len(members)), c) for c in counts]
+
+    def freeze(self, proxies) -> "FrozenProxy":
+        """The members' ``FrozenProxy`` objects as one for the stack (of two
+        or more members): per bucket the one (m, m) inverse of a data-independent proxy (a
+        (k, m, m) stack of it does not multiply to the same bits), else
+        the members' stacks in lane order."""
+        parts = [[] for _ in self.dataset.buckets]
+        for cut, proxy in zip(self.cuts, proxies):
+            for (j, _), inv in zip(cut, proxy.inverses):
+                parts[j].append(inv)
+        inverses = (p[0] if p[0].ndim == 2 else np.concatenate(p) for p in parts)
+        return FrozenProxy(self.dataset, tuple(inverses))
+
+
 def _checked_inverse(parts) -> list:
     """Batched Cholesky positive-definiteness check, then batched inverse.
 
@@ -362,27 +407,35 @@ def _first_offender(dataset: Dataset, bad_rows) -> Optional[int]:
     return min(hits) + 1 if hits else None
 
 
-def _moments(dataset: Dataset, beta: np.ndarray, lk) -> list:
+def _check_width(dataset: Dataset, beta: np.ndarray) -> None:
+    if dataset.p != beta.shape[-1]:
+        raise InvalidInputError(
+            f"cluster 1: regressor width {dataset.p} != len(beta) {beta.shape[-1]}"
+        )
+
+
+def _moments(dataset: Dataset, beta: np.ndarray, lk, owners=None) -> list:
     """Per-bucket (mean, variance) at ``beta``, each (k, m).
 
     Raises InvalidVarianceError for the first cluster, in cluster order,
     with a non-finite moment or a nonpositive variance.
     At an (L, p) stack of points each is (L, k, m), from one batched
     product whose matrices are each ``b.x @ point``; a stack is left for
-    ``_pearson_residuals`` to check.
+    ``_pearson_residuals`` to check. With ``owners`` (``Lanes.owners``)
+    the rows of ``beta`` are lane points instead: each cluster takes its
+    own lane's, and the moments are (k, m) and checked.
     """
-    if dataset.p != beta.shape[-1]:
-        raise InvalidInputError(
-            f"cluster 1: regressor width {dataset.p} != len(beta) {beta.shape[-1]}"
-        )
+    _check_width(dataset, beta)
     out = []
-    for b in dataset.buckets:
-        if beta.ndim == 1:
+    for j, b in enumerate(dataset.buckets):
+        if owners is not None:
+            eta = (b.x @ beta[owners[j]][..., None])[..., 0]
+        elif beta.ndim == 1:
             eta = b.x @ beta
         else:
             eta = (b.x[None] @ beta[:, None, :, None])[..., 0]
         out.append((lk.eval(0, eta), lk.eval(1, eta)))
-    if beta.ndim > 1:
+    if beta.ndim > 1 and owners is None:
         return out
     nonfinite = [~(np.isfinite(mean) & np.isfinite(var)) for mean, var in out]
     bad = [nf | (var <= 0.0) for nf, (_, var) in zip(nonfinite, out)]
@@ -430,7 +483,7 @@ def _pearson_residuals(dataset: Dataset, beta, lk) -> list:
     return resid
 
 
-def _whiten(kind, dataset, beta, lk, frozen_corr=None, means=None) -> tuple:
+def _whiten(kind, dataset, beta, lk, frozen_corr=None, means=None, lanes=None) -> tuple:
     """g of the gee_star ``kind`` at ``beta`` and its whitened factors.
 
     The factors hold per size bucket X (k, m, p), the inverse proxies,
@@ -438,9 +491,11 @@ def _whiten(kind, dataset, beta, lk, frozen_corr=None, means=None) -> tuple:
     ``re = R^{-1} e`` (k, m); ``g`` sums ``z' re`` over the buckets.
     ``means``, one (k, m) array per bucket, replaces the means the
     residuals are taken from (``eval_g_perturbed`` passes the unperturbed
-    ones); the variances are always those of ``dataset``.
+    ones); the variances are always those of ``dataset``. With ``lanes``
+    the factors are formed once for the stack and g is the (L, p) stack
+    of the lanes' sums, each over the lane's own clusters.
     """
-    moments = _moments(dataset, beta, lk)
+    moments = _moments(dataset, beta, lk, None if lanes is None else lanes.owners)
     proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr)
     if means is None:
         means = [mean for mean, _ in moments]
@@ -449,26 +504,44 @@ def _whiten(kind, dataset, beta, lk, frozen_corr=None, means=None) -> tuple:
         sd = np.sqrt(var)
         e = (b.y - mean) / sd
         parts.append((b.x, rinv, b.x * sd[..., None], e, _apply(rinv, e)))
-    g = sum(z.reshape(-1, z.shape[-1]).T @ re.ravel() for _, _, z, _, re in parts)
-    return g, tuple(parts)
+    flat = [(z.reshape(-1, z.shape[-1]), re.ravel()) for _, _, z, _, re in parts]
+    if lanes is None:
+        return sum(z.T @ re for z, re in flat), tuple(parts)
+    g = [sum(flat[j][0][s].T @ flat[j][1][s] for j, s in cut) for cut in lanes.cuts]
+    return np.array(g), tuple(parts)
 
 
-def _whitened_jacobian(parts, lk) -> np.ndarray:
+def _whitened_jacobian(parts, lk, lanes=None) -> np.ndarray:
     """-dg/dbeta' from the factors of ``_whiten``, with the proxies held
-    fixed (identity and log links)."""
-    total = 0.0
+    fixed (identity and log links); with ``lanes`` the (L, p, p) stack of
+    the lanes' Jacobians, each summed over the lane's own clusters."""
+    terms = []
     for x, rinv, z, e, re in parts:
         p = x.shape[-1]
         v = (rinv @ z).reshape(-1, p)
         x, z = x.reshape(-1, p), z.reshape(-1, p)
         # main term X' A^{1/2} R^{-1} A^{1/2} X = Z' V
-        total = total + z.T @ v
+        term = (z, v)
         if lk.kind == "log":
             # d A^{1/2}_j / d beta_l = x_jl A^{1/2}_j / 2 for the log link;
             # contracted with the Pearson residual e this is
             # (Z' (x_l o R^{-1} e) - V' (x_l o e)) / 2, every l at once
-            e, re = e.reshape(-1, 1), re.reshape(-1, 1)
-            total -= 0.5 * (z.T @ (x * re) - v.T @ (x * e))
+            term += (x * re.reshape(-1, 1), x * e.reshape(-1, 1))
+        terms.append(term)
+    if lanes is None:
+        return _jacobian_sum(terms)
+    return np.array(
+        [_jacobian_sum([[a[s] for a in terms[j]] for j, s in cut]) for cut in lanes.cuts]
+    )
+
+
+def _jacobian_sum(terms):
+    total = 0.0
+    for z, v, *log in terms:
+        total = total + z.T @ v
+        if log:
+            xre, xe = log
+            total -= 0.5 * (z.T @ xre - v.T @ xe)
     return total
 
 
@@ -546,7 +619,19 @@ def _score_factors(kind, dataset, beta, lk, frozen_corr=None) -> list:
 # estimating-function evaluation
 
 
-def _evaluate(kind, dataset, beta, lk, frozen_corr=None, *, with_g=True) -> tuple:
+def _analytic(kind, lk, frozen_corr) -> bool:
+    """Whether ``_evaluate`` gives the analytic Jacobian: identity and log
+    links with a proxy that does not move with beta."""
+    return lk.kind in ("identity", "log") and (
+        kind.reduces_to_independence
+        or kind.variant == "gee_star"
+        and (frozen_corr is not None or not kind.spec.depends_on_data)
+    )
+
+
+def _evaluate(
+    kind, dataset, beta, lk, frozen_corr=None, *, with_g=True, lanes=None
+) -> tuple:
     """g at ``beta`` and a function giving -dg/dbeta' there.
 
     The one place that chooses how both are formed. The Jacobian is
@@ -558,17 +643,25 @@ def _evaluate(kind, dataset, beta, lk, frozen_corr=None, *, with_g=True) -> tupl
     variant included, takes central differences of g (``_fd_jacobian``);
     there g is needed only by a caller that reads it, so ``with_g=False``
     returns None for it and evaluates nothing at ``beta``.
+
+    With ``lanes``, a ``Lanes`` whose stack is ``dataset``, ``beta`` holds
+    one point per lane and the Jacobian must be analytic: the elementwise
+    work runs once over the stack, and g and the Jacobian are (L, p) and
+    (L, p, p) stacks whose rows are each lane's sums over its own rows,
+    the bits of the lane's evaluation alone. An error is not attributed
+    to a lane; the caller redoes the lanes one at a time.
     """
-    analytic = lk.kind in ("identity", "log") and (
-        kind.reduces_to_independence
-        or kind.variant == "gee_star"
-        and (frozen_corr is not None or not kind.spec.depends_on_data)
-    )
+    analytic = _analytic(kind, lk, frozen_corr)
     fd = functools.partial(_fd_jacobian, kind, dataset, beta, lk, frozen_corr)
     if not (analytic or with_g):
         return None, fd
     if kind.reduces_to_independence:
-        eta = dataset.x @ beta
+        if lanes is None:
+            eta = dataset.x @ beta
+        else:
+            eta = np.empty(dataset.x.shape[0])
+            for rows, point in zip(lanes.rows, beta):
+                np.matmul(dataset.x[rows], point, out=eta[rows])
         mean = lk.eval(0, eta)
         if not np.isfinite(mean).all():
             # the rows of each bucket, laid out as _moments lays them out
@@ -578,19 +671,32 @@ def _evaluate(kind, dataset, beta, lk, frozen_corr=None, *, with_g=True) -> tupl
             raise InvalidVarianceError(
                 f"cluster {index}: non-finite moments at beta={beta.tolist()}"
             )
-        g = dataset.x.T @ (dataset.y - mean)
-        if analytic:
-            return g, lambda: dataset.x.T @ (dataset.x * lk.eval(1, eta)[:, None])
+        if lanes is None:
+            g = dataset.x.T @ (dataset.y - mean)
+            if analytic:
+                return g, lambda: dataset.x.T @ (dataset.x * lk.eval(1, eta)[:, None])
+        else:
+            g = _lane_cross(dataset.x, dataset.y - mean, lanes)
+            return g, lambda: _lane_cross(
+                dataset.x, dataset.x * lk.eval(1, eta)[:, None], lanes
+            )
     elif kind.variant == "gee_star":
-        g, parts = _whiten(kind, dataset, beta, lk, frozen_corr)
+        g, parts = _whiten(kind, dataset, beta, lk, frozen_corr, lanes=lanes)
         if analytic:
-            return g, lambda: _whitened_jacobian(parts, lk)
+            if lanes is None:
+                return g, lambda: _whitened_jacobian(parts, lk)
+            return g, lambda: _whitened_jacobian(parts, lk, lanes)
     else:
         moments = _moments(dataset, beta, lk)
         coeffs = _callback_coefficients(kind, dataset, beta)
         parts = zip(dataset.buckets, coeffs, moments)
         g = sum(_apply(c, b.y - mean).sum(axis=0) for b, c, (mean, _) in parts)
     return g, fd
+
+
+def _lane_cross(a: np.ndarray, b: np.ndarray, lanes) -> np.ndarray:
+    """The stack of each lane's a' b over its own rows."""
+    return np.array([a[rows].T @ b[rows] for rows in lanes.rows])
 
 
 def _fd_jacobian(kind, dataset, beta, lk, frozen_corr=None) -> np.ndarray:
@@ -618,7 +724,9 @@ def eval_g(
     matrices, or a ``FrozenProxy`` prepared by ``freeze_proxy`` (the
     solver freezes proxies this way).
     """
-    return _evaluate(kind, dataset, as_beta(beta), get_link(link), frozen_corr)[0]
+    beta = as_beta(beta)
+    _check_width(dataset, beta)
+    return _evaluate(kind, dataset, beta, get_link(link), frozen_corr)[0]
 
 
 def jacobian(
@@ -635,6 +743,7 @@ def jacobian(
     (``_evaluate`` decides); g itself is not formed at ``beta``.
     """
     beta, lk = as_beta(beta), get_link(link)
+    _check_width(dataset, beta)
     return _evaluate(kind, dataset, beta, lk, frozen_corr, with_g=False)[1]()
 
 
@@ -656,6 +765,7 @@ def eval_g_perturbed(
     beta = as_beta(beta)
     lk = get_link(link)
     shifted = perturbation.shift(dataset)
+    _check_width(dataset, beta)
     kind = EstimatingFunction.gee_star(spec)
     if kind.reduces_to_independence:
         return shifted.x.T @ (dataset.y - lk.eval(0, dataset.x @ beta))

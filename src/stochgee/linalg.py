@@ -11,6 +11,7 @@ calls NumPy's LAPACK (``np.linalg``), so none of them loads SciPy.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -103,6 +104,7 @@ def _fold(ufunc, a, axis=-1):
 #: relative widening of the screens' bounds: far above the rounding of the
 #: bounds and of LAPACK on the small matrices this module serves
 _SCREEN_MARGIN = 1e-10
+_TINY = float(np.finfo(float).tiny)
 
 
 def spectral_bounds(stack: np.ndarray, top: bool = False) -> tuple:
@@ -117,7 +119,7 @@ def spectral_bounds(stack: np.ndarray, top: bool = False) -> tuple:
     sum that overflows) gets (-inf, inf).
     """
     r, c = stack.shape[-2:]
-    floor = np.sqrt(r * c * np.finfo(float).tiny)
+    floor = math.sqrt(r * c * _TINY)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if top:
             lower = _fold(np.maximum, np.diagonal(stack, 0, -2, -1))
@@ -129,6 +131,8 @@ def spectral_bounds(stack: np.ndarray, top: bool = False) -> tuple:
         lower = lower - (_SCREEN_MARGIN * np.abs(lower) + floor)
         upper = upper * (1.0 + _SCREEN_MARGIN) + floor
     bounded = np.isfinite(upper)
+    if bounded.all():
+        return np.asarray(lower), np.asarray(upper)
     return np.where(bounded, lower, -np.inf), np.where(bounded, upper, np.inf)
 
 

@@ -44,10 +44,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .correlation import _floor_eigenvalues
-from .estimating import CorrelationTruth, EstimatingFunction
+from .estimating import CorrelationTruth, EstimatingFunction, Lanes
 from .exceptions import ConfigError, MisspecificationWarning, StochGeeError
 from .model import Dataset, get_link
-from .solver import GeeFit, solve_gee
+from .solver import GeeFit, solve_lanes
 
 #: algorithm identifier embedded in reports for cross-run reproducibility
 GENERATOR_ID = (
@@ -860,40 +860,58 @@ def _fit_summary(fit: GeeFit) -> dict:
         "converged": bool(fit.converged),
         "iterations": int(fit.iterations),
         "final_residual_norm": float(fit.final_residual_norm),
+        "stop_reason": fit.stop_reason,
+        "evaluations": int(fit.evaluations),
     }
 
 
 def _replicate_fits(config, estimators, n_grid, chunk):
     """The only worker that records a replication's failure instead of
-    raising."""
+    raising. A lane is one (replication, checkpoint) prefix; the chunk's
+    lanes are stacked in that order, at most ``_CHUNK_ROWS`` rows a stack,
+    and ``solve_lanes`` fits every estimator on each stack in lockstep."""
     sims = simulate_replications(config.with_n(max(n_grid)), chunk)
-    return [
-        _fit_replication(config.link, estimators, n_grid, rep, sim)
-        for rep, sim in zip(chunk, sims)
-    ]
+    lanes = [full.prefix(n) for full in sims if isinstance(full, Dataset) for n in n_grid]
+    kinds, fits = [kind for _, kind in estimators], [[] for _ in estimators]
+    for stack in _stacks(lanes):
+        for per_kind, got in zip(fits, solve_lanes(Lanes(stack), kinds, config.link)):
+            per_kind.extend(got)
+    out, at = [], 0
+    for rep, full in zip(chunk, sims):
+        per_kind = [f[at : at + len(n_grid)] for f in fits]
+        out.append(_fit_replication(rep, full, estimators, n_grid, per_kind))
+        at += len(n_grid) if isinstance(full, Dataset) else 0
+    return out
 
 
-def _fit_replication(link, estimators, n_grid, rep, full) -> ReplicationResult:
-    """Every estimator at every grid size on ``full``, the replication's
-    dataset or the ConfigError its simulation gave."""
-    try:
-        if isinstance(full, ConfigError):
-            raise full
-        fits: dict = {}
-        first_conv: dict = {}
-        for name, kind in estimators:
-            per_n = {}
-            first = None
-            for n in n_grid:
-                fit = solve_gee(full.prefix(n), kind, link)
-                per_n[str(n)] = _fit_summary(fit)
-                if first is None and fit.converged:
-                    first = n
-            fits[name] = per_n
-            first_conv[name] = first
-        return ReplicationResult(rep, full.digest(), fits, first_converged_n=first_conv)
-    except (StochGeeError, np.linalg.LinAlgError) as exc:
-        return ReplicationResult(rep, "", {}, error=f"{type(exc).__name__}: {exc}")
+def _stacks(lanes):
+    """Consecutive runs of ``lanes`` of at most ``_CHUNK_ROWS`` rows each;
+    a larger lane is a run of its own."""
+    run, rows = [], 0
+    for ds in lanes:
+        if run and rows + ds.x.shape[0] > _CHUNK_ROWS:
+            yield run
+            run, rows = [], 0
+        run.append(ds)
+        rows += ds.x.shape[0]
+    if run:
+        yield run
+
+
+def _fit_replication(rep, full, estimators, n_grid, fits) -> ReplicationResult:
+    """Replication ``rep`` from its dataset ``full`` (or the ConfigError its
+    simulation gave) and each estimator's fits along the grid. It fails
+    with the first error in (estimator, n) order, the one that fitting
+    each prefix with ``solve_gee`` in that order raises first."""
+    errors = [f for per_n in fits for f in per_n if isinstance(f, Exception)]
+    error = full if isinstance(full, ConfigError) else (errors or [None])[0]
+    if error is not None:
+        return ReplicationResult(rep, "", {}, error=f"{type(error).__name__}: {error}")
+    summaries, first = {}, {}
+    for (name, _), per_n in zip(estimators, fits):
+        summaries[name] = {str(n): _fit_summary(f) for n, f in zip(n_grid, per_n)}
+        first[name] = next((n for n, f in zip(n_grid, per_n) if f.converged), None)
+    return ReplicationResult(rep, full.digest(), summaries, first_converged_n=first)
 
 
 def run_replications(
@@ -908,7 +926,10 @@ def run_replications(
     ``estimators`` is a sequence of (name, EstimatingFunction) pairs.
     Replication ``r`` derives its seed as documented in GENERATOR_ID, and
     dataset prefixes are nested across the grid, so results for common
-    clusters share randomness. Failures are recorded per replication.
+    clusters share randomness. A chunk's fits run in lockstep
+    (``_replicate_fits``), each bit for bit ``solve_gee`` on its prefix.
+    A replication records the first error of its fits in (estimator, n)
+    order; the other replications are unaffected.
     """
     n_grid = tuple(int(n) for n in n_grid)
     estimators = list(estimators)

@@ -7,7 +7,10 @@ the identity link with fixed proxy correlations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+import functools
+import math
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -16,6 +19,10 @@ from . import linalg
 from .estimating import (
     CorrelationTruth,
     EstimatingFunction,
+    FrozenProxy,
+    Lanes,
+    _analytic,
+    _check_width,
     _checked_inverse,
     _evaluate,
     _stack_by_bucket,
@@ -27,6 +34,7 @@ from .exceptions import (
     InvalidVarianceError,
     SingularDesignError,
     SingularJacobianError,
+    StochGeeError,
 )
 from .model import Dataset, as_beta, get_link
 
@@ -49,13 +57,27 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class GeeFit:
-    """Solver output: the root estimate and its convergence record."""
+    """Solver output: the root estimate and its convergence record.
+
+    ``stop_reason`` is ``"converged"``, ``"stalled"`` (no halving of the
+    step lowered ||g||) or ``"max_iter"``; ``evaluations`` counts the
+    points where g was evaluated: the start and every line-search trial,
+    over both stages of a staged fit (not a finite-difference Jacobian's).
+    """
 
     beta_hat: np.ndarray
     converged: bool
     iterations: int
     final_residual_norm: float
     trace: tuple  # (beta, ||g||_inf, step norm) per accepted iterate
+    stop_reason: str
+    evaluations: int
+
+
+#: the errors that end one lane's solve: ``solve_gee`` raises them, and a
+#: study records them for the lane's replication
+_LANE_ERRORS = (StochGeeError, np.linalg.LinAlgError)
+_INDEPENDENCE = EstimatingFunction.independence()
 
 
 def default_init(dataset: Dataset, link) -> np.ndarray:
@@ -79,61 +101,170 @@ def default_init(dataset: Dataset, link) -> np.ndarray:
     return sol
 
 
-def _trial(kind, dataset, beta, link, frozen_corr):
-    """g and its Jacobian at a line-search trial point, or None where the
-    point leaves the link domain. A g that overflows there fails the
-    residual test like any worse point, so the overflow is not warned of."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return _evaluate(kind, dataset, beta, link, frozen_corr)
-        except InvalidVarianceError:
-            return None
+def _caught(fn, *args):
+    """``fn(*args)``, or the lane error (``_LANE_ERRORS``) it raised."""
+    try:
+        return fn(*args)
+    except _LANE_ERRORS as exc:
+        return exc
 
 
-def _newton(dataset, kind, link, config, init, frozen_corr):
-    beta = init.copy()
-    g, jac = _evaluate(kind, dataset, beta, link, frozen_corr)
-    gnorm = float(np.max(np.abs(g)))
-    last_step = 0.0
-    trace = [(beta.copy(), gnorm, 0.0)]
-    iterations = 0
-    converged = False
-    for _ in range(config.max_iter):
-        if gnorm < config.tol_g and last_step < config.tol_x:
-            converged = True
-            break
-        d = _newton_direction(jac(), g)
-        if gnorm < config.tol_g and float(np.linalg.norm(d)) < config.tol_x:
-            converged = True
-            break
-        t = 1.0
-        accepted = None
-        for _ in range(config.max_halvings + 1):
-            candidate = beta + t * d
-            trial = _trial(kind, dataset, candidate, link, frozen_corr)
-            if trial is not None:
-                g_try, j_try = trial
-                gn_try = float(np.max(np.abs(g_try)))
-                if gn_try < gnorm:
-                    accepted = (candidate, g_try, gn_try, j_try)
-                    break
-            t *= 0.5
-        if accepted is None:
-            break  # stalled: no step decreases the residual
-        new_beta, g, gnorm, jac = accepted
-        last_step = float(np.linalg.norm(new_beta - beta))
-        beta = new_beta
-        iterations += 1
-        trace.append((beta.copy(), gnorm, last_step))
-    if not converged and gnorm < config.tol_g and last_step < config.tol_x:
-        converged = True
-    return GeeFit(
-        beta_hat=beta,
-        converged=converged,
-        iterations=iterations,
-        final_residual_norm=gnorm,
-        trace=tuple(trace),
+def _quiet(trial: bool):
+    # a g that overflows at a trial point fails the residual test like any
+    # worse point, so the overflow is not warned of
+    return np.errstate(over="ignore", invalid="ignore") if trial else contextlib.nullcontext()
+
+
+def _row(stack, i):
+    return stack()[i]
+
+
+class _Lane:
+    """One lane's Newton state; ``stop`` stays None while it runs."""
+
+    def __init__(self, index, beta):
+        self.index, self.beta, self.trace, self.stop = index, beta.copy(), [], None
+        self.last_step, self.iterations, self.evaluations = 0.0, 0, 0
+
+    def take(self, got):
+        """``got``, or None where it is an error, which ends the lane."""
+        if isinstance(got, Exception):
+            self.stop, self.error, got = "error", got, None
+        return got
+
+
+def _lane_evaluator(lanes, kind, lk, frozen):
+    """``evaluate(live, points, trial)``: per lane, at its point, ``(g,
+    Jacobian function, ||g||_inf)``, or None for a trial point outside the
+    link domain or a lane that failed. While every lane of a stack of two
+    or more with an analytic Jacobian is live, they are evaluated in one
+    batch under their stacked proxies, the Jacobians formed together on
+    first use. Otherwise (some lanes have stopped or are still halving),
+    or where the batch raises, each lane is evaluated by the solo call,
+    and so raises what it raises alone."""
+    members = lanes.members
+    batched = (
+        len(members) > 1
+        and _analytic(kind, lk, frozen[0])
+        and not any(isinstance(f, Exception) for f in frozen)
     )
+    stacked = lanes.freeze(frozen) if batched and frozen[0] is not None else None
+
+    def evaluate(live, points, trial):
+        if batched and len(live) == len(members):
+            try:
+                with _quiet(trial):
+                    g, jac = _evaluate(
+                        kind, lanes.dataset, np.array(points), lk, stacked, lanes=lanes
+                    )
+            except _LANE_ERRORS + (RuntimeWarning,):
+                pass  # a warning made an error is raised by its own lane
+            else:
+                jac, norms = functools.cache(jac), np.max(np.abs(g), axis=1).tolist()
+                for lane in live:
+                    lane.evaluations += 1
+                return [(g[i], functools.partial(_row, jac, i), norms[i]) for i in range(len(g))]
+        out = []
+        for lane, point in zip(live, points):
+            lane.evaluations += 1
+            try:
+                with _quiet(trial):
+                    g, jac = _evaluate(kind, members[lane.index], point, lk, frozen[lane.index])
+            except _LANE_ERRORS as exc:
+                # a trial point outside the link domain is a worse point
+                outside = trial and isinstance(exc, InvalidVarianceError)
+                out.append(None if outside else lane.take(exc))
+            else:
+                out.append((g, jac, float(np.max(np.abs(g)))))
+        return out
+
+    return evaluate
+
+
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm's own expression for a 1-d vector, without its checks
+    return math.sqrt(v.dot(v))
+
+
+def _newton(lanes, kind, lk, config, inits, frozen=None) -> list:
+    """Damped Newton iteration on ``g(beta) = 0``, every lane of ``lanes``
+    stepped in lockstep: the solver's only Newton loop.
+
+    ``inits`` holds each lane's start, or the error that already ended
+    it, and ``frozen`` each lane's ``FrozenProxy`` (None without one). A
+    lane keeps its own line search, convergence and stall tests and
+    trace; each pass solves the steps of the live lanes together
+    (``_directions``), and evaluates their trial points in one batch while
+    every lane of the stack is searching (``_lane_evaluator``). A lone lane
+    makes the solo calls, with no stack. Returns per lane its ``GeeFit``,
+    bit for bit the one its dataset gives alone, or the error its solve
+    raised.
+    """
+    evaluate = _lane_evaluator(lanes, kind, lk, frozen or [None] * len(inits))
+    every = [_Lane(l, b) for l, b in enumerate(inits) if not isinstance(b, Exception)]
+    for lane, got in zip(every, evaluate(every, [lane.beta for lane in every], False)):
+        if got:
+            lane.g, lane.jac, lane.gnorm = got
+            lane.trace.append((lane.beta.copy(), lane.gnorm, 0.0))
+    tol_g, tol_x, live = config.tol_g, config.tol_x, every
+    for _ in range(config.max_iter):
+        for lane in live:
+            if lane.stop is None and lane.gnorm < tol_g and lane.last_step < tol_x:
+                lane.stop = "converged"
+        live = [lane for lane in live if lane.stop is None]
+        if not live:
+            break
+        searching = []
+        for lane, d in zip(live, _directions(live)):
+            if lane.stop is None and lane.gnorm < tol_g and _norm(d) < tol_x:
+                lane.stop = "converged"
+            elif lane.stop is None:
+                lane.step = d
+                searching.append(lane)
+        t = 1.0
+        for _ in range(config.max_halvings + 1):
+            if not searching:
+                break
+            points = [lane.beta + t * lane.step for lane in searching]
+            rejected = []
+            for lane, point, got in zip(searching, points, evaluate(searching, points, True)):
+                if got and got[2] < lane.gnorm:
+                    lane.last_step, lane.beta = _norm(point - lane.beta), point
+                    lane.g, lane.jac, lane.gnorm = got
+                    lane.iterations += 1
+                    lane.trace.append((point.copy(), lane.gnorm, lane.last_step))
+                elif lane.stop is None:
+                    rejected.append(lane)
+            searching, t = rejected, t * 0.5
+        for lane in searching:
+            lane.stop = "stalled"  # no step decreases the residual
+    out = list(inits)
+    for lane in every:
+        if lane.stop == "error":
+            out[lane.index] = lane.error
+            continue
+        if lane.gnorm < tol_g and lane.last_step < tol_x:
+            lane.stop = "converged"
+        out[lane.index] = GeeFit(
+            lane.beta, lane.stop == "converged", lane.iterations, lane.gnorm,
+            tuple(lane.trace), lane.stop or "max_iter", lane.evaluations,
+        )
+    return out
+
+
+def _directions(live) -> list:
+    """The Newton steps of the ``live`` lanes: one batched solve where
+    there are several and it succeeds, else ``_newton_direction`` lane by
+    lane; a lane whose Jacobian or step fails gets None."""
+    mats = [lane.take(_caught(lane.jac)) for lane in live]
+    if len(live) > 1 and all(m is not None for m in mats):
+        rhs = np.array([lane.g for lane in live])[..., None]
+        with contextlib.suppress(np.linalg.LinAlgError):
+            return list(np.linalg.solve(np.array(mats), rhs)[..., 0])
+    return [
+        m if m is None else lane.take(_caught(_newton_direction, m, lane.g))
+        for lane, m in zip(live, mats)
+    ]
 
 
 def _newton_direction(d_mat, g):
@@ -152,6 +283,55 @@ def _newton_direction(d_mat, g):
         ) from None
 
 
+def _freeze_lanes(lanes, kind, lk, starts) -> list:
+    """Each lane's ``FrozenProxy`` at its start, or the error freezing it
+    raised (an error start passes through). A data-independent proxy is
+    inverted once per cluster size for the stack, a data-dependent one
+    folded on each lane's own clusters."""
+    if not kind.spec.depends_on_data:
+        shared = _caught(freeze_proxy, kind, lanes.dataset, starts[0], lk)
+        if not isinstance(shared, Exception):
+            inv = dict(zip([b.size for b in lanes.dataset.buckets], shared.inverses))
+            return [
+                FrozenProxy(ds, tuple(inv[b.size] for b in ds.buckets)) for ds in lanes.members
+            ]
+    return [
+        s if isinstance(s, Exception) else _caught(freeze_proxy, kind, ds, s, lk)
+        for ds, s in zip(lanes.members, starts)
+    ]
+
+
+def _solve(lanes, kind, lk, config, inits, memo) -> list:
+    """Each lane's fit of ``kind``, or the error its solve raised.
+
+    Data-dependent proxy correlations are frozen during each Newton solve
+    and refreshed once: an independence fit seeds the proxy, which is
+    refolded at that estimate for the refit. The lanes' independence fits
+    are made once per ``memo``: they serve every kind that reduces to
+    independence, and as the first stage of every staged fit.
+    """
+    if kind.variant == "general":
+        return _newton(lanes, kind, lk, config, inits)
+    staged = not kind.reduces_to_independence and kind.spec.depends_on_data
+    starts = inits
+    if kind.reduces_to_independence or staged:
+        if "independence" not in memo:
+            memo["independence"] = _newton(lanes, _INDEPENDENCE, lk, config, inits)
+        stage = memo["independence"]
+        if not staged:
+            return stage
+        starts = [f if isinstance(f, Exception) else f.beta_hat for f in stage]
+    frozen = _freeze_lanes(lanes, kind, lk, starts)
+    starts = [f if isinstance(f, Exception) else s for f, s in zip(frozen, starts)]
+    fits = _newton(lanes, kind, lk, config, starts, frozen)
+    if not staged:
+        return fits
+    return [
+        f if isinstance(f, Exception) else replace(f, evaluations=s.evaluations + f.evaluations)
+        for f, s in zip(fits, stage)
+    ]
+
+
 def solve_gee(
     dataset: Dataset,
     kind: EstimatingFunction,
@@ -159,29 +339,32 @@ def solve_gee(
     config: Optional[SolverConfig] = None,
     init=None,
 ) -> GeeFit:
-    """Solve ``g(beta) = 0`` by damped Newton iteration.
-
-    Data-dependent proxy correlations are frozen during each Newton solve
-    and refreshed once: an independence fit seeds the proxy, which is
-    refolded at that estimate for the refit.
+    """Solve ``g(beta) = 0`` by damped Newton iteration, from ``init`` (of
+    the regressor width) or ``default_init``; the error that ends the
+    solve is raised. The one-lane case of ``solve_lanes``: the lone lane
+    makes the solo calls, with no stack. Data-dependent proxies are
+    frozen, seeded by an independence fit and refolded once (``_solve``).
     """
     config = config or SolverConfig()
     lk = get_link(link)
-    if init is None:
-        beta0 = default_init(dataset, lk)
-    else:
-        beta0 = as_beta(init)
-    if not (kind.variant == "gee_star" and kind.spec.depends_on_data):
-        frozen = None
-        if kind.variant != "general" and not kind.reduces_to_independence:
-            frozen = freeze_proxy(kind, dataset, beta0, lk)
-        return _newton(dataset, kind, lk, config, beta0, frozen)
-    # staged fit: independence first, then refit under the refolded proxy
-    stage_fit = _newton(
-        dataset, EstimatingFunction.independence(), lk, config, beta0, None
-    )
-    frozen = freeze_proxy(kind, dataset, stage_fit.beta_hat, lk)
-    return _newton(dataset, kind, lk, config, stage_fit.beta_hat, frozen)
+    beta0 = default_init(dataset, lk) if init is None else as_beta(init)
+    _check_width(dataset, beta0)
+    (fit,) = _solve(Lanes((dataset,)), kind, lk, config, [beta0], {})
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def solve_lanes(lanes: Lanes, kinds, link, config: Optional[SolverConfig] = None) -> list:
+    """Every estimating function of ``kinds`` on every lane of ``lanes``,
+    the lanes of a kind stepped in lockstep: per kind, each lane's
+    ``GeeFit``, bit for bit that of ``solve_gee`` on its dataset, or the
+    error that ``solve_gee`` raises there. Each lane's default start is
+    formed once, and its independence fit once, for every kind."""
+    lk = get_link(link)
+    inits = [default_init(ds, lk) for ds in lanes.members]
+    memo: dict = {}
+    return [_solve(lanes, kind, lk, config or SolverConfig(), inits, memo) for kind in kinds]
 
 
 def linear_closed_form(dataset: Dataset, r_sequence) -> np.ndarray:

@@ -176,6 +176,20 @@ class TestFit:
         assert payload["converged"] is False
 
 
+    def test_fit_json_says_why_the_solve_stopped(self, tmp_path):
+        # the all-zero counts of test_nonconvergence_exits_3 run out of
+        # iterations, every full step accepted
+        ds = dataset_from_arrays(
+            [(np.zeros(1), np.ones((1, 1))) for _ in range(5)], link="log"
+        )
+        data = tmp_path / "zeros.csv"
+        write_dataset(ds, str(data))
+        out = tmp_path / "fit"
+        assert main(["fit", "--data", str(data), "--out", str(out)]) == 3
+        payload = json.loads((out / "fit.json").read_text())
+        assert payload["stop_reason"] == "max_iter"
+        assert payload["evaluations"] == payload["iterations"] + 1 == 101
+
     @pytest.mark.parametrize("name", ["bogus", "exchangeable:abc", "exchangeable:1.5"])
     def test_bad_estimator_is_config_error(self, tmp_path, capsys, name):
         ds = dataset_from_arrays(

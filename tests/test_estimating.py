@@ -383,6 +383,24 @@ class TestShapeChecks:
         with pytest.raises(InvalidInputError, match=msg):
             entry(ds, Perturbation(deltas, bound=1.0))
 
+    @pytest.mark.parametrize("link", ["identity", "log"])
+    @pytest.mark.parametrize("spec", [None, "identity", "exchangeable"])
+    def test_beta_of_the_wrong_length_is_named(self, link, spec):
+        # independence and the identity spec take X beta outside _moments
+        ds = mixed_sizes_dataset()
+        if spec is None:
+            kind = EstimatingFunction.independence()
+        else:
+            kind = resolve_estimator("identity" if spec == "identity" else "exchangeable:0.3", 3)
+        msg = r"^cluster 1: regressor width 2 != len\(beta\) 3$"
+        with pytest.raises(InvalidInputError, match=msg):
+            eval_g(kind, ds, np.zeros(3), link)
+        with pytest.raises(InvalidInputError, match=msg):
+            jacobian(kind, ds, np.zeros(3), link)
+        if spec is not None:
+            with pytest.raises(InvalidInputError, match=msg):
+                eval_g_perturbed(ds, np.zeros(3), Perturbation.zero(ds), link, kind.spec)
+
     @pytest.mark.parametrize("prep_prefix", [True, False])
     def test_frozen_proxy_of_another_dataset(self, prep_prefix):
         cfg = exch_scenario(n=20)

@@ -12,6 +12,7 @@ from stochgee import (
     ConfigError,
     Dataset,
     EstimatingFunction,
+    InvalidVarianceError,
     MisspecificationWarning,
     RegressorProcess,
     ScenarioConfig,
@@ -19,6 +20,7 @@ from stochgee import (
     TruthSpec,
     effective_truth,
     replication_seed,
+    resolve_estimator,
     run_replications,
     simulate_replications,
     simulate_scenario,
@@ -663,6 +665,57 @@ class TestChunks:
             results = run_replications(cfg, reps, est, [10], jobs=8)
             assert [r.replication for r in results] == list(range(reps))
             assert pools == pool
+
+    def test_a_failing_fit_fails_only_its_replication(self, monkeypatch):
+        # replication 1 gets a cluster 5 whose eta overflows at any start
+        # near beta0; the chunk's lanes are fitted in lockstep, yet only
+        # that replication fails, with the error of its first failing solo
+        # fit in (estimator, n) order
+        cfg = base_config(link="log", n=20, regressors=RegressorProcess(kind="iid", scale=0.4))
+        names = ("independence", "exchangeable:0.4", "pseudo")
+        est = [(name, resolve_estimator(name, 3)) for name in names]
+        grid = [4, 10, 20]
+        clean = run_replications(cfg, 3, est, grid)
+        real = simulation.simulate_replications
+        broken = []
+
+        def simulate(config, replications):
+            out = list(real(config, replications))
+            ds = out[1]
+            x, y = ds.x.copy(), ds.y.copy()
+            rows = slice(int(ds.offsets[4]), int(ds.offsets[5]))
+            x[rows], y[rows] = (1e5, 0.0), 0.0
+            out[1] = Dataset.of_rows(x, y, ds.sizes.copy(), ds.p, ds.m_max)
+            broken.append(out[1])
+            return out
+
+        monkeypatch.setattr(simulation, "simulate_replications", simulate)
+        got = run_replications(cfg, 3, est, grid)
+        assert [r.replication for r in got] == [0, 1, 2]
+        with pytest.raises(InvalidVarianceError) as info:
+            solve_gee(broken[0].prefix(10), est[0][1], cfg.link)
+        assert str(info.value).startswith("cluster 5: non-finite moments")
+        assert got[1].error == f"InvalidVarianceError: {info.value}"
+        assert got[1].fits == {}
+        assert got[0] == clean[0] and got[2] == clean[2]
+
+    def test_lane_stacks_fit_the_row_budget(self, monkeypatch):
+        # the lanes (12 and 30 rows per replication) are packed in order into
+        # stacks of at most 60 rows, a replication split between two; the
+        # results do not depend on how the lanes are stacked
+        est = [(name, resolve_estimator(name, 3)) for name in ("independence", "pseudo")]
+        whole = run_replications(base_config(n=10), 3, est, [4, 10])
+        stacks = []
+        real = simulation.solve_lanes
+
+        def recorded(lanes, kinds, link):
+            stacks.append([ds.x.shape[0] for ds in lanes.members])
+            return real(lanes, kinds, link)
+
+        monkeypatch.setattr(simulation, "solve_lanes", recorded)
+        monkeypatch.setattr(simulation, "_CHUNK_ROWS", 60)
+        assert run_replications(base_config(n=10), 3, est, [4, 10]) == whole
+        assert stacks == [[12, 30, 12], [30], [12, 30]]
 
     def test_chunks_fit_the_row_budget(self, monkeypatch):
         # a replication of more rows than the budget is a chunk of its own

@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochgee import (
     EstimatingFunction,
+    InvalidInputError,
     InvalidVarianceError,
     RegressorProcess,
     ScenarioConfig,
@@ -20,10 +23,12 @@ from stochgee import (
     eval_g,
     linear_closed_form,
     resolve_estimator,
+    simulate_replications,
     simulate_scenario,
     solve_gee,
 )
 from stochgee import solver
+from stochgee.estimating import Lanes
 
 from oracles import cofactor_det
 
@@ -435,3 +440,143 @@ class TestDefaultInit:
         init = default_init(ds, "log")
         # rows with y>0 give z = (0, 1) at x = (0, 1): slope 1
         assert init[0] == pytest.approx(1.0, abs=1e-10)
+
+
+def fit_record(fit):
+    """Everything a fit reports, with beta_hat and the trace as bytes."""
+    trace = tuple((b.tobytes(), gn, step) for b, gn, step in fit.trace)
+    return (
+        fit.beta_hat.tobytes(),
+        fit.converged,
+        fit.iterations,
+        fit.final_residual_norm,
+        fit.stop_reason,
+        fit.evaluations,
+        trace,
+    )
+
+
+def solo(ds, kind, link):
+    """``solve_gee``'s fit, or the error it raises."""
+    try:
+        return solve_gee(ds, kind, link)
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def same_outcome(got, want):
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return not isinstance(got, Exception) and fit_record(got) == fit_record(want)
+
+
+LANE_ESTIMATORS = ("independence", "exchangeable:0.4", "pseudo")
+
+
+class TestLanes:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        count=st.sampled_from([1, 2, 3, 16]),
+        schedule=st.sampled_from(["constant", "random"]),
+        link=st.sampled_from(["identity", "log"]),
+        scale=st.sampled_from([0.4, 1.5]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_lane_is_its_solo_solve(self, count, schedule, link, scale, seed):
+        # lanes are prefixes of a few replications, stacked in any order and
+        # of any lengths; several size buckets under the random schedule
+        sizes = (
+            SizeSchedule(kind="constant", m=3)
+            if schedule == "constant"
+            else SizeSchedule(kind="random", lo=1, hi=3)
+        )
+        cfg = dataclasses.replace(
+            scenario(seed=seed, n=30, link=link, scale=scale), sizes=sizes
+        )
+        reps = simulate_replications(cfg, range(3))
+        rng = np.random.default_rng(seed)
+        members = [
+            reps[int(rng.integers(3))].prefix(int(rng.integers(4, 31)))
+            for _ in range(count)
+        ]
+        kinds = [resolve_estimator(name, 3) for name in LANE_ESTIMATORS]
+        fits = solver.solve_lanes(Lanes(members), kinds, link)
+        for kind, per_lane in zip(kinds, fits):
+            for ds, fit in zip(members, per_lane):
+                assert same_outcome(fit, solo(ds, kind, link))
+
+    @pytest.mark.parametrize("link", ["identity", "log"])
+    def test_singular_lane_takes_the_ridge_retry(self, monkeypatch, link):
+        # X_i = (1, z, z) makes every Jacobian of its lanes singular, so the
+        # batched solve raises and each lane is solved alone
+        ds = link_domain_case()
+        twice = dataset_from_arrays(
+            [(c.response, c.regressors[:, [0, 1, 1]]) for c in ds.clusters], m_max=3
+        )
+        other = dataset_from_arrays(
+            [
+                (c.response, np.column_stack((c.regressors, 0.1 * c.regressors[:, 1] ** 2)))
+                for c in ds.clusters
+            ],
+            m_max=3,
+        )
+        members = [other.prefix(30), twice.prefix(40), other, twice]
+        singular = []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            try:
+                return real_solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(np.shape(a))
+                raise
+
+        kind = EstimatingFunction.independence()
+        want = [solve_gee(m, kind, link) for m in members]
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        (fits,) = solver.solve_lanes(Lanes(members), [kind], link)
+        # batched solves, and then the lone solves of the duplicate-column
+        # lanes, were singular
+        assert (4, 3, 3) in singular or (2, 3, 3) in singular
+        assert (3, 3) in singular
+        for fit, ref in zip(fits, want):
+            assert fit.converged and fit_record(fit) == fit_record(ref)
+
+    def test_solve_gee_checks_the_start_width(self):
+        kind = resolve_estimator("pseudo", 3)
+        msg = r"^cluster 1: regressor width 2 != len\(beta\) 3$"
+        with pytest.raises(InvalidInputError, match=msg):
+            solve_gee(link_domain_case(), kind, "log", init=np.zeros(3))
+
+
+class TestStopReason:
+    def test_converged(self):
+        ds = simulate_scenario(scenario(link="log", scale=0.4))
+        fit = solve_gee(ds, resolve_estimator("exchangeable:0.4", 3), "log")
+        assert fit.converged and fit.stop_reason == "converged"
+        assert fit.evaluations >= fit.iterations + 1
+
+    def test_stalled(self):
+        # no ||g|| can reach 1e-30: the last line search spends every halving
+        config = SolverConfig(tol_g=1e-30)
+        kind = resolve_estimator("exchangeable:0.4", 3)
+        fit = solve_gee(link_domain_case(), kind, "log", config)
+        assert not fit.converged and fit.stop_reason == "stalled"
+        assert fit.evaluations >= fit.iterations + 1 + config.max_halvings + 1
+
+    def test_max_iter(self):
+        # all-zero counts push the log-link root to -infinity; every full
+        # step lowers ||g||, so the loop runs out of iterations
+        ds = dataset_from_arrays(
+            [(np.zeros(1), np.ones((1, 1))) for _ in range(5)], link="log"
+        )
+        fit = solve_gee(ds, EstimatingFunction.independence(), "log")
+        assert not fit.converged and fit.stop_reason == "max_iter"
+        assert fit.iterations == SolverConfig().max_iter
+        assert fit.evaluations == fit.iterations + 1
+
+    def test_staged_fit_counts_both_stages(self):
+        ds = simulate_scenario(scenario(link="log", scale=0.4))
+        stage = solve_gee(ds, EstimatingFunction.independence(), "log")
+        fit = solve_gee(ds, resolve_estimator("pseudo", 3), "log")
+        assert fit.evaluations >= stage.evaluations + fit.iterations + 1
