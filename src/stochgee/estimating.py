@@ -273,29 +273,24 @@ class Lanes:
         self.dataset = Dataset._trusted(*cat, members[0].p, members[0].m_max)
         bounds = np.cumsum([0] + [d.x.shape[0] for d in members]).tolist()
         self.rows = tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
-        bucket = {b.size: j for j, b in enumerate(self.dataset.buckets)}
-        counts = np.zeros((len(bucket), len(members)), dtype=np.int64)
-        self.cuts = []
-        for l, d in enumerate(members):
-            self.cuts.append([])
-            for b in d.buckets:
-                j, k = bucket[b.size], b.positions.shape[0]
-                lo = int(counts[j].sum())
-                self.cuts[-1].append((j, slice(lo * b.size, (lo + k) * b.size)))
-                counts[j, l] = k
-        self.owners = [np.repeat(np.arange(len(members)), c) for c in counts]
+        lane = np.repeat(np.arange(len(members)), [d.sizes.shape[0] for d in members])
+        self.owners = [lane[b.positions] for b in self.dataset.buckets]
+        self.cuts = [[] for _ in members]
+        for j, (b, owner) in enumerate(zip(self.dataset.buckets, self.owners)):
+            ends = (np.searchsorted(owner, np.arange(len(members) + 1)) * b.size).tolist()
+            for l, (lo, hi) in enumerate(zip(ends, ends[1:])):
+                if hi > lo:
+                    self.cuts[l].append((j, slice(lo, hi)))
 
     def freeze(self, proxies) -> "FrozenProxy":
-        """The members' ``FrozenProxy`` objects as one for the stack (of two
-        or more members): per bucket the one (m, m) inverse of a data-independent proxy (a
-        (k, m, m) stack of it does not multiply to the same bits), else
-        the members' stacks in lane order."""
+        """The members' data-dependent ``FrozenProxy`` objects as one for
+        the stack (of two or more members): per bucket the members'
+        (k, m, m) stacks in lane order."""
         parts = [[] for _ in self.dataset.buckets]
         for cut, proxy in zip(self.cuts, proxies):
             for (j, _), inv in zip(cut, proxy.inverses):
                 parts[j].append(inv)
-        inverses = (p[0] if p[0].ndim == 2 else np.concatenate(p) for p in parts)
-        return FrozenProxy(self.dataset, tuple(inverses))
+        return FrozenProxy(self.dataset, tuple(np.concatenate(p) for p in parts))
 
 
 def _checked_inverse(parts) -> list:
@@ -504,9 +499,10 @@ def _whiten(kind, dataset, beta, lk, frozen_corr=None, means=None, lanes=None) -
         sd = np.sqrt(var)
         e = (b.y - mean) / sd
         parts.append((b.x, rinv, b.x * sd[..., None], e, _apply(rinv, e)))
-    flat = [(z.reshape(-1, z.shape[-1]), re.ravel()) for _, _, z, _, re in parts]
     if lanes is None:
-        return sum(z.T @ re for z, re in flat), tuple(parts)
+        g = sum(z.reshape(-1, z.shape[-1]).T @ re.ravel() for _, _, z, _, re in parts)
+        return g, tuple(parts)
+    flat = [(z.reshape(-1, z.shape[-1]), re.ravel()) for _, _, z, _, re in parts]
     g = [sum(flat[j][0][s].T @ flat[j][1][s] for j, s in cut) for cut in lanes.cuts]
     return np.array(g), tuple(parts)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -115,156 +115,148 @@ def _quiet(trial: bool):
     return np.errstate(over="ignore", invalid="ignore") if trial else contextlib.nullcontext()
 
 
-def _row(stack, i):
-    return stack()[i]
-
-
-class _Lane:
-    """One lane's Newton state; ``stop`` stays None while it runs."""
-
-    def __init__(self, index, beta):
-        self.index, self.beta, self.trace, self.stop = index, beta.copy(), [], None
-        self.last_step, self.iterations, self.evaluations = 0.0, 0, 0
-
-    def take(self, got):
-        """``got``, or None where it is an error, which ends the lane."""
-        if isinstance(got, Exception):
-            self.stop, self.error, got = "error", got, None
-        return got
-
-
-def _lane_evaluator(lanes, kind, lk, frozen):
-    """``evaluate(live, points, trial)``: per lane, at its point, ``(g,
-    Jacobian function, ||g||_inf)``, or None for a trial point outside the
-    link domain or a lane that failed. While every lane of a stack of two
-    or more with an analytic Jacobian is live, they are evaluated in one
-    batch under their stacked proxies, the Jacobians formed together on
-    first use. Otherwise (some lanes have stopped or are still halving),
-    or where the batch raises, each lane is evaluated by the solo call,
-    and so raises what it raises alone."""
-    members = lanes.members
-    batched = (
-        len(members) > 1
-        and _analytic(kind, lk, frozen[0])
-        and not any(isinstance(f, Exception) for f in frozen)
-    )
-    stacked = lanes.freeze(frozen) if batched and frozen[0] is not None else None
-
-    def evaluate(live, points, trial):
-        if batched and len(live) == len(members):
-            try:
-                with _quiet(trial):
-                    g, jac = _evaluate(
-                        kind, lanes.dataset, np.array(points), lk, stacked, lanes=lanes
-                    )
-            except _LANE_ERRORS + (RuntimeWarning,):
-                pass  # a warning made an error is raised by its own lane
-            else:
-                jac, norms = functools.cache(jac), np.max(np.abs(g), axis=1).tolist()
-                for lane in live:
-                    lane.evaluations += 1
-                return [(g[i], functools.partial(_row, jac, i), norms[i]) for i in range(len(g))]
-        out = []
-        for lane, point in zip(live, points):
-            lane.evaluations += 1
-            try:
-                with _quiet(trial):
-                    g, jac = _evaluate(kind, members[lane.index], point, lk, frozen[lane.index])
-            except _LANE_ERRORS as exc:
-                # a trial point outside the link domain is a worse point
-                outside = trial and isinstance(exc, InvalidVarianceError)
-                out.append(None if outside else lane.take(exc))
-            else:
-                out.append((g, jac, float(np.max(np.abs(g)))))
-        return out
-
-    return evaluate
-
-
 def _norm(v: np.ndarray) -> float:
     # np.linalg.norm's own expression for a 1-d vector, without its checks
     return math.sqrt(v.dot(v))
 
 
-def _newton(lanes, kind, lk, config, inits, frozen=None) -> list:
+def _lane(config, start):
+    """One lane's damped Newton iteration, as a generator: it yields each
+    point where it needs g, with whether the point is a line-search
+    trial, and is sent ``(g, Newton step function, ||g||_inf)`` there, or
+    thrown the error the evaluation raised (``InvalidVarianceError`` at a
+    trial point outside the link domain makes it a worse point). ``start``
+    is a point, or the ``GeeFit`` of a first stage, whose estimate the lane
+    continues from and whose evaluations it counts. Returns the lane's
+    ``GeeFit``; an error it does not catch ends the lane."""
+    beta = getattr(start, "beta_hat", start).copy()
+    g, step, gnorm = yield beta, False
+    evaluations = getattr(start, "evaluations", 0) + 1
+    iterations, last_step, stop = 0, 0.0, "max_iter"
+    trace = [(beta.copy(), gnorm, 0.0)]
+    for _ in range(config.max_iter):
+        if gnorm < config.tol_g and last_step < config.tol_x:
+            stop = "converged"
+            break
+        d = step()
+        if gnorm < config.tol_g and _norm(d) < config.tol_x:
+            stop = "converged"
+            break
+        t = 1.0
+        for _ in range(config.max_halvings + 1):
+            candidate = beta + t * d
+            evaluations += 1
+            try:
+                g_try, s_try, gn_try = yield candidate, True
+            except InvalidVarianceError:
+                gn_try = math.inf
+            if gn_try < gnorm:
+                break
+            t *= 0.5
+        else:
+            stop = "stalled"  # no step decreases the residual
+            break
+        last_step = _norm(candidate - beta)
+        beta, g, step, gnorm = candidate, g_try, s_try, gn_try
+        iterations += 1
+        trace.append((beta.copy(), gnorm, last_step))
+    if stop == "max_iter" and gnorm < config.tol_g and last_step < config.tol_x:
+        stop = "converged"
+    return GeeFit(
+        beta, stop == "converged", iterations, gnorm, tuple(trace), stop, evaluations
+    )
+
+
+def _step(jac, g):
+    return _newton_direction(jac(), g)
+
+
+def _solo(kind, dataset, point, lk, frozen, trial):
+    """One lane's reply at ``point``, evaluated alone."""
+    with _quiet(trial):
+        g, jac = _evaluate(kind, dataset, point, lk, frozen)
+    return g, functools.partial(_step, jac, g), float(np.max(np.abs(g)))
+
+
+def _batched_steps(jac, g):
+    # None where some Jacobian of the stack is singular
+    with contextlib.suppress(np.linalg.LinAlgError):
+        return np.linalg.solve(jac(), g[..., None])[..., 0]
+
+
+def _lane_step(steps, jac, g, i):
+    d = steps()
+    return _newton_direction(jac()[i], g[i]) if d is None else d[i]
+
+
+def _batch(lanes, kind, lk, stacked):
+    """``evaluate(points, trial)`` over the stack of two or more lanes with
+    an analytic Jacobian, under the stacked proxy ``stacked``: per lane
+    ``(g, Newton step function, ||g||_inf)``, the Jacobians formed and
+    solved together on first use (a lane whose Jacobian is singular then
+    solves its own, with the ridge retry); None where the batch raises.
+    Else None."""
+    if len(lanes.members) < 2 or not _analytic(kind, lk, stacked):
+        return None
+
+    def evaluate(points, trial):
+        try:
+            with _quiet(trial):
+                g, jac = _evaluate(kind, lanes.dataset, np.array(points), lk, stacked, lanes=lanes)
+        except _LANE_ERRORS + (RuntimeWarning,):
+            return None  # a warning made an error is raised by its own lane
+        jac, norms = functools.cache(jac), np.max(np.abs(g), axis=1).tolist()
+        steps = functools.cache(functools.partial(_batched_steps, jac, g))
+        return [
+            (g[i], functools.partial(_lane_step, steps, jac, g, i), norms[i])
+            for i in range(len(g))
+        ]
+
+    return evaluate
+
+
+def _newton(lanes, kind, lk, config, inits, frozen=None, stacked=None) -> list:
     """Damped Newton iteration on ``g(beta) = 0``, every lane of ``lanes``
     stepped in lockstep: the solver's only Newton loop.
 
-    ``inits`` holds each lane's start, or the error that already ended
-    it, and ``frozen`` each lane's ``FrozenProxy`` (None without one). A
-    lane keeps its own line search, convergence and stall tests and
-    trace; each pass solves the steps of the live lanes together
-    (``_directions``), and evaluates their trial points in one batch while
-    every lane of the stack is searching (``_lane_evaluator``). A lone lane
-    makes the solo calls, with no stack. Returns per lane its ``GeeFit``,
-    bit for bit the one its dataset gives alone, or the error its solve
-    raised.
+    ``inits`` holds each lane's start (see ``_lane``), or the error that
+    already ended it; ``frozen`` holds each lane's ``FrozenProxy`` (None
+    without one) and ``stacked`` the stack's. Each lane runs its own
+    iteration (``_lane``), with its own line search, convergence and stall
+    tests and trace, and asks for one point per round. While every lane
+    of a stack is running, a round's points are evaluated in one batch
+    (``_batch``), whatever each lane is doing; otherwise, or where the
+    batch raises, each lane is evaluated alone, and so meets what it meets
+    alone. A lone lane is only ever evaluated alone. Returns per lane its
+    ``GeeFit``, bit for bit the one its dataset gives alone, or the error
+    its solve raised.
     """
-    evaluate = _lane_evaluator(lanes, kind, lk, frozen or [None] * len(inits))
-    every = [_Lane(l, b) for l, b in enumerate(inits) if not isinstance(b, Exception)]
-    for lane, got in zip(every, evaluate(every, [lane.beta for lane in every], False)):
-        if got:
-            lane.g, lane.jac, lane.gnorm = got
-            lane.trace.append((lane.beta.copy(), lane.gnorm, 0.0))
-    tol_g, tol_x, live = config.tol_g, config.tol_x, every
-    for _ in range(config.max_iter):
-        for lane in live:
-            if lane.stop is None and lane.gnorm < tol_g and lane.last_step < tol_x:
-                lane.stop = "converged"
-        live = [lane for lane in live if lane.stop is None]
-        if not live:
-            break
-        searching = []
-        for lane, d in zip(live, _directions(live)):
-            if lane.stop is None and lane.gnorm < tol_g and _norm(d) < tol_x:
-                lane.stop = "converged"
-            elif lane.stop is None:
-                lane.step = d
-                searching.append(lane)
-        t = 1.0
-        for _ in range(config.max_halvings + 1):
-            if not searching:
-                break
-            points = [lane.beta + t * lane.step for lane in searching]
-            rejected = []
-            for lane, point, got in zip(searching, points, evaluate(searching, points, True)):
-                if got and got[2] < lane.gnorm:
-                    lane.last_step, lane.beta = _norm(point - lane.beta), point
-                    lane.g, lane.jac, lane.gnorm = got
-                    lane.iterations += 1
-                    lane.trace.append((point.copy(), lane.gnorm, lane.last_step))
-                elif lane.stop is None:
-                    rejected.append(lane)
-            searching, t = rejected, t * 0.5
-        for lane in searching:
-            lane.stop = "stalled"  # no step decreases the residual
+    batch = _batch(lanes, kind, lk, stacked)
+    frozen = frozen or [None] * len(inits)
     out = list(inits)
-    for lane in every:
-        if lane.stop == "error":
-            out[lane.index] = lane.error
-            continue
-        if lane.gnorm < tol_g and lane.last_step < tol_x:
-            lane.stop = "converged"
-        out[lane.index] = GeeFit(
-            lane.beta, lane.stop == "converged", lane.iterations, lane.gnorm,
-            tuple(lane.trace), lane.stop or "max_iter", lane.evaluations,
-        )
+    steps = {l: _lane(config, s) for l, s in enumerate(inits) if not isinstance(s, Exception)}
+    asks = {l: next(s) for l, s in steps.items()}
+    while asks:
+        got = None
+        if batch and len(asks) == len(inits):
+            # the lanes are all at their start, or all at trial points
+            got = batch([point for point, _ in asks.values()], asks[0][1])
+        for i, (l, (point, trial)) in enumerate(list(asks.items())):
+            lane, member = steps[l], lanes.members[l]
+            try:
+                try:
+                    reply = got[i] if got else _solo(kind, member, point, lk, frozen[l], trial)
+                except _LANE_ERRORS as exc:
+                    asks[l] = lane.throw(exc)
+                else:
+                    asks[l] = lane.send(reply)
+            except StopIteration as stop:
+                out[l] = stop.value
+                del asks[l]
+            except _LANE_ERRORS as exc:
+                out[l] = exc
+                del asks[l]
     return out
-
-
-def _directions(live) -> list:
-    """The Newton steps of the ``live`` lanes: one batched solve where
-    there are several and it succeeds, else ``_newton_direction`` lane by
-    lane; a lane whose Jacobian or step fails gets None."""
-    mats = [lane.take(_caught(lane.jac)) for lane in live]
-    if len(live) > 1 and all(m is not None for m in mats):
-        rhs = np.array([lane.g for lane in live])[..., None]
-        with contextlib.suppress(np.linalg.LinAlgError):
-            return list(np.linalg.solve(np.array(mats), rhs)[..., 0])
-    return [
-        m if m is None else lane.take(_caught(_newton_direction, m, lane.g))
-        for lane, m in zip(live, mats)
-    ]
 
 
 def _newton_direction(d_mat, g):
@@ -283,22 +275,27 @@ def _newton_direction(d_mat, g):
         ) from None
 
 
-def _freeze_lanes(lanes, kind, lk, starts) -> list:
+def _freeze_lanes(lanes, kind, lk, starts) -> tuple:
     """Each lane's ``FrozenProxy`` at its start, or the error freezing it
-    raised (an error start passes through). A data-independent proxy is
-    inverted once per cluster size for the stack, a data-dependent one
-    folded on each lane's own clusters."""
+    raised (an error start passes through), and the stack's, where every
+    lane of a stack has one. A data-independent proxy is inverted once per
+    cluster size, a data-dependent one folded on each lane's clusters."""
+    members = lanes.members
     if not kind.spec.depends_on_data:
         shared = _caught(freeze_proxy, kind, lanes.dataset, starts[0], lk)
-        if not isinstance(shared, Exception):
+        if len(members) == 1:
+            return [shared], None
+        if isinstance(shared, FrozenProxy):
             inv = dict(zip([b.size for b in lanes.dataset.buckets], shared.inverses))
-            return [
-                FrozenProxy(ds, tuple(inv[b.size] for b in ds.buckets)) for ds in lanes.members
-            ]
-    return [
+            frozen = [FrozenProxy(ds, tuple(inv[b.size] for b in ds.buckets)) for ds in members]
+            return frozen, shared
+    frozen = [
         s if isinstance(s, Exception) else _caught(freeze_proxy, kind, ds, s, lk)
-        for ds, s in zip(lanes.members, starts)
+        for ds, s in zip(members, starts)
     ]
+    if len(frozen) == 1 or any(isinstance(f, Exception) for f in frozen):
+        return frozen, None
+    return frozen, lanes.freeze(frozen)
 
 
 def _solve(lanes, kind, lk, config, inits, memo) -> list:
@@ -317,19 +314,13 @@ def _solve(lanes, kind, lk, config, inits, memo) -> list:
     if kind.reduces_to_independence or staged:
         if "independence" not in memo:
             memo["independence"] = _newton(lanes, _INDEPENDENCE, lk, config, inits)
-        stage = memo["independence"]
         if not staged:
-            return stage
-        starts = [f if isinstance(f, Exception) else f.beta_hat for f in stage]
-    frozen = _freeze_lanes(lanes, kind, lk, starts)
+            return memo["independence"]
+        starts = memo["independence"]
+    points = [getattr(s, "beta_hat", s) for s in starts]
+    frozen, stacked = _freeze_lanes(lanes, kind, lk, points)
     starts = [f if isinstance(f, Exception) else s for f, s in zip(frozen, starts)]
-    fits = _newton(lanes, kind, lk, config, starts, frozen)
-    if not staged:
-        return fits
-    return [
-        f if isinstance(f, Exception) else replace(f, evaluations=s.evaluations + f.evaluations)
-        for f, s in zip(fits, stage)
-    ]
+    return _newton(lanes, kind, lk, config, starts, frozen, stacked)
 
 
 def solve_gee(
@@ -345,26 +336,24 @@ def solve_gee(
     makes the solo calls, with no stack. Data-dependent proxies are
     frozen, seeded by an independence fit and refolded once (``_solve``).
     """
-    config = config or SolverConfig()
     lk = get_link(link)
     beta0 = default_init(dataset, lk) if init is None else as_beta(init)
     _check_width(dataset, beta0)
-    (fit,) = _solve(Lanes((dataset,)), kind, lk, config, [beta0], {})
+    (fit,) = _solve(Lanes((dataset,)), kind, lk, config or SolverConfig(), [beta0], {})
     if isinstance(fit, Exception):
         raise fit
     return fit
 
 
-def solve_lanes(lanes: Lanes, kinds, link, config: Optional[SolverConfig] = None) -> list:
+def solve_lanes(lanes: Lanes, kinds, link) -> list:
     """Every estimating function of ``kinds`` on every lane of ``lanes``,
     the lanes of a kind stepped in lockstep: per kind, each lane's
     ``GeeFit``, bit for bit that of ``solve_gee`` on its dataset, or the
     error that ``solve_gee`` raises there. Each lane's default start is
     formed once, and its independence fit once, for every kind."""
-    lk = get_link(link)
+    lk, config, memo = get_link(link), SolverConfig(), {}
     inits = [default_init(ds, lk) for ds in lanes.members]
-    memo: dict = {}
-    return [_solve(lanes, kind, lk, config or SolverConfig(), inits, memo) for kind in kinds]
+    return [_solve(lanes, kind, lk, config, inits, memo) for kind in kinds]
 
 
 def linear_closed_form(dataset: Dataset, r_sequence) -> np.ndarray:
