@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import json
 import os
@@ -404,6 +405,7 @@ def _cmd_study_optimality(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochgee",

@@ -660,10 +660,10 @@ def _evaluate(
                 np.matmul(dataset.x[rows], point, out=eta[rows])
         mean = lk.eval(0, eta)
         if not np.isfinite(mean).all():
-            # the rows of each bucket, laid out as _moments lays them out
-            starts = [(dataset.offsets[b.positions], b.size) for b in dataset.buckets]
-            rows = [at[:, None] + np.arange(m) for at, m in starts]
-            index = _first_offender(dataset, [~np.isfinite(mean[r]) for r in rows])
+            # rows are in cluster order, so the first bad row is in the
+            # first bad cluster
+            row = np.argmax(~np.isfinite(mean))
+            index = int(np.searchsorted(dataset.offsets, row, side="right"))
             raise InvalidVarianceError(
                 f"cluster {index}: non-finite moments at beta={beta.tolist()}"
             )
@@ -679,8 +679,6 @@ def _evaluate(
     elif kind.variant == "gee_star":
         g, parts = _whiten(kind, dataset, beta, lk, frozen_corr, lanes=lanes)
         if analytic:
-            if lanes is None:
-                return g, lambda: _whitened_jacobian(parts, lk)
             return g, lambda: _whitened_jacobian(parts, lk, lanes)
     else:
         moments = _moments(dataset, beta, lk)

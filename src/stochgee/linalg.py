@@ -131,8 +131,6 @@ def spectral_bounds(stack: np.ndarray, top: bool = False) -> tuple:
         lower = lower - (_SCREEN_MARGIN * np.abs(lower) + floor)
         upper = upper * (1.0 + _SCREEN_MARGIN) + floor
     bounded = np.isfinite(upper)
-    if bounded.all():
-        return np.asarray(lower), np.asarray(upper)
     return np.where(bounded, lower, -np.inf), np.where(bounded, upper, np.inf)
 
 

@@ -167,52 +167,37 @@ def _lane(config, start):
     )
 
 
-def _step(jac, g):
-    return _newton_direction(jac(), g)
-
-
 def _solo(kind, dataset, point, lk, frozen, trial):
-    """One lane's reply at ``point``, evaluated alone."""
-    with _quiet(trial):
-        g, jac = _evaluate(kind, dataset, point, lk, frozen)
-    return g, functools.partial(_step, jac, g), float(np.max(np.abs(g)))
+    """One lane's reply at ``point``, evaluated alone, or the lane error
+    the evaluation raised."""
+    try:
+        with _quiet(trial):
+            g, jac = _evaluate(kind, dataset, point, lk, frozen)
+    except _LANE_ERRORS as exc:
+        return exc
+    return g, lambda: _newton_direction(jac(), g), float(np.max(np.abs(g)))
 
 
-def _batched_steps(jac, g):
-    # None where some Jacobian of the stack is singular
-    with contextlib.suppress(np.linalg.LinAlgError):
-        return np.linalg.solve(jac(), g[..., None])[..., 0]
+def _batch(lanes, kind, lk, stacked, points, trial):
+    """Each lane's reply at its point of ``points``, evaluated in one batch
+    over the stack of ``lanes`` (two or more, with an analytic Jacobian)
+    under the stacked proxy ``stacked``, or None where the batch raises.
+    The Jacobians are formed and solved together on first use; where one is
+    singular, each lane solves its own, with the ridge retry."""
+    try:
+        with _quiet(trial):
+            g, jac = _evaluate(kind, lanes.dataset, np.array(points), lk, stacked, lanes=lanes)
+    except _LANE_ERRORS + (RuntimeWarning,):
+        return None  # a warning made an error is raised by its own lane
+    jac = functools.cache(jac)
+    solved = functools.cache(lambda: _caught(np.linalg.solve, jac(), g[..., None]))
 
+    def step(i):
+        d = solved()
+        return _newton_direction(jac()[i], g[i]) if isinstance(d, Exception) else d[i, :, 0]
 
-def _lane_step(steps, jac, g, i):
-    d = steps()
-    return _newton_direction(jac()[i], g[i]) if d is None else d[i]
-
-
-def _batch(lanes, kind, lk, stacked):
-    """``evaluate(points, trial)`` over the stack of two or more lanes with
-    an analytic Jacobian, under the stacked proxy ``stacked``: per lane
-    ``(g, Newton step function, ||g||_inf)``, the Jacobians formed and
-    solved together on first use (a lane whose Jacobian is singular then
-    solves its own, with the ridge retry); None where the batch raises.
-    Else None."""
-    if len(lanes.members) < 2 or not _analytic(kind, lk, stacked):
-        return None
-
-    def evaluate(points, trial):
-        try:
-            with _quiet(trial):
-                g, jac = _evaluate(kind, lanes.dataset, np.array(points), lk, stacked, lanes=lanes)
-        except _LANE_ERRORS + (RuntimeWarning,):
-            return None  # a warning made an error is raised by its own lane
-        jac, norms = functools.cache(jac), np.max(np.abs(g), axis=1).tolist()
-        steps = functools.cache(functools.partial(_batched_steps, jac, g))
-        return [
-            (g[i], functools.partial(_lane_step, steps, jac, g, i), norms[i])
-            for i in range(len(g))
-        ]
-
-    return evaluate
+    norms = np.max(np.abs(g), axis=1).tolist()
+    return [(g[i], functools.partial(step, i), norms[i]) for i in range(len(g))]
 
 
 def _newton(lanes, kind, lk, config, inits, frozen=None, stacked=None) -> list:
@@ -226,30 +211,26 @@ def _newton(lanes, kind, lk, config, inits, frozen=None, stacked=None) -> list:
     tests and trace, and asks for one point per round. While every lane
     of a stack is running, a round's points are evaluated in one batch
     (``_batch``), whatever each lane is doing; otherwise, or where the
-    batch raises, each lane is evaluated alone, and so meets what it meets
-    alone. A lone lane is only ever evaluated alone. Returns per lane its
-    ``GeeFit``, bit for bit the one its dataset gives alone, or the error
-    its solve raised.
+    batch raises, each lane is evaluated alone (``_solo``), and so meets
+    what it meets alone. A lone lane is only ever evaluated alone. Returns
+    per lane its ``GeeFit``, bit for bit the one its dataset gives alone,
+    or the error its solve raised.
     """
-    batch = _batch(lanes, kind, lk, stacked)
+    batched = len(inits) > 1 and _analytic(kind, lk, stacked)
     frozen = frozen or [None] * len(inits)
     out = list(inits)
     steps = {l: _lane(config, s) for l, s in enumerate(inits) if not isinstance(s, Exception)}
     asks = {l: next(s) for l, s in steps.items()}
     while asks:
         got = None
-        if batch and len(asks) == len(inits):
+        if batched and len(asks) == len(inits):
             # the lanes are all at their start, or all at trial points
-            got = batch([point for point, _ in asks.values()], asks[0][1])
+            got = _batch(lanes, kind, lk, stacked, [p for p, _ in asks.values()], asks[0][1])
         for i, (l, (point, trial)) in enumerate(list(asks.items())):
-            lane, member = steps[l], lanes.members[l]
+            reply = got[i] if got else _solo(kind, lanes.members[l], point, lk, frozen[l], trial)
+            lane = steps[l]
             try:
-                try:
-                    reply = got[i] if got else _solo(kind, member, point, lk, frozen[l], trial)
-                except _LANE_ERRORS as exc:
-                    asks[l] = lane.throw(exc)
-                else:
-                    asks[l] = lane.send(reply)
+                asks[l] = lane.throw(reply) if isinstance(reply, Exception) else lane.send(reply)
             except StopIteration as stop:
                 out[l] = stop.value
                 del asks[l]

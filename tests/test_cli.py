@@ -476,6 +476,19 @@ class TestStudies:
         assert lines[1].split(",")[:3] == ["estimator", "n", "median_err"]
         assert len(lines) == 2 + 2 * 2  # two estimators, two grid points
 
+    def test_estimator_lists_do_not_carry_over(self, scenario_file, tmp_path):
+        # main builds its parser once per process; each call's --estimator
+        # list is its own
+        for names in (["independence"], ["exchangeable:0.4", "pseudo"]):
+            out = tmp_path / names[0]
+            argv = ["study-consistency", "--scenario", scenario_file, "--reps", "2"]
+            argv += [arg for name in names for arg in ("--estimator", name)]
+            assert main(argv + ["--n-grid", "20,40", "--out", str(out)]) == 0
+            lines = (out / "consistency.csv").read_text().strip().splitlines()
+            assert [line.split(",")[0] for line in lines[2:]] == [
+                name for name in names for _ in range(2)
+            ]
+
     def test_optimality_truth_columns(self, scenario_file, tmp_path):
         out = tmp_path / "study"
         code = main(

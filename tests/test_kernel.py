@@ -308,6 +308,7 @@ def error_dataset():
         lambda k, ds, b: eval_g(k, ds, b, "log"),
         lambda k, ds, b: jacobian(k, ds, b, "log"),
         lambda k, ds, b: score_increments(k, ds, b, "log", CorrelationTruth.plugin(3)),
+        lambda k, ds, b: eval_g(EstimatingFunction.independence(), ds, b, "log"),
     ],
 )
 def test_invalid_variance_names_first_cluster_in_cluster_order(call):

@@ -292,9 +292,9 @@ class TestSolveGee:
                 evaluations.append(beta.copy())
             return real_evaluate(kind, dataset, beta, link, frozen_corr)
 
-        def jacobian(factors, link):
+        def jacobian(*args):
             jacobians.append(None)
-            return real_jacobian(factors, link)
+            return real_jacobian(*args)
 
         real_evaluate, real_jacobian = solver._evaluate, estimating._whitened_jacobian
         record_moments = recorder(estimating._moments, moments, 1)
