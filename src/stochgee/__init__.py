@@ -85,6 +85,6 @@ from .simulation import (
     splitmix64,
     substream,
 )
-from .solver import GeeFit, SolverConfig, default_init, linear_closed_form, solve_gee
+from .solver import GeeFit, default_init, linear_closed_form, solve_gee
 
 __version__ = "0.1.0"

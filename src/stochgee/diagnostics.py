@@ -24,6 +24,7 @@ from .estimating import (
     _FD_STEP,
     _a2_decide,
     _bucket_proxies,
+    _check_width,
     _invert_proxies,
     _scheduled_deltas,
     a2_halving_pass,
@@ -96,7 +97,10 @@ class DiagnosticsParams:
 def ball_lattice(center: np.ndarray, radius: float) -> np.ndarray:
     """Deterministic probe points of the ball: the center, 2p axis points
     at the full radius, and the 2^p sign-pattern corners scaled back onto
-    the sphere. Shape (2p + 2^p + 1, p)."""
+    the sphere. Shape (2p + 2^p + 1, p). The radius must be finite and
+    positive."""
+    if not 0 < radius < math.inf:
+        raise InvalidInputError(f"radius must be finite and positive, got {radius}")
     center = np.asarray(center, dtype=float)
     p = center.shape[0]
     pts = [center]
@@ -169,6 +173,7 @@ def condition_trajectories(
     """
     params = params or DiagnosticsParams()
     beta = as_beta(beta_ref)
+    _check_width(dataset, beta)
     lk = get_link(link)
     n_grid = params.n_grid or (dataset.n,)
     if n_grid[-1] > dataset.n:

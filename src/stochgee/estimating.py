@@ -652,21 +652,7 @@ def _evaluate(
     if not (analytic or with_g):
         return None, fd
     if kind.reduces_to_independence:
-        if lanes is None:
-            eta = dataset.x @ beta
-        else:
-            eta = np.empty(dataset.x.shape[0])
-            for rows, point in zip(lanes.rows, beta):
-                np.matmul(dataset.x[rows], point, out=eta[rows])
-        mean = lk.eval(0, eta)
-        if not np.isfinite(mean).all():
-            # rows are in cluster order, so the first bad row is in the
-            # first bad cluster
-            row = np.argmax(~np.isfinite(mean))
-            index = int(np.searchsorted(dataset.offsets, row, side="right"))
-            raise InvalidVarianceError(
-                f"cluster {index}: non-finite moments at beta={beta.tolist()}"
-            )
+        eta, mean = _independence_mean(dataset, beta, lk, lanes)
         if lanes is None:
             g = dataset.x.T @ (dataset.y - mean)
             if analytic:
@@ -686,6 +672,28 @@ def _evaluate(
         parts = zip(dataset.buckets, coeffs, moments)
         g = sum(_apply(c, b.y - mean).sum(axis=0) for b, c, (mean, _) in parts)
     return g, fd
+
+
+def _independence_mean(dataset, beta, lk, lanes=None) -> tuple:
+    """The linear predictor and mean of every row at ``beta`` (one point
+    per lane with ``lanes``, as in ``_evaluate``). Raises
+    InvalidVarianceError for the first cluster with a non-finite mean."""
+    if lanes is None:
+        eta = dataset.x @ beta
+    else:
+        eta = np.empty(dataset.x.shape[0])
+        for rows, point in zip(lanes.rows, beta):
+            np.matmul(dataset.x[rows], point, out=eta[rows])
+    mean = lk.eval(0, eta)
+    if not np.isfinite(mean).all():
+        # rows are in cluster order, so the first bad row is in the first
+        # bad cluster
+        row = np.argmax(~np.isfinite(mean))
+        index = int(np.searchsorted(dataset.offsets, row, side="right"))
+        raise InvalidVarianceError(
+            f"cluster {index}: non-finite moments at beta={beta.tolist()}"
+        )
+    return eta, mean
 
 
 def _lane_cross(a: np.ndarray, b: np.ndarray, lanes) -> np.ndarray:
@@ -762,7 +770,7 @@ def eval_g_perturbed(
     _check_width(dataset, beta)
     kind = EstimatingFunction.gee_star(spec)
     if kind.reduces_to_independence:
-        return shifted.x.T @ (dataset.y - lk.eval(0, dataset.x @ beta))
+        return shifted.x.T @ (dataset.y - _independence_mean(dataset, beta, lk)[1])
     means = [mean for mean, _ in _moments(dataset, beta, lk)]
     return _whiten(kind, shifted, beta, lk, means=means)[0]
 
@@ -791,7 +799,7 @@ def information_sums(
     frozen_corr: Optional[FrozenProxy] = None,
 ) -> dict:
     """The section-4 comparison matrices summed over the first ``n``
-    clusters at each checkpoint ``n`` of the increasing ``n_grid`` (the
+    clusters at each checkpoint ``n`` of the nondecreasing ``n_grid`` (the
     dense grid ``range(1, n + 1)`` gives every partial sum): (len(n_grid),
     p, p) arrays keyed by family, each a product a'c of two per-bucket
     factors (``_INFORMATION_PAIRS``) ``z = A^{1/2} X``, ``v = R^{-1} z``,
@@ -809,11 +817,15 @@ def information_sums(
     beta = as_beta(beta)
     lk = get_link(link)
     p = beta.shape[0]
+    grid = [int(n) for n in n_grid]
+    if not (grid and grid[0] >= 1 and grid[-1] <= dataset.n and grid == sorted(grid)):
+        msg = f"n_grid must be nonempty, nondecreasing and within 1..{dataset.n}"
+        raise InvalidInputError(f"{msg}, got {grid}")
     proxy = freeze_proxy(EstimatingFunction.gee_star(spec), dataset, beta, lk, frozen_corr)
     rbars = [truth.rbar(b.size) for b in dataset.buckets]
     rbar_inv = _checked_inverse(zip(rbars, [b.positions for b in dataset.buckets]))
     moments = _moments(dataset, beta, lk)
-    cuts = np.concatenate(([0], n_grid))
+    cuts = np.concatenate(([0], grid))
     total = dict.fromkeys(_INFORMATION_PAIRS, 0.0)
     buckets = zip(dataset.buckets, moments, proxy.inverses, rbar_inv, rbars)
     for b, (_, var), rinv, tinv, rbar in buckets:

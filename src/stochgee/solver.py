@@ -11,7 +11,6 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from . import linalg
 from .estimating import (
     CorrelationTruth,
     EstimatingFunction,
-    FrozenProxy,
     Lanes,
     _analytic,
     _check_width,
@@ -30,7 +28,6 @@ from .estimating import (
     freeze_proxy,
 )
 from .exceptions import (
-    InvalidInputError,
     InvalidVarianceError,
     SingularDesignError,
     SingularJacobianError,
@@ -39,20 +36,14 @@ from .exceptions import (
 from .model import Dataset, as_beta, get_link
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Newton solver knobs; defaults suit the simulated scenarios."""
-
-    tol_g: float = 1e-10
-    tol_x: float = 1e-12
-    max_iter: int = 100
-    max_halvings: int = 30
-
-    def __post_init__(self):
-        if not (self.tol_g > 0 and self.tol_x > 0):
-            raise InvalidInputError("tolerances must be positive")
-        if self.max_iter < 1 or self.max_halvings < 0:
-            raise InvalidInputError("iteration limits must be positive")
+#: the Newton policy, read only by ``_lane``: a lane converges once
+#: ||g||_inf < _TOL_G with a last step (or the next Newton step) of norm
+#: below _TOL_X; it stops after _MAX_ITER accepted steps, or when neither
+#: the full step nor any of its _MAX_HALVINGS halvings lowers ||g||_inf
+_TOL_G = 1e-10
+_TOL_X = 1e-12
+_MAX_ITER = 100
+_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -120,7 +111,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _lane(config, start):
+def _lane(start):
     """One lane's damped Newton iteration, as a generator: it yields each
     point where it needs g, with whether the point is a line-search
     trial, and is sent ``(g, Newton step function, ||g||_inf)`` there, or
@@ -132,18 +123,17 @@ def _lane(config, start):
     beta = getattr(start, "beta_hat", start).copy()
     g, step, gnorm = yield beta, False
     evaluations = getattr(start, "evaluations", 0) + 1
-    iterations, last_step, stop = 0, 0.0, "max_iter"
+    iterations, last_step, stop = 0, 0.0, "converged"
     trace = [(beta.copy(), gnorm, 0.0)]
-    for _ in range(config.max_iter):
-        if gnorm < config.tol_g and last_step < config.tol_x:
-            stop = "converged"
+    while not (gnorm < _TOL_G and last_step < _TOL_X):
+        if iterations == _MAX_ITER:
+            stop = "max_iter"
             break
         d = step()
-        if gnorm < config.tol_g and _norm(d) < config.tol_x:
-            stop = "converged"
+        if gnorm < _TOL_G and _norm(d) < _TOL_X:
             break
         t = 1.0
-        for _ in range(config.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             candidate = beta + t * d
             evaluations += 1
             try:
@@ -160,8 +150,6 @@ def _lane(config, start):
         beta, g, step, gnorm = candidate, g_try, s_try, gn_try
         iterations += 1
         trace.append((beta.copy(), gnorm, last_step))
-    if stop == "max_iter" and gnorm < config.tol_g and last_step < config.tol_x:
-        stop = "converged"
     return GeeFit(
         beta, stop == "converged", iterations, gnorm, tuple(trace), stop, evaluations
     )
@@ -200,7 +188,7 @@ def _batch(lanes, kind, lk, stacked, points, trial):
     return [(g[i], functools.partial(step, i), norms[i]) for i in range(len(g))]
 
 
-def _newton(lanes, kind, lk, config, inits, frozen=None, stacked=None) -> list:
+def _newton(lanes, kind, lk, inits, frozen=None, stacked=None) -> list:
     """Damped Newton iteration on ``g(beta) = 0``, every lane of ``lanes``
     stepped in lockstep: the solver's only Newton loop.
 
@@ -219,7 +207,7 @@ def _newton(lanes, kind, lk, config, inits, frozen=None, stacked=None) -> list:
     batched = len(inits) > 1 and _analytic(kind, lk, stacked)
     frozen = frozen or [None] * len(inits)
     out = list(inits)
-    steps = {l: _lane(config, s) for l, s in enumerate(inits) if not isinstance(s, Exception)}
+    steps = {l: _lane(s) for l, s in enumerate(inits) if not isinstance(s, Exception)}
     asks = {l: next(s) for l, s in steps.items()}
     while asks:
         got = None
@@ -259,27 +247,21 @@ def _newton_direction(d_mat, g):
 def _freeze_lanes(lanes, kind, lk, starts) -> tuple:
     """Each lane's ``FrozenProxy`` at its start, or the error freezing it
     raised (an error start passes through), and the stack's, where every
-    lane of a stack has one. A data-independent proxy is inverted once per
-    cluster size, a data-dependent one folded on each lane's clusters."""
-    members = lanes.members
-    if not kind.spec.depends_on_data:
-        shared = _caught(freeze_proxy, kind, lanes.dataset, starts[0], lk)
-        if len(members) == 1:
-            return [shared], None
-        if isinstance(shared, FrozenProxy):
-            inv = dict(zip([b.size for b in lanes.dataset.buckets], shared.inverses))
-            frozen = [FrozenProxy(ds, tuple(inv[b.size] for b in ds.buckets)) for ds in members]
-            return frozen, shared
+    lane of a stack has one: a data-independent proxy frozen on the stack,
+    a data-dependent one folded on each lane's clusters and concatenated
+    (``Lanes.freeze``)."""
     frozen = [
         s if isinstance(s, Exception) else _caught(freeze_proxy, kind, ds, s, lk)
-        for ds, s in zip(members, starts)
+        for ds, s in zip(lanes.members, starts)
     ]
     if len(frozen) == 1 or any(isinstance(f, Exception) for f in frozen):
         return frozen, None
-    return frozen, lanes.freeze(frozen)
+    if kind.spec.depends_on_data:
+        return frozen, lanes.freeze(frozen)
+    return frozen, freeze_proxy(kind, lanes.dataset, starts[0], lk)
 
 
-def _solve(lanes, kind, lk, config, inits, memo) -> list:
+def _solve(lanes, kind, lk, inits, memo) -> list:
     """Each lane's fit of ``kind``, or the error its solve raised.
 
     Data-dependent proxy correlations are frozen during each Newton solve
@@ -289,26 +271,25 @@ def _solve(lanes, kind, lk, config, inits, memo) -> list:
     independence, and as the first stage of every staged fit.
     """
     if kind.variant == "general":
-        return _newton(lanes, kind, lk, config, inits)
+        return _newton(lanes, kind, lk, inits)
     staged = not kind.reduces_to_independence and kind.spec.depends_on_data
     starts = inits
     if kind.reduces_to_independence or staged:
         if "independence" not in memo:
-            memo["independence"] = _newton(lanes, _INDEPENDENCE, lk, config, inits)
+            memo["independence"] = _newton(lanes, _INDEPENDENCE, lk, inits)
         if not staged:
             return memo["independence"]
         starts = memo["independence"]
     points = [getattr(s, "beta_hat", s) for s in starts]
     frozen, stacked = _freeze_lanes(lanes, kind, lk, points)
     starts = [f if isinstance(f, Exception) else s for f, s in zip(frozen, starts)]
-    return _newton(lanes, kind, lk, config, starts, frozen, stacked)
+    return _newton(lanes, kind, lk, starts, frozen, stacked)
 
 
 def solve_gee(
     dataset: Dataset,
     kind: EstimatingFunction,
     link,
-    config: Optional[SolverConfig] = None,
     init=None,
 ) -> GeeFit:
     """Solve ``g(beta) = 0`` by damped Newton iteration, from ``init`` (of
@@ -320,7 +301,7 @@ def solve_gee(
     lk = get_link(link)
     beta0 = default_init(dataset, lk) if init is None else as_beta(init)
     _check_width(dataset, beta0)
-    (fit,) = _solve(Lanes((dataset,)), kind, lk, config or SolverConfig(), [beta0], {})
+    (fit,) = _solve(Lanes((dataset,)), kind, lk, [beta0], {})
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -332,9 +313,9 @@ def solve_lanes(lanes: Lanes, kinds, link) -> list:
     ``GeeFit``, bit for bit that of ``solve_gee`` on its dataset, or the
     error that ``solve_gee`` raises there. Each lane's default start is
     formed once, and its independence fit once, for every kind."""
-    lk, config, memo = get_link(link), SolverConfig(), {}
+    lk, memo = get_link(link), {}
     inits = [default_init(ds, lk) for ds in lanes.members]
-    return [_solve(lanes, kind, lk, config, inits, memo) for kind in kinds]
+    return [_solve(lanes, kind, lk, inits, memo) for kind in kinds]
 
 
 def linear_closed_form(dataset: Dataset, r_sequence) -> np.ndarray:

@@ -74,8 +74,22 @@ class TestBallLattice:
         assert radii[0] == 0.0
         np.testing.assert_allclose(radii[1:], 0.5, atol=1e-12)
 
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        msg = f"^radius must be finite and positive, got {radius}$"
+        with pytest.raises(InvalidInputError, match=msg):
+            ball_lattice(np.array([1.0, -1.0]), radius)
+
 
 class TestConditionTrajectories:
+    def test_beta_of_the_wrong_width_is_named(self):
+        cfg = gaussian_exch(n=20)
+        ds = simulate_scenario(cfg)
+        spec = WorkingCorrelationSpec.exchangeable(0.4, 3)
+        msg = r"^cluster 1: regressor width 2 != len\(beta\) 3$"
+        with pytest.raises(InvalidInputError, match=msg):
+            condition_trajectories(ds, np.zeros(3), "identity", spec)
+
     def test_identity_link_curvature_free(self):
         cfg = gaussian_exch()
         ds = simulate_scenario(cfg)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -400,6 +402,24 @@ class TestShapeChecks:
         if spec is not None:
             with pytest.raises(InvalidInputError, match=msg):
                 eval_g_perturbed(ds, np.zeros(3), Perturbation.zero(ds), link, kind.spec)
+
+    @pytest.mark.parametrize("grid", [[8, 4], [4, 50], [], [0, 4]])
+    def test_bad_checkpoint_grid_is_refused(self, grid):
+        ds = simulate_scenario(exch_scenario(n=10))
+        truth = CorrelationTruth.from_kind("exchangeable", 0.4, 3)
+        spec = WorkingCorrelationSpec.exchangeable(0.4, 3)
+        msg = f"n_grid must be nonempty, nondecreasing and within 1..10, got {grid}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(msg)}$"):
+            information_sums(ds, np.zeros(2), "identity", spec, truth, grid)
+
+    def test_repeated_checkpoints_give_equal_sums(self):
+        ds = simulate_scenario(exch_scenario(n=10))
+        truth = CorrelationTruth.from_kind("exchangeable", 0.4, 3)
+        spec = WorkingCorrelationSpec.exchangeable(0.4, 3)
+        sums = information_sums(ds, np.zeros(2), "identity", spec, truth, [4, 4, 8])
+        want = information_sums(ds, np.zeros(2), "identity", spec, truth, [4, 8])
+        for key, got in sums.items():
+            np.testing.assert_array_equal(got, want[key][[0, 0, 1]])
 
     @pytest.mark.parametrize("prep_prefix", [True, False])
     def test_frozen_proxy_of_another_dataset(self, prep_prefix):

@@ -309,6 +309,9 @@ def error_dataset():
         lambda k, ds, b: jacobian(k, ds, b, "log"),
         lambda k, ds, b: score_increments(k, ds, b, "log", CorrelationTruth.plugin(3)),
         lambda k, ds, b: eval_g(EstimatingFunction.independence(), ds, b, "log"),
+        lambda k, ds, b: eval_g_perturbed(
+            ds, b, Perturbation.zero(ds), "log", WorkingCorrelationSpec.identity(3)
+        ),
     ],
 )
 def test_invalid_variance_names_first_cluster_in_cluster_order(call):

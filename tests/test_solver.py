@@ -15,7 +15,6 @@ from stochgee import (
     ScenarioConfig,
     SingularDesignError,
     SizeSchedule,
-    SolverConfig,
     TruthSpec,
     WorkingCorrelationSpec,
     dataset_from_arrays,
@@ -51,16 +50,6 @@ def exch(rho, m):
     t = np.full((m, m), rho)
     np.fill_diagonal(t, 1.0)
     return t
-
-
-class TestSolverConfig:
-    @pytest.mark.parametrize("field", ["tol_g", "tol_x"])
-    @pytest.mark.parametrize("value", [0.0, -1e-10, math.nan])
-    def test_nonpositive_or_nan_tolerance_is_refused(self, field, value):
-        from stochgee import InvalidInputError
-
-        with pytest.raises(InvalidInputError, match="^tolerances must be positive$"):
-            SolverConfig(**{field: value})
 
 
 class TestLinearClosedForm:
@@ -231,25 +220,24 @@ class TestSolveGee:
         b = solve_gee(shuffled, kind, "identity").beta_hat
         np.testing.assert_allclose(a, b, atol=1e-9)
 
-    def test_residual_below_tolerance_at_root(self):
+    def test_residual_below_tolerance_at_root(self, monkeypatch):
         cfg = scenario(link="log", scale=0.4, n=80)
         ds = simulate_scenario(cfg)
-        config = SolverConfig(tol_g=1e-10)
+        monkeypatch.setattr(solver, "_TOL_G", 1e-10)
         kind = EstimatingFunction.gee_star(WorkingCorrelationSpec.exchangeable(0.2, 3))
-        fit = solve_gee(ds, kind, "log", config)
+        fit = solve_gee(ds, kind, "log")
         assert fit.converged
         g = eval_g(kind, ds, fit.beta_hat, "log")
-        assert np.max(np.abs(g)) < config.tol_g
+        assert np.max(np.abs(g)) < solver._TOL_G
 
-    def test_max_iter_exhaustion_reported(self):
+    def test_max_iter_exhaustion_reported(self, monkeypatch):
         cfg = scenario(link="log", scale=0.5, n=50)
         ds = simulate_scenario(cfg)
-        config = SolverConfig(max_iter=1)
+        monkeypatch.setattr(solver, "_MAX_ITER", 1)
         fit = solve_gee(
             ds,
             EstimatingFunction.independence(),
             "log",
-            config,
             init=np.array([3.0, 3.0]),
         )
         assert not fit.converged
@@ -406,12 +394,12 @@ class TestLineSearch:
         np.testing.assert_allclose([beta[0], beta[1] + beta[2]], ref.beta_hat, rtol=1e-9)
 
     @pytest.mark.parametrize("name", ["independence", "exchangeable:0.4"])
-    def test_stall_below_the_roundoff_floor_stops_early(self, name):
+    def test_stall_below_the_roundoff_floor_stops_early(self, name, monkeypatch):
         # no ||g|| can reach 1e-30, so the line search stalls at the floor
-        config = SolverConfig(tol_g=1e-30)
+        monkeypatch.setattr(solver, "_TOL_G", 1e-30)
         kind = resolve_estimator(name, 3)
-        fit = solve_gee(link_domain_case(), kind, "log", config)
-        assert fit.iterations < config.max_iter
+        fit = solve_gee(link_domain_case(), kind, "log")
+        assert fit.iterations < solver._MAX_ITER
         norms = [t[1] for t in fit.trace]
         assert all(b <= a for a, b in zip(norms, norms[1:]))
         assert fit.final_residual_norm == norms[-1] < 1e-10
@@ -556,13 +544,13 @@ class TestStopReason:
         assert fit.converged and fit.stop_reason == "converged"
         assert fit.evaluations >= fit.iterations + 1
 
-    def test_stalled(self):
+    def test_stalled(self, monkeypatch):
         # no ||g|| can reach 1e-30: the last line search spends every halving
-        config = SolverConfig(tol_g=1e-30)
+        monkeypatch.setattr(solver, "_TOL_G", 1e-30)
         kind = resolve_estimator("exchangeable:0.4", 3)
-        fit = solve_gee(link_domain_case(), kind, "log", config)
+        fit = solve_gee(link_domain_case(), kind, "log")
         assert not fit.converged and fit.stop_reason == "stalled"
-        assert fit.evaluations >= fit.iterations + 1 + config.max_halvings + 1
+        assert fit.evaluations >= fit.iterations + 1 + solver._MAX_HALVINGS + 1
 
     def test_max_iter(self):
         # all-zero counts push the log-link root to -infinity; every full
@@ -572,8 +560,26 @@ class TestStopReason:
         )
         fit = solve_gee(ds, EstimatingFunction.independence(), "log")
         assert not fit.converged and fit.stop_reason == "max_iter"
-        assert fit.iterations == SolverConfig().max_iter
+        assert fit.iterations == solver._MAX_ITER
         assert fit.evaluations == fit.iterations + 1
+
+    def test_iteration_limit_counts_accepted_steps(self, monkeypatch):
+        # with a step tolerance this wide the last accepted step meets both
+        # tolerances, so the fit stops at the head of the next pass, before
+        # the iteration limit is read
+        monkeypatch.setattr(solver, "_TOL_X", 1e-5)
+        ds = simulate_scenario(scenario(link="log", scale=0.4))
+        kind = resolve_estimator("exchangeable:0.4", 3)
+        fit = solve_gee(ds, kind, "log")
+        _, gnorm, last_step = fit.trace[-1]
+        assert fit.stop_reason == "converged" and fit.iterations > 1
+        assert gnorm < solver._TOL_G and last_step < solver._TOL_X
+        monkeypatch.setattr(solver, "_MAX_ITER", fit.iterations)
+        assert fit_record(solve_gee(ds, kind, "log")) == fit_record(fit)
+        monkeypatch.setattr(solver, "_MAX_ITER", fit.iterations - 1)
+        short = solve_gee(ds, kind, "log")
+        assert not short.converged and short.stop_reason == "max_iter"
+        assert short.iterations == fit.iterations - 1
 
     def test_staged_fit_counts_both_stages(self):
         ds = simulate_scenario(scenario(link="log", scale=0.4))
