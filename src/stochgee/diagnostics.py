@@ -25,6 +25,7 @@ from .estimating import (
     _a2_decide,
     _bucket_proxies,
     _check_width,
+    _checkpoints,
     _invert_proxies,
     _scheduled_deltas,
     a2_halving_pass,
@@ -45,6 +46,7 @@ from .model import Dataset, as_beta, get_link
 from .simulation import (
     GENERATOR_ID,
     ScenarioConfig,
+    _GRID_RULE,
     _chunk_datasets,
     _quartiles,
     _replicate,
@@ -87,9 +89,9 @@ class DiagnosticsParams:
             raise ConfigError(f"{msg}, got {list(r)}", field="r_grid")
         object.__setattr__(self, "r_grid", r)
         if self.n_grid is not None:
-            g = tuple(int(x) for x in self.n_grid)
+            msg = "n_grid must be strictly increasing and >= 1"
+            g = tuple(_checkpoints(self.n_grid, msg, "n_grid"))
             if not g or any(x < 1 for x in g) or any(b <= a for a, b in zip(g, g[1:])):
-                msg = "n_grid must be strictly increasing and >= 1"
                 raise ConfigError(f"{msg}, got {list(g)}", field="n_grid")
             object.__setattr__(self, "n_grid", g)
 
@@ -675,7 +677,7 @@ def optimality_study(
             "gaussian_link_moments family",
             field="response_family",
         )
-    n_grid = sorted(int(n) for n in n_grid)
+    n_grid = sorted(_checkpoints(n_grid, _GRID_RULE, "n_grid"))
     specs = _resolve_specs(specs)
     args = (config, specs, tuple(n_grid), perturbed)
     results = _replicate(_optimality_worker, reps, n_grid, jobs, *args)
@@ -722,7 +724,7 @@ def consistency_study(
     ``run_replications`` for the seeding and nesting contract. Failed
     replications are tallied, never fatal.
     """
-    n_grid = sorted(int(n) for n in n_grid)
+    n_grid = sorted(_checkpoints(n_grid, _GRID_RULE, "n_grid"))
     results = run_replications(config, reps, estimators, n_grid, jobs=jobs)
     used = [r for r in results if r.error is None]
     beta0 = config.beta0_array
@@ -777,7 +779,7 @@ def a1_gap_study(
     jobs: int = 1,
 ) -> StudyResult:
     """Median element-wise proxy-vs-truth gaps across replications."""
-    n_grid = sorted(int(n) for n in n_grid)
+    n_grid = sorted(_checkpoints(n_grid, _GRID_RULE, "n_grid"))
     specs = _resolve_specs(specs)
     results = _replicate(_a1_worker, reps, n_grid, jobs, config, specs, tuple(n_grid))
     rows = []
@@ -818,7 +820,7 @@ def slln_decay_study(
     """Medians of the normalized martingale ratio along the grid."""
     if not delta > 0:
         raise ConfigError("delta must be positive", field="delta")
-    n_grid = sorted(int(n) for n in n_grid)
+    n_grid = sorted(_checkpoints(n_grid, _GRID_RULE, "n_grid"))
     args = (config, kind, delta, tuple(n_grid))
     results = _replicate(_slln_worker, reps, n_grid, jobs, *args)
     ratios = _quartiles([r[0] for r in results])[1]

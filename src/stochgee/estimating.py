@@ -11,6 +11,7 @@ the inverse proxy correlation, and rescales:
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -26,6 +27,7 @@ from .correlation import (
     working_corr,
 )
 from .exceptions import (
+    ConfigError,
     InvalidInputError,
     InvalidVarianceError,
     NotPositiveDefiniteError,
@@ -255,42 +257,45 @@ class FrozenProxy:
 
 class Lanes:
     """Datasets fitted in lockstep (``members``), their rows stacked in
-    lane order as ``dataset``; a lone member is its own. Lane ``l`` holds
-    the rows ``rows[l]`` and, in each size bucket it has, one run of
-    clusters: ``cuts[l]`` lists ``(bucket, slice)``, the slice of the
-    bucket's rows flattened to (k * m, ...). ``owners`` gives per bucket
-    each cluster's lane (None for a lone member). Elementwise work runs
-    once over the stack and every sum over clusters on one lane's runs,
-    so each lane gets its member's bits whatever shares the stack.
+    lane order as ``dataset``; a lone member is its own, not a copy, and a
+    lone lane a stack of one. Lane ``l`` holds the rows ``rows[l]`` and,
+    in each size bucket it has, one run of clusters: ``runs[j]`` lists for
+    bucket ``j`` of the stack, in lane order, ``(lane, bucket of the lane,
+    clusters, rows)``, the slices of the bucket's clusters and of its rows
+    flattened to (k * m, ...). Elementwise work runs once over the stack
+    and every sum over clusters on one lane's runs, so each lane gets its
+    member's bits whatever shares the stack.
     """
 
     def __init__(self, members):
         self.members = members = tuple(members)
-        self.dataset, self.owners = members[0], None
-        if len(members) == 1:
-            return
-        cat = [np.concatenate([getattr(d, a) for d in members]) for a in ("x", "y", "sizes")]
-        self.dataset = Dataset._trusted(*cat, members[0].p, members[0].m_max)
-        bounds = np.cumsum([0] + [d.x.shape[0] for d in members]).tolist()
-        self.rows = tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
-        lane = np.repeat(np.arange(len(members)), [d.sizes.shape[0] for d in members])
-        self.owners = [lane[b.positions] for b in self.dataset.buckets]
-        self.cuts = [[] for _ in members]
-        for j, (b, owner) in enumerate(zip(self.dataset.buckets, self.owners)):
-            ends = (np.searchsorted(owner, np.arange(len(members) + 1)) * b.size).tolist()
-            for l, (lo, hi) in enumerate(zip(ends, ends[1:])):
-                if hi > lo:
-                    self.cuts[l].append((j, slice(lo, hi)))
+        self.dataset = members[0]
+        if len(members) > 1:
+            cat = [np.concatenate([getattr(d, a) for d in members]) for a in ("x", "y", "sizes")]
+            self.dataset = Dataset._trusted(*cat, members[0].p, members[0].m_max)
+        bounds = list(itertools.accumulate((d.x.shape[0] for d in members), initial=0))
+        self.rows = tuple(map(slice, bounds, bounds[1:]))
+        index = {b.size: j for j, b in enumerate(self.dataset.buckets)}
+        self.runs = [[] for _ in self.dataset.buckets]
+        for l, d in enumerate(members):
+            for i, b in enumerate(d.buckets):
+                # a lane's run follows the earlier lanes' clusters of its size
+                runs = self.runs[index[b.size]]
+                lo = runs[-1][2].stop if runs else 0
+                hi = lo + b.positions.shape[0]
+                runs.append((l, i, slice(lo, hi), slice(lo * b.size, hi * b.size)))
 
     def freeze(self, proxies) -> "FrozenProxy":
-        """The members' data-dependent ``FrozenProxy`` objects as one for
-        the stack (of two or more members): per bucket the members'
-        (k, m, m) stacks in lane order."""
-        parts = [[] for _ in self.dataset.buckets]
-        for cut, proxy in zip(self.cuts, proxies):
-            for (j, _), inv in zip(cut, proxy.inverses):
-                parts[j].append(inv)
-        return FrozenProxy(self.dataset, tuple(np.concatenate(p) for p in parts))
+        """The members' ``FrozenProxy`` objects as one for the stack: per
+        bucket the members' (k, m, m) stacks in lane order (a lone member's
+        own array), or the (m, m) inverse that a data-independent proxy
+        gives every member alike."""
+        inverses = []
+        for runs in self.runs:
+            parts = [proxies[l].inverses[i] for l, i, *_ in runs]
+            one = len(parts) == 1 or parts[0].ndim == 2
+            inverses.append(parts[0] if one else np.concatenate(parts))
+        return FrozenProxy(self.dataset, tuple(inverses))
 
 
 def _checked_inverse(parts) -> list:
@@ -372,8 +377,9 @@ def freeze_proxy(
 
     A data-independent template gives one inverse per cluster size; a
     data-dependent proxy is folded at ``beta`` (or read from a
-    ``frozen_corr`` sequence) and inverted in one batched call. A
-    ``FrozenProxy`` for the same dataset passes through unchanged.
+    ``frozen_corr`` sequence) and inverted in one batched call; a (1, p)
+    ``beta``, a lone lane's, folds at its point. A ``FrozenProxy`` for the
+    same dataset passes through unchanged.
     """
     if isinstance(frozen_corr, FrozenProxy):
         if frozen_corr.dataset is not dataset:
@@ -382,7 +388,7 @@ def freeze_proxy(
     if frozen_corr is not None:
         mats = _stack_by_bucket(dataset, frozen_corr)
     elif kind.spec.depends_on_data:
-        mats = _bucket_proxies(dataset, proxy_stack(dataset, beta, link))
+        mats = _bucket_proxies(dataset, proxy_stack(dataset, np.ravel(beta), link))
     else:
         mats = [working_corr(kind.spec, b.size) for b in dataset.buckets]
     return _invert_proxies(dataset, mats)
@@ -402,6 +408,16 @@ def _first_offender(dataset: Dataset, bad_rows) -> Optional[int]:
     return min(hits) + 1 if hits else None
 
 
+def _checkpoints(n_grid, rule: str, field=None) -> list:
+    """The checkpoints of ``n_grid`` as ints, each a whole number of any
+    numeric type (100, ``np.int64(100)``, 100.0); any other (2.7, nan)
+    raises ConfigError: ``rule``, then the grid as given."""
+    grid = list(n_grid)
+    if not all(float(n).is_integer() for n in grid):
+        raise ConfigError(f"{rule}, got {grid}", field=field)
+    return [int(n) for n in grid]
+
+
 def _check_width(dataset: Dataset, beta: np.ndarray) -> None:
     if dataset.p != beta.shape[-1]:
         raise InvalidInputError(
@@ -409,36 +425,37 @@ def _check_width(dataset: Dataset, beta: np.ndarray) -> None:
         )
 
 
-def _moments(dataset: Dataset, beta: np.ndarray, lk, owners=None) -> list:
+def _moments(dataset: Dataset, beta: np.ndarray, lk, lanes=None) -> list:
     """Per-bucket (mean, variance) at ``beta``, each (k, m).
 
     Raises InvalidVarianceError for the first cluster, in cluster order,
     with a non-finite moment or a nonpositive variance.
     At an (L, p) stack of points each is (L, k, m), from one batched
     product whose matrices are each ``b.x @ point``; a stack is left for
-    ``_pearson_residuals`` to check. With ``owners`` (``Lanes.owners``)
-    the rows of ``beta`` are lane points instead: each cluster takes its
-    own lane's, and the moments are (k, m) and checked.
+    ``_pearson_residuals`` to check. With ``lanes`` (a ``Lanes`` whose
+    stack is ``dataset``) the rows of ``beta`` are lane points instead:
+    each lane's run of clusters in a bucket takes its point in one
+    product, and the moments are (k, m) and checked.
     """
     _check_width(dataset, beta)
-    out = []
-    for j, b in enumerate(dataset.buckets):
-        if owners is not None:
-            eta = (b.x @ beta[owners[j]][..., None])[..., 0]
-        elif beta.ndim == 1:
-            eta = b.x @ beta
-        else:
-            eta = (b.x[None] @ beta[:, None, :, None])[..., 0]
-        out.append((lk.eval(0, eta), lk.eval(1, eta)))
-    if beta.ndim > 1 and owners is None:
-        return out
+    if beta.ndim == 1:
+        etas = [b.x @ beta for b in dataset.buckets]
+    elif lanes is not None:
+        etas = [np.empty(b.y.shape) for b in dataset.buckets]
+        for b, eta, runs in zip(dataset.buckets, etas, lanes.runs):
+            for l, _, s, _ in runs:
+                np.matmul(b.x[s], beta[l], out=eta[s])
+    else:
+        etas = [(b.x[None] @ beta[:, None, :, None])[..., 0] for b in dataset.buckets]
+        return [(lk.eval(0, eta), lk.eval(1, eta)) for eta in etas]
+    out = [(lk.eval(0, eta), lk.eval(1, eta)) for eta in etas]
     nonfinite = [~(np.isfinite(mean) & np.isfinite(var)) for mean, var in out]
     bad = [nf | (var <= 0.0) for nf, (_, var) in zip(nonfinite, out)]
     index = _first_offender(dataset, bad)
     if index is not None:
         if _first_offender(dataset, nonfinite) == index:
             raise InvalidVarianceError(
-                f"cluster {index}: non-finite moments at beta={beta.tolist()}"
+                f"cluster {index}: non-finite moments at beta={beta.ravel().tolist()}"
             )
         raise InvalidVarianceError(f"cluster {index}: nonpositive conditional variance")
     return out
@@ -478,67 +495,57 @@ def _pearson_residuals(dataset: Dataset, beta, lk) -> list:
     return resid
 
 
-def _whiten(kind, dataset, beta, lk, frozen_corr=None, means=None, lanes=None) -> tuple:
-    """g of the gee_star ``kind`` at ``beta`` and its whitened factors.
+def _whiten(kind, lanes, beta, lk, frozen_corr=None, means=None) -> tuple:
+    """g of the gee_star ``kind`` at ``beta``, one point per lane of
+    ``lanes``, and the whitened factors of their stack.
 
     The factors hold per size bucket X (k, m, p), the inverse proxies,
     ``z = A^{1/2} X`` (k, m, p), ``e = A^{-1/2} (y - mu)`` and
-    ``re = R^{-1} e`` (k, m); ``g`` sums ``z' re`` over the buckets.
-    ``means``, one (k, m) array per bucket, replaces the means the
-    residuals are taken from (``eval_g_perturbed`` passes the unperturbed
-    ones); the variances are always those of ``dataset``. With ``lanes``
-    the factors are formed once for the stack and g is the (L, p) stack
-    of the lanes' sums, each over the lane's own clusters.
+    ``re = R^{-1} e`` (k, m), formed once for the stack; g is the (L, p)
+    stack of the lanes' sums of ``z' re``, each over the lane's own
+    clusters, bucket by bucket. ``means``, one (k, m) array per bucket,
+    replaces the means the residuals are taken from (``eval_g_perturbed``
+    passes the unperturbed ones); the variances are always those of the
+    stack.
     """
-    moments = _moments(dataset, beta, lk, None if lanes is None else lanes.owners)
+    dataset = lanes.dataset
+    moments = _moments(dataset, beta, lk, lanes)
     proxy = freeze_proxy(kind, dataset, beta, lk, frozen_corr)
     if means is None:
         means = [mean for mean, _ in moments]
-    parts = []
-    for b, (_, var), mean, rinv in zip(dataset.buckets, moments, means, proxy.inverses):
+    parts, g = [], np.zeros((len(lanes.members), dataset.p))
+    buckets = zip(dataset.buckets, moments, means, proxy.inverses, lanes.runs)
+    for b, (_, var), mean, rinv, runs in buckets:
         sd = np.sqrt(var)
         e = (b.y - mean) / sd
-        parts.append((b.x, rinv, b.x * sd[..., None], e, _apply(rinv, e)))
-    if lanes is None:
-        g = sum(z.reshape(-1, z.shape[-1]).T @ re.ravel() for _, _, z, _, re in parts)
-        return g, tuple(parts)
-    flat = [(z.reshape(-1, z.shape[-1]), re.ravel()) for _, _, z, _, re in parts]
-    g = [sum(flat[j][0][s].T @ flat[j][1][s] for j, s in cut) for cut in lanes.cuts]
-    return np.array(g), tuple(parts)
+        z, re = b.x * sd[..., None], _apply(rinv, e)
+        parts.append((b.x, rinv, z, e, re))
+        z, re = z.reshape(-1, dataset.p), re.ravel()
+        for l, _, _, r in runs:
+            g[l] += z[r].T @ re[r]
+    return g, tuple(parts)
 
 
-def _whitened_jacobian(parts, lk, lanes=None) -> np.ndarray:
-    """-dg/dbeta' from the factors of ``_whiten``, with the proxies held
-    fixed (identity and log links); with ``lanes`` the (L, p, p) stack of
-    the lanes' Jacobians, each summed over the lane's own clusters."""
-    terms = []
-    for x, rinv, z, e, re in parts:
-        p = x.shape[-1]
+def _whitened_jacobian(parts, lk, lanes) -> np.ndarray:
+    """The (L, p, p) stack of the lanes' -dg/dbeta' from the factors of
+    ``_whiten``, each summed over the lane's own clusters, bucket by
+    bucket, with the proxies held fixed (identity and log links)."""
+    p = parts[0][0].shape[-1]
+    jac = np.zeros((len(lanes.members), p, p))
+    for (x, rinv, z, e, re), runs in zip(parts, lanes.runs):
         v = (rinv @ z).reshape(-1, p)
         x, z = x.reshape(-1, p), z.reshape(-1, p)
-        # main term X' A^{1/2} R^{-1} A^{1/2} X = Z' V
-        term = (z, v)
         if lk.kind == "log":
             # d A^{1/2}_j / d beta_l = x_jl A^{1/2}_j / 2 for the log link;
             # contracted with the Pearson residual e this is
             # (Z' (x_l o R^{-1} e) - V' (x_l o e)) / 2, every l at once
-            term += (x * re.reshape(-1, 1), x * e.reshape(-1, 1))
-        terms.append(term)
-    if lanes is None:
-        return _jacobian_sum(terms)
-    return np.array(
-        [_jacobian_sum([[a[s] for a in terms[j]] for j, s in cut]) for cut in lanes.cuts]
-    )
-
-
-def _jacobian_sum(terms):
-    total = 0.0
-    for z, v, *log in terms:
-        total = total + z.T @ v
-        if log:
-            xre, xe = log
-            total -= 0.5 * (z.T @ xre - v.T @ xe)
-    return total
+            xre, xe = x * re.reshape(-1, 1), x * e.reshape(-1, 1)
+        for l, _, _, r in runs:
+            # main term X' A^{1/2} R^{-1} A^{1/2} X = Z' V
+            jac[l] += z[r].T @ v[r]
+            if lk.kind == "log":
+                jac[l] -= 0.5 * (z[r].T @ xre[r] - v[r].T @ xe[r])
+    return jac
 
 
 def _apply(mats, v: np.ndarray) -> np.ndarray:
@@ -597,7 +604,7 @@ def _score_factors(kind, dataset, beta, lk, frozen_corr=None) -> list:
     ``u = R^{-1} z`` from ``_whiten`` for a gee_star kind, ``z`` for
     independence; only the callback variant forms ``C_i``."""
     if kind.variant == "gee_star" and not kind.reduces_to_independence:
-        _, parts = _whiten(kind, dataset, beta, lk, frozen_corr)
+        _, parts = _whiten(kind, Lanes((dataset,)), beta[None], lk, frozen_corr)
         return [(rinv @ z, e) for _, rinv, z, e, _ in parts]
     moments = _moments(dataset, beta, lk)
     if kind.variant == "general":
@@ -625,10 +632,12 @@ def _analytic(kind, lk, frozen_corr) -> bool:
     )
 
 
-def _evaluate(
-    kind, dataset, beta, lk, frozen_corr=None, *, with_g=True, lanes=None
-) -> tuple:
-    """g at ``beta`` and a function giving -dg/dbeta' there.
+def _evaluate(kind, lanes, beta, lk, frozen_corr=None, *, with_g=True) -> tuple:
+    """g at ``beta``, one point per lane of ``lanes``, and a function giving
+    -dg/dbeta' there: (L, p) and (L, p, p) stacks whose rows are each
+    lane's sums over its own rows, the bits of the lane's evaluation
+    alone. The elementwise work runs once over the stack; a lone lane is a
+    stack of one.
 
     The one place that chooses how both are formed. The Jacobian is
     analytic for identity and log links with a proxy that does not move
@@ -636,54 +645,45 @@ def _evaluate(
     Jacobian ``X' diag(mu') X`` reuses ``eta``, and the gee_star one reads
     the whitened factors of this evaluation of g, so it takes no new
     moments, proxy or whitening. Anything else, the callback (``general``)
-    variant included, takes central differences of g (``_fd_jacobian``);
-    there g is needed only by a caller that reads it, so ``with_g=False``
-    returns None for it and evaluates nothing at ``beta``.
-
-    With ``lanes``, a ``Lanes`` whose stack is ``dataset``, ``beta`` holds
-    one point per lane and the Jacobian must be analytic: the elementwise
-    work runs once over the stack, and g and the Jacobian are (L, p) and
-    (L, p, p) stacks whose rows are each lane's sums over its own rows,
-    the bits of the lane's evaluation alone. An error is not attributed
-    to a lane; the caller redoes the lanes one at a time.
+    variant included, takes central differences of g (``_fd_jacobian``)
+    and is evaluated on a stack of one; there g is needed only by a caller
+    that reads it, so ``with_g=False`` returns None for it and evaluates
+    nothing at ``beta``. An error names a cluster of the stack and its
+    points, so a caller that batches redoes the lanes one at a time, each
+    as a stack of one, whose error is its lane's own.
     """
     analytic = _analytic(kind, lk, frozen_corr)
-    fd = functools.partial(_fd_jacobian, kind, dataset, beta, lk, frozen_corr)
+    dataset = lanes.dataset
+    fd = lambda: _fd_jacobian(kind, dataset, beta[0], lk, frozen_corr)[None]
     if not (analytic or with_g):
         return None, fd
     if kind.reduces_to_independence:
-        eta, mean = _independence_mean(dataset, beta, lk, lanes)
-        if lanes is None:
-            g = dataset.x.T @ (dataset.y - mean)
-            if analytic:
-                return g, lambda: dataset.x.T @ (dataset.x * lk.eval(1, eta)[:, None])
-        else:
-            g = _lane_cross(dataset.x, dataset.y - mean, lanes)
+        eta, mean = _independence_mean(lanes, beta, lk)
+        g = _lane_cross(dataset.x, dataset.y - mean, lanes)
+        if analytic:
             return g, lambda: _lane_cross(
                 dataset.x, dataset.x * lk.eval(1, eta)[:, None], lanes
             )
     elif kind.variant == "gee_star":
-        g, parts = _whiten(kind, dataset, beta, lk, frozen_corr, lanes=lanes)
+        g, parts = _whiten(kind, lanes, beta, lk, frozen_corr)
         if analytic:
             return g, lambda: _whitened_jacobian(parts, lk, lanes)
     else:
-        moments = _moments(dataset, beta, lk)
-        coeffs = _callback_coefficients(kind, dataset, beta)
+        moments = _moments(dataset, beta[0], lk)
+        coeffs = _callback_coefficients(kind, dataset, beta[0])
         parts = zip(dataset.buckets, coeffs, moments)
-        g = sum(_apply(c, b.y - mean).sum(axis=0) for b, c, (mean, _) in parts)
+        g = sum(_apply(c, b.y - mean).sum(axis=0) for b, c, (mean, _) in parts)[None]
     return g, fd
 
 
-def _independence_mean(dataset, beta, lk, lanes=None) -> tuple:
-    """The linear predictor and mean of every row at ``beta`` (one point
-    per lane with ``lanes``, as in ``_evaluate``). Raises
+def _independence_mean(lanes, beta, lk) -> tuple:
+    """The linear predictor and mean of every row of the stack of
+    ``lanes``, each lane's rows at its point of ``beta``. Raises
     InvalidVarianceError for the first cluster with a non-finite mean."""
-    if lanes is None:
-        eta = dataset.x @ beta
-    else:
-        eta = np.empty(dataset.x.shape[0])
-        for rows, point in zip(lanes.rows, beta):
-            np.matmul(dataset.x[rows], point, out=eta[rows])
+    dataset = lanes.dataset
+    eta = np.empty(dataset.x.shape[0])
+    for rows, point in zip(lanes.rows, beta):
+        np.matmul(dataset.x[rows], point, out=eta[rows])
     mean = lk.eval(0, eta)
     if not np.isfinite(mean).all():
         # rows are in cluster order, so the first bad row is in the first
@@ -691,7 +691,7 @@ def _independence_mean(dataset, beta, lk, lanes=None) -> tuple:
         row = np.argmax(~np.isfinite(mean))
         index = int(np.searchsorted(dataset.offsets, row, side="right"))
         raise InvalidVarianceError(
-            f"cluster {index}: non-finite moments at beta={beta.tolist()}"
+            f"cluster {index}: non-finite moments at beta={beta.ravel().tolist()}"
         )
     return eta, mean
 
@@ -702,12 +702,12 @@ def _lane_cross(a: np.ndarray, b: np.ndarray, lanes) -> np.ndarray:
 
 
 def _fd_jacobian(kind, dataset, beta, lk, frozen_corr=None) -> np.ndarray:
-    """-dg/dbeta' by central differences with per-coordinate steps
-    ``cbrt(eps) * max(1, |beta_l|)``."""
-    cols = []
+    """-dg/dbeta' at the point ``beta`` by central differences with
+    per-coordinate steps ``cbrt(eps) * max(1, |beta_l|)``."""
+    lanes, cols = Lanes((dataset,)), []
     for h, bp, bm in central_points(beta):
-        gp = _evaluate(kind, dataset, bp, lk, frozen_corr)[0]
-        gm = _evaluate(kind, dataset, bm, lk, frozen_corr)[0]
+        gp = _evaluate(kind, lanes, bp[None], lk, frozen_corr)[0][0]
+        gm = _evaluate(kind, lanes, bm[None], lk, frozen_corr)[0][0]
         cols.append((gp - gm) / (2.0 * h))
     return -np.column_stack(cols)
 
@@ -728,7 +728,7 @@ def eval_g(
     """
     beta = as_beta(beta)
     _check_width(dataset, beta)
-    return _evaluate(kind, dataset, beta, get_link(link), frozen_corr)[0]
+    return _evaluate(kind, Lanes((dataset,)), beta[None], get_link(link), frozen_corr)[0][0]
 
 
 def jacobian(
@@ -746,7 +746,7 @@ def jacobian(
     """
     beta, lk = as_beta(beta), get_link(link)
     _check_width(dataset, beta)
-    return _evaluate(kind, dataset, beta, lk, frozen_corr, with_g=False)[1]()
+    return _evaluate(kind, Lanes((dataset,)), beta[None], lk, frozen_corr, with_g=False)[1]()[0]
 
 
 def eval_g_perturbed(
@@ -770,9 +770,9 @@ def eval_g_perturbed(
     _check_width(dataset, beta)
     kind = EstimatingFunction.gee_star(spec)
     if kind.reduces_to_independence:
-        return shifted.x.T @ (dataset.y - _independence_mean(dataset, beta, lk)[1])
+        return shifted.x.T @ (dataset.y - _independence_mean(Lanes((dataset,)), beta[None], lk)[1])
     means = [mean for mean, _ in _moments(dataset, beta, lk)]
-    return _whiten(kind, shifted, beta, lk, means=means)[0]
+    return _whiten(kind, Lanes((shifted,)), beta[None], lk, means=means)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -817,9 +817,9 @@ def information_sums(
     beta = as_beta(beta)
     lk = get_link(link)
     p = beta.shape[0]
-    grid = [int(n) for n in n_grid]
+    msg = f"n_grid must be nonempty, nondecreasing and within 1..{dataset.n}"
+    grid = _checkpoints(n_grid, msg)
     if not (grid and grid[0] >= 1 and grid[-1] <= dataset.n and grid == sorted(grid)):
-        msg = f"n_grid must be nonempty, nondecreasing and within 1..{dataset.n}"
         raise InvalidInputError(f"{msg}, got {grid}")
     proxy = freeze_proxy(EstimatingFunction.gee_star(spec), dataset, beta, lk, frozen_corr)
     rbars = [truth.rbar(b.size) for b in dataset.buckets]

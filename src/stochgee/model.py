@@ -42,7 +42,7 @@ class LinkFunction:
             raise InvalidInputError(f"derivative order must be 0..3, got {order}")
         u = np.asarray(u, dtype=float)
         out = self._eval(order, u)
-        return float(out) if np.isscalar(u) or u.ndim == 0 else out
+        return float(out) if u.ndim == 0 else out
 
     def _eval(self, order, u):
         raise NotImplementedError

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .correlation import _floor_eigenvalues
-from .estimating import CorrelationTruth, EstimatingFunction, Lanes
+from .estimating import CorrelationTruth, EstimatingFunction, Lanes, _checkpoints
 from .exceptions import ConfigError, MisspecificationWarning, StochGeeError
 from .model import Dataset, get_link
 from .solver import GeeFit, solve_lanes
@@ -759,6 +759,8 @@ _CHUNK_REPS = 16
 #: rows (clusters times m_max) a chunk may hold; a replication with more
 #: is a chunk of its own
 _CHUNK_ROWS = 1 << 18
+#: what ``_replicate`` asks of a checkpoint grid, with whole-number sizes
+_GRID_RULE = "n_grid must be a nonempty nondecreasing list of sizes >= 1"
 
 
 def _replicate(worker, reps: int, n_grid: Sequence[int], jobs: int, config, *args) -> list:
@@ -780,10 +782,7 @@ def _replicate(worker, reps: int, n_grid: Sequence[int], jobs: int, config, *arg
         raise ConfigError(f"reps must be >= 1, got {reps}", field="reps")
     grid = list(n_grid)
     if not grid or grid[0] < 1 or any(b < a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(
-            f"n_grid must be a nonempty nondecreasing list of sizes >= 1, got {grid}",
-            field="n_grid",
-        )
+        raise ConfigError(f"{_GRID_RULE}, got {grid}", field="n_grid")
     rows = max(config.n, grid[-1]) * config.m_max
     size = max(1, min(_CHUNK_REPS, -(-reps // max(jobs, 1)), _CHUNK_ROWS // rows))
     chunks = [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
@@ -931,7 +930,7 @@ def run_replications(
     A replication records the first error of its fits in (estimator, n)
     order; the other replications are unaffected.
     """
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = tuple(_checkpoints(n_grid, _GRID_RULE, "n_grid"))
     estimators = list(estimators)
     for name, kind in estimators:
         if not isinstance(kind, EstimatingFunction):

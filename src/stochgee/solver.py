@@ -100,12 +100,6 @@ def _caught(fn, *args):
         return exc
 
 
-def _quiet(trial: bool):
-    # a g that overflows at a trial point fails the residual test like any
-    # worse point, so the overflow is not warned of
-    return np.errstate(over="ignore", invalid="ignore") if trial else contextlib.nullcontext()
-
-
 def _norm(v: np.ndarray) -> float:
     # np.linalg.norm's own expression for a 1-d vector, without its checks
     return math.sqrt(v.dot(v))
@@ -155,36 +149,30 @@ def _lane(start):
     )
 
 
-def _solo(kind, dataset, point, lk, frozen, trial):
-    """One lane's reply at ``point``, evaluated alone, or the lane error
-    the evaluation raised."""
-    try:
-        with _quiet(trial):
-            g, jac = _evaluate(kind, dataset, point, lk, frozen)
-    except _LANE_ERRORS as exc:
-        return exc
-    return g, lambda: _newton_direction(jac(), g), float(np.max(np.abs(g)))
-
-
-def _batch(lanes, kind, lk, stacked, points, trial):
+def _replies(lanes, kind, lk, proxy, points, trial) -> list:
     """Each lane's reply at its point of ``points``, evaluated in one batch
-    over the stack of ``lanes`` (two or more, with an analytic Jacobian)
-    under the stacked proxy ``stacked``, or None where the batch raises.
-    The Jacobians are formed and solved together on first use; where one is
-    singular, each lane solves its own, with the ridge retry."""
+    over the stack of ``lanes`` under the proxy ``proxy``: ``(g, Newton step
+    function, ||g||_inf)``, or for every lane the lane error the batch
+    raised. The Jacobians are formed and solved together on first use;
+    where one is singular, each lane solves its own, with the ridge retry."""
+    # a g that overflows at a trial point fails the residual test like any
+    # worse point, so the overflow is not warned of
+    quiet = np.errstate(over="ignore", invalid="ignore") if trial else contextlib.nullcontext()
     try:
-        with _quiet(trial):
-            g, jac = _evaluate(kind, lanes.dataset, np.array(points), lk, stacked, lanes=lanes)
-    except _LANE_ERRORS + (RuntimeWarning,):
-        return None  # a warning made an error is raised by its own lane
-    jac = functools.cache(jac)
-    solved = functools.cache(lambda: _caught(np.linalg.solve, jac(), g[..., None]))
+        with quiet:
+            g, jac = _evaluate(kind, lanes, np.array(points), lk, proxy)
+    except _LANE_ERRORS as exc:
+        return [exc] * len(points)
+    solved = []
 
     def step(i):
-        d = solved()
-        return _newton_direction(jac()[i], g[i]) if isinstance(d, Exception) else d[i, :, 0]
+        if not solved:
+            d_mat = jac()
+            solved.extend((d_mat, _caught(np.linalg.solve, d_mat, g[..., None])))
+        d_mat, d = solved
+        return _newton_direction(d_mat[i], g[i]) if isinstance(d, Exception) else d[i, :, 0]
 
-    norms = np.max(np.abs(g), axis=1).tolist()
+    norms = np.abs(g).max(axis=1).tolist()
     return [(g[i], functools.partial(step, i), norms[i]) for i in range(len(g))]
 
 
@@ -196,16 +184,17 @@ def _newton(lanes, kind, lk, inits, frozen=None, stacked=None) -> list:
     already ended it; ``frozen`` holds each lane's ``FrozenProxy`` (None
     without one) and ``stacked`` the stack's. Each lane runs its own
     iteration (``_lane``), with its own line search, convergence and stall
-    tests and trace, and asks for one point per round. While every lane
-    of a stack is running, a round's points are evaluated in one batch
-    (``_batch``), whatever each lane is doing; otherwise, or where the
-    batch raises, each lane is evaluated alone (``_solo``), and so meets
-    what it meets alone. A lone lane is only ever evaluated alone. Returns
-    per lane its ``GeeFit``, bit for bit the one its dataset gives alone,
-    or the error its solve raised.
+    tests and trace, and asks for one point per round; every reply comes
+    from ``_replies``. While every lane is running and the Jacobian is
+    analytic, a round's points are evaluated in one batch over the stack,
+    a lone lane's of one, whatever each lane is doing. Otherwise, or where
+    the batch raises, each lane is evaluated as its own stack of one, and
+    so meets what it meets alone. Returns per lane its ``GeeFit``, bit for
+    bit the one its dataset gives alone, or the error its solve raised.
     """
-    batched = len(inits) > 1 and _analytic(kind, lk, stacked)
+    batched = _analytic(kind, lk, stacked)
     frozen = frozen or [None] * len(inits)
+    alone = []
     out = list(inits)
     steps = {l: _lane(s) for l, s in enumerate(inits) if not isinstance(s, Exception)}
     asks = {l: next(s) for l, s in steps.items()}
@@ -213,9 +202,11 @@ def _newton(lanes, kind, lk, inits, frozen=None, stacked=None) -> list:
         got = None
         if batched and len(asks) == len(inits):
             # the lanes are all at their start, or all at trial points
-            got = _batch(lanes, kind, lk, stacked, [p for p, _ in asks.values()], asks[0][1])
-        for i, (l, (point, trial)) in enumerate(list(asks.items())):
-            reply = got[i] if got else _solo(kind, lanes.members[l], point, lk, frozen[l], trial)
+            got = _replies(lanes, kind, lk, stacked, [p for p, _ in asks.values()], asks[0][1])
+        if got is None or isinstance(got[0], Exception):
+            alone = alone or [Lanes((ds,)) for ds in lanes.members]
+            got = [_replies(alone[l], kind, lk, frozen[l], [p], t)[0] for l, (p, t) in asks.items()]
+        for l, reply in zip(list(asks), got):
             lane = steps[l]
             try:
                 asks[l] = lane.throw(reply) if isinstance(reply, Exception) else lane.send(reply)
@@ -247,18 +238,15 @@ def _newton_direction(d_mat, g):
 def _freeze_lanes(lanes, kind, lk, starts) -> tuple:
     """Each lane's ``FrozenProxy`` at its start, or the error freezing it
     raised (an error start passes through), and the stack's, where every
-    lane of a stack has one: a data-independent proxy frozen on the stack,
-    a data-dependent one folded on each lane's clusters and concatenated
-    (``Lanes.freeze``)."""
+    lane has one: the lanes' proxies as one (``Lanes.freeze``), so that
+    each lane is frozen once."""
     frozen = [
         s if isinstance(s, Exception) else _caught(freeze_proxy, kind, ds, s, lk)
         for ds, s in zip(lanes.members, starts)
     ]
-    if len(frozen) == 1 or any(isinstance(f, Exception) for f in frozen):
+    if any(isinstance(f, Exception) for f in frozen):
         return frozen, None
-    if kind.spec.depends_on_data:
-        return frozen, lanes.freeze(frozen)
-    return frozen, freeze_proxy(kind, lanes.dataset, starts[0], lk)
+    return frozen, lanes.freeze(frozen)
 
 
 def _solve(lanes, kind, lk, inits, memo) -> list:
@@ -294,9 +282,9 @@ def solve_gee(
 ) -> GeeFit:
     """Solve ``g(beta) = 0`` by damped Newton iteration, from ``init`` (of
     the regressor width) or ``default_init``; the error that ends the
-    solve is raised. The one-lane case of ``solve_lanes``: the lone lane
-    makes the solo calls, with no stack. Data-dependent proxies are
-    frozen, seeded by an independence fit and refolded once (``_solve``).
+    solve is raised. The one-lane case of ``solve_lanes``: a stack of one,
+    evaluated as any stack is. Data-dependent proxies are frozen, seeded
+    by an independence fit and refolded once (``_solve``).
     """
     lk = get_link(link)
     beta0 = default_init(dataset, lk) if init is None else as_beta(init)
@@ -310,7 +298,7 @@ def solve_gee(
 def solve_lanes(lanes: Lanes, kinds, link) -> list:
     """Every estimating function of ``kinds`` on every lane of ``lanes``,
     the lanes of a kind stepped in lockstep: per kind, each lane's
-    ``GeeFit``, bit for bit that of ``solve_gee`` on its dataset, or the
+    ``GeeFit``, bit for bit that of ``solve_gee``, its stack of one, or the
     error that ``solve_gee`` raises there. Each lane's default start is
     formed once, and its independence fit once, for every kind."""
     lk, memo = get_link(link), {}

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -220,6 +221,8 @@ class TestConditionTrajectories:
                 DiagnosticsParams(r_grid=r_grid)
         with pytest.raises(InvalidInputError):
             DiagnosticsParams(n_grid=(5, 5))
+        with pytest.raises(InvalidInputError, match=re.escape("got [2.5, 5]")):
+            DiagnosticsParams(n_grid=(2.5, 5))
 
     def test_report_is_deterministic(self):
         cfg = gaussian_exch(n=30, link="log", scale=0.4)
@@ -634,11 +637,12 @@ STUDIES = {
 
 
 class TestReplicationHarness:
-    @pytest.mark.parametrize("grid", [[0, 40], [-5, 40], []])
+    @pytest.mark.parametrize("grid", [[0, 40], [-5, 40], [], [2.5, 40]])
     @pytest.mark.parametrize("study", ["optimality", "a1_gap", "slln", "consistency"])
     def test_grid_below_one_or_empty_is_refused(self, study, grid):
         # n <= 0 would read cum[n - 1], the last cluster, and report the
-        # full-n numbers under n = 0; an empty grid has no max()
+        # full-n numbers under n = 0; an empty grid has no max(); int()
+        # would report the n = 2 numbers under n = 2.5
         with pytest.raises(ConfigError, match="^n_grid: ") as err:
             STUDIES[study](gaussian_exch(n=40), 2, grid)
         assert err.value.field == "n_grid"

@@ -32,6 +32,7 @@ from stochgee import (
     simulate_scenario,
 )
 from stochgee.estimating import (
+    Lanes,
     _fd_jacobian,
     _whiten,
     _whitened_jacobian,
@@ -403,7 +404,7 @@ class TestShapeChecks:
             with pytest.raises(InvalidInputError, match=msg):
                 eval_g_perturbed(ds, np.zeros(3), Perturbation.zero(ds), link, kind.spec)
 
-    @pytest.mark.parametrize("grid", [[8, 4], [4, 50], [], [0, 4]])
+    @pytest.mark.parametrize("grid", [[8, 4], [4, 50], [], [0, 4], [2.7, 10]])
     def test_bad_checkpoint_grid_is_refused(self, grid):
         ds = simulate_scenario(exch_scenario(n=10))
         truth = CorrelationTruth.from_kind("exchangeable", 0.4, 3)
@@ -552,8 +553,9 @@ class TestJacobian:
         frozen = corr_trajectory(ds, beta + 0.1, link, kind.spec)
         lk = get_link(link)
         da = jacobian(kind, ds, beta, link, frozen_corr=frozen)
-        parts = _whiten(kind, ds, beta, lk, frozen)[1]
-        np.testing.assert_array_equal(da, _whitened_jacobian(parts, lk))
+        lanes = Lanes((ds,))
+        parts = _whiten(kind, lanes, beta[None], lk, frozen)[1]
+        np.testing.assert_array_equal(da, _whitened_jacobian(parts, lk, lanes)[0])
         df = _fd_jacobian(kind, ds, beta, lk, frozen_corr=frozen)
         err = np.abs(da - df) / np.maximum(np.abs(da), 1e-8)
         assert err.max() < 1e-5

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -276,6 +277,18 @@ class TestRunReplications:
             run_replications(cfg, 1, est, [50, 10])
         with pytest.raises(ConfigError):
             run_replications(cfg, 0, est, [10])
+
+    def test_fractional_checkpoint_is_refused(self):
+        # int() would fit the 2-cluster prefix and report it under 2.7;
+        # whole numbers of any type are taken
+        cfg = base_config(n=10)
+        est = [("independence", EstimatingFunction.independence())]
+        msg = "n_grid: n_grid must be a nonempty nondecreasing list of sizes >= 1, got [2.7, 10]"
+        with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$") as err:
+            run_replications(cfg, 1, est, [2.7, 10])
+        assert err.value.field == "n_grid"
+        whole = run_replications(cfg, 1, est, [np.int64(5), 10.0])
+        assert whole[0].fits == run_replications(cfg, 1, est, [5, 10])[0].fits
 
     def test_failures_recorded_not_fatal(self):
         # the regressor drift overflows the log link: generation fails in

@@ -466,7 +466,7 @@ class TestLanes:
     @given(
         count=st.sampled_from([1, 2, 3, 16]),
         schedule=st.sampled_from(["constant", "random"]),
-        link=st.sampled_from(["identity", "log"]),
+        link=st.sampled_from(["identity", "log", "probit"]),
         scale=st.sampled_from([0.4, 1.5]),
         seed=st.integers(0, 2**16),
     )
@@ -488,6 +488,8 @@ class TestLanes:
             for _ in range(count)
         ]
         kinds = [resolve_estimator(name, 3) for name in LANE_ESTIMATORS]
+        # the finite-difference route: C_i = X_i' through the callback
+        kinds.append(EstimatingFunction.general(lambda history, x, beta: x.T))
         fits = solver.solve_lanes(Lanes(members), kinds, link)
         for kind, per_lane in zip(kinds, fits):
             for ds, fit in zip(members, per_lane):
